@@ -7,9 +7,10 @@ oracle finds the discrepancy numerically; an irrational rotation run
 through the identical procedure survives it.
 """
 
-from nilaa import NumericAffine, aa_empirical_test, parse_system
+from nilaa import NumericAffine, aa_empirical_test, make_system, parse_system
 from nilaa.cli import _numeric_map
 from nilaa.io import corpus_file
+from nilaa.nilalg import LieAlgebraSpec
 
 
 def show(label, report):
@@ -36,7 +37,8 @@ def main():
                                seed=config["seed"], probes=probes)
     show("jordan block on T^3", report)
 
-    rotation = NumericAffine(1, None, [0.7548776662466927])
+    circle = make_system(LieAlgebraSpec(1, {}))
+    rotation = NumericAffine(circle, [0.7548776662466927])
     report = aa_empirical_test(rotation, trials=3, eps=1e-3,
                                horizon=10 ** 5, seed=2)
     show("irrational rotation on T^1", report)

@@ -11,8 +11,8 @@ Translation coordinates may be left symbolic: parameters are treated as
 algebraically independent reals, so a verdict covers the generic member of a
 parametric family.
 
-Submodules are imported lazily; the exact-arithmetic layers never pull in
-numpy (only the orbit oracle does).
+Submodules are imported lazily and depend on nothing beyond the standard
+library.
 """
 
 from importlib import import_module
@@ -25,7 +25,7 @@ _EXPORTS = {
     "LieAlgebraSpec": "nilalg", "validate_algebra": "nilalg",
     "NilpotentGroup": "nilgrp",
     "LogLattice": "lattice", "validate_lattice": "lattice",
-    "preserves_lattice": "lattice", "is_rational_subspace": "lattice",
+    "preserves_lattice": "lattice",
     "AffineSystem": "criteria", "make_system": "criteria",
     "Verdict": "criteria", "defect_family": "criteria", "nilrank": "criteria",
     "full_decide": "criteria", "torus_decide": "criteria",

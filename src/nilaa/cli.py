@@ -23,7 +23,7 @@ from .criteria import (HypothesisViolated, InapplicableCriterion, NonAbelian,
                        torus_decide, translation_decide,
                        two_generator_analysis)
 from .orbit import NumericAffine, aa_empirical_test, trajectory
-from .ratlin import NotUnipotent, QMatrix
+from .ratlin import NotUnipotent
 from .suspension import (Mismatch, embedding_consistency_check,
                          monodromy_adjoint_check, suspend)
 
@@ -32,8 +32,6 @@ CRITERIA = ("full", "basepoint", "torus", "translation", "lie",
 
 _DECIDERS = {"full": full_decide, "basepoint": basepoint_decide,
              "torus": torus_decide, "translation": translation_decide}
-
-HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
 
 
 def run_criterion(system, criterion: str) -> dict:
@@ -131,6 +129,8 @@ def _suspend_result(path, out) -> dict:
         embedding_consistency_check(system, susp, samples=10)
     except Mismatch as exc:
         return _error("suspend", f"embedding consistency failed: {exc}")
+    except ValueError as exc:
+        return _error("suspend", str(exc))
     notes.append("embedding consistency: 10 exact samples")
     if out is not None:
         payload = nio.suspension_to_dict(susp, system.name)
@@ -139,40 +139,21 @@ def _suspend_result(path, out) -> dict:
     return nio.make_verdict_dict(nio.PASS, "suspend", None, notes)
 
 
-def _numeric_space(system, config) -> str:
-    space = config.get("space")
-    if space is not None:
-        return space
-    if system.algebra.abelian():
-        return "Torus"
-    heis_table = {(0, 1): tuple(Fraction(v) for v in (0, 0, 1))}
-    if system.dim == 3 and dict(system.algebra.table) == heis_table:
-        return "Heisenberg3"
-    raise ValueError("simulation supports tori and the 3-dimensional "
-                     "Heisenberg quotient only")
-
-
 def _numeric_map(system) -> tuple:
     """Build the numeric oracle map and the probe list from a system."""
     config = dict(system.simulate or {})
-    space = _numeric_space(system, config)
-    expected = QMatrix.identity(system.dim) if space == "Torus" \
-        else HEIS_LATTICE
-    if system.lattice.basis != expected:
-        raise ValueError("simulation requires the standard lattice for "
-                         "this space")
     values = {key: Fraction(val)
               for key, val in (config.get("values") or {}).items()}
     missing = [p for p in system.translation.params if p not in values]
     if missing:
         raise ValueError(f"simulate needs numeric values for parameters "
                          f"{missing}")
-    translation = system.translation.substitute(values)
-    affine = NumericAffine(system.dim, system.automorphism, translation,
-                           space=space)
+    affine = NumericAffine(system, system.translation.substitute(values))
     probes = None
     if config.get("probe") is not None:
         probes = [tuple(Fraction(v) for v in config["probe"])]
+        if len(probes[0]) != system.dim:
+            raise ValueError(f"simulate probe needs {system.dim} entries")
     return affine, probes, config
 
 

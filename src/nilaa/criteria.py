@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import suspension as suspension_mod
-from .lattice import LatticeClosureError, LogLattice, central_lattice_basis, \
-    preserves_lattice, validate_lattice
+from .lattice import LogLattice, central_lattice_basis, preserves_lattice, \
+    validate_lattice
 from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
     derived_subalgebra, is_abelian_family, is_automorphism, is_ideal, \
     subalgebra_closure
@@ -204,12 +204,12 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
         raise ValidationError("validate_algebra", exc) from exc
 
     if lattice is None:
-        lattice = LogLattice(QMatrix.identity(d))
-    elif isinstance(lattice, QMatrix):
-        lattice = LogLattice(lattice)
+        lattice = QMatrix.identity(d)
     try:
+        if isinstance(lattice, QMatrix):
+            lattice = LogLattice(lattice)
         validate_lattice(group, lattice)
-    except LatticeClosureError as exc:
+    except ValueError as exc:  # singular basis, wrong size or not closed
         raise ValidationError("validate_lattice", exc) from exc
 
     if automorphism is None:

@@ -24,7 +24,7 @@ from .criteria import (AffineSystem, CosetObstruction, InvariantSubtorus,
                        NotFixed, ObstructionBracket, SpectralObstruction,
                        UnipotentPower, ValidationError, Verdict,
                        WitnessSubspace, make_system)
-from .poly import ParamVector, Poly
+from .poly import ParamVector, Poly, parse_poly
 from .ratlin import QMatrix, QSubspace
 
 VALID = "VALID"
@@ -42,10 +42,9 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-# ---- rational and polynomial grammar ----
+# ---- rationals and polynomials ----
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-_TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-)")
 
 
 def parse_rational(value, location: str) -> Fraction:
@@ -66,83 +65,17 @@ def rational_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _tokenize(text: str, location: str) -> list:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(location,
-                             f"unexpected character {text[pos:].strip()[0]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def parse_polynomial(value, params, location: str) -> Poly:
-    """Sums of terms like "1/2", "t", "-3*t^2", "t*s" over the parameters."""
-    params = tuple(params)
+def _polynomial(value, params, location: str) -> Poly:
+    """An integer or a polynomial string over params (see poly.parse_poly)."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Poly.constant(Fraction(value), params)
+        return Poly.constant(value, params)
     if not isinstance(value, str):
         raise ParseError(location, f"expected a polynomial string, got "
                                    f"{value!r}")
-    tokens = _tokenize(value, location)
-    if not tokens:
-        raise ParseError(location, "empty polynomial")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def factor() -> Poly:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError(location, "incomplete term")
-        pos += 1
-        if re.fullmatch(r"\d+(/\d+)?", tok):
-            return Poly.constant(Fraction(tok), params)
-        if re.fullmatch(r"[A-Za-z_]\w*", tok):
-            if tok not in params:
-                raise ParseError(location, f"unknown parameter {tok!r}")
-            base = Poly.variable(tok, params)
-            if peek() == "^":
-                pos += 1
-                exp = peek()
-                if exp is None or not exp.isdigit():
-                    raise ParseError(location, "exponent must be an integer")
-                pos += 1
-                return base ** int(exp)
-            return base
-        raise ParseError(location, f"unexpected token {tok!r}")
-
-    def term() -> Poly:
-        nonlocal pos
-        out = factor()
-        while peek() == "*":
-            pos += 1
-            out = out * factor()
-        return out
-
-    sign = 1
-    while peek() in ("+", "-"):
-        if peek() == "-":
-            sign = -sign
-        pos += 1
-    result = term() * sign
-    while peek() is not None:
-        tok = peek()
-        if tok not in ("+", "-"):
-            raise ParseError(location, f"expected '+' or '-', got {tok!r}")
-        sign = 1
-        while peek() in ("+", "-"):
-            if peek() == "-":
-                sign = -sign
-            pos += 1
-        result = result + term() * sign
-    return result
+    try:
+        return parse_poly(value, params)
+    except ValueError as exc:
+        raise ParseError(location, str(exc)) from None
 
 
 # ---- system files ----
@@ -239,7 +172,7 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
         if not isinstance(raw, list) or len(raw) != dim:
             raise ParseError(f"{source}:translation",
                              f"expected {dim} polynomial strings")
-        polys = [parse_polynomial(v, params, f"{source}:translation[{i}]")
+        polys = [_polynomial(v, params, f"{source}:translation[{i}]")
                  for i, v in enumerate(raw)]
         translation = ParamVector(params, polys)
 
@@ -263,12 +196,13 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
             raise ParseError(f"{source}:simulate",
                              f"unknown keys: {sorted(unknown)}")
         simulate = dict(simulate)
-    if data.get("space") is not None:
-        if data["space"] not in ("Torus", "Heisenberg3"):
-            raise ParseError(f"{source}:space",
+    # legacy key: the value is still checked, but the orbit oracle takes
+    # the group law and the lattice from the system itself
+    for where, block in ((source, data), (f"{source}:simulate",
+                                          simulate or {})):
+        if block.get("space") not in (None, "Torus", "Heisenberg3"):
+            raise ParseError(f"{where}:space",
                              "space must be 'Torus' or 'Heisenberg3'")
-        simulate = dict(simulate or {})
-        simulate.setdefault("space", data["space"])
 
     notes = data.get("notes", [])
     if not isinstance(notes, list) or any(not isinstance(n, str)
@@ -369,7 +303,7 @@ def parse_certificate(data):
                         data.get("monomial"))
     if kind == "coset_obstruction":
         params = tuple(data.get("params", []))
-        polys = [parse_polynomial(p, params, loc) for p in data["vector"]]
+        polys = [_polynomial(p, params, loc) for p in data["vector"]]
         return CosetObstruction(ParamVector(params, polys),
                                 tuple(vec(g) for g in data["generators"]))
     if kind == "spectral_obstruction":

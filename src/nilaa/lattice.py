@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
-from .ratlin import (QMatrix, QSubspace, annihilator_basis, generic_rank,
-                     integer_kernel, minimal_rational_subspace)
+from .ratlin import QMatrix, dot, integer_kernel, to_fraction
 
 COSET_DIM_CAP = 7
 
@@ -149,42 +147,6 @@ def central_lattice_basis(group: NilpotentGroup, lattice: LogLattice
     return [lattice.from_coords(n) for n in integer_kernel(stacked)]
 
 
-@dataclass(frozen=True)
-class RationalityReport:
-    is_rational: bool
-    hull: QSubspace  # smallest rational subspace containing the family
-    generic_dim: int
-
-
-def is_rational_subspace(generators) -> RationalityReport:
-    """Is the span of the generators a rational subspace (generically)?
-
-    Rational input spans are rational outright.  For parametric generators
-    the span is rational for generic parameter values iff its generic
-    dimension matches the dimension of its rational hull, the span of all
-    monomial coefficient vectors.
-    """
-    if isinstance(generators, QSubspace):
-        return RationalityReport(True, generators, generators.dim)
-    gens = list(generators)
-    if not gens:
-        raise ValueError("no generators")
-    if not all(isinstance(g, ParamVector) for g in gens):
-        ambient = len(gens[0])
-        hull = QSubspace.from_spanning(gens, ambient)
-        return RationalityReport(True, hull, hull.dim)
-    ambient = gens[0].dim
-    hull = QSubspace.zero(ambient)
-    for g in gens:
-        hull = hull.sum_with(minimal_rational_subspace(g))
-    gdim = generic_rank(gens)
-    # dual cross-check: the hull's annihilator must have complementary size
-    cov = annihilator_basis(hull.basis, ambient)
-    if len(cov) + hull.dim != ambient:
-        raise AssertionError("annihilator dimension inconsistent with hull")
-    return RationalityReport(gdim == hull.dim, hull, gdim)
-
-
 class CosetReducer:
     """Canonical fundamental-domain representatives for N / Gamma.
 
@@ -200,6 +162,7 @@ class CosetReducer:
         self.group = group
         self.lattice = lattice
         self.ordering = self._detect_ordering()
+        self._generators = [lattice.generator(i) for i in range(lattice.dim)]
 
     def _detect_ordering(self) -> tuple[int, ...]:
         d = self.lattice.dim
@@ -230,15 +193,16 @@ class CosetReducer:
         return tuple(chosen)
 
     def reduce(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
-        x = tuple(Fraction(v) for v in vec)
+        x = tuple(to_fraction(v) for v in vec)
+        inverse_rows = self.lattice._inverse.sparse_rows()
         for i in self.ordering:
-            c = self.lattice.to_coords(x)[i]
-            k = math.floor(c)
+            k = math.floor(dot(inverse_rows[i], x))
             if k:
-                step = tuple(-k * g for g in self.lattice.generator(i))
+                step = tuple(-k * g for g in self._generators[i])
                 x = self.group.mult_vec(x, step)
-        coords = self.lattice.to_coords(x)
-        assert all(0 <= c < 1 for c in coords), "reduction left the fundamental domain"
+        coords = self.lattice.to_coords(x)  # 0 <= c < 1, as Fractions keep den > 0
+        assert all(0 <= c.numerator < c.denominator for c in coords), \
+            "reduction left the fundamental domain"
         return x
 
     def same_coset(self, u: Sequence[object], v: Sequence[object]) -> bool:

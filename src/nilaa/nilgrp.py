@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
 from .poly import ParamVector, Poly, PolyMatrix, _merge
-from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent
+from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent, to_fraction
 
 BCH_CLASS_CAP = 6
 
@@ -97,6 +97,7 @@ class NilpotentGroup:
             raise ClassCapExceeded(
                 f"nilpotency class {self.nilpotency_class} exceeds cap {BCH_CLASS_CAP}")
         self._terms = bch_table(self.nilpotency_class)
+        self._law = None  # mult() expanded on symbolic arguments, see mult_vec
 
     @property
     def dim(self) -> int:
@@ -105,22 +106,46 @@ class NilpotentGroup:
     # ---- multiplication ----
 
     def mult_vec(self, v: Sequence[object], w: Sequence[object]) -> tuple[Fraction, ...]:
-        """log(exp v exp w) for rational coordinate vectors."""
-        v = tuple(Fraction(x) for x in v)
-        w = tuple(Fraction(x) for x in w)
-        args = (v, w)
-        out = [Fraction(0)] * self.dim
-        for word, coeff in self._terms:
-            acc = args[word[0]]
-            for letter in word[1:]:
-                acc = self.spec.bracket_vec(acc, args[letter])
-                if not any(acc):
-                    break
-            else:
-                for k, x in enumerate(acc):
-                    if x:
-                        out[k] += coeff * x
+        """log(exp v exp w) for rational coordinate vectors.
+
+        Evaluates the polynomial law of mult(), expanded once per group on
+        symbolic arguments (v1..vd, w1..wd), so both share one source.
+        """
+        if len(v) != self.dim or len(w) != self.dim:
+            raise ValueError(f"expected two vectors of length {self.dim}")
+        z = (*map(to_fraction, v), *map(to_fraction, w))
+        out = []
+        for terms in self._expanded_law():
+            acc = None
+            for coeff, first, rest in terms:
+                term = z[first]
+                for i in rest:
+                    term = term * z[i]
+                if coeff is not None:
+                    term = coeff * term
+                acc = term if acc is None else acc + term
+            out.append(Fraction(0) if acc is None else acc)
         return tuple(out)
+
+    def _expanded_law(self) -> list:
+        """Per coordinate of mult(v, w), its monomials as (coefficient or
+        None for 1, first factor, other factors): factors index v + w and
+        repeat with their exponent."""
+        if self._law is None:
+            d = self.dim
+            names = tuple(f"v{i + 1}" for i in range(d)) + tuple(f"w{i + 1}" for i in range(d))
+            z = [Poly.variable(n, names) for n in names]
+            product = self.mult(ParamVector(names, z[:d]), ParamVector(names, z[d:]))
+            law = []
+            for p in product.entries:
+                terms = []
+                for exps in p.monomials():
+                    coeff = p.terms[exps]
+                    first, *rest = (i for i, e in enumerate(exps) for _ in range(e))
+                    terms.append((None if coeff == 1 else coeff, first, tuple(rest)))
+                law.append(terms)
+            self._law = law
+        return self._law
 
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:
         """log(exp v exp w) for polynomial coordinate vectors."""
@@ -143,7 +168,7 @@ class NilpotentGroup:
         """exp(v)^{-1} = exp(-v) in any group."""
         if isinstance(v, ParamVector):
             return -v
-        return tuple(-Fraction(x) for x in v)
+        return tuple(-to_fraction(x) for x in v)
 
     # ---- adjoint action ----
 

@@ -1,4 +1,4 @@
-"""Floating-point dynamical oracle on tori and the Heisenberg quotient.
+"""Floating-point dynamical oracle on compact nilmanifolds.
 
 The module iterates affine maps numerically, searches for forward return
 sequences, and runs an empirical version of the almost automorphy test:
@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
-from .ratlin import QMatrix
+from .lattice import CosetReducer
+from .ratlin import to_fraction
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
@@ -41,163 +43,120 @@ class NotFound(Exception):
     """No forward return was found within the horizon."""
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(value)
-
-
 def _point(values) -> tuple:
-    return tuple(_fraction(v) for v in values)
+    return tuple(to_fraction(v) for v in values)
 
 
-def _heis_bracket3(u, v) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _heis_mult(u, v) -> tuple:
-    z = _heis_bracket3(u, v) / 2
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + z)
-
-
-def _heis_neg(u) -> tuple:
-    return (-u[0], -u[1], -u[2])
-
-
-@dataclass(frozen=True)
 class NumericAffine:
-    """An affine map x -> a * U(x) on a torus or the Heisenberg quotient.
+    """The affine map x -> a * U(x) of a validated system on N / Gamma.
 
-    matrix and translation entries are converted to exact rationals at
-    construction.  space selects the state space: "Torus" is R^d / Z^d,
-    "Heisenberg3" is the 3-dim Heisenberg group in logarithmic
-    coordinates modulo the lattice generated by xi1, xi2, xi3/2.
+    The group law, the lattice and the automorphism U come from the
+    system; the translation a is given numerically and converted to exact
+    rationals.  Points are logarithmic coordinates, reduced to the
+    fundamental domain.  An abelian group reduces coordinate by coordinate
+    in lattice coordinates, in any dimension; any other group uses the
+    system's coset reducer (dimension <= 7).
     """
 
-    dim: int
-    matrix: QMatrix
-    translation: tuple
-    space: str
-
-    def __init__(self, dim, matrix, translation, space="Torus"):
-        if space not in ("Torus", "Heisenberg3"):
-            raise ValueError("space must be 'Torus' or 'Heisenberg3'")
-        if space == "Heisenberg3" and dim != 3:
-            raise ValueError("Heisenberg3 requires dim = 3")
-        if matrix is None:
-            matrix = QMatrix.identity(dim)
-        if not isinstance(matrix, QMatrix):
-            matrix = QMatrix([[_fraction(e) for e in row] for row in matrix])
-        if matrix.shape != (dim, dim):
-            raise ValueError("matrix shape does not match dim")
-        translation = _point(translation if translation is not None
-                             else [0] * dim)
-        if len(translation) != dim:
+    def __init__(self, system, translation):
+        translation = _point(translation)
+        if len(translation) != system.dim:
             raise ValueError("translation length does not match dim")
-        if space == "Torus":
-            if not matrix.is_integral() or abs(matrix.det()) != 1:
-                raise ValueError("torus map needs an integer matrix "
-                                 "with determinant +-1")
-        else:
-            self._check_heisenberg_matrix(matrix)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "space", space)
-
-    @staticmethod
-    def _check_heisenberg_matrix(matrix):
-        cols = [matrix.column(j) for j in range(3)]
-        if cols[2][0] != 0 or cols[2][1] != 0:
-            raise ValueError("the center must be preserved")
-        det2 = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        if cols[2][2] != det2:
-            raise ValueError("the matrix does not respect the bracket")
-        # lattice coordinates rescale the third axis by 2
-        for j, col in enumerate(cols):
-            if col[0].denominator != 1 or col[1].denominator != 1 \
-                    or (2 * col[2]).denominator != 1:
-                raise ValueError("the matrix does not preserve the lattice")
-        if abs(matrix.det()) != 1:
-            raise ValueError("the matrix is not invertible over the lattice")
+        self.dim = d = system.dim
+        self.group = system.group
+        self.lattice = lattice = system.lattice
+        self.matrix = system.automorphism
+        self.translation = translation
+        self._inverse = system.automorphism.inverse()
+        self._neg_translation = self.group.inv(translation)
+        self._pure = system.is_translation()
+        spec = system.group.spec
+        self._reducer = None
+        # distance() also tries the {-1,0,1}^d lattice neighbours of the
+        # nearest translate.  Central generators only add to the difference,
+        # so only the non-central moves cost a group product.  A move is
+        # skipped when a coordinate that no bracket or shift touches already
+        # puts it at or above the best value found.  On a torus every
+        # generator is central and the nearest translate is exact.
+        self._moves, self._shifts, self._bounded = [], [], []
+        if not spec.abelian():
+            self._reducer = CosetReducer(system.group, lattice)
+            central = [spec.ad_matrix(lattice.generator(j)).is_zero()
+                       for j in range(d)]
+            steps = sorted(product((-1, 0, 1), repeat=d),
+                           key=lambda e: sum(map(abs, e)))[1:]
+            self._shifts = [lattice.from_coords(e) for e in steps
+                            if all(c or not s for c, s in zip(central, e))]
+            touched = {i for vec in (*spec.table.values(), *self._shifts)
+                       for i, c in enumerate(vec) if c}
+            self._bounded = [i for i in range(d) if i not in touched]
+            for e in steps:
+                if not any(c and s for c, s in zip(central, e)):
+                    move = lattice.from_coords(e)
+                    self._moves.append((move, [(i, move[i]) for i in
+                                               self._bounded if move[i]]))
 
     # -- one-step dynamics (exact) --
 
     def reduce(self, x) -> tuple:
-        """Reduce into the fundamental domain.
-
-        Torus: coordinates mod 1.  Heisenberg3: right-multiply by lattice
-        generators in the order xi1, xi2, xi3 until the coordinates land
-        in [0,1) x [0,1) x [0,1/2); the first two steps shift the third
-        coordinate through the group law.
-        """
+        """Canonical representative of the coset of x."""
+        if self._reducer is not None:
+            return self._reducer.reduce(x)
         x = _point(x)
-        if self.space == "Torus":
-            return tuple(v - math.floor(v) for v in x)
-        x1, x2, x3 = x
-        m = math.floor(x1)
-        x1, x3 = x1 - m, x3 + Fraction(m) * x2 / 2
-        n = math.floor(x2)
-        x2, x3 = x2 - n, x3 - Fraction(n) * x1 / 2
-        r = math.floor(2 * x3)
-        x3 = x3 - Fraction(r, 2)
-        return (x1, x2, x3)
+        whole = [math.floor(c) for c in self.lattice.to_coords(x)]
+        if not any(whole):
+            return x
+        return tuple(a - b for a, b in zip(x, self.lattice.from_coords(whole)))
 
     def step(self, x) -> tuple:
         """One forward application with reduction."""
-        x = _point(x)
         ux = self.matrix.matvec(x)
-        if self.space == "Torus":
-            y = tuple(a + u for a, u in zip(self.translation, ux))
-        else:
-            y = _heis_mult(self.translation, ux)
-        return self.reduce(y)
+        return self.reduce(self.group.mult_vec(self.translation, ux))
 
     def step_back(self, x) -> tuple:
         """One exact backward application with reduction."""
-        x = _point(x)
-        if self.space == "Torus":
-            shifted = tuple(v - a for v, a in zip(x, self.translation))
-        else:
-            shifted = _heis_mult(_heis_neg(self.translation), x)
-        return self.reduce(self._inverse().matvec(shifted))
+        shifted = self.group.mult_vec(self._neg_translation, x)
+        return self.reduce(self._inverse.matvec(shifted))
 
-    def _inverse(self) -> QMatrix:
-        cached = self.__dict__.get("_inverse_matrix")
-        if cached is None:
-            cached = self.matrix.inverse()
-            object.__setattr__(self, "_inverse_matrix", cached)
-        return cached
+    def translate(self, x, k: int) -> tuple:
+        """a^k * x reduced: T^k x when T is a pure translation."""
+        ka = tuple(k * a for a in self.translation)
+        return self.reduce(self.group.mult_vec(ka, x))
 
     def is_pure_translation(self) -> bool:
-        return self.matrix == QMatrix.identity(self.dim)
+        return self._pure
 
     # -- metric --
 
     def distance(self, x, y) -> Fraction:
-        """Distance estimate between cosets of reduced points.
+        """Distance estimate between the cosets of x and y.
 
-        Torus: max-norm of coordinate-wise circle distances.  Heisenberg:
-        minimum over the 27 neighboring lattice translates y * gamma of
-        the max-norm coordinate difference.
+        Minimum of the max-norm of x - y * gamma over the lattice element
+        gamma nearest to y^-1 x in lattice coordinates and, unless the
+        group is abelian, its {-1,0,1}^d lattice neighbours.  On a torus
+        this is the max-norm of the coordinate-wise circle distances.
         """
         x, y = _point(x), _point(y)
-        if self.space == "Torus":
-            best = Fraction(0)
-            for a, b in zip(x, y):
-                d = a - b
-                d = d - math.floor(d)
-                d = min(d, 1 - d)
-                if d > best:
-                    best = d
-            return best
-        best = None
-        for c1, c2, c3 in product((-1, 0, 1), repeat=3):
-            gamma = (Fraction(c1), Fraction(c2), Fraction(c3, 2))
-            yt = _heis_mult(y, gamma)
-            d = max(abs(a - b) for a, b in zip(x, yt))
-            if best is None or d < best:
-                best = d
+        diff = self.group.mult_vec(self.group.inv(y), x)
+        base = self.lattice.from_coords(
+            [round(c) for c in self.lattice.to_coords(diff)])
+        best = self._norm_near(x, y, base)
+        if self._moves:
+            r = {i: x[i] - y[i] - base[i] for i in self._bounded}
+        for move, fixed in self._moves:
+            if all(abs(r[i] - m) < best for i, m in fixed):
+                gamma = tuple(map(add, base, move))
+                best = min(best, self._norm_near(x, y, gamma))
+        return best
+
+    def _norm_near(self, x, y, gamma) -> Fraction:
+        """Least max-norm of x - y * gamma * z over the central shifts z."""
+        if any(gamma):
+            y = self.group.mult_vec(y, gamma)
+        r = [a - b for a, b in zip(x, y)]
+        best = max(map(abs, r))
+        for shift in self._shifts:
+            best = min(best, max(abs(a - s) for a, s in zip(r, shift)))
         return best
 
 
@@ -211,10 +170,7 @@ def iterate(affine: NumericAffine, x, k: int) -> tuple:
         raise ValueError("|k| exceeds the iteration cap")
     p = affine.reduce(x)
     if affine.is_pure_translation():
-        ka = tuple(k * a for a in affine.translation)
-        if affine.space == "Torus":
-            return affine.reduce(tuple(v + w for v, w in zip(p, ka)))
-        return affine.reduce(_heis_mult(ka, p))
+        return affine.translate(p, k)
     step = affine.step if k >= 0 else affine.step_back
     for _ in range(abs(k)):
         p = step(p)
@@ -247,13 +203,14 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
                           *, start: int = 0, limit: int = 10) -> tuple:
     """Indices k in [start, horizon] with dist(T^k x, y) < eps.
 
-    Returns up to `limit` indices in increasing order.  For pure torus
-    translations the continued-fraction convergent denominators of the
-    translation coordinates are tried first (closed-form evaluation); a
-    plain incremental scan covers every other case.  Deterministic in
-    (map, x, y, eps, horizon).  Raises NotFound when nothing is found.
+    Returns up to `limit` indices in increasing order.  For pure
+    translations of an abelian group the continued-fraction convergent
+    denominators of the translation's lattice coordinates are tried first
+    (closed-form evaluation); a plain incremental scan covers every other
+    case.  Deterministic in (map, x, y, eps, horizon).  Raises NotFound
+    when nothing is found.
     """
-    eps = _fraction(eps)
+    eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     horizon = int(horizon)
@@ -263,15 +220,14 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     if start <= 0 and affine.distance(x, y) < eps:
         hits.append(0)
     lo = max(start, 1)
-    if affine.is_pure_translation() and affine.space == "Torus":
+    if affine.is_pure_translation() and affine.group.spec.abelian():
         candidates = set()
-        for a in affine.translation:
+        for a in affine.lattice.to_coords(affine.translation):
             candidates.update(_convergent_denominators(a, horizon))
         for k in sorted(candidates):
             if k < lo or k > horizon:
                 continue
-            p = affine.reduce(tuple(
-                v + k * a for v, a in zip(x, affine.translation)))
+            p = affine.translate(x, k)
             if affine.distance(p, y) < eps:
                 hits.append(k)
                 if len(hits) >= limit:
@@ -339,9 +295,7 @@ def witness_distances(affine: NumericAffine, probe, target,
 def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
     den = 2 ** 20
     coords = [Fraction(rng.randrange(den), den) for _ in range(affine.dim)]
-    if affine.space == "Heisenberg3":
-        coords[2] /= 2
-    return tuple(coords)
+    return affine.lattice.from_coords(coords)
 
 
 def _run_trial(affine: NumericAffine, probe, eps, horizon):
@@ -356,7 +310,7 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     except NotFound:
         return None, False
     target = _snap(iterate(affine, probe, seq[0]))
-    eps = _fraction(eps)
+    eps = to_fraction(eps)
     fwd = Fraction(0)
     for k in seq:
         fwd = max(fwd, affine.distance(iterate(affine, probe, k), target))
@@ -405,7 +359,7 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
              f"{trials} probes",)
     verdict = FALSIFIED if witness is not None else CONSISTENT
     return AATestReport(trials=trials, horizon=horizon,
-                        epsilon_forward=float(_fraction(eps)), seed=seed,
+                        epsilon_forward=float(to_fraction(eps)), seed=seed,
                         verdict=verdict, witness=witness, notes=notes)
 
 

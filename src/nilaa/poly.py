@@ -271,63 +271,94 @@ class Poly:
         return f"Poly({self})"
 
 
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
-_NUMBER_RE = re.compile(r"^\d+(?:/\d+)?$")
+_TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-)")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"unexpected character {text[pos:].strip()[0]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
 
 
 def parse_poly(text: str, params: Sequence[str] | None = None) -> Poly:
-    """Parse expressions like "t", "-1/2", "2*t^2 - s + 3/4".
+    """Parse sums of terms like "1/2", "t", "-3*t^2", "t*s".
 
-    No parentheses; terms are separated by +/-, factors by *.  When params is
-    None the parameter tuple is the names in order of first appearance.
+    No parentheses; terms are separated by +/- (repeated signs multiply),
+    factors by *, exponents are nonnegative integers.  When params is None
+    the parameter tuple is the names in order of first appearance.  Raises
+    ValueError naming the first problem.
     """
-    squeezed = text.replace(" ", "")
-    if not squeezed:
-        raise ValueError("empty polynomial string")
-    if any(ch in squeezed for ch in "()"):
-        raise ValueError(f"parentheses not supported: {text!r}")
-    tokens = re.findall(r"[+-]?[^+-]+", squeezed)
-    if "".join(tokens) != squeezed:
-        raise ValueError(f"cannot tokenize: {text!r}")
-
-    parsed: list[tuple[Fraction, dict[str, int]]] = []
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial")
+    pos = 0
+    terms: list[tuple[Fraction, dict[str, int]]] = []
     names: list[str] = []
-    for token in tokens:
-        sign = Fraction(1)
-        if token[0] in "+-":
-            if token[0] == "-":
-                sign = Fraction(-1)
-            token = token[1:]
-        if not token:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        powers: dict[str, int] = {}
-        for factor in token.split("*"):
-            if _NUMBER_RE.match(factor):
-                coeff *= Fraction(factor)
-                continue
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            name, exp = m.group(1), int(m.group(2) or 1)
-            powers[name] = powers.get(name, 0) + exp
-            if name not in names:
-                names.append(name)
-        parsed.append((coeff, powers))
 
-    if params is None:
-        params = tuple(names)
-    else:
-        params = tuple(params)
-        for name in names:
-            if name not in params:
-                raise ValueError(f"unknown parameter {name!r}, expected one of {params}")
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
 
-    out = Poly.zero(params)
-    for coeff, powers in parsed:
+    def signs() -> int:
+        nonlocal pos
+        sign = 1
+        while peek() in ("+", "-"):
+            if peek() == "-":
+                sign = -sign
+            pos += 1
+        return sign
+
+    def factor(coeff: Fraction, powers: dict) -> Fraction:
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise ValueError("incomplete term")
+        pos += 1
+        if tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            if den and not int(den):
+                raise ValueError(f"zero denominator in {tok!r}")
+            return coeff * Fraction(int(num), int(den or 1))
+        if tok[0].isalpha() or tok[0] == "_":
+            if params is not None and tok not in params:
+                raise ValueError(f"unknown parameter {tok!r}")
+            exp = 1
+            if peek() == "^":
+                pos += 1
+                if peek() is None or not peek().isdigit():
+                    raise ValueError("exponent must be an integer")
+                exp = int(peek())
+                pos += 1
+            powers[tok] = powers.get(tok, 0) + exp
+            if tok not in names:
+                names.append(tok)
+            return coeff
+        raise ValueError(f"unexpected token {tok!r}")
+
+    while True:
+        coeff, powers = Fraction(signs()), {}
+        coeff = factor(coeff, powers)
+        while peek() == "*":
+            pos += 1
+            coeff = factor(coeff, powers)
+        terms.append((coeff, powers))
+        if peek() is None:
+            break
+        if peek() not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-', got {peek()!r}")
+
+    params = tuple(names) if params is None else tuple(params)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for coeff, powers in terms:
         exps = tuple(powers.get(p, 0) for p in params)
-        out = out + Poly(params, {exps: coeff})
-    return out
+        out[exps] = out.get(exps, Fraction(0)) + coeff
+    return Poly(params, out)
 
 
 class ParamVector:

@@ -3,9 +3,8 @@
 Everything the deciders need from linear algebra lives here: reduced row
 echelon form over the rationals, canonical subspace bases, characteristic
 polynomials, Hermite normal form over the integers (for lattice membership
-and integer kernels), cyclotomic factor stripping for root-of-unity spectra,
-and generic rank of matrices whose entries are polynomials in the symbolic
-translation parameters.
+and integer kernels), and cyclotomic factor stripping for root-of-unity
+spectra.
 
 No floating point anywhere in this module.
 """
@@ -25,20 +24,35 @@ class NotUnipotent(ValueError):
     """The matrix has an eigenvalue other than 1."""
 
 
+def to_fraction(x) -> Fraction:
+    """x as a Fraction: Fractions pass through, ints and floats convert exactly."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def dot(terms, vec: Sequence[Fraction]) -> Fraction:
+    """Sum of a * vec[j] over the (j, a) pairs of a sparse row (a None for 1)."""
+    acc = None
+    for j, a in terms:
+        term = vec[j] if a is None else a * vec[j]
+        acc = term if acc is None else acc + term
+    return Fraction(0) if acc is None else acc
+
+
 def _frac_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(to_fraction(x) for x in row) for row in rows)
 
 
 class QMatrix:
     """Immutable matrix with Fraction entries."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_sparse")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         entries = _frac_rows(rows)
         if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
         self.entries = entries
+        self._sparse = None
 
     # ---- constructors ----
 
@@ -85,6 +99,15 @@ class QMatrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.ncols)]
 
+    def sparse_rows(self) -> tuple:
+        """Rows as (column, entry) pairs of the nonzero entries, for dot();
+        a unit entry is stored as None so that dot() skips the factor."""
+        if self._sparse is None:
+            self._sparse = tuple(
+                tuple((j, None if a == 1 else a) for j, a in enumerate(row) if a)
+                for row in self.entries)
+        return self._sparse
+
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
@@ -123,11 +146,10 @@ class QMatrix:
                          for col in ocols] for row in self.entries])
 
     def matvec(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
-        vec = [Fraction(x) for x in vec]
+        vec = [to_fraction(x) for x in vec]
         if len(vec) != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} times {len(vec)}")
-        return tuple(sum((a * v for a, v in zip(row, vec)), Fraction(0))
-                     for row in self.entries)
+        return tuple(dot(row, vec) for row in self.sparse_rows())
 
     def apply(self, vec: ParamVector) -> ParamVector:
         """Matrix times a vector of polynomials."""
@@ -650,34 +672,3 @@ def cyclotomic_spectrum_test(coeffs: Sequence[object]) -> SpectrumResult:
             r = r * m // math.gcd(r, m)
         return SpectrumResult(True, orders, r, None)
     return SpectrumResult(False, orders, None, tuple(p))
-
-
-# ---- generic rank over the parameter field ----
-
-def generic_rank(columns: Sequence[ParamVector]) -> int:
-    """Rank of the matrix of polynomial columns over the field of fractions.
-
-    Parameters stand for algebraically independent reals, so this is the rank
-    attained for all parameter values outside a proper algebraic set.
-    """
-    if not columns:
-        return 0
-    from .poly import PolyMatrix
-    mat = PolyMatrix.from_columns(list(columns))
-    rows = [list(r) for r in mat.rows]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, nrows) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(rank + 1, nrows):
-            if not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [pivot * a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

@@ -80,13 +80,14 @@ def test_criterion_2_orbit_oracle_falsifies_and_respects():
     assert witness["backward_distance"] > 0.2
 
     rng = random.Random(3)
+    circle, plane = make_system(abelian(1)), make_system(abelian(2))
     for i in range(10):
-        affine = NumericAffine(1, None, [rng.random()])
+        affine = NumericAffine(circle, [rng.random()])
         report = aa_empirical_test(affine, 2, 1e-3, 10 ** 5, seed=i)
         assert report.verdict == CONSISTENT, f"1d translation {i}"
     for i in range(10):
         a = [F(rng.randint(1, 15), rng.randint(2, 16)) for _ in range(2)]
-        affine = NumericAffine(2, None, a)
+        affine = NumericAffine(plane, a)
         report = aa_empirical_test(affine, 2, 1e-3, 5000, seed=i)
         assert report.verdict == CONSISTENT, f"2d rational translation {i}"
     elapsed = time.monotonic() - started

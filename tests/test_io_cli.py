@@ -13,7 +13,7 @@ from nilaa import io as nio
 from nilaa.criteria import (CosetObstruction, InvariantSubtorus, NotFixed,
                             ObstructionBracket, SpectralObstruction,
                             UnipotentPower, WitnessSubspace)
-from nilaa.poly import ParamVector, Poly
+from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, QSubspace
 
 
@@ -43,29 +43,37 @@ def test_rational_string_round_trips():
 
 def test_parse_polynomial_grammar():
     def ev(text, params, **values):
-        return nio.parse_polynomial(text, params, "x").substitute(values)
+        return parse_poly(text, params).substitute(values)
 
     assert ev("t^2 - 1/2*t + 3", ("t",), t=F(2)) == F(6)
     assert ev("1/2 + t", ("t",), t=F(1, 2)) == 1
     assert ev("-t", ("t",), t=F(3)) == -3
     assert ev("s*t", ("s", "t"), s=F(2), t=F(3)) == 6
-    assert nio.parse_polynomial(0, ("t",), "x") == Poly.constant(0, ("t",))
+    # system files also take plain integers as translation entries
+    system = nio.system_from_dict(_minimal_dict(translation=[0]))
+    assert system.translation[0] == Poly.constant(0, ("t",))
     assert ev("2*t^3", ("t",), t=F(1, 2)) == F(1, 4)
 
 
 def test_parse_polynomial_round_trips_through_str():
     for text in ("t^2 - 1/2*t + 3", "0", "-t", "s*t", "1/12"):
         params = ("s", "t")
-        p = nio.parse_polynomial(text, params, "x")
-        again = nio.parse_polynomial(str(p), params, "x")
+        p = parse_poly(text, params)
+        again = parse_poly(str(p), params)
         assert again == p
 
 
 @pytest.mark.parametrize("bad", ["0.5", "u", "t t", "2**t", "", "t^",
-                                 "t^-1", "(t)", "1/2/3", "t^2.5"])
+                                 "t^-1", "(t)", "1/2/3", "t^2.5", "t +",
+                                 "t$", "u + t", "1/0*t"])
 def test_parse_polynomial_rejects(bad):
-    with pytest.raises(nio.ParseError):
-        nio.parse_polynomial(bad, ("t",), "x")
+    with pytest.raises(ValueError):
+        parse_poly(bad, ("t",))
+    # in a system file the error names the file and the field
+    with pytest.raises(nio.ParseError) as info:
+        nio.system_from_dict(_minimal_dict(translation=[bad]),
+                             source="sys.json")
+    assert info.value.location == "sys.json:translation[0]"
 
 
 # ---- structure constants ----
@@ -149,6 +157,18 @@ def test_designated_generators_must_be_a_pair():
     data = _minimal_dict(designated_generators=[["1"]])
     with pytest.raises(nio.ParseError, match="two"):
         nio.system_from_dict(data)
+
+
+def test_space_key_is_checked_in_both_places():
+    for data, where in ((_minimal_dict(space="Klein"), "<memory>:space"),
+                        (_minimal_dict(simulate={"space": "Klein"}),
+                         "<memory>:simulate:space")):
+        with pytest.raises(nio.ParseError) as info:
+            nio.system_from_dict(data)
+        assert info.value.location == where
+    for space in ("Torus", "Heisenberg3"):  # legacy values select nothing
+        system = nio.system_from_dict(_minimal_dict(space=space))
+        assert system.simulate is None
 
 
 def test_parse_system_reports_json_location(tmp_path):
@@ -331,6 +351,101 @@ def test_cli_simulate_dump_csv(capsys, tmp_path):
     assert len(rows) == 202  # header + steps 0..200
     assert rows[1][0] == "0"
     assert all(0 <= float(r[1]) < 1 for r in rows[1:])
+
+
+def test_cli_simulate_ignores_the_legacy_space_key(capsys, tmp_path):
+    raw = json.loads(open(_corpus("heisenberg_translation.json"),
+                          encoding="utf-8").read())
+    assert raw["space"] == "Heisenberg3"
+    outputs = []
+    for name, space in (("with.json", "Heisenberg3"), ("without.json", None)):
+        data = dict(raw, space=space) if space else \
+            {k: v for k, v in raw.items() if k != "space"}
+        path = tmp_path / name
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert ncli.main(["simulate", str(path), "--horizon", "600"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["status"] == "ConsistentWithAA"
+
+
+def test_cli_simulate_runs_past_the_coset_dimension_cap_on_a_torus(
+        capsys, tmp_path):
+    # an abelian group reduces in lattice coordinates, in any dimension
+    d = 8
+    eye = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    skew = [row[:] for row in eye]
+    skew[0][1] = "1"
+    for matrix, translation, found in ((eye, ["t"] * d, 2),
+                                       (skew, ["0"] * (d - 1) + ["t"], 0)):
+        path = _write_system(tmp_path, dim=d, params=["t"],
+                             structure_constants=[], lattice_basis=eye,
+                             automorphism=matrix, translation=translation,
+                             simulate={"values": {"t": "0.2347"},
+                                       "horizon": 300, "trials": 2})
+        code, verdict = _run_main_checked(capsys, "simulate", path)
+        assert code == 0
+        assert verdict["status"] == "ConsistentWithAA"
+        assert f"forward returns found for {found} of 2 probes" \
+            in verdict["notes"]
+
+
+def _write_system(tmp_path, **data):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _run_main_checked(capsys, *argv):
+    """Run the CLI; no exception may escape and stderr holds no traceback."""
+    code = ncli.main(list(argv))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)
+
+
+def test_cli_suspend_past_the_coset_dimension_cap_is_an_error(capsys,
+                                                             tmp_path):
+    path = _write_system(tmp_path, dim=8)
+    code, verdict = _run_main_checked(capsys, "suspend", path)
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["notes"] == ["coset reduction supports dimension <= 7"]
+
+
+def test_cli_singular_lattice_basis_is_a_validation_failure(capsys,
+                                                           tmp_path):
+    path = _write_system(tmp_path, dim=1, lattice_basis=[["0"]])
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert code == 1
+    assert verdict["status"] == "INVALID"
+    assert verdict["certificate"]["check"] == "validate_lattice"
+    assert verdict["certificate"]["witness"] == "lattice basis is singular"
+    for argv in (("decide", path, "--criterion", "full"),
+                 ("simulate", path)):
+        code, verdict = _run_main_checked(capsys, *argv)
+        assert code == 3
+        assert verdict["status"] == "ERROR"
+
+
+def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,
+                                                          tmp_path):
+    path = _write_system(tmp_path, dim=2, simulate={"probe": ["1/2"]})
+    code, verdict = _run_main_checked(capsys, "simulate", path)
+    assert code == 3
+    assert verdict["notes"] == ["simulate probe needs 2 entries"]
+
+
+def test_cli_zero_denominator_in_a_translation_is_a_parse_error(capsys,
+                                                               tmp_path):
+    path = _write_system(tmp_path, dim=1, params=["t"],
+                         translation=["1/0*t"])
+    code, verdict = _run_main_checked(capsys, "decide", path,
+                                      "--criterion", "full")
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["notes"] == [
+        "system.json:translation[0]: zero denominator in '1/0'"]
 
 
 def test_cli_corpus_run_passes(capsys):

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import free_nilpotent_2_3, heisenberg
 from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
-                           central_lattice_basis, is_rational_subspace,
-                           preserves_lattice, validate_lattice)
+                           central_lattice_basis, preserves_lattice,
+                           validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, QSubspace
 
 F = Fraction
@@ -134,33 +133,3 @@ def test_coset_reducer_rejects_oversized():
     group = NilpotentGroup(LieAlgebraSpec(8, {}))
     with pytest.raises(ValueError):
         CosetReducer(group, LogLattice(QMatrix.identity(8)))
-
-
-def test_is_rational_subspace_rational_inputs():
-    report = is_rational_subspace(QSubspace.from_spanning([(1, 0, 0)], 3))
-    assert report.is_rational and report.generic_dim == 1
-    report = is_rational_subspace([(1, 2, 0), (0, 0, 1)])
-    assert report.is_rational and report.hull.dim == 2
-
-
-def test_is_rational_subspace_parametric():
-    params = ("t",)
-    t = parse_poly("t", params)
-    one = Poly.constant(1, params)
-    zero = Poly.zero(params)
-
-    wobble = ParamVector(params, [t, one, zero])
-    report = is_rational_subspace([wobble])
-    assert not report.is_rational
-    assert report.hull.dim == 2 and report.generic_dim == 1
-
-    ray = ParamVector(params, [t, 2 * t, zero])
-    report = is_rational_subspace([ray])
-    assert report.is_rational
-    assert report.hull.basis == ((F(1), F(2), F(0)),)
-
-    # parametric presentation of a parameter-independent plane
-    slide = ParamVector(params, [one, t, zero])
-    e2 = ParamVector(params, [zero, one, zero])
-    report = is_rational_subspace([slide, e2])
-    assert report.is_rational and report.generic_dim == 2 and report.hull.dim == 2

@@ -88,6 +88,9 @@ def test_heisenberg_closed_form():
         comm = group.spec.bracket_vec(v, w)
         expect = tuple(a + b + half * c for a, b, c in zip(v, w, comm))
         assert group.mult_vec(v, w) == expect
+    for v, w in (((1, 2, 3, 4), (1, 2)), ((1, 2), (1, 2, 3, 4))):
+        with pytest.raises(ValueError, match="length 3"):
+            group.mult_vec(v, w)
 
 
 def test_bch_against_matrix_realization():

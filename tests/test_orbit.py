@@ -6,11 +6,18 @@ drift is polynomial in k; an irrational rotation is an isometry, so every
 forward return is also a backward return.
 """
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import abelian, heisenberg
+from nilaa import cli as ncli
+from nilaa import io as nio
+from nilaa.cli import _numeric_map
+from nilaa.criteria import ValidationError, full_decide, make_system
 from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
                          NumericAffine, aa_empirical_test,
                          find_forward_sequence, iterate, trajectory,
@@ -20,28 +27,41 @@ from nilaa.ratlin import QMatrix
 F = Fraction
 JORDAN3 = QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 FIB = (610, 987, 1597, 2584, 4181, 6765, 10946, 17711, 28657, 46368)
+HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
+FREE23_LATTICE = QMatrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                          [0, 0, F(1, 2), 0, 0], [0, 0, 0, F(1, 12), 0],
+                          [0, 0, 0, 0, F(1, 12)]])
+
+
+def torus(d, matrix, a):
+    return NumericAffine(make_system(abelian(d), automorphism=matrix), a)
+
+
+def heis(matrix, a):
+    return NumericAffine(make_system(heisenberg(), lattice=HEIS_LATTICE,
+                                     automorphism=matrix), a)
 
 
 def rotation(alpha):
-    return NumericAffine(1, None, [alpha])
+    return torus(1, None, [alpha])
 
 
 # ---- construction ----
 
 def test_constructor_rejects_bad_inputs():
+    # the oracle takes a validated system; the map checks happen there
     with pytest.raises(ValueError):
-        NumericAffine(2, None, [0.1], space="Torus")  # length mismatch
-    with pytest.raises(ValueError):
-        NumericAffine(2, QMatrix([[2, 0], [0, 1]]), [0, 0])  # det 2
-    with pytest.raises(ValueError):
-        NumericAffine(2, QMatrix([[F(1, 2), 0], [0, 2]]), [0, 0])
-    with pytest.raises(ValueError):
-        NumericAffine(2, None, [0, 0], space="Heisenberg3")  # needs dim 3
-    with pytest.raises(ValueError):
-        NumericAffine(3, None, [0, 0, 0], space="Klein")
-    with pytest.raises(ValueError):
-        NumericAffine(3, QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
-                      [0, 0, 0], space="Heisenberg3")  # breaks the bracket
+        torus(2, None, [0.1])  # length mismatch
+    with pytest.raises(ValidationError) as info:
+        torus(2, QMatrix([[2, 0], [0, 1]]), [0, 0])  # det 2
+    assert info.value.check == "preserves_lattice"
+    with pytest.raises(ValidationError) as info:
+        torus(2, QMatrix([[F(1, 2), 0], [0, 2]]), [0, 0])  # non-integral
+    assert info.value.check == "preserves_lattice"
+    with pytest.raises(ValidationError) as info:
+        heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+             [0, 0, 0])  # breaks the bracket
+    assert info.value.check == "is_automorphism"
 
 
 def test_float_inputs_become_exact_dyadic_rationals():
@@ -59,7 +79,7 @@ def test_iterate_rotation_golden_values():
 
 
 def test_iterate_skew_closed_form():
-    m = NumericAffine(2, QMatrix([[1, 1], [0, 1]]), [0, 0])
+    m = torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0])
     p = iterate(m, [0, 0.3], 10)
     # first coordinate is 10*0.3 mod 1, within double rounding of 0
     assert m.distance(p, (0, F(0.3))) < 1e-9
@@ -67,8 +87,8 @@ def test_iterate_skew_closed_form():
 
 def test_iterate_roundtrip_is_exact():
     maps = [
-        NumericAffine(3, JORDAN3, [0.1, 0.2, 0.7]),
-        NumericAffine(3, None, [0.3, 0.1, 0.05], space="Heisenberg3"),
+        torus(3, JORDAN3, [0.1, 0.2, 0.7]),
+        heis(None, [0.3, 0.1, 0.05]),
     ]
     x = (F(1, 7), F(2, 7), F(3, 7))
     for m in maps:
@@ -77,7 +97,7 @@ def test_iterate_roundtrip_is_exact():
 
 
 def test_iterate_roundtrip_long_within_tolerance():
-    m = NumericAffine(2, QMatrix([[1, 1], [0, 1]]), [0.3, 0.7])
+    m = torus(2, QMatrix([[1, 1], [0, 1]]), [0.3, 0.7])
     x = (F(1, 3), F(1, 5))
     back = iterate(m, iterate(m, x, 10 ** 4), -10 ** 4)
     assert m.distance(back, x) <= 1e-9
@@ -91,20 +111,36 @@ def test_iterate_cap():
 # ---- reduction and distance ----
 
 def test_heisenberg_reduction_golden():
-    h = NumericAffine(3, None, [0, 0, 0], space="Heisenberg3")
+    h = heis(None, [0, 0, 0])
     assert h.reduce([F(7, 4), F(-1, 3), F(9, 10)]) == \
         (F(3, 4), F(2, 3), F(13, 120))
 
 
 def test_heisenberg_distance_vanishes_on_the_same_coset():
-    h = NumericAffine(3, None, [0, 0, 0], space="Heisenberg3")
+    h = heis(None, [0, 0, 0])
     p = (F(1, 10), F(0), F(0))
     q = h.reduce((F(11, 10), F(0), F(0)))
     assert h.distance(p, q) == 0
 
 
+def test_heisenberg_distance_is_at_most_the_27_translate_minimum():
+    # the 27 translates y * gamma, gamma in {-1,0,1}^3 in lattice coordinates
+    h = heis(None, [0, 0, 0])
+    rng = random.Random(1618)
+    den = 2 ** 10
+    for n in range(300):
+        x = h.reduce([F(rng.randrange(den), den) for _ in range(3)])
+        near = [a + F(rng.randrange(-den // 8, den // 8), den) for a in x]
+        y = h.reduce(near if n % 2 else
+                     [F(rng.randrange(den), den) for _ in range(3)])
+        old = min(max(abs(a - b) for a, b in
+                      zip(x, h.group.mult_vec(y, h.lattice.from_coords(c))))
+                  for c in itertools.product((-1, 0, 1), repeat=3))
+        assert h.distance(x, y) <= old
+
+
 def test_torus_distance_is_circle_max_norm():
-    m = NumericAffine(2, None, [0, 0])
+    m = torus(2, None, [0, 0])
     assert m.distance((F(9, 10), 0), (F(1, 10), 0)) == F(1, 5)
     assert m.distance((0, F(1, 4)), (0, F(3, 4))) == F(1, 2)
 
@@ -129,7 +165,7 @@ def test_rational_rotation_misses_off_orbit_target():
 
 
 def test_sequence_is_deterministic():
-    m = NumericAffine(2, QMatrix([[1, 1], [0, 1]]), [0, 0.25])
+    m = torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0.25])
     a = find_forward_sequence(m, [0, 0.1], [0, 0.1], 1e-2, 5000, start=1)
     b = find_forward_sequence(m, [0, 0.1], [0, 0.1], 1e-2, 5000, start=1)
     assert a == b and len(a) >= 1
@@ -143,7 +179,7 @@ def test_eps_must_be_positive():
 # ---- aa_empirical_test ----
 
 def test_jordan3_probe_is_falsified_with_frozen_witness():
-    m = NumericAffine(3, JORDAN3, [0, 0, 0])
+    m = torus(3, JORDAN3, [0, 0, 0])
     report = aa_empirical_test(m, 1, 1e-3, 10 ** 5, 1,
                                probes=[(0.3, 0.3, 0.3)])
     assert report.verdict == FALSIFIED
@@ -156,7 +192,7 @@ def test_jordan3_probe_is_falsified_with_frozen_witness():
 
 
 def test_falsification_witness_revalidates():
-    m = NumericAffine(3, JORDAN3, [0, 0, 0])
+    m = torus(3, JORDAN3, [0, 0, 0])
     report = aa_empirical_test(m, 1, 1e-3, 10 ** 5, 1,
                                probes=[(0.3, 0.3, 0.3)])
     w = report.witness
@@ -178,24 +214,23 @@ def test_pure_translations_are_never_falsified():
         d = rng.randrange(1, 3)
         a = [rng.random() if rng.random() < 0.5
              else F(rng.randrange(64), 64) for _ in range(d)]
-        report = aa_empirical_test(NumericAffine(d, None, a), 3, 1e-2,
+        report = aa_empirical_test(torus(d, None, a), 3, 1e-2,
                                    3000, seed=i)
         assert report.verdict == CONSISTENT
 
 
 def test_skew_with_rational_fiber_coordinate_is_consistent():
-    m = NumericAffine(2, QMatrix([[1, 1], [0, 1]]), [0, 0])
+    m = torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0])
     report = aa_empirical_test(m, 2, 1e-2, 5000, seed=5,
                                probes=[(0.37, 0.25), (0.11, 0.5)])
     assert report.verdict == CONSISTENT
 
 
 def test_heisenberg_maps_run_consistent():
-    central = NumericAffine(3, None, [0, 0, 0.23], space="Heisenberg3")
+    central = heis(None, [0, 0, 0.23])
     assert aa_empirical_test(central, 2, 1e-2, 2000, seed=3).verdict \
         == CONSISTENT
-    shear = NumericAffine(3, QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-                          [0, 0, 0], space="Heisenberg3")
+    shear = heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0, 0])
     assert aa_empirical_test(shear, 2, 1e-2, 2000, seed=4).verdict \
         == CONSISTENT
 
@@ -203,8 +238,53 @@ def test_heisenberg_maps_run_consistent():
 # ---- trajectory ----
 
 def test_trajectory_matches_iterate():
-    m = NumericAffine(2, QMatrix([[1, 1], [0, 1]]), [0.1, 0.2])
+    m = torus(2, QMatrix([[1, 1], [0, 1]]), [0.1, 0.2])
     traj = trajectory(m, (0, 0), 8)
     assert len(traj) == 9
     for k, p in traj:
         assert p == iterate(m, (0, 0), k)
+
+
+# ---- any validated system ----
+
+def test_torus_distance_matches_circle_max_norm_on_random_points():
+    rng = random.Random(2718)
+    for d in (1, 2, 3, 5):
+        m = torus(d, None, [0] * d)
+        for _ in range(40):
+            # denominator 8 makes ties at distance 1/2 common
+            x = tuple(F(rng.randrange(8 * 64), 8 * 64) for _ in range(d))
+            y = tuple(F(rng.randrange(8), 8) for _ in range(d))
+            circle = max(min((a - b) % 1, 1 - (a - b) % 1)
+                         for a, b in zip(x, y))
+            assert m.distance(x, y) == circle
+
+
+@pytest.mark.parametrize("name", ["free_nilpotent_2_3_central.json",
+                                  "free_nilpotent_2_3.json"])
+def test_oracle_runs_on_the_free_class_3_quotient(name):
+    system = nio.parse_system(nio.corpus_file(name))
+    assert system.group.nilpotency_class == 3
+    assert system.lattice.basis == FREE23_LATTICE
+    m = NumericAffine(system, system.translation.substitute({"t": F(0.2347)}))
+    x = (F(1, 7), F(2, 7), F(3, 7), F(1, 11), F(5, 13))
+    for k in (1, 17, 60):
+        assert iterate(m, iterate(m, x, k), -k) == m.reduce(x)
+    report = aa_empirical_test(m, 2, 1e-2, 400, seed=11)
+    if full_decide(system).status == "AA":
+        assert report.verdict == CONSISTENT
+
+
+def test_simulate_block_values_drive_the_free_quotient(tmp_path):
+    system = nio.parse_system(nio.corpus_file(
+        "free_nilpotent_2_3_central.json"))
+    assert full_decide(system).status == "AA"
+    raw = json.loads(nio.corpus_file(
+        "free_nilpotent_2_3_central.json").read_text(encoding="utf-8"))
+    raw["simulate"] = {"values": {"t": "3/7"}, "horizon": 300,
+                       "trials": 2, "seed": 5, "eps": "1/50"}
+    path = tmp_path / "free23_central.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    affine, _, _ = _numeric_map(nio.parse_system(path))
+    assert affine.translation == (0, 0, 0, F(3, 7), 0)
+    assert ncli._simulate_result(path)["status"] == CONSISTENT

@@ -36,14 +36,6 @@ def test_parse_collects_params_in_first_appearance_order():
     assert p.coefficient((0, 2)) == 1
 
 
-def test_parse_rejects_garbage():
-    for bad in ["", "t +", "(t)", "t^-1", "2**t", "t$"]:
-        with pytest.raises(ValueError):
-            parse_poly(bad, ("t",))
-    with pytest.raises(ValueError):
-        parse_poly("u + t", ("t",))
-
-
 def test_str_is_graded_lex_and_reparses():
     p = parse_poly("s + t + t*s + t^2", ("t", "s"))
     assert str(p) == "t^2 + t*s + t + s"

@@ -12,7 +12,7 @@ import pytest
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import (
     QMatrix, QSubspace, annihilator_basis, charpoly, column_hnf, cyclotomic,
-    cyclotomic_spectrum_test, euler_phi, generic_rank, hnf_membership,
+    cyclotomic_spectrum_test, euler_phi, hnf_membership,
     integer_kernel, kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent,
     minimal_rational_subspace, rref, solve_linear, unipotency_index, zspan_basis,
 )
@@ -313,19 +313,3 @@ def test_cyclotomic_spectrum_test():
 
     with pytest.raises(ValueError):
         cyclotomic_spectrum_test([1, 2])  # not monic
-
-
-def test_generic_rank():
-    params = ("t",)
-    t = parse_poly("t", params)
-    one = Poly.constant(1, params)
-    # second column is twice the first: rank 1
-    c1 = ParamVector(params, [t, one])
-    c2 = ParamVector(params, [2 * t, 2 * one])
-    assert generic_rank([c1, c2]) == 1
-    # det = t^2 - 1, nonzero polynomial: generic rank 2 despite t = 1 collapse
-    c3 = ParamVector(params, [one, t])
-    assert generic_rank([c1, c3]) == 2
-    assert generic_rank([]) == 0
-    zero = ParamVector(params, [Poly.zero(params), Poly.zero(params)])
-    assert generic_rank([zero]) == 0
