@@ -139,11 +139,23 @@ def _suspend_result(path, out) -> dict:
     return nio.make_verdict_dict(nio.PASS, "suspend", None, notes)
 
 
+def _number(value, what: str, kind=Fraction):
+    """value as a Fraction (or int); ValueError naming the setting if not."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"simulate {what} must be a number, "
+                         f"got {value!r}") from None
+
+
 def _numeric_map(system) -> tuple:
     """Build the numeric oracle map and the probe list from a system."""
     config = dict(system.simulate or {})
-    values = {key: Fraction(val)
-              for key, val in (config.get("values") or {}).items()}
+    values = config.get("values") or {}
+    if not isinstance(values, dict):
+        raise ValueError("simulate values must be an object")
+    values = {key: _number(val, f"value of {key}")
+              for key, val in values.items()}
     missing = [p for p in system.translation.params if p not in values]
     if missing:
         raise ValueError(f"simulate needs numeric values for parameters "
@@ -151,7 +163,9 @@ def _numeric_map(system) -> tuple:
     affine = NumericAffine(system, system.translation.substitute(values))
     probes = None
     if config.get("probe") is not None:
-        probes = [tuple(Fraction(v) for v in config["probe"])]
+        if not isinstance(config["probe"], list):
+            raise ValueError("simulate probe must be a list")
+        probes = [tuple(_number(v, "probe entry") for v in config["probe"])]
         if len(probes[0]) != system.dim:
             raise ValueError(f"simulate probe needs {system.dim} entries")
     return affine, probes, config
@@ -168,18 +182,24 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
                       f"the system file fails validation at {exc.check}")
     try:
         affine, probes, config = _numeric_map(system)
+        eps = _number(eps if eps is not None else config.get("eps", 1e-3),
+                      "eps")
+        if eps <= 0:
+            raise ValueError("simulate eps must be positive")
+        horizon = _number(horizon if horizon is not None
+                          else config.get("horizon", 10 ** 5), "horizon", int)
+        seed = _number(seed if seed is not None else config.get("seed", 0),
+                       "seed", int)
+        trials = _number(trials if trials is not None
+                         else config.get("trials", 5), "trials", int)
+        if dump is not None:
+            steps = _number(config.get("dump_steps", 200), "dump_steps", int)
     except ValueError as exc:
         return _error("simulate", str(exc))
-    eps = eps if eps is not None else config.get("eps", 1e-3)
-    horizon = int(horizon if horizon is not None
-                  else config.get("horizon", 10 ** 5))
-    seed = int(seed if seed is not None else config.get("seed", 0))
-    trials = int(trials if trials is not None else config.get("trials", 5))
     report = aa_empirical_test(affine, trials, eps, horizon, seed,
                                probes=probes)
     if dump is not None:
         start = probes[0] if probes else tuple([0] * affine.dim)
-        steps = int(config.get("dump_steps", 200))
         with open(dump, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["k"] + [f"x{i + 1}" for i in range(affine.dim)])

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, Poly, PolyMatrix, _merge
-from .ratlin import QMatrix, QSubspace
+from .ratlin import QMatrix, QSubspace, to_fraction
 
 
 class JacobiViolation(ValueError):
@@ -32,7 +32,7 @@ class NotNilpotent(ValueError):
 class LieAlgebraSpec:
     """Structure constants [xi_i, xi_j] = sum_k c_ijk xi_k on a d-dim space."""
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "_brackets")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence[object]]):
         if dim < 1:
@@ -52,6 +52,13 @@ class LieAlgebraSpec:
             clean[key] = val
         self.dim = dim
         self.table = {k: v for k, v in clean.items() if any(v)}
+        # _brackets[i][j] = ((k, c_ijk), ...) over the nonzero c_ijk, for
+        # both orders of each pair
+        self._brackets = [{} for _ in range(dim)]
+        for (i, j), vec in self.table.items():
+            terms = tuple((k, x) for k, x in enumerate(vec) if x)
+            self._brackets[i][j] = terms
+            self._brackets[j][i] = tuple((k, -x) for k, x in terms)
 
     @classmethod
     def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]],
@@ -85,17 +92,21 @@ class LieAlgebraSpec:
 
     def bracket_vec(self, v: Sequence[object], w: Sequence[object]) -> tuple[Fraction, ...]:
         """Bracket of two rational coordinate vectors."""
-        v = [Fraction(x) for x in v]
-        w = [Fraction(x) for x in w]
         if len(v) != self.dim or len(w) != self.dim:
             raise ValueError("vector has wrong dimension")
+        w_nz = [(j, to_fraction(y)) for j, y in enumerate(w) if y]
         out = [Fraction(0)] * self.dim
-        for (i, j), vec in self.table.items():
-            c = v[i] * w[j] - v[j] * w[i]
-            if c:
-                for k, x in enumerate(vec):
-                    if x:
-                        out[k] += c * x
+        for i, x in enumerate(v):
+            if not x:
+                continue
+            row = self._brackets[i]
+            x = to_fraction(x)
+            for j, y in w_nz:
+                terms = row.get(j)
+                if terms:
+                    c = x * y
+                    for k, a in terms:
+                        out[k] += c * a
         return tuple(out)
 
     def bracket(self, v: ParamVector, w: ParamVector) -> ParamVector:

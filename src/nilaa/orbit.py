@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from operator import add
 from typing import Optional, Sequence
 
@@ -207,7 +207,8 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     translations of an abelian group the continued-fraction convergent
     denominators of the translation's lattice coordinates are tried first
     (closed-form evaluation); a plain incremental scan covers every other
-    case.  Deterministic in (map, x, y, eps, horizon).  Raises NotFound
+    case and stops after one period once the exact orbit returns to x.
+    Deterministic in (map, x, y, eps, horizon).  Raises NotFound
     when nothing is found.
     """
     eps = to_fraction(eps)
@@ -234,16 +235,29 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
                     return tuple(hits)
         if len(hits) > (1 if hits and hits[0] == 0 else 0):
             return tuple(hits)
-    p = x
-    for _ in range(lo):
-        p = affine.step(p)
-    for k in range(lo, horizon + 1):
-        if affine.distance(p, y) < eps:
+    # step is a function of the exact point, so once T^period x == x the
+    # orbit repeats: one scanned window of `period` indices gives the rest
+    period = None
+    p, k = x, 0
+    while k <= horizon and (period is None or k < lo + period):
+        if k >= lo and affine.distance(p, y) < eps:
             if k not in hits:
                 hits.append(k)
                 if len(hits) >= limit:
                     return tuple(hits)
+        k += 1
         p = affine.step(p)
+        if period is None and p == x:
+            period = k
+    window = [h for h in hits if h >= lo]
+    if k <= horizon and window:
+        for shift in count(period, period):
+            for h in window:
+                if h + shift > horizon:
+                    return tuple(hits)
+                hits.append(h + shift)
+                if len(hits) >= limit:
+                    return tuple(hits)
     if not hits:
         raise NotFound(f"no return within horizon {horizon}")
     return tuple(sorted(hits))

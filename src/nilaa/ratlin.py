@@ -6,6 +6,12 @@ polynomials, Hermite normal form over the integers (for lattice membership
 and integer kernels), and cyclotomic factor stripping for root-of-unity
 spectra.
 
+The deciders work on unipotent, mostly-zero matrices, so the kernels on
+their path are sparse and avoid the characteristic polynomial: products
+skip zero and unit entries, unipotency is decided by powering M - I, and
+determinants come from Gaussian elimination.  `charpoly` (O(n^4)) serves
+only `power_unipotent`, which needs the whole spectrum.
+
 No floating point anywhere in this module.
 """
 
@@ -40,6 +46,9 @@ def dot(terms, vec: Sequence[Fraction]) -> Fraction:
 
 def _frac_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(to_fraction(x) for x in row) for row in rows)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class QMatrix:
@@ -141,9 +150,20 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ocols = other.columns()
-        return QMatrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                         for col in ocols] for row in self.entries])
+        m = other.ncols
+        orows = other.sparse_rows()
+        out = []
+        for srow in self.sparse_rows():
+            acc = [None] * m
+            for k, a in srow:
+                for j, b in orows[k]:
+                    if a is None:
+                        term = _ONE if b is None else b
+                    else:
+                        term = a if b is None else a * b
+                    acc[j] = term if acc[j] is None else acc[j] + term
+            out.append([_ZERO if x is None else x for x in acc])
+        return QMatrix(out)
 
     def matvec(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
         vec = [to_fraction(x) for x in vec]
@@ -200,9 +220,27 @@ class QMatrix:
         return QMatrix([row[n:] for row in reduced])
 
     def det(self) -> Fraction:
-        p = charpoly(self)
-        n = self.nrows
-        return p[0] if n % 2 == 0 else -p[0]
+        """Determinant by Gaussian elimination, O(n^3)."""
+        if not self.is_square():
+            raise ValueError("determinant of a non-square matrix")
+        mat = [list(row) for row in self.entries]
+        n = len(mat)
+        det = Fraction(1)
+        for c in range(n):
+            p = next((i for i in range(c, n) if mat[i][c]), None)
+            if p is None:
+                return Fraction(0)
+            if p != c:
+                mat[c], mat[p] = mat[p], mat[c]
+                det = -det
+            pivot = mat[c][c]
+            det *= pivot
+            for i in range(c + 1, n):
+                if mat[i][c]:
+                    f = mat[i][c] / pivot
+                    mat[i] = [a - f * b if b else a
+                              for a, b in zip(mat[i], mat[c])]
+        return det
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -379,7 +417,11 @@ def minimal_rational_subspace(vec: ParamVector) -> QSubspace:
 # ---- characteristic polynomial and unipotency ----
 
 def charpoly(matrix: QMatrix) -> list[Fraction]:
-    """Coefficients of det(x I - M), low degree first, monic."""
+    """Coefficients of det(x I - M), low degree first, monic.
+
+    Faddeev-LeVerrier, O(n^4).  Only `power_unipotent` needs the spectrum;
+    `unipotency_index` and `QMatrix.det` get their answers more cheaply.
+    """
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
@@ -393,15 +435,18 @@ def charpoly(matrix: QMatrix) -> list[Fraction]:
 
 
 def unipotency_index(matrix: QMatrix) -> int | None:
-    """Least k with (M - I)^k = 0, or None when M is not unipotent."""
+    """Least k with (M - I)^k = 0, or None when M is not unipotent.
+
+    M is unipotent exactly when N = M - I is nilpotent, that is when
+    N^n = 0, so powering N up to n decides it without the spectrum.  A
+    nilpotent N has trace 0, which rejects most other matrices at once.
+    """
     if not matrix.is_square():
         raise ValueError("unipotency of a non-square matrix")
     n = matrix.nrows
-    p = charpoly(matrix)
-    binom = [Fraction((-1) ** (n - k) * math.comb(n, k)) for k in range(n + 1)]
-    if p != binom:  # charpoly must be (x - 1)^n
-        return None
     N = matrix - QMatrix.identity(n)
+    if N.trace():
+        return None
     power = QMatrix.identity(n)
     for k in range(n + 1):
         if power.is_zero():

@@ -102,7 +102,8 @@ def suspend(system, *, monodromy_override: QMatrix | None = None) -> SuspendedSy
     """
     group: NilpotentGroup = system.group
     U: QMatrix = system.automorphism
-    if unipotency_index(U) is None:
+    index = unipotency_index(U)
+    if index is None:
         raise NotUnipotent("the automorphism is not unipotent; no suspension")
     ok, reason, _ = preserves_lattice(U, system.lattice)
     if not ok:
@@ -112,7 +113,7 @@ def suspend(system, *, monodromy_override: QMatrix | None = None) -> SuspendedSy
     big_group = NilpotentGroup(big_spec)
 
     # class can grow by at most the unipotency index of U
-    bound = group.nilpotency_class + unipotency_index(U)
+    bound = group.nilpotency_class + index
     if big_group.nilpotency_class > bound:
         raise AssertionError("suspension raised the nilpotency class past its bound")
 

@@ -436,6 +436,52 @@ def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,
     assert verdict["notes"] == ["simulate probe needs 2 entries"]
 
 
+@pytest.mark.parametrize("simulate, argv, note", [
+    ({"values": {"t": None}}, (),
+     "simulate value of t must be a number, got None"),
+    ({"values": {"t": "1/0"}}, (),
+     "simulate value of t must be a number, got '1/0'"),
+    ({"values": ["t"]}, (), "simulate values must be an object"),
+    ({"values": {"t": "1/3"}, "probe": [None]}, (),
+     "simulate probe entry must be a number, got None"),
+    ({"values": {"t": "1/3"}, "eps": "abc"}, (),
+     "simulate eps must be a number, got 'abc'"),
+    ({"values": {"t": "1/3"}, "eps": 0}, (), "simulate eps must be positive"),
+    ({"values": {"t": "1/3"}}, ("--eps", "inf"),
+     "simulate eps must be a number, got inf"),
+    ({"values": {"t": "1/3"}, "horizon": "ten"}, (),
+     "simulate horizon must be a number, got 'ten'"),
+    ({"values": {"t": "1/3"}, "seed": None}, (),
+     "simulate seed must be a number, got None"),
+    ({"values": {"t": "1/3"}, "trials": [2]}, (),
+     "simulate trials must be a number, got [2]"),
+    ({"values": {"t": "1/3"}, "dump_steps": "all"}, ("--dump", "{tmp}"),
+     "simulate dump_steps must be a number, got 'all'"),
+], ids=["null-value", "zero-denominator-value", "values-list", "null-probe",
+        "eps-text", "eps-zero", "eps-inf", "horizon-text", "seed-null",
+        "trials-list", "dump-steps-text"])
+def test_cli_simulate_rejects_malformed_values(capsys, tmp_path, simulate,
+                                               argv, note):
+    path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],
+                         simulate=simulate)
+    dump = tmp_path / "trajectory.csv"
+    argv = [arg.format(tmp=dump) for arg in argv]
+    code, verdict = _run_main_checked(capsys, "simulate", path, *argv)
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["notes"] == [note]
+    assert not dump.exists()
+
+
+def test_cli_simulate_ignores_dump_steps_without_dump(capsys, tmp_path):
+    path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],
+                         simulate={"values": {"t": "1/3"}, "trials": 1,
+                                   "horizon": 10, "dump_steps": "all"})
+    code, verdict = _run_main_checked(capsys, "simulate", path)
+    assert code == 0
+    assert verdict["status"] == "ConsistentWithAA"
+
+
 def test_cli_zero_denominator_in_a_translation_is_a_parse_error(capsys,
                                                                tmp_path):
     path = _write_system(tmp_path, dim=1, params=["t"],

@@ -167,3 +167,31 @@ def test_automorphisms_preserve_brackets_random(heis, free23):
             m = matrix_exp_nilpotent(spec.ad_matrix(v))
             ok, _, _ = is_automorphism(spec, m)
             assert ok
+
+
+def test_bracket_vec_against_the_dense_table_formula():
+    # random antisymmetric tables; bracket_vec does not need Jacobi
+    rng = random.Random(29)
+    pool = [F(0)] * 6 + [F(1), F(-1), F(2), F(-1, 3)]
+    for _ in range(25):
+        d = rng.randrange(1, 7)
+        table = {(i, j): [rng.choice(pool) for _ in range(d)]
+                 for i in range(d) for j in range(i + 1, d)
+                 if rng.random() < 0.5}
+        spec = LieAlgebraSpec(d, table)
+        for _ in range(8):
+            v = [rng.choice(pool) for _ in range(d)]
+            w = [rng.choice(pool) for _ in range(d)]
+            expect = [F(0)] * d
+            for (i, j), vec in table.items():
+                c = v[i] * w[j] - v[j] * w[i]
+                for k in range(d):
+                    expect[k] += c * vec[k]
+            got = spec.bracket_vec(v, w)
+            assert got == tuple(expect)
+            assert all(type(x) is F for x in got)
+            constant = spec.bracket(ParamVector.from_rationals(v),
+                                    ParamVector.from_rationals(w))
+            assert constant.constant_values() == got
+    with pytest.raises(ValueError):
+        LieAlgebraSpec(3, {}).bracket_vec((1, 0), (0, 1, 0))

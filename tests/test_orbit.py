@@ -164,6 +164,62 @@ def test_rational_rotation_misses_off_orbit_target():
         find_forward_sequence(rotation(0.5), [0], [0.25], 1e-3, 10 ** 5)
 
 
+def brute_force_sequence(affine, x, y, eps, horizon, start, limit):
+    """Every step from x, no shortcut: the first `limit` hits in range."""
+    x, y = affine.reduce(x), affine.reduce(y)
+    hits, p = [], x
+    for k in range(horizon + 1):
+        if k >= start and affine.distance(p, y) < eps:
+            hits.append(k)
+            if len(hits) == limit:
+                break
+        p = affine.step(p)
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("kind", ["skew", "heisenberg"])
+def test_periodic_orbit_scan_matches_brute_force(kind):
+    # both maps return to x exactly after 5 steps (x1 gains 2/5 per step)
+    if kind == "skew":
+        m = torus(2, QMatrix([[1, 1], [0, 1]]), [F(2, 5) - F(1, 8), 0])
+        x = (F(3, 16), F(1, 8))
+    else:
+        m = heis(None, [F(2, 5), 0, 0])
+        x = (F(3, 16), F(1, 4), F(1, 32))
+    x = m.reduce(x)
+    assert iterate(m, x, 5) == x and iterate(m, x, 1) != x
+    rng = random.Random(43)
+    near = tuple(c + F(1, 64) for c in iterate(m, x, 2))
+    targets = [(x, F(1, 100)), (iterate(m, x, 3), F(1, 100)),
+               (near, F(1, 2)), (m.reduce([F(1, 7)] * m.dim), F(1, 100))]
+    compared = 0
+    for y, eps in targets:
+        for _ in range(12):
+            start = rng.choice((0, 1, 2, 4, 6, 11))
+            limit = rng.choice((1, 2, 3, 10))
+            horizon = rng.choice((0, 3, 5, 9, 23, 61))
+            expect = brute_force_sequence(m, x, y, eps, horizon, start, limit)
+            if expect:
+                assert find_forward_sequence(m, x, y, eps, horizon,
+                                             start=start,
+                                             limit=limit) == expect
+            else:
+                with pytest.raises(NotFound):
+                    find_forward_sequence(m, x, y, eps, horizon,
+                                          start=start, limit=limit)
+            compared += 1
+    assert compared == 48
+    # a long horizon costs one period of steps, not the horizon
+    steps = []
+    step = m.step
+    m.step = lambda p: steps.append(1) or step(p)
+    assert find_forward_sequence(m, x, x, F(1, 100), 10 ** 6, start=1,
+                                 limit=4) == (5, 10, 15, 20)
+    with pytest.raises(NotFound):
+        find_forward_sequence(m, x, targets[3][0], F(1, 100), 10 ** 6)
+    assert len(steps) <= 2 * 6
+
+
 def test_sequence_is_deterministic():
     m = torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0.25])
     a = find_forward_sequence(m, [0, 0.1], [0, 0.1], 1e-2, 5000, start=1)

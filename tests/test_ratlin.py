@@ -4,6 +4,7 @@ Characteristic polynomials are cross-checked against an independent cofactor
 expansion of det(xI - M) carried out in the polynomial layer.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -119,6 +120,110 @@ def test_unipotency_index():
     rotation = QMatrix([[0, -1], [1, 0]])
     assert unipotency_index(rotation) is None
     assert unipotency_index(QMatrix([[1, 0], [0, 2]])) is None
+
+
+def sparse_qmatrix(rng, nrows, ncols):
+    """Mostly zeros and ones, like structure tables and unipotent maps."""
+    pool = [F(0)] * 5 + [F(1)] * 2 + [F(-1), F(2), F(-3, 2)]
+    return QMatrix([[rng.choice(pool) for _ in range(ncols)]
+                    for _ in range(nrows)])
+
+
+def test_det_by_elimination_against_cofactor():
+    rng = random.Random(31)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            cases.append(rand_qmatrix(rng, n))
+            cases.append(sparse_qmatrix(rng, n, n))
+    # zero leading pivots force row swaps; repeated or zero rows are singular
+    cases += [QMatrix([[0, 1], [1, 0]]), QMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+              QMatrix([[0, 2, 1], [3, 0, 0], [0, 0, F(1, 2)]]),
+              QMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+              QMatrix([[1, 2], [0, 0]]), QMatrix([[0, 0], [0, 5]])]
+    for _ in range(10):
+        m = rand_qmatrix(rng, 4)
+        rows = list(m.entries)
+        rows[3] = tuple(a - 2 * b for a, b in zip(rows[0], rows[1]))
+        cases.append(QMatrix(rng.sample(rows, 4)))
+    singular = 0
+    for m in cases:
+        expect = det_cofactor([list(r) for r in m.entries])
+        assert m.det() == expect
+        singular += expect == 0
+    assert singular >= 13
+    assert QMatrix([]).det() == 1
+    with pytest.raises(ValueError):
+        QMatrix([[1, 2, 3], [4, 5, 6]]).det()
+
+
+def unipotency_oracle(matrix: QMatrix):
+    """charpoly == (x - 1)^n, then the least k with (M - I)^k = 0."""
+    n = matrix.nrows
+    if charpoly(matrix) != [F((-1) ** (n - k) * math.comb(n, k))
+                            for k in range(n + 1)]:
+        return None
+    N = [[matrix[i, j] - (i == j) for j in range(n)] for i in range(n)]
+    power = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    k = 0
+    while any(any(row) for row in power):
+        power = [[sum((power[i][m] * N[m][j] for m in range(n)), F(0))
+                  for j in range(n)] for i in range(n)]
+        k += 1
+    return k
+
+
+def jordan_unipotent(sizes):
+    n = sum(sizes)
+    rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = F(1)
+        start += size
+    return QMatrix(rows)
+
+
+def test_unipotency_index_against_charpoly_oracle():
+    rng = random.Random(37)
+    checked = {None: 0, "unipotent": 0}
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randrange(1, n - sum(sizes) + 1))
+        while True:
+            p = rand_qmatrix(rng, n)
+            if p.det():
+                break
+        u = p @ jordan_unipotent(sizes) @ p.inverse()
+        assert unipotency_index(u) == unipotency_oracle(u) == max(sizes)
+        checked["unipotent"] += 1
+    # not unipotent: (M - I)^n != 0, with and without trace(M - I) = 0
+    others = [QMatrix([[2, 0], [0, 0]]), QMatrix([[0, -1], [1, 0]]),
+              QMatrix([[1, 1, 0], [0, 2, 0], [0, 0, 0]]),
+              QMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]) @ jordan_unipotent([3])]
+    others += [rand_qmatrix(rng, rng.randrange(1, 6)) for _ in range(30)]
+    for m in others:
+        expect = unipotency_oracle(m)
+        assert unipotency_index(m) == expect
+        checked[None] += expect is None
+    assert checked == {None: 33, "unipotent": 40}
+
+
+def test_sparse_matmul_against_dense_triple_loop():
+    rng = random.Random(41)
+    for _ in range(60):
+        n, k, m = (rng.randrange(1, 6) for _ in range(3))
+        a, b = sparse_qmatrix(rng, n, k), sparse_qmatrix(rng, k, m)
+        expect = [[sum((a[i, t] * b[t, j] for t in range(k)), F(0))
+                   for j in range(m)] for i in range(n)]
+        assert (a @ b).entries == tuple(tuple(row) for row in expect)
+    a = rand_qmatrix(rng, 3)
+    assert (a @ QMatrix.identity(3)) == a == (QMatrix.identity(3) @ a)
+    assert (a @ QMatrix.zeros(3)).is_zero()
+    with pytest.raises(ValueError):
+        QMatrix([[1, 2]]) @ QMatrix([[1, 2]])
 
 
 def test_exp_log_unipotent_roundtrip():
