@@ -4,7 +4,10 @@ A cocompact discrete subgroup is specified by an invertible rational matrix
 whose columns are the logarithms of its generators.  The package works with
 lattices whose log coordinates form an additive lattice closed under BCH
 (true of every example shipped here, e.g. the integer Heisenberg group on
-the basis xi_1, xi_2, xi_3/2), which validation enforces.
+the basis xi_1, xi_2, xi_3/2).  Validation decides this exactly: the group
+law in lattice coordinates is one polynomial map on Z^d x Z^d, and it is
+integer-valued there if and only if its coefficients in the basis of
+products of binomial coefficients are integers.
 
 Coset reduction produces canonical fundamental-domain representatives by
 greedily clearing lattice coordinates in an order along which right
@@ -16,8 +19,8 @@ every weight-graded basis; it is detected symbolically at construction.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .nilgrp import NilpotentGroup
@@ -28,15 +31,36 @@ COSET_DIM_CAP = 7
 
 
 class LatticeClosureError(ValueError):
-    """A BCH product of generators leaves the integer span; carries the pair."""
+    """A BCH product of lattice points leaves the integer span.
+
+    pair is ((i, si), (j, sj)) for the signed generators si*gen_i and
+    sj*gen_j, or (("combo", m), ("combo", n)) for the lattice points with
+    integer coordinate vectors m and n.
+    """
 
     def __init__(self, pair, coords):
         self.pair = pair
         self.coords = coords
-        (i, si), (j, sj) = pair
+        left, right = (_describe_factor(f) for f in pair)
         super().__init__(
-            f"bch({'-' if si < 0 else ''}gen{i}, {'-' if sj < 0 else ''}gen{j}) "
+            f"bch({left}, {right}) "
             f"has non-integer lattice coordinates {tuple(str(c) for c in coords)}")
+
+
+def _describe_factor(factor) -> str:
+    """Render (1, -1) as -gen1 and ("combo", (1, 0, -2)) as gen0 - 2*gen2."""
+    tag, value = factor
+    if tag != "combo":
+        return f"{'-' if value < 0 else ''}gen{tag}"
+    text = ""
+    for k, c in enumerate(value):
+        if c:
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += f"{'' if abs(c) == 1 else f'{abs(c)}*'}gen{k}"
+    return text or "0"
 
 
 class LogLattice:
@@ -82,41 +106,82 @@ class LogLattice:
         return f"LogLattice(dim={self.dim})"
 
 
-def validate_lattice(group: NilpotentGroup, lattice: LogLattice,
-                     samples: int = 20, seed: int = 0) -> dict:
-    """Check BCH closure of the integer span of the generators.
+@lru_cache(maxsize=None)
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """S(k, j) * j! for j = 0..k, so that x^k = sum_j S(k, j) j! C(x, j)."""
+    if k == 0:
+        return (1,)
+    prev = _binomial_row(k - 1) + (0,)
+    return (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, k + 1))
 
-    All signed generator pairs are multiplied and required to land back in
-    the integer span; a seeded batch of random integer combinations guards
-    against non-closure that pairwise products alone could miss.  Returns the
-    integer coordinate table of the signed pair products.
+
+def _non_integer_binomial_indices(p: Poly) -> set[tuple[int, ...]]:
+    """Multi-indices J whose coefficient of prod_i C(z_i, J_i) in p is not
+    an integer.
+
+    The basis change has integer entries, so integer monomial coefficients
+    only add integers; the fractional parts alone decide the answer.
+    """
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        frac = coeff - math.floor(coeff)
+        if not frac:
+            continue
+        partial = [((), frac)]
+        for k in exps:
+            partial = [(J + (j,), c * t) for J, c in partial
+                       for j, t in enumerate(_binomial_row(k)) if t]
+        for J, c in partial:
+            acc[J] = acc.get(J, 0) + c
+    return {J for J, c in acc.items() if c.denominator != 1}
+
+
+def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> ParamVector:
+    """Check exactly that the integer span of the generators is closed
+    under BCH.
+
+    One symbolic product gives the group law in lattice coordinates,
+    P(m, n) = B^-1 bch(B m, B n), over the parameters m1..md, n1..nd.  Each
+    coordinate is written in the basis of products of binomials
+    C(z_i, J_i) over z = (m, n).  A rational polynomial takes integer
+    values on all of Z^2d if and only if every such coefficient is an
+    integer (Polya), so this is a finite certificate of closure; P is
+    returned on success.
+
+    A failure raises LatticeClosureError.  Its witness is the first signed
+    generator pair whose product leaves the span, scanning i, j, si, sj in
+    that order; failing any, it is the point J itself for a non-integer
+    coefficient J minimal in the product order, where P(J) is that
+    coefficient plus an integer.
     """
     if lattice.dim != group.dim:
         raise ValueError("lattice dimension does not match the algebra")
     d = group.dim
-    table = {}
+    params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
+    z = [Poly.variable(name, params) for name in params]
+    x = lattice.basis.apply(ParamVector(params, z[:d]))
+    y = lattice.basis.apply(ParamVector(params, z[d:]))
+    law = lattice._inverse.apply(group.mult(x, y))
+    bad = set().union(*map(_non_integer_binomial_indices, law.entries))
+    if not bad:
+        return law
+
+    def coords_at(m, n):
+        return law.substitute(dict(zip(law.params, (*m, *n))))
+
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
             for si in (1, -1):
                 for sj in (1, -1):
-                    v = tuple(si * x for x in lattice.generator(i))
-                    w = tuple(sj * x for x in lattice.generator(j))
-                    coords = lattice.to_coords(group.mult_vec(v, w))
+                    coords = coords_at([si * u for u in units[i]],
+                                       [sj * u for u in units[j]])
                     if any(c.denominator != 1 for c in coords):
                         raise LatticeClosureError(((i, si), (j, sj)), coords)
-                    table[(i, si, j, sj)] = tuple(int(c) for c in coords)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        z1 = [rng.randrange(-3, 4) for _ in range(d)]
-        z2 = [rng.randrange(-3, 4) for _ in range(d)]
-        v = lattice.from_coords(z1)
-        w = lattice.from_coords(z2)
-        coords = lattice.to_coords(group.mult_vec(v, w))
-        if any(c.denominator != 1 for c in coords):
-            raise LatticeClosureError((("combo", tuple(z1)), ("combo", tuple(z2))), coords)
-    return table
+    J = min(bad, key=lambda J: (sum(J), J))
+    raise LatticeClosureError((("combo", J[:d]), ("combo", J[d:])), coords_at(J[:d], J[d:]))
 
 
 def preserves_lattice(matrix: QMatrix, lattice: LogLattice

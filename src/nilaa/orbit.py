@@ -312,6 +312,28 @@ def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
     return affine.lattice.from_coords(coords)
 
 
+def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
+    """T^k x (T^-k x when backward) for each of the increasing indices ks.
+
+    One pass along the orbit, with the closed form for pure translations;
+    each point equals iterate() at its index, since a step is a function
+    of the exact point.
+    """
+    if ks and ks[-1] > ITERATE_CAP:
+        raise ValueError("|k| exceeds the iteration cap")
+    p = affine.reduce(x)
+    if affine.is_pure_translation():
+        return [affine.translate(p, -k if backward else k) for k in ks]
+    step = affine.step_back if backward else affine.step
+    out, at = [], 0
+    for k in ks:
+        for _ in range(k - at):
+            p = step(p)
+        at = k
+        out.append(p)
+    return out
+
+
 def _run_trial(affine: NumericAffine, probe, eps, horizon):
     """One probe: forward cluster, snapped target, backward check.
 
@@ -323,16 +345,14 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
                                     start=1)
     except NotFound:
         return None, False
-    target = _snap(iterate(affine, probe, seq[0]))
+    forward = _walk(affine, probe, seq)
+    target = _snap(forward[0])
     eps = to_fraction(eps)
-    fwd = Fraction(0)
-    for k in seq:
-        fwd = max(fwd, affine.distance(iterate(affine, probe, k), target))
+    fwd = max(affine.distance(p, target) for p in forward)
     if fwd >= eps:
         return None, True  # cluster is not tight around the snapped target
-    bwd = Fraction(0)
-    for k in seq:
-        bwd = max(bwd, affine.distance(iterate(affine, target, -k), probe))
+    bwd = max(affine.distance(p, probe)
+              for p in _walk(affine, target, seq, backward=True))
     if bwd <= 10 * eps:
         return None, True
     return FalsificationWitness(probe, target, seq, float(fwd),

@@ -413,6 +413,24 @@ def test_cli_suspend_past_the_coset_dimension_cap_is_an_error(capsys,
     assert verdict["notes"] == ["coset reduction supports dimension <= 7"]
 
 
+def test_cli_reports_a_point_closure_witness(capsys, tmp_path):
+    # every signed generator pair closes; bch(gen2, gen0 + gen1) does not
+    diagonal = ("1", "1", "1", "1/2", "1/2", "1/4")
+    path = _write_system(
+        tmp_path, dim=6,
+        structure_constants=[[1, 3, 4, "1"], [2, 3, 5, "1"],
+                             [1, 5, 6, "1"], [2, 4, 6, "1"]],
+        lattice_basis=[[diagonal[i] if i == j else "0" for j in range(6)]
+                       for i in range(6)])
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert code == 1
+    assert verdict["status"] == "INVALID"
+    assert verdict["certificate"]["check"] == "validate_lattice"
+    assert verdict["certificate"]["witness"] == (
+        "bch(gen2, gen0 + gen1) has non-integer lattice coordinates "
+        "('1', '1', '1', '-1', '-1', '2/3')")
+
+
 def test_cli_singular_lattice_basis_is_a_validation_failure(capsys,
                                                            tmp_path):
     path = _write_system(tmp_path, dim=1, lattice_basis=[["0"]])

@@ -1,7 +1,9 @@
 """Lattice layer: BCH closure, automorphism compatibility, coset reduction."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -42,12 +44,17 @@ def test_log_lattice_basics():
         LogLattice(QMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
+def law_at(law, m, n):
+    """The certificate P(m, n) at integer lattice coordinates m, n."""
+    return law.substitute(dict(zip(law.params, (*m, *n))))
+
+
 def test_validate_heisenberg_lattice():
     group = NilpotentGroup(heisenberg())
-    table = validate_lattice(group, heis_lattice())
+    law = validate_lattice(group, heis_lattice())
     # bch(xi1, xi2) = xi1 + xi2 + xi3/2, which is (1, 1, 1) in lattice coordinates
-    assert table[(0, 1, 1, 1)] == (1, 1, 1)
-    assert table[(1, 1, 0, 1)] == (1, 1, -1)
+    assert law_at(law, (1, 0, 0), (0, 1, 0)) == (1, 1, 1)
+    assert law_at(law, (0, 1, 0), (1, 0, 0)) == (1, 1, -1)
 
 
 def test_integer_basis_is_not_closed_for_heisenberg():
@@ -62,6 +69,112 @@ def test_validate_free23_lattice():
     validate_lattice(group, free23_lattice())
     with pytest.raises(LatticeClosureError):
         validate_lattice(group, LogLattice(QMatrix.identity(5)))
+
+
+def test_point_witness_when_every_generator_pair_closes():
+    # [e1,e3]=e4, [e2,e3]=e5, [e1,e5]=[e2,e4]=e6: [x,[x,y]] vanishes on
+    # every pair of basis vectors, so each bch(+-gen_i, +-gen_j) is
+    # x + y + [x,y]/2 and stays in the span, while bch(gen2, gen0 + gen1)
+    # picks up e6/6 (coordinate 2/3 on the generator e6/4)
+    spec = LieAlgebraSpec.from_sparse(
+        6, [(1, 3, 4, 1), (2, 3, 5, 1), (1, 5, 6, 1), (2, 4, 6, 1)])
+    group = NilpotentGroup(spec)
+    diagonal = (1, 1, 1, F(1, 2), F(1, 2), F(1, 4))
+    lattice = LogLattice(QMatrix([[diagonal[i] * (i == j) for j in range(6)]
+                                  for i in range(6)]))
+    with pytest.raises(LatticeClosureError) as err:
+        validate_lattice(group, lattice)
+    (tag_m, m), (tag_n, n) = err.value.pair
+    assert tag_m == tag_n == "combo"
+    assert (m, n) == ((0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0))
+    coords = lattice.to_coords(group.mult_vec(lattice.from_coords(m),
+                                              lattice.from_coords(n)))
+    assert err.value.coords == coords
+    assert coords[5] == F(2, 3)
+    assert str(err.value) == ("bch(gen2, gen0 + gen1) has non-integer lattice "
+                              "coordinates ('1', '1', '1', '-1', '-1', '2/3')")
+
+
+def test_closure_error_formats_point_witnesses():
+    err = LatticeClosureError((("combo", (1, 0)), ("combo", (0, 1))), ())
+    assert str(err) == "bch(gen0, gen1) has non-integer lattice coordinates ()"
+    err = LatticeClosureError((("combo", (-1, 0, 2)), ("combo", (0, 0, 0))),
+                              (F(1, 2),))
+    assert str(err) == "bch(-gen0 + 2*gen2, 0) has non-integer lattice coordinates ('1/2',)"
+    err = LatticeClosureError(((0, -1), (2, 1)), (F(1, 3),))
+    assert str(err) == "bch(-gen0, gen2) has non-integer lattice coordinates ('1/3',)"
+
+
+DIAG = (1, 2, 3, 4, 6, 12, 24)
+
+
+def _free23_basis(rng) -> QMatrix:
+    """Lower-triangular lattice basis: diagonal entries 1/k, k in DIAG, with
+    k in (1, 2) on the generators and (12, 24) on the center, the weights
+    where closed lattices of this shape live; random entries below."""
+    ks = [rng.choice((1, 1, 1, 2)), rng.choice((1, 1, 1, 2)), rng.choice(DIAG),
+          rng.choice((12, 24)), rng.choice((12, 24))]
+    rows = [[F(0)] * 5 for _ in range(5)]
+    for i, k in enumerate(ks):
+        rows[i][i] = F(1, k)
+        for j in range(i):
+            if rng.random() < 0.35:
+                rows[i][j] = F(rng.randint(-2, 2), rng.choice(DIAG))
+    return QMatrix(rows)
+
+
+def _brute_force_closed(basis: QMatrix) -> bool:
+    """No product of lattice points with coordinates in {-2..2}^10 leaves
+    the lattice.
+
+    Independent of nilgrp: bch on free23 is x + y + [x,y]/2 +
+    ([x,[x,y]] - [y,[x,y]])/12, evaluated in integers after scaling.  The
+    basis is lower triangular, so coordinates 4 and 5 move central
+    directions only, which add to a product and change no lattice
+    coordinate's integrality: {-2..2}^6 in the first three suffices.
+    """
+    inv = basis.inverse()
+    D = math.lcm(*(x.denominator for row in basis.entries for x in row))
+    E = math.lcm(*(x.denominator for row in inv.entries for x in row))
+    M = [[int(x * E) for x in row] for row in inv.entries]
+    scale = 12 * D ** 3 * E
+    points = [tuple(int(c * D) for c in basis.matvec((*m, 0, 0)))
+              for m in product(range(-2, 3), repeat=3)]
+    for X in points:
+        for Y in points:
+            c3 = X[0] * Y[1] - X[1] * Y[0]
+            c4 = X[0] * Y[2] - X[2] * Y[0]
+            c5 = X[1] * Y[2] - X[2] * Y[1]
+            z = [12 * D * D * (a + b) for a, b in zip(X, Y)]  # 12 D^3 bch
+            z[2] += 6 * D * c3
+            z[3] += 6 * D * c4 + (X[0] - Y[0]) * c3
+            z[4] += 6 * D * c5 + (X[1] - Y[1]) * c3
+            if any(sum(a * b for a, b in zip(row, z)) % scale for row in M):
+                return False
+    return True
+
+
+def test_certificate_agrees_with_brute_force_on_free23():
+    group = NilpotentGroup(free_nilpotent_2_3())
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(40):
+        basis = _free23_basis(rng)
+        lattice = LogLattice(basis)
+        try:
+            validate_lattice(group, lattice)
+            accepted = True
+        except LatticeClosureError as err:
+            accepted = False
+            left, right = (lattice.from_coords(f[1]) if f[0] == "combo"
+                           else tuple(f[1] * x for x in lattice.generator(f[0]))
+                           for f in err.pair)
+            coords = lattice.to_coords(group.mult_vec(left, right))
+            assert coords == err.coords
+            assert any(c.denominator != 1 for c in coords)
+        assert accepted == _brute_force_closed(basis), basis
+        verdicts.append(accepted)
+    assert 3 <= sum(verdicts) <= 37  # both outcomes are exercised
 
 
 def test_validate_dimension_mismatch():

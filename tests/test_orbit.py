@@ -19,7 +19,7 @@ from nilaa import io as nio
 from nilaa.cli import _numeric_map
 from nilaa.criteria import ValidationError, full_decide, make_system
 from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
-                         NumericAffine, aa_empirical_test,
+                         NumericAffine, _run_trial, _snap, aa_empirical_test,
                          find_forward_sequence, iterate, trajectory,
                          witness_distances)
 from nilaa.ratlin import QMatrix
@@ -289,6 +289,51 @@ def test_heisenberg_maps_run_consistent():
     shear = heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0, 0])
     assert aa_empirical_test(shear, 2, 1e-2, 2000, seed=4).verdict \
         == CONSISTENT
+
+
+def _run_trial_per_index(affine, probe, eps, horizon):
+    """The trial with every T^k probe and T^-k target iterated from scratch."""
+    probe = affine.reduce(probe)
+    try:
+        seq = find_forward_sequence(affine, probe, probe, eps, horizon,
+                                    start=1)
+    except NotFound:
+        return None, False
+    target = _snap(iterate(affine, probe, seq[0]))
+    eps = F(eps)
+    fwd = max(affine.distance(iterate(affine, probe, k), target) for k in seq)
+    if fwd >= eps:
+        return None, True
+    bwd = max(affine.distance(iterate(affine, target, -k), probe) for k in seq)
+    if bwd <= 10 * eps:
+        return None, True
+    return (probe, target, seq, float(fwd), float(bwd)), True
+
+
+def test_run_trial_walks_to_the_per_index_answer():
+    maps = [torus(2, QMatrix([[1, 1], [0, 1]]), [0.1, 0.2]),
+            torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0.375]),
+            torus(3, JORDAN3, [0, 0, 0]),
+            torus(3, JORDAN3, [0.25, 0, 0.5]),
+            heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0, 0]),
+            heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0.25, 0.1]),
+            heis(None, [0.5, 0.25, 0.23])]
+    rng = random.Random(31)
+    outcomes = set()
+    for m in maps:
+        trials = [((F(3, 10),) * m.dim, F(1, 1000))]
+        for _ in range(3):
+            probe = tuple(F(rng.randrange(1 << 10), 1 << 10) for _ in range(m.dim))
+            trials.append((probe, rng.choice((F(1, 16), F(1, 64), F(1, 256)))))
+        for probe, eps in trials:
+            witness, had_returns = _run_trial(m, probe, eps, 200)
+            if witness is not None:
+                witness = (witness.probe, witness.target, witness.sequence,
+                           witness.forward_distance, witness.backward_distance)
+            assert (witness, had_returns) == _run_trial_per_index(m, probe, eps, 200)
+            outcomes.add((witness is None, had_returns))
+    # falsified, consistent with returns, and no return at all
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 # ---- trajectory ----
