@@ -7,7 +7,8 @@ lattices whose log coordinates form an additive lattice closed under BCH
 the basis xi_1, xi_2, xi_3/2).  Validation decides this exactly: the group
 law in lattice coordinates is one polynomial map on Z^d x Z^d, and it is
 integer-valued there if and only if its coefficients in the basis of
-products of binomial coefficients are integers.
+products of binomial coefficients are integers.  It is computed on the
+Hermite basis of the span, which is triangular whatever basis is given.
 
 Coset reduction produces canonical fundamental-domain representatives by
 greedily clearing lattice coordinates in an order along which right
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
-from .ratlin import QMatrix, dot, integer_kernel, to_fraction
+from .ratlin import QMatrix, dot, integer_kernel, to_fraction, zspan_basis
 
 COSET_DIM_CAP = 7
 
@@ -136,52 +137,57 @@ def _non_integer_binomial_indices(p: Poly) -> set[tuple[int, ...]]:
     return {J for J, c in acc.items() if c.denominator != 1}
 
 
-def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> ParamVector:
+def validate_lattice(group: NilpotentGroup, lattice: LogLattice
+                     ) -> tuple[LogLattice, ParamVector]:
     """Check exactly that the integer span of the generators is closed
     under BCH.
 
-    One symbolic product gives the group law in lattice coordinates,
-    P(m, n) = B^-1 bch(B m, B n), over the parameters m1..md, n1..nd.  Each
-    coordinate is written in the basis of products of binomials
-    C(z_i, J_i) over z = (m, n).  A rational polynomial takes integer
-    values on all of Z^2d if and only if every such coefficient is an
-    integer (Polya), so this is a finite certificate of closure; P is
-    returned on success.
+    Closure depends on the span only, so the check runs on its Hermite
+    basis H (lower triangular, positive pivots, reduced entries; a positive
+    diagonal basis is its own), which keeps the symbolic product sparse
+    however dense the given basis is.  One symbolic product gives the
+    group law in H coordinates, P(m, n) = H^-1 bch(H m, H n), over the
+    parameters m1..md, n1..nd.  Each coordinate is written in the basis of
+    products of binomials C(z_i, J_i) over z = (m, n).  A rational
+    polynomial takes integer values on all of Z^2d if and only if every
+    such coefficient is an integer (Polya), so this is a finite
+    certificate of closure; (H, P) is returned on success.
 
-    A failure raises LatticeClosureError.  Its witness is the first signed
-    generator pair whose product leaves the span, scanning i, j, si, sj in
-    that order; failing any, it is the point J itself for a non-integer
-    coefficient J minimal in the product order, where P(J) is that
-    coefficient plus an integer.
+    A failure raises LatticeClosureError, with the witness in the given
+    generators.  It is the first signed generator pair whose product
+    leaves the span, scanning i, j, si, sj in that order; failing any, it
+    is the point H J for a non-integer coefficient J minimal in the
+    product order, where P(J) is that coefficient plus an integer.
     """
     if lattice.dim != group.dim:
         raise ValueError("lattice dimension does not match the algebra")
     d = group.dim
+    hermite = LogLattice.from_columns(zspan_basis(lattice.basis.columns(), d))
     params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
     z = [Poly.variable(name, params) for name in params]
-    x = lattice.basis.apply(ParamVector(params, z[:d]))
-    y = lattice.basis.apply(ParamVector(params, z[d:]))
-    law = lattice._inverse.apply(group.mult(x, y))
+    x = hermite.basis.apply(ParamVector(params, z[:d]))
+    y = hermite.basis.apply(ParamVector(params, z[d:]))
+    law = hermite._inverse.apply(group.mult(x, y))
     bad = set().union(*map(_non_integer_binomial_indices, law.entries))
     if not bad:
-        return law
+        return hermite, law
 
-    def coords_at(m, n):
-        return law.substitute(dict(zip(law.params, (*m, *n))))
-
-    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
             for si in (1, -1):
                 for sj in (1, -1):
-                    coords = coords_at([si * u for u in units[i]],
-                                       [sj * u for u in units[j]])
+                    coords = lattice.to_coords(group.mult_vec(
+                        [si * g for g in lattice.generator(i)],
+                        [sj * g for g in lattice.generator(j)]))
                     if any(c.denominator != 1 for c in coords):
                         raise LatticeClosureError(((i, si), (j, sj)), coords)
     J = min(bad, key=lambda J: (sum(J), J))
-    raise LatticeClosureError((("combo", J[:d]), ("combo", J[d:])), coords_at(J[:d], J[d:]))
+    u, v = hermite.from_coords(J[:d]), hermite.from_coords(J[d:])
+    raise LatticeClosureError(
+        tuple(("combo", tuple(int(c) for c in lattice.to_coords(p))) for p in (u, v)),
+        lattice.to_coords(group.mult_vec(u, v)))
 
 
 def preserves_lattice(matrix: QMatrix, lattice: LogLattice

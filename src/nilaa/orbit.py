@@ -166,15 +166,29 @@ def iterate(affine: NumericAffine, x, k: int) -> tuple:
     For pure translations the k-th power of the translation is applied in
     one exact closed-form step, which agrees with stepwise reduction.
     """
-    if abs(k) > ITERATE_CAP:
+    return _walk(affine, x, (abs(k),), backward=k < 0)[0]
+
+
+def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
+    """T^k x (T^-k x when backward) for each of the increasing indices ks.
+
+    One pass along the orbit, with the closed form for pure translations;
+    each point equals the one reached by stepping from x, since a step is
+    a function of the exact point.
+    """
+    if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
     p = affine.reduce(x)
     if affine.is_pure_translation():
-        return affine.translate(p, k)
-    step = affine.step if k >= 0 else affine.step_back
-    for _ in range(abs(k)):
-        p = step(p)
-    return p
+        return [affine.translate(p, -k if backward else k) for k in ks]
+    step = affine.step_back if backward else affine.step
+    out, at = [], 0
+    for k in ks:
+        for _ in range(k - at):
+            p = step(p)
+        at = k
+        out.append(p)
+    return out
 
 
 def _convergent_denominators(value: Fraction, bound: int) -> list:
@@ -310,28 +324,6 @@ def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
     den = 2 ** 20
     coords = [Fraction(rng.randrange(den), den) for _ in range(affine.dim)]
     return affine.lattice.from_coords(coords)
-
-
-def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
-    """T^k x (T^-k x when backward) for each of the increasing indices ks.
-
-    One pass along the orbit, with the closed form for pure translations;
-    each point equals iterate() at its index, since a step is a function
-    of the exact point.
-    """
-    if ks and ks[-1] > ITERATE_CAP:
-        raise ValueError("|k| exceeds the iteration cap")
-    p = affine.reduce(x)
-    if affine.is_pure_translation():
-        return [affine.translate(p, -k if backward else k) for k in ks]
-    step = affine.step_back if backward else affine.step
-    out, at = [], 0
-    for k in ks:
-        for _ in range(k - at):
-            p = step(p)
-        at = k
-        out.append(p)
-    return out
 
 
 def _run_trial(affine: NumericAffine, probe, eps, horizon):

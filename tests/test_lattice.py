@@ -51,7 +51,8 @@ def law_at(law, m, n):
 
 def test_validate_heisenberg_lattice():
     group = NilpotentGroup(heisenberg())
-    law = validate_lattice(group, heis_lattice())
+    hermite, law = validate_lattice(group, heis_lattice())
+    assert hermite == heis_lattice()  # a positive diagonal basis is its own
     # bch(xi1, xi2) = xi1 + xi2 + xi3/2, which is (1, 1, 1) in lattice coordinates
     assert law_at(law, (1, 0, 0), (0, 1, 0)) == (1, 1, 1)
     assert law_at(law, (0, 1, 0), (1, 0, 0)) == (1, 1, -1)
@@ -154,27 +155,57 @@ def _brute_force_closed(basis: QMatrix) -> bool:
     return True
 
 
+def _verdict(group, lattice):
+    """The Hermite basis when validate_lattice accepts, else None after
+    checking that the witness product really leaves the lattice."""
+    try:
+        return validate_lattice(group, lattice)[0]
+    except LatticeClosureError as err:
+        left, right = (lattice.from_coords(f[1]) if f[0] == "combo"
+                       else tuple(f[1] * x for x in lattice.generator(f[0]))
+                       for f in err.pair)
+        coords = lattice.to_coords(group.mult_vec(left, right))
+        assert coords == err.coords
+        assert any(c.denominator != 1 for c in coords)
+        return None
+
+
 def test_certificate_agrees_with_brute_force_on_free23():
     group = NilpotentGroup(free_nilpotent_2_3())
     rng = random.Random(23)
     verdicts = []
     for _ in range(40):
         basis = _free23_basis(rng)
-        lattice = LogLattice(basis)
-        try:
-            validate_lattice(group, lattice)
-            accepted = True
-        except LatticeClosureError as err:
-            accepted = False
-            left, right = (lattice.from_coords(f[1]) if f[0] == "combo"
-                           else tuple(f[1] * x for x in lattice.generator(f[0]))
-                           for f in err.pair)
-            coords = lattice.to_coords(group.mult_vec(left, right))
-            assert coords == err.coords
-            assert any(c.denominator != 1 for c in coords)
+        accepted = _verdict(group, LogLattice(basis)) is not None
         assert accepted == _brute_force_closed(basis), basis
         verdicts.append(accepted)
     assert 3 <= sum(verdicts) <= 37  # both outcomes are exercised
+
+
+def _unimodular(rng, d) -> QMatrix:
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(4 * d):  # column j += c * column i
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            row[j] += c * row[i]
+    return QMatrix(u)
+
+
+def test_certificate_depends_on_the_span_only():
+    # a dense basis of the same lattice gets the same verdict and the same
+    # Hermite basis; a rejection's witness is in the dense generators
+    group = NilpotentGroup(free_nilpotent_2_3())
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(12):
+        basis = _free23_basis(rng)
+        dense = basis @ _unimodular(rng, 5)
+        assert sum(x != 0 for row in dense.entries for x in row) > 15
+        hermite = _verdict(group, LogLattice(basis))
+        assert _verdict(group, LogLattice(dense)) == hermite
+        verdicts.append(hermite is not None)
+    assert 1 <= sum(verdicts) <= 11
 
 
 def test_validate_dimension_mismatch():
