@@ -137,7 +137,7 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
     if unknown:
         raise ParseError(source, f"unknown keys: {sorted(unknown)}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{source}:dim", "dim must be a positive integer")
     params = data.get("params", [])
     if (not isinstance(params, list)
@@ -152,8 +152,9 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
     entries = _parse_structure_constants(
         data.get("structure_constants", []), dim,
         f"{source}:structure_constants")
-    algebra = LieAlgebraSpec.from_sparse(dim, entries, one_based=True)
 
+    # the fields with one row per dimension are read before the algebra is
+    # built, so a dim they contradict is reported before it is allocated
     lattice = None
     if data.get("lattice_basis") is not None:
         rows = _parse_matrix(data["lattice_basis"], dim,
@@ -182,6 +183,9 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
         where = f"{source}:designated_generators"
         if not isinstance(raw, list) or len(raw) != 2:
             raise ParseError(where, "expected exactly two generators")
+        for i, g in enumerate(raw):
+            if not isinstance(g, list):
+                raise ParseError(f"{where}[{i}]", "expected a list of rationals")
         gens = [[parse_rational(v, f"{where}[{i}][{j}]")
                  for j, v in enumerate(g)] for i, g in enumerate(raw)]
         if any(len(g) != dim for g in gens):
@@ -209,6 +213,7 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
                                           for n in notes):
         raise ParseError(f"{source}:notes", "notes must be strings")
 
+    algebra = LieAlgebraSpec.from_sparse(dim, entries, one_based=True)
     return make_system(algebra, lattice=lattice, automorphism=automorphism,
                        translation=translation,
                        name=str(data.get("name", "")),

@@ -12,8 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import ParamVector, Poly, PolyMatrix, _merge
+from .poly import (ParamVector, PolyMatrix, _add_scaled, _align_vectors,
+                   _cleaned, _vector)
 from .ratlin import QMatrix, QSubspace, to_fraction
+
+
+_ZERO = Fraction(0)
 
 
 class JacobiViolation(ValueError):
@@ -79,14 +83,11 @@ class LieAlgebraSpec:
         return not self.table
 
     def structure_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        if i < j:
-            return self.table.get((i, j), tuple(Fraction(0) for _ in range(self.dim)))
-        base = self.table.get((j, i))
-        if base is None:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        return tuple(-x for x in base)
+        if (i, j) in self.table:
+            return self.table[(i, j)]
+        if (j, i) in self.table:
+            return tuple(-x for x in self.table[(j, i)])
+        return (_ZERO,) * self.dim
 
     # ---- brackets ----
 
@@ -113,15 +114,20 @@ class LieAlgebraSpec:
         """Bracket of two polynomial coordinate vectors."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError("vector has wrong dimension")
-        params = _merge(v.params, w.params)
-        out = [Poly.zero(params) for _ in range(self.dim)]
-        for (i, j), vec in self.table.items():
-            c = v.entries[i] * w.entries[j] - v.entries[j] * w.entries[i]
-            if not c.is_zero():
-                for k, x in enumerate(vec):
-                    if x:
-                        out[k] = out[k] + c * x
-        return ParamVector(params, out)
+        v, w = _align_vectors(v, w)
+        w_nz = [(j, y) for j, y in enumerate(w.entries) if y.terms]
+        out = [{} for _ in range(self.dim)]
+        for i, x in enumerate(v.entries):
+            if not x.terms:
+                continue
+            row = self._brackets[i]
+            for j, y in w_nz:
+                terms = row.get(j)
+                if terms:
+                    prod = (x * y).terms
+                    for k, a in terms:
+                        _add_scaled(out[k], a, prod)
+        return _vector(v.params, tuple(_cleaned(v.params, acc) for acc in out))
 
     def ad_matrix(self, v: Sequence[object]) -> QMatrix:
         """Matrix of ad_v = [v, .] on the basis (rational v)."""
@@ -157,33 +163,56 @@ def validate_algebra(spec: LieAlgebraSpec) -> tuple[int, list[QSubspace]]:
     """
     d = spec.dim
     units = [_unit(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                acc = [Fraction(0)] * d
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = spec.bracket_vec(units[b], units[c])
-                    outer = spec.bracket_vec(units[a], inner)
-                    acc = [x + y for x, y in zip(acc, outer)]
-                if any(acc):
-                    raise JacobiViolation((i, j, k), tuple(acc))
+    for triple in _jacobi_candidates(spec):
+        residual = _jacobi_residual(spec, *triple)
+        if any(residual):
+            raise JacobiViolation(triple, residual)
 
     series = [QSubspace.full(d)]
+    gens = list(spec.table.values())  # the structure vectors span [g, g]
     while True:
-        prev = series[-1]
+        nxt = QSubspace.from_spanning(gens, d)
+        if nxt.dim == 0:
+            break
+        if nxt.dim == series[-1].dim:
+            raise NotNilpotent(f"lower central series stabilizes at dimension {nxt.dim}")
+        series.append(nxt)
         gens = []
-        for b in prev.basis:
+        for b in nxt.basis:
             for u in units:
                 w = spec.bracket_vec(u, b)
                 if any(w):
                     gens.append(w)
-        nxt = QSubspace.from_spanning(gens, d)
-        if nxt.dim == 0:
-            break
-        if nxt.dim == prev.dim:
-            raise NotNilpotent(f"lower central series stabilizes at dimension {nxt.dim}")
-        series.append(nxt)
     return len(series), series
+
+
+def _jacobi_candidates(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
+    """The basis triples i < j < k, sorted, where some term [xi_a, [xi_b,
+    xi_c]] of the Jacobi sum can be nonzero: (b, c) is a bracketing pair
+    and xi_a brackets with a basis vector of its support.  Every other
+    triple has zero residual."""
+    brackets = spec._brackets
+    triples = set()
+    for (b, c), vec in spec.table.items():
+        for l, x in enumerate(vec):
+            if x:
+                for a in brackets[l]:
+                    if a != b and a != c:
+                        triples.add(tuple(sorted((a, b, c))))
+    return sorted(triples)
+
+
+def _jacobi_residual(spec: LieAlgebraSpec, i: int, j: int, k: int
+                     ) -> tuple[Fraction, ...]:
+    """[xi_i, [xi_j, xi_k]] + [xi_j, [xi_k, xi_i]] + [xi_k, [xi_i, xi_j]]."""
+    brackets = spec._brackets
+    acc = [Fraction(0)] * spec.dim
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        row = brackets[a]
+        for l, x in brackets[b].get(c, ()):
+            for m, y in row.get(l, ()):
+                acc[m] += x * y
+    return tuple(acc)
 
 
 def subalgebra_closure(spec: LieAlgebraSpec, vectors: Iterable[Sequence[object]]) -> QSubspace:
@@ -254,7 +283,6 @@ def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
         for j in range(i + 1, spec.dim):
             lhs = spec.bracket_vec(cols[i], cols[j])
             rhs = matrix.matvec(spec.structure_vector(i, j))
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
-            if any(residual):
-                return False, (i, j), residual
+            if lhs != rhs:
+                return False, (i, j), tuple(a - b for a, b in zip(lhs, rhs))
     return True, None, None

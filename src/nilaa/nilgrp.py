@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
-from .poly import ParamVector, Poly, PolyMatrix, _merge
+from .poly import (ParamVector, Poly, PolyMatrix, _add_scaled, _align_vectors,
+                   _cleaned, _merge, _vector)
 from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent, to_fraction
 
 BCH_CLASS_CAP = 6
@@ -109,60 +111,104 @@ class NilpotentGroup:
         """log(exp v exp w) for rational coordinate vectors.
 
         Evaluates the polynomial law of mult(), expanded once per group on
-        symbolic arguments (v1..vd, w1..wd), so both share one source.
+        symbolic arguments (v1..vd, w1..wd), so both share one source.  An
+        abelian law is v + w.  Otherwise every monomial is evaluated once
+        on the integer numerators of the arguments over their common
+        denominator D, and each coordinate sums its integer-coefficient
+        terms by degree (Horner in D) into one Fraction.
         """
-        if len(v) != self.dim or len(w) != self.dim:
-            raise ValueError(f"expected two vectors of length {self.dim}")
+        d = self.dim
+        if len(v) != d or len(w) != d:
+            raise ValueError(f"expected two vectors of length {d}")
+        if self.nilpotency_class == 1:
+            return tuple(to_fraction(a) + to_fraction(b) for a, b in zip(v, w))
         z = (*map(to_fraction, v), *map(to_fraction, w))
+        den = lcm(*(x.denominator for x in z))
+        vals = [x.numerator if den == 1 else x.numerator * (den // x.denominator)
+                for x in z]
+        monomials, coords = self._expanded_law()
+        for parent, var in monomials:
+            vals.append(vals[parent] * vals[var])
         out = []
-        for terms in self._expanded_law():
-            acc = None
-            for coeff, first, rest in terms:
-                term = z[first]
-                for i in rest:
-                    term = term * z[i]
-                if coeff is not None:
-                    term = coeff * term
-                acc = term if acc is None else acc + term
-            out.append(Fraction(0) if acc is None else acc)
+        for scale, levels in coords:
+            acc = 0
+            for level in levels:
+                if acc and den != 1:
+                    acc *= den
+                for coeff, m in level:
+                    acc += coeff * vals[m]
+            out.append(Fraction(acc, scale * den ** len(levels)))
         return tuple(out)
 
-    def _expanded_law(self) -> list:
-        """Per coordinate of mult(v, w), its monomials as (coefficient or
-        None for 1, first factor, other factors): factors index v + w and
-        repeat with their exponent."""
+    def _expanded_law(self) -> tuple[list, list]:
+        """mult(v, w) expanded on symbolic arguments, for mult_vec.
+
+        Returns (monomials, coords).  Values are indexed like v + w, then
+        one per monomial of degree >= 2: monomials[i] = (parent, var)
+        gives value 2d + i as value[parent] * value[var], so each costs one
+        product.  coords has per coordinate (scale, levels): the integer
+        scale clears its coefficient denominators, and levels lists, from
+        degree 1 up, (scale * coefficient, value index) pairs: the value
+        times scale * D^top is sum_k S_k D^(top - k) for the level sums S_k.
+        """
         if self._law is None:
             d = self.dim
             names = tuple(f"v{i + 1}" for i in range(d)) + tuple(f"w{i + 1}" for i in range(d))
             z = [Poly.variable(n, names) for n in names]
             product = self.mult(ParamVector(names, z[:d]), ParamVector(names, z[d:]))
-            law = []
+            index = {}
+            monomials = []
+
+            def value_index(factors):
+                if len(factors) == 1:
+                    return factors[0]
+                if factors not in index:
+                    parent = value_index(factors[:-1])
+                    index[factors] = 2 * d + len(monomials)
+                    monomials.append((parent, factors[-1]))
+                return index[factors]
+
+            coords = []
             for p in product.entries:
-                terms = []
+                scale = lcm(*(c.denominator for c in p.terms.values()))
+                levels = [[] for _ in range(p.degree())]
                 for exps in p.monomials():
-                    coeff = p.terms[exps]
-                    first, *rest = (i for i, e in enumerate(exps) for _ in range(e))
-                    terms.append((None if coeff == 1 else coeff, first, tuple(rest)))
-                law.append(terms)
-            self._law = law
+                    factors = tuple(i for i, e in enumerate(exps) for _ in range(e))
+                    coeff = p.terms[exps] * scale
+                    levels[len(factors) - 1].append((coeff.numerator, value_index(factors)))
+                coords.append((scale, levels))
+            self._law = (monomials, coords)
         return self._law
 
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:
-        """log(exp v exp w) for polynomial coordinate vectors."""
-        params = _merge(v.params, w.params)
-        v = ParamVector(params, [p.with_params(params) for p in v.entries])
-        w = ParamVector(params, [p.with_params(params) for p in w.entries])
+        """log(exp v exp w) for polynomial coordinate vectors.
+
+        Each left-normed bracket of a BCH word is computed once from the
+        bracket of its prefix and shared by every word extending that
+        prefix; a zero prefix ends all of them.
+        """
+        if v.dim != self.dim or w.dim != self.dim:
+            raise ValueError(f"expected two vectors of length {self.dim}")
+        v, w = _align_vectors(v, w)
+        params = v.params
         args = (v, w)
-        out = ParamVector(params, [Poly.zero(params)] * self.dim)
+        brackets = {(0,): v, (1,): w}  # word -> left-normed bracket, None if 0
+        out = [{} for _ in range(self.dim)]
         for word, coeff in self._terms:
-            acc = args[word[0]]
-            for letter in word[1:]:
-                acc = self.spec.bracket(acc, args[letter])
+            n = len(word)
+            while word[:n] not in brackets:
+                n -= 1
+            acc = brackets[word[:n]]
+            while acc is not None and n < len(word):
+                acc = self.spec.bracket(acc, args[word[n]])
                 if acc.is_zero():
-                    break
-            else:
-                out = out + acc.scale(coeff)
-        return out
+                    acc = None
+                n += 1
+                brackets[word[:n]] = acc
+            if acc is not None:
+                for k, p in enumerate(acc.entries):
+                    _add_scaled(out[k], coeff, p.terms)
+        return _vector(params, tuple(_cleaned(params, acc) for acc in out))
 
     def inv(self, v):
         """exp(v)^{-1} = exp(-v) in any group."""
@@ -186,11 +232,12 @@ class NilpotentGroup:
         D = matrix_log_unipotent(matrix)
         d = self.dim
         units = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+        cols = D.columns()
         for i in range(d):
             for j in range(i + 1, d):
-                lhs = D.matvec(self.spec.bracket_vec(units[i], units[j]))
-                rhs1 = self.spec.bracket_vec(D.matvec(units[i]), units[j])
-                rhs2 = self.spec.bracket_vec(units[i], D.matvec(units[j]))
+                lhs = D.matvec(self.spec.structure_vector(i, j))
+                rhs1 = self.spec.bracket_vec(cols[i], units[j])
+                rhs2 = self.spec.bracket_vec(units[i], cols[j])
                 if lhs != tuple(a + b for a, b in zip(rhs1, rhs2)):
                     raise ValueError(
                         f"log of the matrix is not a derivation at basis pair ({i}, {j})")

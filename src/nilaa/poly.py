@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -85,13 +86,22 @@ class Poly:
         params = tuple(params)
         if params == self.params:
             return self
-        missing = set(self.used_params()) - set(params)
+        index = {name: k for k, name in enumerate(params)}
+        if len(index) != len(params):
+            raise ValueError(f"duplicate parameter names in {params}")
+        missing = set(self.used_params()) - set(index)
         if missing:
             raise ValueError(f"parameters {sorted(missing)} missing from {params}")
+        where = [index.get(name) for name in self.params]
+        n = len(params)
         terms = {}
         for exps, coeff in self.terms.items():
-            terms[tuple(_remap(exps, self.params, params))] = coeff
-        return Poly(params, terms)
+            new = [0] * n
+            for k, e in zip(where, exps):
+                if e:
+                    new[k] = e
+            terms[tuple(new)] = coeff
+        return _poly(params, terms)
 
     def _align(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if self.params == other.params:
@@ -140,27 +150,21 @@ class Poly:
     # ---- arithmetic ----
 
     def __neg__(self) -> "Poly":
-        return Poly(self.params, {e: -c for e, c in self.terms.items()})
+        return _poly(self.params, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.params)
         a, b = self._align(other)
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return Poly(a.params, terms)
+        return _poly(a.params, _sum_terms(a.terms, b.terms, False))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.params)
-        return self + (-other)
+        a, b = self._align(other)
+        return _poly(a.params, _sum_terms(a.terms, b.terms, True))
 
     def __rsub__(self, other) -> "Poly":
         return Poly.constant(other, self.params) - self
@@ -168,18 +172,25 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = _as_fraction(other)
-            return Poly(self.params, {e: c * v for e, v in self.terms.items()})
+            if not c:
+                return _poly(self.params, {})
+            return _poly(self.params, {e: c * v for e, v in self.terms.items()})
         a, b = self._align(other)
         terms: dict[tuple[int, ...], Fraction] = {}
+        get = terms.get
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                acc = terms.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[exps] = acc
+                exps = tuple(map(add, e1, e2))
+                acc = get(exps)
+                if acc is None:
+                    terms[exps] = c1 * c2
                 else:
-                    terms.pop(exps, None)
-        return Poly(a.params, terms)
+                    acc += c1 * c2
+                    if acc:
+                        terms[exps] = acc
+                    else:
+                        del terms[exps]
+        return _poly(a.params, terms)
 
     __rmul__ = __mul__
 
@@ -269,6 +280,51 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _poly(params: tuple[str, ...], terms: dict) -> Poly:
+    """A Poly from parts that are clean by construction: distinct names,
+    exponent tuples of their length, no zero coefficient.  Arithmetic
+    results are built here; Poly() checks what comes from outside."""
+    p = object.__new__(Poly)
+    p.params = params
+    p.terms = terms
+    return p
+
+
+def _sum_terms(t1: dict, t2: dict, subtract: bool) -> dict:
+    """t1 + t2 (t1 - t2 when subtract) on term dicts, zeros dropped."""
+    terms = dict(t1)
+    get = terms.get
+    for exps, coeff in t2.items():
+        acc = get(exps)
+        if acc is None:
+            terms[exps] = -coeff if subtract else coeff
+        else:
+            acc = acc - coeff if subtract else acc + coeff
+            if acc:
+                terms[exps] = acc
+            else:
+                del terms[exps]
+    return terms
+
+
+def _add_scaled(acc: dict, a: Fraction | None, terms: dict) -> None:
+    """acc += a * terms in place (a None for 1); zero coefficients may be
+    left in acc, _cleaned drops them."""
+    get = acc.get
+    if a is None:
+        for exps, coeff in terms.items():
+            prev = get(exps)
+            acc[exps] = coeff if prev is None else prev + coeff
+    else:
+        for exps, coeff in terms.items():
+            prev = get(exps)
+            acc[exps] = a * coeff if prev is None else prev + a * coeff
+
+
+def _cleaned(params: tuple[str, ...], acc: dict) -> Poly:
+    return _poly(params, {e: c for e, c in acc.items() if c})
 
 
 _TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-)")
@@ -371,11 +427,7 @@ class ParamVector:
         fixed = []
         for entry in entries:
             if isinstance(entry, Poly):
-                if not set(entry.used_params()) <= set(params):
-                    raise ValueError(f"entry {entry} uses parameters outside {params}")
-                fixed.append(entry if entry.params == params else
-                             Poly(params, {tuple(_remap(exps, entry.params, params)): c
-                                           for exps, c in entry.terms.items()}))
+                fixed.append(entry.with_params(params))
             else:
                 fixed.append(Poly.constant(entry, params))
         self.params = params
@@ -406,17 +458,17 @@ class ParamVector:
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
         a, b = _align_vectors(self, other)
-        return ParamVector(a.params, [x + y for x, y in zip(a.entries, b.entries)])
+        return _vector(a.params, tuple(x + y for x, y in zip(a.entries, b.entries)))
 
     def __sub__(self, other: "ParamVector") -> "ParamVector":
         a, b = _align_vectors(self, other)
-        return ParamVector(a.params, [x - y for x, y in zip(a.entries, b.entries)])
+        return _vector(a.params, tuple(x - y for x, y in zip(a.entries, b.entries)))
 
     def __neg__(self) -> "ParamVector":
-        return ParamVector(self.params, [-p for p in self.entries])
+        return _vector(self.params, tuple(-p for p in self.entries))
 
     def scale(self, c) -> "ParamVector":
-        return ParamVector(self.params, [p * c for p in self.entries])
+        return _vector(self.params, tuple(p * c for p in self.entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
@@ -460,12 +512,12 @@ class ParamVector:
         return f"ParamVector{self}"
 
 
-def _remap(exps, old_params, new_params):
-    new = [0] * len(new_params)
-    for name, e in zip(old_params, exps):
-        if e:
-            new[new_params.index(name)] = e
-    return new
+def _vector(params: tuple[str, ...], entries: tuple[Poly, ...]) -> ParamVector:
+    """A ParamVector from Polys already over params (unchecked, like _poly)."""
+    v = object.__new__(ParamVector)
+    v.params = params
+    v.entries = entries
+    return v
 
 
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -482,8 +534,8 @@ def _align_vectors(a: ParamVector, b: ParamVector) -> tuple[ParamVector, ParamVe
     if a.params == b.params:
         return a, b
     merged = _merge(a.params, b.params)
-    return (ParamVector(merged, [p.with_params(merged) for p in a.entries]),
-            ParamVector(merged, [p.with_params(merged) for p in b.entries]))
+    return (_vector(merged, tuple(p.with_params(merged) for p in a.entries)),
+            _vector(merged, tuple(p.with_params(merged) for p in b.entries)))
 
 
 class PolyMatrix:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .poly import ParamVector, Poly
+from .poly import ParamVector, _add_scaled, _cleaned, _vector
 
 
 class NotUnipotent(ValueError):
@@ -176,13 +176,12 @@ class QMatrix:
         if vec.dim != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} times {vec.dim}")
         out = []
-        for row in self.entries:
-            acc = Poly.zero(vec.params)
-            for a, p in zip(row, vec.entries):
-                if a:
-                    acc = acc + p * a
-            out.append(acc)
-        return ParamVector(vec.params, out)
+        for row in self.sparse_rows():
+            acc = {}
+            for j, a in row:
+                _add_scaled(acc, a, vec.entries[j].terms)
+            out.append(_cleaned(vec.params, acc))
+        return _vector(vec.params, tuple(out))
 
     def __pow__(self, n: int) -> "QMatrix":
         if not self.is_square():
@@ -344,7 +343,12 @@ class QSubspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "QSubspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim).entries)
+        # the unit vectors are already in reduced row echelon form
+        space = cls.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space.basis = tuple(tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
+                            for i in range(ambient_dim))
+        return space
 
     @property
     def dim(self) -> int:

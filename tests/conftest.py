@@ -36,3 +36,30 @@ def heis():
 @pytest.fixture
 def free23():
     return free_nilpotent_2_3()
+
+
+def filiform(total_dim: int) -> LieAlgebraSpec:
+    """Basis delta, v1..v_n: [delta, v_i] = v_{i+1}; class total_dim - 1."""
+    return LieAlgebraSpec.from_sparse(
+        total_dim, [(1, i, i + 1, 1) for i in range(2, total_dim)])
+
+
+def random_change_of_basis(spec: LieAlgebraSpec, rng, shears: int = 4) -> LieAlgebraSpec:
+    """The same algebra in the basis P e_1, ..., P e_d, where P is a random
+    permutation and nonzero scaling of the identity with `shears` random
+    elementary column operations added, so the table is denser than spec's."""
+    d = spec.dim
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(shears if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = Fraction(rng.choice((1, -1, 2)), rng.choice((1, 3)))
+        for row in rows:
+            row[j] += c * row[i]
+    rng.shuffle(rows)
+    scale = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2))) for _ in range(d)]
+    p = QMatrix([[x * s for x, s in zip(row, scale)] for row in rows])
+    p_inv = p.inverse()
+    cols = p.columns()
+    table = {(i, j): p_inv.matvec(spec.bracket_vec(cols[i], cols[j]))
+             for i in range(d) for j in range(i + 1, d)}
+    return LieAlgebraSpec(d, table)

@@ -1,0 +1,88 @@
+"""Seeded fuzzing of the command line on mutated corpus files.
+
+Each mutant is a corpus system with one value replaced, somewhere in its
+JSON tree, by a value from a fixed list.  Every command must answer with a
+verdict JSON object and its exit code; no exception may escape and no
+traceback may reach stderr, whatever the mutant.
+"""
+
+import copy
+import json
+import random
+
+from nilaa import cli as ncli
+from nilaa import io as nio
+
+SEED = 20261018
+# Replacement values: wrong types, edge numbers and malformed strings.
+VALUES = (True, False, None, 0, 1, -1, 2, 1.5, "1", "-1/2", "1/0", "123",
+          "t", "abc", "", [], [0], ["1"], [None], [[]], {}, {"t": "1/3"})
+# dim is never made unbounded: a dim that no field contradicts is built in
+# full.  10**30 goes only into files that have a row field, which rejects
+# it, and nonzero structure constants, which fail on it before allocating.
+DIMS = (True, False, None, 0, -1, 2, 8, "3", 1.5)
+HUGE_DIM = 10 ** 30
+ROW_FIELDS = ("lattice_basis", "automorphism", "translation")
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree below the root, parents first."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(data, path, value):
+    out = copy.deepcopy(data)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _mutants(rng):
+    """Per corpus system: every value of DIMS for dim, and for each other
+    top-level key two mutants, each at a depth drawn first and then a
+    position at that depth, so short lists are hit as often as long ones."""
+    for path in sorted(nio.corpus_dir().glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "dim" not in data:
+            continue  # the manifest
+        dims = DIMS
+        if data["structure_constants"] and any(f in data for f in ROW_FIELDS):
+            dims += (HUGE_DIM,)
+        for value in dims:
+            yield path.stem, _replace(data, ("dim",), value)
+        for key in sorted(set(data) - {"dim"}):
+            by_depth = {}
+            for position in [(key,), *_paths(data[key], (key,))]:
+                by_depth.setdefault(len(position), []).append(position)
+            for _ in range(2):
+                depth = rng.choice(sorted(by_depth))
+                yield path.stem, _replace(data, rng.choice(by_depth[depth]),
+                                          rng.choice(VALUES))
+
+
+def test_cli_answers_every_mutated_corpus_file(capsys, tmp_path):
+    rng = random.Random(SEED)
+    seen_statuses = set()
+    for n, (stem, data) in enumerate(_mutants(rng)):
+        path = tmp_path / f"{stem}-{n}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for argv in (("validate",),
+                     ("decide", "--criterion", rng.choice(ncli.CRITERIA)),
+                     ("suspend",),
+                     ("simulate", "--trials", "1", "--horizon", "50")):
+            args = [argv[0], str(path), *argv[1:]]
+            code = ncli.main(args)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, (args, data)
+            verdict = json.loads(captured.out)
+            assert set(verdict) == {"status", "criterion", "certificate", "notes"}
+            assert code == nio.exit_code_for(verdict["status"]), (args, data)
+            seen_statuses.add(verdict["status"])
+    # the mutants reach past parsing as well as failing in it
+    assert {"ERROR", "VALID"} <= seen_statuses

@@ -157,6 +157,15 @@ def test_designated_generators_must_be_a_pair():
     data = _minimal_dict(designated_generators=[["1"]])
     with pytest.raises(nio.ParseError, match="two"):
         nio.system_from_dict(data)
+    # each generator is a list; a string is not read digit by digit
+    for gens, where in (([0, ["1"]], "[0]"), ([None, None], "[0]"),
+                        ([["1"], "1"], "[1]")):
+        with pytest.raises(nio.ParseError, match="expected a list") as info:
+            nio.system_from_dict(_minimal_dict(designated_generators=gens))
+        assert info.value.location == f"<memory>:designated_generators{where}"
+    data = {"dim": 3, "designated_generators": ["123", ["1", "2", "3"]]}
+    with pytest.raises(nio.ParseError, match="expected a list"):
+        nio.system_from_dict(data)
 
 
 def test_space_key_is_checked_in_both_places():
@@ -411,6 +420,29 @@ def test_cli_suspend_past_the_coset_dimension_cap_is_an_error(capsys,
     assert code == 3
     assert verdict["status"] == "ERROR"
     assert verdict["notes"] == ["coset reduction supports dimension <= 7"]
+
+
+@pytest.mark.parametrize("data, note", [
+    ({"dim": True, "translation": ["1/2"]},
+     "system.json:dim: dim must be a positive integer"),
+    ({"dim": 10 ** 30, "structure_constants": [[1, 2, 3, "1"]],
+      "lattice_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     f"system.json:lattice_basis: expected {10 ** 30} rows"),
+    ({"dim": 10 ** 30, "structure_constants": [[1, 2, 3, "1"]],
+      "translation": ["0", "0", "0"]},
+     f"system.json:translation: expected {10 ** 30} polynomial strings"),
+    ({"dim": 3, "designated_generators": [0, ["1", "0", "0"]]},
+     "system.json:designated_generators[0]: expected a list of rationals"),
+], ids=["dim-true", "huge-dim-lattice", "huge-dim-translation",
+        "generator-not-a-list"])
+def test_cli_rejects_a_dim_or_generator_the_file_contradicts(capsys, tmp_path,
+                                                            data, note):
+    path = _write_system(tmp_path, **data)
+    for argv in (("validate", path), ("decide", path, "--criterion", "full")):
+        code, verdict = _run_main_checked(capsys, *argv)
+        assert code == 3
+        assert verdict["status"] == "ERROR"
+        assert verdict["notes"] == [note]
 
 
 def test_cli_reports_a_point_closure_witness(capsys, tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, free_nilpotent_2_3, heisenberg
+from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
+                      random_change_of_basis)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, center, derived_subalgebra,
@@ -195,3 +196,50 @@ def test_bracket_vec_against_the_dense_table_formula():
             assert constant.constant_values() == got
     with pytest.raises(ValueError):
         LieAlgebraSpec(3, {}).bracket_vec((1, 0), (0, 1, 0))
+
+
+def _dense_jacobi(spec):
+    """First basis triple i < j < k with a nonzero Jacobi sum, and the sum,
+    by the table formula over every triple; None if there is none."""
+    d = spec.dim
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = [F(0)] * d
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in enumerate(spec.structure_vector(b, c)):
+                        if x:
+                            outer = spec.structure_vector(a, l)
+                            acc = [s + x * y for s, y in zip(acc, outer)]
+                if any(acc):
+                    return (i, j, k), tuple(acc)
+    return None
+
+
+def test_sparse_jacobi_matches_the_dense_formula_on_perturbed_tables():
+    rng = random.Random(61)
+    pool = [F(1), F(-1), F(2), F(1, 3)]
+    bases = (heisenberg(), free_nilpotent_2_3(), filiform(5), filiform(6),
+             LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)]))
+    violations = 0
+    for _ in range(60):
+        spec = random_change_of_basis(rng.choice(bases), rng, rng.randrange(5))
+        d = spec.dim
+        table = {key: list(vec) for key, vec in spec.table.items()}
+        for _ in range(rng.randrange(1, 3)):
+            i, j = sorted(rng.sample(range(d), 2))
+            vec = table.setdefault((i, j), [F(0)] * d)
+            vec[rng.randrange(d)] += rng.choice(pool)
+        perturbed = LieAlgebraSpec(d, table)
+        expected = _dense_jacobi(perturbed)
+        if expected is None:
+            try:
+                validate_algebra(perturbed)
+            except NotNilpotent:
+                pass
+            continue
+        violations += 1
+        with pytest.raises(JacobiViolation) as err:
+            validate_algebra(perturbed)
+        assert (err.value.triple, err.value.residual) == expected
+    assert violations >= 30

@@ -6,25 +6,21 @@ matrices, where exp and log are plain terminating matrix series and the
 group law is honest matrix multiplication.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import free_nilpotent_2_3, heisenberg
+from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
+                      random_change_of_basis)
+from nilaa import io as nio
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, bch_table
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent
 
 F = Fraction
-
-
-def filiform(total_dim: int) -> LieAlgebraSpec:
-    """Basis delta, v1..v_{n}: [delta, v_i] = v_{i+1}; class n."""
-    n = total_dim - 1
-    return LieAlgebraSpec.from_sparse(
-        total_dim, [(1, i, i + 1, 1) for i in range(2, total_dim)])
 
 
 def filiform_matrix(vec) -> QMatrix:
@@ -232,3 +228,85 @@ def test_class_cap_enforced():
     with pytest.raises(ClassCapExceeded):
         NilpotentGroup(filiform(8))  # class 7
     NilpotentGroup(filiform(7))  # class 6 is fine
+
+
+def _generated_groups(rng):
+    """Groups of class 1, 2, 5 and 6 in random bases."""
+    specs = (abelian(4), LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)]),
+             filiform(6), filiform(7))
+    return [NilpotentGroup(random_change_of_basis(spec, rng)) for spec in specs]
+
+
+def _corpus_groups():
+    specs = []
+    for path in sorted(nio.corpus_dir().glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "dim" in data:
+            spec = LieAlgebraSpec.from_sparse(data["dim"], data["structure_constants"])
+            if spec not in specs:
+                specs.append(spec)
+    return [NilpotentGroup(spec) for spec in specs]
+
+
+def test_integer_mult_vec_matches_per_monomial_evaluation():
+    rng = random.Random(53)
+    groups = _generated_groups(rng)
+    assert [g.nilpotency_class for g in groups] == [1, 2, 5, 6]
+    groups += _corpus_groups()
+    dens = (1, 2, 3, 7, 12, 2 ** 61 - 1, 10 ** 12 + 39, 2 ** 53)
+    for group in groups:
+        d = group.dim
+        names = tuple(f"v{i + 1}" for i in range(d)) + tuple(f"w{i + 1}" for i in range(d))
+        z = [Poly.variable(n, names) for n in names]
+        law = group.mult(ParamVector(names, z[:d]), ParamVector(names, z[d:]))
+        for _ in range(6):
+            v = tuple(F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(dens)) for _ in range(d))
+            w = tuple(F(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(dens)) for _ in range(d))
+            got = group.mult_vec(v, w)
+            assert got == law.substitute(dict(zip(names, v + w)))
+            assert all(type(x) is F for x in got)
+        assert group.mult_vec((1,) * d, (0,) * d) == (F(1),) * d  # plain ints
+        with pytest.raises(ValueError, match=f"length {d}"):
+            group.mult_vec((0,) * (d + 1), (0,) * d)
+
+
+def _dense_bracket(spec, v, w):
+    """The bracket by the table formula over all declared pairs."""
+    out = [Poly.zero(v.params)] * spec.dim
+    for (i, j), vec in spec.table.items():
+        c = v[i] * w[j] - v[j] * w[i]
+        out = [p + c * x for p, x in zip(out, vec)]
+    return ParamVector(v.params, out)
+
+
+def _per_word_mult(group, v, w):
+    """BCH as the sum over words of coeff * left-normed bracket, each
+    bracket built from scratch."""
+    out = ParamVector(v.params, [Poly.zero(v.params)] * group.dim)
+    for word, coeff in bch_table(group.nilpotency_class):
+        acc = (v, w)[word[0]]
+        for letter in word[1:]:
+            acc = _dense_bracket(group.spec, acc, (v, w)[letter])
+        out = out + acc.scale(coeff)
+    return out
+
+
+def test_prefix_shared_mult_matches_per_word_evaluation():
+    rng = random.Random(59)
+    specs = (abelian(3), heisenberg(), free_nilpotent_2_3(), filiform(5),
+             filiform(6), filiform(7))
+    params = ("t", "s")
+    t, s = Poly.variable("t", params), Poly.variable("s", params)
+    pool = [Poly.zero(params), Poly.constant(F(1, 2), params), t, s, t * s - 1,
+            t * F(-2, 3) + s * s]
+    for cls, spec in enumerate(specs, start=1):
+        for base in (spec, random_change_of_basis(spec, rng)):
+            group = NilpotentGroup(base)
+            assert group.nilpotency_class == cls
+            for _ in range(3):
+                v = ParamVector(params, [rng.choice(pool) for _ in range(base.dim)])
+                w = ParamVector(params, [rng.choice(pool) for _ in range(base.dim)])
+                product = group.mult(v, w)
+                assert product == _per_word_mult(group, v, w)
+                for p in product:
+                    assert p == Poly(p.params, p.terms) and all(p.terms.values())

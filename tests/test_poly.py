@@ -142,3 +142,44 @@ def test_poly_matrix_matvec():
     cols = PolyMatrix.from_columns([v, v])
     assert cols.shape == (2, 2)
     assert cols[(0, 1)] == parse_poly("t", params)
+
+
+def _assert_clean(p):
+    """p is what the checked constructor makes of its own parts."""
+    again = Poly(p.params, p.terms)
+    assert p == again and p.terms == again.terms and p.params == again.params
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(len(e) == len(p.params) for e in p.terms)
+
+
+def test_arithmetic_results_are_clean():
+    rng = random.Random(67)
+    shapes = (("t", "s"), ("s",), ("t", "u"))
+
+    def rand_poly(params):
+        terms = {}
+        for _ in range(rng.randrange(5)):
+            exps = tuple(rng.randrange(3) for _ in params)
+            terms[exps] = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+        return Poly(params, terms)
+
+    for _ in range(150):
+        p, q = rand_poly(rng.choice(shapes)), rand_poly(rng.choice(shapes))
+        c = rng.choice((0, 1, -1, Fraction(2, 3), "5/7"))
+        results = [p + q, p - q, p * q, -p, p * 0, p - p, p * c, c * p, p + c,
+                   c - p, p ** 2, p.with_params(("t", "s", "u", "v")),
+                   p.with_params(("v", "u", "t", "s"))]
+        for r in results:
+            _assert_clean(r)
+        assert (p * 0).terms == {} and (p - p).terms == {}
+        v = ParamVector(p.params, [p, p * p])
+        w = ParamVector(q.params, [q, -q])
+        for vec in (v + w, v - w, -v, v.scale(0), v.scale(c), v - v):
+            assert len(vec.entries) == 2
+            for r in vec.entries:
+                assert r.params == vec.params
+                _assert_clean(r)
+    with pytest.raises(ValueError, match="duplicate"):
+        Poly(("t",), {(1,): 1}).with_params(("t", "t"))
+    with pytest.raises(ValueError, match="missing"):
+        Poly(("t",), {(1,): 1}).with_params(("s",))
