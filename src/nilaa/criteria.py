@@ -255,9 +255,7 @@ def nilrank(matrix: QMatrix) -> int:
 def _primitive(vec: Sequence[object]) -> tuple[Fraction, ...]:
     """Scale a rational vector to primitive integer form, first entry > 0."""
     vec = [Fraction(x) for x in vec]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
     g = 0
     for v in ints:
@@ -533,42 +531,40 @@ class LieNecessaryReport:
     witness: object | None
 
 
-def _lift_matrix(matrix: QMatrix, params: tuple[str, ...]) -> PolyMatrix:
-    return PolyMatrix(params, [[Poly.constant(x, params) for x in row]
-                               for row in matrix.entries])
-
-
 def lie_necessary(system: AffineSystem) -> LieNecessaryReport:
     """First-order necessary condition for almost automorphy.
 
     With B = Ad_a U - I (a polynomial matrix in the translation
     parameters), almost automorphy forces (U - I) B = 0 and the columns of
-    B to commute with each other for all parameter values.
+    B to commute with each other for all parameter values.  Column j of B
+    is sum_k ad_a^k(U e_j) / k! - e_j; ad_a^k vanishes from k = class on.
     """
-    if unipotency_index(system.automorphism) is None:
+    U = system.automorphism
+    if unipotency_index(U) is None:
         raise NotUnipotent("the automorphism is not unipotent")
     spec = system.algebra
     d = spec.dim
-    Ad = system.group.adjoint_poly_matrix(system.translation)
-    params = Ad.params
-    Up = _lift_matrix(system.automorphism, params)
-    Ip = PolyMatrix.identity(d, params)
-    B = Ad @ Up - Ip
-    composite = (Up - Ip) @ B
-
-    composite_zero = composite.is_zero()
-    witness = None
-    if not composite_zero:
-        for i in range(d):
-            for j in range(d):
-                if not composite[i, j].is_zero():
-                    witness = ("composite", i, j, str(composite[i, j]))
-                    break
-            if witness:
+    a = system.translation
+    cols = []
+    for j, image in enumerate(U.columns()):
+        term = ParamVector.from_rationals(image, a.params)
+        col = ParamVector.from_rationals(
+            [x - int(i == j) for i, x in enumerate(image)], a.params)
+        for k in range(1, system.group.nilpotency_class):
+            term = spec.bracket(a, term).scale(Fraction(1, k))
+            if term.is_zero():
                 break
-        return LieNecessaryReport(False, False, True, "composite", witness)
+            col = col + term
+        cols.append(col)
 
-    cols = [ParamVector(params, [B[i, j] for i in range(d)]) for j in range(d)]
+    composite = [(U.apply(col) - col).entries for col in cols]
+    for i in range(d):
+        for j in range(d):
+            if not composite[j][i].is_zero():
+                witness = ("composite", i, j, str(composite[j][i]))
+                return LieNecessaryReport(False, False, True, "composite",
+                                          witness)
+
     for i in range(d):
         for j in range(i + 1, d):
             br = spec.bracket(cols[i], cols[j])
@@ -620,10 +616,7 @@ def minimality_check(system: AffineSystem) -> MinimalityReport:
     zero_mono = tuple(0 for _ in eta.params)
     nonconstant = [v for m, v in eta.coefficient_vectors().items()
                    if m != zero_mono]
-    if nonconstant:
-        ann = annihilator_basis(nonconstant, k)
-    else:
-        ann = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+    ann = annihilator_basis(nonconstant, k)
     if not ann:
         return MinimalityReport(MINIMAL, None, ())
     covectors = tuple(tuple(int(x) for x in _primitive(row)) for row in ann)

@@ -33,6 +33,11 @@ ERROR = "ERROR"
 PASS = "PASS"
 FAIL = "FAIL"
 
+# The supported scope: a larger dim is rejected before the algebra is
+# allocated.  The corpus and the generated benchmark families stay at
+# d <= 17.
+MAX_DIM = 64
+
 
 class ParseError(ValueError):
     """Malformed input file; location names the offending field."""
@@ -190,6 +195,11 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
                  for j, v in enumerate(g)] for i, g in enumerate(raw)]
         if any(len(g) != dim for g in gens):
             raise ParseError(where, f"generators must have {dim} entries")
+
+    # after the row fields, so that a dim they contradict is named first
+    if dim > MAX_DIM:
+        raise ParseError(f"{source}:dim",
+                         f"dim exceeds the supported scope (dimension <= {MAX_DIM})")
 
     simulate = data.get("simulate")
     if simulate is not None:

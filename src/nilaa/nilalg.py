@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import (ParamVector, PolyMatrix, _add_scaled, _align_vectors,
-                   _cleaned, _vector)
+from .poly import ParamVector, _add_scaled, _align_vectors, _cleaned, _vector
 from .ratlin import QMatrix, QSubspace, to_fraction
 
 
@@ -134,13 +133,6 @@ class LieAlgebraSpec:
         cols = [self.bracket_vec(v, _unit(self.dim, j)) for j in range(self.dim)]
         return QMatrix.from_columns(cols)
 
-    def ad_poly_matrix(self, v: ParamVector) -> PolyMatrix:
-        """Matrix of ad_v for a polynomial coordinate vector."""
-        unit_vecs = [ParamVector.from_rationals(_unit(self.dim, j), v.params)
-                     for j in range(self.dim)]
-        cols = [self.bracket(v, e) for e in unit_vecs]
-        return PolyMatrix.from_columns(cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraSpec):
             return NotImplemented
@@ -241,17 +233,6 @@ def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
             if any(spec.bracket_vec(vecs[i], vecs[j])):
                 return False, (i, j)
     return True, None
-
-
-def center(spec: LieAlgebraSpec) -> QSubspace:
-    """Vectors commuting with the whole algebra."""
-    from .ratlin import kernel_basis
-    d = spec.dim
-    rows = []
-    for i in range(d):
-        ad = spec.ad_matrix(_unit(d, i))
-        rows.extend(ad.entries)
-    return QSubspace.from_spanning(kernel_basis(QMatrix(rows)), d)
 
 
 def derived_subalgebra(spec: LieAlgebraSpec) -> QSubspace:

@@ -20,8 +20,8 @@ from math import lcm
 from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
-from .poly import (ParamVector, Poly, PolyMatrix, _add_scaled, _align_vectors,
-                   _cleaned, _merge, _vector)
+from .poly import (ParamVector, Poly, _add_scaled, _align_vectors, _cleaned,
+                   _merge, _vector)
 from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent, to_fraction
 
 BCH_CLASS_CAP = 6
@@ -221,9 +221,6 @@ class NilpotentGroup:
     def adjoint_matrix(self, v: Sequence[object]) -> QMatrix:
         """Ad(exp v) = exp(ad_v) on the algebra, rational v."""
         return matrix_exp_nilpotent(self.spec.ad_matrix(v))
-
-    def adjoint_poly_matrix(self, v: ParamVector) -> PolyMatrix:
-        return self.spec.ad_poly_matrix(v).exp_nilpotent(max_terms=self.nilpotency_class)
 
     # ---- automorphism logarithms ----
 

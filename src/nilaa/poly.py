@@ -539,7 +539,8 @@ def _align_vectors(a: ParamVector, b: ParamVector) -> tuple[ParamVector, ParamVe
 
 
 class PolyMatrix:
-    """Dense matrix with polynomial entries; only what elimination needs."""
+    """Dense matrix with polynomial entries; only what the two-generator
+    matrix oracle of `criteria` needs."""
 
     __slots__ = ("params", "rows")
 
@@ -557,19 +558,6 @@ class PolyMatrix:
             fixed.append(tuple(vec))
         self.params = params
         self.rows = tuple(fixed)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[ParamVector]) -> "PolyMatrix":
-        if not columns:
-            raise ValueError("no columns")
-        params = columns[0].params
-        for col in columns[1:]:
-            params = _merge(params, col.params)
-        cols = [[p.with_params(params) for p in col.entries] for col in columns]
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ValueError("columns of unequal dimension")
-        return cls(params, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     @classmethod
     def identity(cls, n: int, params: Sequence[str] = ()) -> "PolyMatrix":
@@ -616,15 +604,14 @@ class PolyMatrix:
             rows.append(row)
         return PolyMatrix(params, rows)
 
-    def exp_nilpotent(self, max_terms: int | None = None) -> "PolyMatrix":
+    def exp_nilpotent(self) -> "PolyMatrix":
         """exp of a nilpotent polynomial matrix (series must terminate)."""
         n, m = self.shape
         if n != m:
             raise ValueError("exp of a non-square matrix")
-        limit = n if max_terms is None else max_terms
         out = PolyMatrix.identity(n, self.params)
         term = PolyMatrix.identity(n, self.params)
-        for k in range(1, limit + 1):
+        for k in range(1, n + 1):
             term = (term @ self).scale(Fraction(1, k))
             if term.is_zero():
                 return out
@@ -649,19 +636,6 @@ class PolyMatrix:
         if not (power @ N).is_zero():
             raise ValueError("matrix is not unipotent")
         return out
-
-    def matvec(self, vec: ParamVector) -> ParamVector:
-        n, m = self.shape
-        if m != vec.dim:
-            raise ValueError(f"shape mismatch: {self.shape} times {vec.dim}")
-        params = _merge(self.params, vec.params)
-        out = []
-        for i in range(n):
-            acc = Poly.zero(params)
-            for j in range(m):
-                acc = acc + self.rows[i][j] * vec.entries[j]
-            out.append(acc)
-        return ParamVector(params, out)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.rows)

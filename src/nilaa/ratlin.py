@@ -6,11 +6,16 @@ polynomials, Hermite normal form over the integers (for lattice membership
 and integer kernels), and cyclotomic factor stripping for root-of-unity
 spectra.
 
-The deciders work on unipotent, mostly-zero matrices, so the kernels on
-their path are sparse and avoid the characteristic polynomial: products
-skip zero and unit entries, unipotency is decided by powering M - I, and
-determinants come from Gaussian elimination.  `charpoly` (O(n^4)) serves
-only `power_unipotent`, which needs the whole spectrum.
+Rational elimination has one kernel: the sparse forward pass `_echelon`.
+`rref` adds a back pass to it, and `kernel_basis`, `solve_linear`,
+`QSubspace`, `annihilator_basis` and `QMatrix.inverse` are built on
+`rref`; `QMatrix.det` reads the signed pivot product of the forward pass
+alone.  Both passes touch only the nonzero entries of a pivot row and
+never divide by a unit pivot, so the mostly-zero matrices of the deciders
+(triangular lattice bases, unipotent automorphisms) stay cheap.  Products
+skip zero and unit entries, and unipotency is decided by powering M - I.
+`charpoly` (O(n^4)) serves only `power_unipotent`, which needs the whole
+spectrum.
 
 No floating point anywhere in this module.
 """
@@ -199,9 +204,6 @@ class QMatrix:
             n >>= 1
         return out
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.columns())
-
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
@@ -219,27 +221,15 @@ class QMatrix:
         return QMatrix([row[n:] for row in reduced])
 
     def det(self) -> Fraction:
-        """Determinant by Gaussian elimination, O(n^3)."""
+        """Determinant: the signed product of the pivots of one forward
+        elimination, 0 when a column has no pivot."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        mat = [list(row) for row in self.entries]
-        n = len(mat)
-        det = Fraction(1)
-        for c in range(n):
-            p = next((i for i in range(c, n) if mat[i][c]), None)
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                mat[c], mat[p] = mat[p], mat[c]
-                det = -det
-            pivot = mat[c][c]
-            det *= pivot
-            for i in range(c + 1, n):
-                if mat[i][c]:
-                    f = mat[i][c] / pivot
-                    mat[i] = [a - f * b if b else a
-                              for a, b in zip(mat[i], mat[c])]
-        return det
+        mat, pivots, sign = _echelon(self.entries)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return math.prod((mat[r][r] for r in range(self.nrows)),
+                         start=Fraction(sign))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -259,29 +249,70 @@ class QMatrix:
 
 # ---- echelon forms over the rationals ----
 
-def rref(rows: Iterable[Iterable[object]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
+def _echelon(rows: Iterable[Iterable[object]]
+             ) -> tuple[list[list[Fraction]], list[int], int]:
+    """Row echelon form by forward elimination; returns (rows, pivot
+    columns, sign).
+
+    Each column's pivot is the first nonzero row at or below its place and
+    clears that column in the rows below it.  sign is (-1)^(row swaps), so
+    a square matrix has determinant sign times the product of its pivots
+    when every column has one.  Elimination runs over the nonzero entries
+    of the pivot row only, and a unit pivot is not divided by.
+    """
+    mat = [[to_fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    sign = 1
+    m = len(mat)
+    ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+        r = len(pivots)
+        if r == m:
             break
+        p = next((i for i in range(r, m) if mat[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            sign = -sign
+        prow = mat[r]
+        pivot = prow[c]
+        nz = [j for j in range(c + 1, ncols) if prow[j]]
+        for row in mat[r + 1:]:
+            x = row[c]
+            if x:
+                f = x if pivot == 1 else x / pivot
+                row[c] = _ZERO
+                for j in nz:
+                    row[j] -= f * prow[j]
+        pivots.append(c)
+    return mat, pivots, sign
+
+
+def rref(rows: Iterable[Iterable[object]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    _echelon, then a back pass from the last pivot up: each pivot row is
+    scaled to a unit pivot (skipped when it already is one) and clears its
+    column in the rows above, over its nonzero entries only.
+    """
+    mat, pivots, _ = _echelon(rows)
+    ncols = len(mat[0]) if mat else 0
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        prow = mat[r]
+        nz = [j for j in range(c + 1, ncols) if prow[j]]
+        if prow[c] != 1:
+            inv = 1 / prow[c]
+            prow[c] = _ONE
+            for j in nz:
+                prow[j] *= inv
+        for row in mat[:r]:
+            f = row[c]
+            if f:
+                row[c] = _ZERO
+                for j in nz:
+                    row[j] -= f * prow[j]
     return mat, pivots
 
 
@@ -365,29 +396,10 @@ class QSubspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return not any(v)
 
-    def contains_subspace(self, other: "QSubspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def sum_with(self, other: "QSubspace") -> "QSubspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return QSubspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "QSubspace") -> "QSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        # kernel of the stacked coordinate map: x in both spans
-        cols = list(self.basis) + list(other.basis)
-        if not cols:
-            return QSubspace.zero(self.ambient_dim)
-        stacked = QMatrix.from_columns(cols)
-        vecs = []
-        for k in kernel_basis(stacked):
-            v = [Fraction(0)] * self.ambient_dim
-            for coeff, b in zip(k[: self.dim], self.basis):
-                v = [a + coeff * x for a, x in zip(v, b)]
-            vecs.append(tuple(v))
-        return QSubspace.from_spanning(vecs, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSubspace):
@@ -495,10 +507,7 @@ def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
 
 def _to_int_columns(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale rational vectors by a common denominator; returns (columns, D)."""
-    denom = 1
-    for v in vectors:
-        for x in v:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for v in vectors for x in v))
     cols = [[int(x * denom) for x in v] for v in vectors]
     return cols, denom
 
@@ -605,9 +614,7 @@ def integer_kernel(matrix: QMatrix) -> list[tuple[int, ...]]:
     # row scaling does not change the kernel, so clear denominators per row
     rows = []
     for row in matrix.entries:
-        d = 1
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
+        d = math.lcm(*(x.denominator for x in row))
         rows.append([int(x * d) for x in row])
     m = matrix.ncols
     cols = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
@@ -716,8 +723,5 @@ def cyclotomic_spectrum_test(coeffs: Sequence[object]) -> SpectrumResult:
         if len(p) == 1:
             break
     if len(p) == 1:
-        r = 1
-        for m in orders:
-            r = r * m // math.gcd(r, m)
-        return SpectrumResult(True, orders, r, None)
+        return SpectrumResult(True, orders, math.lcm(*orders), None)
     return SpectrumResult(False, orders, None, tuple(p))

@@ -44,11 +44,9 @@ def filiform(total_dim: int) -> LieAlgebraSpec:
         total_dim, [(1, i, i + 1, 1) for i in range(2, total_dim)])
 
 
-def random_change_of_basis(spec: LieAlgebraSpec, rng, shears: int = 4) -> LieAlgebraSpec:
-    """The same algebra in the basis P e_1, ..., P e_d, where P is a random
-    permutation and nonzero scaling of the identity with `shears` random
-    elementary column operations added, so the table is denser than spec's."""
-    d = spec.dim
+def random_basis_matrix(d: int, rng, shears: int = 4) -> QMatrix:
+    """A random permutation and nonzero scaling of the identity with
+    `shears` random elementary column operations added."""
     rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for _ in range(shears if d > 1 else 0):
         i, j = rng.sample(range(d), 2)
@@ -57,9 +55,21 @@ def random_change_of_basis(spec: LieAlgebraSpec, rng, shears: int = 4) -> LieAlg
             row[j] += c * row[i]
     rng.shuffle(rows)
     scale = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2))) for _ in range(d)]
-    p = QMatrix([[x * s for x, s in zip(row, scale)] for row in rows])
+    return QMatrix([[x * s for x, s in zip(row, scale)] for row in rows])
+
+
+def change_of_basis(spec: LieAlgebraSpec, p: QMatrix) -> LieAlgebraSpec:
+    """The same algebra in the basis P e_1, ..., P e_d: a vector with
+    coordinates y here has coordinates P y in spec."""
+    d = spec.dim
     p_inv = p.inverse()
     cols = p.columns()
     table = {(i, j): p_inv.matvec(spec.bracket_vec(cols[i], cols[j]))
              for i in range(d) for j in range(i + 1, d)}
     return LieAlgebraSpec(d, table)
+
+
+def random_change_of_basis(spec: LieAlgebraSpec, rng, shears: int = 4) -> LieAlgebraSpec:
+    """The same algebra in a random_basis_matrix basis, so the table is
+    denser than spec's."""
+    return change_of_basis(spec, random_basis_matrix(spec.dim, rng, shears))

@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, free_nilpotent_2_3, heisenberg, jordan_block
+from conftest import (abelian, change_of_basis, free_nilpotent_2_3,
+                      heisenberg, jordan_block, random_basis_matrix)
 from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             AffineSystem, CosetObstruction, HypothesisViolated,
                             InapplicableCriterion, InvariantSubtorus,
+                            LieNecessaryReport,
                             NonAbelian, NotFixed, ObstructionBracket,
                             SpectralObstruction, UnipotentPower,
                             ValidationError, Verdict, WitnessSubspace,
@@ -24,7 +26,8 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             suspended_full_decide, torus_decide,
                             translation_decide, two_generator_analysis)
 from nilaa.nilalg import LieAlgebraSpec
-from nilaa.poly import ParamVector, Poly
+from nilaa.nilgrp import NilpotentGroup
+from nilaa.poly import ParamVector, Poly, PolyMatrix, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace
 
 F = Fraction
@@ -369,6 +372,84 @@ def test_lie_fails_condition_one_on_jordan3():
 def test_lie_passes_on_shear_and_translations():
     for builder in (heis_shear, heis_translation, furstenberg):
         assert lie_necessary(builder()).passed
+
+
+def lie_oracle(system) -> LieNecessaryReport:
+    """The report built from the polynomial matrix B = Ad_a U - I, with
+    Ad_a the exp of the PolyMatrix of ad_a rather than a bracket series."""
+    spec, a = system.algebra, system.translation
+    params, d = a.params, spec.dim
+    ad_cols = [spec.bracket(a, ParamVector.from_rationals(
+        [int(i == j) for i in range(d)], params)) for j in range(d)]
+    ad = PolyMatrix(params, [[col[i] for col in ad_cols] for i in range(d)])
+    lift = PolyMatrix(params, system.automorphism.entries)
+    ident = PolyMatrix.identity(d, params)
+    B = ad.exp_nilpotent() @ lift - ident
+    composite = (lift - ident) @ B
+    for i in range(d):
+        for j in range(d):
+            if not composite[i, j].is_zero():
+                return LieNecessaryReport(
+                    False, False, True, "composite",
+                    ("composite", i, j, str(composite[i, j])))
+    cols = [ParamVector(params, [B[i, j] for i in range(d)]) for j in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            br = spec.bracket(cols[i], cols[j])
+            if not br.is_zero():
+                return LieNecessaryReport(False, True, False, "image_bracket",
+                                          ("image_bracket", i, j, str(br)))
+    return LieNecessaryReport(True, True, True, None, None)
+
+
+# class 5, and [e3, e4] = -e6 makes the derived algebra nonabelian
+Q6 = LieAlgebraSpec.from_sparse(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1),
+                                    (1, 5, 6, 1), (2, 5, 6, 1), (3, 4, 6, -1)])
+Q6_LATTICE = QMatrix([[F(1, 60 ** max(i - 1, 0)) if i == j else 0
+                       for j in range(6)] for i in range(6)])
+
+
+def test_lie_necessary_matches_the_poly_matrix_oracle_on_worked_systems():
+    lifted = free23_lift()
+    # a = t x1: the class-3 term ad_a^2 / 2 alone makes composite[4, 0]
+    moved = make_system(lifted.algebra, lattice=FREE_LATTICE,
+                        automorphism=lifted.automorphism,
+                        translation=vec_t([tp()] + [Poly.zero(("t",))] * 4))
+    systems = [furstenberg(), rotation_1d(), skew_rational(), jordan3_system(),
+               heis_shear(), heis_translation(), lifted, free23_central(),
+               moved]
+    for system in systems:
+        assert lie_necessary(system) == lie_oracle(system)
+    assert lie_necessary(moved).witness == ("composite", 4, 0, "1/2*t^2")
+
+
+def test_lie_necessary_matches_the_poly_matrix_oracle_in_random_bases():
+    rng = random.Random(61)
+    params = ("t", "s")
+    pool = [parse_poly(text, params) for text in
+            ("0", "0", "1/3", "-2", "t", "s", "t + 1/2", "2*s - t")]
+    shear = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    bases = [(abelian(3), QMatrix.identity(3), [JORDAN3, shear]),
+             (heisenberg(), HEIS_LATTICE, [shear]),
+             (free_nilpotent_2_3(), FREE_LATTICE,
+              [free23_lift().automorphism]),
+             (Q6, Q6_LATTICE, [])]
+    kinds = set()
+    for _ in range(24):
+        spec, lattice, outer = rng.choice(bases)
+        d = spec.dim
+        inner = NilpotentGroup(spec).adjoint_matrix(lattice.column(0))
+        U = rng.choice([QMatrix.identity(d), inner] + outer)
+        a = ParamVector(params, [rng.choice(pool) for _ in range(d)])
+        P = random_basis_matrix(d, rng, 2)
+        P_inv = P.inverse()
+        system = make_system(change_of_basis(spec, P), lattice=P_inv @ lattice,
+                             automorphism=P_inv @ U @ P,
+                             translation=P_inv.apply(a))
+        report = lie_necessary(system)
+        assert report == lie_oracle(system)
+        kinds.add(report.failed_condition)
+    assert kinds == {None, "composite", "image_bracket"}
 
 
 # ---- minimality_check ----

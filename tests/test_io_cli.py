@@ -433,8 +433,10 @@ def test_cli_suspend_past_the_coset_dimension_cap_is_an_error(capsys,
      f"system.json:translation: expected {10 ** 30} polynomial strings"),
     ({"dim": 3, "designated_generators": [0, ["1", "0", "0"]]},
      "system.json:designated_generators[0]: expected a list of rationals"),
+    ({"dim": 10 ** 30, "structure_constants": [[1, 2, 3, "1"]]},
+     "system.json:dim: dim exceeds the supported scope (dimension <= 64)"),
 ], ids=["dim-true", "huge-dim-lattice", "huge-dim-translation",
-        "generator-not-a-list"])
+        "generator-not-a-list", "huge-dim-structure-constants"])
 def test_cli_rejects_a_dim_or_generator_the_file_contradicts(capsys, tmp_path,
                                                             data, note):
     path = _write_system(tmp_path, **data)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilaa.poly import ParamVector, Poly, PolyMatrix, parse_poly
+from nilaa.poly import ParamVector, Poly, parse_poly
 
 
 def F(s):
@@ -130,18 +130,6 @@ def test_param_vector_mixed_params_align():
     c = a + b
     assert c.params == ("t", "s")
     assert c[0] == parse_poly("t + s", ("t", "s"))
-
-
-def test_poly_matrix_matvec():
-    params = ("t",)
-    m = PolyMatrix(params, [[1, parse_poly("t", params)], [0, 1]])
-    v = ParamVector(params, [parse_poly("t", params), Poly.constant(2, params)])
-    out = m.matvec(v)
-    assert out[0] == parse_poly("3*t", params)
-    assert out[1] == Poly.constant(2, params)
-    cols = PolyMatrix.from_columns([v, v])
-    assert cols.shape == (2, 2)
-    assert cols[(0, 1)] == parse_poly("t", params)
 
 
 def _assert_clean(p):
