@@ -22,7 +22,7 @@ from .criteria import (HypothesisViolated, InapplicableCriterion, NonAbelian,
                        lie_necessary, minimality_check, power_unipotent,
                        torus_decide, translation_decide,
                        two_generator_analysis)
-from .orbit import NumericAffine, aa_empirical_test, trajectory
+from .orbit import ITERATE_CAP, NumericAffine, aa_empirical_test, trajectory
 from .ratlin import NotUnipotent
 from .suspension import (Mismatch, embedding_consistency_check,
                          monodromy_adjoint_check, suspend)
@@ -129,8 +129,6 @@ def _suspend_result(path, out) -> dict:
         embedding_consistency_check(system, susp, samples=10)
     except Mismatch as exc:
         return _error("suspend", f"embedding consistency failed: {exc}")
-    except ValueError as exc:
-        return _error("suspend", str(exc))
     notes.append("embedding consistency: 10 exact samples")
     if out is not None:
         payload = nio.suspension_to_dict(susp, system.name)
@@ -192,8 +190,16 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
                        "seed", int)
         trials = _number(trials if trials is not None
                          else config.get("trials", 5), "trials", int)
-        if dump is not None:
-            steps = _number(config.get("dump_steps", 200), "dump_steps", int)
+        if trials < 1:
+            raise ValueError("simulate trials must be at least 1")
+        steps = 0 if dump is None else _number(config.get("dump_steps", 200),
+                                               "dump_steps", int)
+        # the orbit oracle walks at most ITERATE_CAP steps from a point
+        for what, value, low in (("horizon", horizon, 1),
+                                 ("dump_steps", steps, 0)):
+            if not low <= value <= ITERATE_CAP:
+                raise ValueError(f"simulate {what} must be between {low} "
+                                 f"and {ITERATE_CAP}, got {value}")
     except ValueError as exc:
         return _error("simulate", str(exc))
     report = aa_empirical_test(affine, trials, eps, horizon, seed,

@@ -93,6 +93,13 @@ _SIMULATE_KEYS = {"probe", "eps", "horizon", "seed", "trials", "values",
                   "space", "dump_steps"}
 
 
+def _rationals(values, location) -> list:
+    """A JSON list of rationals; entry j is located at location[j]."""
+    if not isinstance(values, list):
+        raise ParseError(location, "expected a list of rationals")
+    return [parse_rational(v, f"{location}[{j}]") for j, v in enumerate(values)]
+
+
 def _parse_matrix(data, dim, location) -> QMatrix:
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(location, f"expected {dim} rows")
@@ -100,8 +107,7 @@ def _parse_matrix(data, dim, location) -> QMatrix:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{location}[{i}]", f"expected {dim} entries")
-        rows.append([parse_rational(v, f"{location}[{i}][{j}]")
-                     for j, v in enumerate(row)])
+        rows.append(_rationals(row, f"{location}[{i}]"))
     return QMatrix(rows)
 
 
@@ -188,11 +194,7 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
         where = f"{source}:designated_generators"
         if not isinstance(raw, list) or len(raw) != 2:
             raise ParseError(where, "expected exactly two generators")
-        for i, g in enumerate(raw):
-            if not isinstance(g, list):
-                raise ParseError(f"{where}[{i}]", "expected a list of rationals")
-        gens = [[parse_rational(v, f"{where}[{i}][{j}]")
-                 for j, v in enumerate(g)] for i, g in enumerate(raw)]
+        gens = [_rationals(g, f"{where}[{i}]") for i, g in enumerate(raw)]
         if any(len(g) != dim for g in gens):
             raise ParseError(where, f"generators must have {dim} entries")
 
@@ -294,7 +296,8 @@ def serialize_certificate(cert) -> dict | None:
 
 
 def parse_certificate(data):
-    """Rebuild a certificate object from its serialized form."""
+    """Rebuild a certificate object from its serialized form; a missing or
+    mistyped field raises ParseError naming the kind and the field."""
     if data is None:
         return None
     if not isinstance(data, dict) or "kind" not in data:
@@ -302,31 +305,49 @@ def parse_certificate(data):
     kind = data["kind"]
     loc = f"certificate({kind})"
 
-    def vec(values):
-        return tuple(parse_rational(v, loc) for v in values)
+    def field(name, types=list):
+        if name not in data:
+            raise ParseError(f"{loc}.{name}", "missing field")
+        value = data[name]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ParseError(f"{loc}.{name}",
+                             f"expected {types.__name__}, got {value!r}")
+        return value
+
+    def vector(name):
+        return tuple(_rationals(field(name), f"{loc}.{name}"))
+
+    def vectors(name):
+        return tuple(tuple(_rationals(row, f"{loc}.{name}[{i}]"))
+                     for i, row in enumerate(field(name)))
 
     if kind == "witness_subspace":
-        sub = QSubspace(int(data["ambient_dim"]),
-                        tuple(vec(row) for row in data["basis"]))
-        shift = None if data.get("shift") is None else vec(data["shift"])
-        return WitnessSubspace(sub, shift)
+        dim, basis = field("ambient_dim", int), vectors("basis")
+        if any(len(row) != dim for row in basis):
+            raise ParseError(f"{loc}.basis", f"expected vectors of length {dim}")
+        shift = None if data.get("shift") is None else vector("shift")
+        return WitnessSubspace(QSubspace(dim, basis), shift)
     if kind == "obstruction_bracket":
-        return ObstructionBracket(vec(data["left"]), vec(data["right"]),
-                                  vec(data["bracket"]))
+        return ObstructionBracket(vector("left"), vector("right"),
+                                  vector("bracket"))
     if kind == "not_fixed":
-        return NotFixed(vec(data["vector"]), vec(data["image"]),
-                        data.get("monomial"))
+        monomial = None if data.get("monomial") is None else \
+            field("monomial", str)
+        return NotFixed(vector("vector"), vector("image"), monomial)
     if kind == "coset_obstruction":
-        params = tuple(data.get("params", []))
-        polys = [_polynomial(p, params, loc) for p in data["vector"]]
+        params = tuple(field("params") if "params" in data else ())
+        if not all(isinstance(p, str) for p in params):
+            raise ParseError(f"{loc}.params", "expected a list of names")
+        polys = [_polynomial(p, params, f"{loc}.vector[{i}]")
+                 for i, p in enumerate(field("vector"))]
         return CosetObstruction(ParamVector(params, polys),
-                                tuple(vec(g) for g in data["generators"]))
+                                vectors("generators"))
     if kind == "spectral_obstruction":
-        return SpectralObstruction(vec(data["factor"]))
+        return SpectralObstruction(vector("factor"))
     if kind == "unipotent_power":
-        return UnipotentPower(int(data["power"]))
+        return UnipotentPower(field("power", int))
     if kind == "invariant_subtorus":
-        return InvariantSubtorus(tuple(vec(c) for c in data["covectors"]))
+        return InvariantSubtorus(vectors("covectors"))
     if kind in ("validation_failure", "falsification_witness"):
         return dict(data)
     raise ParseError(loc, "unknown certificate kind")

@@ -275,9 +275,3 @@ class CosetReducer:
         assert all(0 <= c.numerator < c.denominator for c in coords), \
             "reduction left the fundamental domain"
         return x
-
-    def same_coset(self, u: Sequence[object], v: Sequence[object]) -> bool:
-        """Do u and v represent the same point of N / Gamma?"""
-        # u ~ v iff u^{-1} v is in the lattice subgroup
-        diff = self.group.mult_vec(self.group.inv(u), v)
-        return self.lattice.contains(diff)

@@ -390,10 +390,5 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
 
 
 def trajectory(affine: NumericAffine, x, kmax: int) -> list:
-    """Points (k, T^k x) for k = 0..kmax, computed incrementally."""
-    p = affine.reduce(x)
-    out = [(0, p)]
-    for k in range(1, kmax + 1):
-        p = affine.step(p)
-        out.append((k, p))
-    return out
+    """Points (k, T^k x) for k = 0..kmax, in one walk along the orbit."""
+    return list(enumerate(_walk(affine, x, range(kmax + 1))))

@@ -489,18 +489,17 @@ def matrix_exp_nilpotent(matrix: QMatrix) -> QMatrix:
 
 
 def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
-    """log of a unipotent matrix via the terminating Mercator series."""
-    k = unipotency_index(matrix)
-    if k is None:
-        raise ValueError("matrix is not unipotent")
+    """log of a unipotent matrix via the Mercator series, which ends at the
+    first vanishing power of N = M - I (M is unipotent iff N^n = 0)."""
     n = matrix.nrows
     N = matrix - QMatrix.identity(n)
-    out = QMatrix.zeros(n)
-    power = QMatrix.identity(n)
-    for j in range(1, k + 1):
-        power = power @ N
+    out, power = QMatrix.zeros(n), N
+    for j in range(1, n + 1):
+        if power.is_zero():
+            return out
         out = out + power.scale(Fraction((-1) ** (j + 1), j))
-    return out
+        power = power @ N
+    raise ValueError("matrix is not unipotent")
 
 
 # ---- integer lattice computations (Hermite normal form) ----

@@ -3,7 +3,8 @@
 Each mutant is a corpus system with one value replaced, somewhere in its
 JSON tree, by a value from a fixed list.  Every command must answer with a
 verdict JSON object and its exit code; no exception may escape and no
-traceback may reach stderr, whatever the mutant.
+traceback may reach stderr, whatever the mutant.  Mutated golden verdicts
+must parse or raise ParseError.
 """
 
 import copy
@@ -21,6 +22,9 @@ VALUES = (True, False, None, 0, 1, -1, 2, 1.5, "1", "-1/2", "1/0", "123",
 # full.  10**30 goes only into files that have a row field, which rejects
 # it, and nonzero structure constants, which fail on it before allocating.
 DIMS = (True, False, None, 0, -1, 2, 8, "3", 1.5)
+# simulate --horizon and --trials values outside the scope; none of them
+# may start a long scan.
+OUT_OF_SCOPE = (0, -1, -5)
 HUGE_DIM = 10 ** 30
 ROW_FIELDS = ("lattice_basis", "automorphism", "translation")
 
@@ -68,6 +72,7 @@ def _mutants(rng):
 
 def test_cli_answers_every_mutated_corpus_file(capsys, tmp_path):
     rng = random.Random(SEED)
+    scope_rng = random.Random(SEED)  # leaves the mutant stream of rng as it was
     seen_statuses = set()
     for n, (stem, data) in enumerate(_mutants(rng)):
         path = tmp_path / f"{stem}-{n}.json"
@@ -84,5 +89,25 @@ def test_cli_answers_every_mutated_corpus_file(capsys, tmp_path):
             assert set(verdict) == {"status", "criterion", "certificate", "notes"}
             assert code == nio.exit_code_for(verdict["status"]), (args, data)
             seen_statuses.add(verdict["status"])
+        args = ["simulate", str(path),
+                "--horizon", str(scope_rng.choice(OUT_OF_SCOPE)),
+                "--trials", str(scope_rng.choice(OUT_OF_SCOPE))]
+        code = ncli.main(args)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, (args, data)
+        assert json.loads(captured.out)["status"] == "ERROR", (args, data)
+        assert code == 3, (args, data)
     # the mutants reach past parsing as well as failing in it
     assert {"ERROR", "VALID"} <= seen_statuses
+
+
+def test_mutated_goldens_parse_or_raise_parse_error():
+    for path in sorted((nio.corpus_dir() / "golden").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for position in _paths(data):
+            for value in VALUES:
+                mutant = nio.canonical_json(_replace(data, position, value))
+                try:
+                    nio.parse_verdict(mutant)
+                except nio.ParseError:
+                    pass

@@ -214,6 +214,44 @@ def test_certificate_serialization_round_trips(cert):
     assert nio.serialize_certificate(rebuilt) == data
 
 
+def _certificate_fields():
+    """(serialized certificate, field name) for every field of every kind."""
+    out = {}
+    for cert in CERTIFICATES[:-1]:
+        data = nio.serialize_certificate(cert)
+        for name in sorted(set(data) - {"kind"}):
+            out.setdefault(f"{data['kind']}.{name}", (data, name))
+    return out
+
+
+CERTIFICATE_FIELDS = _certificate_fields()
+OPTIONAL_FIELDS = ("shift", "monomial", "params")
+
+
+@pytest.mark.parametrize("data, name", CERTIFICATE_FIELDS.values(),
+                         ids=CERTIFICATE_FIELDS.keys())
+def test_malformed_certificate_field_is_a_parse_error(data, name):
+    location = f"certificate({data['kind']}).{name}"
+    with pytest.raises(nio.ParseError) as info:
+        nio.parse_certificate({**data, name: True})
+    assert info.value.location == location
+    if name not in OPTIONAL_FIELDS:
+        with pytest.raises(nio.ParseError) as info:
+            nio.parse_certificate({k: v for k, v in data.items() if k != name})
+        assert info.value.location == location
+
+
+def test_malformed_certificate_row_is_a_parse_error():
+    with pytest.raises(nio.ParseError) as info:
+        nio.parse_certificate({"kind": "invariant_subtorus",
+                               "covectors": [["1"], 5]})
+    assert info.value.location == "certificate(invariant_subtorus).covectors[1]"
+    with pytest.raises(nio.ParseError) as info:
+        nio.parse_certificate({"kind": "witness_subspace", "ambient_dim": 2,
+                               "basis": [["1"]]})
+    assert info.value.location == "certificate(witness_subspace).basis"
+
+
 def test_opaque_certificates_pass_through():
     for kind in ("validation_failure", "falsification_witness"):
         data = {"kind": kind, "extra": "x"}
@@ -413,13 +451,27 @@ def _run_main_checked(capsys, *argv):
     return code, json.loads(captured.out)
 
 
-def test_cli_suspend_past_the_coset_dimension_cap_is_an_error(capsys,
-                                                             tmp_path):
-    path = _write_system(tmp_path, dim=8)
-    code, verdict = _run_main_checked(capsys, "suspend", path)
-    assert code == 3
-    assert verdict["status"] == "ERROR"
-    assert verdict["notes"] == ["coset reduction supports dimension <= 7"]
+def test_cli_suspend_passes_past_the_coset_dimension_cap(capsys, tmp_path):
+    # an 8-dim torus, and the 11-dim Heisenberg algebra with a central
+    # lattice vector halved, sheared x_i -> x_i + y_i and translated along y_1
+    n, d = 5, 11
+    shear = [["1" if i == j or i == n + j else "0" for j in range(d)]
+             for i in range(d)]
+    lattice = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    lattice[d - 1][d - 1] = "1/2"
+    heisenberg = dict(
+        dim=d, params=["t"],
+        structure_constants=[[i + 1, n + i + 1, d, "1"] for i in range(n)],
+        lattice_basis=lattice, automorphism=shear,
+        translation=["0"] * n + ["t"] + ["0"] * (d - n - 1))
+    for data in (dict(dim=8), heisenberg):
+        path = _write_system(tmp_path, **data)
+        code, verdict = _run_main_checked(capsys, "suspend", path)
+        assert code == 0
+        assert verdict["status"] == "PASS"
+        assert verdict["notes"][0] == (f"fiber dimension {data['dim']}, "
+                                       f"suspension dimension "
+                                       f"{data['dim'] + 1}")
 
 
 @pytest.mark.parametrize("data, note", [
@@ -509,9 +561,25 @@ def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,
      "simulate trials must be a number, got [2]"),
     ({"values": {"t": "1/3"}, "dump_steps": "all"}, ("--dump", "{tmp}"),
      "simulate dump_steps must be a number, got 'all'"),
+    ({"values": {"t": "1/3"}}, ("--horizon", "100000000"),
+     "simulate horizon must be between 1 and 1000000, got 100000000"),
+    ({"values": {"t": "1/3"}}, ("--horizon", "-5"),
+     "simulate horizon must be between 1 and 1000000, got -5"),
+    ({"values": {"t": "1/3"}, "horizon": 0}, (),
+     "simulate horizon must be between 1 and 1000000, got 0"),
+    ({"values": {"t": "1/3"}}, ("--trials", "-2"),
+     "simulate trials must be at least 1"),
+    ({"values": {"t": "1/3"}, "trials": 0}, (),
+     "simulate trials must be at least 1"),
+    ({"values": {"t": "1/3"}, "dump_steps": -1}, ("--dump", "{tmp}"),
+     "simulate dump_steps must be between 0 and 1000000, got -1"),
+    ({"values": {"t": "1/3"}, "dump_steps": 10 ** 7}, ("--dump", "{tmp}"),
+     "simulate dump_steps must be between 0 and 1000000, got 10000000"),
 ], ids=["null-value", "zero-denominator-value", "values-list", "null-probe",
         "eps-text", "eps-zero", "eps-inf", "horizon-text", "seed-null",
-        "trials-list", "dump-steps-text"])
+        "trials-list", "dump-steps-text", "horizon-past-cap",
+        "horizon-negative", "horizon-zero", "trials-negative", "trials-zero",
+        "dump-steps-negative", "dump-steps-past-cap"])
 def test_cli_simulate_rejects_malformed_values(capsys, tmp_path, simulate,
                                                argv, note):
     path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],

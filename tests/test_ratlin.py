@@ -279,6 +279,34 @@ def test_unipotency_index_against_charpoly_oracle():
     assert checked == {None: 33, "unipotent": 40}
 
 
+def test_log_unipotent_roundtrip_on_conjugated_jordan_forms():
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randrange(1, 6)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randrange(1, n - sum(sizes) + 1))
+        while True:
+            p = rand_qmatrix(rng, n)
+            if p.det():
+                break
+        u = p @ jordan_unipotent(sizes) @ p.inverse()
+        assert matrix_exp_nilpotent(matrix_log_unipotent(u)) == u
+
+
+def test_log_unipotent_rejects_other_matrices():
+    # with and without trace(M - I) = 0
+    others = [QMatrix([[2, 0], [0, 0]]), QMatrix([[0, -1], [1, 0]]),
+              QMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]) @ jordan_unipotent([3]),
+              QMatrix([[1, 2]])]
+    rng = random.Random(59)
+    others += [m for m in (rand_qmatrix(rng, rng.randrange(1, 6))
+                           for _ in range(10)) if unipotency_oracle(m) is None]
+    for m in others:
+        with pytest.raises(ValueError):
+            matrix_log_unipotent(m)
+
+
 def test_sparse_matmul_against_dense_triple_loop():
     rng = random.Random(41)
     for _ in range(60):

@@ -6,6 +6,7 @@ import pytest
 
 from nilaa.criteria import make_system
 from nilaa.nilalg import LieAlgebraSpec
+from nilaa.nilgrp import NilpotentGroup
 from nilaa.poly import ParamVector, Poly
 from nilaa.ratlin import NotUnipotent, QMatrix
 from nilaa.suspension import (Mismatch, SuspendedSystem, build_suspension_algebra,
@@ -142,12 +143,21 @@ def test_embedding_consistency_jordan3():
 
 
 def test_corrupted_monodromy_trips_the_check():
+    # the suspension built from 2 log U realizes U^2, not U
     system = heis_shear_system()
-    D = system.group.log_automorphism(system.automorphism)
-    corrupted = suspend(system, monodromy_override=D.scale(2))
+    D = system.group.log_automorphism(system.automorphism).scale(2)
+    big_spec = build_suspension_algebra(system.group.spec, D)
+    big_group = NilpotentGroup(big_spec)
+    a = system.translation
+    lifted = ParamVector(a.params, [Poly.zero(a.params), *a.entries])
+    delta = ParamVector(a.params, [Poly.constant(1, a.params),
+                                   *[Poly.zero(a.params)] * system.dim])
+    corrupted = SuspendedSystem(big_spec, big_group, D, system.lattice,
+                                big_group.mult(lifted, delta), system)
     with pytest.raises(Mismatch) as info:
         embedding_consistency_check(system, corrupted, samples=10)
     assert info.value.direct != info.value.embedded
+    assert not monodromy_adjoint_check(corrupted)
 
 
 def test_suspend_rejects_non_unipotent_automorphisms():
