@@ -18,7 +18,7 @@ library.
 from importlib import import_module
 
 _EXPORTS = {
-    "Poly": "poly", "ParamVector": "poly", "PolyMatrix": "poly", "parse_poly": "poly",
+    "Poly": "poly", "ParamVector": "poly", "parse_poly": "poly",
     "QMatrix": "ratlin", "QSubspace": "ratlin", "kernel_basis": "ratlin",
     "charpoly": "ratlin", "hnf_membership": "ratlin",
     "minimal_rational_subspace": "ratlin", "cyclotomic_spectrum_test": "ratlin",

@@ -38,10 +38,11 @@ from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
     derived_subalgebra, is_abelian_family, is_automorphism, is_ideal, \
     subalgebra_closure
 from .nilgrp import ClassCapExceeded, NilpotentGroup
-from .poly import ParamVector, Poly, PolyMatrix
+from .poly import ParamVector, Poly
 from .ratlin import NotUnipotent, QMatrix, QSubspace, annihilator_basis, \
     charpoly, cyclotomic_spectrum_test, hnf_membership, kernel_basis, \
-    minimal_rational_subspace, solve_linear, unipotency_index, zspan_basis
+    matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
+    solve_linear, unipotency_index, zspan_basis
 
 AA = "AA"
 NOT_AA = "NOT_AA"
@@ -689,33 +690,21 @@ def _two_generator_matrix_coefficients(n: int) -> tuple[Fraction, ...]:
     index n-1-k) and H sends the last coordinate to eta's slot.  Then
     [Xi, H], [Xi, [Xi, H]], ... occupy the eta, tau eta, ... slots of the
     last column and every product of two H-words vanishes, so the last
-    column of log(exp(-t Xi) exp(t (Xi + H))) reads off c_k t^{k+1}
-    directly.  Uses only matrix exp and log, no group law.
+    column of log(exp(-Xi) exp(Xi + H)) reads off c_k.  Taking t = 1 loses
+    nothing: a product of m factors from {Xi, H} lies on the m-th
+    superdiagonal, so entry (n-1-k, n) is exactly c_k t^{k+1}.  Uses only
+    matrix exp and log, no group law.
     """
-    params = ("t",)
-    t = Poly.variable("t", params)
-    zero = Poly.zero(params)
     size = n + 1
-    xi_rows = [[t if (j == i + 1 and j <= n - 1) else zero
-                for j in range(size)] for i in range(size)]
-    h_rows = [[t if (i == n - 1 and j == n) else zero
-               for j in range(size)] for i in range(size)]
-    Xi = PolyMatrix(params, xi_rows)
-    H = PolyMatrix(params, h_rows)
-    prod = Xi.scale(-1).exp_nilpotent() @ (Xi + H).exp_nilpotent()
-    log = prod.log_unipotent()
-    out = []
-    for i in range(size):
-        for j in range(size):
-            if j != size - 1 and not log[i, j].is_zero():
-                raise ArithmeticError("matrix realization left the last column")
-    for k in range(n):
-        poly = log[n - 1 - k, n]
-        coeff = poly.coefficient((k + 1,))
-        if poly != Poly(params, {(k + 1,): coeff}):
-            raise ArithmeticError("matrix realization produced extra powers")
-        out.append(coeff)
-    return tuple(out)
+    Xi = QMatrix([[int(j == i + 1 and j <= n - 1) for j in range(size)]
+                  for i in range(size)])
+    H = QMatrix([[int(i == n - 1 and j == n) for j in range(size)]
+                 for i in range(size)])
+    log = matrix_log_unipotent(matrix_exp_nilpotent(-Xi)
+                               @ matrix_exp_nilpotent(Xi + H))
+    if any(log[i, j] for i in range(size) for j in range(n)):
+        raise ArithmeticError("matrix realization left the last column")
+    return tuple(log[n - 1 - k, n] for k in range(n))
 
 
 def two_generator_analysis(system: AffineSystem) -> TwoGeneratorReport:

@@ -225,39 +225,32 @@ class NilpotentGroup:
     # ---- automorphism logarithms ----
 
     def log_automorphism(self, matrix: QMatrix) -> QMatrix:
-        """log of a unipotent algebra automorphism; checked to be a derivation."""
-        D = matrix_log_unipotent(matrix)
-        d = self.dim
-        units = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
-        cols = D.columns()
-        for i in range(d):
-            for j in range(i + 1, d):
-                lhs = D.matvec(self.spec.structure_vector(i, j))
-                rhs1 = self.spec.bracket_vec(cols[i], units[j])
-                rhs2 = self.spec.bracket_vec(units[i], cols[j])
-                if lhs != tuple(a + b for a, b in zip(rhs1, rhs2)):
-                    raise ValueError(
-                        f"log of the matrix is not a derivation at basis pair ({i}, {j})")
-        return D
+        """log of a unipotent algebra automorphism; raises NotUnipotent.
+
+        That the log is a derivation D is the Jacobi identity on the triples
+        (delta, x_i, x_j) of the algebra with [delta, x] = D x adjoined, which
+        the suspension's NilpotentGroup checks.
+        """
+        return matrix_log_unipotent(matrix)
 
     # ---- affine defect ----
 
-    def defect_map(self, log_a: ParamVector, matrix: QMatrix,
-                   var_prefix: str = "X") -> ParamVector:
+    def defect_map(self, log_a: ParamVector, matrix: QMatrix) -> ParamVector:
         """Defect c(X) = log( exp(X)^{-1} exp(a) U(exp X) ).
 
         X ranges over the algebra through fresh symbolic coordinates
-        X1, ..., Xd; the translation coordinates of log_a may carry their own
-        parameters.  The affine map exp X -> exp(a) U(exp X) fixes directions
-        where c vanishes and transports everything else.
+        X1, ..., Xd (XX1, ... or longer while a parameter of log_a has one
+        of those names); the translation coordinates of log_a may carry
+        their own parameters.  The affine map exp X -> exp(a) U(exp X)
+        fixes directions where c vanishes and transports everything else.
         """
         d = self.dim
         if matrix.shape != (d, d):
             raise ValueError("automorphism matrix has wrong shape")
-        names = tuple(f"{var_prefix}{i + 1}" for i in range(d))
-        if set(names) & set(log_a.params):
-            raise ValueError(f"parameter names {set(names) & set(log_a.params)} collide "
-                             f"with the defect coordinates; pick another prefix")
+        prefix = "X"
+        while any(f"{prefix}{i + 1}" in log_a.params for i in range(d)):
+            prefix += "X"
+        names = tuple(f"{prefix}{i + 1}" for i in range(d))
         params = _merge(log_a.params, names)
         X = ParamVector(params, [Poly.variable(n, params) for n in names])
         a = ParamVector(params, [p.with_params(params) for p in log_a.entries])

@@ -537,105 +537,3 @@ def _align_vectors(a: ParamVector, b: ParamVector) -> tuple[ParamVector, ParamVe
     return (_vector(merged, tuple(p.with_params(merged) for p in a.entries)),
             _vector(merged, tuple(p.with_params(merged) for p in b.entries)))
 
-
-class PolyMatrix:
-    """Dense matrix with polynomial entries; only what the two-generator
-    matrix oracle of `criteria` needs."""
-
-    __slots__ = ("params", "rows")
-
-    def __init__(self, params: Sequence[str], rows: Iterable[Iterable[Poly | object]]):
-        params = tuple(params)
-        fixed = []
-        width = None
-        for row in rows:
-            vec = [entry.with_params(params) if isinstance(entry, Poly)
-                   else Poly.constant(entry, params) for entry in row]
-            if width is None:
-                width = len(vec)
-            elif len(vec) != width:
-                raise ValueError("ragged rows")
-            fixed.append(tuple(vec))
-        self.params = params
-        self.rows = tuple(fixed)
-
-    @classmethod
-    def identity(cls, n: int, params: Sequence[str] = ()) -> "PolyMatrix":
-        return cls(params, [[Poly.constant(int(i == j), params) for j in range(n)]
-                            for i in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Poly:
-        return self.rows[ij[0]][ij[1]]
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.rows for p in row)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        params = _merge(self.params, other.params)
-        return PolyMatrix(params, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix(self.params, [[p * c for p in row] for row in self.rows])
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        params = _merge(self.params, other.params)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = Poly.zero(params)
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(params, rows)
-
-    def exp_nilpotent(self) -> "PolyMatrix":
-        """exp of a nilpotent polynomial matrix (series must terminate)."""
-        n, m = self.shape
-        if n != m:
-            raise ValueError("exp of a non-square matrix")
-        out = PolyMatrix.identity(n, self.params)
-        term = PolyMatrix.identity(n, self.params)
-        for k in range(1, n + 1):
-            term = (term @ self).scale(Fraction(1, k))
-            if term.is_zero():
-                return out
-            out = out + term
-        if not (term @ self).is_zero():
-            raise ValueError("matrix is not nilpotent")
-        return out
-
-    def log_unipotent(self) -> "PolyMatrix":
-        """log of a unipotent polynomial matrix (terminating Mercator series)."""
-        n, m = self.shape
-        if n != m:
-            raise ValueError("log of a non-square matrix")
-        N = self - PolyMatrix.identity(n, self.params)
-        out = PolyMatrix(self.params, [[Poly.zero(self.params)] * n for _ in range(n)])
-        power = PolyMatrix.identity(n, self.params)
-        for j in range(1, n + 1):
-            power = power @ N
-            if power.is_zero():
-                return out
-            out = out + power.scale(Fraction((-1) ** (j + 1), j))
-        if not (power @ N).is_zero():
-            raise ValueError("matrix is not unipotent")
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.rows)

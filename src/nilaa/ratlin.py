@@ -104,9 +104,6 @@ class QMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
@@ -490,7 +487,8 @@ def matrix_exp_nilpotent(matrix: QMatrix) -> QMatrix:
 
 def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
     """log of a unipotent matrix via the Mercator series, which ends at the
-    first vanishing power of N = M - I (M is unipotent iff N^n = 0)."""
+    first vanishing power of N = M - I (M is unipotent iff N^n = 0);
+    raises NotUnipotent otherwise."""
     n = matrix.nrows
     N = matrix - QMatrix.identity(n)
     out, power = QMatrix.zeros(n), N
@@ -499,7 +497,7 @@ def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
             return out
         out = out + power.scale(Fraction((-1) ** (j + 1), j))
         power = power @ N
-    raise ValueError("matrix is not unipotent")
+    raise NotUnipotent("the matrix has an eigenvalue other than 1")
 
 
 # ---- integer lattice computations (Hermite normal form) ----

@@ -26,7 +26,7 @@ from .lattice import LogLattice
 from .nilalg import LieAlgebraSpec
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
-from .ratlin import NotUnipotent, QMatrix, unipotency_index
+from .ratlin import QMatrix
 
 
 class Mismatch(ValueError):
@@ -45,8 +45,9 @@ def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAl
 
     Basis order downstairs is preserved and delta is prepended, so vectors of
     the big algebra read (phi, fiber).  The result is nilpotent whenever D is
-    (which log of a unipotent automorphism always is); the constructor of
-    NilpotentGroup re-checks Jacobi and nilpotency anyway.
+    (which log of a unipotent automorphism always is).  The constructor of
+    NilpotentGroup re-checks Jacobi and nilpotency; Jacobi on the triples
+    (delta, x_i, x_j) is the derivation identity for D.
     """
     d = spec.dim
     if derivation.shape != (d, d):
@@ -96,14 +97,12 @@ class SuspendedSystem:
 def suspend(system) -> SuspendedSystem:
     """Build the suspension of a validated affine system.
 
-    make_system has checked that U preserves the lattice, and
-    monodromy_adjoint_check and embedding_consistency_check check the result.
+    Raises NotUnipotent when U is not unipotent.  make_system has checked
+    that U preserves the lattice, and monodromy_adjoint_check and
+    embedding_consistency_check check the result.
     """
     group: NilpotentGroup = system.group
-    U: QMatrix = system.automorphism
-    if unipotency_index(U) is None:
-        raise NotUnipotent("the automorphism is not unipotent; no suspension")
-    D = group.log_automorphism(U)
+    D = group.log_automorphism(system.automorphism)
     big_spec = build_suspension_algebra(group.spec, D)
     big_group = NilpotentGroup(big_spec)
     a = system.translation

@@ -6,6 +6,7 @@ against explicit lattice combinations, and the two-generator coefficients
 against both the curve expansion and the matrix realization.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             NonAbelian, NotFixed, ObstructionBracket,
                             SpectralObstruction, UnipotentPower,
                             ValidationError, Verdict, WitnessSubspace,
+                            _two_generator_matrix_coefficients,
                             basepoint_decide, defect_family, full_decide,
                             lie_necessary, make_system, minimality_check,
                             nilrank, power_unipotent, suspended_basepoint_decide,
@@ -27,7 +29,7 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             translation_decide, two_generator_analysis)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.poly import ParamVector, Poly, PolyMatrix, parse_poly
+from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace
 
 F = Fraction
@@ -375,24 +377,30 @@ def test_lie_passes_on_shear_and_translations():
 
 
 def lie_oracle(system) -> LieNecessaryReport:
-    """The report built from the polynomial matrix B = Ad_a U - I, with
-    Ad_a the exp of the PolyMatrix of ad_a rather than a bracket series."""
-    spec, a = system.algebra, system.translation
-    params, d = a.params, spec.dim
-    ad_cols = [spec.bracket(a, ParamVector.from_rationals(
-        [int(i == j) for i in range(d)], params)) for j in range(d)]
-    ad = PolyMatrix(params, [[col[i] for col in ad_cols] for i in range(d)])
-    lift = PolyMatrix(params, system.automorphism.entries)
-    ident = PolyMatrix.identity(d, params)
-    B = ad.exp_nilpotent() @ lift - ident
-    composite = (lift - ident) @ B
+    """The report built from B = Ad_a U - I, with Ad_a read off group-law
+    conjugation rather than a bracket series: for a fresh parameter sigma,
+    log(exp a exp(sigma v) exp(-a)) = sigma Ad_a(v)."""
+    spec, group, a = system.algebra, system.group, system.translation
+    U, params, d = system.automorphism, a.params, spec.dim
+    assert "sigma" not in params
+    up = params + ("sigma",)
+    sigma = Poly.variable("sigma", up)
+    a_up = ParamVector(up, [p.with_params(up) for p in a.entries])
+    B = []  # B[j][i] = entry i of column j
+    for j in range(d):
+        v = ParamVector(up, [sigma * x for x in U.column(j)])
+        conj = group.mult(group.mult(a_up, v), -a_up)
+        B.append([Poly(params, {e[:-1]: c for e, c in p.terms.items() if e[-1] == 1})
+                  - int(i == j) for i, p in enumerate(conj.entries)])
     for i in range(d):
         for j in range(d):
-            if not composite[i, j].is_zero():
-                return LieNecessaryReport(
-                    False, False, True, "composite",
-                    ("composite", i, j, str(composite[i, j])))
-    cols = [ParamVector(params, [B[i, j] for i in range(d)]) for j in range(d)]
+            entry = Poly.zero(params)
+            for k in range(d):
+                entry = entry + B[j][k] * (U[i, k] - int(i == k))
+            if not entry.is_zero():
+                return LieNecessaryReport(False, False, True, "composite",
+                                          ("composite", i, j, str(entry)))
+    cols = [ParamVector(params, col) for col in B]
     for i in range(d):
         for j in range(i + 1, d):
             br = spec.bracket(cols[i], cols[j])
@@ -409,7 +417,7 @@ Q6_LATTICE = QMatrix([[F(1, 60 ** max(i - 1, 0)) if i == j else 0
                        for j in range(6)] for i in range(6)])
 
 
-def test_lie_necessary_matches_the_poly_matrix_oracle_on_worked_systems():
+def test_lie_necessary_matches_the_conjugation_oracle_on_worked_systems():
     lifted = free23_lift()
     # a = t x1: the class-3 term ad_a^2 / 2 alone makes composite[4, 0]
     moved = make_system(lifted.algebra, lattice=FREE_LATTICE,
@@ -423,7 +431,7 @@ def test_lie_necessary_matches_the_poly_matrix_oracle_on_worked_systems():
     assert lie_necessary(moved).witness == ("composite", 4, 0, "1/2*t^2")
 
 
-def test_lie_necessary_matches_the_poly_matrix_oracle_in_random_bases():
+def test_lie_necessary_matches_the_conjugation_oracle_in_random_bases():
     rng = random.Random(61)
     params = ("t", "s")
     pool = [parse_poly(text, params) for text in
@@ -557,6 +565,12 @@ def test_two_generator_heisenberg_class_two():
     assert report.n == 2
     assert report.coefficients == (F(1), F(-1, 2))
     assert report.matrix_coefficients == report.coefficients
+
+
+def test_two_generator_matrix_oracle_reads_inverse_factorials():
+    for n in range(1, 9):
+        assert _two_generator_matrix_coefficients(n) == tuple(
+            F((-1) ** k, math.factorial(k + 1)) for k in range(n))
 
 
 def test_two_generator_hypothesis_failures():

@@ -614,6 +614,32 @@ def test_cli_zero_denominator_in_a_translation_is_a_parse_error(capsys,
         "system.json:translation[0]: zero denominator in '1/0'"]
 
 
+def test_cli_parameter_named_like_a_defect_coordinate(capsys, tmp_path):
+    # heisenberg_translation with its parameter t renamed X1
+    data = json.loads(nio.corpus_file("heisenberg_translation.json")
+                      .read_text(encoding="utf-8"))
+    data.update(params=["X1"], translation=["X1", "0", "0"])
+    del data["simulate"]  # its values name t
+    path = _write_system(tmp_path, **data)
+    for criterion in ("full", "translation"):
+        expected = _run_main_checked(capsys, "decide",
+                                     _corpus("heisenberg_translation.json"),
+                                     "--criterion", criterion)
+        code, verdict = _run_main_checked(capsys, "decide", path,
+                                          "--criterion", criterion)
+        assert (code, verdict) == expected
+        assert verdict["status"] == "AA"
+
+
+def test_cli_suspend_rejects_a_non_unipotent_automorphism(capsys, tmp_path):
+    path = _write_system(tmp_path, dim=2, automorphism=[["2", "1"], ["1", "1"]])
+    code, verdict = _run_main_checked(capsys, "suspend", path)
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["notes"] == ["the automorphism is not unipotent: the "
+                                "matrix has an eigenvalue other than 1"]
+
+
 def test_cli_corpus_run_passes(capsys):
     code = ncli.main(["corpus", "run"])
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
                       random_change_of_basis)
-from nilaa.poly import ParamVector, Poly, PolyMatrix, parse_poly
+from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
     is_abelian_family, is_automorphism, is_ideal, subalgebra_closure,
@@ -73,11 +73,12 @@ def test_ad_poly_matrix_and_exp(heis):
     v = ParamVector(params, [parse_poly("t", params), Poly.zero(params), Poly.zero(params)])
     cols = [heis.bracket(v, ParamVector.from_rationals(e, params))
             for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    ad = PolyMatrix(params, [[col[i] for col in cols] for i in range(3)])
-    assert ad[(2, 1)] == parse_poly("t", params)
-    e = ad.exp_nilpotent()
-    assert e[(0, 0)] == Poly.constant(1, params)
-    assert e[(2, 1)] == parse_poly("t", params)
+    # ad_v has the single entry t at (2, 1) ...
+    assert cols[1] == ParamVector(params, [Poly.zero(params), Poly.zero(params),
+                                           parse_poly("t", params)])
+    assert cols[0].is_zero() and cols[2].is_zero()
+    # ... and squares to 0, so exp(ad_v) = I + ad_v
+    assert heis.bracket(v, cols[1]).is_zero()
 
 
 def test_validate_heisenberg(heis):

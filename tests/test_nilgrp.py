@@ -15,10 +15,11 @@ import pytest
 from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
                       random_change_of_basis)
 from nilaa import io as nio
-from nilaa.nilalg import LieAlgebraSpec
+from nilaa.nilalg import JacobiViolation, LieAlgebraSpec
 from nilaa.nilgrp import BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, bch_table
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent
+from nilaa.suspension import build_suspension_algebra
 
 F = Fraction
 
@@ -166,10 +167,14 @@ def test_log_automorphism():
     shear = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     d = group.log_automorphism(shear)
     assert d == shear - QMatrix.identity(3)  # square of the off-diagonal part is 0
-    # unipotent but not an automorphism: its log is not a derivation
+    # unipotent but not an automorphism: its log is not a derivation, which
+    # the Jacobi identity on a triple (delta, x_i, x_j) of the suspension
+    # algebra detects
     bad = QMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        group.log_automorphism(bad)
+    spec = build_suspension_algebra(group.spec, group.log_automorphism(bad))
+    with pytest.raises(JacobiViolation) as info:
+        NilpotentGroup(spec)
+    assert 0 in info.value.triple
 
 
 def test_defect_translation_only():
@@ -215,13 +220,17 @@ def test_defect_substitution_consistency():
 
 
 def test_defect_name_collision():
+    # the point coordinates take a longer prefix until no parameter collides
     group = NilpotentGroup(heisenberg())
-    a = ParamVector(("X1",), [parse_poly("X1", ("X1",)), Poly.zero(("X1",)),
-                              Poly.zero(("X1",))])
-    with pytest.raises(ValueError):
-        group.defect_map(a, QMatrix.identity(3))
-    c = group.defect_map(a, QMatrix.identity(3), var_prefix="Y")
-    assert "Y1" in c.params
+    for params, names in ((("X1",), ("XX1", "XX2", "XX3")),
+                          (("XX2", "X3"), ("XXX1", "XXX2", "XXX3")),
+                          (("X4", "Y1"), ("X1", "X2", "X3"))):
+        a = ParamVector(params, [parse_poly(params[0], params), Poly.zero(params),
+                                 Poly.zero(params)])
+        c = group.defect_map(a, QMatrix.identity(3))
+        assert c.params == params + names
+        # c(X) = a + [a, X] in class 2, as in test_defect_translation_only
+        assert c[2] == parse_poly(f"{params[0]}*{names[1]}", c.params)
 
 
 def test_class_cap_enforced():
