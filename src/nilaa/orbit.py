@@ -25,7 +25,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .lattice import CosetReducer
-from .ratlin import to_fraction
+from .ratlin import QMatrix, dot, to_fraction
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
@@ -56,6 +56,12 @@ class NumericAffine:
     fundamental domain.  An abelian group reduces coordinate by coordinate
     in lattice coordinates, in any dimension; any other group uses the
     system's coset reducer (dimension <= 7).
+
+    T^m x has a closed form (jump) when T is a pure translation, or when
+    the group is abelian and U = I + N is unipotent: there T^m x is
+    (sum_j C(m, j+1) N^j a) * (sum_j C(m, j) N^j x) for every integer m,
+    negative m included (a polynomial sequence, Leibman 1998).  Every
+    other map steps.
     """
 
     def __init__(self, system, translation):
@@ -72,13 +78,15 @@ class NumericAffine:
         self._pure = system.is_translation()
         spec = system.group.spec
         self._reducer = None
-        # distance() also tries the {-1,0,1}^d lattice neighbours of the
-        # nearest translate.  Central generators only add to the difference,
-        # so only the non-central moves cost a group product.  A move is
-        # skipped when a coordinate that no bracket or shift touches already
-        # puts it at or above the best value found.  On a torus every
-        # generator is central and the nearest translate is exact.
-        self._moves, self._shifts, self._bounded = [], [], []
+        # distance() tries the nearest translate and, unless the group is
+        # abelian, its {-1,0,1}^d lattice neighbours.  Central generators
+        # only add to the difference, so only the non-central moves cost a
+        # group product.  On the coordinates that no bracket or shift
+        # touches, y^-1 x is x - y, so there a candidate's value is known
+        # before any product, and a move is skipped when one of them is
+        # already at or above the bound.  On a torus every generator is
+        # central and the nearest translate is exact.
+        self._shifts, moves, touched = [], [], set()
         if not spec.abelian():
             self._reducer = CosetReducer(system.group, lattice)
             central = [spec.ad_matrix(lattice.generator(j)).is_zero()
@@ -89,14 +97,47 @@ class NumericAffine:
                             if all(c or not s for c, s in zip(central, e))]
             touched = {i for vec in (*spec.table.values(), *self._shifts)
                        for i, c in enumerate(vec) if c}
-            self._bounded = [i for i in range(d) if i not in touched]
-            for e in steps:
-                if not any(c and s for c, s in zip(central, e)):
-                    move = lattice.from_coords(e)
-                    self._moves.append((move, [(i, move[i]) for i in
-                                               self._bounded if move[i]]))
+            moves = [lattice.from_coords(e) for e in steps
+                     if not any(c and s for c, s in zip(central, e))]
+        self._bounded = bounded = [i for i in range(d) if i not in touched]
+        # (move, its nonzero bounded entries); None is the nearest translate
+        self._moves = [(None, [])] + [
+            (move, [(i, move[i]) for i in bounded if move[i]])
+            for move in moves]
+        # near() rejects before the product on a bounded coordinate i whose
+        # nearest-translate entry reads only bounded coordinates of x - y:
+        # every basis row entry L[i][j] needs inverse row j on them.  There
+        # r_i = sum_j L[i][j] (c_j - round(c_j)), so |r_i| is at most half
+        # the row's absolute sum, and a move entry m keeps |r_i - m| at or
+        # above `spare` = |m| - that bound.
+        basis = lattice.basis.sparse_rows()
+        self._coord_rows = inverse = lattice._inverse.sparse_rows()
+        readable = {j for j, row in enumerate(inverse)
+                    if all(k not in touched for k, _ in row)}
+        self._early = []
+        for i in bounded:
+            if all(j in readable for j, _ in basis[i]):
+                values = sorted({m for _, fixed in self._moves
+                                 for k, m in fixed if k == i})
+                reads = sorted({i} | {k for j, _ in basis[i]
+                                      for k, _ in inverse[j]})
+                rho = sum(abs(lattice.basis[i, j]) for j, _ in basis[i]) / 2
+                spare = min(map(abs, values), default=math.inf) - rho
+                self._early.append((i, basis[i], reads, values, spare))
+        # closed form: the powers N^1.. and the drifts N^0 a, N^1 a, ..
+        self._powers = self._drifts = None
+        nil = self.matrix - QMatrix.identity(d)
+        if (self._pure or spec.abelian()) and not nil.trace():
+            powers, power = [], nil
+            while not power.is_zero() and len(powers) < d:
+                powers.append(power)
+                power = power @ nil
+            if power.is_zero():
+                self._powers = powers
+                self._drifts = [translation] + [p.matvec(translation)
+                                                for p in powers]
 
-    # -- one-step dynamics (exact) --
+    # -- dynamics (exact) --
 
     def reduce(self, x) -> tuple:
         """Canonical representative of the coset of x."""
@@ -118,10 +159,28 @@ class NumericAffine:
         shifted = self.group.mult_vec(self._neg_translation, x)
         return self.reduce(self._inverse.matvec(shifted))
 
-    def translate(self, x, k: int) -> tuple:
-        """a^k * x reduced: T^k x when T is a pure translation."""
-        ka = tuple(k * a for a in self.translation)
-        return self.reduce(self.group.mult_vec(ka, x))
+    def reach(self) -> Optional[int]:
+        """The number of nonzero powers N^0, N^1, .. of N = U - I when
+        jump() applies, else None."""
+        return None if self._drifts is None else len(self._drifts)
+
+    def jump(self, x, m: int) -> tuple:
+        """T^m x reduced, for any integer m, in one closed-form step.
+
+        Equals m steps (or -m backward steps) from x, since the reduction
+        is a function of the coset.  Only when reach() is not None.
+        """
+        x = _point(x)
+        point = x
+        shift = [m * a for a in self._drifts[0]]
+        c = m  # C(m, j) at j = 1
+        for j, (power, drift) in enumerate(zip(self._powers,
+                                               self._drifts[1:]), 1):
+            if c:
+                point = [p + c * v for p, v in zip(point, power.matvec(x))]
+            c = c * (m - j) // (j + 1)
+            shift = [s + c * v for s, v in zip(shift, drift)]
+        return self.reduce(self.group.mult_vec(shift, point))
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -136,17 +195,55 @@ class NumericAffine:
         group is abelian, its {-1,0,1}^d lattice neighbours.  On a torus
         this is the max-norm of the coordinate-wise circle distances.
         """
+        return self._least(_point(x), _point(y), None)
+
+    def near(self, x, y, eps) -> bool:
+        """distance(x, y) < eps, deciding no more than that.
+
+        First, on the coordinates where y^-1 x is x - y and the nearest
+        translate can be read from them, a coordinate that every candidate
+        puts at eps or beyond rejects without a group product.  Then the
+        candidates of distance() are searched with eps as the bound, up to
+        the first one under it.
+        """
         x, y = _point(x), _point(y)
+        diff, rounded = {}, {}
+        for i, row, reads, values, spare in self._early:
+            for k in reads:
+                if k not in diff:
+                    diff[k] = x[k] - y[k]
+            for j, _ in row:
+                if j not in rounded:
+                    rounded[j] = round(dot(self._coord_rows[j], diff))
+            r = diff[i] - dot(row, rounded)
+            if abs(r) >= eps and (eps <= spare or
+                                  all(abs(r - m) >= eps for m in values)):
+                return False
+        return self._least(x, y, eps) < eps
+
+    def _least(self, x, y, bound) -> Fraction:
+        """The least candidate value, or with a bound the first one under
+        it (the bound itself when there is none).
+
+        A move is skipped when a bounded coordinate already puts it at or
+        above the bound or the least value found so far.
+        """
         diff = self.group.mult_vec(self.group.inv(y), x)
         base = self.lattice.from_coords(
             [round(c) for c in self.lattice.to_coords(diff)])
-        best = self._norm_near(x, y, base)
-        if self._moves:
-            r = {i: x[i] - y[i] - base[i] for i in self._bounded}
+        r = ({i: x[i] - y[i] - base[i] for i in self._bounded}
+             if len(self._moves) > 1 else {})
+        best = bound
         for move, fixed in self._moves:
-            if all(abs(r[i] - m) < best for i, m in fixed):
-                gamma = tuple(map(add, base, move))
-                best = min(best, self._norm_near(x, y, gamma))
+            if best is not None and not all(abs(r[i] - m) < best
+                                            for i, m in fixed):
+                continue
+            gamma = base if move is None else tuple(map(add, base, move))
+            value = self._norm_near(x, y, gamma)
+            if best is None or value < best:
+                best = value
+                if bound is not None:
+                    break
         return best
 
     def _norm_near(self, x, y, gamma) -> Fraction:
@@ -163,8 +260,9 @@ class NumericAffine:
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
     """k-fold application (signed), reducing after every step.
 
-    For pure translations the k-th power of the translation is applied in
-    one exact closed-form step, which agrees with stepwise reduction.
+    Where the map has a closed form (NumericAffine.jump) a k longer than
+    its number of N powers is one jump, which agrees with stepwise
+    reduction.
     """
     return _walk(affine, x, (abs(k),), backward=k < 0)[0]
 
@@ -172,20 +270,25 @@ def iterate(affine: NumericAffine, x, k: int) -> tuple:
 def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     """T^k x (T^-k x when backward) for each of the increasing indices ks.
 
-    One pass along the orbit, with the closed form for pure translations;
-    each point equals the one reached by stepping from x, since a step is
-    a function of the exact point.
+    One pass along the orbit.  A gap between consecutive indices larger
+    than affine.reach() is one closed-form jump from the current point;
+    every other gap is walked step by step, so consecutive indices (a
+    trajectory dump) cost one step each.  Each point equals the one
+    reached by stepping from x, since a step is a function of the exact
+    point.
     """
     if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
     p = affine.reduce(x)
-    if affine.is_pure_translation():
-        return [affine.translate(p, -k if backward else k) for k in ks]
+    reach = affine.reach()
     step = affine.step_back if backward else affine.step
     out, at = [], 0
     for k in ks:
-        for _ in range(k - at):
-            p = step(p)
+        if reach is not None and k - at > reach:
+            p = affine.jump(p, at - k if backward else k - at)
+        else:
+            for _ in range(k - at):
+                p = step(p)
         at = k
         out.append(p)
     return out
@@ -219,21 +322,29 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
 
     Returns up to `limit` indices in increasing order.  For pure
     translations of an abelian group the continued-fraction convergent
-    denominators of the translation's lattice coordinates are tried first
-    (closed-form evaluation); a plain incremental scan covers every other
-    case and stops after one period once the exact orbit returns to x.
-    Deterministic in (map, x, y, eps, horizon).  Raises NotFound
-    when nothing is found.
+    denominators of the translation's lattice coordinates are tried first,
+    each by one closed-form jump; a plain incremental scan covers every
+    other case and stops after one period once the exact orbit returns to
+    x.  Each point is tested with NumericAffine.near, which decides only
+    whether the distance is under eps.  Deterministic in (map, x, y, eps,
+    horizon).  Raises NotFound when nothing is found.
     """
+    return tuple(k for k, _ in _returns(affine, x, y, eps, horizon,
+                                        start, limit))
+
+
+def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
+             limit: int) -> list:
+    """The pairs (k, T^k x) for the indices of find_forward_sequence."""
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     horizon = int(horizon)
     x = affine.reduce(x)
     y = affine.reduce(y)
-    hits = []
-    if start <= 0 and affine.distance(x, y) < eps:
-        hits.append(0)
+    hits = []  # (k, T^k x), k increasing
+    if start <= 0 and affine.near(x, y, eps):
+        hits.append((0, x))
     lo = max(start, 1)
     if affine.is_pure_translation() and affine.group.spec.abelian():
         candidates = set()
@@ -242,39 +353,38 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
         for k in sorted(candidates):
             if k < lo or k > horizon:
                 continue
-            p = affine.translate(x, k)
-            if affine.distance(p, y) < eps:
-                hits.append(k)
+            p = affine.jump(x, k)
+            if affine.near(p, y, eps):
+                hits.append((k, p))
                 if len(hits) >= limit:
-                    return tuple(hits)
-        if len(hits) > (1 if hits and hits[0] == 0 else 0):
-            return tuple(hits)
+                    return hits
+        if hits and hits[-1][0]:
+            return hits
     # step is a function of the exact point, so once T^period x == x the
     # orbit repeats: one scanned window of `period` indices gives the rest
     period = None
     p, k = x, 0
     while k <= horizon and (period is None or k < lo + period):
-        if k >= lo and affine.distance(p, y) < eps:
-            if k not in hits:
-                hits.append(k)
-                if len(hits) >= limit:
-                    return tuple(hits)
+        if k >= lo and affine.near(p, y, eps):
+            hits.append((k, p))
+            if len(hits) >= limit:
+                return hits
         k += 1
         p = affine.step(p)
         if period is None and p == x:
             period = k
-    window = [h for h in hits if h >= lo]
+    window = [(h, q) for h, q in hits if h >= lo]
     if k <= horizon and window:
         for shift in count(period, period):
-            for h in window:
+            for h, q in window:
                 if h + shift > horizon:
-                    return tuple(hits)
-                hits.append(h + shift)
+                    return hits
+                hits.append((h + shift, q))
                 if len(hits) >= limit:
-                    return tuple(hits)
+                    return hits
     if not hits:
         raise NotFound(f"no return within horizon {horizon}")
-    return tuple(sorted(hits))
+    return hits
 
 
 def _snap(point) -> tuple:
@@ -329,24 +439,30 @@ def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
 def _run_trial(affine: NumericAffine, probe, eps, horizon):
     """One probe: forward cluster, snapped target, backward check.
 
+    The forward points come from the scan that found the returns; the
+    backward ones from one walk from the target.  The two cluster checks
+    are threshold tests; exact distances are computed only for a witness.
     Returns (witness or None, whether any forward return was found).
     """
     probe = affine.reduce(probe)
     try:
-        seq = find_forward_sequence(affine, probe, probe, eps, horizon,
-                                    start=1)
+        returns = _returns(affine, probe, probe, eps, horizon, 1, 10)
     except NotFound:
         return None, False
-    forward = _walk(affine, probe, seq)
+    seq, forward = zip(*returns)
     target = _snap(forward[0])
     eps = to_fraction(eps)
-    fwd = max(affine.distance(p, target) for p in forward)
-    if fwd >= eps:
+    if not all(affine.near(p, target, eps) for p in forward):
         return None, True  # cluster is not tight around the snapped target
-    bwd = max(affine.distance(p, probe)
-              for p in _walk(affine, target, seq, backward=True))
+    backward = _walk(affine, target, seq, backward=True)
+    # near() is strict, so only a distance of exactly 10 eps needs the
+    # exact values to pass
+    if all(affine.near(p, probe, 10 * eps) for p in backward):
+        return None, True
+    bwd = max(affine.distance(p, probe) for p in backward)
     if bwd <= 10 * eps:
         return None, True
+    fwd = max(affine.distance(p, target) for p in forward)
     return FalsificationWitness(probe, target, seq, float(fwd),
                                 float(bwd)), True
 

@@ -6,6 +6,8 @@ drift is polynomial in k; an irrational rotation is an isometry, so every
 forward return is also a backward return.
 """
 
+import csv
+import io
 import itertools
 import json
 import random
@@ -13,19 +15,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, heisenberg
+from conftest import abelian, change_of_basis, heisenberg, jordan_block
 from nilaa import cli as ncli
 from nilaa import io as nio
 from nilaa.cli import _numeric_map
 from nilaa.criteria import ValidationError, full_decide, make_system
 from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
-                         NumericAffine, _run_trial, _snap, aa_empirical_test,
-                         find_forward_sequence, iterate, trajectory,
-                         witness_distances)
+                         NumericAffine, _run_trial, _snap, _walk,
+                         aa_empirical_test, find_forward_sequence, iterate,
+                         trajectory, witness_distances)
 from nilaa.ratlin import QMatrix
 
 F = Fraction
 JORDAN3 = QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+SKEW = QMatrix([[1, 1], [0, 1]])
 FIB = (610, 987, 1597, 2584, 4181, 6765, 10946, 17711, 28657, 46368)
 HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
 FREE23_LATTICE = QMatrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
@@ -44,6 +47,15 @@ def heis(matrix, a):
 
 def rotation(alpha):
     return torus(1, None, [alpha])
+
+
+def _walk_by_steps(affine, x, k, backward=False):
+    """T^k x (T^-k x when backward) by k single steps, no closed form."""
+    step = affine.step_back if backward else affine.step
+    p = affine.reduce(x)
+    for _ in range(k):
+        p = step(p)
+    return p
 
 
 # ---- construction ----
@@ -103,6 +115,64 @@ def test_iterate_roundtrip_long_within_tolerance():
     assert m.distance(back, x) <= 1e-9
 
 
+# T^m x for m = -60..60 from single steps; the expected reach() is the
+# number of nonzero powers N^0, N^1, .. of N = U - I
+LATTICE2 = QMatrix([[1, F(1, 2)], [0, F(1, 3)]])
+CLOSED_FORM_MAPS = {
+    "jordan3": (lambda: torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)]), 3),
+    "jordan4": (lambda: torus(4, jordan_block(4),
+                              [F(1, 6), F(5, 8), 0, F(0.2347)]), 4),
+    "skew": (lambda: torus(2, SKEW, [F(2, 9), F(3, 8)]), 2),
+    "lattice": (lambda: NumericAffine(make_system(
+        abelian(2), lattice=LATTICE2,
+        automorphism=LATTICE2 @ SKEW @ LATTICE2.inverse()),
+        [F(1, 6), F(2, 9)]), 2),
+    "translation": (lambda: torus(3, None, [F(1, 3), F(5, 8), F(0.2347)]), 1),
+    "heisenberg_translation": (lambda: heis(None, [F(2, 5), F(1, 7), F(1, 9)]),
+                               1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_MAPS))
+def test_closed_form_matches_single_steps(name):
+    build, reach = CLOSED_FORM_MAPS[name]
+    m = build()
+    assert m.reach() == reach
+    x = m.reduce([F(k + 1, 7 + 4 * k) for k in range(m.dim)])
+    for k in range(-60, 61):
+        by_steps = _walk_by_steps(m, x, abs(k), backward=k < 0)
+        assert m.jump(x, k) == by_steps
+        assert iterate(m, x, k) == by_steps
+    # one walk with gaps on both sides of reach()
+    ks = (0, 1, 2, 7, 8, 30, 31, 60)
+    assert _walk(m, x, ks) == [_walk_by_steps(m, x, k) for k in ks]
+    assert _walk(m, x, ks, backward=True) == \
+        [_walk_by_steps(m, x, k, True) for k in ks]
+
+
+def test_non_unipotent_torus_map_steps():
+    m = torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])
+    assert m.reach() is None
+    calls = []
+    step = m.step
+    m.step = lambda p: calls.append(1) or step(p)
+    x = (F(1, 8), F(3, 8))
+    assert iterate(m, x, 40) == _walk_by_steps(m, x, 40)
+    assert len(calls) == 80
+    # a non-translation of a non-abelian group steps too
+    assert heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                [0, 0, 0]).reach() is None
+
+
+def test_consecutive_indices_never_jump():
+    m = torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)])
+    m.jump = None  # a jump would fail
+    x = (F(1, 5), F(2, 5), F(3, 5))
+    assert [p for _, p in trajectory(m, x, 30)] == \
+        [_walk_by_steps(m, x, k) for k in range(31)]
+    assert iterate(m, x, 3) == _walk_by_steps(m, x, 3)
+
+
 def test_iterate_cap():
     with pytest.raises(ValueError):
         iterate(rotation(0.25), [0], 10 ** 6 + 1)
@@ -143,6 +213,52 @@ def test_torus_distance_is_circle_max_norm():
     m = torus(2, None, [0, 0])
     assert m.distance((F(9, 10), 0), (F(1, 10), 0)) == F(1, 5)
     assert m.distance((0, F(1, 4)), (0, F(3, 4))) == F(1, 2)
+
+
+SHEARED_LATTICE = QMatrix([[1, 1, 0], [0, 1, 0], [F(1, 2), 0, F(1, 2)]])
+# the Heisenberg algebra in the basis e1, e2, e1 + e2 + e3: every bracket
+# touches every coordinate, so near() has no coordinate to reject on early
+SHEAR = QMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
+NEAR_MAPS = {
+    "torus": (lambda: torus(3, None, [0, 0, 0]), 3),
+    "torus_lattice": (lambda: NumericAffine(make_system(
+        abelian(2), lattice=QMatrix([[2, 1], [F(1, 3), 1]])), [0, 0]), 2),
+    "heisenberg": (lambda: heis(None, [0, 0, 0]), 2),
+    "heisenberg_sheared_lattice": (lambda: NumericAffine(make_system(
+        heisenberg(), lattice=SHEARED_LATTICE), [0, 0, 0]), 2),
+    "heisenberg_sheared": (lambda: NumericAffine(make_system(
+        change_of_basis(heisenberg(), SHEAR),
+        lattice=QMatrix([[1, 0, F(-1, 2)], [0, 1, F(-1, 2)],
+                         [0, 0, F(1, 2)]])), [0, 0, 0]), 0),
+    "free23_central": (lambda: NumericAffine(
+        nio.parse_system(nio.corpus_file("free_nilpotent_2_3_central.json")),
+        [0, 0, 0, F(0.2347), 0]), 2),
+}
+EPSILONS = [F(1, 2 ** k) for k in range(1, 13)] + [F(3, 4)]
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MAPS))
+def test_near_is_distance_below_eps(name):
+    build, early = NEAR_MAPS[name]
+    m = build()
+    # the coordinates near() can reject on before the group product
+    assert len(m._early) == early
+    rng = random.Random(name)
+    den = 2 ** 14
+    answers = []
+    for n in range(240):
+        eps = rng.choice(EPSILONS)
+        x = m.reduce([F(rng.randrange(den), den) for _ in range(m.dim)])
+        if n % 2:
+            # close: each coordinate within 6 eps / 5, ties at eps included
+            y = [a + eps * F(rng.randrange(-12, 13), 10) for a in x]
+        else:
+            y = [F(rng.randrange(-den, 2 * den), den) for _ in range(m.dim)]
+        if n % 4 < 2:
+            y = m.reduce(y)
+        answers.append(m.near(x, y, eps))
+        assert answers[-1] == (m.distance(x, y) < eps)
+    assert 40 < sum(answers) < 200  # both answers are common
 
 
 # ---- find_forward_sequence ----
@@ -292,19 +408,20 @@ def test_heisenberg_maps_run_consistent():
 
 
 def _run_trial_per_index(affine, probe, eps, horizon):
-    """The trial with every T^k probe and T^-k target iterated from scratch."""
+    """The trial from single steps only: the returns by brute force, and
+    every T^k probe and T^-k target stepped from scratch."""
     probe = affine.reduce(probe)
-    try:
-        seq = find_forward_sequence(affine, probe, probe, eps, horizon,
-                                    start=1)
-    except NotFound:
+    seq = brute_force_sequence(affine, probe, probe, eps, horizon, 1, 10)
+    if not seq:
         return None, False
-    target = _snap(iterate(affine, probe, seq[0]))
+    target = _snap(_walk_by_steps(affine, probe, seq[0]))
     eps = F(eps)
-    fwd = max(affine.distance(iterate(affine, probe, k), target) for k in seq)
+    fwd = max(affine.distance(_walk_by_steps(affine, probe, k), target)
+              for k in seq)
     if fwd >= eps:
         return None, True
-    bwd = max(affine.distance(iterate(affine, target, -k), probe) for k in seq)
+    bwd = max(affine.distance(_walk_by_steps(affine, target, k, True), probe)
+              for k in seq)
     if bwd <= 10 * eps:
         return None, True
     return (probe, target, seq, float(fwd), float(bwd)), True
@@ -317,7 +434,8 @@ def test_run_trial_walks_to_the_per_index_answer():
             torus(3, JORDAN3, [0.25, 0, 0.5]),
             heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0, 0]),
             heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0.25, 0.1]),
-            heis(None, [0.5, 0.25, 0.23])]
+            heis(None, [0.5, 0.25, 0.23]),
+            torus(2, None, [0.3, F(1, 8)])]
     rng = random.Random(31)
     outcomes = set()
     for m in maps:
@@ -389,3 +507,48 @@ def test_simulate_block_values_drive_the_free_quotient(tmp_path):
     affine, _, _ = _numeric_map(nio.parse_system(path))
     assert affine.translation == (0, 0, 0, F(3, 7), 0)
     assert ncli._simulate_result(path)["status"] == CONSISTENT
+
+
+# ---- closed form and dump through the CLI ----
+
+CAT_MAP_SIMULATE = """{
+  "certificate": null,
+  "criterion": "simulate",
+  "notes": [
+    "trials = 2, horizon = 300, eps = 0.015625, seed = 4",
+    "forward returns found for 1 of 2 probes",
+    "a Falsified verdict is conclusive up to rounding; ConsistentWithAA is evidence, not proof"
+  ],
+  "status": "ConsistentWithAA"
+}
+"""
+
+
+def test_simulate_non_unipotent_torus_map_bytes(tmp_path, capsys):
+    # frozen from the stepwise oracle before the closed form existed
+    raw = {"name": "cat_map", "dim": 2, "params": ["t", "s"],
+           "structure_constants": [],
+           "automorphism": [["2", "1"], ["1", "1"]], "translation": ["t", "s"],
+           "simulate": {"values": {"t": "1/7", "s": "2/9"},
+                        "probe": ["1/8", "3/8"], "eps": "1/64",
+                        "horizon": 300, "trials": 2, "seed": 4}}
+    path = tmp_path / "cat_map.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert ncli.main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().out == CAT_MAP_SIMULATE
+
+
+@pytest.mark.parametrize("name", ["torus_jordan3.json", "torus_skew.json"])
+def test_dump_matches_a_stepwise_trajectory(name, tmp_path):
+    path = nio.corpus_file(name)
+    out = tmp_path / "orbit.csv"
+    ncli._simulate_result(path, dump=str(out))
+    affine, probes, config = _numeric_map(nio.parse_system(path))
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["k"] + [f"x{i + 1}" for i in range(affine.dim)])
+    p = affine.reduce(probes[0])
+    for k in range(config.get("dump_steps", 200) + 1):
+        writer.writerow([k] + [float(v) for v in p])
+        p = affine.step(p)
+    assert out.read_bytes().decode("utf-8") == expect.getvalue()
