@@ -138,8 +138,13 @@ def _suspend_result(path, out) -> dict:
 
 
 def _number(value, what: str, kind=Fraction):
-    """value as a Fraction (or int); ValueError naming the setting if not."""
+    """value as a Fraction (or int); ValueError naming the setting if not.
+
+    A JSON boolean is not a number here, although Python's bool is an int.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"simulate {what} must be a number, "

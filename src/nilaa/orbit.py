@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from operator import add
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .lattice import CosetReducer
@@ -62,6 +62,11 @@ class NumericAffine:
     (sum_j C(m, j+1) N^j a) * (sum_j C(m, j) N^j x) for every integer m,
     negative m included (a polynomial sequence, Leibman 1998).  Every
     other map steps.
+
+    A pure translation also rotates its torus factor: the lattice
+    coordinates that near() reads before any group product.  Scans run on
+    that rotation in integers (_TorusFactor) and jump to T^k x only where
+    it cannot reject.
     """
 
     def __init__(self, system, translation):
@@ -207,6 +212,12 @@ class NumericAffine:
         the first one under it.
         """
         x, y = _point(x), _point(y)
+        return not self._rejects_early(x, y, eps) and \
+            self._least(x, y, eps) < eps
+
+    def _rejects_early(self, x, y, eps) -> bool:
+        """near()'s first phase: some coordinate i of _early puts every
+        candidate at eps or beyond, read from x - y without a product."""
         diff, rounded = {}, {}
         for i, row, reads, values, spare in self._early:
             for k in reads:
@@ -218,8 +229,8 @@ class NumericAffine:
             r = diff[i] - dot(row, rounded)
             if abs(r) >= eps and (eps <= spare or
                                   all(abs(r - m) >= eps for m in values)):
-                return False
-        return self._least(x, y, eps) < eps
+                return True
+        return False
 
     def _least(self, x, y, bound) -> Fraction:
         """The least candidate value, or with a bound the first one under
@@ -255,6 +266,51 @@ class NumericAffine:
         for shift in self._shifts:
             best = min(best, max(abs(a - s) for a, s in zip(r, shift)))
         return best
+
+
+class _TorusFactor:
+    """near()'s first phase in integers, on the lattice coordinates it reads.
+
+    Those lattice coordinates c_j are read off coordinates that no bracket
+    or shift touches, so a pure translation adds c_j(a) to them and a
+    reduction adds an integer.  On the orbit of a reduced point x under
+    the translation by a, every c_j lies in [0, 1) and is a multiple of
+    1/den, den the lcm of eps's denominator and those of the c_j of the
+    given points (x, a and the target), so a state holds the integers
+    den * c_j.  It holds c_j, not its class mod 1: round() breaks a tie at
+    1/2 by parity.
+    """
+
+    def __init__(self, affine: NumericAffine, eps: Fraction, points):
+        coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
+        self._rows = [affine._coord_rows[j] for j in coords]
+        self.den = den = math.lcm(eps.denominator, *(
+            dot(row, p).denominator for row in self._rows for p in points))
+        self._tests = []
+        for _, row, _, values, spare in affine._early:
+            row = [(coords.index(j), 1 if c is None else c) for j, c in row]
+            scale = math.lcm(*(c.denominator for _, c in row))
+            self._tests.append(([(j, int(c * scale)) for j, c in row],
+                                int(eps * scale * den), eps <= spare,
+                                [int(m * scale * den) for m in values]))
+
+    def state(self, p) -> list:
+        """den * c_j(p) for the factor's coordinates j."""
+        return [int(dot(row, p) * self.den) for row in self._rows]
+
+    def rejects(self, s, t) -> bool:
+        """near()'s first phase on the points of states s and t, as den
+        times its value: c_j - round(c_j) of the difference is s_j - t_j
+        less den where that exceeds den / 2, plus den below -den / 2."""
+        den, half = self.den, self.den // 2
+        gap = [e - den if e > half else e + den if e < -half else e
+               for e in map(sub, s, t)]
+        for row, bound, beyond, moves in self._tests:
+            r = sum(c * gap[j] for j, c in row)
+            if abs(r) >= bound and (beyond or
+                                    all(abs(r - m) >= bound for m in moves)):
+                return True
+        return False
 
 
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
@@ -323,11 +379,14 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     Returns up to `limit` indices in increasing order.  For pure
     translations of an abelian group the continued-fraction convergent
     denominators of the translation's lattice coordinates are tried first,
-    each by one closed-form jump; a plain incremental scan covers every
-    other case and stops after one period once the exact orbit returns to
-    x.  Each point is tested with NumericAffine.near, which decides only
-    whether the distance is under eps.  Deterministic in (map, x, y, eps,
-    horizon).  Raises NotFound when nothing is found.
+    each by one closed-form jump.  Otherwise an incremental scan runs, and
+    stops after one period once the exact orbit returns to x.  A pure
+    translation scans its torus factor in integers, one addition per k,
+    and jumps to T^k x only where the factor cannot reject or is back at
+    x's; every other map steps.  Each point is tested with
+    NumericAffine.near, which decides only whether the distance is under
+    eps.  Deterministic in (map, x, y, eps, horizon).  Raises NotFound
+    when nothing is found.
     """
     return tuple(k for k, _ in _returns(affine, x, y, eps, horizon,
                                         start, limit))
@@ -335,7 +394,13 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
 
 def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
              limit: int) -> list:
-    """The pairs (k, T^k x) for the indices of find_forward_sequence."""
+    """The pairs (k, T^k x) for the indices of find_forward_sequence.
+
+    The points are those the scan visits (_orbit): every T^k x for a map
+    that steps, and for a pure translation the ones its torus factor keeps,
+    which include every return and every T^k x equal to x, so the period
+    is found as by stepping.
+    """
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -345,6 +410,8 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     hits = []  # (k, T^k x), k increasing
     if start <= 0 and affine.near(x, y, eps):
         hits.append((0, x))
+        if len(hits) >= limit:
+            return hits
     lo = max(start, 1)
     if affine.is_pure_translation() and affine.group.spec.abelian():
         candidates = set()
@@ -363,18 +430,17 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     # step is a function of the exact point, so once T^period x == x the
     # orbit repeats: one scanned window of `period` indices gives the rest
     period = None
-    p, k = x, 0
-    while k <= horizon and (period is None or k < lo + period):
+    for k, p in _orbit(affine, x, y, eps, horizon):
+        if period is not None and k >= lo + period:
+            break
         if k >= lo and affine.near(p, y, eps):
             hits.append((k, p))
             if len(hits) >= limit:
                 return hits
-        k += 1
-        p = affine.step(p)
         if period is None and p == x:
             period = k
     window = [(h, q) for h, q in hits if h >= lo]
-    if k <= horizon and window:
+    if period is not None and lo + period <= horizon and window:
         for shift in count(period, period):
             for h, q in window:
                 if h + shift > horizon:
@@ -385,6 +451,32 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     if not hits:
         raise NotFound(f"no return within horizon {horizon}")
     return hits
+
+
+def _orbit(affine: NumericAffine, x, y, eps, horizon: int):
+    """(k, T^k x) for k = 1..horizon, leaving out each k at which the torus
+    factor of a pure translation shows that T^k x is neither within eps of
+    y nor equal to x.
+
+    A map with no such factor steps to every k.  A pure translation
+    advances its factor by one integer addition mod den per k and reaches
+    the points left in by one closed-form jump each.
+    """
+    if not (affine.is_pure_translation() and affine._early):
+        p = x
+        for k in range(1, horizon + 1):
+            p = affine.step(p)
+            yield k, p
+        return
+    factor = _TorusFactor(affine, eps, (x, y, affine.translation))
+    den = factor.den
+    start, target = factor.state(x), factor.state(y)
+    drift = [c % den for c in factor.state(affine.translation)]
+    s = start
+    for k in range(1, horizon + 1):
+        s = [(c + a) % den for c, a in zip(s, drift)]
+        if s == start or not factor.rejects(s, target):
+            yield k, affine.jump(x, k)
 
 
 def _snap(point) -> tuple:
@@ -418,15 +510,17 @@ def witness_distances(affine: NumericAffine, probe, target,
     """Recompute (forward, backward) distances of a witness from scratch.
 
     forward = max over k in the sequence of dist(T^k probe, target);
-    backward = max over k of dist(T^-k target, probe).
+    backward = max over k of dist(T^-k target, probe).  The indices k >= 0
+    are visited in one walk along each orbit.
     """
     probe = affine.reduce(probe)
     target = affine.reduce(target)
-    fwd = Fraction(0)
-    bwd = Fraction(0)
-    for k in sequence:
-        fwd = max(fwd, affine.distance(iterate(affine, probe, k), target))
-        bwd = max(bwd, affine.distance(iterate(affine, target, -k), probe))
+    ks = sorted(sequence)
+    fwd = max((affine.distance(p, target) for p in _walk(affine, probe, ks)),
+              default=Fraction(0))
+    bwd = max((affine.distance(p, probe)
+               for p in _walk(affine, target, ks, backward=True)),
+              default=Fraction(0))
     return float(fwd), float(bwd)
 
 

@@ -575,11 +575,28 @@ def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,
      "simulate dump_steps must be between 0 and 1000000, got -1"),
     ({"values": {"t": "1/3"}, "dump_steps": 10 ** 7}, ("--dump", "{tmp}"),
      "simulate dump_steps must be between 0 and 1000000, got 10000000"),
+    # JSON booleans are not numbers, though Python's bool is an int
+    ({"values": {"t": "1/3"}, "eps": True}, (),
+     "simulate eps must be a number, got True"),
+    ({"values": {"t": "1/3"}, "horizon": True}, (),
+     "simulate horizon must be a number, got True"),
+    ({"values": {"t": "1/3"}, "trials": True}, (),
+     "simulate trials must be a number, got True"),
+    ({"values": {"t": "1/3"}, "seed": False}, (),
+     "simulate seed must be a number, got False"),
+    ({"values": {"t": True}}, (),
+     "simulate value of t must be a number, got True"),
+    ({"values": {"t": "1/3"}, "probe": [False]}, (),
+     "simulate probe entry must be a number, got False"),
+    ({"values": {"t": "1/3"}, "dump_steps": True}, ("--dump", "{tmp}"),
+     "simulate dump_steps must be a number, got True"),
 ], ids=["null-value", "zero-denominator-value", "values-list", "null-probe",
         "eps-text", "eps-zero", "eps-inf", "horizon-text", "seed-null",
         "trials-list", "dump-steps-text", "horizon-past-cap",
         "horizon-negative", "horizon-zero", "trials-negative", "trials-zero",
-        "dump-steps-negative", "dump-steps-past-cap"])
+        "dump-steps-negative", "dump-steps-past-cap", "eps-bool",
+        "horizon-bool", "trials-bool", "seed-bool", "value-bool",
+        "probe-bool", "dump-steps-bool"])
 def test_cli_simulate_rejects_malformed_values(capsys, tmp_path, simulate,
                                                argv, note):
     path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],

@@ -21,9 +21,10 @@ from nilaa import io as nio
 from nilaa.cli import _numeric_map
 from nilaa.criteria import ValidationError, full_decide, make_system
 from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
-                         NumericAffine, _run_trial, _snap, _walk,
-                         aa_empirical_test, find_forward_sequence, iterate,
-                         trajectory, witness_distances)
+                         NumericAffine, _convergent_denominators,
+                         _run_trial, _snap, _TorusFactor, _walk,
+                         aa_empirical_test, find_forward_sequence,
+                         iterate, trajectory, witness_distances)
 from nilaa.ratlin import QMatrix
 
 F = Fraction
@@ -294,7 +295,7 @@ def brute_force_sequence(affine, x, y, eps, horizon, start, limit):
 
 
 @pytest.mark.parametrize("kind", ["skew", "heisenberg"])
-def test_periodic_orbit_scan_matches_brute_force(kind):
+def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     # both maps return to x exactly after 5 steps (x1 gains 2/5 per step)
     if kind == "skew":
         m = torus(2, QMatrix([[1, 1], [0, 1]]), [F(2, 5) - F(1, 8), 0])
@@ -325,15 +326,147 @@ def test_periodic_orbit_scan_matches_brute_force(kind):
                                           start=start, limit=limit)
             compared += 1
     assert compared == 48
-    # a long horizon costs one period of steps, not the horizon
-    steps = []
-    step = m.step
-    m.step = lambda p: steps.append(1) or step(p)
+    # a long horizon costs one period of steps, not the horizon; the
+    # Heisenberg translation jumps to the points its torus factor keeps,
+    # and its factor stops at the second factor period
+    points, tests = [], []
+    step, jump = m.step, m.jump
+    m.step = lambda p: points.append(1) or step(p)
+    m.jump = lambda p, k: points.append(1) or jump(p, k)
+    rejects = _TorusFactor.rejects
+    monkeypatch.setattr(_TorusFactor, "rejects",
+                        lambda *args: tests.append(1) or rejects(*args))
     assert find_forward_sequence(m, x, x, F(1, 100), 10 ** 6, start=1,
                                  limit=4) == (5, 10, 15, 20)
     with pytest.raises(NotFound):
         find_forward_sequence(m, x, targets[3][0], F(1, 100), 10 ** 6)
-    assert len(steps) <= 2 * 6
+    assert 0 < len(points) <= 2 * 6
+    assert len(tests) == (0 if kind == "skew" else 2 * 8)
+
+
+# pure translations whose scan runs on the torus factor, with a probe:
+# - Heisenberg with diag(1, 1, 1/2);
+# - Heisenberg with a lattice whose first basis row reads two lattice
+#   coordinates, and its image HALF_LATTICE, where that row has entries
+#   1/2, so the neighbour moves on it are 1/2 and 1;
+# - the free class-3 quotient;
+# - 2-tori whose convergent denominators 2, 3, 5 miss the period 15, with
+#   the identity lattice and with one where a tie of round() changes the
+#   nearest translate;
+# - a Heisenberg map whose period 15 is three times its factor's.
+TORUS_LATTICE = QMatrix([[2, 1], [F(1, 3), 1]])
+# SHEARED_LATTICE under the automorphism diag(1/2, 1, 1/2)
+HALF_LATTICE = QMatrix([[F(1, 2), F(1, 2), 0], [0, 1, 0],
+                        [F(1, 4), 0, F(1, 4)]])
+FACTOR_MAPS = {
+    "heisenberg": (lambda: heis(None, [F(3, 8), F(1, 6), F(1, 9)]),
+                   (F(1, 5), F(1, 3), F(1, 7))),
+    "heisenberg_sheared_lattice": (lambda: NumericAffine(make_system(
+        heisenberg(), lattice=SHEARED_LATTICE), [F(1, 4), F(2, 3), F(1, 5)]),
+        (F(1, 2), F(1, 4), F(3, 8))),
+    "heisenberg_half_lattice": (lambda: NumericAffine(make_system(
+        heisenberg(), lattice=HALF_LATTICE), [F(1, 7), F(2, 3), F(1, 5)]),
+        (F(1, 9), F(1, 4), F(3, 8))),
+    "free23_central": (lambda: NumericAffine(
+        nio.parse_system(nio.corpus_file("free_nilpotent_2_3_central.json")),
+        [F(2, 7), F(1, 3), F(1, 5), F(1, 11), 0]),
+        (F(1, 7), F(2, 7), F(3, 7), F(1, 11), F(5, 13))),
+    "torus_convergents_miss": (lambda: torus(2, None, [F(1, 3), F(2, 5)]),
+                               (F(1, 8), F(5, 8))),
+    "torus_lattice_convergents_miss": (lambda: NumericAffine(make_system(
+        abelian(2), lattice=TORUS_LATTICE),
+        TORUS_LATTICE.matvec([F(1, 3), F(2, 5)])), (F(1, 8), F(5, 8))),
+    "heisenberg_period_multiple": (lambda: heis(None, [F(2, 5), 0, F(1, 3)]),
+                                   (F(3, 16), F(1, 4), F(1, 32))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MAPS))
+def test_factor_scan_matches_brute_force(name):
+    build, x = FACTOR_MAPS[name]
+    m = build()
+    assert m.is_pure_translation() and m._early
+    x = m.reduce(x)
+    if name == "heisenberg_period_multiple":
+        assert iterate(m, x, 15) == x and iterate(m, x, 5) != x
+        assert m.lattice.to_coords(iterate(m, x, 5))[:2] == \
+            m.lattice.to_coords(x)[:2]
+    if m.group.spec.abelian():
+        assert iterate(m, x, 15) == x
+    rng = random.Random(name)
+    eps = F(1, 10)
+    # a target at distance exactly eps from T^2 x, and one whose first two
+    # lattice coordinates are 1/2 off those of T^4 x (a rounding tie)
+    tie = m.group.mult_vec(iterate(m, x, 2), [eps] + [0] * (m.dim - 1))
+    assert m.distance(iterate(m, x, 2), m.reduce(tie)) == eps
+    half = m.lattice.from_coords([F(1, 2)] * 2 + [0] * (m.dim - 2))
+    targets = [(x, eps), (iterate(m, x, 3), eps), (tie, eps),
+               (m.group.mult_vec(iterate(m, x, 4), half), F(1, 2)),
+               (m.group.mult_vec(iterate(m, x, 4), half), F(3, 4)),
+               ([F(rng.randrange(64), 64) for _ in range(m.dim)], F(1, 4))]
+    if m.group.spec.abelian():
+        # keep the targets that every convergent-denominator try misses
+        tries = {q for a in m.lattice.to_coords(m.translation)
+                 for q in _convergent_denominators(a, 45)}
+        assert tries == {2, 3, 5}
+        targets = [(y, eps) for y, eps in targets
+                   if not any(m.near(iterate(m, x, q), m.reduce(y), eps)
+                              for q in tries)]
+        assert (tie, F(1, 10)) in targets
+    expected = [(y, eps, brute_force_sequence(m, x, y, eps, 45, 0, None))
+                for y, eps in targets]
+    m.step = None  # the scan must not step
+    seen = set()
+    for y, eps, every in expected:
+        for start, limit, horizon in itertools.product(
+                (0, 1, 5, 13), (1, 3, 10), (0, 4, 16, 45)):
+            expect = tuple(k for k in every if start <= k <= horizon)[:limit]
+            try:
+                got = find_forward_sequence(m, x, y, eps, horizon,
+                                            start=start, limit=limit)
+            except NotFound:
+                got = ()
+            assert got == expect, (y, eps, start, limit, horizon)
+            seen.add("none" if not got else "zero" if got[0] == 0 else "hit")
+    assert seen == {"none", "zero", "hit"}
+
+
+def test_heisenberg_translation_simulate_never_steps(monkeypatch):
+    calls = []
+    step = NumericAffine.step
+    monkeypatch.setattr(NumericAffine, "step",
+                        lambda self, p: calls.append(1) or step(self, p))
+    result = ncli._simulate_result(
+        nio.corpus_file("heisenberg_translation.json"))
+    assert result["status"] == CONSISTENT
+    assert "forward returns found for 2 of 2 probes" in result["notes"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MAPS))
+def test_factor_rejection_is_the_early_phase_of_near(name):
+    build, _ = FACTOR_MAPS[name]
+    m = build()
+    rng = random.Random(name)
+    den = 2 ** 14
+    answers = []
+    for n in range(240):
+        eps = rng.choice(EPSILONS)
+        x = m.reduce([F(rng.randrange(den), den) for _ in range(m.dim)])
+        if n % 2:
+            # close: each coordinate within 6 eps / 5, ties at eps included
+            y = [a + eps * F(rng.randrange(-12, 13), 10) for a in x]
+        elif n % 4 == 2:
+            # lattice coordinates off by 0 or 1/2: ties of round()
+            y = m.group.mult_vec(x, m.lattice.from_coords(
+                [F(rng.randrange(-1, 2), 2) for _ in range(m.dim)]))
+        else:
+            y = [F(rng.randrange(den), den) for _ in range(m.dim)]
+        y = m.reduce(y)
+        factor = _TorusFactor(m, eps, (x, y))
+        answers.append(factor.rejects(factor.state(x), factor.state(y)))
+        assert answers[-1] == m._rejects_early(x, y, eps)
+    assert 40 < sum(answers) < 200  # both answers are common
 
 
 def test_sequence_is_deterministic():
@@ -361,6 +494,26 @@ def test_jordan3_probe_is_falsified_with_frozen_witness():
     assert w.forward_distance < 1e-3
     assert abs(w.backward_distance - 0.475146484375) < 1e-12
     assert w.backward_distance > 10 * report.epsilon_forward
+
+
+@pytest.mark.parametrize("kind", ["skew", "heisenberg"])
+def test_witness_distances_walk_once_per_orbit(kind):
+    if kind == "skew":
+        m = torus(2, SKEW, [F(2, 9), F(3, 8)])
+    else:
+        m = heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                 [F(1, 5), F(2, 7), F(1, 3)])
+    rng = random.Random(kind)
+    for _ in range(6):
+        # off the fundamental domain: the distances take reduced points
+        probe = [F(rng.randrange(-256, 512), 256) for _ in range(m.dim)]
+        target = [F(rng.randrange(-256, 512), 256) for _ in range(m.dim)]
+        seq = tuple(sorted(rng.sample(range(1, 80), 5)))
+        rp, rt = m.reduce(probe), m.reduce(target)
+        fwd = max(m.distance(iterate(m, rp, k), rt) for k in seq)
+        bwd = max(m.distance(iterate(m, rt, -k), rp) for k in seq)
+        assert witness_distances(m, probe, target, seq) == \
+            (float(fwd), float(bwd))
 
 
 def test_falsification_witness_revalidates():
