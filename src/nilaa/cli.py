@@ -137,18 +137,25 @@ def _suspend_result(path, out) -> dict:
     return nio.make_verdict_dict(nio.PASS, "suspend", None, notes)
 
 
-def _number(value, what: str, kind=Fraction):
-    """value as a Fraction (or int); ValueError naming the setting if not.
+def _number(value, what: str, integer: bool = False):
+    """value as a Fraction, or as an int when integer; ValueError naming
+    the setting if it is not one.
 
-    A JSON boolean is not a number here, although Python's bool is an int.
+    A JSON boolean is not a number here, although Python's bool is an int,
+    and a non-integral value is not truncated to an integer setting.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
-        return kind(value)
+        number = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"simulate {what} must be a number, "
                          f"got {value!r}") from None
+    if not integer:
+        return number
+    if number.denominator != 1:
+        raise ValueError(f"simulate {what} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _numeric_map(system) -> tuple:
@@ -190,15 +197,17 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
         if eps <= 0:
             raise ValueError("simulate eps must be positive")
         horizon = _number(horizon if horizon is not None
-                          else config.get("horizon", 10 ** 5), "horizon", int)
+                          else config.get("horizon", 10 ** 5), "horizon",
+                          integer=True)
         seed = _number(seed if seed is not None else config.get("seed", 0),
-                       "seed", int)
+                       "seed", integer=True)
         trials = _number(trials if trials is not None
-                         else config.get("trials", 5), "trials", int)
+                         else config.get("trials", 5), "trials",
+                         integer=True)
         if trials < 1:
             raise ValueError("simulate trials must be at least 1")
         steps = 0 if dump is None else _number(config.get("dump_steps", 200),
-                                               "dump_steps", int)
+                                               "dump_steps", integer=True)
         # the orbit oracle walks at most ITERATE_CAP steps from a point
         for what, value, low in (("horizon", horizon, 1),
                                  ("dump_steps", steps, 0)):

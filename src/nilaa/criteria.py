@@ -196,7 +196,11 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
     Runs, in order: algebra validation (Jacobi, nilpotency), lattice closure
     under the group law, the automorphism property of the matrix, and
     preservation of the lattice.  The first failure raises ValidationError
-    naming the check.
+    naming the check.  The bracket checks walk the nonzero structure
+    constants only.  On an abelian algebra two facts hold by structure
+    and cost nothing: every additive lattice is closed (the law is a sum)
+    and every matrix of the right shape is an automorphism, so there the
+    lattice check alone can reject the matrix.
     """
     d = algebra.dim
     try:

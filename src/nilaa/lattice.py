@@ -8,7 +8,12 @@ the basis xi_1, xi_2, xi_3/2).  Validation decides this exactly: the group
 law in lattice coordinates is one polynomial map on Z^d x Z^d, and it is
 integer-valued there if and only if its coefficients in the basis of
 products of binomial coefficients are integers.  It is computed on the
-Hermite basis of the span, which is triangular whatever basis is given.
+Hermite basis of the span, which is triangular whatever basis is given;
+a basis that is already its own Hermite basis is used as it is.  On an
+abelian algebra the law is m + n, so closure holds by structure and no
+product is expanded.  The central lattice vectors are the integer kernel
+of the centre equations, built from the nonzero structure constants
+only; on a torus every lattice vector is central.
 
 Coset reduction produces canonical fundamental-domain representatives by
 greedily clearing lattice coordinates in an order along which right
@@ -24,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .nilalg import _centre_rows
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
 from .ratlin import QMatrix, dot, integer_kernel, to_fraction, zspan_basis
@@ -143,15 +149,17 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice
     under BCH.
 
     Closure depends on the span only, so the check runs on its Hermite
-    basis H (lower triangular, positive pivots, reduced entries; a positive
-    diagonal basis is its own), which keeps the symbolic product sparse
-    however dense the given basis is.  One symbolic product gives the
-    group law in H coordinates, P(m, n) = H^-1 bch(H m, H n), over the
+    basis H (lower triangular, positive pivots, reduced entries), which
+    keeps the symbolic product sparse however dense the given basis is.
+    A basis that is its own Hermite basis, such as a positive diagonal
+    one, is used as given, with its inverse.  One symbolic product gives
+    the group law in H coordinates, P(m, n) = H^-1 bch(H m, H n), over the
     parameters m1..md, n1..nd.  Each coordinate is written in the basis of
     products of binomials C(z_i, J_i) over z = (m, n).  A rational
     polynomial takes integer values on all of Z^2d if and only if every
     such coefficient is an integer (Polya), so this is a finite
-    certificate of closure; (H, P) is returned on success.
+    certificate of closure; (H, P) is returned on success.  On an abelian
+    algebra P(m, n) = m + n, returned without a product.
 
     A failure raises LatticeClosureError, with the witness in the given
     generators.  It is the first signed generator pair whose product
@@ -162,9 +170,14 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice
     if lattice.dim != group.dim:
         raise ValueError("lattice dimension does not match the algebra")
     d = group.dim
-    hermite = LogLattice.from_columns(zspan_basis(lattice.basis.columns(), d))
+    if _is_hermite(lattice.basis):
+        hermite = lattice
+    else:
+        hermite = LogLattice.from_columns(zspan_basis(lattice.basis.columns(), d))
     params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
     z = [Poly.variable(name, params) for name in params]
+    if group.spec.abelian():  # the law is m + n: every additive lattice is closed
+        return hermite, ParamVector(params, z[:d]) + ParamVector(params, z[d:])
     x = hermite.basis.apply(ParamVector(params, z[:d]))
     y = hermite.basis.apply(ParamVector(params, z[d:]))
     law = hermite._inverse.apply(group.mult(x, y))
@@ -190,6 +203,13 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice
         lattice.to_coords(group.mult_vec(u, v)))
 
 
+def _is_hermite(basis: QMatrix) -> bool:
+    """Is the invertible basis its own Hermite basis: lower triangular,
+    with positive diagonal and each entry left of it in [0, diagonal)?"""
+    return all(0 <= x < row[i] if j < i else (x > 0 if j == i else not x)
+               for i, row in enumerate(basis.entries) for j, x in enumerate(row))
+
+
 def preserves_lattice(matrix: QMatrix, lattice: LogLattice
                       ) -> tuple[bool, str | None, QMatrix]:
     """Does the automorphism map the lattice onto itself?
@@ -208,12 +228,16 @@ def preserves_lattice(matrix: QMatrix, lattice: LogLattice
 
 def central_lattice_basis(group: NilpotentGroup, lattice: LogLattice
                           ) -> list[tuple[Fraction, ...]]:
-    """Basis of the group of lattice vectors lying in the center."""
-    d = group.dim
-    rows = []
-    for i in range(d):
-        unit = tuple(Fraction(int(k == i)) for k in range(d))
-        rows.extend(group.spec.ad_matrix(unit).entries)
+    """Basis of the group of lattice vectors lying in the center.
+
+    The integer kernel of the stacked ad-matrices in lattice coordinates,
+    built from their nonzero rows only: a zero row costs the Hermite
+    reduction no column operation, so the basis is the same.  On an
+    abelian algebra every lattice vector is central.
+    """
+    rows = _centre_rows(group.spec)
+    if not rows:
+        return [lattice.generator(j) for j in range(lattice.dim)]
     stacked = QMatrix(rows) @ lattice.basis
     return [lattice.from_coords(n) for n in integer_kernel(stacked)]
 

@@ -5,6 +5,11 @@ xi_1, ..., xi_d.  Validation checks antisymmetry (by construction), the
 Jacobi identity on basis triples, and nilpotency via the lower central
 series.  Brackets are bilinear over the polynomial layer, so elements whose
 coordinates carry symbolic translation parameters bracket exactly.
+
+Every loop here (brackets, Jacobi, the lower central series, ad-matrices,
+the centre equations, the automorphism check) walks the nonzero structure
+constants only, never all d^2 basis pairs.  On an abelian algebra every
+matrix of the right shape is an automorphism.
 """
 
 from __future__ import annotations
@@ -129,9 +134,18 @@ class LieAlgebraSpec:
         return _vector(v.params, tuple(_cleaned(v.params, acc) for acc in out))
 
     def ad_matrix(self, v: Sequence[object]) -> QMatrix:
-        """Matrix of ad_v = [v, .] on the basis (rational v)."""
-        cols = [self.bracket_vec(v, _unit(self.dim, j)) for j in range(self.dim)]
-        return QMatrix.from_columns(cols)
+        """Matrix of ad_v = [v, .] on the basis (rational v): entry (k, j)
+        is the sum of v_i c_ijk over the nonzero structure constants."""
+        if len(v) != self.dim:
+            raise ValueError("vector has wrong dimension")
+        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for i, x in enumerate(v):
+            if x:
+                x = to_fraction(x)
+                for j, terms in self._brackets[i].items():
+                    for k, c in terms:
+                        rows[k][j] += x * c
+        return QMatrix(rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraSpec):
@@ -142,10 +156,6 @@ class LieAlgebraSpec:
         return f"LieAlgebraSpec(dim={self.dim}, {len(self.table)} nonzero brackets)"
 
 
-def _unit(dim: int, j: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(i == j)) for i in range(dim))
-
-
 def validate_algebra(spec: LieAlgebraSpec) -> tuple[int, list[QSubspace]]:
     """Check Jacobi and nilpotency.
 
@@ -154,7 +164,6 @@ def validate_algebra(spec: LieAlgebraSpec) -> tuple[int, list[QSubspace]]:
     one.  Raises JacobiViolation or NotNilpotent.
     """
     d = spec.dim
-    units = [_unit(d, i) for i in range(d)]
     for triple in _jacobi_candidates(spec):
         residual = _jacobi_residual(spec, *triple)
         if any(residual):
@@ -169,13 +178,36 @@ def validate_algebra(spec: LieAlgebraSpec) -> tuple[int, list[QSubspace]]:
         if nxt.dim == series[-1].dim:
             raise NotNilpotent(f"lower central series stabilizes at dimension {nxt.dim}")
         series.append(nxt)
-        gens = []
-        for b in nxt.basis:
-            for u in units:
-                w = spec.bracket_vec(u, b)
-                if any(w):
-                    gens.append(w)
+        gens = [w for b in nxt.basis for w in _ad_images(spec, b)]
     return len(series), series
+
+
+def _ad_images(spec: LieAlgebraSpec, b: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The nonzero brackets [xi_a, b] in the order of a, each summed over
+    the nonzero structure constants [xi_a, xi_j] with b_j nonzero."""
+    brackets = spec._brackets
+    images: dict[int, list[Fraction]] = {}
+    for j, y in enumerate(b):
+        if y:
+            for a in brackets[j]:
+                acc = images.setdefault(a, [_ZERO] * spec.dim)
+                for k, c in brackets[a][j]:
+                    acc[k] += y * c
+    return [images[a] for a in sorted(images) if any(images[a])]
+
+
+def _centre_rows(spec: LieAlgebraSpec) -> list[tuple[Fraction, ...]]:
+    """The nonzero rows of ad xi_1, ..., ad xi_d stacked in that order:
+    row (i, k) holds c_ijk over j, so v is central exactly when every row
+    has zero dot product with v.  Empty on an abelian algebra."""
+    rows = []
+    for row in spec._brackets:
+        by_k: dict[int, list[Fraction]] = {}
+        for j, terms in row.items():
+            for k, c in terms:
+                by_k.setdefault(k, [_ZERO] * spec.dim)[j] = c
+        rows.extend(tuple(by_k[k]) for k in sorted(by_k))
+    return rows
 
 
 def _jacobi_candidates(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
@@ -241,13 +273,8 @@ def derived_subalgebra(spec: LieAlgebraSpec) -> QSubspace:
 
 def is_ideal(spec: LieAlgebraSpec, subspace: QSubspace) -> bool:
     """Is [g, W] contained in W?"""
-    d = spec.dim
-    for b in subspace.basis:
-        for i in range(d):
-            w = spec.bracket_vec(_unit(d, i), b)
-            if any(w) and not subspace.contains(w):
-                return False
-    return True
+    return all(subspace.contains(w) for b in subspace.basis
+               for w in _ad_images(spec, b))
 
 
 def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
@@ -256,14 +283,40 @@ def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
 
     On failure returns the first basis pair (i, j), i < j, in lexicographic
     order together with the residual [M xi_i, M xi_j] - M [xi_i, xi_j].
+
+    Both sides are summed over the nonzero structure constants only:
+    [M xi_i, M xi_j] = sum c_ab M_ai M_bj over the bracketing pairs (a, b)
+    and the nonzero entries of rows a and b of M.  Every matrix preserves
+    the zero bracket of an abelian algebra.
     """
     if matrix.shape != (spec.dim, spec.dim):
         raise ValueError("matrix has wrong shape for this algebra")
-    cols = matrix.columns()
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            lhs = spec.bracket_vec(cols[i], cols[j])
-            rhs = matrix.matvec(spec.structure_vector(i, j))
-            if lhs != rhs:
-                return False, (i, j), tuple(a - b for a, b in zip(lhs, rhs))
-    return True, None, None
+    if spec.abelian():
+        return True, None, None
+    d = spec.dim
+    rows = matrix.entries
+    sparse = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+    columns = [[(k, row[l]) for k, row in enumerate(rows) if row[l]] for l in range(d)]
+    residuals: dict[tuple[int, int], list[Fraction]] = {}
+    for a, row in enumerate(spec._brackets):
+        for b, terms in row.items():
+            for i, x in sparse[a]:
+                for j, y in sparse[b]:
+                    if i < j:
+                        acc = residuals.setdefault((i, j), [_ZERO] * d)
+                        xy = x * y
+                        for k, c in terms:
+                            acc[k] += xy * c
+    for pair, vec in spec.table.items():
+        acc = residuals.setdefault(pair, [_ZERO] * d)
+        for l, c in enumerate(vec):
+            if c:
+                for k, x in columns[l]:
+                    acc[k] -= x * c
+    failing = [pair for pair, acc in residuals.items() if any(acc)]
+    if not failing:
+        return True, None, None
+    i, j = min(failing)
+    lhs = spec.bracket_vec(matrix.column(i), matrix.column(j))
+    rhs = matrix.matvec(spec.structure_vector(i, j))
+    return False, (i, j), tuple(a - b for a, b in zip(lhs, rhs))

@@ -25,6 +25,7 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from .lattice import CosetReducer
+from .nilalg import _centre_rows
 from .ratlin import QMatrix, dot, to_fraction
 
 CONSISTENT = "ConsistentWithAA"
@@ -94,7 +95,8 @@ class NumericAffine:
         self._shifts, moves, touched = [], [], set()
         if not spec.abelian():
             self._reducer = CosetReducer(system.group, lattice)
-            central = [spec.ad_matrix(lattice.generator(j)).is_zero()
+            centre = QMatrix(_centre_rows(spec))
+            central = [not any(centre.matvec(lattice.generator(j)))
                        for j in range(d)]
             steps = sorted(product((-1, 0, 1), repeat=d),
                            key=lambda e: sum(map(abs, e)))[1:]

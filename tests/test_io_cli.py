@@ -517,6 +517,53 @@ def test_cli_reports_a_point_closure_witness(capsys, tmp_path):
         "('1', '1', '1', '-1', '-1', '2/3')")
 
 
+@pytest.mark.parametrize("lattice, automorphism, reason", [
+    ([["1", "0"], ["0", "1"]], [["2", "0"], ["0", "1"]],
+     "determinant 2 in lattice coordinates is not a unit"),
+    ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "0"]],
+     "determinant 0 in lattice coordinates is not a unit"),
+    ([["1", "0"], ["0", "1/2"]], [["1", "1"], ["0", "1"]],
+     "matrix is not integral in lattice coordinates"),
+], ids=["stretch", "singular", "shear-off-lattice"])
+def test_cli_torus_matrix_off_its_lattice_fails_at_preserves_lattice(
+        capsys, tmp_path, lattice, automorphism, reason):
+    # every matrix preserves the zero bracket, so the lattice check is
+    # the one that must reject these
+    path = _write_system(tmp_path, dim=2, lattice_basis=lattice,
+                         automorphism=automorphism)
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert code == 1
+    assert verdict["status"] == "INVALID"
+    assert verdict["certificate"]["check"] == "preserves_lattice"
+    assert verdict["certificate"]["witness"] == reason
+
+
+@pytest.mark.parametrize("data, witness", [
+    (dict(dim=3, structure_constants=[[1, 2, 3, "1"]],
+          lattice_basis=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]],
+          automorphism=[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]),
+     "pair (1, 2); residual (-1, 0, 0)"),
+    (dict(dim=5, structure_constants=[[1, 2, 3, "1"], [1, 3, 4, "1"],
+                                      [2, 3, 5, "1"]],
+          lattice_basis=[["1" if i == j else "0" for j in range(5)]
+                         for i in range(2)]
+          + [["0", "0", "1/2", "0", "0"], ["0", "0", "0", "1/12", "0"],
+             ["0", "0", "0", "0", "1/12"]],
+          automorphism=[["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                        ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"],
+                        ["0", "0", "0", "0", "2"]]),
+     "pair (2, 3); residual (0, 0, 0, 0, -1)"),
+], ids=["heisenberg-center-into-x1", "free23-scaled-x5"])
+def test_cli_non_automorphism_keeps_its_bracket_witness(capsys, tmp_path,
+                                                        data, witness):
+    path = _write_system(tmp_path, **data)
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert code == 1
+    assert verdict["status"] == "INVALID"
+    assert verdict["certificate"]["check"] == "is_automorphism"
+    assert verdict["certificate"]["witness"] == witness
+
+
 def test_cli_singular_lattice_basis_is_a_validation_failure(capsys,
                                                            tmp_path):
     path = _write_system(tmp_path, dim=1, lattice_basis=[["0"]])
@@ -590,13 +637,23 @@ def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,
      "simulate probe entry must be a number, got False"),
     ({"values": {"t": "1/3"}, "dump_steps": True}, ("--dump", "{tmp}"),
      "simulate dump_steps must be a number, got True"),
+    # integer settings are not truncated
+    ({"values": {"t": "1/3"}, "horizon": 2.9}, (),
+     "simulate horizon must be an integer, got 2.9"),
+    ({"values": {"t": "1/3"}, "trials": 1.5}, (),
+     "simulate trials must be an integer, got 1.5"),
+    ({"values": {"t": "1/3"}, "seed": "1/2"}, (),
+     "simulate seed must be an integer, got '1/2'"),
+    ({"values": {"t": "1/3"}, "dump_steps": 2.5}, ("--dump", "{tmp}"),
+     "simulate dump_steps must be an integer, got 2.5"),
 ], ids=["null-value", "zero-denominator-value", "values-list", "null-probe",
         "eps-text", "eps-zero", "eps-inf", "horizon-text", "seed-null",
         "trials-list", "dump-steps-text", "horizon-past-cap",
         "horizon-negative", "horizon-zero", "trials-negative", "trials-zero",
         "dump-steps-negative", "dump-steps-past-cap", "eps-bool",
         "horizon-bool", "trials-bool", "seed-bool", "value-bool",
-        "probe-bool", "dump-steps-bool"])
+        "probe-bool", "dump-steps-bool", "horizon-fraction",
+        "trials-fraction", "seed-fraction", "dump-steps-fraction"])
 def test_cli_simulate_rejects_malformed_values(capsys, tmp_path, simulate,
                                                argv, note):
     path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],
@@ -608,6 +665,21 @@ def test_cli_simulate_rejects_malformed_values(capsys, tmp_path, simulate,
     assert verdict["status"] == "ERROR"
     assert verdict["notes"] == [note]
     assert not dump.exists()
+
+
+def test_cli_simulate_accepts_integral_values_of_integer_settings(capsys,
+                                                                  tmp_path):
+    dump = tmp_path / "trajectory.csv"
+    path = _write_system(tmp_path, dim=1, params=["t"], translation=["t"],
+                         simulate={"values": {"t": "1/3"}, "trials": 2.0,
+                                   "horizon": "10", "seed": 3.0,
+                                   "dump_steps": "4/2"})
+    code, verdict = _run_main_checked(capsys, "simulate", path,
+                                      "--dump", str(dump))
+    assert code == 0
+    assert verdict["status"] == "ConsistentWithAA"
+    assert verdict["notes"][0] == "trials = 2, horizon = 10, eps = 0.001, seed = 3"
+    assert len(dump.read_text().splitlines()) == 1 + 3  # header, k = 0..2
 
 
 def test_cli_simulate_ignores_dump_steps_without_dump(capsys, tmp_path):

@@ -7,13 +7,15 @@ from itertools import product
 
 import pytest
 
-from conftest import free_nilpotent_2_3, heisenberg
+from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
+                      random_basis_matrix, random_change_of_basis)
 from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
-                           central_lattice_basis, preserves_lattice,
-                           validate_lattice)
+                           _is_hermite, central_lattice_basis,
+                           preserves_lattice, validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.ratlin import QMatrix, QSubspace
+from nilaa.poly import ParamVector, Poly
+from nilaa.ratlin import QMatrix, QSubspace, integer_kernel, zspan_basis
 
 F = Fraction
 
@@ -244,6 +246,75 @@ def test_central_lattice_basis():
     span = QSubspace.from_spanning(basis5, 5)
     assert span.contains((0, 0, 0, F(1, 12), 0))
     assert span.contains((0, 0, 0, 0, F(1, 12)))
+
+
+def _dense_central_lattice_basis(spec, lattice):
+    """The integer kernel of every ad xi_i, all d^2 rows stacked, in
+    lattice coordinates."""
+    d = spec.dim
+    units = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+    rows = []
+    for u in units:
+        rows.extend(QMatrix.from_columns([spec.bracket_vec(u, e) for e in units]).entries)
+    return [lattice.from_coords(n) for n in integer_kernel(QMatrix(rows) @ lattice.basis)]
+
+
+def test_sparse_central_lattice_basis_matches_the_dense_kernel():
+    rng = random.Random(79)
+    bases = (heisenberg(), LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)]),
+             free_nilpotent_2_3(), filiform(4), filiform(6), filiform(7),
+             abelian(1), abelian(4))
+    for base in bases:
+        for _ in range(4):
+            spec = random_change_of_basis(base, rng, 2)
+            lattice = LogLattice(random_basis_matrix(spec.dim, rng, 2))
+            expected = _dense_central_lattice_basis(spec, lattice)
+            assert central_lattice_basis(NilpotentGroup(spec), lattice) == expected
+
+
+def _hermite_of(basis):
+    return QMatrix.from_columns(zspan_basis(basis.columns(), basis.nrows))
+
+
+def test_abelian_lattice_law_is_the_symbolic_product():
+    rng = random.Random(83)
+    for d in (1, 2, 4, 6):
+        group = NilpotentGroup(abelian(d))
+        params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
+        z = [Poly.variable(name, params) for name in params]
+        dense = random_basis_matrix(d, rng, 2)
+        for basis in (QMatrix.identity(d), dense, _hermite_of(dense)):
+            hermite, law = validate_lattice(group, LogLattice(basis))
+            expected = LogLattice(_hermite_of(basis))
+            x = expected.basis.apply(ParamVector(params, z[:d]))
+            y = expected.basis.apply(ParamVector(params, z[d:]))
+            assert hermite == expected
+            assert law == expected._inverse.apply(group.mult(x, y))
+
+
+def test_is_hermite_agrees_with_the_hermite_basis_of_the_span():
+    rng = random.Random(89)
+    seen = [0, 0]
+    for _ in range(40):
+        d = rng.randrange(1, 6)
+        basis = random_basis_matrix(d, rng, rng.randrange(4))
+        hermite = _hermite_of(basis)
+        rows = [list(row) for row in hermite.entries]
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows[i][j] += rng.choice((1, -1, F(1, 2))) * (hermite[i, i] if j <= i else 1)
+        for candidate in (basis, hermite, QMatrix(rows)):
+            if candidate.det():
+                own = _hermite_of(candidate) == candidate
+                assert _is_hermite(candidate) == own
+                seen[own] += 1
+    assert min(seen) >= 30
+
+
+def test_a_hermite_basis_is_reused_with_its_inverse():
+    group = NilpotentGroup(free_nilpotent_2_3())
+    lattice = free23_lattice()
+    hermite, _ = validate_lattice(group, lattice)
+    assert hermite is lattice
 
 
 def test_coset_reducer_torus():

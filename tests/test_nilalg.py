@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
-                      random_change_of_basis)
+from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
+                      heisenberg, random_basis_matrix, random_change_of_basis)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
     is_abelian_family, is_automorphism, is_ideal, subalgebra_closure,
     validate_algebra,
 )
-from nilaa.ratlin import QMatrix, QSubspace
+from nilaa.ratlin import QMatrix, QSubspace, matrix_exp_nilpotent
 
 F = Fraction
 
@@ -162,7 +162,6 @@ def test_automorphisms_preserve_brackets_random(heis, free23):
         for _ in range(10):
             # exp(ad_v) is always an automorphism of a nilpotent algebra
             v = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d)]
-            from nilaa.ratlin import matrix_exp_nilpotent
             m = matrix_exp_nilpotent(spec.ad_matrix(v))
             ok, _, _ = is_automorphism(spec, m)
             assert ok
@@ -241,3 +240,119 @@ def test_sparse_jacobi_matches_the_dense_formula_on_perturbed_tables():
             validate_algebra(perturbed)
         assert (err.value.triple, err.value.residual) == expected
     assert violations >= 30
+
+
+def _heisenberg5():
+    return LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)])
+
+
+def _graded_scaling(spec, rng):
+    """A diagonal automorphism of a table whose brackets [x_i, x_j] = x_k
+    each have one term: free weights on the generators, products above."""
+    values = {}
+    for (i, j), vec in sorted(spec.table.items(), key=lambda t: max(
+            k for k, x in enumerate(t[1]) if x)):
+        (k,) = [k for k, x in enumerate(vec) if x]
+        for a in (i, j):
+            values.setdefault(a, F(rng.choice((1, -1, 2, -3)), rng.choice((1, 2))))
+        if k in values:  # x5 of heisenberg5: choose the other generator
+            values[j] = values[k] / values[i]
+        values[k] = values[i] * values[j]
+    d = spec.dim
+    return QMatrix([[values.get(i, F(1)) if i == j else F(0) for j in range(d)]
+                    for i in range(d)])
+
+
+def _dense_ad(spec, v):
+    d = spec.dim
+    return QMatrix.from_columns([spec.bracket_vec(v, [F(int(i == j)) for i in range(d)])
+                                 for j in range(d)])
+
+
+def _random_automorphisms(rng):
+    """(algebra, automorphism) pairs.  The algebra is a standard table in
+    a random 2-shear basis P, built as random_change_of_basis does but
+    keeping P; the automorphism is a graded scaling of the table
+    conjugated by P, times an inner automorphism exp(ad v)."""
+    for base in (heisenberg(), _heisenberg5(), free_nilpotent_2_3(),
+                 filiform(4), filiform(5), filiform(6), filiform(7)):
+        for _ in range(4):
+            p = random_basis_matrix(base.dim, rng, 2)
+            spec = change_of_basis(base, p)
+            scaling = p.inverse() @ _graded_scaling(base, rng) @ p
+            v = [F(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in range(spec.dim)]
+            yield spec, scaling @ matrix_exp_nilpotent(_dense_ad(spec, v))
+
+
+def _dense_is_automorphism(spec, m):
+    """is_automorphism by the table formula over every basis pair."""
+    d = spec.dim
+    for i in range(d):
+        for j in range(i + 1, d):
+            lhs = [F(0)] * d
+            for a in range(d):
+                for b in range(d):
+                    x = m[a, i] * m[b, j]
+                    if x:
+                        lhs = [s + x * c for s, c in zip(lhs, spec.structure_vector(a, b))]
+            rhs = [sum((m[k, l] * c for l, c in enumerate(spec.structure_vector(i, j))), F(0))
+                   for k in range(d)]
+            if lhs != rhs:
+                return False, (i, j), tuple(x - y for x, y in zip(lhs, rhs))
+    return True, None, None
+
+
+def test_sparse_is_automorphism_matches_the_dense_formula():
+    rng = random.Random(67)
+    pool = [F(1), F(-1), F(2), F(1, 3)]
+    failures = 0
+    for spec, m in _random_automorphisms(rng):
+        assert is_automorphism(spec, m) == _dense_is_automorphism(spec, m) == (True, None, None)
+        for _ in range(3):
+            rows = [list(row) for row in m.entries]
+            for _ in range(rng.randrange(1, 3)):
+                rows[rng.randrange(spec.dim)][rng.randrange(spec.dim)] += rng.choice(pool)
+            perturbed = QMatrix(rows)
+            expected = _dense_is_automorphism(spec, perturbed)
+            failures += not expected[0]
+            assert is_automorphism(spec, perturbed) == expected
+    assert failures >= 60
+
+
+def test_is_automorphism_accepts_every_matrix_of_an_abelian_algebra():
+    spec = abelian(3)
+    for m in (QMatrix.zeros(3), QMatrix([[1, 2, 0], [0, 1, 0], [0, 0, "1/2"]])):
+        assert is_automorphism(spec, m) == (True, None, None)
+    with pytest.raises(ValueError):
+        is_automorphism(spec, QMatrix.identity(2))
+
+
+def test_sparse_lower_central_series_matches_the_dense_brackets():
+    rng = random.Random(71)
+    for spec, _ in _random_automorphisms(rng):
+        d = spec.dim
+        units = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+        series = [QSubspace.full(d)]
+        while True:
+            nxt = QSubspace.from_spanning(
+                [spec.bracket_vec(u, b) for b in series[-1].basis for u in units], d)
+            if nxt.dim == 0:
+                break
+            series.append(nxt)
+        nil_class, got = validate_algebra(spec)
+        assert nil_class == len(series)
+        assert [s.basis for s in got] == [s.basis for s in series]
+
+
+def test_sparse_ad_matrix_and_is_ideal_match_the_dense_brackets():
+    rng = random.Random(73)
+    for spec, m in _random_automorphisms(rng):
+        d = spec.dim
+        v = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d)]
+        assert spec.ad_matrix(v) == _dense_ad(spec, v)
+        units = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+        for space in (QSubspace.from_spanning(m.columns()[:2], d),
+                      validate_algebra(spec)[1][-1]):
+            dense = all(space.contains(spec.bracket_vec(u, b))
+                        for u in units for b in space.basis)
+            assert is_ideal(spec, space) == dense
