@@ -49,17 +49,29 @@ class ParseError(ValueError):
 
 # ---- rationals and polynomials ----
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
+
+
+def _rational(value) -> Fraction | None:
+    """value as a Fraction if it is an integer (not a boolean) or a string
+    like "3", "-1/2" with optional surrounding whitespace, else None."""
+    if isinstance(value, int):
+        return None if isinstance(value, bool) else Fraction(value)
+    if isinstance(value, str):
+        m = _RATIONAL_RE.fullmatch(value)
+        if m:
+            num, den = m.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return None
 
 
 def parse_rational(value, location: str) -> Fraction:
     """An integer, or a string like "3", "-1/2"; floats are rejected."""
+    q = _rational(value)
+    if q is not None:
+        return q
     if isinstance(value, bool):
         raise ParseError(location, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
     raise ParseError(location, f"expected an integer or 'p/q', got {value!r}")
 
 
@@ -97,10 +109,16 @@ def _rationals(values, location) -> list:
     """A JSON list of rationals; entry j is located at location[j]."""
     if not isinstance(values, list):
         raise ParseError(location, "expected a list of rationals")
-    return [parse_rational(v, f"{location}[{j}]") for j, v in enumerate(values)]
+    out = []
+    for v in values:
+        q = _rational(v)
+        # the location is built only for an entry that fails
+        out.append(parse_rational(v, f"{location}[{len(out)}]") if q is None else q)
+    return out
 
 
-def _parse_matrix(data, dim, location) -> QMatrix:
+def _parse_rows(data, dim, location) -> list:
+    """dim rows of dim rationals each, as lists of Fractions."""
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(location, f"expected {dim} rows")
     rows = []
@@ -108,7 +126,7 @@ def _parse_matrix(data, dim, location) -> QMatrix:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{location}[{i}]", f"expected {dim} entries")
         rows.append(_rationals(row, f"{location}[{i}]"))
-    return QMatrix(rows)
+    return rows
 
 
 def _parse_structure_constants(data, dim, location):
@@ -168,15 +186,15 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
     # built, so a dim they contradict is reported before it is allocated
     lattice = None
     if data.get("lattice_basis") is not None:
-        rows = _parse_matrix(data["lattice_basis"], dim,
-                             f"{source}:lattice_basis")
+        rows = _parse_rows(data["lattice_basis"], dim,
+                           f"{source}:lattice_basis")
         # file rows are generators; LogLattice wants them as columns
-        lattice = QMatrix.from_columns(rows.entries)
+        lattice = QMatrix(zip(*rows))
 
     automorphism = None
     if data.get("automorphism") is not None:
-        automorphism = _parse_matrix(data["automorphism"], dim,
-                                     f"{source}:automorphism")
+        automorphism = QMatrix(_parse_rows(data["automorphism"], dim,
+                                           f"{source}:automorphism"))
 
     translation = None
     if data.get("translation") is not None:

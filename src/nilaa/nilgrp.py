@@ -7,9 +7,11 @@ length at most c, so multiplication is exact rational (or polynomial, when
 coordinates carry symbolic parameters).
 
 BCH coefficients are obtained once per class by expanding log(e^X e^Y) in
-the truncated free associative algebra on two letters and projecting each
-word to its left-normed bracket; for a homogeneous Lie element of degree n
-that projection is n times the element, which fixes the normalization.
+the truncated free associative algebra on two letters and writing it in the
+Lyndon basis: the standard bracketing of a Lyndon word w is w plus
+lexicographically larger words, so peeling off the least word left gives
+each coefficient in turn.  A product then costs one bracket per Lyndon word
+of the table or of a standard factor of one (17 at class 6).
 """
 
 from __future__ import annotations
@@ -32,29 +34,48 @@ class ClassCapExceeded(ValueError):
 
 
 def _fa_mul(p: dict, q: dict, cap: int) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
+    """p * q in the free associative algebra, words longer than cap dropped."""
+    out: dict = {}
     for w1, c1 in p.items():
-        if len(w1) > cap:
-            continue
-        for w2, c2 in q.items():
-            if len(w1) + len(w2) > cap:
-                continue
-            w = w1 + w2
-            acc = out.get(w, Fraction(0)) + c1 * c2
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        _fa_add(out, c1, {w1 + w2: c2 for w2, c2 in q.items() if len(w1) + len(w2) <= cap})
     return out
+
+
+def _fa_add(acc: dict, a, p: dict) -> None:
+    """acc += a * p in place, zeros dropped."""
+    for w, c in p.items():
+        c = acc.get(w, 0) + a * c
+        if c:
+            acc[w] = c
+        else:
+            acc.pop(w, None)
+
+
+def _graded(word: tuple[int, ...]) -> tuple:
+    """Sort key: by length, then lexicographically."""
+    return len(word), word
+
+
+def _is_lyndon(word: tuple[int, ...]) -> bool:
+    """A Lyndon word is smaller than each of its proper suffixes."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def _standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(u, v) with word = uv and v its longest proper Lyndon suffix."""
+    i = next(i for i in range(1, len(word)) if _is_lyndon(word[i:]))
+    return word[:i], word[i:]
 
 
 @lru_cache(maxsize=None)
 def bch_table(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """BCH terms up to word length cap.
+    """BCH terms up to word length cap, in the Lyndon basis.
 
-    Each entry (word, coeff) contributes coeff times the left-normed bracket
-    of the word, letters 0 and 1 standing for the two arguments.  The degree
-    1 and 2 entries reproduce X + Y + [X,Y]/2.
+    Each entry (word, coeff) is a Lyndon word over the letters 0 < 1, which
+    stand for the two arguments, and contributes coeff times its standard
+    bracketing P_w = [P_u, P_v], w = uv with v the longest proper Lyndon
+    suffix.  Entries come by length, then lexicographically; the degree 1
+    and 2 entries reproduce X + Y + [X,Y]/2.
     """
     if not 1 <= cap <= BCH_CLASS_CAP:
         raise ClassCapExceeded(f"BCH truncation {cap} outside 1..{BCH_CLASS_CAP}")
@@ -66,27 +87,58 @@ def bch_table(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         for k in range(1, cap + 1):
             term = _fa_mul(term, p, cap)
             term = {w: c / k for w, c in term.items()}
-            for w, c in term.items():
-                out[w] = out.get(w, Fraction(0)) + c
-        return {w: c for w, c in out.items() if c}
+            _fa_add(out, 1, term)
+        return out
 
     z = _fa_mul(fa_exp({(0,): Fraction(1)}), fa_exp({(1,): Fraction(1)}), cap)
     u = {w: c for w, c in z.items() if w}  # z - 1
-    log = {}
+    rest: dict[tuple[int, ...], Fraction] = {}
     power = dict(one)
     for k in range(1, cap + 1):
         power = _fa_mul(power, u, cap)
-        sign = Fraction((-1) ** (k + 1), k)
-        for w, c in power.items():
-            acc = log.get(w, Fraction(0)) + sign * c
-            if acc:
-                log[w] = acc
+        _fa_add(rest, Fraction((-1) ** (k + 1), k), power)
+
+    expanded: dict[tuple[int, ...], dict] = {}  # Lyndon word -> P_w, integral
+
+    def bracketing(word):
+        if word not in expanded:
+            if len(word) == 1:
+                expanded[word] = {word: 1}
             else:
-                log.pop(w, None)
-    # Dynkin projection: a degree-n Lie element equals 1/n times the sum of
-    # left-normed bracketings of its words
-    terms = [(w, c / len(w)) for w, c in sorted(log.items(), key=lambda t: (len(t[0]), t[0]))]
+                pu, pv = map(bracketing, _standard_factorization(word))
+                expanded[word] = _fa_mul(pu, pv, cap)
+                _fa_add(expanded[word], -1, _fa_mul(pv, pu, cap))
+        return expanded[word]
+
+    # P_w is w plus lexicographically larger words of its length, so the
+    # least word left in a Lie element is Lyndon, carries its coefficient,
+    # and grows with each subtraction
+    terms = []
+    while rest:
+        word = min(rest, key=_graded)
+        if not _is_lyndon(word) or (terms and _graded(word) <= _graded(terms[-1][0])):
+            raise ArithmeticError(f"BCH remainder does not clear at word {word}")
+        coeff = rest[word]
+        terms.append((word, coeff))
+        _fa_add(rest, -coeff, bracketing(word))
     return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _bracket_steps(cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """(w, u, v) for each Lyndon word of length >= 2 that bch_table(cap) or
+    a factor of its words needs, factors first: P_w = [P_u, P_v]."""
+    steps = {}
+
+    def need(word):
+        if len(word) > 1 and word not in steps:
+            steps[word] = _standard_factorization(word)
+            for factor in steps[word]:
+                need(factor)
+
+    for word, _ in bch_table(cap):
+        need(word)
+    return tuple((w, *steps[w]) for w in sorted(steps, key=_graded))
 
 
 class NilpotentGroup:
@@ -99,6 +151,7 @@ class NilpotentGroup:
             raise ClassCapExceeded(
                 f"nilpotency class {self.nilpotency_class} exceeds cap {BCH_CLASS_CAP}")
         self._terms = bch_table(self.nilpotency_class)
+        self._steps = _bracket_steps(self.nilpotency_class)
         self._law = None  # mult() expanded on symbolic arguments, see mult_vec
 
     @property
@@ -183,28 +236,22 @@ class NilpotentGroup:
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:
         """log(exp v exp w) for polynomial coordinate vectors.
 
-        Each left-normed bracket of a BCH word is computed once from the
-        bracket of its prefix and shared by every word extending that
-        prefix; a zero prefix ends all of them.
+        Sums the Lyndon-basis BCH series: one bracket per Lyndon word,
+        factors first, each from the brackets of its standard factors; a
+        zero factor zeroes every word built on it.
         """
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError(f"expected two vectors of length {self.dim}")
         v, w = _align_vectors(v, w)
         params = v.params
-        args = (v, w)
-        brackets = {(0,): v, (1,): w}  # word -> left-normed bracket, None if 0
+        brackets = {(0,): v, (1,): w}  # Lyndon word -> its bracket, None if 0
+        for word, left, right in self._steps:
+            a, b = brackets[left], brackets[right]
+            acc = None if a is None or b is None else self.spec.bracket(a, b)
+            brackets[word] = None if acc is None or acc.is_zero() else acc
         out = [{} for _ in range(self.dim)]
         for word, coeff in self._terms:
-            n = len(word)
-            while word[:n] not in brackets:
-                n -= 1
-            acc = brackets[word[:n]]
-            while acc is not None and n < len(word):
-                acc = self.spec.bracket(acc, args[word[n]])
-                if acc.is_zero():
-                    acc = None
-                n += 1
-                brackets[word[:n]] = acc
+            acc = brackets[word]
             if acc is not None:
                 for k, p in enumerate(acc.entries):
                     _add_scaled(out[k], coeff, p.terms)

@@ -535,9 +535,10 @@ def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
 def _run_trial(affine: NumericAffine, probe, eps, horizon):
     """One probe: forward cluster, snapped target, backward check.
 
-    The forward points come from the scan that found the returns; the
-    backward ones from one walk from the target.  The two cluster checks
-    are threshold tests; exact distances are computed only for a witness.
+    The forward points come from the scan that found the returns, each
+    distinct one tested once; the backward ones from one walk from the
+    target.  The two cluster checks are threshold tests; exact distances
+    are computed only for a witness.
     Returns (witness or None, whether any forward return was found).
     """
     probe = affine.reduce(probe)
@@ -548,6 +549,8 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     seq, forward = zip(*returns)
     target = _snap(forward[0])
     eps = to_fraction(eps)
+    # a periodic orbit's returns repeat the window's point objects
+    forward = {id(p): p for p in forward}.values()
     if not all(affine.near(p, target, eps) for p in forward):
         return None, True  # cluster is not tight around the snapped target
     backward = _walk(affine, target, seq, backward=True)

@@ -16,7 +16,8 @@ from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
                       random_change_of_basis)
 from nilaa import io as nio
 from nilaa.nilalg import JacobiViolation, LieAlgebraSpec
-from nilaa.nilgrp import BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, bch_table
+from nilaa.nilgrp import (BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, _fa_mul,
+                          bch_table)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent
 from nilaa.suspension import build_suspension_algebra
@@ -59,13 +60,73 @@ def filiform_coords(m: QMatrix):
 
 
 def test_bch_table_low_degrees():
-    terms = dict(bch_table(2))
-    assert terms[(0,)] == 1 and terms[(1,)] == 1
-    assert terms[(0, 1)] == F(1, 4) and terms[(1, 0)] == F(-1, 4)
+    # X + Y + [X,Y]/2 + [X,[X,Y]]/12 + [[X,Y],Y]/12 + [X,[[X,Y],Y]]/24
+    assert bch_table(4) == (((0,), 1), ((1,), 1), ((0, 1), F(1, 2)),
+                            ((0, 0, 1), F(1, 12)), ((0, 1, 1), F(1, 12)),
+                            ((0, 0, 1, 1), F(1, 24)))
+    assert bch_table(2) == bch_table(4)[:3]
     with pytest.raises(ClassCapExceeded):
         bch_table(0)
     with pytest.raises(ClassCapExceeded):
         bch_table(BCH_CLASS_CAP + 1)
+
+
+def _fa_sum(terms):
+    """sum of coeff * series over (coeff, series) pairs, zeros dropped."""
+    out = {}
+    for coeff, series in terms:
+        for word, c in series.items():
+            out[word] = out.get(word, F(0)) + coeff * c
+    return {word: c for word, c in out.items() if c}
+
+
+def _bch_series(cap):
+    """log(e^X e^Y) in the free associative algebra on X = 0, Y = 1,
+    truncated at word length cap."""
+    one = {(): F(1)}
+
+    def exp(letter):
+        term, terms = one, [(F(1), one)]
+        for k in range(1, cap + 1):
+            term = _fa_mul(term, {(letter,): F(1, k)}, cap)
+            terms.append((F(1), term))
+        return _fa_sum(terms)
+
+    u = _fa_sum([(F(1), _fa_mul(exp(0), exp(1), cap)), (F(-1), one)])
+    power, terms = one, []
+    for k in range(1, cap + 1):
+        power = _fa_mul(power, u, cap)
+        terms.append((F((-1) ** (k + 1), k), power))
+    return _fa_sum(terms)
+
+
+def _is_lyndon_by_rotation(word):
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def _standard_bracketing(word, cap):
+    """P_w = [P_u, P_v] in the free associative algebra, v the longest
+    proper Lyndon suffix of w = uv."""
+    if len(word) == 1:
+        return {word: F(1)}
+    split = min(i for i in range(1, len(word)) if _is_lyndon_by_rotation(word[i:]))
+    pu = _standard_bracketing(word[:split], cap)
+    pv = _standard_bracketing(word[split:], cap)
+    return _fa_sum([(F(1), _fa_mul(pu, pv, cap)), (F(-1), _fa_mul(pv, pu, cap))])
+
+
+def test_bch_table_is_the_lyndon_expansion_of_the_series():
+    for cap in range(1, BCH_CLASS_CAP + 1):
+        table = bch_table(cap)
+        assert all(_is_lyndon_by_rotation(word) and len(word) <= cap
+                   for word, _ in table)
+        assert len({word for word, _ in table}) == len(table)
+        bracketings = [_standard_bracketing(word, cap) for word, _ in table]
+        series = _bch_series(cap)
+        assert _fa_sum(zip((c for _, c in table), bracketings)) == series
+        for k in range(len(table)):
+            coeffs = [c + (i == k) for i, (_, c) in enumerate(table)]
+            assert _fa_sum(zip(coeffs, bracketings)) != series
 
 
 def test_bch_hall_basis_coefficients():
@@ -288,19 +349,20 @@ def _dense_bracket(spec, v, w):
     return ParamVector(v.params, out)
 
 
-def _per_word_mult(group, v, w):
-    """BCH as the sum over words of coeff * left-normed bracket, each
-    bracket built from scratch."""
+def _left_normed_mult(group, v, w):
+    """BCH by the Dynkin projection: a degree-n Lie element is 1/n times the
+    sum of the left-normed bracketings of its words, each built from
+    scratch."""
     out = ParamVector(v.params, [Poly.zero(v.params)] * group.dim)
-    for word, coeff in bch_table(group.nilpotency_class):
+    for word, coeff in _bch_series(group.nilpotency_class).items():
         acc = (v, w)[word[0]]
         for letter in word[1:]:
             acc = _dense_bracket(group.spec, acc, (v, w)[letter])
-        out = out + acc.scale(coeff)
+        out = out + acc.scale(coeff / len(word))
     return out
 
 
-def test_prefix_shared_mult_matches_per_word_evaluation():
+def test_lyndon_mult_matches_left_normed_dynkin_evaluation():
     rng = random.Random(59)
     specs = (abelian(3), heisenberg(), free_nilpotent_2_3(), filiform(5),
              filiform(6), filiform(7))
@@ -316,6 +378,6 @@ def test_prefix_shared_mult_matches_per_word_evaluation():
                 v = ParamVector(params, [rng.choice(pool) for _ in range(base.dim)])
                 w = ParamVector(params, [rng.choice(pool) for _ in range(base.dim)])
                 product = group.mult(v, w)
-                assert product == _per_word_mult(group, v, w)
+                assert product == _left_normed_mult(group, v, w)
                 for p in product:
                     assert p == Poly(p.params, p.terms) and all(p.terms.values())

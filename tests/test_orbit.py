@@ -607,6 +607,26 @@ def test_run_trial_walks_to_the_per_index_answer():
     assert outcomes == {(False, True), (True, True), (True, False)}
 
 
+def test_periodic_returns_test_each_forward_point_once(monkeypatch):
+    # T^20 x = x on (1/10)Z^3, so the ten forward returns are one point
+    m = torus(3, JORDAN3, [0, 0, 0])
+    probe, eps = (F(3, 10), F(7, 10), F(1, 10)), F(1, 1000)
+    assert find_forward_sequence(m, probe, probe, eps, 500, start=1) == \
+        tuple(range(20, 201, 20))
+    targets = {"near": [], "distance": []}
+    for name, seen in targets.items():
+        def counted(self, x, y, *rest, _original=getattr(NumericAffine, name), _seen=seen):
+            _seen.append(tuple(y))
+            return _original(self, x, y, *rest)
+        monkeypatch.setattr(NumericAffine, name, counted)
+    witness, had_returns = _run_trial(m, probe, eps, 500)
+    assert had_returns and witness.sequence == tuple(range(20, 201, 20))
+    # the forward cluster check and the witness's forward distance are
+    # the calls against the snapped target
+    assert targets["near"].count(witness.target) == 1
+    assert targets["distance"].count(witness.target) == 1
+
+
 # ---- trajectory ----
 
 def test_trajectory_matches_iterate():
