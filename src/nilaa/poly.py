@@ -76,8 +76,9 @@ class Poly:
         params = tuple(params)
         if name not in params:
             raise ValueError(f"unknown parameter {name!r}, have {params}")
-        exps = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {exps: Fraction(1)})
+        if len(set(params)) != len(params):
+            raise ValueError(f"duplicate parameter names in {params}")
+        return _poly(params, {tuple(int(p == name) for p in params): Fraction(1)})
 
     # ---- parameter alignment ----
 

@@ -13,9 +13,15 @@ Rational elimination has one kernel: the sparse forward pass `_echelon`.
 alone.  Both passes touch only the nonzero entries of a pivot row and
 never divide by a unit pivot, so the mostly-zero matrices of the deciders
 (triangular lattice bases, unipotent automorphisms) stay cheap.  Products
-skip zero and unit entries, and unipotency is decided by powering M - I.
-`charpoly` (O(n^4)) serves only `power_unipotent`, which needs the whole
-spectrum.
+skip zero and unit entries.
+
+The nilpotent series have one kernel too: `_nilpotent_powers` writes N
+(M - I for a unipotent M) as sparse integer rows over one denominator and
+powers it in integers until a power vanishes, or finds N^n nonzero.
+`unipotency_index` counts those powers, and `matrix_log_unipotent` and
+`matrix_exp_nilpotent` sum them in integers, so that each entry of the
+result becomes a Fraction once.  `charpoly` (O(n^4)) serves only
+`power_unipotent`, which needs the whole spectrum.
 
 No floating point anywhere in this module.
 """
@@ -447,57 +453,114 @@ def charpoly(matrix: QMatrix) -> list[Fraction]:
     return coeffs
 
 
+def _nilpotent_powers(matrix: QMatrix, shift: bool) -> tuple[int, list] | None:
+    """The nonzero powers of N = M - I (shift) or N = M, in integers.
+
+    N is written as sparse rows of ints over one denominator D, the lcm of
+    its entry denominators, and powered by integer sparse products until a
+    power vanishes.  Returns (D, powers) with powers[k - 1] the rows of
+    (D N)^k as {column: int}, so that N^k = powers[k - 1] / D^k, listing
+    every nonzero power; None when N^n is still nonzero, that is when N is
+    not nilpotent.
+    """
+    n = matrix.nrows
+    D = math.lcm(*(x.denominator for row in matrix.entries for x in row))
+    base = []
+    for i, row in enumerate(matrix.entries):
+        ints = {}
+        for j, x in enumerate(row):
+            if shift and i == j:
+                x -= 1
+            if x:
+                ints[j] = x.numerator * (D // x.denominator)
+        base.append(ints)
+    powers = []
+    power = base
+    while any(power):
+        powers.append(power)
+        if len(powers) == n:
+            return None
+        nxt = []
+        for row in power:
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                for j, b in base[k].items():
+                    acc[j] = get(j, 0) + a * b
+            nxt.append({j: v for j, v in acc.items() if v})
+        power = nxt
+    return D, powers
+
+
+def _power_series(n: int, D: int, powers: list, coeffs: Sequence[Fraction],
+                  identity: bool) -> QMatrix:
+    """I (when identity) plus the sum of coeffs[k - 1] N^k, for the powers
+    of `_nilpotent_powers`: every entry is summed as an integer over the
+    common denominator L = lcm(coeff denominators) * D^m, m the number of
+    powers, and becomes a Fraction once."""
+    m = len(powers)
+    q = math.lcm(*(c.denominator for c in coeffs))
+    L = q * D ** m
+    acc = [{i: L} if identity else {} for i in range(n)]
+    for k, (c, power) in enumerate(zip(coeffs, powers), 1):
+        w = c.numerator * (q // c.denominator) * D ** (m - k)
+        for a, row in zip(acc, power):
+            get = a.get
+            for j, v in row.items():
+                a[j] = get(j, 0) + w * v
+    return QMatrix([[Fraction(a[j], L) if a.get(j) else _ZERO for j in range(n)]
+                    for a in acc])
+
+
 def unipotency_index(matrix: QMatrix) -> int | None:
     """Least k with (M - I)^k = 0, or None when M is not unipotent.
 
     M is unipotent exactly when N = M - I is nilpotent, that is when
-    N^n = 0, so powering N up to n decides it without the spectrum.  A
-    nilpotent N has trace 0, which rejects most other matrices at once.
+    N^n = 0, so powering N up to n (`_nilpotent_powers`) decides it
+    without the spectrum; k is the number of nonzero powers plus 1, and 0
+    for the empty matrix.  A nilpotent N has trace 0, which rejects most
+    other matrices before any power.
     """
     if not matrix.is_square():
         raise ValueError("unipotency of a non-square matrix")
     n = matrix.nrows
-    N = matrix - QMatrix.identity(n)
-    if N.trace():
+    if matrix.trace() != n:
         return None
-    power = QMatrix.identity(n)
-    for k in range(n + 1):
-        if power.is_zero():
-            return k
-        power = power @ N
-    return None
+    found = _nilpotent_powers(matrix, shift=True)
+    if found is None:
+        return None
+    return len(found[1]) + 1 if n else 0
 
 
 def matrix_exp_nilpotent(matrix: QMatrix) -> QMatrix:
-    """exp of a nilpotent matrix, exact (the series terminates)."""
+    """exp of a nilpotent matrix, exact: the series I + sum N^k / k!
+    terminates, and is summed from the integer powers of
+    `_nilpotent_powers` with one Fraction per entry."""
     if not matrix.is_square():
         raise ValueError("exp of a non-square matrix")
-    n = matrix.nrows
-    out = QMatrix.identity(n)
-    term = QMatrix.identity(n)
-    for k in range(1, n + 1):
-        term = (term @ matrix).scale(Fraction(1, k))
-        if term.is_zero():
-            return out
-        out = out + term
-    if not (term @ matrix).is_zero():
+    found = _nilpotent_powers(matrix, shift=False)
+    if found is None:
         raise ValueError("matrix is not nilpotent")
-    return out
+    D, powers = found
+    coeffs = [Fraction(1, math.factorial(k)) for k in range(1, len(powers) + 1)]
+    return _power_series(matrix.nrows, D, powers, coeffs, identity=True)
 
 
 def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
-    """log of a unipotent matrix via the Mercator series, which ends at the
-    first vanishing power of N = M - I (M is unipotent iff N^n = 0);
-    raises NotUnipotent otherwise."""
+    """log of a unipotent matrix via the Mercator series
+    sum (-1)^(k+1) N^k / k, N = M - I, which ends at the first vanishing
+    power (M is unipotent iff N^n = 0); summed from the integer powers of
+    `_nilpotent_powers` with one Fraction per entry.  Raises NotUnipotent
+    otherwise."""
     n = matrix.nrows
-    N = matrix - QMatrix.identity(n)
-    out, power = QMatrix.zeros(n), N
-    for j in range(1, n + 1):
-        if power.is_zero():
-            return out
-        out = out + power.scale(Fraction((-1) ** (j + 1), j))
-        power = power @ N
-    raise NotUnipotent("the matrix has an eigenvalue other than 1")
+    if not matrix.is_square():
+        raise ValueError(f"shape mismatch {matrix.shape} vs {(n, n)}")
+    found = _nilpotent_powers(matrix, shift=True)
+    if found is None:
+        raise NotUnipotent("the matrix has an eigenvalue other than 1")
+    D, powers = found
+    coeffs = [Fraction((-1) ** (k + 1), k) for k in range(1, len(powers) + 1)]
+    return _power_series(n, D, powers, coeffs, identity=False)
 
 
 # ---- integer lattice computations (Hermite normal form) ----

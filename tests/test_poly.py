@@ -171,3 +171,19 @@ def test_arithmetic_results_are_clean():
         Poly(("t",), {(1,): 1}).with_params(("t", "t"))
     with pytest.raises(ValueError, match="missing"):
         Poly(("t",), {(1,): 1}).with_params(("s",))
+
+
+def test_variable_matches_checked_constructor():
+    for params in (("t",), ("t", "s"), ("s", "t", "u"), ("x1", "x2", "x3", "x4")):
+        for name in params:
+            v = Poly.variable(name, list(params))
+            expect = Poly(params, {tuple(int(p == name) for p in params): 1})
+            assert v == expect and v.terms == expect.terms
+            assert v.params == params and type(v.params) is tuple
+            _assert_clean(v)
+            assert v.substitute({p: Fraction(k + 2) for k, p in enumerate(params)}) \
+                == params.index(name) + 2
+    with pytest.raises(ValueError, match="unknown parameter 'u'"):
+        Poly.variable("u", ("t", "s"))
+    with pytest.raises(ValueError, match="duplicate"):
+        Poly.variable("t", ("t", "s", "t"))

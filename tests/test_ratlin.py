@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import jordan_block, random_basis_matrix
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import (
     QMatrix, QSubspace, annihilator_basis, charpoly, column_hnf, cyclotomic,
     cyclotomic_spectrum_test, euler_phi, hnf_membership,
-    integer_kernel, kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent,
+    NotUnipotent, integer_kernel, kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent,
     minimal_rational_subspace, rref, solve_linear, unipotency_index, zspan_basis,
 )
 
@@ -335,6 +336,161 @@ def test_exp_log_unipotent_roundtrip():
         matrix_exp_nilpotent(QMatrix([[1, 0], [0, 1]]))
     with pytest.raises(ValueError):
         matrix_log_unipotent(QMatrix([[2, 0], [0, 1]]))
+
+
+def dense_mul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row) if x), F(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def dense_eye(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dense_series_oracles(matrix: QMatrix):
+    """The dense Fraction loops the series are checked against: the least k
+    with (M - I)^k = 0 (None past n), the Mercator log of M, and the exp
+    series of M itself (None where the loops find no vanishing power)."""
+    n = matrix.nrows
+    m = [list(row) for row in matrix.entries]
+    N = [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    index, power = None, dense_eye(n)
+    for k in range(n + 1):
+        if not any(any(row) for row in power):
+            index = k
+            break
+        power = dense_mul(power, N)
+    log = None
+    if index is not None:
+        log, power = [[F(0)] * n for _ in range(n)], N
+        for k in range(1, n + 1):
+            c = F((-1) ** (k + 1), k)
+            log = [[x + c * y for x, y in zip(r, p)] for r, p in zip(log, power)]
+            power = dense_mul(power, N)
+    exp, term = dense_eye(n), dense_eye(n)
+    for k in range(1, n + 1):
+        term = [[x / k for x in row] for row in dense_mul(term, m)]
+        exp = [[x + y for x, y in zip(r, t)] for r, t in zip(exp, term)]
+    if any(any(row) for row in dense_mul(term, m)):
+        exp = None
+    return index, log, exp
+
+
+def check_series_against_oracles(matrix: QMatrix):
+    index, log, exp = dense_series_oracles(matrix)
+    assert unipotency_index(matrix) == index
+    if index is None:
+        with pytest.raises(NotUnipotent):
+            matrix_log_unipotent(matrix)
+    else:
+        assert matrix_log_unipotent(matrix).entries == tuple(map(tuple, log))
+    if exp is None:
+        with pytest.raises(ValueError, match="not nilpotent"):
+            matrix_exp_nilpotent(matrix)
+    else:
+        assert matrix_exp_nilpotent(matrix).entries == tuple(map(tuple, exp))
+    return index
+
+
+def strictly_upper(n, entry):
+    return QMatrix([[entry() if j > i else F(0) for j in range(n)]
+                    for i in range(n)])
+
+
+def test_series_match_dense_oracles_in_random_bases():
+    rng = random.Random(61)
+    indices = set()
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        p = random_basis_matrix(n, rng)
+        nil = p @ strictly_upper(n, lambda: F(rng.choice((0, 0, 1, -1, 2)),
+                                              rng.choice((1, 2, 3)))) @ p.inverse()
+        check_series_against_oracles(nil)
+        u = matrix_exp_nilpotent(nil)
+        indices.add(check_series_against_oracles(u))
+        assert matrix_log_unipotent(u) == nil
+    assert {1, 2, 3, 4} <= indices
+
+
+def test_series_on_jordan_blocks_zero_and_identity():
+    for d in range(1, 13):
+        j = jordan_block(d)
+        assert check_series_against_oracles(j) == d
+        shift = j - QMatrix.identity(d)
+        assert check_series_against_oracles(shift) is None
+        assert matrix_log_unipotent(matrix_exp_nilpotent(shift)) == shift
+        assert check_series_against_oracles(QMatrix.identity(d)) == 1
+        assert check_series_against_oracles(QMatrix.zeros(d)) is None
+        assert matrix_exp_nilpotent(QMatrix.zeros(d)) == QMatrix.identity(d)
+        assert matrix_log_unipotent(QMatrix.identity(d)).is_zero()
+    empty = QMatrix([])
+    assert unipotency_index(empty) == 0
+    assert matrix_exp_nilpotent(empty) == empty == matrix_log_unipotent(empty)
+
+
+def test_series_on_filiform_scaled_entries():
+    # exp(ad e_1) of the standard filiform algebra, in a lattice basis that
+    # scales e_k by 60^-(k-1): entry (i, j) picks up 60^-(i-j)
+    for n in range(2, 9):
+        scale = [F(1, 60 ** k) for k in range(n)]
+        shift = QMatrix([[scale[i] / scale[j] if i == j + 1 else F(0)
+                          for j in range(n)] for i in range(n)])
+        u = matrix_exp_nilpotent(shift)
+        assert u[n - 1, 0] == F(1, 60 ** (n - 1) * math.factorial(n - 1))
+        assert check_series_against_oracles(u) == n
+        assert matrix_log_unipotent(u) == shift
+
+
+def coprime_denominators(count, start=2 ** 40):
+    dens = []
+    q = start
+    while len(dens) < count:
+        if all(math.gcd(q, r) == 1 for r in dens):
+            dens.append(q)
+        q += 1
+    return dens
+
+
+def test_series_on_large_coprime_denominators():
+    dens = coprime_denominators(12)
+    assert all(math.gcd(a, b) == 1 for a in dens for b in dens if a < b)
+    rng = random.Random(67)
+    for n in (5, 6):
+        cells = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                       key=lambda c: c[1] - c[0])   # superdiagonal first
+        for _ in range(3):
+            picks = iter(rng.sample(dens, len(dens)))
+            rows = [[F(0)] * n for _ in range(n)]
+            for i, j in cells[:12]:
+                rows[i][j] = F(rng.choice((1, -1)) * rng.randrange(1, 2 ** 40),
+                               next(picks))
+            nil = QMatrix(rows)
+            assert check_series_against_oracles(nil) is None
+            u = matrix_exp_nilpotent(nil)
+            assert check_series_against_oracles(u) == n
+            assert matrix_log_unipotent(u) == nil
+
+
+def test_series_rejections():
+    for bad in (QMatrix([[1, 2]]), QMatrix([[1, 0], [0, 1], [0, 0]])):
+        for series in (unipotency_index, matrix_exp_nilpotent, matrix_log_unipotent):
+            with pytest.raises(ValueError):
+                series(bad)
+    with pytest.raises(ValueError, match=r"shape mismatch \(1, 2\) vs \(1, 1\)"):
+        matrix_log_unipotent(QMatrix([[1, 2]]))
+    # trace(M - I) = 0 but not unipotent, so only the powers can tell
+    p = random_basis_matrix(3, random.Random(71))
+    for m in (QMatrix([[2, 0], [0, 0]]), QMatrix([[1, 1], [-1, 1]]),
+              p @ QMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]]) @ p.inverse()):
+        assert (m - QMatrix.identity(m.nrows)).trace() == 0
+        assert unipotency_index(m) is None
+        with pytest.raises(NotUnipotent, match="eigenvalue other than 1"):
+            matrix_log_unipotent(m)
+    for m in (QMatrix([[1, -1], [1, -1]]) + QMatrix([[0, 1], [0, 0]]),
+              QMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])):
+        assert m.trace() == 0
+        with pytest.raises(ValueError, match="not nilpotent"):
+            matrix_exp_nilpotent(m)
 
 
 def test_qsubspace_membership_and_canonical_basis():
