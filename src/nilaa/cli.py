@@ -5,12 +5,17 @@ one canonical verdict JSON object (corpus run prints one line per check
 instead); human-readable diagnostics go to stderr.  Exit codes: 0 for
 AA/pass-like verdicts, 1 for NOT_AA/fail-like verdicts, 2 for
 INCONCLUSIVE, 3 for errors.
+
+A process loads only what its subcommand runs.  `suspension` and `orbit`
+are imported inside the functions that run them: `orbit` (with `csv` for
+--dump) only for simulate, `suspension` only for suspend and for the
+one-dimension-up stage of the basepoint decider.  The result records are
+built by the private `_record` decorator, not by `dataclasses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -22,10 +27,7 @@ from .criteria import (HypothesisViolated, InapplicableCriterion, NonAbelian,
                        lie_necessary, minimality_check, power_unipotent,
                        torus_decide, translation_decide,
                        two_generator_analysis)
-from .orbit import ITERATE_CAP, NumericAffine, aa_empirical_test, trajectory
 from .ratlin import NotUnipotent
-from .suspension import (Mismatch, embedding_consistency_check,
-                         monodromy_adjoint_check, suspend)
 
 CRITERIA = ("full", "basepoint", "torus", "translation", "lie",
             "power-unipotent", "minimality", "two-generator")
@@ -52,6 +54,10 @@ def run_criterion(system, criterion: str) -> dict:
 
 def _error(criterion: str, message: str) -> dict:
     return nio.make_verdict_dict(nio.ERROR, criterion, None, [message])
+
+
+def _write_failure(path, exc: OSError) -> str:
+    return f"cannot write {path}: {exc.strerror or exc}"
 
 
 def _validate_result(path) -> dict:
@@ -107,6 +113,8 @@ def _decide_result(path, criterion: str) -> dict:
 
 
 def _suspend_result(path, out) -> dict:
+    from .suspension import (Mismatch, embedding_consistency_check,
+                             monodromy_adjoint_check, suspend)
     try:
         system = nio.parse_system(path)
     except nio.ParseError as exc:
@@ -132,7 +140,11 @@ def _suspend_result(path, out) -> dict:
     notes.append("embedding consistency: 10 exact samples")
     if out is not None:
         payload = nio.suspension_to_dict(susp, system.name)
-        Path(out).write_text(nio.canonical_json(payload), encoding="utf-8")
+        try:
+            Path(out).write_text(nio.canonical_json(payload),
+                                 encoding="utf-8")
+        except OSError as exc:
+            return _error("suspend", _write_failure(out, exc))
         notes.append("suspension data written")
     return nio.make_verdict_dict(nio.PASS, "suspend", None, notes)
 
@@ -160,6 +172,7 @@ def _number(value, what: str, integer: bool = False):
 
 def _numeric_map(system) -> tuple:
     """Build the numeric oracle map and the probe list from a system."""
+    from .orbit import NumericAffine
     config = dict(system.simulate or {})
     values = config.get("values") or {}
     if not isinstance(values, dict):
@@ -183,6 +196,7 @@ def _numeric_map(system) -> tuple:
 
 def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
                      dump=None) -> dict:
+    from .orbit import ITERATE_CAP, aa_empirical_test, trajectory
     try:
         system = nio.parse_system(path)
     except nio.ParseError as exc:
@@ -219,12 +233,17 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
     report = aa_empirical_test(affine, trials, eps, horizon, seed,
                                probes=probes)
     if dump is not None:
+        import csv
         start = probes[0] if probes else tuple([0] * affine.dim)
-        with open(dump, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["k"] + [f"x{i + 1}" for i in range(affine.dim)])
-            for k, point in trajectory(affine, start, steps):
-                writer.writerow([k] + [float(v) for v in point])
+        try:
+            with open(dump, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["k"] + [f"x{i + 1}"
+                                         for i in range(affine.dim)])
+                for k, point in trajectory(affine, start, steps):
+                    writer.writerow([k] + [float(v) for v in point])
+        except OSError as exc:
+            return _error("simulate", _write_failure(dump, exc))
     return nio.aa_report_to_dict(report)
 
 

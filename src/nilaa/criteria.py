@@ -27,11 +27,10 @@ first non-fixed direction, or the failed lattice-coset membership.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import suspension as suspension_mod
+from ._record import record
 from .lattice import LogLattice, central_lattice_basis, preserves_lattice, \
     validate_lattice
 from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
@@ -83,7 +82,7 @@ class ValidationError(ValueError):
 
 # ---- certificates ----
 
-@dataclass(frozen=True)
+@record
 class WitnessSubspace:
     """Abelian fixed witness; shift is the central lattice correction used."""
 
@@ -91,7 +90,7 @@ class WitnessSubspace:
     shift: tuple[Fraction, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionBracket:
     """Two defect directions that do not commute (primitive integer form)."""
 
@@ -100,7 +99,7 @@ class ObstructionBracket:
     bracket: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class NotFixed:
     """A defect direction moved by the automorphism."""
 
@@ -109,7 +108,7 @@ class NotFixed:
     monomial: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CosetObstruction:
     """The required translate does not lie in the available lattice image."""
 
@@ -117,21 +116,21 @@ class CosetObstruction:
     generators: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class SpectralObstruction:
     """Non-cyclotomic factor of the characteristic polynomial (low first)."""
 
     factor: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class UnipotentPower:
     """Least r >= 1 for which the r-th power of the matrix is unipotent."""
 
     power: int
 
 
-@dataclass(frozen=True)
+@record
 class InvariantSubtorus:
     """Primitive integer covectors on the abelianized torus killed by the
     nonconstant part of the translation; each one cuts out a proper closed
@@ -140,7 +139,7 @@ class InvariantSubtorus:
     covectors: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
     criterion: str
@@ -156,7 +155,7 @@ class Verdict:
 
 # ---- systems ----
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class AffineSystem:
     """A validated affine map on a nilmanifold.
 
@@ -455,7 +454,8 @@ def basepoint_decide(system: AffineSystem) -> Verdict:
                                     system.translation)
     if status == AA:
         return Verdict(AA, "basepoint", cert, ())
-    susp = suspension_mod.suspend(system)
+    from .suspension import suspend
+    susp = suspend(system)
     status2, cert2 = _basepoint_stage(susp.big_algebra,
                                       QMatrix.identity(susp.dim),
                                       susp.embedded_translation)
@@ -497,7 +497,8 @@ def translation_decide(system: AffineSystem) -> Verdict:
 
 def suspended_full_decide(system: AffineSystem) -> Verdict:
     """full_decide applied to the suspension translation of the system."""
-    susp = suspension_mod.suspend(system)
+    from .suspension import suspend
+    susp = suspend(system)
     return _affine_decide(susp.big_algebra, susp.big_group, None,
                           QMatrix.identity(susp.dim),
                           susp.embedded_translation, "full",
@@ -507,7 +508,8 @@ def suspended_full_decide(system: AffineSystem) -> Verdict:
 
 def suspended_basepoint_decide(system: AffineSystem) -> Verdict:
     """basepoint_decide applied to the suspension translation."""
-    susp = suspension_mod.suspend(system)
+    from .suspension import suspend
+    susp = suspend(system)
     note = ("evaluated on the suspension translation; coordinates are "
             "(circle, fiber)",)
     status, cert = _basepoint_stage(susp.big_algebra,
@@ -520,7 +522,7 @@ def suspended_basepoint_decide(system: AffineSystem) -> Verdict:
 
 # ---- necessary Lie-algebra condition ----
 
-@dataclass(frozen=True)
+@record
 class LieNecessaryReport:
     """Outcome of the first-order necessary condition.
 
@@ -582,7 +584,7 @@ def lie_necessary(system: AffineSystem) -> LieNecessaryReport:
 
 # ---- minimality of translations ----
 
-@dataclass(frozen=True)
+@record
 class MinimalityReport:
     status: str
     certificate: InvariantSubtorus | None
@@ -659,7 +661,7 @@ def power_unipotent(matrix: QMatrix):
 
 # ---- two-generator coefficient analysis ----
 
-@dataclass(frozen=True)
+@record
 class TwoGeneratorReport:
     """Coefficients of the commutation curve of a two-generator system.
 

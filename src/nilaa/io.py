@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .criteria import (AffineSystem, CosetObstruction, InvariantSubtorus,
@@ -34,9 +33,11 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 # The supported scope: a larger dim is rejected before the algebra is
-# allocated.  The corpus and the generated benchmark families stay at
-# d <= 17.
+# allocated, and a translation entry of larger total degree before any
+# product is expanded.  The corpus and the generated benchmark families
+# stay at d <= 17 and degree <= 1.
 MAX_DIM = 64
+MAX_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -204,6 +205,11 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
                              f"expected {dim} polynomial strings")
         polys = [_polynomial(v, params, f"{source}:translation[{i}]")
                  for i, v in enumerate(raw)]
+        for i, poly in enumerate(polys):
+            if poly.degree() > MAX_DEGREE:
+                raise ParseError(f"{source}:translation[{i}]",
+                                 f"degree exceeds the supported scope "
+                                 f"(total degree <= {MAX_DEGREE})")
         translation = ParamVector(params, polys)
 
     gens = None
@@ -525,6 +531,7 @@ def suspension_to_dict(susp, base_name: str = "") -> dict:
 # ---- corpus access ----
 
 def corpus_dir() -> Path:
+    from importlib import resources
     return Path(resources.files("nilaa") / "corpus")
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 from operator import add, sub
 from typing import Optional, Sequence
 
+from ._record import record
 from .lattice import CosetReducer
 from .nilalg import _centre_rows
 from .ratlin import QMatrix, dot, to_fraction
@@ -485,7 +485,7 @@ def _snap(point) -> tuple:
     return tuple(Fraction(round(v * SNAP_GRID), SNAP_GRID) for v in point)
 
 
-@dataclass(frozen=True)
+@record
 class FalsificationWitness:
     """The data of one failed backward return (all entries exact)."""
 
@@ -496,7 +496,7 @@ class FalsificationWitness:
     backward_distance: float
 
 
-@dataclass(frozen=True)
+@record
 class AATestReport:
     trials: int
     horizon: int

@@ -29,11 +29,11 @@ No floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._record import record
 from .poly import ParamVector, _add_scaled, _cleaned, _vector
 
 
@@ -737,7 +737,7 @@ def cyclotomic(m: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumResult:
     """Outcome of factoring a characteristic polynomial into cyclotomics."""
 

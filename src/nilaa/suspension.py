@@ -17,11 +17,11 @@ points of N reduce to the same point of the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
 
+from ._record import record
 from .lattice import LogLattice
 from .nilalg import LieAlgebraSpec
 from .nilgrp import NilpotentGroup
@@ -62,7 +62,7 @@ def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAl
     return LieAlgebraSpec(d + 1, table)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SuspendedSystem:
     """A unipotent affine map realized as a translation one dimension up."""
 

@@ -1,0 +1,97 @@
+"""A fresh ``nilaa`` process loads only what its subcommand runs.
+
+Each run check starts a new interpreter and inspects ``sys.modules``
+after the import or the command; none measures time.  The deciders and
+the validator need neither the suspension nor the orbit oracle, and no
+module of the package imports ``dataclasses`` or calls ``exec``/``eval``,
+which the last check reads from the sources.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "nilaa" / "corpus"
+WATCHED = ("dataclasses", "nilaa.orbit", "nilaa.suspension", "csv")
+
+_PROBE = """
+import contextlib, io, json, sys
+import nilaa.cli
+argvs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [nilaa.cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in json.loads(sys.argv[2])
+                             if m in sys.modules]}))
+"""
+
+
+def _loaded_after(*argvs) -> dict:
+    """Exit codes of the commands and the watched modules loaded after
+    importing nilaa.cli and running them in one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps([list(a) for a in argvs]),
+         json.dumps(WATCHED)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _corpus(name: str) -> str:
+    return str(CORPUS / name)
+
+
+def test_importing_the_cli_loads_no_command_modules():
+    assert _loaded_after() == {"codes": [], "loaded": []}
+
+
+def test_decide_and_validate_load_neither_suspension_nor_orbit():
+    result = _loaded_after(
+        ("decide", _corpus("torus_rotation_1d.json"), "--criterion", "full"),
+        ("decide", _corpus("free_nilpotent_2_3.json"), "--criterion",
+         "full"),
+        ("validate", _corpus("heisenberg.json")),
+        ("validate", _corpus("paper_example_4d.json")))
+    assert result["codes"] == [0, 1, 0, 1]
+    assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("name", ["torus_skew_translation.json",
+                                  "heisenberg.json"])
+def test_suspend_loads_the_suspension_but_not_the_orbit_oracle(name):
+    result = _loaded_after(("suspend", _corpus(name)))
+    assert result["codes"] == [0]
+    assert result["loaded"] == ["nilaa.suspension"]
+
+
+def test_simulate_loads_the_orbit_oracle():
+    result = _loaded_after(("simulate", _corpus("torus_rotation_1d.json"),
+                            "--horizon", "200", "--trials", "1"))
+    assert result["codes"] == [0]
+    assert "nilaa.orbit" in result["loaded"]
+    assert "nilaa.suspension" not in result["loaded"]
+
+
+def test_no_module_imports_dataclasses_or_generates_code():
+    found = []
+    for path in sorted((ROOT / "src" / "nilaa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)):
+                names = [node.func.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("dataclasses", "exec", "eval")]
+    assert found == []

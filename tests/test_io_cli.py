@@ -400,6 +400,67 @@ def test_cli_simulate_dump_csv(capsys, tmp_path):
     assert all(0 <= float(r[1]) < 1 for r in rows[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ("suspend", "torus_skew_translation.json", "--out"),
+    ("simulate", "torus_rotation_1d.json", "--horizon", "500", "--trials",
+     "1", "--dump"),
+], ids=["suspend-out", "simulate-dump"])
+def test_cli_answers_error_for_an_unwritable_output_path(capsys, tmp_path,
+                                                         argv):
+    target = tmp_path / "missing" / "x"
+    command, name, *options = argv
+    code, verdict = _run_main_checked(capsys, command, _corpus(name),
+                                      *options, str(target))
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["criterion"] == command
+    assert verdict["notes"] == [f"cannot write {target}: "
+                                f"No such file or directory"]
+    assert not target.parent.exists()
+
+
+def _translated_heisenberg(tmp_path, entry):
+    """heisenberg_translation.json with parameters t, s and the given first
+    translation entry."""
+    data = json.loads(open(_corpus("heisenberg_translation.json"),
+                           encoding="utf-8").read())
+    data["params"] = ["t", "s"]
+    data["translation"] = [entry, "0", "0"]
+    data["simulate"]["values"] = {"t": 0.2347, "s": 0.5}
+    return _write_system(tmp_path, **data)
+
+
+_COMMANDS = (("validate",), ("decide", "--criterion", "full"), ("suspend",),
+             ("simulate", "--horizon", "200"))
+
+
+@pytest.mark.parametrize("entry", ["t^65", "t^100000", "t^32*s^33",
+                                   "1 + t^40*s^40"])
+def test_cli_rejects_a_translation_past_the_degree_scope(capsys, tmp_path,
+                                                         entry):
+    assert nio.MAX_DEGREE == 64
+    path = _translated_heisenberg(tmp_path, entry)
+    for command, *options in _COMMANDS:
+        code, verdict = _run_main_checked(capsys, command, path, *options)
+        assert code == 3
+        assert verdict["status"] == "ERROR"
+        assert verdict["notes"] == [
+            "system.json:translation[0]: degree exceeds the supported "
+            "scope (total degree <= 64)"]
+
+
+@pytest.mark.parametrize("entry", ["t^64", "t^32*s^32 + s"])
+def test_cli_answers_a_translation_at_the_degree_bound(capsys, tmp_path,
+                                                       entry):
+    path = _translated_heisenberg(tmp_path, entry)
+    statuses = []
+    for command, *options in _COMMANDS:
+        code, verdict = _run_main_checked(capsys, command, path, *options)
+        assert code == 0
+        statuses.append(verdict["status"])
+    assert statuses == ["VALID", "AA", "PASS", "ConsistentWithAA"]
+
+
 def test_cli_simulate_ignores_the_legacy_space_key(capsys, tmp_path):
     raw = json.loads(open(_corpus("heisenberg_translation.json"),
                           encoding="utf-8").read())
