@@ -230,20 +230,28 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
                                  f"and {ITERATE_CAP}, got {value}")
     except ValueError as exc:
         return _error("simulate", str(exc))
-    report = aa_empirical_test(affine, trials, eps, horizon, seed,
-                               probes=probes)
-    if dump is not None:
-        import csv
-        start = probes[0] if probes else tuple([0] * affine.dim)
-        try:
-            with open(dump, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["k"] + [f"x{i + 1}"
-                                         for i in range(affine.dim)])
-                for k, point in trajectory(affine, start, steps):
-                    writer.writerow([k] + [float(v) for v in point])
-        except OSError as exc:
-            return _error("simulate", _write_failure(dump, exc))
+    try:
+        # opened before the test runs, so an unwritable path answers at once
+        handle = None if dump is None else open(dump, "w", newline="",
+                                                 encoding="utf-8")
+    except OSError as exc:
+        return _error("simulate", _write_failure(dump, exc))
+    try:
+        report = aa_empirical_test(affine, trials, eps, horizon, seed,
+                                   probes=probes)
+        if handle is not None:
+            import csv
+            start = probes[0] if probes else tuple([0] * affine.dim)
+            writer = csv.writer(handle)
+            writer.writerow(["k"] + [f"x{i + 1}" for i in range(affine.dim)])
+            for k, point in trajectory(affine, start, steps):
+                writer.writerow([k] + [float(v) for v in point])
+            handle.close()
+    except OSError as exc:
+        return _error("simulate", _write_failure(dump, exc))
+    finally:
+        if handle is not None:
+            handle.close()
     return nio.aa_report_to_dict(report)
 
 

@@ -258,8 +258,19 @@ def subalgebra_closure(spec: LieAlgebraSpec, vectors: Iterable[Sequence[object]]
 def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
                       ) -> tuple[bool, tuple[int, int] | None]:
     """Do the vectors pairwise commute?  Returns the first failing index pair
-    in lexicographic order, if any."""
+    in lexicographic order, if any.
+
+    By bilinearity they commute exactly when a basis of their span does,
+    so only that basis (at most d vectors) is bracketed; the pairs of the
+    vectors themselves are scanned only to name the first failing one.
+    """
     vecs = [tuple(map(Fraction, v)) for v in vectors]
+    if spec.abelian():
+        return True, None
+    basis = QSubspace.from_spanning(vecs, spec.dim).basis
+    if not any(any(spec.bracket_vec(a, b)) for i, a in enumerate(basis)
+               for b in basis[i + 1:]):
+        return True, None
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if any(spec.bracket_vec(vecs[i], vecs[j])):

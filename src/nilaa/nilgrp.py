@@ -12,18 +12,23 @@ Lyndon basis: the standard bracketing of a Lyndon word w is w plus
 lexicographically larger words, so peeling off the least word left gives
 each coefficient in turn.  A product then costs one bracket per Lyndon word
 of the table or of a standard factor of one (17 at class 6).
+
+One integer kernel, NilpotentGroup._lyndon, sums that series for both the
+symbolic product mult and the expanded law that mult_vec evaluates: the
+arguments are integer polynomials over one common denominator, each bracket
+is an integer product over the nonzero structure constants (scaled once per
+group to integers), and only the final coefficients become Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
-from .poly import (ParamVector, Poly, _add_scaled, _align_vectors, _cleaned,
-                   _merge, _vector)
+from .poly import ParamVector, Poly, _align_vectors, _merge, _poly, _vector
 from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent, to_fraction
 
 BCH_CLASS_CAP = 6
@@ -141,6 +146,43 @@ def _bracket_steps(cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tu
     return tuple((w, *steps[w]) for w in sorted(steps, key=_graded))
 
 
+def _int_bracket(pairs: tuple, a: list[dict], b: list[dict]) -> list[dict] | None:
+    """[a, b] for polynomial vectors of NilpotentGroup._lyndon, None if
+    zero: coordinate k sums c (a_i b_j - a_j b_i) over the integer
+    structure constants (i, j, ((k, c), ...)) of NilpotentGroup._pairs."""
+    out = [{} for _ in a]
+    for i, j, terms in pairs:
+        prod: dict = {}
+        if a[i] and b[j]:
+            _mul_add(prod, 1, a[i], b[j])
+        if a[j] and b[i]:
+            _mul_add(prod, -1, a[j], b[i])
+        if prod:
+            for k, c in terms:
+                _add_scaled_int(out[k], c, prod)
+    out = [{m: c for m, c in acc.items() if c} for acc in out]
+    return out if any(out) else None
+
+
+def _mul_add(acc: dict, a: int, p: dict, q: dict) -> None:
+    """acc += a * p * q in place for polynomials of _lyndon; zero
+    coefficients may be left in acc."""
+    get = acc.get
+    for m1, c1 in p.items():
+        c1 *= a
+        for m2, c2 in q.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def _add_scaled_int(acc: dict, a: int, p: dict) -> None:
+    """acc += a * p in place for polynomials of _lyndon; zero
+    coefficients may be left in acc."""
+    get = acc.get
+    for m, c in p.items():
+        acc[m] = get(m, 0) + a * c
+
+
 class NilpotentGroup:
     """Group law, adjoint action, and affine defect for one algebra."""
 
@@ -150,9 +192,19 @@ class NilpotentGroup:
         if self.nilpotency_class > BCH_CLASS_CAP:
             raise ClassCapExceeded(
                 f"nilpotency class {self.nilpotency_class} exceeds cap {BCH_CLASS_CAP}")
-        self._terms = bch_table(self.nilpotency_class)
         self._steps = _bracket_steps(self.nilpotency_class)
-        self._law = None  # mult() expanded on symbolic arguments, see mult_vec
+        # the integer data of _lyndon: the nonzero structure constants
+        # times the lcm S of their denominators, per bracketing pair
+        # (i < j), and the BCH coefficients times the lcm L of theirs
+        nonzero = [(i, j, spec._brackets[i][j]) for i, j in spec.table]
+        S = lcm(*(x.denominator for _, _, terms in nonzero for _, x in terms))
+        self._pairs = tuple((i, j, tuple((k, x.numerator * (S // x.denominator)) for k, x in terms))
+                            for i, j, terms in nonzero)
+        table = bch_table(self.nilpotency_class)
+        L = lcm(*(c.denominator for _, c in table))
+        self._terms = tuple((word, c.numerator * (L // c.denominator)) for word, c in table)
+        self._scale, self._bch_scale = S, L
+        self._law = None  # the group law on symbolic arguments, see mult_vec
 
     @property
     def dim(self) -> int:
@@ -194,7 +246,8 @@ class NilpotentGroup:
         return tuple(out)
 
     def _expanded_law(self) -> tuple[list, list]:
-        """mult(v, w) expanded on symbolic arguments, for mult_vec.
+        """The group law on the 2d unit variables (v1..vd, w1..wd), for
+        mult_vec: _lyndon on those variables, indexed.
 
         Returns (monomials, coords).  Values are indexed like v + w, then
         one per monomial of degree >= 2: monomials[i] = (parent, var)
@@ -206,9 +259,8 @@ class NilpotentGroup:
         """
         if self._law is None:
             d = self.dim
-            names = tuple(f"v{i + 1}" for i in range(d)) + tuple(f"w{i + 1}" for i in range(d))
-            z = [Poly.variable(n, names) for n in names]
-            product = self.mult(ParamVector(names, z[:d]), ParamVector(names, z[d:]))
+            bits = self.nilpotency_class.bit_length()  # no exponent exceeds the class
+            units = [{1 << (bits * i): 1} for i in range(2 * d)]
             index = {}
             monomials = []
 
@@ -222,40 +274,81 @@ class NilpotentGroup:
                 return index[factors]
 
             coords = []
-            for p in product.entries:
-                scale = lcm(*(c.denominator for c in p.terms.values()))
-                levels = [[] for _ in range(p.degree())]
-                for exps in p.monomials():
-                    factors = tuple(i for i, e in enumerate(exps) for _ in range(e))
-                    coeff = p.terms[exps] * scale
-                    levels[len(factors) - 1].append((coeff.numerator, value_index(factors)))
-                coords.append((scale, levels))
+            product, base = self._lyndon(units[:d], units[d:], 1)
+            for terms in product:
+                g = gcd(base, *terms.values())  # base / g clears every c / base
+                levels = []
+                for m, c in terms.items():
+                    factors = ()  # the variables of m, by decreasing index
+                    while m:
+                        i = (m.bit_length() - 1) // bits
+                        factors += (i,)
+                        m -= 1 << (bits * i)
+                    levels += [[] for _ in range(len(factors) - len(levels))]
+                    levels[len(factors) - 1].append((c // g, value_index(factors)))
+                coords.append((base // g, levels))
             self._law = (monomials, coords)
         return self._law
 
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:
-        """log(exp v exp w) for polynomial coordinate vectors.
-
-        Sums the Lyndon-basis BCH series: one bracket per Lyndon word,
-        factors first, each from the brackets of its standard factors; a
-        zero factor zeroes every word built on it.
-        """
+        """log(exp v exp w) for polynomial coordinate vectors: _lyndon on
+        their numerators over the common denominator of the coefficients."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError(f"expected two vectors of length {self.dim}")
         v, w = _align_vectors(v, w)
         params = v.params
+        polys = (*v.entries, *w.entries)
+        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        # no exponent of the product exceeds the class times the largest
+        # exponent of the arguments
+        bits = (self.nilpotency_class * max(
+            (e for p in polys for exps in p.terms for e in exps), default=0)).bit_length()
+        shifts = [bits * i for i in range(len(params))]
+        mask = (1 << bits) - 1
+
+        def packed(vec):
+            return [{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (den // c.denominator)
+                     for exps, c in p.terms.items()} for p in vec.entries]
+
+        out, base = self._lyndon(packed(v), packed(w), den)
+        return _vector(params, tuple(
+            _poly(params, {tuple(m >> s & mask for s in shifts): Fraction(c, base)
+                           for m, c in terms.items()})
+            for terms in out))
+
+    def _lyndon(self, v: list[dict], w: list[dict], den: int) -> tuple[list[dict], int]:
+        """log(exp(v/den) exp(w/den)) for integer polynomial vectors v, w.
+
+        A polynomial is a dict from monomials to nonzero integers; a
+        monomial packs its exponents into fixed-width bit fields of one
+        integer, so monomials multiply by adding.  Returns (out, base):
+        the product's coefficients are those of out over base.
+
+        Sums the Lyndon-basis BCH series: one bracket per Lyndon word,
+        factors first, each the integer bracket of its standard factors
+        under the structure constants times S; a zero factor zeroes every
+        word built on it.  The true bracket of a word of length n is thus
+        its integer one over S^(n-1) D^n (D = den), and the levels meet
+        over base = L S^(top-1) D^top, level n weighted by (S D)^(top-n):
+        the Horner sum in S D, expanded.
+        """
+        pairs = self._pairs
         brackets = {(0,): v, (1,): w}  # Lyndon word -> its bracket, None if 0
         for word, left, right in self._steps:
             a, b = brackets[left], brackets[right]
-            acc = None if a is None or b is None else self.spec.bracket(a, b)
-            brackets[word] = None if acc is None or acc.is_zero() else acc
-        out = [{} for _ in range(self.dim)]
+            brackets[word] = None if a is None or b is None else _int_bracket(pairs, a, b)
+        top = self.nilpotency_class
+        step = self._scale * den
+        out = [{} for _ in v]
         for word, coeff in self._terms:
             acc = brackets[word]
             if acc is not None:
-                for k, p in enumerate(acc.entries):
-                    _add_scaled(out[k], coeff, p.terms)
-        return _vector(params, tuple(_cleaned(params, acc) for acc in out))
+                weight = coeff * step ** (top - len(word))
+                for k, p in enumerate(acc):
+                    if p:
+                        _add_scaled_int(out[k], weight, p)
+        base = self._bch_scale * self._scale ** (top - 1) * den ** top
+        return [{m: c for m, c in acc.items() if c} for acc in out], base
 
     def inv(self, v):
         """exp(v)^{-1} = exp(-v) in any group."""

@@ -28,13 +28,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [nilaa.cli.main(argv) for argv in argvs]
 print(json.dumps({"codes": codes,
                   "loaded": [m for m in json.loads(sys.argv[2])
-                             if m in sys.modules]}))
+                             if m in sys.modules],
+                  "package": sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "nilaa")}))
 """
 
 
 def _loaded_after(*argvs) -> dict:
-    """Exit codes of the commands and the watched modules loaded after
-    importing nilaa.cli and running them in one fresh interpreter."""
+    """Exit codes of the commands, the watched modules loaded and every
+    module of the package loaded after importing nilaa.cli and running
+    them in one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps([list(a) for a in argvs]),
@@ -49,7 +52,9 @@ def _corpus(name: str) -> str:
 
 
 def test_importing_the_cli_loads_no_command_modules():
-    assert _loaded_after() == {"codes": [], "loaded": []}
+    result = _loaded_after()
+    assert result["codes"] == []
+    assert result["loaded"] == []
 
 
 def test_decide_and_validate_load_neither_suspension_nor_orbit():
@@ -61,6 +66,20 @@ def test_decide_and_validate_load_neither_suspension_nor_orbit():
         ("validate", _corpus("paper_example_4d.json")))
     assert result["codes"] == [0, 1, 0, 1]
     assert result["loaded"] == []
+
+
+def test_decide_full_loads_exactly_the_core_modules():
+    # without cached bytecode every module loaded is compiled on each
+    # cold start, so a module added to this path costs every command
+    result = _loaded_after(
+        ("decide", _corpus("torus_rotation_1d.json"), "--criterion", "full"),
+        ("decide", _corpus("free_nilpotent_2_3.json"), "--criterion",
+         "full"))
+    assert result["codes"] == [0, 1]
+    assert result["package"] == [
+        "nilaa", "nilaa._record", "nilaa.cli", "nilaa.criteria", "nilaa.io",
+        "nilaa.lattice", "nilaa.nilalg", "nilaa.nilgrp", "nilaa.poly",
+        "nilaa.ratlin"]
 
 
 @pytest.mark.parametrize("name", ["torus_skew_translation.json",

@@ -419,6 +419,25 @@ def test_cli_answers_error_for_an_unwritable_output_path(capsys, tmp_path,
     assert not target.parent.exists()
 
 
+def test_cli_simulate_checks_the_dump_path_before_the_test(capsys, tmp_path,
+                                                           monkeypatch):
+    import nilaa.orbit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the empirical test ran before the dump "
+                             "path was opened")
+
+    monkeypatch.setattr(nilaa.orbit, "aa_empirical_test", refuse)
+    target = tmp_path / "missing" / "x.csv"
+    code, verdict = _run_main_checked(capsys, "simulate",
+                                      _corpus("torus_skew.json"),
+                                      "--horizon", "1000000", "--trials",
+                                      "20", "--dump", str(target))
+    assert code == 3
+    assert verdict["notes"] == [f"cannot write {target}: "
+                                f"No such file or directory"]
+
+
 def _translated_heisenberg(tmp_path, entry):
     """heisenberg_translation.json with parameters t, s and the given first
     translation entry."""

@@ -138,6 +138,56 @@ def test_is_abelian_family(heis):
     assert not ok and pair == (1, 2)  # first failing pair in lex order
 
 
+def _first_noncommuting_pair(spec, vectors):
+    """The lexicographic scan over every pair of the family."""
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if any(spec.bracket_vec(vectors[i], vectors[j])):
+                return i, j
+    return None
+
+
+def test_is_abelian_family_matches_the_pair_scan_in_random_bases():
+    # each algebra with an abelian subspace in its own basis; the family
+    # mixes vectors of it (abelian) or of the whole space (mostly not)
+    # with repeats, zeros and combinations of earlier members
+    rng = random.Random(61)
+    cases = ((heisenberg(), [(1, 0, 0), (0, 0, 1)]),
+             (free_nilpotent_2_3(), [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                                     (0, 0, 0, 0, 1)]),
+             (filiform(6), [tuple(int(i == k) for i in range(6))
+                            for k in range(1, 6)]))
+    pool = (F(0), F(1), F(-1), F(2), F(1, 3))
+    outcomes = set()
+    for spec, abelian_part in cases:
+        d = spec.dim
+        for _ in range(12):
+            p = random_basis_matrix(d, rng)
+            base = change_of_basis(spec, p)
+            p_inv = p.inverse()
+            whole = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+            gens = rng.choice((abelian_part, whole))
+            family = []
+            for _ in range(rng.randrange(1, 9)):
+                roll = rng.random()
+                if family and roll < 0.25:
+                    family.append(rng.choice(family))
+                elif family and roll < 0.5:
+                    a, b = rng.choice(family), rng.choice(family)
+                    x, y = rng.choice(pool), rng.choice(pool)
+                    family.append(tuple(x * s + y * t for s, t in zip(a, b)))
+                else:
+                    v = [F(0)] * d
+                    for g in gens:
+                        c = rng.choice(pool)
+                        v = [s + c * t for s, t in zip(v, g)]
+                    family.append(p_inv.matvec(v))
+            expect = _first_noncommuting_pair(base, family)
+            assert is_abelian_family(base, family) == (expect is None, expect)
+            outcomes.add(expect is None)
+    assert outcomes == {True, False}
+
+
 def test_is_ideal(heis):
     assert is_ideal(heis, QSubspace.from_spanning([(0, 0, 1)], 3))
     assert not is_ideal(heis, QSubspace.from_spanning([(1, 0, 0)], 3))

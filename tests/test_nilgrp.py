@@ -6,14 +6,16 @@ matrices, where exp and log are plain terminating matrix series and the
 group law is honest matrix multiplication.
 """
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
-                      random_change_of_basis)
+from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
+                      heisenberg, random_change_of_basis)
 from nilaa import io as nio
 from nilaa.nilalg import JacobiViolation, LieAlgebraSpec
 from nilaa.nilgrp import (BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, _fa_mul,
@@ -369,9 +371,17 @@ def test_lyndon_mult_matches_left_normed_dynkin_evaluation():
     params = ("t", "s")
     t, s = Poly.variable("t", params), Poly.variable("s", params)
     pool = [Poly.zero(params), Poly.constant(F(1, 2), params), t, s, t * s - 1,
-            t * F(-2, 3) + s * s]
+            t * F(-2, 3) + s * s, t * F(5, 2 ** 61 - 1) - F(1, 10 ** 12 + 39),
+            s * s * F(-7, 10 ** 12 + 39) + F(3, 2 ** 61 - 1)]
     for cls, spec in enumerate(specs, start=1):
-        for base in (spec, random_change_of_basis(spec, rng)):
+        # the last basis rescales e_i by i + 1 and the central e_d by 3,
+        # so its structure constants have denominators
+        scaled = change_of_basis(spec, QMatrix(
+            [[(i + 1 if i < spec.dim - 1 else 3) * (i == j)
+              for j in range(spec.dim)] for i in range(spec.dim)]))
+        assert cls == 1 or any(x.denominator > 1
+                               for vec in scaled.table.values() for x in vec)
+        for base in (spec, random_change_of_basis(spec, rng), scaled):
             group = NilpotentGroup(base)
             assert group.nilpotency_class == cls
             for _ in range(3):
@@ -381,3 +391,17 @@ def test_lyndon_mult_matches_left_normed_dynkin_evaluation():
                 assert product == _left_normed_mult(group, v, w)
                 for p in product:
                     assert p == Poly(p.params, p.terms) and all(p.terms.values())
+
+
+def test_a_dropped_group_is_collected():
+    # whatever a group keeps for its products lives on the group, so
+    # dropping the group frees it
+    group = NilpotentGroup(free_nilpotent_2_3())
+    x = ParamVector(("t",), [parse_poly("t", ("t",)), F(1, 3), 0, 0, 2])
+    assert group.mult(x, x) == x.scale(2)
+    assert group.mult_vec((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))[2] == F(1, 2)
+    group.defect_map(x, QMatrix.identity(5))
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
