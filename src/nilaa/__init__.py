@@ -27,7 +27,7 @@ _EXPORTS = {
     "LogLattice": "lattice", "validate_lattice": "lattice",
     "preserves_lattice": "lattice",
     "AffineSystem": "criteria", "make_system": "criteria",
-    "Verdict": "criteria", "defect_family": "criteria", "nilrank": "criteria",
+    "Verdict": "criteria",
     "full_decide": "criteria", "torus_decide": "criteria",
     "basepoint_decide": "criteria", "translation_decide": "criteria",
     "suspended_full_decide": "criteria",
@@ -44,7 +44,7 @@ _EXPORTS = {
     "monodromy_adjoint_check": "suspension",
     "embedding_consistency_check": "suspension", "Mismatch": "suspension",
     "NumericAffine": "orbit", "aa_empirical_test": "orbit",
-    "find_forward_sequence": "orbit", "witness_distances": "orbit",
+    "find_forward_sequence": "orbit",
     "iterate": "orbit", "trajectory": "orbit",
     "AATestReport": "orbit", "FalsificationWitness": "orbit",
     "parse_system": "io", "system_from_dict": "io",

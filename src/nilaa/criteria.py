@@ -67,7 +67,7 @@ class HypothesisViolated(ValueError):
     """A structural hypothesis of the analysis fails for this system."""
 
     def __init__(self, which: str):
-        super().__init__(which)
+        super().__init__(f"hypothesis violated: {which}")
         self.which = which
 
 
@@ -244,18 +244,6 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
 
 # ---- shared helpers ----
 
-def nilrank(matrix: QMatrix) -> int:
-    """Least k with (U - I)^k = 0; raises NotUnipotent otherwise.
-
-    This counts the vanishing power itself, so the identity has nilrank 1
-    and a d-dimensional full Jordan block has nilrank d.
-    """
-    k = unipotency_index(matrix)
-    if k is None:
-        raise NotUnipotent("matrix spectrum is not {1}")
-    return k
-
-
 def _primitive(vec: Sequence[object]) -> tuple[Fraction, ...]:
     """Scale a rational vector to primitive integer form, first entry > 0."""
     vec = [Fraction(x) for x in vec]
@@ -283,26 +271,6 @@ def _format_monomial(exps: tuple[int, ...], params: tuple[str, ...]) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def defect_family(system_or_group, automorphism=None, translation=None
-                  ) -> list[tuple[str, tuple[Fraction, ...]]]:
-    """Ordered coefficient family of the defect map.
-
-    Monomials come smallest first (graded lexicographic), so a constant term
-    leads.  Accepts either an AffineSystem or (group, automorphism,
-    translation) explicitly.
-    """
-    if automorphism is None:
-        system = system_or_group
-        group, automorphism, translation = (system.group, system.automorphism,
-                                            system.translation)
-    else:
-        group = system_or_group
-    c = group.defect_map(translation, automorphism)
-    coeffs = c.coefficient_vectors()
-    order = list(reversed(c.monomials()))
-    return [(_format_monomial(m, c.params), coeffs[m]) for m in order]
 
 
 def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBracket:
@@ -386,7 +354,7 @@ def torus_decide(system: AffineSystem) -> Verdict:
     """
     spec = system.algebra
     if not spec.abelian():
-        raise NonAbelian("torus_decide requires an abelian algebra")
+        raise NonAbelian("the torus criterion requires an abelian algebra")
     U = system.automorphism
     d = spec.dim
     if unipotency_index(U) is None:
@@ -454,13 +422,9 @@ def basepoint_decide(system: AffineSystem) -> Verdict:
                                     system.translation)
     if status == AA:
         return Verdict(AA, "basepoint", cert, ())
-    from .suspension import suspend
-    susp = suspend(system)
-    status2, cert2 = _basepoint_stage(susp.big_algebra,
-                                      QMatrix.identity(susp.dim),
-                                      susp.embedded_translation)
-    if status2 == AA:
-        return Verdict(AA, "basepoint", cert2,
+    up = suspended_basepoint_decide(system)
+    if up.status == AA:
+        return Verdict(AA, "basepoint", up.certificate,
                        ("witness found after absorbing the automorphism "
                         "into a translation one dimension up; coordinates "
                         "are (circle, fiber)",))
@@ -507,7 +471,8 @@ def suspended_full_decide(system: AffineSystem) -> Verdict:
 
 
 def suspended_basepoint_decide(system: AffineSystem) -> Verdict:
-    """basepoint_decide applied to the suspension translation."""
+    """The basepoint test on the suspension translation alone: the second
+    stage of basepoint_decide."""
     from .suspension import suspend
     susp = suspend(system)
     note = ("evaluated on the suspension translation; coordinates are "

@@ -272,7 +272,7 @@ def parse_system(path) -> AffineSystem:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}",
+        raise ParseError(f"{path.name}:{exc.lineno}:{exc.colno}",
                          exc.msg) from exc
     return system_from_dict(data, source=path.name)
 

@@ -29,7 +29,8 @@ from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
 from .poly import ParamVector, Poly, _align_vectors, _merge, _poly, _vector
-from .ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent, to_fraction
+from .ratlin import NotUnipotent, QMatrix, matrix_exp_nilpotent, \
+    matrix_log_unipotent, to_fraction
 
 BCH_CLASS_CAP = 6
 
@@ -371,7 +372,11 @@ class NilpotentGroup:
         (delta, x_i, x_j) of the algebra with [delta, x] = D x adjoined, which
         the suspension's NilpotentGroup checks.
         """
-        return matrix_log_unipotent(matrix)
+        try:
+            return matrix_log_unipotent(matrix)
+        except NotUnipotent as exc:
+            raise NotUnipotent(
+                f"the automorphism is not unipotent: {exc}") from None
 
     # ---- affine defect ----
 

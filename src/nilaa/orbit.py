@@ -507,25 +507,6 @@ class AATestReport:
     notes: tuple = ()
 
 
-def witness_distances(affine: NumericAffine, probe, target,
-                      sequence) -> tuple:
-    """Recompute (forward, backward) distances of a witness from scratch.
-
-    forward = max over k in the sequence of dist(T^k probe, target);
-    backward = max over k of dist(T^-k target, probe).  The indices k >= 0
-    are visited in one walk along each orbit.
-    """
-    probe = affine.reduce(probe)
-    target = affine.reduce(target)
-    ks = sorted(sequence)
-    fwd = max((affine.distance(p, target) for p in _walk(affine, probe, ks)),
-              default=Fraction(0))
-    bwd = max((affine.distance(p, probe)
-               for p in _walk(affine, target, ks, backward=True)),
-              default=Fraction(0))
-    return float(fwd), float(bwd)
-
-
 def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
     den = 2 ** 20
     coords = [Fraction(rng.randrange(den), den) for _ in range(affine.dim)]

@@ -107,11 +107,7 @@ class Poly:
     def _align(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if self.params == other.params:
             return self, other
-        merged = list(self.params)
-        for name in other.params:
-            if name not in merged:
-                merged.append(name)
-        merged = tuple(merged)
+        merged = _merge(self.params, other.params)
         return self.with_params(merged), other.with_params(merged)
 
     # ---- queries ----
@@ -194,18 +190,6 @@ class Poly:
         return _poly(a.params, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"polynomial power must be a nonnegative integer, got {n!r}")
-        out = Poly.constant(1, self.params)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def substitute(self, values: Mapping[str, object]) -> Fraction:
         """Evaluate at exact rational parameter values."""

@@ -122,7 +122,7 @@ def monodromy_adjoint_check(susp: SuspendedSystem) -> bool:
 
 
 def embedding_consistency_check(system, susp: SuspendedSystem | None = None,
-                                samples: int = 25, seed: int = 2024) -> bool:
+                                samples: int = 25) -> bool:
     """Evaluate the affine map directly and through the suspension.
 
     Route one applies exp(x) -> exp(a) U(exp x) downstairs.  Route two
@@ -135,7 +135,7 @@ def embedding_consistency_check(system, susp: SuspendedSystem | None = None,
     if susp is None:
         susp = suspend(system)
     group: NilpotentGroup = system.group
-    rng = Random(seed)
+    rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
     params = system.translation.params
 
     def rnd(lo: int, hi: int, den: int) -> Fraction:

@@ -78,7 +78,7 @@ def test_cli_answers_every_mutated_corpus_file(capsys, tmp_path):
         path = tmp_path / f"{stem}-{n}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         for argv in (("validate",),
-                     ("decide", "--criterion", rng.choice(ncli.CRITERIA)),
+                     ("decide", "--criterion", rng.choice(list(ncli.CRITERIA))),
                      ("suspend",),
                      ("simulate", "--trials", "1", "--horizon", "50")):
             args = [argv[0], str(path), *argv[1:]]

@@ -22,15 +22,15 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             SpectralObstruction, UnipotentPower,
                             ValidationError, Verdict, WitnessSubspace,
                             _two_generator_matrix_coefficients,
-                            basepoint_decide, defect_family, full_decide,
+                            basepoint_decide, full_decide,
                             lie_necessary, make_system, minimality_check,
-                            nilrank, power_unipotent, suspended_basepoint_decide,
+                            power_unipotent, suspended_basepoint_decide,
                             suspended_full_decide, torus_decide,
                             translation_decide, two_generator_analysis)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
 from nilaa.poly import ParamVector, Poly, parse_poly
-from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace
+from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace, unipotency_index
 
 F = Fraction
 HALF = F(1, 2)
@@ -126,9 +126,14 @@ def test_validation_rejects_lattice_breaking_automorphism():
 
 
 def test_defect_family_is_ordered_constant_first():
-    fam = defect_family(skew_rational())
-    assert [(m, v) for m, v in fam] == [("1", (F(1, 3), F(0))),
-                                        ("X2", (F(1), F(0)))]
+    # the deciders scan the coefficient vectors of the defect map from the
+    # smallest monomial up, so a constant term leads
+    system = skew_rational()
+    c = system.group.defect_map(system.translation, system.automorphism)
+    assert c.params == ("X1", "X2")
+    coeffs = c.coefficient_vectors()
+    assert [(m, coeffs[m]) for m in reversed(c.monomials())] == [
+        ((0, 0), (F(1, 3), F(0))), ((0, 1), (F(1), F(0)))]
 
 
 # ---- full_decide ----
@@ -525,7 +530,6 @@ def test_power_unipotent_block_lcm():
     result = power_unipotent(A)
     assert result == UnipotentPower(3)
     # minimality by divisor exhaustion
-    from nilaa.ratlin import unipotency_index
     for r in (1, 2):
         assert unipotency_index(A ** r) is None
     assert unipotency_index(A ** 3) is not None
@@ -603,9 +607,10 @@ def test_aa_pure_automorphisms_have_nilrank_at_most_two():
     for builder in (heis_shear, jordan3_system):
         system = builder()
         if full_decide(system).status == AA:
-            assert nilrank(system.automorphism) <= 2
-    assert nilrank(heis_shear().automorphism) == 2
-    assert nilrank(QMatrix.identity(3)) == 1
+            assert unipotency_index(system.automorphism) <= 2
+    # the least k with (U - I)^k = 0: 1 for the identity
+    assert unipotency_index(heis_shear().automorphism) == 2
+    assert unipotency_index(QMatrix.identity(3)) == 1
 
 
 def test_verdict_shape_is_enforced():

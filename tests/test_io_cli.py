@@ -362,12 +362,12 @@ def test_cli_run_criterion_dispatch():
     for criterion in ncli.CRITERIA:
         if criterion in ("torus", "translation"):
             continue  # hypotheses fail for this system, tested below
-        result = ncli.run_criterion(system, criterion)
+        result = ncli.CRITERIA[criterion](system)
         assert result["criterion"] == criterion
         assert set(result) == {"status", "criterion", "certificate", "notes"}
     # dispatch does not swallow hypothesis errors; the CLI wrapper does
     with pytest.raises(NonAbelian):
-        ncli.run_criterion(system, "torus")
+        ncli.CRITERIA["torus"](system)
 
 
 def test_cli_suspend_writes_data(capsys, tmp_path):
@@ -807,6 +807,66 @@ def test_cli_suspend_rejects_a_non_unipotent_automorphism(capsys, tmp_path):
     assert verdict["status"] == "ERROR"
     assert verdict["notes"] == ["the automorphism is not unipotent: the "
                                 "matrix has an eigenvalue other than 1"]
+
+
+NON_UNIPOTENT = {"dim": 2, "automorphism": [["2", "1"], ["1", "1"]],
+                 "translation": ["1/3", "0"]}
+NOT_UNIPOTENT_NOTE = "the automorphism is not unipotent"
+
+
+@pytest.mark.parametrize("data, argv, note", [
+    (NON_UNIPOTENT, ("decide", "--criterion", "full"), NOT_UNIPOTENT_NOTE),
+    (NON_UNIPOTENT, ("decide", "--criterion", "torus"), NOT_UNIPOTENT_NOTE),
+    (NON_UNIPOTENT, ("decide", "--criterion", "lie"), NOT_UNIPOTENT_NOTE),
+    # basepoint reaches the unipotency test through the suspension's log U
+    (NON_UNIPOTENT, ("decide", "--criterion", "basepoint"),
+     f"{NOT_UNIPOTENT_NOTE}: the matrix has an eigenvalue other than 1"),
+    ({"dim": 3, "structure_constants": [[1, 2, 3, "1"]],
+      "lattice_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]]},
+     ("decide", "--criterion", "torus"),
+     "the torus criterion requires an abelian algebra"),
+    ({"dim": 2}, ("decide", "--criterion", "two-generator"),
+     "hypothesis violated: two designated generators are required"),
+], ids=["full", "torus", "lie", "basepoint", "torus-nonabelian",
+        "two-generator"])
+def test_cli_error_notes_state_their_reason_once(capsys, tmp_path, data,
+                                                 argv, note):
+    path = _write_system(tmp_path, **data)
+    code, verdict = _run_main_checked(capsys, argv[0], path, *argv[1:])
+    assert code == 3
+    assert verdict["status"] == "ERROR"
+    assert verdict["certificate"] is None
+    assert verdict["notes"] == [note]
+
+
+def test_cli_commands_load_an_invalid_system_the_same_way(capsys):
+    # the corpus file whose matrix is not an automorphism of its algebra
+    path = _corpus("paper_example_4d.json")
+    expected = {
+        "status": "ERROR",
+        "certificate": {"kind": "validation_failure",
+                        "check": "is_automorphism",
+                        "witness": "pair (1, 3); residual (0, 0, 0, 1)"},
+        "notes": ["the system file fails validation at is_automorphism"]}
+    for argv, criterion in ((("decide", path, "--criterion", "full"), "full"),
+                            (("suspend", path), "suspend"),
+                            (("simulate", path), "simulate")):
+        code, verdict = _run_main_checked(capsys, *argv)
+        assert code == 3
+        assert verdict == dict(expected, criterion=criterion)
+
+
+def test_cli_locates_malformed_json_by_file_name_in_every_command(capsys,
+                                                                  tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"dim": 1,\n  "params": [}\n', encoding="utf-8")
+    for argv in (("validate",), ("decide", "--criterion", "full"),
+                 ("suspend",), ("simulate",)):
+        code, verdict = _run_main_checked(capsys, argv[0], str(path),
+                                          *argv[1:])
+        assert code == 3
+        assert verdict["status"] == "ERROR"
+        assert verdict["notes"] == ["broken.json:2:14: Expecting value"]
 
 
 def test_cli_corpus_run_passes(capsys):

@@ -24,7 +24,7 @@ from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
                          NumericAffine, _convergent_denominators,
                          _run_trial, _snap, _TorusFactor, _walk,
                          aa_empirical_test, find_forward_sequence,
-                         iterate, trajectory, witness_distances)
+                         iterate, trajectory)
 from nilaa.ratlin import QMatrix
 
 F = Fraction
@@ -510,10 +510,13 @@ def test_witness_distances_walk_once_per_orbit(kind):
         target = [F(rng.randrange(-256, 512), 256) for _ in range(m.dim)]
         seq = tuple(sorted(rng.sample(range(1, 80), 5)))
         rp, rt = m.reduce(probe), m.reduce(target)
-        fwd = max(m.distance(iterate(m, rp, k), rt) for k in seq)
-        bwd = max(m.distance(iterate(m, rt, -k), rp) for k in seq)
-        assert witness_distances(m, probe, target, seq) == \
-            (float(fwd), float(bwd))
+        fwd = [m.distance(iterate(m, rp, k), rt) for k in seq]
+        bwd = [m.distance(iterate(m, rt, -k), rp) for k in seq]
+        # one walk along each orbit, from the unreduced points, as a trial
+        # checks a witness
+        assert [m.distance(p, rt) for p in _walk(m, probe, seq)] == fwd
+        assert [m.distance(p, rp)
+                for p in _walk(m, target, seq, backward=True)] == bwd
 
 
 def test_falsification_witness_revalidates():
@@ -521,7 +524,10 @@ def test_falsification_witness_revalidates():
     report = aa_empirical_test(m, 1, 1e-3, 10 ** 5, 1,
                                probes=[(0.3, 0.3, 0.3)])
     w = report.witness
-    fwd, bwd = witness_distances(m, w.probe, w.target, w.sequence)
+    fwd = max(m.distance(iterate(m, w.probe, k), w.target)
+              for k in w.sequence)
+    bwd = max(m.distance(iterate(m, w.target, -k), w.probe)
+              for k in w.sequence)
     assert abs(fwd - w.forward_distance) <= 1e-12
     assert abs(bwd - w.backward_distance) <= 1e-12
 
