@@ -26,9 +26,12 @@ from .criteria import (ValidationError, basepoint_decide, full_decide,
                        lie_necessary, minimality_check, power_unipotent,
                        torus_decide, translation_decide,
                        two_generator_analysis)
+from .lattice import preserves_lattice
 
 # criterion -> its verdict dict on a validated system.  The functions are
 # looked up when called, so a wrapper installed on a module name sees them.
+# power-unipotent reads U in lattice coordinates, where a U that preserves
+# the lattice is integral; its spectrum does not depend on the basis.
 CRITERIA = {
     "full": lambda s: nio.verdict_to_dict(full_decide(s)),
     "basepoint": lambda s: nio.verdict_to_dict(basepoint_decide(s)),
@@ -36,9 +39,8 @@ CRITERIA = {
     "translation": lambda s: nio.verdict_to_dict(translation_decide(s)),
     "lie": lambda s: nio.lie_report_to_dict(lie_necessary(s)),
     "power-unipotent": lambda s: nio.power_result_to_dict(
-        power_unipotent(s.automorphism)),
-    "minimality": lambda s: nio.minimality_report_to_dict(
-        minimality_check(s)),
+        power_unipotent(preserves_lattice(s.automorphism, s.lattice)[2])),
+    "minimality": lambda s: nio.verdict_to_dict(minimality_check(s)),
     "two-generator": lambda s: nio.two_generator_report_to_dict(
         two_generator_analysis(s)),
 }
@@ -234,10 +236,10 @@ def _corpus_run(stdout) -> int:
     checks = 0
     for entry in sorted(manifest["entries"], key=lambda e: e["file"]):
         path = base / entry["file"]
-        jobs = [("validate", entry["validate"], None)]
+        jobs = [("validate", entry["validate"])]
         for run in entry.get("runs", []):
-            jobs.append((run["criterion"], run, run))
-        for criterion, job, run in jobs:
+            jobs.append((run["criterion"], run))
+        for criterion, job in jobs:
             if criterion == "validate":
                 result = _validate_result(path)
             elif criterion == "simulate":

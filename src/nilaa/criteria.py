@@ -284,7 +284,13 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
                    lattice: LogLattice | None, automorphism: QMatrix,
                    translation: ParamVector, criterion: str,
                    extra_notes: tuple[str, ...] = ()) -> Verdict:
-    """Core of full_decide, shared with the suspension-side deciders."""
+    """Core of full_decide, shared with the suspension-side deciders.
+
+    The defect span is eliminated once; unless the constant direction is
+    shifted, its basis is also the witness.  The lattice is read only when
+    U moves the constant direction, which the suspension side's identity
+    never does.
+    """
     d = spec.dim
     if unipotency_index(automorphism) is None:
         raise NotUnipotent("the automorphism is not unipotent")
@@ -295,14 +301,13 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
     vectors = [coeffs[m] for m in order]
     zero_mono = tuple(0 for _ in c.params)
 
-    ok, pair = is_abelian_family(spec, vectors)
-    if not ok:
-        i, j = pair
+    span = QSubspace.from_spanning(vectors, d)
+    if not is_abelian_family(spec, span.basis)[0]:
+        i, j = is_abelian_family(spec, vectors)[1]
         cert = _obstruction_from_pair(spec, vectors[i], vectors[j])
         return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
 
     shift = None
-    witness_vectors = list(vectors)
     for idx, (m, v) in enumerate(zip(order, vectors)):
         image = tuple(x - y for x, y in zip(automorphism.matvec(v), v))
         if not any(image):
@@ -311,10 +316,6 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
             cert = NotFixed(tuple(v), image, _format_monomial(m, c.params))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
         # the constant direction may be corrected by a central lattice vector
-        if lattice is None:
-            raise InapplicableCriterion(
-                "constant defect direction is not fixed and no lattice data "
-                "is available for a coset correction")
         zgens = central_lattice_basis(group, lattice)
         images = [tuple(x - y for x, y in zip(automorphism.matvec(b), b))
                   for b in zgens]
@@ -326,10 +327,11 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
         shift = tuple(sum((Fraction(q) * b[i] for q, b in zip(coords, zgens)),
                           Fraction(0)) for i in range(d))
-        witness_vectors[idx] = tuple(x + s for x, s in zip(v, shift))
+        vectors[idx] = tuple(x + s for x, s in zip(v, shift))
 
-    witness = QSubspace.from_spanning(witness_vectors, d)
-    return Verdict(AA, criterion, WitnessSubspace(witness, shift), extra_notes)
+    if shift is not None:
+        span = QSubspace.from_spanning(vectors, d)
+    return Verdict(AA, criterion, WitnessSubspace(span, shift), extra_notes)
 
 
 def full_decide(system: AffineSystem) -> Verdict:
@@ -381,9 +383,7 @@ def torus_decide(system: AffineSystem) -> Verdict:
 
     shift = None
     if any(coeffs.get(zero_mono, ())):
-        shift = tuple(sum((-Fraction(q) * system.lattice.generator(i)[k]
-                           for i, q in enumerate(coords)), Fraction(0))
-                      for k in range(d))
+        shift = system.lattice.from_coords([-q for q in coords])
     witness = QSubspace.from_spanning(kernel_basis(UI), d)
     return Verdict(AA, "torus", WitnessSubspace(witness, shift), ())
 
@@ -413,11 +413,6 @@ def basepoint_decide(system: AffineSystem) -> Verdict:
     point embeds as a base point of that translation, with identical orbit
     closure dynamics, so the two answers agree.
     """
-    group = system.group
-    if system.translation.is_zero() and system.is_translation():
-        return Verdict(AA, "basepoint",
-                       WitnessSubspace(QSubspace.zero(group.dim), None),
-                       ("the map fixes the base point",))
     status, cert = _basepoint_stage(system.algebra, system.automorphism,
                                     system.translation)
     if status == AA:
@@ -549,14 +544,7 @@ def lie_necessary(system: AffineSystem) -> LieNecessaryReport:
 
 # ---- minimality of translations ----
 
-@record
-class MinimalityReport:
-    status: str
-    certificate: InvariantSubtorus | None
-    notes: tuple[str, ...] = ()
-
-
-def minimality_check(system: AffineSystem) -> MinimalityReport:
+def minimality_check(system: AffineSystem) -> Verdict:
     """Minimality of a translation via its abelianization rotation.
 
     A nilmanifold translation is minimal exactly when the induced rotation
@@ -570,9 +558,8 @@ def minimality_check(system: AffineSystem) -> MinimalityReport:
     """
     d = system.dim
     if not system.is_translation():
-        return MinimalityReport(
-            INCONCLUSIVE, None,
-            ("minimality analysis covers translations only",))
+        return Verdict(INCONCLUSIVE, "minimality", None,
+                       ("minimality analysis covers translations only",))
 
     derived = derived_subalgebra(system.algebra)
     proj_rows = annihilator_basis(derived.basis, d)
@@ -590,10 +577,10 @@ def minimality_check(system: AffineSystem) -> MinimalityReport:
                    if m != zero_mono]
     ann = annihilator_basis(nonconstant, k)
     if not ann:
-        return MinimalityReport(MINIMAL, None, ())
+        return Verdict(MINIMAL, "minimality", None, ())
     covectors = tuple(tuple(int(x) for x in _primitive(row)) for row in ann)
-    return MinimalityReport(
-        NOT_MINIMAL, InvariantSubtorus(covectors),
+    return Verdict(
+        NOT_MINIMAL, "minimality", InvariantSubtorus(covectors),
         ("covectors are written in the basis dual to the abelianized "
          "lattice; each one is rationally constant along the orbit",))
 

@@ -249,7 +249,7 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
                                           for n in notes):
         raise ParseError(f"{source}:notes", "notes must be strings")
 
-    algebra = LieAlgebraSpec.from_sparse(dim, entries, one_based=True)
+    algebra = LieAlgebraSpec.from_sparse(dim, entries)
     return make_system(algebra, lattice=lattice, automorphism=automorphism,
                        translation=translation,
                        name=str(data.get("name", "")),
@@ -406,11 +406,6 @@ def lie_report_to_dict(report) -> dict:
     notes.append("these conditions are necessary, not sufficient")
     return make_verdict_dict(PASS if report.passed else FAIL, "lie", None,
                              notes)
-
-
-def minimality_report_to_dict(report) -> dict:
-    return make_verdict_dict(report.status, "minimality",
-                             report.certificate, report.notes)
 
 
 def two_generator_report_to_dict(report) -> dict:

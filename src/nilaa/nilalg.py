@@ -69,18 +69,16 @@ class LieAlgebraSpec:
             self._brackets[j][i] = tuple((k, -x) for k, x in terms)
 
     @classmethod
-    def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]],
-                    one_based: bool = True) -> "LieAlgebraSpec":
-        """Build from (i, j, k, coeff) quadruples meaning [xi_i, xi_j] has
-        coefficient coeff on xi_k."""
-        off = 1 if one_based else 0
+    def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]
+                    ) -> "LieAlgebraSpec":
+        """Build from one-based (i, j, k, coeff) quadruples meaning
+        [xi_i, xi_j] has coefficient coeff on xi_k."""
         table: dict[tuple[int, int], list[Fraction]] = {}
         for i, j, k, coeff in entries:
-            i, j, k = i - off, j - off, k - off
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise ValueError(f"index out of range in structure constant ({i + off}, {j + off}, {k + off})")
-            vec = table.setdefault((i, j), [Fraction(0)] * dim)
-            vec[k] += Fraction(coeff)
+            if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
+                raise ValueError(f"index out of range in structure constant ({i}, {j}, {k})")
+            vec = table.setdefault((i - 1, j - 1), [Fraction(0)] * dim)
+            vec[k - 1] += Fraction(coeff)
         return cls(dim, table)
 
     def abelian(self) -> bool:
@@ -260,21 +258,15 @@ def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
     """Do the vectors pairwise commute?  Returns the first failing index pair
     in lexicographic order, if any.
 
-    By bilinearity they commute exactly when a basis of their span does,
-    so only that basis (at most d vectors) is bracketed; the pairs of the
-    vectors themselves are scanned only to name the first failing one.
+    Every pair of the given vectors is bracketed and nothing is eliminated.
+    By bilinearity a family commutes exactly when a basis of its span does,
+    so a caller holding many vectors passes such a basis first.
     """
-    vecs = [tuple(map(Fraction, v)) for v in vectors]
-    if spec.abelian():
-        return True, None
-    basis = QSubspace.from_spanning(vecs, spec.dim).basis
-    if not any(any(spec.bracket_vec(a, b)) for i, a in enumerate(basis)
-               for b in basis[i + 1:]):
-        return True, None
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if any(spec.bracket_vec(vecs[i], vecs[j])):
-                return False, (i, j)
+    if not spec.abelian():
+        for i, v in enumerate(vectors):
+            for j in range(i + 1, len(vectors)):
+                if any(spec.bracket_vec(v, vectors[j])):
+                    return False, (i, j)
     return True, None
 
 
@@ -327,7 +319,5 @@ def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
     failing = [pair for pair, acc in residuals.items() if any(acc)]
     if not failing:
         return True, None, None
-    i, j = min(failing)
-    lhs = spec.bracket_vec(matrix.column(i), matrix.column(j))
-    rhs = matrix.matvec(spec.structure_vector(i, j))
-    return False, (i, j), tuple(a - b for a, b in zip(lhs, rhs))
+    pair = min(failing)
+    return False, pair, tuple(residuals[pair])

@@ -81,9 +81,8 @@ class QMatrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "QMatrix":
-        m = n if m is None else m
-        return cls([[Fraction(0)] * m for _ in range(n)])
+    def zeros(cls, n: int) -> "QMatrix":
+        return cls([[Fraction(0)] * n for _ in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]]) -> "QMatrix":

@@ -201,7 +201,7 @@ def _random_vec(rng, d):
 def test_criterion_8_group_law_and_linear_algebra_self_check():
     started = time.monotonic()
     chain4 = LieAlgebraSpec.from_sparse(
-        4, [(1, 2, 3, 1), (2, 3, 4, 1)], one_based=True)
+        4, [(1, 2, 3, 1), (2, 3, 4, 1)])
     shear3 = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     lift5 = QMatrix([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                      [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]])

@@ -14,6 +14,8 @@ import pytest
 
 from conftest import (abelian, change_of_basis, free_nilpotent_2_3,
                       heisenberg, jordan_block, random_basis_matrix)
+from nilaa import io as nio
+from nilaa import ratlin
 from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             AffineSystem, CosetObstruction, HypothesisViolated,
                             InapplicableCriterion, InvariantSubtorus,
@@ -30,7 +32,8 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
 from nilaa.poly import ParamVector, Poly, parse_poly
-from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace, unipotency_index
+from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace, rref, \
+    unipotency_index
 
 F = Fraction
 HALF = F(1, 2)
@@ -284,6 +287,33 @@ def test_basepoint_identity_translation_is_fixed():
     verdict = basepoint_decide(make_system(abelian(2), automorphism=JORDAN2))
     assert verdict.status == AA
     assert verdict.certificate.subspace == QSubspace.zero(2)
+
+
+def test_basepoint_identity_map_answers_through_its_first_stage():
+    system = make_system(heisenberg(), lattice=HEIS_LATTICE)
+    assert basepoint_decide(system) == Verdict(
+        AA, "basepoint", WitnessSubspace(QSubspace.zero(3), None), ())
+
+
+@pytest.mark.parametrize("decide", [full_decide, basepoint_decide])
+@pytest.mark.parametrize("name", ["heisenberg.json",
+                                  "heisenberg_translation.json",
+                                  "free_nilpotent_2_3_central.json"])
+def test_aa_deciders_eliminate_the_defect_span_once(monkeypatch, name,
+                                                    decide):
+    # the span's one elimination settles the abelian test and is the
+    # witness; is_abelian_family brackets that basis without eliminating
+    system = nio.parse_system(nio.corpus_file(name))
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(ratlin, "rref", counted)
+    verdict = decide(system)
+    assert verdict.status == AA and verdict.certificate.shift is None
+    assert len(calls) == 1
 
 
 def test_basepoint_skew_translation_matches_the_fixed_failure():

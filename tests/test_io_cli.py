@@ -356,6 +356,29 @@ def test_cli_decide_inconclusive(capsys):
     assert verdict["status"] == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("automorphism, power", [
+    ([["1", "1/2"], ["0", "1"]], 1),
+    ([["0", "-1/2"], ["2", "0"]], 4),
+])
+def test_cli_power_unipotent_reads_u_in_lattice_coordinates(
+        capsys, tmp_path, automorphism, power):
+    # U preserves the lattice spanned by (1, 0) and (0, 2) but is not
+    # integral in the standard basis
+    path = _write_system(tmp_path, name="scaled_torus", dim=2,
+                         structure_constants=[],
+                         lattice_basis=[["1", "0"], ["0", "2"]],
+                         automorphism=automorphism)
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert (code, verdict["status"]) == (0, "VALID")
+    code, verdict = _run_main_checked(capsys, "decide", path,
+                                      "--criterion", "power-unipotent")
+    assert code == 0
+    assert verdict == {"status": "PASS", "criterion": "power-unipotent",
+                       "certificate": {"kind": "unipotent_power",
+                                       "power": power},
+                       "notes": [f"U^{power} is unipotent"]}
+
+
 def test_cli_run_criterion_dispatch():
     from nilaa.criteria import NonAbelian
     system = nio.parse_system(_corpus("free_nilpotent_2_3.json"))

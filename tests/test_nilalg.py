@@ -184,6 +184,9 @@ def test_is_abelian_family_matches_the_pair_scan_in_random_bases():
                     family.append(p_inv.matvec(v))
             expect = _first_noncommuting_pair(base, family)
             assert is_abelian_family(base, family) == (expect is None, expect)
+            # the deciders bracket a basis of the span in place of the family
+            basis = QSubspace.from_spanning(family, d).basis
+            assert is_abelian_family(base, basis)[0] == (expect is None)
             outcomes.add(expect is None)
     assert outcomes == {True, False}
 
