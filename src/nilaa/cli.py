@@ -27,6 +27,7 @@ from .criteria import (ValidationError, basepoint_decide, full_decide,
                        torus_decide, translation_decide,
                        two_generator_analysis)
 from .lattice import preserves_lattice
+from .nilgrp import ClassCapExceeded
 
 # criterion -> its verdict dict on a validated system.  The functions are
 # looked up when called, so a wrapper installed on a module name sees them.
@@ -59,7 +60,7 @@ def _load(path, criterion: str):
     why there is none."""
     try:
         return nio.parse_system(path)
-    except nio.ParseError as exc:
+    except (nio.ParseError, ClassCapExceeded) as exc:
         return _error(criterion, str(exc))
     except ValidationError as exc:
         return nio.make_verdict_dict(
@@ -75,7 +76,7 @@ def _validate_result(path) -> dict:
                      "preservation all check out")
         return nio.make_verdict_dict(nio.VALID, "validate", None, notes)
     failure = system["certificate"]
-    if failure is None:  # the file cannot be read or parsed
+    if failure is None:  # the file cannot be read or parsed, or is out of scope
         return system
     # the file parsed, so its notes are a list of strings; no system holds
     # them, since validation stopped first

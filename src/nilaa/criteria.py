@@ -34,10 +34,9 @@ from ._record import record
 from .lattice import LogLattice, central_lattice_basis, preserves_lattice, \
     validate_lattice
 from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
-    derived_subalgebra, is_abelian_family, is_automorphism, is_ideal, \
-    subalgebra_closure
-from .nilgrp import ClassCapExceeded, NilpotentGroup
-from .poly import ParamVector, Poly
+    derived_subalgebra, is_abelian_family, is_automorphism, is_ideal
+from .nilgrp import NilpotentGroup
+from .poly import ParamVector, Poly, _monomial_str
 from .ratlin import NotUnipotent, QMatrix, QSubspace, annihilator_basis, \
     charpoly, cyclotomic_spectrum_test, hnf_membership, kernel_basis, \
     matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
@@ -195,16 +194,18 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
     Runs, in order: algebra validation (Jacobi, nilpotency), lattice closure
     under the group law, the automorphism property of the matrix, and
     preservation of the lattice.  The first failure raises ValidationError
-    naming the check.  The bracket checks walk the nonzero structure
-    constants only.  On an abelian algebra two facts hold by structure
-    and cost nothing: every additive lattice is closed (the law is a sum)
-    and every matrix of the right shape is an automorphism, so there the
-    lattice check alone can reject the matrix.
+    naming the check.  A valid algebra of class above the BCH cap is out
+    of scope, not invalid: its nilgrp.ClassCapExceeded passes through.
+    The bracket checks walk the nonzero structure constants only.  On an
+    abelian algebra two facts hold by structure and cost nothing: every
+    additive lattice is closed (the law is a sum) and every matrix of the
+    right shape is an automorphism, so there the lattice check alone can
+    reject the matrix.
     """
     d = algebra.dim
     try:
         group = NilpotentGroup(algebra)
-    except (JacobiViolation, NotNilpotent, ClassCapExceeded) as exc:
+    except (JacobiViolation, NotNilpotent) as exc:
         raise ValidationError("validate_algebra", exc) from exc
 
     if lattice is None:
@@ -263,16 +264,6 @@ def _primitive(vec: Sequence[object]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def _format_monomial(exps: tuple[int, ...], params: tuple[str, ...]) -> str:
-    parts = []
-    for name, e in zip(params, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBracket:
     lp, rp = _primitive(left), _primitive(right)
     return ObstructionBracket(lp, rp, tuple(spec.bracket_vec(lp, rp)))
@@ -280,10 +271,10 @@ def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBrac
 
 # ---- the general decider ----
 
-def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
-                   lattice: LogLattice | None, automorphism: QMatrix,
-                   translation: ParamVector, criterion: str,
-                   extra_notes: tuple[str, ...] = ()) -> Verdict:
+def _affine_decide(group: NilpotentGroup, lattice: LogLattice | None,
+                   automorphism: QMatrix, translation: ParamVector,
+                   criterion: str, extra_notes: tuple[str, ...] = ()
+                   ) -> Verdict:
     """Core of full_decide, shared with the suspension-side deciders.
 
     The defect span is eliminated once; unless the constant direction is
@@ -291,6 +282,7 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
     U moves the constant direction, which the suspension side's identity
     never does.
     """
+    spec = group.spec
     d = spec.dim
     if unipotency_index(automorphism) is None:
         raise NotUnipotent("the automorphism is not unipotent")
@@ -313,7 +305,7 @@ def _affine_decide(spec: LieAlgebraSpec, group: NilpotentGroup,
         if not any(image):
             continue
         if m != zero_mono:
-            cert = NotFixed(tuple(v), image, _format_monomial(m, c.params))
+            cert = NotFixed(tuple(v), image, _monomial_str(m, c.params))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
         # the constant direction may be corrected by a central lattice vector
         zgens = central_lattice_basis(group, lattice)
@@ -343,8 +335,8 @@ def full_decide(system: AffineSystem) -> Verdict:
     witness subspace contains every defect value; each obstruction kind
     witnesses a genuine failure.
     """
-    return _affine_decide(system.algebra, system.group, system.lattice,
-                          system.automorphism, system.translation, "full")
+    return _affine_decide(system.group, system.lattice, system.automorphism,
+                          system.translation, "full")
 
 
 def torus_decide(system: AffineSystem) -> Verdict:
@@ -439,9 +431,8 @@ def translation_decide(system: AffineSystem) -> Verdict:
     if not system.is_translation():
         raise InapplicableCriterion(
             "translation_decide requires the identity automorphism")
-    inner = _affine_decide(system.algebra, system.group, system.lattice,
-                           system.automorphism, system.translation,
-                           "translation")
+    inner = _affine_decide(system.group, system.lattice, system.automorphism,
+                           system.translation, "translation")
     if inner.status != AA:
         return inner
     normal = is_ideal(system.algebra, inner.certificate.subspace)
@@ -458,8 +449,7 @@ def suspended_full_decide(system: AffineSystem) -> Verdict:
     """full_decide applied to the suspension translation of the system."""
     from .suspension import suspend
     susp = suspend(system)
-    return _affine_decide(susp.big_algebra, susp.big_group, None,
-                          QMatrix.identity(susp.dim),
+    return _affine_decide(susp.big_group, None, QMatrix.identity(susp.dim),
                           susp.embedded_translation, "full",
                           ("evaluated on the suspension translation; "
                            "coordinates are (circle, fiber)",))
@@ -629,7 +619,6 @@ class TwoGeneratorReport:
     """
 
     n: int
-    tau_matrix: QMatrix
     basis: tuple[tuple[Fraction, ...], ...]
     coefficients: tuple[Fraction, ...]
     matrix_coefficients: tuple[Fraction, ...]
@@ -668,17 +657,30 @@ def _two_generator_matrix_coefficients(n: int) -> tuple[Fraction, ...]:
 def two_generator_analysis(system: AffineSystem) -> TwoGeneratorReport:
     """Analyze a system generated by xi, eta with U xi = xi + eta.
 
-    Checks the hypotheses (two designated generators that generate the
-    algebra, a unipotent automorphism moving xi by exactly eta, and
-    M = span{eta} + [N, N] a U-invariant codimension-one ideal), then
-    computes the commutation-curve coefficients two independent ways.
+    Checks the hypotheses: two designated generators that generate the
+    algebra, a unipotent automorphism moving xi by exactly eta, and eta
+    outside [M, M].  Then computes the commutation-curve coefficients two
+    independent ways.
+
+    A nilpotent algebra is generated by any set that spans it modulo
+    [N, N], so generation is one span test.  What the analysis needs of
+    M = span{eta} + [N, N] follows from the hypotheses checked:
+      - M contains [N, N], so [N, M] lies in M: M is an ideal.
+      - xi and eta span N/[N, N], on which U acts unipotently with
+        U xi = xi + eta.  If that quotient is a plane, U eta = p xi + q eta
+        there; trace 1 + q = 2 and determinant q - p = 1 give q = 1, p = 0,
+        so U eta = eta mod [N, N].  Otherwise N is the line of xi (a
+        nilpotent algebra with a one-dimensional abelianization is
+        abelian), U = 1 and eta = 0.  Either way M has codimension one,
+        and U M lies in M, since U preserves [N, N].
     """
     spec = system.algebra
     d = spec.dim
     if system.designated_generators is None or len(system.designated_generators) != 2:
         raise HypothesisViolated("two designated generators are required")
     xi, eta = system.designated_generators
-    if subalgebra_closure(spec, [xi, eta]) != QSubspace.full(d):
+    derived = derived_subalgebra(spec)
+    if derived.sum_with(QSubspace.from_spanning([xi, eta], d)).dim != d:
         raise HypothesisViolated("the designated generators do not generate the algebra")
     U = system.automorphism
     if unipotency_index(U) is None:
@@ -686,16 +688,7 @@ def two_generator_analysis(system: AffineSystem) -> TwoGeneratorReport:
     if U.matvec(xi) != tuple(a + b for a, b in zip(xi, eta)):
         raise HypothesisViolated("the automorphism does not send xi to xi + eta")
 
-    derived = derived_subalgebra(spec)
     M = derived.sum_with(QSubspace.from_spanning([eta], d))
-    if M.dim != d - 1:
-        raise HypothesisViolated("span{eta} + [N, N] is not of codimension one")
-    for b in M.basis:
-        if not M.contains(U.matvec(b)):
-            raise HypothesisViolated("M is not invariant under the automorphism")
-    if not is_ideal(spec, M):
-        raise HypothesisViolated("M is not an ideal")
-
     mm = QSubspace.from_spanning(
         [spec.bracket_vec(u, v) for i, u in enumerate(M.basis)
          for v in M.basis[i + 1:]], d)
@@ -712,9 +705,6 @@ def two_generator_analysis(system: AffineSystem) -> TwoGeneratorReport:
         chain.append(nxt)
     if n is None:
         raise ArithmeticError("tau failed to become nilpotent on the chain")
-
-    tau_rows = [[Fraction(int(i == j + 1)) for j in range(n)] for i in range(n)]
-    tau_matrix = QMatrix(tau_rows)
 
     # solve each power of t against the chain plus [M, M]
     columns = chain + list(mm.basis)
@@ -757,8 +747,7 @@ def two_generator_analysis(system: AffineSystem) -> TwoGeneratorReport:
     notes.append("coefficients match (-1)^k/k!: "
                  + ("yes" if coefficients == plain_factorial else "no"))
     return TwoGeneratorReport(
-        n=n, tau_matrix=tau_matrix,
-        basis=tuple(tuple(v) for v in chain),
+        n=n, basis=tuple(tuple(v) for v in chain),
         coefficients=coefficients,
         matrix_coefficients=matrix_coefficients,
         m_subspace=M, abelian_m=abelian_m, fixed_m=fixed_m,

@@ -76,13 +76,6 @@ def parse_rational(value, location: str) -> Fraction:
     raise ParseError(location, f"expected an integer or 'p/q', got {value!r}")
 
 
-def rational_string(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _polynomial(value, params, location: str) -> Poly:
     """An integer or a polynomial string over params (see poly.parse_poly)."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -261,8 +254,9 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
 def parse_system(path) -> AffineSystem:
     """Read and fully validate a system file.
 
-    Raises ParseError for malformed files and ValidationError (with the
-    first failing check) for well-formed but inconsistent systems.
+    Raises ParseError for malformed files, ValidationError (with the
+    first failing check) for well-formed but inconsistent systems, and
+    nilgrp.ClassCapExceeded for a valid algebra of class above the cap.
     """
     path = Path(path)
     try:
@@ -280,7 +274,7 @@ def parse_system(path) -> AffineSystem:
 # ---- certificates ----
 
 def _vector_strings(vec) -> list:
-    return [rational_string(v) for v in vec]
+    return [str(v) for v in vec]
 
 
 def serialize_certificate(cert) -> dict | None:
@@ -412,10 +406,9 @@ def two_generator_report_to_dict(report) -> dict:
     agree = report.coefficients == report.matrix_coefficients
     notes = [f"chain length n = {report.n}",
              "curve coefficients: "
-             + ", ".join(rational_string(c) for c in report.coefficients),
+             + ", ".join(map(str, report.coefficients)),
              "matrix coefficients: "
-             + ", ".join(rational_string(c)
-                         for c in report.matrix_coefficients)]
+             + ", ".join(map(str, report.matrix_coefficients))]
     notes.extend(report.notes)
     return make_verdict_dict(PASS if agree else FAIL, "two-generator",
                              None, notes)
@@ -488,7 +481,7 @@ def describe_validation_witness(exc: ValidationError) -> str:
         pair, residual = exc.witness
         i, j = pair
         return (f"pair ({i + 1}, {j + 1}); residual "
-                f"({', '.join(rational_string(v) for v in residual)})")
+                f"({', '.join(map(str, residual))})")
     return str(exc.witness)
 
 
@@ -506,15 +499,14 @@ def suspension_to_dict(susp, base_name: str = "") -> dict:
     for (i, j), vec in sorted(big.table.items()):
         for k, c in enumerate(vec):
             if c != 0:
-                constants.append([i + 1, j + 1, k + 1, rational_string(c)])
+                constants.append([i + 1, j + 1, k + 1, str(c)])
     return {
         "name": f"suspension of {base_name}" if base_name else "suspension",
         "dim": big.dim,
         "structure_constants": constants,
-        "monodromy": [[rational_string(v) for v in row]
-                      for row in susp.monodromy.entries],
+        "monodromy": [_vector_strings(row) for row in susp.monodromy.entries],
         "fiber_lattice_basis": [
-            [rational_string(v) for v in susp.fiber_lattice.generator(i)]
+            _vector_strings(susp.fiber_lattice.generator(i))
             for i in range(susp.fiber_lattice.dim)],
         "embedded_translation": [str(p) for p in
                                  susp.embedded_translation.entries],

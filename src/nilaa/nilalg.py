@@ -237,22 +237,6 @@ def _jacobi_residual(spec: LieAlgebraSpec, i: int, j: int, k: int
     return tuple(acc)
 
 
-def subalgebra_closure(spec: LieAlgebraSpec, vectors: Iterable[Sequence[object]]) -> QSubspace:
-    """Smallest subalgebra containing the given rational vectors."""
-    span = QSubspace.from_spanning(vectors, spec.dim)
-    while True:
-        new = []
-        basis = span.basis
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                w = spec.bracket_vec(basis[a], basis[b])
-                if any(w) and not span.contains(w):
-                    new.append(w)
-        if not new:
-            return span
-        span = QSubspace(spec.dim, list(basis) + new)
-
-
 def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
                       ) -> tuple[bool, tuple[int, int] | None]:
     """Do the vectors pairwise commute?  Returns the first failing index pair

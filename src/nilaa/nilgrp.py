@@ -189,10 +189,11 @@ class NilpotentGroup:
 
     def __init__(self, spec: LieAlgebraSpec):
         self.spec = spec
-        self.nilpotency_class, self.lower_central_series = validate_algebra(spec)
+        self.nilpotency_class = validate_algebra(spec)[0]
         if self.nilpotency_class > BCH_CLASS_CAP:
             raise ClassCapExceeded(
-                f"nilpotency class {self.nilpotency_class} exceeds cap {BCH_CLASS_CAP}")
+                f"nilpotency class {self.nilpotency_class} exceeds the "
+                f"supported scope (class <= {BCH_CLASS_CAP})")
         self._steps = _bracket_steps(self.nilpotency_class)
         # the integer data of _lyndon: the nonzero structure constants
         # times the lcm S of their denominators, per bracketing pair

@@ -563,15 +563,12 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     """
     horizon = int(horizon)
     rng = random.Random(seed)
-    if probes is None:
-        probe_list = [_sample_probe(affine, rng) for _ in range(trials)]
-    else:
-        probe_list = [affine.reduce(p) for p in probes][:trials]
-        while len(probe_list) < trials:
-            probe_list.append(_sample_probe(affine, rng))
+    given = [affine.reduce(p) for p in probes or ()][:trials]
     witness = None
     found_returns = 0
-    for probe in probe_list:
+    for i in range(trials):
+        # sampled when its trial starts, so memory does not grow with trials
+        probe = given[i] if i < len(given) else _sample_probe(affine, rng)
         result, had_returns = _run_trial(affine, probe, eps, horizon)
         if result is not None and witness is None:
             witness = result

@@ -236,15 +236,9 @@ class Poly:
         return bool(self.terms)
 
     def _term_str(self, exps: tuple[int, ...], coeff: Fraction) -> str:
-        factors = []
-        for name, e in zip(self.params, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
+        if not any(exps):
             return str(coeff)
-        body = "*".join(factors)
+        body = _monomial_str(exps, self.params)
         if coeff == 1:
             return body
         if coeff == -1:
@@ -265,6 +259,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _monomial_str(exps: tuple[int, ...], params: tuple[str, ...]) -> str:
+    """A monomial as "s*t^2"; "1" for the empty one."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(params, exps) if e) or "1"
 
 
 def _poly(params: tuple[str, ...], terms: dict) -> Poly:

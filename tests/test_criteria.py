@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (abelian, change_of_basis, free_nilpotent_2_3,
+from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, jordan_block, random_basis_matrix)
 from nilaa import io as nio
 from nilaa import ratlin
@@ -29,8 +29,9 @@ from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
                             power_unipotent, suspended_basepoint_decide,
                             suspended_full_decide, torus_decide,
                             translation_decide, two_generator_analysis)
-from nilaa.nilalg import LieAlgebraSpec
-from nilaa.nilgrp import NilpotentGroup
+from nilaa.nilalg import LieAlgebraSpec, derived_subalgebra, \
+    is_automorphism, is_ideal
+from nilaa.nilgrp import ClassCapExceeded, NilpotentGroup
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix, QSubspace, rref, \
     unipotency_index
@@ -105,6 +106,13 @@ def test_validation_rejects_bad_jacobi_first():
     with pytest.raises(ValidationError) as info:
         make_system(bad)
     assert info.value.check == "validate_algebra"
+
+
+def test_a_class_above_the_bch_cap_is_out_of_scope_not_invalid():
+    # filiform(8) satisfies Jacobi and is nilpotent of class 7
+    with pytest.raises(ClassCapExceeded) as info:
+        make_system(filiform(8))
+    assert not isinstance(info.value, ValidationError)
 
 
 def test_validation_rejects_non_closed_lattice():
@@ -573,8 +581,6 @@ def test_two_generator_free23():
     assert report.coefficients == (F(1), F(-1, 2), F(1, 6))
     assert report.matrix_coefficients == report.coefficients
     assert report.basis == ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))
-    assert report.tau_matrix == QMatrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]) or \
-        report.tau_matrix == QMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert report.m_subspace.dim == 4
     assert not report.abelian_m
     assert report.inverse_factorial_match and not report.plain_factorial_match
@@ -620,6 +626,105 @@ def test_two_generator_hypothesis_failures():
             abelian(2), automorphism=QMatrix([[1, 0], [0, 1]]),
             designated_generators=[(1, 0), (0, 1)]))
     assert "xi + eta" in info.value.which
+    # x and z span a subalgebra of the Heisenberg algebra, not all of it
+    with pytest.raises(HypothesisViolated) as info:
+        two_generator_analysis(make_system(
+            heisenberg(), lattice=HEIS_LATTICE,
+            designated_generators=[(1, 0, 0), (0, 0, 1)]))
+    assert "generate" in info.value.which
+    # on a line U = 1, so eta = 0 and M = [M, M] = 0
+    with pytest.raises(HypothesisViolated) as info:
+        two_generator_analysis(make_system(
+            abelian(1), designated_generators=[(1,), (0,)]))
+    assert info.value.which == "eta already lies in [M, M]"
+
+
+def _closure(spec, vectors):
+    """The subalgebra generated by vectors: bracket until the span stops
+    growing."""
+    span = QSubspace.from_spanning(vectors, spec.dim)
+    while True:
+        grown = span.sum_with(QSubspace.from_spanning(
+            [spec.bracket_vec(u, v) for u in span.basis for v in span.basis],
+            spec.dim))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def _lower_derivations(spec):
+    """A basis of the derivations of spec that are strictly lower
+    triangular, hence nilpotent, as matrices."""
+    d = spec.dim
+    unknowns = [(p, q) for q in range(d) for p in range(q + 1, d)]
+    unit = [tuple(F(int(i == j)) for i in range(d)) for j in range(d)]
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            # D [e_i, e_j] - [D e_i, e_j] - [e_i, D e_j], one row per
+            # coordinate; the unknown (p, q) is the e_p entry of D e_q
+            b = spec.bracket_vec(unit[i], unit[j])
+            cols = []
+            for p, q in unknowns:
+                col = [b[q] * unit[p][k] for k in range(d)]
+                if q == i:
+                    col = [x - y for x, y in
+                           zip(col, spec.bracket_vec(unit[p], unit[j]))]
+                if q == j:
+                    col = [x - y for x, y in
+                           zip(col, spec.bracket_vec(unit[i], unit[p]))]
+                cols.append(col)
+            rows += [[col[k] for col in cols] for k in range(d)]
+    basis = ratlin.kernel_basis(QMatrix(rows)) if rows else []
+    return [dict(zip(unknowns, vec)) for vec in basis]
+
+
+def test_two_generator_hypotheses_follow_from_the_span_test():
+    """Generation is a span test modulo [N, N], and once xi, eta generate
+    with U xi = xi + eta for a unipotent U, M = span{eta} + [N, N] is a
+    U-invariant ideal of codimension one (checked here, not assumed)."""
+    rng = random.Random(18)
+    algebras = [abelian(1), abelian(2), abelian(3), heisenberg(),
+                free_nilpotent_2_3(), filiform(4), filiform(5), Q6]
+    generated = 0
+    for spec in algebras:
+        d = spec.dim
+        derivations = _lower_derivations(spec)
+        for _ in range(6):
+            D = [[F(0)] * d for _ in range(d)]
+            for der in derivations:
+                c = rng.choice((0, 0, 1, -1, 2))
+                for (p, q), x in der.items():
+                    D[p][q] += c * x
+            P = random_basis_matrix(d, rng)
+            moved = change_of_basis(spec, P)
+            U = P.inverse() @ ratlin.matrix_exp_nilpotent(QMatrix(D)) @ P
+            assert is_automorphism(moved, U)[0]
+            xi = tuple(F(rng.choice((0, 0, 1, -1, 2))) for _ in range(d))
+            eta = tuple(x - y for x, y in zip(U.matvec(xi), xi))
+            derived = derived_subalgebra(moved)
+            spans = derived.sum_with(
+                QSubspace.from_spanning([xi, eta], d)).dim == d
+            generates = _closure(moved, [xi, eta]).dim == d
+            assert spans == generates
+            system = AffineSystem(moved, NilpotentGroup(moved), None, U,
+                                  ParamVector.from_rationals([0] * d),
+                                  designated_generators=(xi, eta))
+            try:
+                report = two_generator_analysis(system)
+            except HypothesisViolated as exc:
+                assert ("generate" in exc.which) == (not generates)
+                report = None
+            if not generates:
+                continue
+            generated += 1
+            M = derived.sum_with(QSubspace.from_spanning([eta], d))
+            assert M.dim == d - 1
+            assert all(M.contains(U.matvec(b)) for b in M.basis)
+            assert is_ideal(moved, M)
+            if report is not None:
+                assert report.m_subspace == M
+    assert generated >= 10
 
 
 # ---- cross-cutting invariants ----

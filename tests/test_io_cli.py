@@ -36,7 +36,7 @@ def test_parse_rational_rejects_inexact_forms(bad):
 
 def test_rational_string_round_trips():
     for v in (F(0), F(-1, 2), F(22, 7), F(5)):
-        assert nio.parse_rational(nio.rational_string(v), "x") == v
+        assert nio.parse_rational(str(v), "x") == v
 
 
 # ---- polynomials ----
@@ -600,6 +600,33 @@ def test_cli_rejects_a_dim_or_generator_the_file_contradicts(capsys, tmp_path,
         assert code == 3
         assert verdict["status"] == "ERROR"
         assert verdict["notes"] == [note]
+
+
+def test_cli_answers_error_for_a_class_above_the_bch_cap(capsys, tmp_path):
+    # the filiform algebra of dimension 8 is valid (Jacobi and nilpotency
+    # hold) but has class 7, out of scope; so is the class-7 suspension of
+    # a 7-dimensional Jordan-block torus, reached by the basepoint decider
+    note = "nilpotency class 7 exceeds the supported scope (class <= 6)"
+    filiform = _write_system(
+        tmp_path, dim=8,
+        structure_constants=[[1, i, i + 1, "1"] for i in range(2, 8)])
+    for argv in (("validate", filiform),
+                 ("decide", filiform, "--criterion", "full"),
+                 ("suspend", filiform)):
+        code, verdict = _run_main_checked(capsys, *argv)
+        assert code == 3
+        assert verdict["status"] == "ERROR"
+        assert verdict["certificate"] is None
+        assert verdict["notes"] == [note]
+    jordan = tmp_path / "jordan.json"
+    jordan.write_text(json.dumps({
+        "dim": 7, "params": ["t"],
+        "automorphism": [["1" if j in (i, i + 1) else "0" for j in range(7)]
+                         for i in range(7)],
+        "translation": ["0"] * 6 + ["t"]}), encoding="utf-8")
+    code, verdict = _run_main_checked(capsys, "decide", str(jordan),
+                                      "--criterion", "basepoint")
+    assert (code, verdict["status"], verdict["notes"]) == (3, "ERROR", [note])
 
 
 def test_cli_reports_a_point_closure_witness(capsys, tmp_path):

@@ -10,8 +10,7 @@ from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
-    is_abelian_family, is_automorphism, is_ideal, subalgebra_closure,
-    validate_algebra,
+    is_abelian_family, is_automorphism, is_ideal, validate_algebra,
 )
 from nilaa.ratlin import QMatrix, QSubspace, matrix_exp_nilpotent
 
@@ -123,12 +122,6 @@ def test_derived_subalgebra(heis, free23):
     assert derived_subalgebra(heis).basis == ((F(0), F(0), F(1)),)
     d = derived_subalgebra(free23)
     assert d.dim == 3 and d.contains((0, 0, 1, 0, 0))
-
-
-def test_subalgebra_closure(heis):
-    closed = subalgebra_closure(heis, [(1, 0, 0), (0, 1, 0)])
-    assert closed.dim == 3
-    assert subalgebra_closure(heis, [(1, 0, 0), (0, 0, 1)]).dim == 2
 
 
 def test_is_abelian_family(heis):

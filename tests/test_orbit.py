@@ -18,6 +18,7 @@ import pytest
 from conftest import abelian, change_of_basis, heisenberg, jordan_block
 from nilaa import cli as ncli
 from nilaa import io as nio
+from nilaa import orbit as norbit
 from nilaa.cli import _numeric_map
 from nilaa.criteria import ValidationError, full_decide, make_system
 from nilaa.orbit import (CONSISTENT, FALSIFIED, AATestReport, NotFound,
@@ -548,6 +549,29 @@ def test_pure_translations_are_never_falsified():
         report = aa_empirical_test(torus(d, None, a), 3, 1e-2,
                                    3000, seed=i)
         assert report.verdict == CONSISTENT
+
+
+@pytest.mark.parametrize("probes, expected", [(None, [1, 2, 3, 4]),
+                                               ([(F(1, 5), 0)], [0, 1, 2, 3])])
+def test_each_probe_is_sampled_when_its_trial_starts(monkeypatch, probes,
+                                                     expected):
+    # memory must not grow with trials: no probe is drawn ahead of its trial
+    sample, run = norbit._sample_probe, norbit._run_trial
+    sampled, seen = [], []
+
+    def counted_sample(affine, rng):
+        sampled.append(None)
+        return sample(affine, rng)
+
+    def recorded_run(affine, probe, eps, horizon):
+        seen.append(len(sampled))
+        return run(affine, probe, eps, horizon)
+
+    monkeypatch.setattr(norbit, "_sample_probe", counted_sample)
+    monkeypatch.setattr(norbit, "_run_trial", recorded_run)
+    aa_empirical_test(torus(2, SKEW, [F(1, 3), 0]), 4, 1e-2, 50, seed=3,
+                      probes=probes)
+    assert seen == expected
 
 
 def test_skew_with_rational_fiber_coordinate_is_consistent():

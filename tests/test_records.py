@@ -49,12 +49,12 @@ VALUE_RECORDS = [
     (Verdict, ("status", "criterion", "certificate", "notes"),
      ("NotMinimal", "minimality", InvariantSubtorus(((1, 0),)),
       ("a note",)), {"notes": ()}),
-    (TwoGeneratorReport, ("n", "tau_matrix", "basis", "coefficients",
+    (TwoGeneratorReport, ("n", "basis", "coefficients",
                           "matrix_coefficients", "m_subspace", "abelian_m",
                           "fixed_m", "inverse_factorial_match",
                           "plain_factorial_match", "notes"),
-     (2, QMatrix.identity(2), (E1, E2), (F(1, 2),), (F(1, 2),), SUB, True,
-      True, True, False, ("a note",)), {"notes": ()}),
+     (2, (E1, E2), (F(1, 2),), (F(1, 2),), SUB, True, True, True, False,
+      ("a note",)), {"notes": ()}),
     (FalsificationWitness, ("probe", "target", "sequence",
                             "forward_distance", "backward_distance"),
      ((F(0),), (F(1, 2),), (3, 7), 0.001, 0.25), {}),
