@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from ._record import record
 from .lattice import CosetReducer
 from .nilalg import _centre_rows
-from .ratlin import QMatrix, dot, to_fraction
+from .ratlin import QMatrix, dot, to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
@@ -58,16 +58,20 @@ class NumericAffine:
     in lattice coordinates, in any dimension; any other group uses the
     system's coset reducer (dimension <= 7).
 
-    T^m x has a closed form (jump) when T is a pure translation, or when
-    the group is abelian and U = I + N is unipotent: there T^m x is
-    (sum_j C(m, j+1) N^j a) * (sum_j C(m, j) N^j x) for every integer m,
-    negative m included (a polynomial sequence, Leibman 1998).  Every
-    other map steps.
+    On an abelian group T acts on the lattice coordinates c = L^-1 x as
+    c -> U_L c + c(a) mod 1, with U_L = L^-1 U L integral.  When U_L =
+    I + N_L is unipotent, T^m x has a closed form (jump): c(T^m x) is
+    sum_j C(m, j) N_L^j c + sum_j C(m, j+1) N_L^j c(a) mod 1 for every
+    integer m, negative m included (a polynomial sequence, Leibman 1998),
+    summed in integers.  A pure translation of any other group jumps by
+    its one product (m a) x.  Every other map steps.
 
-    A pure translation also rotates its torus factor: the lattice
-    coordinates that near() reads before any group product.  Scans run on
-    that rotation in integers (_TorusFactor) and jump to T^k x only where
-    it cannot reject.
+    A torus map, and a pure translation of any group, acts by an integer
+    matrix on its torus factor: the lattice coordinates that near() reads
+    before any group product.  A torus map's factor is all of its lattice
+    coordinates, and there the factor's integer test is exactly near().
+    Scans run on the factor in integers (_TorusFactor) and build T^k x
+    only where it cannot reject.
     """
 
     def __init__(self, system, translation):
@@ -131,18 +135,16 @@ class NumericAffine:
                 rho = sum(abs(lattice.basis[i, j]) for j, _ in basis[i]) / 2
                 spare = min(map(abs, values), default=math.inf) - rho
                 self._early.append((i, basis[i], reads, values, spare))
-        # closed form: the powers N^1.. and the drifts N^0 a, N^1 a, ..
-        self._powers = self._drifts = None
-        nil = self.matrix - QMatrix.identity(d)
-        if (self._pure or spec.abelian()) and not nil.trace():
-            powers, power = [], nil
-            while not power.is_zero() and len(powers) < d:
-                powers.append(power)
-                power = power @ nil
-            if power.is_zero():
-                self._powers = powers
-                self._drifts = [translation] + [p.matvec(translation)
-                                                for p in powers]
+        # on an abelian group: U_L = L^-1 U L, integral (make_system
+        # checks it), and c(a)
+        self._lattice_map = self._drift = None
+        self._reach = 1 if self._pure else None
+        if self._reducer is None:
+            conj = lattice._inverse @ self.matrix @ lattice.basis
+            self._lattice_map = [[(j, int(u)) for j, u in enumerate(row) if u]
+                                 for row in conj.entries]
+            self._drift = lattice.to_coords(translation)
+            self._reach = unipotency_index(conj)
 
     # -- dynamics (exact) --
 
@@ -169,25 +171,38 @@ class NumericAffine:
     def reach(self) -> Optional[int]:
         """The number of nonzero powers N^0, N^1, .. of N = U - I when
         jump() applies, else None."""
-        return None if self._drifts is None else len(self._drifts)
+        return self._reach
 
     def jump(self, x, m: int) -> tuple:
         """T^m x reduced, for any integer m, in one closed-form step.
 
         Equals m steps (or -m backward steps) from x, since the reduction
-        is a function of the coset.  Only when reach() is not None.
+        is a function of the coset.  Only when reach() is not None.  A
+        pure translation of a non-abelian group is the one product
+        (m a) x.  On an abelian group, over the lcm den of the
+        denominators of c = c(x) and c(a), den c(T^m x) is
+        sum_j N_L^j (C(m, j) den c + C(m, j+1) den c(a)) mod den, summed
+        in integers from the top power down.
         """
         x = _point(x)
-        point = x
-        shift = [m * a for a in self._drifts[0]]
-        c = m  # C(m, j) at j = 1
-        for j, (power, drift) in enumerate(zip(self._powers,
-                                               self._drifts[1:]), 1):
-            if c:
-                point = [p + c * v for p, v in zip(point, power.matvec(x))]
-            c = c * (m - j) // (j + 1)
-            shift = [s + c * v for s, v in zip(shift, drift)]
-        return self.reduce(self.group.mult_vec(shift, point))
+        if self._reducer is not None:
+            shift = [m * a for a in self.translation]
+            return self.reduce(self.group.mult_vec(shift, x))
+        coords = self.lattice.to_coords(x)
+        den = math.lcm(*(c.denominator for c in (*coords, *self._drift)))
+        state, drift = ([c.numerator * (den // c.denominator) for c in v]
+                        for v in (coords, self._drift))
+        binom = [1]  # C(m, j) for j = 0..reach
+        for j in range(self._reach):
+            binom.append(binom[-1] * (m - j) // (j + 1))
+        acc = [0] * self.dim
+        for j in reversed(range(self._reach)):
+            lo, hi = binom[j], binom[j + 1]
+            # acc := lo state + hi drift + N_L acc, with N_L = U_L - I
+            acc = [lo * s + hi * a + sum(u * acc[k] for k, u in row) - c
+                   for s, a, row, c in zip(state, drift, self._lattice_map,
+                                           acc)]
+        return self.lattice.from_coords([Fraction(v % den, den) for v in acc])
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -211,11 +226,12 @@ class NumericAffine:
         translate can be read from them, a coordinate that every candidate
         puts at eps or beyond rejects without a group product.  Then the
         candidates of distance() are searched with eps as the bound, up to
-        the first one under it.
+        the first one under it.  On a torus the first phase reads every
+        coordinate of the one candidate, so it decides alone.
         """
         x, y = _point(x), _point(y)
-        return not self._rejects_early(x, y, eps) and \
-            self._least(x, y, eps) < eps
+        return not self._rejects_early(x, y, eps) and (
+            self._reducer is None or self._least(x, y, eps) < eps)
 
     def _rejects_early(self, x, y, eps) -> bool:
         """near()'s first phase: some coordinate i of _early puts every
@@ -271,23 +287,28 @@ class NumericAffine:
 
 
 class _TorusFactor:
-    """near()'s first phase in integers, on the lattice coordinates it reads.
+    """The scan's integer state: the lattice coordinates that near()'s first
+    phase reads, on which T acts by an integer matrix U_f.
 
     Those lattice coordinates c_j are read off coordinates that no bracket
-    or shift touches, so a pure translation adds c_j(a) to them and a
-    reduction adds an integer.  On the orbit of a reduced point x under
-    the translation by a, every c_j lies in [0, 1) and is a multiple of
-    1/den, den the lcm of eps's denominator and those of the c_j of the
-    given points (x, a and the target), so a state holds the integers
-    den * c_j.  It holds c_j, not its class mod 1: round() breaks a tie at
-    1/2 by parity.
+    or shift touches.  On a torus that is every lattice coordinate: T acts
+    on c = L^-1 x as c -> U_L c + c(a) mod 1 (U_f = U_L), and with no
+    neighbour moves or central shifts the integer test is exactly near().
+    On any other group only a pure translation has a factor: it adds c_j(a)
+    and a reduction adds an integer (U_f = I).  On the orbit of a reduced
+    point every c_j lies in [0, 1) and is a multiple of 1/den, den the lcm
+    of eps's denominator and those of the c_j of the translation and the
+    given points, so a state holds the integers den * c_j.  It holds c_j,
+    not its class mod 1: round() breaks a tie at 1/2 by parity.
     """
 
     def __init__(self, affine: NumericAffine, eps: Fraction, points):
         coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
         self._rows = [affine._coord_rows[j] for j in coords]
+        self._lattice = affine.lattice
         self.den = den = math.lcm(eps.denominator, *(
-            dot(row, p).denominator for row in self._rows for p in points))
+            dot(row, p).denominator for row in self._rows
+            for p in (affine.translation, *points)))
         self._tests = []
         for _, row, _, values, spare in affine._early:
             row = [(coords.index(j), 1 if c is None else c) for j, c in row]
@@ -295,6 +316,20 @@ class _TorusFactor:
             self._tests.append(([(j, int(c * scale)) for j, c in row],
                                 int(eps * scale * den), eps <= spare,
                                 [int(m * scale * den) for m in values]))
+        self._map = affine._lattice_map
+        if self._map is None:
+            self._map = [[(j, 1)] for j in range(len(coords))]
+        self._drift = [c % den for c in self.state(affine.translation)]
+
+    def advance(self, s) -> list:
+        """The state of T(p) from the state s of p: U_f s + drift mod den."""
+        den = self.den
+        return [(sum(u * s[k] for k, u in row) + a) % den
+                for row, a in zip(self._map, self._drift)]
+
+    def point(self, s) -> tuple:
+        """The reduced point L s / den of state s, on a torus."""
+        return self._lattice.from_coords([Fraction(c, self.den) for c in s])
 
     def state(self, p) -> list:
         """den * c_j(p) for the factor's coordinates j."""
@@ -382,10 +417,11 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     translations of an abelian group the continued-fraction convergent
     denominators of the translation's lattice coordinates are tried first,
     each by one closed-form jump.  Otherwise an incremental scan runs, and
-    stops after one period once the exact orbit returns to x.  A pure
-    translation scans its torus factor in integers, one addition per k,
-    and jumps to T^k x only where the factor cannot reject or is back at
-    x's; every other map steps.  Each point is tested with
+    stops after one period once the exact orbit returns to x.  A torus
+    map or a pure translation scans its torus factor in integers, one
+    integer affine map per k, and builds T^k x only where the factor
+    cannot reject or is back at x's; every other map steps.  Each point
+    is tested with
     NumericAffine.near, which decides only whether the distance is under
     eps.  Deterministic in (map, x, y, eps, horizon).  Raises NotFound
     when nothing is found.
@@ -399,9 +435,9 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     """The pairs (k, T^k x) for the indices of find_forward_sequence.
 
     The points are those the scan visits (_orbit): every T^k x for a map
-    that steps, and for a pure translation the ones its torus factor keeps,
-    which include every return and every T^k x equal to x, so the period
-    is found as by stepping.
+    that steps, and for a map with a torus factor the ones its factor
+    keeps, which include every return and every T^k x equal to x, so the
+    period is found as by stepping.
     """
     eps = to_fraction(eps)
     if eps <= 0:
@@ -457,28 +493,29 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
 
 def _orbit(affine: NumericAffine, x, y, eps, horizon: int):
     """(k, T^k x) for k = 1..horizon, leaving out each k at which the torus
-    factor of a pure translation shows that T^k x is neither within eps of
-    y nor equal to x.
+    factor shows that T^k x is neither within eps of y nor equal to x.
 
-    A map with no such factor steps to every k.  A pure translation
-    advances its factor by one integer addition mod den per k and reaches
-    the points left in by one closed-form jump each.
+    A torus map's factor is all of its lattice coordinates, and its test is
+    exactly near(); a pure translation of another group has the factor of
+    the coordinates near() reads before any product.  The scan advances
+    the factor by one integer affine map mod den per k, and builds the
+    points left in from the state (on a torus) or by one closed-form jump
+    each.  Every other map steps to every k.
     """
-    if not (affine.is_pure_translation() and affine._early):
+    torus = affine._lattice_map is not None
+    if not (torus or affine.is_pure_translation() and affine._early):
         p = x
         for k in range(1, horizon + 1):
             p = affine.step(p)
             yield k, p
         return
-    factor = _TorusFactor(affine, eps, (x, y, affine.translation))
-    den = factor.den
+    factor = _TorusFactor(affine, eps, (x, y))
     start, target = factor.state(x), factor.state(y)
-    drift = [c % den for c in factor.state(affine.translation)]
     s = start
     for k in range(1, horizon + 1):
-        s = [(c + a) % den for c, a in zip(s, drift)]
+        s = factor.advance(s)
         if s == start or not factor.rejects(s, target):
-            yield k, affine.jump(x, k)
+            yield k, factor.point(s) if torus else affine.jump(x, k)
 
 
 def _snap(point) -> tuple:

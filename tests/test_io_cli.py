@@ -464,8 +464,8 @@ def test_cli_simulate_checks_the_dump_path_before_the_test(capsys, tmp_path,
 def _translated_heisenberg(tmp_path, entry):
     """heisenberg_translation.json with parameters t, s and the given first
     translation entry."""
-    data = json.loads(open(_corpus("heisenberg_translation.json"),
-                           encoding="utf-8").read())
+    data = json.loads(nio.corpus_file("heisenberg_translation.json")
+                      .read_text(encoding="utf-8"))
     data["params"] = ["t", "s"]
     data["translation"] = [entry, "0", "0"]
     data["simulate"]["values"] = {"t": 0.2347, "s": 0.5}
@@ -504,8 +504,8 @@ def test_cli_answers_a_translation_at_the_degree_bound(capsys, tmp_path,
 
 
 def test_cli_simulate_ignores_the_legacy_space_key(capsys, tmp_path):
-    raw = json.loads(open(_corpus("heisenberg_translation.json"),
-                          encoding="utf-8").read())
+    raw = json.loads(nio.corpus_file("heisenberg_translation.json")
+                     .read_text(encoding="utf-8"))
     assert raw["space"] == "Heisenberg3"
     outputs = []
     for name, space in (("with.json", "Heisenberg3"), ("without.json", None)):

@@ -120,15 +120,25 @@ def test_iterate_roundtrip_long_within_tolerance():
 # T^m x for m = -60..60 from single steps; the expected reach() is the
 # number of nonzero powers N^0, N^1, .. of N = U - I
 LATTICE2 = QMatrix([[1, F(1, 2)], [0, F(1, 3)]])
+TORUS_LATTICE = QMatrix([[2, 1], [F(1, 3), 1]])
+
+
+def lattice_torus(lattice, matrix, a):
+    """The map of the torus R^d / lattice Z^d that acts on lattice
+    coordinates by the integer matrix."""
+    return NumericAffine(make_system(
+        abelian(lattice.nrows), lattice=lattice,
+        automorphism=lattice @ matrix @ lattice.inverse()), a)
+
+
 CLOSED_FORM_MAPS = {
     "jordan3": (lambda: torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)]), 3),
     "jordan4": (lambda: torus(4, jordan_block(4),
                               [F(1, 6), F(5, 8), 0, F(0.2347)]), 4),
     "skew": (lambda: torus(2, SKEW, [F(2, 9), F(3, 8)]), 2),
-    "lattice": (lambda: NumericAffine(make_system(
-        abelian(2), lattice=LATTICE2,
-        automorphism=LATTICE2 @ SKEW @ LATTICE2.inverse()),
-        [F(1, 6), F(2, 9)]), 2),
+    "lattice": (lambda: lattice_torus(LATTICE2, SKEW, [F(1, 6), F(2, 9)]), 2),
+    "torus_lattice": (lambda: lattice_torus(TORUS_LATTICE, SKEW,
+                                            [F(1, 5), F(3, 7)]), 2),
     "translation": (lambda: torus(3, None, [F(1, 3), F(5, 8), F(0.2347)]), 1),
     "heisenberg_translation": (lambda: heis(None, [F(2, 5), F(1, 7), F(1, 9)]),
                                1),
@@ -224,7 +234,7 @@ SHEAR = QMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
 NEAR_MAPS = {
     "torus": (lambda: torus(3, None, [0, 0, 0]), 3),
     "torus_lattice": (lambda: NumericAffine(make_system(
-        abelian(2), lattice=QMatrix([[2, 1], [F(1, 3), 1]])), [0, 0]), 2),
+        abelian(2), lattice=TORUS_LATTICE), [0, 0]), 2),
     "heisenberg": (lambda: heis(None, [0, 0, 0]), 2),
     "heisenberg_sheared_lattice": (lambda: NumericAffine(make_system(
         heisenberg(), lattice=SHEARED_LATTICE), [0, 0, 0]), 2),
@@ -327,13 +337,15 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
                                           start=start, limit=limit)
             compared += 1
     assert compared == 48
-    # a long horizon costs one period of steps, not the horizon; the
-    # Heisenberg translation jumps to the points its torus factor keeps,
-    # and its factor stops at the second factor period
-    points, tests = [], []
+    # a long horizon costs one period of the scan, not the horizon, and no
+    # Fraction step: the skew's factor is its whole torus, whose kept points
+    # come from the integer state, and the Heisenberg translation jumps to
+    # the points its torus factor keeps; each scan stops at the second
+    # factor period
+    steps, jumps, tests = [], [], []
     step, jump = m.step, m.jump
-    m.step = lambda p: points.append(1) or step(p)
-    m.jump = lambda p, k: points.append(1) or jump(p, k)
+    m.step = lambda p: steps.append(1) or step(p)
+    m.jump = lambda p, k: jumps.append(1) or jump(p, k)
     rejects = _TorusFactor.rejects
     monkeypatch.setattr(_TorusFactor, "rejects",
                         lambda *args: tests.append(1) or rejects(*args))
@@ -341,11 +353,13 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
                                  limit=4) == (5, 10, 15, 20)
     with pytest.raises(NotFound):
         find_forward_sequence(m, x, targets[3][0], F(1, 100), 10 ** 6)
-    assert 0 < len(points) <= 2 * 6
-    assert len(tests) == (0 if kind == "skew" else 2 * 8)
+    assert steps == []
+    # the Heisenberg jumps are x's returns at k = 5 and 10 in each scan
+    assert len(jumps) == (0 if kind == "skew" else 2 * 2)
+    assert len(tests) == 2 * 8
 
 
-# pure translations whose scan runs on the torus factor, with a probe:
+# maps whose scan runs on the torus factor, with a probe; pure translations:
 # - Heisenberg with diag(1, 1, 1/2);
 # - Heisenberg with a lattice whose first basis row reads two lattice
 #   coordinates, and its image HALF_LATTICE, where that row has entries
@@ -354,8 +368,10 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
 # - 2-tori whose convergent denominators 2, 3, 5 miss the period 15, with
 #   the identity lattice and with one where a tie of round() changes the
 #   nearest translate;
-# - a Heisenberg map whose period 15 is three times its factor's.
-TORUS_LATTICE = QMatrix([[2, 1], [F(1, 3), 1]])
+# - a Heisenberg map whose period 15 is three times its factor's;
+# and torus maps, whose factor is every lattice coordinate: the skew, the
+# 3 x 3 Jordan block, the cat map, the quarter turn, and a skew that acts
+# on the lattice coordinates of TORUS_LATTICE.
 # SHEARED_LATTICE under the automorphism diag(1/2, 1, 1/2)
 HALF_LATTICE = QMatrix([[F(1, 2), F(1, 2), 0], [0, 1, 0],
                         [F(1, 4), 0, F(1, 4)]])
@@ -379,6 +395,18 @@ FACTOR_MAPS = {
         TORUS_LATTICE.matvec([F(1, 3), F(2, 5)])), (F(1, 8), F(5, 8))),
     "heisenberg_period_multiple": (lambda: heis(None, [F(2, 5), 0, F(1, 3)]),
                                    (F(3, 16), F(1, 4), F(1, 32))),
+    "torus_skew": (lambda: torus(2, SKEW, [F(2, 9), F(3, 8)]),
+                   (F(1, 8), F(5, 8))),
+    "torus_jordan3": (lambda: torus(3, JORDAN3, [F(1, 3), F(2, 7), F(1, 10)]),
+                      (F(1, 5), F(2, 5), F(3, 5))),
+    "torus_cat_map": (lambda: torus(2, QMatrix([[2, 1], [1, 1]]),
+                                    [F(1, 7), F(2, 9)]), (F(1, 8), F(3, 8))),
+    "torus_quarter_turn": (lambda: torus(2, QMatrix([[0, -1], [1, 0]]),
+                                         [F(1, 3), F(1, 5)]),
+                           (F(1, 4), F(1, 6))),
+    "torus_lattice_skew": (lambda: lattice_torus(TORUS_LATTICE, SKEW,
+                                                 [F(1, 5), F(3, 7)]),
+                           (F(1, 8), F(5, 8))),
 }
 
 
@@ -386,13 +414,16 @@ FACTOR_MAPS = {
 def test_factor_scan_matches_brute_force(name):
     build, x = FACTOR_MAPS[name]
     m = build()
-    assert m.is_pure_translation() and m._early
+    abelian = m.group.spec.abelian()
+    assert m._early and (abelian or m.is_pure_translation())
+    # the convergent-denominator tries run on pure translations of tori
+    tried = abelian and m.is_pure_translation()
     x = m.reduce(x)
     if name == "heisenberg_period_multiple":
         assert iterate(m, x, 15) == x and iterate(m, x, 5) != x
         assert m.lattice.to_coords(iterate(m, x, 5))[:2] == \
             m.lattice.to_coords(x)[:2]
-    if m.group.spec.abelian():
+    if tried:
         assert iterate(m, x, 15) == x
     rng = random.Random(name)
     eps = F(1, 10)
@@ -405,7 +436,7 @@ def test_factor_scan_matches_brute_force(name):
                (m.group.mult_vec(iterate(m, x, 4), half), F(1, 2)),
                (m.group.mult_vec(iterate(m, x, 4), half), F(3, 4)),
                ([F(rng.randrange(64), 64) for _ in range(m.dim)], F(1, 4))]
-    if m.group.spec.abelian():
+    if tried:
         # keep the targets that every convergent-denominator try misses
         tries = {q for a in m.lattice.to_coords(m.translation)
                  for q in _convergent_denominators(a, 45)}
@@ -467,6 +498,10 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
         factor = _TorusFactor(m, eps, (x, y))
         answers.append(factor.rejects(factor.state(x), factor.state(y)))
         assert answers[-1] == m._rejects_early(x, y, eps)
+        if m.group.spec.abelian():
+            # a torus factor is every lattice coordinate: its test is near()
+            assert answers[-1] == (not m.near(x, y, eps)) == \
+                (m.distance(x, y) >= eps)
     assert 40 < sum(answers) < 200  # both answers are common
 
 
