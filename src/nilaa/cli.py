@@ -26,13 +26,13 @@ from .criteria import (ValidationError, basepoint_decide, full_decide,
                        lie_necessary, minimality_check, power_unipotent,
                        torus_decide, translation_decide,
                        two_generator_analysis)
-from .lattice import preserves_lattice
 from .nilgrp import ClassCapExceeded
 
 # criterion -> its verdict dict on a validated system.  The functions are
 # looked up when called, so a wrapper installed on a module name sees them.
-# power-unipotent reads U in lattice coordinates, where a U that preserves
-# the lattice is integral; its spectrum does not depend on the basis.
+# power-unipotent reads U in lattice coordinates (the system's U_L), where a
+# U that preserves the lattice is integral; its spectrum does not depend on
+# the basis.
 CRITERIA = {
     "full": lambda s: nio.verdict_to_dict(full_decide(s)),
     "basepoint": lambda s: nio.verdict_to_dict(basepoint_decide(s)),
@@ -40,7 +40,7 @@ CRITERIA = {
     "translation": lambda s: nio.verdict_to_dict(translation_decide(s)),
     "lie": lambda s: nio.lie_report_to_dict(lie_necessary(s)),
     "power-unipotent": lambda s: nio.power_result_to_dict(
-        power_unipotent(preserves_lattice(s.automorphism, s.lattice)[2])),
+        power_unipotent(s.lattice_automorphism)),
     "minimality": lambda s: nio.verdict_to_dict(minimality_check(s)),
     "two-generator": lambda s: nio.two_generator_report_to_dict(
         two_generator_analysis(s)),

@@ -163,12 +163,15 @@ class AffineSystem:
     lattice basis, U is the automorphism matrix and a = `translation` is the
     log of the translating element (entries may be polynomials in named
     parameters, understood as algebraically independent reals).
+    `lattice_automorphism` is U in lattice coordinates, U_L = L^-1 U L,
+    integral with determinant +-1 (make_system computes it once).
     """
 
     algebra: LieAlgebraSpec
     group: NilpotentGroup
     lattice: LogLattice
     automorphism: QMatrix
+    lattice_automorphism: QMatrix
     translation: ParamVector
     name: str = ""
     designated_generators: tuple[tuple[Fraction, ...], ...] | None = None
@@ -193,7 +196,8 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
 
     Runs, in order: algebra validation (Jacobi, nilpotency), lattice closure
     under the group law, the automorphism property of the matrix, and
-    preservation of the lattice.  The first failure raises ValidationError
+    preservation of the lattice, whose U_L = L^-1 U L the system keeps as
+    lattice_automorphism.  The first failure raises ValidationError
     naming the check.  A valid algebra of class above the BCH cap is out
     of scope, not invalid: its nilgrp.ClassCapExceeded passes through.
     The bracket checks walk the nonzero structure constants only.  On an
@@ -223,7 +227,7 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
     if not ok:
         raise ValidationError("is_automorphism",
                               (tuple(pair), tuple(residual)))
-    ok, reason, _ = preserves_lattice(automorphism, lattice)
+    ok, reason, lattice_automorphism = preserves_lattice(automorphism, lattice)
     if not ok:
         raise ValidationError("preserves_lattice", reason)
 
@@ -237,8 +241,9 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
     gens = None
     if designated_generators is not None:
         gens = tuple(tuple(Fraction(x) for x in g) for g in designated_generators)
-    return AffineSystem(algebra, group, lattice, automorphism, translation,
-                        name=name, designated_generators=gens,
+    return AffineSystem(algebra, group, lattice, automorphism,
+                        lattice_automorphism, translation, name=name,
+                        designated_generators=gens,
                         description=description, notes=tuple(notes),
                         simulate=simulate)
 

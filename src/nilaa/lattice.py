@@ -9,11 +9,13 @@ law in lattice coordinates is one polynomial map on Z^d x Z^d, and it is
 integer-valued there if and only if its coefficients in the basis of
 products of binomial coefficients are integers.  It is computed on the
 Hermite basis of the span, which is triangular whatever basis is given;
-a basis that is already its own Hermite basis is used as it is.  On an
-abelian algebra the law is m + n, so closure holds by structure and no
-product is expanded.  The central lattice vectors are the integer kernel
-of the centre equations, built from the nonzero structure constants
-only; on a torus every lattice vector is central.
+a basis that is already its own Hermite basis is used as it is.  The
+whole test runs in integers: one product of the group's integer BCH
+kernel on integer linear forms, and one divisibility test per
+coefficient.  On an abelian algebra the law is m + n, so closure holds by
+structure and no product is expanded.  The central lattice vectors are
+the integer kernel of the centre equations, built from the nonzero
+structure constants only; on a torus every lattice vector is central.
 
 Coset reduction produces canonical fundamental-domain representatives by
 greedily clearing lattice coordinates in an order along which right
@@ -30,7 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .nilalg import _centre_rows
-from .nilgrp import NilpotentGroup
+from .nilgrp import NilpotentGroup, _add_scaled_int
 from .poly import ParamVector, Poly
 from .ratlin import QMatrix, dot, integer_kernel, to_fraction, zspan_basis
 
@@ -122,44 +124,82 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, k + 1))
 
 
-def _non_integer_binomial_indices(p: Poly) -> set[tuple[int, ...]]:
-    """Multi-indices J whose coefficient of prod_i C(z_i, J_i) in p is not
-    an integer.
+def _non_integer_binomial_indices(group: NilpotentGroup, hermite: LogLattice
+                                   ) -> set[tuple[int, ...]]:
+    """Multi-indices J over z = (m, n) whose coefficient of
+    prod_i C(z_i, J_i) in the group law P(m, n) = H^-1 bch(H m, H n) is
+    not an integer, for the lower triangular basis H of hermite.
 
-    The basis change has integer entries, so integer monomial coefficients
-    only add integers; the fractional parts alone decide the answer.
+    All in integers: H = B / D and H^-1 = A / E with B, A integral, so
+    _lyndon on the integer linear forms B m, B n over D gives bch(H m, H n)
+    as integer polynomials over base, and A applied to them gives P over
+    E base.  A coefficient is an integer iff E base divides its numerator.
+    The basis change has integer entries, so only residues modulo E base
+    are expanded.  A monomial and a J pack their 2d exponents into the
+    fields of one integer, as in _lyndon, none above the class.
     """
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
-        frac = coeff - math.floor(coeff)
-        if not frac:
-            continue
-        partial = [((), frac)]
-        for k in exps:
-            partial = [(J + (j,), c * t) for J, c in partial
-                       for j, t in enumerate(_binomial_row(k)) if t]
-        for J, c in partial:
-            acc[J] = acc.get(J, 0) + c
-    return {J for J, c in acc.items() if c.denominator != 1}
+    d = group.dim
+    bits = group.nilpotency_class.bit_length()
+    units = [1 << (bits * i) for i in range(2 * d)]
+    D, B = _scaled_rows(hermite.basis)
+    forms = [[{units[offset + i]: b for i, b in row} for row in B]
+             for offset in (0, d)]
+    out, base = group._lyndon(*forms, D)
+    E, A = _scaled_rows(hermite._inverse)
+    modulus = E * base
+    bad = set()
+    for row in A:
+        law: dict[int, int] = {}
+        for j, a in row:
+            if out[j]:
+                _add_scaled_int(law, a, out[j])
+        acc: dict[int, int] = {}
+        for m, c in law.items():
+            c %= modulus
+            if not c:
+                continue
+            partial = [(0, c)]
+            while m:  # one variable of m at a time, by decreasing index
+                shift = (m.bit_length() - 1) // bits * bits
+                k = m >> shift
+                m -= k << shift
+                partial = [(J + (i << shift), e * t) for J, e in partial
+                           for i, t in enumerate(_binomial_row(k)) if t]
+            for J, e in partial:
+                acc[J] = acc.get(J, 0) + e
+        bad.update(J for J, e in acc.items() if e % modulus)
+    mask = (1 << bits) - 1
+    return {tuple(J >> (bits * i) & mask for i in range(2 * d)) for J in bad}
 
 
-def validate_lattice(group: NilpotentGroup, lattice: LogLattice
-                     ) -> tuple[LogLattice, ParamVector]:
+def _scaled_rows(matrix: QMatrix) -> tuple[int, list]:
+    """(den, rows): den the lcm of the denominators of the matrix, and
+    den times its nonzero entries as (column, integer) pairs per row."""
+    rows = [[(j, 1 if x is None else x) for j, x in row]
+            for row in matrix.sparse_rows()]
+    den = math.lcm(*(x.denominator for row in rows for _, x in row))
+    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in row]
+                 for row in rows]
+
+
+def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
     """Check exactly that the integer span of the generators is closed
-    under BCH.
+    under BCH; returns the Hermite basis of the span.
 
     Closure depends on the span only, so the check runs on its Hermite
     basis H (lower triangular, positive pivots, reduced entries), which
-    keeps the symbolic product sparse however dense the given basis is.
-    A basis that is its own Hermite basis, such as a positive diagonal
-    one, is used as given, with its inverse.  One symbolic product gives
-    the group law in H coordinates, P(m, n) = H^-1 bch(H m, H n), over the
-    parameters m1..md, n1..nd.  Each coordinate is written in the basis of
+    keeps the product sparse however dense the given basis is.  A basis
+    that is its own Hermite basis, such as a positive diagonal one, is
+    used as given, with its inverse.  The group law in H coordinates,
+    P(m, n) = H^-1 bch(H m, H n) over the integer points m, n of Z^d, is
+    one polynomial map; each coordinate is written in the basis of
     products of binomials C(z_i, J_i) over z = (m, n).  A rational
     polynomial takes integer values on all of Z^2d if and only if every
     such coefficient is an integer (Polya), so this is a finite
-    certificate of closure; (H, P) is returned on success.  On an abelian
-    algebra P(m, n) = m + n, returned without a product.
+    certificate of closure.  It is decided in integers: one product of
+    the integer kernel of NilpotentGroup on 2d unit variables, H and H^-1
+    scaled to integers, and a divisibility test per coefficient.  On an
+    abelian algebra P(m, n) = m + n and no product is made.
 
     A failure raises LatticeClosureError, with the witness in the given
     generators.  It is the first signed generator pair whose product
@@ -174,16 +214,11 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice
         hermite = lattice
     else:
         hermite = LogLattice.from_columns(zspan_basis(lattice.basis.columns(), d))
-    params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
-    z = [Poly.variable(name, params) for name in params]
     if group.spec.abelian():  # the law is m + n: every additive lattice is closed
-        return hermite, ParamVector(params, z[:d]) + ParamVector(params, z[d:])
-    x = hermite.basis.apply(ParamVector(params, z[:d]))
-    y = hermite.basis.apply(ParamVector(params, z[d:]))
-    law = hermite._inverse.apply(group.mult(x, y))
-    bad = set().union(*map(_non_integer_binomial_indices, law.entries))
+        return hermite
+    bad = _non_integer_binomial_indices(group, hermite)
     if not bad:
-        return hermite, law
+        return hermite
 
     for i in range(d):
         for j in range(d):
@@ -206,8 +241,9 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice
 def _is_hermite(basis: QMatrix) -> bool:
     """Is the invertible basis its own Hermite basis: lower triangular,
     with positive diagonal and each entry left of it in [0, diagonal)?"""
-    return all(0 <= x < row[i] if j < i else (x > 0 if j == i else not x)
-               for i, row in enumerate(basis.entries) for j, x in enumerate(row))
+    return all(row[i] > 0 and not any(row[i + 1:])
+               and all(0 < x < row[i] for x in row[:i] if x)
+               for i, row in enumerate(basis.entries))
 
 
 def preserves_lattice(matrix: QMatrix, lattice: LogLattice

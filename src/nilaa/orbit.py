@@ -24,7 +24,7 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from ._record import record
-from .lattice import CosetReducer
+from .lattice import CosetReducer, _scaled_rows
 from .nilalg import _centre_rows
 from .ratlin import QMatrix, dot, to_fraction, unipotency_index
 
@@ -59,12 +59,15 @@ class NumericAffine:
     system's coset reducer (dimension <= 7).
 
     On an abelian group T acts on the lattice coordinates c = L^-1 x as
-    c -> U_L c + c(a) mod 1, with U_L = L^-1 U L integral.  When U_L =
-    I + N_L is unipotent, T^m x has a closed form (jump): c(T^m x) is
-    sum_j C(m, j) N_L^j c + sum_j C(m, j+1) N_L^j c(a) mod 1 for every
-    integer m, negative m included (a polynomial sequence, Leibman 1998),
-    summed in integers.  A pure translation of any other group jumps by
-    its one product (m a) x.  Every other map steps.
+    c -> U_L c + c(a) mod 1, with U_L = L^-1 U L the system's integral
+    lattice_automorphism, and T^-1 as c -> U_L^-1 (c - c(a)) mod 1, U_L^-1
+    integral too.  When U_L = I + N_L is unipotent, T^m x has a closed
+    form (jump): c(T^m x) is sum_j C(m, j) N_L^j c + sum_j C(m, j+1)
+    N_L^j c(a) mod 1 for every integer m, negative m included (a
+    polynomial sequence, Leibman 1998), summed in integers.  A pure
+    translation of any other group jumps by its one product (m a) x.
+    Every other map steps: a torus map in integer lattice coordinates
+    (see _walk), any other map on points.
 
     A torus map, and a pure translation of any group, acts by an integer
     matrix on its torus factor: the lattice coordinates that near() reads
@@ -135,14 +138,14 @@ class NumericAffine:
                 rho = sum(abs(lattice.basis[i, j]) for j, _ in basis[i]) / 2
                 spare = min(map(abs, values), default=math.inf) - rho
                 self._early.append((i, basis[i], reads, values, spare))
-        # on an abelian group: U_L = L^-1 U L, integral (make_system
-        # checks it), and c(a)
-        self._lattice_map = self._drift = None
+        # on an abelian group: U_L and U_L^-1 as sparse integer rows, and
+        # c(a)
+        self._lattice_map = self._lattice_inverse = self._drift = None
         self._reach = 1 if self._pure else None
         if self._reducer is None:
-            conj = lattice._inverse @ self.matrix @ lattice.basis
-            self._lattice_map = [[(j, int(u)) for j, u in enumerate(row) if u]
-                                 for row in conj.entries]
+            conj = system.lattice_automorphism
+            self._lattice_map = _scaled_rows(conj)[1]
+            self._lattice_inverse = _scaled_rows(conj.inverse())[1]
             self._drift = lattice.to_coords(translation)
             self._reach = unipotency_index(conj)
 
@@ -188,10 +191,13 @@ class NumericAffine:
         if self._reducer is not None:
             shift = [m * a for a in self.translation]
             return self.reduce(self.group.mult_vec(shift, x))
-        coords = self.lattice.to_coords(x)
-        den = math.lcm(*(c.denominator for c in (*coords, *self._drift)))
-        state, drift = ([c.numerator * (den // c.denominator) for c in v]
-                        for v in (coords, self._drift))
+        den, (state, drift) = _over_one_denominator(
+            self.lattice.to_coords(x), self._drift)
+        return self._point(self._jump_state(state, drift, den, m), den)
+
+    def _jump_state(self, state, drift, den, m: int) -> list:
+        """jump() on a torus in integer lattice states: den c(T^m x) from
+        state = den c(x) and drift = den c(a)."""
         binom = [1]  # C(m, j) for j = 0..reach
         for j in range(self._reach):
             binom.append(binom[-1] * (m - j) // (j + 1))
@@ -202,7 +208,11 @@ class NumericAffine:
             acc = [lo * s + hi * a + sum(u * acc[k] for k, u in row) - c
                    for s, a, row, c in zip(state, drift, self._lattice_map,
                                            acc)]
-        return self.lattice.from_coords([Fraction(v % den, den) for v in acc])
+        return [v % den for v in acc]
+
+    def _point(self, state, den) -> tuple:
+        """The point L state / den of an integer lattice state."""
+        return self.lattice.from_coords([Fraction(c, den) for c in state])
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -305,7 +315,6 @@ class _TorusFactor:
     def __init__(self, affine: NumericAffine, eps: Fraction, points):
         coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
         self._rows = [affine._coord_rows[j] for j in coords]
-        self._lattice = affine.lattice
         self.den = den = math.lcm(eps.denominator, *(
             dot(row, p).denominator for row in self._rows
             for p in (affine.translation, *points)))
@@ -323,13 +332,7 @@ class _TorusFactor:
 
     def advance(self, s) -> list:
         """The state of T(p) from the state s of p: U_f s + drift mod den."""
-        den = self.den
-        return [(sum(u * s[k] for k, u in row) + a) % den
-                for row, a in zip(self._map, self._drift)]
-
-    def point(self, s) -> tuple:
-        """The reduced point L s / den of state s, on a torus."""
-        return self._lattice.from_coords([Fraction(c, self.den) for c in s])
+        return _affine_mod(self._map, self._drift, self.den, s)
 
     def state(self, p) -> list:
         """den * c_j(p) for the factor's coordinates j."""
@@ -366,25 +369,61 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     One pass along the orbit.  A gap between consecutive indices larger
     than affine.reach() is one closed-form jump from the current point;
     every other gap is walked step by step, so consecutive indices (a
-    trajectory dump) cost one step each.  Each point equals the one
-    reached by stepping from x, since a step is a function of the exact
-    point.
+    trajectory dump) cost one step each.  On a torus the walk runs on
+    the integer states den c of the lattice coordinates c, den fixed by
+    x and c(a): a step is s -> U_L s + den c(a) mod den forward and
+    s -> U_L^-1 (s - den c(a)) mod den backward, and a point is built
+    only per index.  Each point equals the one reached by stepping from
+    x, since a step is a function of the exact point.
     """
     if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
-    p = affine.reduce(x)
+    state = affine.reduce(x)
     reach = affine.reach()
+    jump, point = affine.jump, None
     step = affine.step_back if backward else affine.step
+    if affine._lattice_map is not None:
+        den, (state, drift) = _over_one_denominator(
+            affine.lattice.to_coords(state), affine._drift)
+        rows, shift = affine._lattice_map, drift
+        if backward:
+            rows = affine._lattice_inverse
+            shift = [-sum(u * drift[k] for k, u in row) % den
+                     for row in rows]
+
+        def step(s):
+            return _affine_mod(rows, shift, den, s)
+
+        def jump(s, m):
+            return affine._jump_state(s, drift, den, m)
+
+        def point(s):
+            return affine._point(s, den)
+
     out, at = [], 0
     for k in ks:
         if reach is not None and k - at > reach:
-            p = affine.jump(p, at - k if backward else k - at)
+            state = jump(state, at - k if backward else k - at)
         else:
             for _ in range(k - at):
-                p = step(p)
+                state = step(state)
         at = k
-        out.append(p)
+        out.append(state if point is None else point(state))
     return out
+
+
+def _over_one_denominator(*vectors) -> tuple:
+    """(den, integer vectors): the rational vectors times the lcm den of
+    their denominators."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return den, [[c.numerator * (den // c.denominator) for c in v]
+                 for v in vectors]
+
+
+def _affine_mod(rows, shift, den, s) -> list:
+    """rows s + shift mod den, for sparse integer rows."""
+    return [(sum(u * s[k] for k, u in row) + a) % den
+            for row, a in zip(rows, shift)]
 
 
 def _convergent_denominators(value: Fraction, bound: int) -> list:
@@ -515,7 +554,7 @@ def _orbit(affine: NumericAffine, x, y, eps, horizon: int):
     for k in range(1, horizon + 1):
         s = factor.advance(s)
         if s == start or not factor.rejects(s, target):
-            yield k, factor.point(s) if torus else affine.jump(x, k)
+            yield k, affine._point(s, factor.den) if torus else affine.jump(x, k)
 
 
 def _snap(point) -> tuple:

@@ -44,6 +44,13 @@ def filiform(total_dim: int) -> LieAlgebraSpec:
         total_dim, [(1, i, i + 1, 1) for i in range(2, total_dim)])
 
 
+def q6() -> LieAlgebraSpec:
+    """Class 5 on e1..e6: filiform(6) with [e2, e5] = e6 and [e3, e4] = -e6,
+    which makes the derived algebra nonabelian."""
+    return LieAlgebraSpec.from_sparse(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1),
+                                          (1, 5, 6, 1), (2, 5, 6, 1), (3, 4, 6, -1)])
+
+
 def random_basis_matrix(d: int, rng, shears: int = 4) -> QMatrix:
     """A random permutation and nonzero scaling of the identity with
     `shears` random elementary column operations added."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
-                      heisenberg, jordan_block, random_basis_matrix)
+                      heisenberg, jordan_block, q6, random_basis_matrix)
 from nilaa import io as nio
 from nilaa import ratlin
 from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
@@ -453,9 +453,7 @@ def lie_oracle(system) -> LieNecessaryReport:
     return LieNecessaryReport(True, True, True, None, None)
 
 
-# class 5, and [e3, e4] = -e6 makes the derived algebra nonabelian
-Q6 = LieAlgebraSpec.from_sparse(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1),
-                                    (1, 5, 6, 1), (2, 5, 6, 1), (3, 4, 6, -1)])
+Q6 = q6()
 Q6_LATTICE = QMatrix([[F(1, 60 ** max(i - 1, 0)) if i == j else 0
                        for j in range(6)] for i in range(6)])
 
@@ -707,7 +705,7 @@ def test_two_generator_hypotheses_follow_from_the_span_test():
                 QSubspace.from_spanning([xi, eta], d)).dim == d
             generates = _closure(moved, [xi, eta]).dim == d
             assert spans == generates
-            system = AffineSystem(moved, NilpotentGroup(moved), None, U,
+            system = AffineSystem(moved, NilpotentGroup(moved), None, U, None,
                                   ParamVector.from_rationals([0] * d),
                                   designated_generators=(xi, eta))
             try:

@@ -7,11 +7,14 @@ from itertools import product
 
 import pytest
 
-from conftest import (abelian, filiform, free_nilpotent_2_3, heisenberg,
-                      random_basis_matrix, random_change_of_basis)
+from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
+                      heisenberg, q6, random_basis_matrix,
+                      random_change_of_basis)
 from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
-                           _is_hermite, central_lattice_basis,
-                           preserves_lattice, validate_lattice)
+                           _binomial_row, _is_hermite,
+                           _non_integer_binomial_indices,
+                           central_lattice_basis, preserves_lattice,
+                           validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
 from nilaa.poly import ParamVector, Poly
@@ -46,15 +49,99 @@ def test_log_lattice_basics():
         LogLattice(QMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
+# ---- the symbolic closure oracle ----
+
+def _hermite_of(basis):
+    return QMatrix.from_columns(zspan_basis(basis.columns(), basis.nrows))
+
+
+def symbolic_law(group, hermite):
+    """The group law in Hermite coordinates, P(m, n) = H^-1 bch(H m, H n),
+    by one symbolic product over m1..md, n1..nd."""
+    d = group.dim
+    params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
+    z = [Poly.variable(name, params) for name in params]
+    x = hermite.basis.apply(ParamVector(params, z[:d]))
+    y = hermite.basis.apply(ParamVector(params, z[d:]))
+    return hermite._inverse.apply(group.mult(x, y))
+
+
+def fractional_binomial_indices(p: Poly) -> set:
+    """Multi-indices J whose coefficient of prod_i C(z_i, J_i) in p is not
+    an integer, from the fractional parts of p's Fraction coefficients."""
+    acc = {}
+    for exps, coeff in p.terms.items():
+        frac = coeff - math.floor(coeff)
+        if not frac:
+            continue
+        partial = [((), frac)]
+        for k in exps:
+            partial = [(J + (j,), c * t) for J, c in partial
+                       for j, t in enumerate(_binomial_row(k)) if t]
+        for J, c in partial:
+            acc[J] = acc.get(J, 0) + c
+    return {J for J, c in acc.items() if c.denominator != 1}
+
+
+def oracle_validate(group, lattice):
+    """validate_lattice through the symbolic law.
+
+    Returns (H, law, bad, error): the Hermite basis, the law in its
+    coordinates, the non-integer binomial indices of the law, and None or
+    the LatticeClosureError of the witness search that validate_lattice
+    documents.
+    """
+    d = group.dim
+    hermite = LogLattice(_hermite_of(lattice.basis))
+    if hermite == lattice:
+        hermite = lattice
+    law = symbolic_law(group, hermite)
+    bad = set().union(*map(fractional_binomial_indices, law.entries))
+    if not bad:
+        return hermite, law, bad, None
+    for i, j, si, sj in product(range(d), range(d), (1, -1), (1, -1)):
+        if i != j:
+            coords = lattice.to_coords(group.mult_vec(
+                [si * g for g in lattice.generator(i)],
+                [sj * g for g in lattice.generator(j)]))
+            if any(c.denominator != 1 for c in coords):
+                return hermite, law, bad, LatticeClosureError(
+                    ((i, si), (j, sj)), coords)
+    J = min(bad, key=lambda J: (sum(J), J))
+    u, v = hermite.from_coords(J[:d]), hermite.from_coords(J[d:])
+    return hermite, law, bad, LatticeClosureError(
+        tuple(("combo", tuple(int(c) for c in lattice.to_coords(p))) for p in (u, v)),
+        lattice.to_coords(group.mult_vec(u, v)))
+
+
+def assert_matches_oracle(group, lattice) -> bool:
+    """validate_lattice and the oracle agree on the verdict, the
+    non-integer indices and any error's pair, coordinates and message;
+    returns whether the lattice is closed."""
+    hermite, _, bad, error = oracle_validate(group, lattice)
+    assert _non_integer_binomial_indices(group, hermite) == bad
+    if error is None:
+        assert validate_lattice(group, lattice) == hermite
+        return True
+    with pytest.raises(LatticeClosureError) as info:
+        validate_lattice(group, lattice)
+    assert info.value.pair == error.pair
+    assert info.value.coords == error.coords
+    assert str(info.value) == str(error)
+    return False
+
+
 def law_at(law, m, n):
-    """The certificate P(m, n) at integer lattice coordinates m, n."""
+    """The law P(m, n) at integer lattice coordinates m, n."""
     return law.substitute(dict(zip(law.params, (*m, *n))))
 
 
 def test_validate_heisenberg_lattice():
     group = NilpotentGroup(heisenberg())
-    hermite, law = validate_lattice(group, heis_lattice())
+    hermite = validate_lattice(group, heis_lattice())
     assert hermite == heis_lattice()  # a positive diagonal basis is its own
+    assert assert_matches_oracle(group, heis_lattice())
+    law = symbolic_law(group, hermite)
     # bch(xi1, xi2) = xi1 + xi2 + xi3/2, which is (1, 1, 1) in lattice coordinates
     assert law_at(law, (1, 0, 0), (0, 1, 0)) == (1, 1, 1)
     assert law_at(law, (0, 1, 0), (1, 0, 0)) == (1, 1, -1)
@@ -85,6 +172,7 @@ def test_point_witness_when_every_generator_pair_closes():
     diagonal = (1, 1, 1, F(1, 2), F(1, 2), F(1, 4))
     lattice = LogLattice(QMatrix([[diagonal[i] * (i == j) for j in range(6)]
                                   for i in range(6)]))
+    assert not assert_matches_oracle(group, lattice)
     with pytest.raises(LatticeClosureError) as err:
         validate_lattice(group, lattice)
     (tag_m, m), (tag_n, n) = err.value.pair
@@ -96,6 +184,50 @@ def test_point_witness_when_every_generator_pair_closes():
     assert coords[5] == F(2, 3)
     assert str(err.value) == ("bch(gen2, gen0 + gen1) has non-integer lattice "
                               "coordinates ('1', '1', '1', '-1', '-1', '2/3')")
+
+
+# algebras of classes 1 to 6, each with the weights of its basis vectors
+# along the lower central series
+GRADED = [
+    (abelian(3), (1, 1, 1)),
+    (heisenberg(), (1, 1, 2)),
+    (LieAlgebraSpec.from_sparse(6, [(1, 2, 4, 1), (1, 3, 5, 1), (2, 3, 6, 1)]),
+     (1, 1, 1, 2, 2, 2)),  # free 3-generator class 2
+    (free_nilpotent_2_3(), (1, 1, 2, 3, 3)),
+    (filiform(5), (1, 1, 2, 3, 4)),
+    (q6(), (1, 1, 2, 3, 4, 5)),
+    (filiform(7), (1, 1, 2, 3, 4, 5, 6)),
+]
+
+
+def _graded_lattice(weights, scale, rng) -> QMatrix:
+    """Diagonal 1 / scale^(w - 1) on a basis vector of weight w, closed for
+    scale 60 up to class 6; some entries below it moved by a fraction of
+    their row's diagonal entry, which may break closure."""
+    d = len(weights)
+    rows = [[F(0)] * d for _ in range(d)]
+    for i, w in enumerate(weights):
+        rows[i][i] = F(1, scale ** (w - 1))
+        for j in range(i):
+            if rng.random() < 0.25:
+                rows[i][j] = rows[i][i] * rng.choice((1, -1, F(1, 2), F(-1, 3)))
+    return QMatrix(rows)
+
+
+def test_integer_certificate_matches_the_symbolic_oracle():
+    rng = random.Random(20)
+    verdicts = {}
+    for spec, weights in GRADED:
+        d = spec.dim
+        for trial in range(6):
+            scale = (60, 60, 60, 2, 1)[trial % 5]
+            lattice = _graded_lattice(weights, scale, rng)
+            P = random_basis_matrix(d, rng, trial % 5)
+            group = NilpotentGroup(change_of_basis(spec, P))
+            closed = assert_matches_oracle(group, LogLattice(P.inverse() @ lattice))
+            verdicts.setdefault(closed, set()).add(max(weights))
+    assert verdicts[True] == {1, 2, 3, 4, 5, 6}
+    assert verdicts[False] >= {2, 3, 4, 5, 6}
 
 
 def test_closure_error_formats_point_witnesses():
@@ -161,7 +293,7 @@ def _verdict(group, lattice):
     """The Hermite basis when validate_lattice accepts, else None after
     checking that the witness product really leaves the lattice."""
     try:
-        return validate_lattice(group, lattice)[0]
+        return validate_lattice(group, lattice)
     except LatticeClosureError as err:
         left, right = (lattice.from_coords(f[1]) if f[0] == "combo"
                        else tuple(f[1] * x for x in lattice.generator(f[0]))
@@ -272,24 +404,23 @@ def test_sparse_central_lattice_basis_matches_the_dense_kernel():
             assert central_lattice_basis(NilpotentGroup(spec), lattice) == expected
 
 
-def _hermite_of(basis):
-    return QMatrix.from_columns(zspan_basis(basis.columns(), basis.nrows))
-
-
 def test_abelian_lattice_law_is_the_symbolic_product():
+    # the symbolic law is m + n, so every additive lattice is closed and
+    # validate_lattice makes no product
     rng = random.Random(83)
     for d in (1, 2, 4, 6):
         group = NilpotentGroup(abelian(d))
-        params = tuple(f"m{i + 1}" for i in range(d)) + tuple(f"n{i + 1}" for i in range(d))
-        z = [Poly.variable(name, params) for name in params]
         dense = random_basis_matrix(d, rng, 2)
         for basis in (QMatrix.identity(d), dense, _hermite_of(dense)):
-            hermite, law = validate_lattice(group, LogLattice(basis))
-            expected = LogLattice(_hermite_of(basis))
-            x = expected.basis.apply(ParamVector(params, z[:d]))
-            y = expected.basis.apply(ParamVector(params, z[d:]))
-            assert hermite == expected
-            assert law == expected._inverse.apply(group.mult(x, y))
+            hermite, law, bad, error = oracle_validate(group, LogLattice(basis))
+            m = [law.params[i] for i in range(d)]
+            n = [law.params[d + i] for i in range(d)]
+            assert law.entries == tuple(Poly.variable(a, law.params)
+                                        + Poly.variable(b, law.params)
+                                        for a, b in zip(m, n))
+            assert not bad and error is None
+            assert validate_lattice(group, LogLattice(basis)) == hermite
+            assert hermite == LogLattice(_hermite_of(basis))
 
 
 def test_is_hermite_agrees_with_the_hermite_basis_of_the_span():
@@ -313,7 +444,7 @@ def test_is_hermite_agrees_with_the_hermite_basis_of_the_span():
 def test_a_hermite_basis_is_reused_with_its_inverse():
     group = NilpotentGroup(free_nilpotent_2_3())
     lattice = free23_lattice()
-    hermite, _ = validate_lattice(group, lattice)
+    hermite = validate_lattice(group, lattice)
     assert hermite is lattice
 
 

@@ -162,23 +162,37 @@ def test_closed_form_matches_single_steps(name):
         [_walk_by_steps(m, x, k, True) for k in ks]
 
 
-def test_non_unipotent_torus_map_steps():
-    m = torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])
-    assert m.reach() is None
-    calls = []
-    step = m.step
-    m.step = lambda p: calls.append(1) or step(p)
+def test_non_unipotent_torus_map_steps(monkeypatch):
+    # the cat map and the quarter turn have no closed form: a walk makes one
+    # step per index on integer lattice states, both ways, and no step on
+    # points
     x = (F(1, 8), F(3, 8))
-    assert iterate(m, x, 40) == _walk_by_steps(m, x, 40)
-    assert len(calls) == 80
-    # a non-translation of a non-abelian group steps too
+    for matrix in ([[2, 1], [1, 1]], [[0, -1], [1, 0]]):
+        m = torus(2, QMatrix(matrix), [F(1, 7), F(2, 9)])
+        assert m.reach() is None
+        m.step = m.step_back = None
+        state_steps = []
+        affine_mod = norbit._affine_mod
+        monkeypatch.setattr(norbit, "_affine_mod", lambda *args: (
+            state_steps.append(1) or affine_mod(*args)))
+        walked = iterate(m, x, 40), iterate(m, x, -40)
+        assert len(state_steps) == 80
+        monkeypatch.undo()
+        del m.step, m.step_back
+        assert walked == (_walk_by_steps(m, x, 40),
+                          _walk_by_steps(m, x, 40, backward=True))
+        ks = (0, 1, 5, 6, 40)
+        for backward in (False, True):
+            assert _walk(m, x, ks, backward) == [
+                _walk_by_steps(m, x, k, backward) for k in ks]
+    # a non-translation of a non-abelian group steps on points
     assert heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
                 [0, 0, 0]).reach() is None
 
 
 def test_consecutive_indices_never_jump():
     m = torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)])
-    m.jump = None  # a jump would fail
+    m.jump = m._jump_state = None  # a jump would fail
     x = (F(1, 5), F(2, 5), F(3, 5))
     assert [p for _, p in trajectory(m, x, 30)] == \
         [_walk_by_steps(m, x, k) for k in range(31)]

@@ -68,10 +68,12 @@ VALUE_RECORDS = [
 
 IDENTITY_RECORDS = [
     (AffineSystem, ("algebra", "group", "lattice", "automorphism",
-                    "translation", "name", "designated_generators",
-                    "description", "notes", "simulate"),
-     ("algebra", "group", "lattice", "automorphism", "translation", "heis",
-      (E1, E2), "a system", ("a note",), {"eps": 0.001}),
+                    "lattice_automorphism", "translation", "name",
+                    "designated_generators", "description", "notes",
+                    "simulate"),
+     ("algebra", "group", "lattice", "automorphism", "lattice_automorphism",
+      "translation", "heis", (E1, E2), "a system", ("a note",),
+      {"eps": 0.001}),
      {"name": "", "designated_generators": None, "description": "",
       "notes": (), "simulate": None}),
     (SuspendedSystem, ("big_algebra", "big_group", "monodromy",
