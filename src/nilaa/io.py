@@ -133,7 +133,7 @@ def _parse_structure_constants(data, dim, location):
             raise ParseError(where, "expected [i, j, k, value]")
         i, j, k, raw = entry
         for name, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or not 1 <= v <= dim:
+            if type(v) is not int or not 1 <= v <= dim:
                 raise ParseError(where, f"index {name} must be in 1..{dim}")
         if i == j:
             raise ParseError(where, "bracket of a vector with itself")

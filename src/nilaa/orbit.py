@@ -58,23 +58,18 @@ class NumericAffine:
     in lattice coordinates, in any dimension; any other group uses the
     system's coset reducer (dimension <= 7).
 
-    On an abelian group T acts on the lattice coordinates c = L^-1 x as
-    c -> U_L c + c(a) mod 1, with U_L = L^-1 U L the system's integral
-    lattice_automorphism, and T^-1 as c -> U_L^-1 (c - c(a)) mod 1, U_L^-1
-    integral too.  When U_L = I + N_L is unipotent, T^m x has a closed
-    form (jump): c(T^m x) is sum_j C(m, j) N_L^j c + sum_j C(m, j+1)
-    N_L^j c(a) mod 1 for every integer m, negative m included (a
-    polynomial sequence, Leibman 1998), summed in integers.  A pure
-    translation of any other group jumps by its one product (m a) x.
-    Every other map steps: a torus map in integer lattice coordinates
-    (see _walk), any other map on points.
-
-    A torus map, and a pure translation of any group, acts by an integer
-    matrix on its torus factor: the lattice coordinates that near() reads
-    before any group product.  A torus map's factor is all of its lattice
-    coordinates, and there the factor's integer test is exactly near().
-    Scans run on the factor in integers (_TorusFactor) and build T^k x
-    only where it cannot reject.
+    A map has one of two representations.  Any map acts on points, exact
+    Fraction tuples.  A torus map, and a pure translation of any group,
+    also acts by an integer affine map on its torus factor: the lattice
+    coordinates that near() reads before any group product, held as one
+    integer state (_TorusFactor).  A torus map's factor is all of its
+    lattice coordinates c = L^-1 x, on which T is c -> U_L c + c(a) mod 1,
+    U_L = L^-1 U L the system's integral lattice_automorphism; there the
+    factor's integer test is exactly near(), and its state gives the point
+    back.  A torus map walks, jumps and scans on the factor; when U_L is
+    unipotent it has a closed form (jump), a polynomial sequence in m
+    (Leibman 1998).  A pure translation of any other group jumps by its
+    one product (m a) x, and every other map steps on points.
     """
 
     def __init__(self, system, translation):
@@ -138,15 +133,13 @@ class NumericAffine:
                 rho = sum(abs(lattice.basis[i, j]) for j, _ in basis[i]) / 2
                 spare = min(map(abs, values), default=math.inf) - rho
                 self._early.append((i, basis[i], reads, values, spare))
-        # on an abelian group: U_L and U_L^-1 as sparse integer rows, and
-        # c(a)
-        self._lattice_map = self._lattice_inverse = self._drift = None
+        # on an abelian group: U_L and U_L^-1 as sparse integer rows
+        self._lattice_map = self._lattice_inverse = None
         self._reach = 1 if self._pure else None
         if self._reducer is None:
             conj = system.lattice_automorphism
             self._lattice_map = _scaled_rows(conj)[1]
             self._lattice_inverse = _scaled_rows(conj.inverse())[1]
-            self._drift = lattice.to_coords(translation)
             self._reach = unipotency_index(conj)
 
     # -- dynamics (exact) --
@@ -182,37 +175,14 @@ class NumericAffine:
         Equals m steps (or -m backward steps) from x, since the reduction
         is a function of the coset.  Only when reach() is not None.  A
         pure translation of a non-abelian group is the one product
-        (m a) x.  On an abelian group, over the lcm den of the
-        denominators of c = c(x) and c(a), den c(T^m x) is
-        sum_j N_L^j (C(m, j) den c + C(m, j+1) den c(a)) mod den, summed
-        in integers from the top power down.
+        (m a) x; a torus map jumps its factor's state (_TorusFactor.jump).
         """
         x = _point(x)
         if self._reducer is not None:
             shift = [m * a for a in self.translation]
             return self.reduce(self.group.mult_vec(shift, x))
-        den, (state, drift) = _over_one_denominator(
-            self.lattice.to_coords(x), self._drift)
-        return self._point(self._jump_state(state, drift, den, m), den)
-
-    def _jump_state(self, state, drift, den, m: int) -> list:
-        """jump() on a torus in integer lattice states: den c(T^m x) from
-        state = den c(x) and drift = den c(a)."""
-        binom = [1]  # C(m, j) for j = 0..reach
-        for j in range(self._reach):
-            binom.append(binom[-1] * (m - j) // (j + 1))
-        acc = [0] * self.dim
-        for j in reversed(range(self._reach)):
-            lo, hi = binom[j], binom[j + 1]
-            # acc := lo state + hi drift + N_L acc, with N_L = U_L - I
-            acc = [lo * s + hi * a + sum(u * acc[k] for k, u in row) - c
-                   for s, a, row, c in zip(state, drift, self._lattice_map,
-                                           acc)]
-        return [v % den for v in acc]
-
-    def _point(self, state, den) -> tuple:
-        """The point L state / den of an integer lattice state."""
-        return self.lattice.from_coords([Fraction(c, den) for c in state])
+        factor = _TorusFactor(self, None, (x,))
+        return factor.point(factor.jump(factor.state(x), m))
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -297,46 +267,82 @@ class NumericAffine:
 
 
 class _TorusFactor:
-    """The scan's integer state: the lattice coordinates that near()'s first
-    phase reads, on which T acts by an integer matrix U_f.
+    """The integer state of a map's torus factor: the lattice coordinates
+    that near()'s first phase reads, on which T acts by an integer matrix
+    U_f.
 
     Those lattice coordinates c_j are read off coordinates that no bracket
     or shift touches.  On a torus that is every lattice coordinate: T acts
-    on c = L^-1 x as c -> U_L c + c(a) mod 1 (U_f = U_L), and with no
-    neighbour moves or central shifts the integer test is exactly near().
-    On any other group only a pure translation has a factor: it adds c_j(a)
-    and a reduction adds an integer (U_f = I).  On the orbit of a reduced
-    point every c_j lies in [0, 1) and is a multiple of 1/den, den the lcm
-    of eps's denominator and those of the c_j of the translation and the
-    given points, so a state holds the integers den * c_j.  It holds c_j,
-    not its class mod 1: round() breaks a tie at 1/2 by parity.
+    on c = L^-1 x as c -> U_L c + c(a) mod 1 (U_f = U_L), with no
+    neighbour moves or central shifts the integer test is exactly near(),
+    and point() gives a state's point back.  On any other group only a
+    pure translation has a factor: it adds c_j(a) and a reduction adds an
+    integer (U_f = I).  On the orbit of a reduced point every c_j lies in
+    [0, 1) and is a multiple of 1/den, den the lcm of eps's denominator
+    and those of the c_j of the translation and the given points, so a
+    state holds the integers den * c_j.  It holds c_j, not its class mod 1:
+    round() breaks a tie at 1/2 by parity.  With eps None the factor has
+    no threshold test and den leaves eps out.
     """
 
-    def __init__(self, affine: NumericAffine, eps: Fraction, points):
+    def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
+                 points):
         coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
         self._rows = [affine._coord_rows[j] for j in coords]
-        self.den = den = math.lcm(eps.denominator, *(
+        self._lattice = affine.lattice
+        self._reach = affine.reach()
+        self.den = den = math.lcm(1 if eps is None else eps.denominator, *(
             dot(row, p).denominator for row in self._rows
             for p in (affine.translation, *points)))
         self._tests = []
-        for _, row, _, values, spare in affine._early:
+        for _, row, _, values, spare in affine._early if eps else ():
             row = [(coords.index(j), 1 if c is None else c) for j, c in row]
             scale = math.lcm(*(c.denominator for _, c in row))
             self._tests.append(([(j, int(c * scale)) for j, c in row],
                                 int(eps * scale * den), eps <= spare,
                                 [int(m * scale * den) for m in values]))
-        self._map = affine._lattice_map
+        self._map, self._inverse = affine._lattice_map, affine._lattice_inverse
         if self._map is None:
-            self._map = [[(j, 1)] for j in range(len(coords))]
-        self._drift = [c % den for c in self.state(affine.translation)]
+            self._map = self._inverse = [[(j, 1)] for j in range(len(coords))]
+        self._drift = drift = [c % den for c in self.state(affine.translation)]
+        # T^-1 is s -> U_f^-1 s + back mod den, back = -U_f^-1 drift
+        self._back = [-sum(u * drift[k] for k, u in row) % den
+                      for row in self._inverse]
 
     def advance(self, s) -> list:
         """The state of T(p) from the state s of p: U_f s + drift mod den."""
         return _affine_mod(self._map, self._drift, self.den, s)
 
+    def retreat(self, s) -> list:
+        """The state of T^-1(p): U_f^-1 (s - drift) mod den."""
+        return _affine_mod(self._inverse, self._back, self.den, s)
+
+    def jump(self, s, m: int) -> list:
+        """The state of T^m(p) for any integer m, in one closed form.
+
+        Only when U_f = I + N is unipotent, N^reach = 0.  With
+        C(m, j) the binomial coefficients (negative m included),
+        T^m is s -> sum_j N^j (C(m, j) s + C(m, j+1) drift) mod den, a
+        polynomial sequence in m, summed from the top power down.
+        """
+        binom = [1]  # C(m, j) for j = 0..reach
+        for j in range(self._reach):
+            binom.append(binom[-1] * (m - j) // (j + 1))
+        acc = [0] * len(s)
+        for j in reversed(range(self._reach)):
+            lo, hi = binom[j], binom[j + 1]
+            # acc := lo s + hi drift + N acc, with N = U_f - I
+            acc = [lo * v + hi * a + sum(u * acc[k] for k, u in row) - c
+                   for v, a, row, c in zip(s, self._drift, self._map, acc)]
+        return [v % self.den for v in acc]
+
     def state(self, p) -> list:
         """den * c_j(p) for the factor's coordinates j."""
         return [int(dot(row, p) * self.den) for row in self._rows]
+
+    def point(self, s) -> tuple:
+        """The point L s / den of a state of a torus map's factor."""
+        return self._lattice.from_coords([Fraction(c, self.den) for c in s])
 
     def rejects(self, s, t) -> bool:
         """near()'s first phase on the points of states s and t, as den
@@ -369,12 +375,10 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     One pass along the orbit.  A gap between consecutive indices larger
     than affine.reach() is one closed-form jump from the current point;
     every other gap is walked step by step, so consecutive indices (a
-    trajectory dump) cost one step each.  On a torus the walk runs on
-    the integer states den c of the lattice coordinates c, den fixed by
-    x and c(a): a step is s -> U_L s + den c(a) mod den forward and
-    s -> U_L^-1 (s - den c(a)) mod den backward, and a point is built
-    only per index.  Each point equals the one reached by stepping from
-    x, since a step is a function of the exact point.
+    trajectory dump) cost one step each.  A torus map walks its factor's
+    integer state (_TorusFactor) and builds a point only per index.  Each
+    point equals the one reached by stepping from x, since a step is a
+    function of the exact point.
     """
     if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
@@ -383,23 +387,9 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     jump, point = affine.jump, None
     step = affine.step_back if backward else affine.step
     if affine._lattice_map is not None:
-        den, (state, drift) = _over_one_denominator(
-            affine.lattice.to_coords(state), affine._drift)
-        rows, shift = affine._lattice_map, drift
-        if backward:
-            rows = affine._lattice_inverse
-            shift = [-sum(u * drift[k] for k, u in row) % den
-                     for row in rows]
-
-        def step(s):
-            return _affine_mod(rows, shift, den, s)
-
-        def jump(s, m):
-            return affine._jump_state(s, drift, den, m)
-
-        def point(s):
-            return affine._point(s, den)
-
+        factor = _TorusFactor(affine, None, (state,))
+        state, jump, point = factor.state(state), factor.jump, factor.point
+        step = factor.retreat if backward else factor.advance
     out, at = [], 0
     for k in ks:
         if reach is not None and k - at > reach:
@@ -410,14 +400,6 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
         at = k
         out.append(state if point is None else point(state))
     return out
-
-
-def _over_one_denominator(*vectors) -> tuple:
-    """(den, integer vectors): the rational vectors times the lcm den of
-    their denominators."""
-    den = math.lcm(*(c.denominator for v in vectors for c in v))
-    return den, [[c.numerator * (den // c.denominator) for c in v]
-                 for v in vectors]
 
 
 def _affine_mod(rows, shift, den, s) -> list:
@@ -455,15 +437,14 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     Returns up to `limit` indices in increasing order.  For pure
     translations of an abelian group the continued-fraction convergent
     denominators of the translation's lattice coordinates are tried first,
-    each by one closed-form jump.  Otherwise an incremental scan runs, and
-    stops after one period once the exact orbit returns to x.  A torus
-    map or a pure translation scans its torus factor in integers, one
-    integer affine map per k, and builds T^k x only where the factor
-    cannot reject or is back at x's; every other map steps.  Each point
-    is tested with
-    NumericAffine.near, which decides only whether the distance is under
-    eps.  Deterministic in (map, x, y, eps, horizon).  Raises NotFound
-    when nothing is found.
+    each by one jump and integer test of the torus factor.  Otherwise an
+    incremental scan runs, and stops after one period once the exact orbit
+    returns to x.  A torus map or a pure translation scans its torus
+    factor in integers, one integer affine map per k, and builds T^k x
+    only where the factor cannot reject or is back at x's; every other map
+    steps.  Each point is tested with NumericAffine.near, which decides
+    only whether the distance is under eps.  Deterministic in (map, x, y,
+    eps, horizon).  Raises NotFound when nothing is found.
     """
     return tuple(k for k, _ in _returns(affine, x, y, eps, horizon,
                                         start, limit))
@@ -490,16 +471,21 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
         if len(hits) >= limit:
             return hits
     lo = max(start, 1)
+    factor = None
+    if affine._lattice_map is not None or (affine.is_pure_translation()
+                                           and affine._early):
+        factor = _TorusFactor(affine, eps, (x, y))
     if affine.is_pure_translation() and affine.group.spec.abelian():
+        origin, target = factor.state(x), factor.state(y)
         candidates = set()
         for a in affine.lattice.to_coords(affine.translation):
             candidates.update(_convergent_denominators(a, horizon))
         for k in sorted(candidates):
             if k < lo or k > horizon:
                 continue
-            p = affine.jump(x, k)
-            if affine.near(p, y, eps):
-                hits.append((k, p))
+            s = factor.jump(origin, k)
+            if not factor.rejects(s, target):
+                hits.append((k, factor.point(s)))
                 if len(hits) >= limit:
                     return hits
         if hits and hits[-1][0]:
@@ -507,7 +493,7 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     # step is a function of the exact point, so once T^period x == x the
     # orbit repeats: one scanned window of `period` indices gives the rest
     period = None
-    for k, p in _orbit(affine, x, y, eps, horizon):
+    for k, p in _orbit(affine, factor, x, y, horizon):
         if period is not None and k >= lo + period:
             break
         if k >= lo and affine.near(p, y, eps):
@@ -530,7 +516,8 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     return hits
 
 
-def _orbit(affine: NumericAffine, x, y, eps, horizon: int):
+def _orbit(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
+           horizon: int):
     """(k, T^k x) for k = 1..horizon, leaving out each k at which the torus
     factor shows that T^k x is neither within eps of y nor equal to x.
 
@@ -539,22 +526,21 @@ def _orbit(affine: NumericAffine, x, y, eps, horizon: int):
     the coordinates near() reads before any product.  The scan advances
     the factor by one integer affine map mod den per k, and builds the
     points left in from the state (on a torus) or by one closed-form jump
-    each.  Every other map steps to every k.
+    each.  A map with no factor steps to every k.
     """
-    torus = affine._lattice_map is not None
-    if not (torus or affine.is_pure_translation() and affine._early):
+    if factor is None:
         p = x
         for k in range(1, horizon + 1):
             p = affine.step(p)
             yield k, p
         return
-    factor = _TorusFactor(affine, eps, (x, y))
+    torus = affine._lattice_map is not None
     start, target = factor.state(x), factor.state(y)
     s = start
     for k in range(1, horizon + 1):
         s = factor.advance(s)
         if s == start or not factor.rejects(s, target):
-            yield k, affine._point(s, factor.den) if torus else affine.jump(x, k)
+            yield k, factor.point(s) if torus else affine.jump(x, k)
 
 
 def _snap(point) -> tuple:

@@ -335,7 +335,7 @@ def kernel_basis(matrix: QMatrix) -> list[tuple[Fraction, ...]]:
 
 def solve_linear(matrix: QMatrix, rhs: Sequence[object]) -> tuple[Fraction, ...] | None:
     """One exact solution of matrix @ x = rhs, or None if inconsistent."""
-    rhs = [Fraction(x) for x in rhs]
+    rhs = [to_fraction(x) for x in rhs]
     if len(rhs) != matrix.nrows:
         raise ValueError("right hand side has wrong length")
     aug = [list(row) + [b] for row, b in zip(matrix.entries, rhs)]
@@ -364,7 +364,7 @@ class QSubspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence[object]], ambient_dim: int) -> "QSubspace":
-        vecs = [tuple(map(Fraction, v)) for v in vectors]
+        vecs = [tuple(map(to_fraction, v)) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong dimension")
@@ -388,7 +388,7 @@ class QSubspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence[object]) -> bool:
-        v = list(map(Fraction, vec))
+        v = list(map(to_fraction, vec))
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong dimension")
         for row in self.basis:
@@ -417,7 +417,7 @@ class QSubspace:
 
 def annihilator_basis(vectors: Iterable[Sequence[object]], ambient_dim: int) -> list[tuple[Fraction, ...]]:
     """Covectors phi with phi . v = 0 for every given vector."""
-    vecs = [tuple(map(Fraction, v)) for v in vectors]
+    vecs = [tuple(map(to_fraction, v)) for v in vectors]
     if not vecs:
         return [tuple(row) for row in QMatrix.identity(ambient_dim).entries]
     return kernel_basis(QMatrix(vecs))
@@ -618,7 +618,7 @@ def column_hnf(columns: list[list[int]], n: int) -> tuple[list[list[int]], list[
 
 def zspan_basis(vectors: Iterable[Sequence[object]], ambient_dim: int) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the additive group generated by rational vectors."""
-    vecs = [tuple(map(Fraction, v)) for v in vectors]
+    vecs = [tuple(map(to_fraction, v)) for v in vectors]
     vecs = [v for v in vecs if any(v)]
     if not vecs:
         return []
@@ -634,8 +634,8 @@ def hnf_membership(generators: Sequence[Sequence[object]], target: Sequence[obje
     Returns (True, coefficients) with one valid integer coefficient vector,
     or (False, None).  Generators may be rationally dependent.
     """
-    gens = [tuple(map(Fraction, v)) for v in generators]
-    tgt = tuple(map(Fraction, target))
+    gens = [tuple(map(to_fraction, v)) for v in generators]
+    tgt = tuple(map(to_fraction, target))
     n = len(tgt)
     for g in gens:
         if len(g) != n:

@@ -590,8 +590,11 @@ def test_cli_suspend_passes_past_the_coset_dimension_cap(capsys, tmp_path):
      "system.json:designated_generators[0]: expected a list of rationals"),
     ({"dim": 10 ** 30, "structure_constants": [[1, 2, 3, "1"]]},
      "system.json:dim: dim exceeds the supported scope (dimension <= 64)"),
+    ({"dim": 3, "structure_constants": [[True, 2, 3, "1"]]},
+     "system.json:structure_constants[0]: index i must be in 1..3"),
 ], ids=["dim-true", "huge-dim-lattice", "huge-dim-translation",
-        "generator-not-a-list", "huge-dim-structure-constants"])
+        "generator-not-a-list", "huge-dim-structure-constants",
+        "structure-index-true"])
 def test_cli_rejects_a_dim_or_generator_the_file_contradicts(capsys, tmp_path,
                                                             data, note):
     path = _write_system(tmp_path, **data)

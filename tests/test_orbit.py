@@ -164,19 +164,20 @@ def test_closed_form_matches_single_steps(name):
 
 def test_non_unipotent_torus_map_steps(monkeypatch):
     # the cat map and the quarter turn have no closed form: a walk makes one
-    # step per index on integer lattice states, both ways, and no step on
-    # points
+    # step per index on the torus factor's integer state, advances forward
+    # and retreats backward, and no step on points
     x = (F(1, 8), F(3, 8))
     for matrix in ([[2, 1], [1, 1]], [[0, -1], [1, 0]]):
         m = torus(2, QMatrix(matrix), [F(1, 7), F(2, 9)])
         assert m.reach() is None
         m.step = m.step_back = None
-        state_steps = []
-        affine_mod = norbit._affine_mod
-        monkeypatch.setattr(norbit, "_affine_mod", lambda *args: (
-            state_steps.append(1) or affine_mod(*args)))
+        calls = []
+        for name in ("advance", "retreat"):
+            monkeypatch.setattr(_TorusFactor, name, lambda self, s, _name=name,
+                                _original=getattr(_TorusFactor, name): (
+                calls.append(_name) or _original(self, s)))
         walked = iterate(m, x, 40), iterate(m, x, -40)
-        assert len(state_steps) == 80
+        assert calls == ["advance"] * 40 + ["retreat"] * 40
         monkeypatch.undo()
         del m.step, m.step_back
         assert walked == (_walk_by_steps(m, x, 40),
@@ -190,9 +191,11 @@ def test_non_unipotent_torus_map_steps(monkeypatch):
                 [0, 0, 0]).reach() is None
 
 
-def test_consecutive_indices_never_jump():
+def test_consecutive_indices_never_jump(monkeypatch):
     m = torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)])
-    m.jump = m._jump_state = None  # a jump would fail
+    # a jump of the map or of its torus factor would fail
+    m.jump = None
+    monkeypatch.setattr(_TorusFactor, "jump", None)
     x = (F(1, 5), F(2, 5), F(3, 5))
     assert [p for _, p in trajectory(m, x, 30)] == \
         [_walk_by_steps(m, x, k) for k in range(31)]
@@ -477,6 +480,66 @@ def test_factor_scan_matches_brute_force(name):
     assert seen == {"none", "zero", "hit"}
 
 
+def translation_returns_reference(m, x, y, eps, horizon, start, limit):
+    """The pairs (k, T^k x) of find_forward_sequence for a torus translation,
+    by Fractions alone: k = 0, then each convergent denominator of the
+    translation's lattice coordinates, tried as x + k a with near(); unless
+    one of those hits, every k in turn."""
+    x, y = m.reduce(x), m.reduce(y)
+
+    def at(k):
+        return m.reduce([c + k * a for c, a in zip(x, m.translation)])
+
+    hits = [(0, x)] if start <= 0 and m.near(x, y, eps) else []
+    lo = max(start, 1)
+    tries = sorted({q for a in m.lattice.to_coords(m.translation)
+                    for q in _convergent_denominators(a, horizon)})
+    hits += [(k, at(k)) for k in tries
+             if lo <= k <= horizon and m.near(at(k), y, eps)]
+    if not (hits and hits[-1][0]):
+        hits += [(k, at(k)) for k in range(lo, horizon + 1)
+                 if m.near(at(k), y, eps)]
+    return hits[:limit]
+
+
+def test_torus_translation_returns_match_a_fraction_reference():
+    # the convergent tries and the scan run on the torus factor's integer
+    # state; the indices and the points are those of Fraction jumps
+    rng = random.Random(2024)
+    outcomes = set()
+    for n in range(32):
+        d = (1, 2, 3, 2)[n % 4]
+        if n % 2:
+            a = [F(rng.randrange(1, 60), rng.randrange(2, 61))
+                 for _ in range(d)]
+        else:
+            a = [rng.random() for _ in range(d)]  # dyadic floats
+        if n % 4 == 3:
+            m = NumericAffine(make_system(abelian(2), lattice=TORUS_LATTICE),
+                              TORUS_LATTICE.matvec([F(v) for v in a]))
+        else:
+            m = torus(d, None, a)
+        x = m.reduce([F(rng.randrange(256), 256) for _ in range(d)])
+        y = x if n % 3 else [F(rng.randrange(256), 256) for _ in range(d)]
+        eps = rng.choice((F(1, 10), F(1, 64), F(1, 1000), 0.03))
+        start, limit = rng.choice((0, 1, 7)), rng.choice((1, 3, 10))
+        horizon = rng.choice((40, 300, 800))
+        expect = translation_returns_reference(m, x, y, F(eps), horizon,
+                                               start, limit)
+        if not expect:
+            with pytest.raises(NotFound):
+                find_forward_sequence(m, x, y, eps, horizon, start=start,
+                                      limit=limit)
+            outcomes.add("none")
+            continue
+        assert norbit._returns(m, x, y, eps, horizon, start, limit) == expect
+        ks = tuple(k for k, _ in expect)
+        assert find_forward_sequence(m, x, y, eps, horizon, start=start,
+                                     limit=limit) == ks
+        outcomes.add(len(expect))
+    assert "none" in outcomes and len(outcomes) > 3
+
+
 def test_heisenberg_translation_simulate_never_steps(monkeypatch):
     calls = []
     step = NumericAffine.step
@@ -517,6 +580,27 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
             assert answers[-1] == (not m.near(x, y, eps)) == \
                 (m.distance(x, y) >= eps)
     assert 40 < sum(answers) < 200  # both answers are common
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MAPS))
+def test_factor_retreat_inverts_advance(name):
+    build, x = FACTOR_MAPS[name]
+    m = build()
+    x = m.reduce(x)
+    for eps in (None, F(1, 12)):
+        factor = _TorusFactor(m, eps, (x,))
+        states = [factor.state(x)]
+        for _ in range(30):
+            states.append(factor.advance(states[-1]))
+        assert [factor.retreat(s) for s in states[1:]] == states[:-1]
+        if m.reach() is None:
+            continue
+        back = states[-1]
+        for k in range(31):
+            # jump(s, -k) is k retreats, jump(s, k) is k advances
+            assert factor.jump(states[-1], -k) == back
+            assert factor.jump(states[0], k) == states[k]
+            back = factor.retreat(back)
 
 
 def test_sequence_is_deterministic():
