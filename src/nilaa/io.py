@@ -530,4 +530,4 @@ def corpus_file(name: str) -> Path:
 
 
 def load_manifest() -> dict:
-    return json.loads((corpus_dir() / "manifest.json").read_text())
+    return json.loads((corpus_dir() / "manifest.json").read_text(encoding="utf-8"))

@@ -21,7 +21,8 @@ Coset reduction produces canonical fundamental-domain representatives by
 greedily clearing lattice coordinates in an order along which right
 multiplication by a generator shifts its own coordinate by exactly one and
 leaves the already-cleared coordinates alone.  Such an order exists for
-every weight-graded basis; it is detected symbolically at construction.
+every weight-graded basis; it is read off the same integer law, in any
+dimension, and is 0..d-1 on an abelian algebra.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .nilalg import _centre_rows
 from .nilgrp import NilpotentGroup, _add_scaled_int
-from .poly import ParamVector, Poly
-from .ratlin import QMatrix, dot, integer_kernel, to_fraction, zspan_basis
-
-COSET_DIM_CAP = 7
+from .ratlin import QMatrix, _scaled_rows, dot, integer_kernel, \
+    to_fraction, zspan_basis
 
 
 class LatticeClosureError(ValueError):
@@ -124,35 +124,42 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, k + 1))
 
 
-def _non_integer_binomial_indices(group: NilpotentGroup, hermite: LogLattice
-                                   ) -> set[tuple[int, ...]]:
-    """Multi-indices J over z = (m, n) whose coefficient of
-    prod_i C(z_i, J_i) in the group law P(m, n) = H^-1 bch(H m, H n) is
-    not an integer, for the lower triangular basis H of hermite.
-
-    All in integers: H = B / D and H^-1 = A / E with B, A integral, so
-    _lyndon on the integer linear forms B m, B n over D gives bch(H m, H n)
-    as integer polynomials over base, and A applied to them gives P over
-    E base.  A coefficient is an integer iff E base divides its numerator.
-    The basis change has integer entries, so only residues modulo E base
-    are expanded.  A monomial and a J pack their 2d exponents into the
-    fields of one integer, as in _lyndon, none above the class.
-    """
+def _lattice_law(group: NilpotentGroup, lattice: LogLattice
+                 ) -> tuple[list[dict], int, int]:
+    """P(m, n) = L^-1 bch(L m, L n), the group law in the coordinates of
+    the basis L of lattice, as (laws, modulus, bits): P_k = laws[k] /
+    modulus, integer polynomials packed as in _lyndon, with `bits` bits
+    per exponent of z = (m, n).  L = B / D and L^-1 = A / E with B, A
+    integral, so _lyndon on the linear forms B m, B n over D gives
+    bch(L m, L n) over base, and A applied to it gives P over E base."""
     d = group.dim
     bits = group.nilpotency_class.bit_length()
     units = [1 << (bits * i) for i in range(2 * d)]
-    D, B = _scaled_rows(hermite.basis)
+    D, B = _scaled_rows(lattice.basis)
     forms = [[{units[offset + i]: b for i, b in row} for row in B]
              for offset in (0, d)]
     out, base = group._lyndon(*forms, D)
-    E, A = _scaled_rows(hermite._inverse)
-    modulus = E * base
-    bad = set()
+    E, A = _scaled_rows(lattice._inverse)
+    laws = []
     for row in A:
         law: dict[int, int] = {}
         for j, a in row:
             if out[j]:
                 _add_scaled_int(law, a, out[j])
+        laws.append({m: c for m, c in law.items() if c})
+    return laws, E * base, bits
+
+
+def _non_integer_binomial_indices(group: NilpotentGroup, hermite: LogLattice
+                                   ) -> set[tuple[int, ...]]:
+    """Multi-indices J over z = (m, n) whose coefficient of
+    prod_i C(z_i, J_i) in the law P of _lattice_law on the lower
+    triangular basis H of hermite is not an integer, that is not divisible
+    by the modulus; only residues are expanded, since the basis change
+    has integer entries.  A J packs its 2d entries like a monomial."""
+    laws, modulus, bits = _lattice_law(group, hermite)
+    bad = set()
+    for law in laws:
         acc: dict[int, int] = {}
         for m, c in law.items():
             c %= modulus
@@ -169,17 +176,8 @@ def _non_integer_binomial_indices(group: NilpotentGroup, hermite: LogLattice
                 acc[J] = acc.get(J, 0) + e
         bad.update(J for J, e in acc.items() if e % modulus)
     mask = (1 << bits) - 1
-    return {tuple(J >> (bits * i) & mask for i in range(2 * d)) for J in bad}
-
-
-def _scaled_rows(matrix: QMatrix) -> tuple[int, list]:
-    """(den, rows): den the lcm of the denominators of the matrix, and
-    den times its nonzero entries as (column, integer) pairs per row."""
-    rows = [[(j, 1 if x is None else x) for j, x in row]
-            for row in matrix.sparse_rows()]
-    den = math.lcm(*(x.denominator for row in rows for _, x in row))
-    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in row]
-                 for row in rows]
+    return {tuple(J >> (bits * i) & mask for i in range(2 * group.dim))
+            for J in bad}
 
 
 def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
@@ -196,9 +194,8 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
     products of binomials C(z_i, J_i) over z = (m, n).  A rational
     polynomial takes integer values on all of Z^2d if and only if every
     such coefficient is an integer (Polya), so this is a finite
-    certificate of closure.  It is decided in integers: one product of
-    the integer kernel of NilpotentGroup on 2d unit variables, H and H^-1
-    scaled to integers, and a divisibility test per coefficient.  On an
+    certificate of closure.  It is decided in integers on _lattice_law,
+    one integer product, by a divisibility test per coefficient.  On an
     abelian algebra P(m, n) = m + n and no product is made.
 
     A failure raises LatticeClosureError, with the witness in the given
@@ -220,17 +217,13 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
     if not bad:
         return hermite
 
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for si in (1, -1):
-                for sj in (1, -1):
-                    coords = lattice.to_coords(group.mult_vec(
-                        [si * g for g in lattice.generator(i)],
-                        [sj * g for g in lattice.generator(j)]))
-                    if any(c.denominator != 1 for c in coords):
-                        raise LatticeClosureError(((i, si), (j, sj)), coords)
+    for i, j, si, sj in product(range(d), range(d), (1, -1), (1, -1)):
+        if i != j:
+            coords = lattice.to_coords(group.mult_vec(
+                [si * g for g in lattice.generator(i)],
+                [sj * g for g in lattice.generator(j)]))
+            if any(c.denominator != 1 for c in coords):
+                raise LatticeClosureError(((i, si), (j, sj)), coords)
     J = min(bad, key=lambda J: (sum(J), J))
     u, v = hermite.from_coords(J[:d]), hermite.from_coords(J[d:])
     raise LatticeClosureError(
@@ -286,8 +279,6 @@ class CosetReducer:
     """
 
     def __init__(self, group: NilpotentGroup, lattice: LogLattice):
-        if lattice.dim > COSET_DIM_CAP:
-            raise ValueError(f"coset reduction supports dimension <= {COSET_DIM_CAP}")
         if lattice.dim != group.dim:
             raise ValueError("lattice dimension does not match the algebra")
         self.group = group
@@ -296,31 +287,32 @@ class CosetReducer:
         self._generators = [lattice.generator(i) for i in range(lattice.dim)]
 
     def _detect_ordering(self) -> tuple[int, ...]:
+        """Greedily the first index whose generator shifts cleanly after
+        those chosen: P(y, t e_i) is y_i + t on coordinate i and y_j on
+        each chosen j, for the law P of _lattice_law.  As P(y, 0) = y,
+        that reads the terms of P(y, n) in n_i and no other n_k."""
         d = self.lattice.dim
-        params = ("t",) + tuple(f"y{k + 1}" for k in range(d))
-        t = Poly.variable("t", params)
-        y = ParamVector(params, [Poly.variable(f"y{k + 1}", params) for k in range(d)])
-        x = self.lattice.basis.apply(y)
-        chosen: list[int] = []
-        remaining = list(range(d))
+        if self.group.spec.abelian():  # P(y, n) = y + n
+            return tuple(range(d))
+        laws, modulus, bits = _lattice_law(self.group, self.lattice)
+        shifts: list[dict] = [{} for _ in range(d)]  # [i][k]: terms in n_i
+        for k, law in enumerate(laws):
+            for m, c in law.items():
+                n = m >> (bits * d)
+                i = (n.bit_length() - 1) // bits
+                if n and not n & ((1 << (bits * i)) - 1):
+                    shifts[i].setdefault(k, {})[m] = c
+        chosen, remaining = [], list(range(d))
         while remaining:
-            progress = False
-            for i in list(remaining):  # greedy: first index that works
-                gen = ParamVector.from_rationals(self.lattice.generator(i), params)
-                moved = self.group.mult(x, gen.scale(t))
-                coords = self.lattice._inverse.apply(moved)
-                if coords[i] != y[i] + t:
-                    continue
-                if any(coords[j] != y[j] for j in chosen):
-                    continue
-                chosen.append(i)
-                remaining.remove(i)
-                progress = True
-                break
-            if not progress:
+            i = next((i for i in remaining  # greedy: first index that works
+                      if shifts[i].get(i) == {1 << (bits * (d + i)): modulus}
+                      and not any(j in shifts[i] for j in chosen)), None)
+            if i is None:
                 raise ValueError(
                     f"no reduction ordering: none of {remaining} shifts cleanly "
                     f"after {chosen}")
+            chosen.append(i)
+            remaining.remove(i)
         return tuple(chosen)
 
     def reduce(self, vec: Sequence[object]) -> tuple[Fraction, ...]:

@@ -24,14 +24,17 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from ._record import record
-from .lattice import CosetReducer, _scaled_rows
-from .nilalg import _centre_rows
-from .ratlin import QMatrix, dot, to_fraction, unipotency_index
+from .lattice import CosetReducer
+from .ratlin import _scaled_rows, dot, to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
 
 ITERATE_CAP = 10 ** 6
+
+# the largest non-abelian dimension, whose distance() searches at most
+# 3^d - 1 lattice neighbours
+NEIGHBOUR_DIM_CAP = 7
 
 # Target points are snapped to this grid before the backward test.  The
 # snap moves the candidate limit off the exact orbit by at most 2^-13 per
@@ -54,9 +57,9 @@ class NumericAffine:
     The group law, the lattice and the automorphism U come from the
     system; the translation a is given numerically and converted to exact
     rationals.  Points are logarithmic coordinates, reduced to the
-    fundamental domain.  An abelian group reduces coordinate by coordinate
-    in lattice coordinates, in any dimension; any other group uses the
-    system's coset reducer (dimension <= 7).
+    fundamental domain by the system's coset reducer, in any dimension.
+    A non-abelian group needs dimension <= NEIGHBOUR_DIM_CAP, which bounds
+    the lattice neighbours that distance() searches.
 
     A map has one of two representations.  Any map acts on points, exact
     Fraction tuples.  A torus map, and a pure translation of any group,
@@ -85,7 +88,6 @@ class NumericAffine:
         self._neg_translation = self.group.inv(translation)
         self._pure = system.is_translation()
         spec = system.group.spec
-        self._reducer = None
         # distance() tries the nearest translate and, unless the group is
         # abelian, its {-1,0,1}^d lattice neighbours.  Central generators
         # only add to the difference, so only the non-central moves cost a
@@ -96,9 +98,11 @@ class NumericAffine:
         # central and the nearest translate is exact.
         self._shifts, moves, touched = [], [], set()
         if not spec.abelian():
-            self._reducer = CosetReducer(system.group, lattice)
-            centre = QMatrix(_centre_rows(spec))
-            central = [not any(centre.matvec(lattice.generator(j)))
+            if d > NEIGHBOUR_DIM_CAP:
+                raise ValueError(
+                    f"the orbit oracle's lattice neighbour search supports "
+                    f"dimension <= {NEIGHBOUR_DIM_CAP} on a non-abelian group")
+            central = [spec.ad_matrix(lattice.generator(j)).is_zero()
                        for j in range(d)]
             steps = sorted(product((-1, 0, 1), repeat=d),
                            key=lambda e: sum(map(abs, e)))[1:]
@@ -108,6 +112,7 @@ class NumericAffine:
                        for i, c in enumerate(vec) if c}
             moves = [lattice.from_coords(e) for e in steps
                      if not any(c and s for c, s in zip(central, e))]
+        self._reducer = CosetReducer(system.group, lattice)
         self._bounded = bounded = [i for i in range(d) if i not in touched]
         # (move, its nonzero bounded entries); None is the nearest translate
         self._moves = [(None, [])] + [
@@ -136,7 +141,7 @@ class NumericAffine:
         # on an abelian group: U_L and U_L^-1 as sparse integer rows
         self._lattice_map = self._lattice_inverse = None
         self._reach = 1 if self._pure else None
-        if self._reducer is None:
+        if spec.abelian():
             conj = system.lattice_automorphism
             self._lattice_map = _scaled_rows(conj)[1]
             self._lattice_inverse = _scaled_rows(conj.inverse())[1]
@@ -146,13 +151,7 @@ class NumericAffine:
 
     def reduce(self, x) -> tuple:
         """Canonical representative of the coset of x."""
-        if self._reducer is not None:
-            return self._reducer.reduce(x)
-        x = _point(x)
-        whole = [math.floor(c) for c in self.lattice.to_coords(x)]
-        if not any(whole):
-            return x
-        return tuple(a - b for a, b in zip(x, self.lattice.from_coords(whole)))
+        return self._reducer.reduce(x)
 
     def step(self, x) -> tuple:
         """One forward application with reduction."""
@@ -178,7 +177,7 @@ class NumericAffine:
         (m a) x; a torus map jumps its factor's state (_TorusFactor.jump).
         """
         x = _point(x)
-        if self._reducer is not None:
+        if self._lattice_map is None:
             shift = [m * a for a in self.translation]
             return self.reduce(self.group.mult_vec(shift, x))
         factor = _TorusFactor(self, None, (x,))
@@ -211,7 +210,7 @@ class NumericAffine:
         """
         x, y = _point(x), _point(y)
         return not self._rejects_early(x, y, eps) and (
-            self._reducer is None or self._least(x, y, eps) < eps)
+            self._lattice_map is not None or self._least(x, y, eps) < eps)
 
     def _rejects_early(self, x, y, eps) -> bool:
         """near()'s first phase: some coordinate i of _early puts every

@@ -452,6 +452,16 @@ def charpoly(matrix: QMatrix) -> list[Fraction]:
     return coeffs
 
 
+def _scaled_rows(matrix: QMatrix) -> tuple[int, list]:
+    """(den, rows): den the lcm of the denominators of the matrix, and
+    den times its nonzero entries as (column, integer) pairs per row."""
+    rows = [[(j, 1 if x is None else x) for j, x in row]
+            for row in matrix.sparse_rows()]
+    den = math.lcm(*(x.denominator for row in rows for _, x in row))
+    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in row]
+                 for row in rows]
+
+
 def _nilpotent_powers(matrix: QMatrix, shift: bool) -> tuple[int, list] | None:
     """The nonzero powers of N = M - I (shift) or N = M, in integers.
 
@@ -463,16 +473,13 @@ def _nilpotent_powers(matrix: QMatrix, shift: bool) -> tuple[int, list] | None:
     not nilpotent.
     """
     n = matrix.nrows
-    D = math.lcm(*(x.denominator for row in matrix.entries for x in row))
+    D, rows = _scaled_rows(matrix)
     base = []
-    for i, row in enumerate(matrix.entries):
-        ints = {}
-        for j, x in enumerate(row):
-            if shift and i == j:
-                x -= 1
-            if x:
-                ints[j] = x.numerator * (D // x.denominator)
-        base.append(ints)
+    for i, row in enumerate(rows):
+        ints = dict(row)
+        if shift:  # D N = D M - D I
+            ints[i] = ints.get(i, 0) - D
+        base.append({j: v for j, v in ints.items() if v})
     powers = []
     power = base
     while any(power):

@@ -42,7 +42,8 @@ def _loaded_after(*argvs) -> dict:
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps([list(a) for a in argvs]),
          json.dumps(WATCHED)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        cwd=ROOT, env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 

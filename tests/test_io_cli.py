@@ -577,6 +577,38 @@ def test_cli_suspend_passes_past_the_coset_dimension_cap(capsys, tmp_path):
                                        f"{data['dim'] + 1}")
 
 
+def test_cli_simulate_refuses_a_non_abelian_group_past_the_neighbour_cap(
+        capsys, tmp_path):
+    # the 9-dim Heisenberg algebra with its central lattice vector halved
+    n, d = 4, 9
+    lattice = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    lattice[d - 1][d - 1] = "1/2"
+    path = _write_system(
+        tmp_path, dim=d, lattice_basis=lattice,
+        structure_constants=[[i + 1, n + i + 1, d, "1"] for i in range(n)],
+        translation=["1/3"] + ["0"] * (d - 1))
+    code, verdict = _run_main_checked(capsys, "simulate", path)
+    assert (code, verdict["status"], verdict["notes"]) == (3, "ERROR", [
+        "the orbit oracle's lattice neighbour search supports dimension "
+        "<= 7 on a non-abelian group"])
+
+
+def test_cli_simulate_reports_a_lattice_basis_with_no_reduction_ordering(
+        capsys, tmp_path):
+    # heisenberg.json on another basis of its lattice: xi_3 enters only
+    # through generator 2, xi_1 + xi_3/2, so only generator 1 shifts cleanly
+    data = json.loads(nio.corpus_file("heisenberg.json")
+                      .read_text(encoding="utf-8"))
+    data["lattice_basis"] = [["1", "0", "0"], ["0", "1", "0"],
+                             ["1", "0", "1/2"]]
+    path = _write_system(tmp_path, **data)
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert (code, verdict["status"]) == (0, "VALID")
+    code, verdict = _run_main_checked(capsys, "simulate", path)
+    assert (code, verdict["status"], verdict["notes"]) == (3, "ERROR", [
+        "no reduction ordering: none of [0, 2] shifts cleanly after [1]"])
+
+
 @pytest.mark.parametrize("data, note", [
     ({"dim": True, "translation": ["1/2"]},
      "system.json:dim: dim must be a positive integer"),
@@ -812,7 +844,8 @@ def test_cli_simulate_accepts_integral_values_of_integer_settings(capsys,
     assert code == 0
     assert verdict["status"] == "ConsistentWithAA"
     assert verdict["notes"][0] == "trials = 2, horizon = 10, eps = 0.001, seed = 3"
-    assert len(dump.read_text().splitlines()) == 1 + 3  # header, k = 0..2
+    lines = dump.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3  # header, k = 0..2
 
 
 def test_cli_simulate_ignores_dump_steps_without_dump(capsys, tmp_path):
@@ -935,7 +968,7 @@ def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "nilaa.cli", "decide",
          _corpus("torus_jordan3.json"), "--criterion", "torus"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 1
     verdict = nio.parse_verdict(result.stdout)
     assert verdict["status"] == "NOT_AA"

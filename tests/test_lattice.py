@@ -10,6 +10,7 @@ import pytest
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, q6, random_basis_matrix,
                       random_change_of_basis)
+from nilaa.criteria import make_system
 from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
                            _binomial_row, _is_hermite,
                            _non_integer_binomial_indices,
@@ -17,6 +18,7 @@ from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
                            validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
+from nilaa.orbit import NumericAffine
 from nilaa.poly import ParamVector, Poly
 from nilaa.ratlin import QMatrix, QSubspace, integer_kernel, zspan_basis
 
@@ -475,7 +477,98 @@ def test_coset_reducer_heisenberg():
         assert reducer.reduce(w) == red
 
 
-def test_coset_reducer_rejects_oversized():
-    group = NilpotentGroup(LieAlgebraSpec(8, {}))
-    with pytest.raises(ValueError):
-        CosetReducer(group, LogLattice(QMatrix.identity(8)))
+def test_coset_reducer_takes_any_dimension_and_the_neighbour_search_is_capped():
+    # the reducer reduces an 8-dim torus; the dimension cap bounds only the
+    # {-1,0,1}^d neighbour search of the orbit oracle on a non-abelian group
+    reducer = CosetReducer(NilpotentGroup(LieAlgebraSpec(8, {})),
+                           LogLattice(QMatrix.identity(8)))
+    assert reducer.ordering == tuple(range(8))
+    assert reducer.reduce([F(3, 2)] * 8) == (F(1, 2),) * 8
+    n, d = 4, 9  # the 9-dim Heisenberg algebra, its central vector halved
+    spec = LieAlgebraSpec.from_sparse(d, [(i, n + i, d, 1) for i in range(1, n + 1)])
+    lattice = QMatrix([[F(1, 2) if i == j == d - 1 else int(i == j)
+                        for j in range(d)] for i in range(d)])
+    system = make_system(spec, lattice=lattice)
+    assert CosetReducer(system.group, system.lattice).ordering == tuple(range(d))
+    with pytest.raises(ValueError) as info:
+        NumericAffine(system, [0] * d)
+    assert str(info.value) == ("the orbit oracle's lattice neighbour search "
+                               "supports dimension <= 7 on a non-abelian group")
+
+
+def symbolic_ordering(group, lattice):
+    """The reduction ordering by symbolic products, or the message of its
+    failure: the greedy search of CosetReducer, with each candidate
+    generator i tested on P(y, t e_i) = L^-1 bch(L y, t L e_i), one
+    product in the d + 1 parameters t, y1..yd."""
+    d = lattice.dim
+    params = ("t",) + tuple(f"y{k + 1}" for k in range(d))
+    t = Poly.variable("t", params)
+    y = ParamVector(params, [Poly.variable(f"y{k + 1}", params) for k in range(d)])
+    x = lattice.basis.apply(y)
+    chosen, remaining = [], list(range(d))
+    while remaining:
+        for i in remaining:
+            gen = ParamVector.from_rationals(lattice.generator(i), params)
+            coords = lattice._inverse.apply(group.mult(x, gen.scale(t)))
+            if coords[i] == y[i] + t and all(coords[j] == y[j] for j in chosen):
+                chosen.append(i)
+                remaining.remove(i)
+                break
+        else:
+            return (f"no reduction ordering: none of {remaining} shifts "
+                    f"cleanly after {chosen}")
+    return tuple(chosen)
+
+
+def _rebase(d, rng, shears, graded) -> QMatrix:
+    """A random matrix of determinant +-1: `shears` random integer column
+    operations on the identity, then a random permutation of the rows and
+    random signs of the columns.  When graded, each operation adds a later
+    column to an earlier one and the rows keep their order, so on a basis
+    ordered by weight a generator gains only terms of higher weight."""
+    rows = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(shears):
+        i, j = rng.sample(range(d), 2)
+        if graded:
+            i, j = max(i, j), min(i, j)
+        c = rng.choice((1, -1, 2))
+        for row in rows:
+            row[j] += c * row[i]
+    if not graded:
+        rng.shuffle(rows)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    return QMatrix([[x * s for x, s in zip(row, signs)] for row in rows])
+
+
+def test_reduction_ordering_matches_the_symbolic_search():
+    # the integer law gives the order, or the failure message, of the
+    # symbolic search on re-based lattices of non-abelian groups
+    rng = random.Random(97)
+    heisenberg5 = LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)])
+    heisenberg7 = LieAlgebraSpec.from_sparse(
+        7, [(1, 4, 7, 1), (2, 5, 7, 1), (3, 6, 7, 1)])
+    cases = [(heisenberg(), heis_lattice().basis),
+             (free_nilpotent_2_3(), free23_lattice().basis),
+             (LieAlgebraSpec.from_sparse(4, [(1, 2, 3, 1), (2, 3, 4, 1)]),
+              QMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, F(1, 2), 0],
+                       [0, 0, 0, F(1, 12)]])),
+             (heisenberg5, QMatrix.identity(5)),
+             (heisenberg7, QMatrix.identity(7)),
+             (q6(), _graded_lattice((1, 1, 2, 3, 4, 5), 60, rng)),
+             (filiform(4), _graded_lattice((1, 1, 2, 3), 60, rng)),
+             (filiform(5), _graded_lattice((1, 1, 2, 3, 4), 60, rng)),
+             (filiform(6), _graded_lattice((1, 1, 2, 3, 4, 5), 60, rng))]
+    seen = [0, 0]
+    for spec, basis in cases:
+        group = NilpotentGroup(spec)
+        for shears, graded in product((0, 1, 2, 3), (False, True)):
+            lattice = LogLattice(basis @ _rebase(spec.dim, rng, shears, graded))
+            expected = symbolic_ordering(group, lattice)
+            try:
+                found = CosetReducer(group, lattice).ordering
+            except ValueError as exc:
+                found = str(exc)
+            assert found == expected
+            seen[isinstance(expected, str)] += 1
+    assert min(seen) >= 30  # both outcomes are exercised

@@ -10,12 +10,14 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, change_of_basis, heisenberg, jordan_block
+from conftest import (abelian, change_of_basis, heisenberg, jordan_block,
+                      random_basis_matrix)
 from nilaa import cli as ncli
 from nilaa import io as nio
 from nilaa import orbit as norbit
@@ -236,6 +238,22 @@ def test_heisenberg_distance_is_at_most_the_27_translate_minimum():
                       zip(x, h.group.mult_vec(y, h.lattice.from_coords(c))))
                   for c in itertools.product((-1, 0, 1), repeat=3))
         assert h.distance(x, y) <= old
+
+
+def test_torus_reduction_is_the_lattice_floor():
+    # on a torus the coset reducer's representative is x - L floor(L^-1 x)
+    rng = random.Random(3141)
+    for basis in [TORUS_LATTICE] + [random_basis_matrix(d, rng, 2)
+                                    for d in range(1, 11)]:
+        d = basis.nrows
+        m = NumericAffine(make_system(abelian(d), lattice=basis), [0] * d)
+        inverse = basis.inverse()
+        for _ in range(10):
+            x = tuple(F(rng.randrange(-64, 64), rng.randrange(1, 9))
+                      for _ in range(d))
+            whole = [math.floor(c) for c in inverse.matvec(x)]
+            assert m.reduce(x) == tuple(
+                a - b for a, b in zip(x, basis.matvec(whole)))
 
 
 def test_torus_distance_is_circle_max_norm():
