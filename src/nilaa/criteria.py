@@ -40,7 +40,7 @@ from .poly import ParamVector, Poly, _monomial_str
 from .ratlin import NotUnipotent, QMatrix, QSubspace, annihilator_basis, \
     charpoly, cyclotomic_spectrum_test, hnf_membership, kernel_basis, \
     matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
-    solve_linear, unipotency_index, zspan_basis
+    solve_linear, to_fraction, unipotency_index, zspan_basis
 
 AA = "AA"
 NOT_AA = "NOT_AA"
@@ -240,7 +240,7 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
 
     gens = None
     if designated_generators is not None:
-        gens = tuple(tuple(Fraction(x) for x in g) for g in designated_generators)
+        gens = tuple(tuple(map(to_fraction, g)) for g in designated_generators)
     return AffineSystem(algebra, group, lattice, automorphism,
                         lattice_automorphism, translation, name=name,
                         designated_generators=gens,

@@ -24,7 +24,7 @@ from .criteria import (AffineSystem, CosetObstruction, InvariantSubtorus,
                        UnipotentPower, ValidationError, Verdict,
                        WitnessSubspace, make_system)
 from .poly import ParamVector, Poly, parse_poly
-from .ratlin import QMatrix, QSubspace
+from .ratlin import QSubspace, _qmatrix
 
 VALID = "VALID"
 INVALID = "INVALID"
@@ -51,6 +51,9 @@ class ParseError(ValueError):
 # ---- rationals and polynomials ----
 
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
+# most entries of a system file are these; Fractions are immutable, so
+# every occurrence can share one object
+_LITERALS = {"0": Fraction(0), "1": Fraction(1)}
 
 
 def _rational(value) -> Fraction | None:
@@ -59,6 +62,9 @@ def _rational(value) -> Fraction | None:
     if isinstance(value, int):
         return None if isinstance(value, bool) else Fraction(value)
     if isinstance(value, str):
+        q = _LITERALS.get(value)
+        if q is not None:
+            return q
         m = _RATIONAL_RE.fullmatch(value)
         if m:
             num, den = m.groups()
@@ -83,6 +89,8 @@ def _polynomial(value, params, location: str) -> Poly:
     if not isinstance(value, str):
         raise ParseError(location, f"expected a polynomial string, got "
                                    f"{value!r}")
+    if value in _LITERALS:
+        return Poly.constant(_LITERALS[value], params)
     try:
         return parse_poly(value, params)
     except ValueError as exc:
@@ -112,14 +120,14 @@ def _rationals(values, location) -> list:
 
 
 def _parse_rows(data, dim, location) -> list:
-    """dim rows of dim rationals each, as lists of Fractions."""
+    """dim rows of dim rationals each, as tuples of Fractions."""
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(location, f"expected {dim} rows")
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{location}[{i}]", f"expected {dim} entries")
-        rows.append(_rationals(row, f"{location}[{i}]"))
+        rows.append(tuple(_rationals(row, f"{location}[{i}]")))
     return rows
 
 
@@ -183,12 +191,12 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
         rows = _parse_rows(data["lattice_basis"], dim,
                            f"{source}:lattice_basis")
         # file rows are generators; LogLattice wants them as columns
-        lattice = QMatrix(zip(*rows))
+        lattice = _qmatrix(tuple(zip(*rows)))
 
     automorphism = None
     if data.get("automorphism") is not None:
-        automorphism = QMatrix(_parse_rows(data["automorphism"], dim,
-                                           f"{source}:automorphism"))
+        automorphism = _qmatrix(tuple(_parse_rows(data["automorphism"], dim,
+                                                  f"{source}:automorphism")))
 
     translation = None
     if data.get("translation") is not None:

@@ -324,6 +324,6 @@ class CosetReducer:
                 step = tuple(-k * g for g in self._generators[i])
                 x = self.group.mult_vec(x, step)
         coords = self.lattice.to_coords(x)  # 0 <= c < 1, as Fractions keep den > 0
-        assert all(0 <= c.numerator < c.denominator for c in coords), \
-            "reduction left the fundamental domain"
+        if not all(0 <= c.numerator < c.denominator for c in coords):
+            raise ArithmeticError("reduction left the fundamental domain")
         return x

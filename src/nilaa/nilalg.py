@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, _add_scaled, _align_vectors, _cleaned, _vector
-from .ratlin import QMatrix, QSubspace, to_fraction
+from .ratlin import QMatrix, QSubspace, _qmatrix, to_fraction
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class JacobiViolation(ValueError):
@@ -49,7 +49,7 @@ class LieAlgebraSpec:
         for (i, j), vec in table.items():
             if not (0 <= i < dim and 0 <= j < dim) or i == j:
                 raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(map(to_fraction, vec))
             if len(vec) != dim:
                 raise ValueError(f"structure vector for ({i}, {j}) has wrong length")
             key, val = ((i, j), vec) if i < j else ((j, i), tuple(-x for x in vec))
@@ -77,8 +77,8 @@ class LieAlgebraSpec:
         for i, j, k, coeff in entries:
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"index out of range in structure constant ({i}, {j}, {k})")
-            vec = table.setdefault((i - 1, j - 1), [Fraction(0)] * dim)
-            vec[k - 1] += Fraction(coeff)
+            vec = table.setdefault((i - 1, j - 1), [_ZERO] * dim)
+            vec[k - 1] += to_fraction(coeff)
         return cls(dim, table)
 
     def abelian(self) -> bool:
@@ -143,7 +143,7 @@ class LieAlgebraSpec:
                 for j, terms in self._brackets[i].items():
                     for k, c in terms:
                         rows[k][j] += x * c
-        return QMatrix(rows)
+        return _qmatrix(tuple(map(tuple, rows)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraSpec):
@@ -281,9 +281,14 @@ def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
     if spec.abelian():
         return True, None, None
     d = spec.dim
-    rows = matrix.entries
-    sparse = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
-    columns = [[(k, row[l]) for k, row in enumerate(rows) if row[l]] for l in range(d)]
+    # the nonzero entries of M by row (its sparse rows, a unit for None)
+    # and by column
+    sparse = [[(i, _ONE if x is None else x) for i, x in row]
+              for row in matrix.sparse_rows()]
+    columns = [[] for _ in range(d)]
+    for k, row in enumerate(sparse):
+        for l, x in row:
+            columns[l].append((k, x))
     residuals: dict[tuple[int, int], list[Fraction]] = {}
     for a, row in enumerate(spec._brackets):
         for b, terms in row.items():

@@ -6,14 +6,26 @@ polynomials, Hermite normal form over the integers (for lattice membership
 and integer kernels), and cyclotomic factor stripping for root-of-unity
 spectra.
 
-Rational elimination has one kernel: the sparse forward pass `_echelon`.
-`rref` adds a back pass to it, and `kernel_basis`, `solve_linear`,
-`QSubspace`, `annihilator_basis` and `QMatrix.inverse` are built on
-`rref`; `QMatrix.det` reads the signed pivot product of the forward pass
-alone.  Both passes touch only the nonzero entries of a pivot row and
-never divide by a unit pivot, so the mostly-zero matrices of the deciders
-(triangular lattice bases, unipotent automorphisms) stay cheap.  Products
-skip zero and unit entries.
+`QMatrix(rows)` checks and converts outside input.  Results the module
+builds itself (products, sums, inverses, identities, series) come from
+the unchecked `_qmatrix(entries, sparse)`, which takes rectangular tuples
+of Fractions as they are, and the rows of nonzero entries too when the
+producer already has them, so nothing is rescanned.  The loader builds
+its lattice and automorphism matrices there too, from rows it has
+already parsed and counted.
+
+A triangular matrix needs no elimination: `QMatrix.det` is the product
+of its diagonal, and `QMatrix.inverse` solves it by substitution over
+its nonzero entries.  Every diagonal or Hermite lattice basis takes
+these paths, and so does a triangular U_L.  Other matrices are
+eliminated, by one kernel: the sparse forward pass `_echelon`.  `rref`
+adds a back pass to it, and `kernel_basis`, `solve_linear`, `QSubspace`,
+`annihilator_basis` and `QMatrix.inverse` are built on `rref`;
+`QMatrix.det` reads the signed pivot product of the forward pass alone.
+Both passes touch only the nonzero entries of a pivot row and never
+divide by a unit pivot, so the mostly-zero matrices of the deciders
+(unipotent automorphisms) stay cheap.  Products skip zero and unit
+entries.
 
 The nilpotent series have one kernel too: `_nilpotent_powers` writes N
 (M - I for a unipotent M) as sparse integer rows over one denominator and
@@ -78,19 +90,22 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return _qmatrix(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                              for i in range(n)),
+                        tuple(((i, None),) for i in range(n)))
 
     @classmethod
     def zeros(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return _qmatrix(((_ZERO,) * n,) * n, ((),) * n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]]) -> "QMatrix":
         cols = _frac_rows(columns)
         if not cols:
             raise ValueError("no columns")
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
+        return _qmatrix(tuple(zip(*cols)))
 
     # ---- shape and access ----
 
@@ -138,21 +153,21 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return QMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return _qmatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
+                              for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return QMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return _qmatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
+                              for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in row] for row in self.entries])
+        return _qmatrix(tuple(tuple(-x for x in row) for row in self.entries))
 
     def scale(self, c) -> "QMatrix":
-        c = Fraction(c)
-        return QMatrix([[c * x for x in row] for row in self.entries])
+        c = to_fraction(c)
+        return _qmatrix(tuple(tuple(c * x for x in row) for row in self.entries))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -169,8 +184,8 @@ class QMatrix:
                     else:
                         term = a if b is None else a * b
                     acc[j] = term if acc[j] is None else acc[j] + term
-            out.append([_ZERO if x is None else x for x in acc])
-        return QMatrix(out)
+            out.append(tuple(_ZERO if x is None else x for x in acc))
+        return _qmatrix(tuple(out))
 
     def matvec(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
         vec = [to_fraction(x) for x in vec]
@@ -211,22 +226,64 @@ class QMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.nrows)), Fraction(0))
 
+    def _substitution_order(self) -> range | None:
+        """The order in which substitution solves this square matrix row by
+        row: top down when it is lower triangular, bottom up when it is
+        upper triangular; None when it is neither."""
+        rows = self.sparse_rows()
+        if all(not row or row[-1][0] <= i for i, row in enumerate(rows)):
+            return range(len(rows))
+        if all(not row or row[0][0] >= i for i, row in enumerate(rows)):
+            return range(len(rows) - 1, -1, -1)
+        return None
+
     def inverse(self) -> "QMatrix":
+        """Inverse; ZeroDivisionError when the matrix is singular.
+
+        A triangular matrix is solved by substitution: row i of the inverse
+        X is (e_i - sum over j != i of M_ij X_j) / M_ii, over the nonzero
+        M_ij, and in the substitution order every X_j it reads is already
+        known.  Any other matrix is reduced as [M | I] by `rref`."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        reduced, pivots = rref(aug)
-        if pivots != list(range(n)):
+        order = self._substitution_order()
+        if order is None:
+            aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
+                   for i, row in enumerate(self.entries)]
+            reduced, pivots = rref(aug)
+            if pivots != list(range(n)):
+                raise ZeroDivisionError("matrix is singular")
+            return _qmatrix(tuple(tuple(row[n:]) for row in reduced))
+        if not all(self.entries[i][i] for i in range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return QMatrix([row[n:] for row in reduced])
+        rows = self.sparse_rows()
+        inv: list = [None] * n
+        for i in order:
+            acc = {i: _ONE}
+            for j, a in rows[i]:
+                if j != i:
+                    for k, b in inv[j].items():
+                        t = b if a is None else a * b
+                        acc[k] = acc[k] - t if k in acc else -t
+            pivot = self.entries[i][i]
+            if pivot != 1:
+                acc = {k: x / pivot for k, x in acc.items()}
+            inv[i] = {k: x for k, x in sorted(acc.items()) if x}
+        return _qmatrix(tuple(tuple(row.get(k, _ZERO) for k in range(n))
+                              for row in inv),
+                        tuple(tuple((k, None if x == 1 else x) for k, x in row.items())
+                              for row in inv))
 
     def det(self) -> Fraction:
-        """Determinant: the signed product of the pivots of one forward
+        """Determinant: the product of the diagonal of a triangular matrix,
+        otherwise the signed product of the pivots of one forward
         elimination, 0 when a column has no pivot."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
+        if self._substitution_order() is not None:
+            return math.prod((row[i] for i, row in enumerate(self.entries)),
+                             start=_ONE)
         mat, pivots, sign = _echelon(self.entries)
         if len(pivots) < self.nrows:
             return Fraction(0)
@@ -247,6 +304,17 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(map(str, row)) for row in self.entries]})"
+
+
+def _qmatrix(entries: tuple, sparse: tuple | None = None) -> QMatrix:
+    """A QMatrix from a rectangular tuple of tuples of Fractions, unchecked;
+    sparse, when given, is what sparse_rows() would build from it.  The
+    results of this module are built here; QMatrix() checks outside
+    input."""
+    m = object.__new__(QMatrix)
+    m.entries = entries
+    m._sparse = sparse
+    return m
 
 
 # ---- echelon forms over the rationals ----
@@ -514,8 +582,8 @@ def _power_series(n: int, D: int, powers: list, coeffs: Sequence[Fraction],
             get = a.get
             for j, v in row.items():
                 a[j] = get(j, 0) + w * v
-    return QMatrix([[Fraction(a[j], L) if a.get(j) else _ZERO for j in range(n)]
-                    for a in acc])
+    return _qmatrix(tuple(tuple(Fraction(a[j], L) if a.get(j) else _ZERO
+                                for j in range(n)) for a in acc))
 
 
 def unipotency_index(matrix: QMatrix) -> int | None:
@@ -739,7 +807,8 @@ def cyclotomic(m: int) -> tuple[Fraction, ...]:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"cyclotomic({d}) does not divide x^{m} - 1")
     return tuple(num)
 
 

@@ -26,7 +26,7 @@ from .lattice import LogLattice
 from .nilalg import LieAlgebraSpec
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
-from .ratlin import QMatrix
+from .ratlin import QMatrix, to_fraction
 
 
 class Mismatch(ValueError):
@@ -84,11 +84,11 @@ class SuspendedSystem:
         """Embed a fiber vector with circle coordinate 0."""
         if len(vec) != self.dim - 1:
             raise ValueError("fiber vector has wrong length")
-        return (Fraction(0), *(Fraction(x) for x in vec))
+        return (Fraction(0), *map(to_fraction, vec))
 
     def fiber(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
         """Project a big vector with vanishing circle coordinate to the fiber."""
-        vec = tuple(Fraction(x) for x in vec)
+        vec = tuple(map(to_fraction, vec))
         if vec[0] != 0:
             raise ValueError(f"vector has circle coordinate {vec[0]}, not 0")
         return vec[1:]

@@ -689,12 +689,17 @@ def test_cli_reports_a_point_closure_witness(capsys, tmp_path):
      "determinant 0 in lattice coordinates is not a unit"),
     ([["1", "0"], ["0", "1/2"]], [["1", "1"], ["0", "1"]],
      "matrix is not integral in lattice coordinates"),
-], ids=["stretch", "singular", "shear-off-lattice"])
+    ([[{0: "1", 1: "1/2", 2: "3", 3: "1/5"}[i] if i == j else "0"
+       for j in range(4)] for i in range(4)],
+     [["1", "0", "0", "0"], ["1/2", "2", "0", "0"], ["0", "0", "1", "0"],
+      ["0", "0", "1/15", "1"]],
+     "determinant 2 in lattice coordinates is not a unit"),
+], ids=["stretch", "singular", "shear-off-lattice", "diagonal-4d-det-2"])
 def test_cli_torus_matrix_off_its_lattice_fails_at_preserves_lattice(
         capsys, tmp_path, lattice, automorphism, reason):
     # every matrix preserves the zero bracket, so the lattice check is
     # the one that must reject these
-    path = _write_system(tmp_path, dim=2, lattice_basis=lattice,
+    path = _write_system(tmp_path, dim=len(lattice), lattice_basis=lattice,
                          automorphism=automorphism)
     code, verdict = _run_main_checked(capsys, "validate", path)
     assert code == 1
@@ -742,6 +747,32 @@ def test_cli_singular_lattice_basis_is_a_validation_failure(capsys,
         code, verdict = _run_main_checked(capsys, *argv)
         assert code == 3
         assert verdict["status"] == "ERROR"
+
+
+def test_cli_triangular_singular_lattice_basis_keeps_its_witness(capsys,
+                                                                 tmp_path):
+    # file rows are generators, so the basis matrix (generators as columns)
+    # is lower triangular with a zero pivot in its middle
+    path = _write_system(tmp_path, dim=3, structure_constants=[[1, 2, 3, "1"]],
+                         lattice_basis=[["1", "0", "1/2"], ["0", "0", "1"],
+                                        ["0", "0", "2"]])
+    code, verdict = _run_main_checked(capsys, "validate", path)
+    assert code == 1
+    assert verdict["status"] == "INVALID"
+    assert verdict["certificate"]["check"] == "validate_lattice"
+    assert verdict["certificate"]["witness"] == "lattice basis is singular"
+
+
+def test_loader_shares_literals_and_builds_checked_matrices():
+    system = nio.parse_system(nio.corpus_file("heisenberg_translation.json"))
+    assert nio._rational("0") is nio._rational("0") is not None
+    assert nio._rational("1") == 1 and nio._rational(0) == 0
+    for m in (system.lattice.basis, system.automorphism):
+        assert m == QMatrix(m.entries)
+        assert all(type(x) is F for row in m.entries for x in row)
+    params = system.translation.params
+    for text in ("0", "1"):
+        assert nio._polynomial(text, params, "x") == parse_poly(text, params)
 
 
 def test_cli_simulate_rejects_a_probe_of_the_wrong_length(capsys,

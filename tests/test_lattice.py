@@ -1,9 +1,13 @@
 """Lattice layer: BCH closure, automorphism compatibility, coset reduction."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -475,6 +479,38 @@ def test_coset_reducer_heisenberg():
         w = group.mult_vec(v, reducer.lattice.from_coords(
             [rng.randrange(-2, 3) for _ in range(3)]))
         assert reducer.reduce(w) == red
+
+
+_WRONG_ORDER_PROBE = """
+from fractions import Fraction
+from nilaa.lattice import CosetReducer, LogLattice
+from nilaa.nilalg import LieAlgebraSpec
+from nilaa.nilgrp import NilpotentGroup
+from nilaa.ratlin import QMatrix
+reducer = CosetReducer(NilpotentGroup(LieAlgebraSpec.from_sparse(3, [(1, 2, 3, 1)])),
+                       LogLattice(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, "1/2"]])))
+reducer.ordering = (2, 0, 1)
+try:
+    reducer.reduce((Fraction(5, 2), Fraction(7, 3), 0))
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_coset_reducer_checks_its_result_also_under_python_O():
+    # clearing the central coordinate first lets the later shifts move it
+    # again, so the result leaves the fundamental domain
+    reducer = CosetReducer(NilpotentGroup(heisenberg()), heis_lattice())
+    reducer.ordering = (2, 0, 1)
+    with pytest.raises(ArithmeticError,
+                       match="reduction left the fundamental domain"):
+        reducer.reduce((F(5, 2), F(7, 3), 0))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", _WRONG_ORDER_PROBE],
+                          env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "reduction left the fundamental domain\n"
 
 
 def test_coset_reducer_takes_any_dimension_and_the_neighbour_search_is_capped():

@@ -18,6 +18,7 @@ from nilaa.ratlin import (
     cyclotomic_spectrum_test, euler_phi, hnf_membership,
     NotUnipotent, integer_kernel, kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent,
     minimal_rational_subspace, rref, solve_linear, unipotency_index, zspan_basis,
+    _echelon,
 )
 
 F = Fraction
@@ -224,6 +225,98 @@ def test_det_by_elimination_against_cofactor():
     assert QMatrix([]).det() == 1
     with pytest.raises(ValueError):
         QMatrix([[1, 2, 3], [4, 5, 6]]).det()
+
+
+def inverse_by_rref(m: QMatrix) -> QMatrix:
+    """Elimination oracle: reduce [M | I]."""
+    n = m.nrows
+    reduced, pivots = rref([list(row) + [F(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(m.entries)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return QMatrix([row[n:] for row in reduced])
+
+
+def det_by_echelon(m: QMatrix) -> Fraction:
+    """Elimination oracle: the signed pivot product of the forward pass."""
+    mat, pivots, sign = _echelon(m.entries)
+    if len(pivots) < m.nrows:
+        return F(0)
+    return math.prod((mat[r][r] for r in range(m.nrows)), start=F(sign))
+
+
+def assert_clean(m: QMatrix):
+    """A result built without the QMatrix checks equals the checked one,
+    and sparse rows handed over equal freshly scanned ones."""
+    fresh = QMatrix(m.entries)
+    assert type(m.entries) is tuple
+    assert all(type(row) is tuple for row in m.entries)
+    assert all(type(x) is F for row in m.entries for x in row)
+    assert m.entries == fresh.entries and hash(m) == hash(fresh) and m == fresh
+    if m._sparse is not None:
+        assert m._sparse == fresh.sparse_rows()
+
+
+def random_shaped(rng, n, shape, zero_pivot=False):
+    """A random n x n matrix: lower or upper triangular, diagonal or
+    general; with zero_pivot one diagonal entry is 0."""
+    k = rng.randrange(n)
+
+    def entry(i, j):
+        if i == j:
+            return F(0) if zero_pivot and i == k else \
+                F(rng.choice((1, 1, -1, 2, -3)), rng.choice((1, 1, 2, 5)))
+        below = j < i
+        if shape == "diagonal" or (shape == "lower" and not below) \
+                or (shape == "upper" and below) or rng.random() < 0.4:
+            return F(0)
+        return F(rng.randrange(-3, 4), rng.choice((1, 1, 3)))
+    return QMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def test_triangular_inverse_and_det_against_elimination():
+    rng = random.Random(83)
+    substituted = 0
+    for n in range(1, 13):
+        for shape in ("lower", "upper", "diagonal", "general"):
+            for zero_pivot in (False, True):
+                m = random_shaped(rng, n, shape, zero_pivot)
+                triangular = m._substitution_order() is not None
+                assert triangular or shape == "general"
+                substituted += triangular
+                assert m.det() == det_by_echelon(m)
+                try:
+                    expect = inverse_by_rref(m)
+                except ZeroDivisionError:
+                    assert m.det() == 0
+                    with pytest.raises(ZeroDivisionError):
+                        m.inverse()
+                    continue
+                inv = m.inverse()
+                assert inv == expect
+                assert m @ inv == QMatrix.identity(n)
+                assert_clean(inv)
+                if triangular:
+                    assert inv._sparse is not None
+    assert substituted >= 3 * 12 * 2
+
+
+def test_module_results_equal_checked_matrices():
+    rng = random.Random(89)
+    for n in (1, 2, 4, 7):
+        a, b = sparse_qmatrix(rng, n, n), rand_qmatrix(rng, n)
+        for m in (QMatrix.identity(n), QMatrix.zeros(n), a @ b, a + b, a - b,
+                  -a, a.scale(F(-2, 3)), a.scale(3), a ** 3,
+                  QMatrix.from_columns(b.entries),
+                  matrix_exp_nilpotent(QMatrix([[F(int(j > i)) for j in range(n)]
+                                                for i in range(n)]))):
+            assert_clean(m)
+    for n in (0, 1, 3):
+        assert QMatrix.identity(n)._sparse == QMatrix(QMatrix.identity(n).entries).sparse_rows()
+        assert QMatrix.zeros(n)._sparse == QMatrix(QMatrix.zeros(n).entries).sparse_rows()
+    assert QMatrix.from_columns([[1, 2], [3, 4]]) == QMatrix([[1, 3], [2, 4]])
+    with pytest.raises(ValueError):
+        QMatrix.from_columns([[1, 2], [3]])
 
 
 def unipotency_oracle(matrix: QMatrix):
