@@ -16,7 +16,6 @@ built by the private `_record` decorator, not by `dataclasses`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +26,9 @@ from .criteria import (ValidationError, basepoint_decide, full_decide,
                        torus_decide, translation_decide,
                        two_generator_analysis)
 from .nilgrp import ClassCapExceeded
+
+# exact points at which suspend checks the embedding of the fiber
+SUSPEND_SAMPLES = 10
 
 # criterion -> its verdict dict on a validated system.  The functions are
 # looked up when called, so a wrapper installed on a module name sees them.
@@ -69,22 +71,22 @@ def _load(path, criterion: str):
 
 
 def _validate_result(path) -> dict:
-    system = _load(path, "validate")
-    if not isinstance(system, dict):
-        notes = list(system.notes)
-        notes.append("algebra, lattice, automorphism and lattice "
-                     "preservation all check out")
-        return nio.make_verdict_dict(nio.VALID, "validate", None, notes)
-    failure = system["certificate"]
-    if failure is None:  # the file cannot be read or parsed, or is out of scope
-        return system
-    # the file parsed, so its notes are a list of strings; no system holds
-    # them, since validation stopped first
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    notes = raw.get("notes", [])
-    notes.append(f"first failing check: {failure['check']}; "
-                 f"{failure['witness']}")
-    return nio.make_verdict_dict(nio.INVALID, "validate", failure, notes)
+    """VALID, INVALID with the file's notes and its first failing check,
+    or ERROR for a file that cannot be read or parsed.  The file is read
+    once: the notes of an invalid file ride on its ValidationError."""
+    try:
+        system = nio.parse_system(path)
+    except ValidationError as exc:
+        failure = nio.validation_failure_dict(exc)
+        notes = [*exc.notes, f"first failing check: {failure['check']}; "
+                             f"{failure['witness']}"]
+        return nio.make_verdict_dict(nio.INVALID, "validate", failure, notes)
+    except (nio.ParseError, ClassCapExceeded) as exc:
+        return _error("validate", str(exc))
+    notes = list(system.notes)
+    notes.append("algebra, lattice, automorphism and lattice "
+                 "preservation all check out")
+    return nio.make_verdict_dict(nio.VALID, "validate", None, notes)
 
 
 def _decide_result(path, criterion: str) -> dict:
@@ -113,10 +115,10 @@ def _suspend_result(path, out) -> dict:
         return _error("suspend", "monodromy adjoint check failed")
     notes.append("monodromy adjoint check: passed")
     try:
-        embedding_consistency_check(system, susp, samples=10)
+        embedding_consistency_check(system, susp, samples=SUSPEND_SAMPLES)
     except Mismatch as exc:
         return _error("suspend", f"embedding consistency failed: {exc}")
-    notes.append("embedding consistency: 10 exact samples")
+    notes.append(f"embedding consistency: {SUSPEND_SAMPLES} exact samples")
     if out is not None:
         payload = nio.suspension_to_dict(susp, system.name)
         try:
@@ -250,15 +252,17 @@ def _corpus_run(stdout) -> int:
             produced = nio.canonical_json(result)
             golden = (base / job["golden"]).read_text(encoding="utf-8")
             code = nio.exit_code_for(result["status"])
-            ok = produced == golden and code == job["exit_code"]
+            problems = []
+            if produced != golden:
+                problems.append(f"output differs from golden {job['golden']}")
+            if code != job["exit_code"]:
+                problems.append(f"expected exit {job['exit_code']}, got {code}")
             checks += 1
-            if not ok:
-                failures += 1
+            failures += bool(problems)
             print(f"{entry['file']} {criterion}: "
-                  f"{'PASS' if ok else 'FAIL'}", file=stdout)
-            if not ok:
-                print(f"  expected exit {job['exit_code']}, got {code}",
-                      file=sys.stderr)
+                  f"{'FAIL' if problems else 'PASS'}", file=stdout)
+            for problem in problems:
+                print(f"  {problem}", file=sys.stderr)
     print(f"{checks - failures}/{checks} corpus checks passed",
           file=stdout)
     return 0 if failures == 0 else 1

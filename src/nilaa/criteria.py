@@ -77,6 +77,7 @@ class ValidationError(ValueError):
         super().__init__(f"{check} failed: {witness}")
         self.check = check
         self.witness = witness
+        self.notes: tuple[str, ...] = ()  # the system's notes, set by io
 
 
 # ---- certificates ----

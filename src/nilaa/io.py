@@ -251,20 +251,25 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
         raise ParseError(f"{source}:notes", "notes must be strings")
 
     algebra = LieAlgebraSpec.from_sparse(dim, entries)
-    return make_system(algebra, lattice=lattice, automorphism=automorphism,
-                       translation=translation,
-                       name=str(data.get("name", "")),
-                       designated_generators=gens,
-                       description=str(data.get("description", "")),
-                       notes=tuple(notes), simulate=simulate)
+    try:
+        return make_system(algebra, lattice=lattice, automorphism=automorphism,
+                           translation=translation,
+                           name=str(data.get("name", "")),
+                           designated_generators=gens,
+                           description=str(data.get("description", "")),
+                           notes=tuple(notes), simulate=simulate)
+    except ValidationError as exc:
+        exc.notes = tuple(notes)  # no system holds them; validate reports them
+        raise
 
 
 def parse_system(path) -> AffineSystem:
     """Read and fully validate a system file.
 
     Raises ParseError for malformed files, ValidationError (with the
-    first failing check) for well-formed but inconsistent systems, and
-    nilgrp.ClassCapExceeded for a valid algebra of class above the cap.
+    first failing check and the file's notes) for well-formed but
+    inconsistent systems, and nilgrp.ClassCapExceeded for a valid
+    algebra of class above the cap.
     """
     path = Path(path)
     try:

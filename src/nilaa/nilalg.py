@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import ParamVector, _add_scaled, _align_vectors, _cleaned, _vector
-from .ratlin import QMatrix, QSubspace, _qmatrix, to_fraction
+from .poly import ParamVector, _add_scaled, _cleaned, _shared, _vector
+from .ratlin import QMatrix, QSubspace, _echelon, _qmatrix, to_fraction
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -116,7 +116,7 @@ class LieAlgebraSpec:
         """Bracket of two polynomial coordinate vectors."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError("vector has wrong dimension")
-        v, w = _align_vectors(v, w)
+        params = _shared(v, w)
         w_nz = [(j, y) for j, y in enumerate(w.entries) if y.terms]
         out = [{} for _ in range(self.dim)]
         for i, x in enumerate(v.entries):
@@ -129,7 +129,7 @@ class LieAlgebraSpec:
                     prod = (x * y).terms
                     for k, a in terms:
                         _add_scaled(out[k], a, prod)
-        return _vector(v.params, tuple(_cleaned(v.params, acc) for acc in out))
+        return _vector(params, tuple(_cleaned(params, acc) for acc in out))
 
     def ad_matrix(self, v: Sequence[object]) -> QMatrix:
         """Matrix of ad_v = [v, .] on the basis (rational v): entry (k, j)
@@ -154,30 +154,31 @@ class LieAlgebraSpec:
         return f"LieAlgebraSpec(dim={self.dim}, {len(self.table)} nonzero brackets)"
 
 
-def validate_algebra(spec: LieAlgebraSpec) -> tuple[int, list[QSubspace]]:
-    """Check Jacobi and nilpotency.
+def validate_algebra(spec: LieAlgebraSpec) -> int:
+    """Check Jacobi and nilpotency; returns the nilpotency class.
 
-    Returns (nilpotency class, lower central series [g = g_1, g_2, ...])
-    where g_{k+1} = [g, g_k] and the last listed term is the final nonzero
-    one.  Raises JacobiViolation or NotNilpotent.
+    The class is the number of nonzero terms g = g_1, g_2, ... of the
+    lower central series, g_{k+1} = [g, g_k].  Each term after the first
+    is spanned by the echelon rows of one forward pass over the brackets
+    of the rows spanning the term before.  Raises JacobiViolation or
+    NotNilpotent.
     """
-    d = spec.dim
     for triple in _jacobi_candidates(spec):
         residual = _jacobi_residual(spec, *triple)
         if any(residual):
             raise JacobiViolation(triple, residual)
 
-    series = [QSubspace.full(d)]
+    nil_class, dim = 1, spec.dim
     gens = list(spec.table.values())  # the structure vectors span [g, g]
-    while True:
-        nxt = QSubspace.from_spanning(gens, d)
-        if nxt.dim == 0:
+    while gens:
+        rows, pivots, _ = _echelon(gens)
+        if not pivots:
             break
-        if nxt.dim == series[-1].dim:
-            raise NotNilpotent(f"lower central series stabilizes at dimension {nxt.dim}")
-        series.append(nxt)
-        gens = [w for b in nxt.basis for w in _ad_images(spec, b)]
-    return len(series), series
+        if len(pivots) == dim:
+            raise NotNilpotent(f"lower central series stabilizes at dimension {dim}")
+        nil_class, dim = nil_class + 1, len(pivots)
+        gens = [w for b in rows[:dim] for w in _ad_images(spec, b)]
+    return nil_class
 
 
 def _ad_images(spec: LieAlgebraSpec, b: Sequence[Fraction]) -> list[list[Fraction]]:

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, validate_algebra
-from .poly import ParamVector, Poly, _align_vectors, _merge, _poly, _vector
+from .poly import ParamVector, Poly, _poly, _shared, _vector
 from .ratlin import NotUnipotent, QMatrix, matrix_exp_nilpotent, \
     matrix_log_unipotent, to_fraction
 
@@ -189,7 +189,7 @@ class NilpotentGroup:
 
     def __init__(self, spec: LieAlgebraSpec):
         self.spec = spec
-        self.nilpotency_class = validate_algebra(spec)[0]
+        self.nilpotency_class = validate_algebra(spec)
         if self.nilpotency_class > BCH_CLASS_CAP:
             raise ClassCapExceeded(
                 f"nilpotency class {self.nilpotency_class} exceeds the "
@@ -297,8 +297,7 @@ class NilpotentGroup:
         their numerators over the common denominator of the coefficients."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError(f"expected two vectors of length {self.dim}")
-        v, w = _align_vectors(v, w)
-        params = v.params
+        params = _shared(v, w)
         polys = (*v.entries, *w.entries)
         den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
         # no exponent of the product exceeds the class times the largest
@@ -386,9 +385,10 @@ class NilpotentGroup:
 
         X ranges over the algebra through fresh symbolic coordinates
         X1, ..., Xd (XX1, ... or longer while a parameter of log_a has one
-        of those names); the translation coordinates of log_a may carry
-        their own parameters.  The affine map exp X -> exp(a) U(exp X)
-        fixes directions where c vanishes and transports everything else.
+        of those names), adjoined after the parameters of log_a: the one
+        place a computation extends its parameter tuple.  The affine map
+        exp X -> exp(a) U(exp X) fixes directions where c vanishes and
+        transports everything else.
         """
         d = self.dim
         if matrix.shape != (d, d):
@@ -397,8 +397,8 @@ class NilpotentGroup:
         while any(f"{prefix}{i + 1}" in log_a.params for i in range(d)):
             prefix += "X"
         names = tuple(f"{prefix}{i + 1}" for i in range(d))
-        params = _merge(log_a.params, names)
+        params = log_a.params + names
         X = ParamVector(params, [Poly.variable(n, params) for n in names])
-        a = ParamVector(params, [p.with_params(params) for p in log_a.entries])
+        a = ParamVector(params, log_a.entries)
         inner = self.mult(a, matrix.apply(X))
         return self.mult(-X, inner)

@@ -121,9 +121,8 @@ class NumericAffine:
         # near() rejects before the product on a bounded coordinate i whose
         # nearest-translate entry reads only bounded coordinates of x - y:
         # every basis row entry L[i][j] needs inverse row j on them.  There
-        # r_i = sum_j L[i][j] (c_j - round(c_j)), so |r_i| is at most half
-        # the row's absolute sum, and a move entry m keeps |r_i - m| at or
-        # above `spare` = |m| - that bound.
+        # r_i = sum_j L[i][j] (c_j - round(c_j)), and a move entry m puts
+        # its candidate at |r_i - m| on coordinate i.
         basis = lattice.basis.sparse_rows()
         self._coord_rows = inverse = lattice._inverse.sparse_rows()
         readable = {j for j, row in enumerate(inverse)
@@ -135,9 +134,7 @@ class NumericAffine:
                                  for k, m in fixed if k == i})
                 reads = sorted({i} | {k for j, _ in basis[i]
                                       for k, _ in inverse[j]})
-                rho = sum(abs(lattice.basis[i, j]) for j, _ in basis[i]) / 2
-                spare = min(map(abs, values), default=math.inf) - rho
-                self._early.append((i, basis[i], reads, values, spare))
+                self._early.append((i, basis[i], reads, values))
         # on an abelian group: U_L and U_L^-1 as sparse integer rows
         self._lattice_map = self._lattice_inverse = None
         self._reach = 1 if self._pure else None
@@ -216,7 +213,7 @@ class NumericAffine:
         """near()'s first phase: some coordinate i of _early puts every
         candidate at eps or beyond, read from x - y without a product."""
         diff, rounded = {}, {}
-        for i, row, reads, values, spare in self._early:
+        for i, row, reads, values in self._early:
             for k in reads:
                 if k not in diff:
                     diff[k] = x[k] - y[k]
@@ -224,8 +221,7 @@ class NumericAffine:
                 if j not in rounded:
                     rounded[j] = round(dot(self._coord_rows[j], diff))
             r = diff[i] - dot(row, rounded)
-            if abs(r) >= eps and (eps <= spare or
-                                  all(abs(r - m) >= eps for m in values)):
+            if abs(r) >= eps and all(abs(r - m) >= eps for m in values):
                 return True
         return False
 
@@ -294,11 +290,11 @@ class _TorusFactor:
             dot(row, p).denominator for row in self._rows
             for p in (affine.translation, *points)))
         self._tests = []
-        for _, row, _, values, spare in affine._early if eps else ():
+        for _, row, _, values in affine._early if eps else ():
             row = [(coords.index(j), 1 if c is None else c) for j, c in row]
             scale = math.lcm(*(c.denominator for _, c in row))
             self._tests.append(([(j, int(c * scale)) for j, c in row],
-                                int(eps * scale * den), eps <= spare,
+                                int(eps * scale * den),
                                 [int(m * scale * den) for m in values]))
         self._map, self._inverse = affine._lattice_map, affine._lattice_inverse
         if self._map is None:
@@ -350,10 +346,9 @@ class _TorusFactor:
         den, half = self.den, self.den // 2
         gap = [e - den if e > half else e + den if e < -half else e
                for e in map(sub, s, t)]
-        for row, bound, beyond, moves in self._tests:
+        for row, bound, moves in self._tests:
             r = sum(c * gap[j] for j, c in row)
-            if abs(r) >= bound and (beyond or
-                                    all(abs(r - m) >= bound for m in moves)):
+            if abs(r) >= bound and all(abs(r - m) >= bound for m in moves):
                 return True
         return False
 

@@ -7,6 +7,12 @@ The representation is deliberately small: an ordered tuple of parameter
 names plus a dict mapping exponent tuples to nonzero coefficients.  All
 arithmetic is exact.
 
+One computation runs in one ring Q[params]: arithmetic on operands over
+different parameter tuples raises ValueError naming both.  Re-expressing
+over another tuple is explicit (Poly.with_params, the ParamVector
+constructor), and the one place that extends a tuple is the defect map,
+which adjoins the point coordinates under fresh names.
+
 Monomial order used for printing and for any "first monomial" tie-break is
 graded lexicographic: higher total degree first, then lexicographic in the
 parameter tuple order.
@@ -80,7 +86,7 @@ class Poly:
             raise ValueError(f"duplicate parameter names in {params}")
         return _poly(params, {tuple(int(p == name) for p in params): Fraction(1)})
 
-    # ---- parameter alignment ----
+    # ---- parameter tuples ----
 
     def with_params(self, params: Sequence[str]) -> "Poly":
         """Re-express over another parameter tuple covering every used name."""
@@ -104,24 +110,10 @@ class Poly:
             terms[tuple(new)] = coeff
         return _poly(params, terms)
 
-    def _align(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if self.params == other.params:
-            return self, other
-        merged = _merge(self.params, other.params)
-        return self.with_params(merged), other.with_params(merged)
-
     # ---- queries ----
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return sum(self.terms.values(), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
@@ -152,16 +144,16 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.params)
-        a, b = self._align(other)
-        return _poly(a.params, _sum_terms(a.terms, b.terms, False))
+        return _poly(_common(self.params, other.params),
+                     _sum_terms(self.terms, other.terms, False))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.params)
-        a, b = self._align(other)
-        return _poly(a.params, _sum_terms(a.terms, b.terms, True))
+        return _poly(_common(self.params, other.params),
+                     _sum_terms(self.terms, other.terms, True))
 
     def __rsub__(self, other) -> "Poly":
         return Poly.constant(other, self.params) - self
@@ -172,11 +164,11 @@ class Poly:
             if not c:
                 return _poly(self.params, {})
             return _poly(self.params, {e: c * v for e, v in self.terms.items()})
-        a, b = self._align(other)
+        params = _common(self.params, other.params)
         terms: dict[tuple[int, ...], Fraction] = {}
         get = terms.get
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
                 acc = get(exps)
                 if acc is None:
@@ -187,7 +179,7 @@ class Poly:
                         terms[exps] = acc
                     else:
                         del terms[exps]
-        return _poly(a.params, terms)
+        return _poly(params, terms)
 
     __rmul__ = __mul__
 
@@ -210,27 +202,19 @@ class Poly:
             total += term
         return total
 
-    # ---- canonical form, comparison, printing ----
-
-    def _canonical(self) -> tuple:
-        """Form invariant under unused-parameter padding and reordering."""
-        used = self.used_params()
-        order = sorted(used)
-        idx = [self.params.index(name) for name in order]
-        items = []
-        for exps, coeff in self.terms.items():
-            items.append((tuple(exps[i] for i in idx), coeff))
-        return (tuple(order), tuple(sorted(items)))
+    # ---- comparison, printing ----
 
     def __eq__(self, other) -> bool:
+        """Equal parameter tuples and terms; a number n is the constant
+        Poly.constant(n, self.params)."""
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, Poly):
+            other = Poly.constant(other, self.params)
+        elif not isinstance(other, Poly):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self.params == other.params and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash((self.params, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -275,6 +259,21 @@ def _poly(params: tuple[str, ...], terms: dict) -> Poly:
     p.params = params
     p.terms = terms
     return p
+
+
+def _common(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The one parameter tuple of two operands; ValueError naming both
+    when they differ."""
+    if a != b:
+        raise ValueError(f"operands over different parameter tuples {a} and {b}")
+    return a
+
+
+def _shared(a: "ParamVector", b: "ParamVector") -> tuple[str, ...]:
+    """_common for two vectors of one length."""
+    if len(a.entries) != len(b.entries):
+        raise ValueError(f"dimension mismatch: {len(a.entries)} vs {len(b.entries)}")
+    return _common(a.params, b.params)
 
 
 def _sum_terms(t1: dict, t2: dict, subtract: bool) -> dict:
@@ -438,16 +437,13 @@ class ParamVector:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.entries)
 
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for p in self.entries)
-
     def __add__(self, other: "ParamVector") -> "ParamVector":
-        a, b = _align_vectors(self, other)
-        return _vector(a.params, tuple(x + y for x, y in zip(a.entries, b.entries)))
+        return _vector(_shared(self, other),
+                       tuple(x + y for x, y in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "ParamVector") -> "ParamVector":
-        a, b = _align_vectors(self, other)
-        return _vector(a.params, tuple(x - y for x, y in zip(a.entries, b.entries)))
+        return _vector(_shared(self, other),
+                       tuple(x - y for x, y in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "ParamVector":
         return _vector(self.params, tuple(-p for p in self.entries))
@@ -458,9 +454,7 @@ class ParamVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
             return NotImplemented
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(x == y for x, y in zip(self.entries, other.entries))
+        return self.params == other.params and self.entries == other.entries
 
     def __hash__(self):
         return hash(tuple(self.entries))
@@ -487,9 +481,6 @@ class ParamVector:
     def substitute(self, values: Mapping[str, object]) -> tuple[Fraction, ...]:
         return tuple(p.substitute(values) for p in self.entries)
 
-    def constant_values(self) -> tuple[Fraction, ...]:
-        return tuple(p.constant_value() for p in self.entries)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.entries) + ")"
 
@@ -503,22 +494,3 @@ def _vector(params: tuple[str, ...], entries: tuple[Poly, ...]) -> ParamVector:
     v.params = params
     v.entries = entries
     return v
-
-
-def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    merged = list(a)
-    for name in b:
-        if name not in merged:
-            merged.append(name)
-    return tuple(merged)
-
-
-def _align_vectors(a: ParamVector, b: ParamVector) -> tuple[ParamVector, ParamVector]:
-    if len(a.entries) != len(b.entries):
-        raise ValueError(f"dimension mismatch: {len(a.entries)} vs {len(b.entries)}")
-    if a.params == b.params:
-        return a, b
-    merged = _merge(a.params, b.params)
-    return (_vector(merged, tuple(p.with_params(merged) for p in a.entries)),
-            _vector(merged, tuple(p.with_params(merged) for p in b.entries)))
-

@@ -442,15 +442,6 @@ class QSubspace:
     def zero(cls, ambient_dim: int) -> "QSubspace":
         return cls(ambient_dim, [])
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "QSubspace":
-        # the unit vectors are already in reduced row echelon form
-        space = cls.__new__(cls)
-        space.ambient_dim = ambient_dim
-        space.basis = tuple(tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
-                            for i in range(ambient_dim))
-        return space
-
     @property
     def dim(self) -> int:
         return len(self.basis)

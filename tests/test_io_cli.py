@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -984,6 +985,61 @@ def test_cli_locates_malformed_json_by_file_name_in_every_command(capsys,
         assert code == 3
         assert verdict["status"] == "ERROR"
         assert verdict["notes"] == ["broken.json:2:14: Expecting value"]
+
+
+def test_cli_validate_reads_the_file_once(capsys, tmp_path, monkeypatch):
+    # the notes of an invalid file come from its one parse, even when the
+    # file is gone by the time the verdict is written
+    path = tmp_path / "gone.json"
+    path.write_text(nio.corpus_file("paper_example_4d.json").read_text(
+        encoding="utf-8"), encoding="utf-8")
+    notes = json.loads(path.read_text(encoding="utf-8"))["notes"]
+    parse = nio.parse_system
+
+    def parse_then_delete(target):
+        try:
+            return parse(target)
+        finally:
+            path.unlink()
+
+    monkeypatch.setattr(nio, "parse_system", parse_then_delete)
+    code, verdict = _run_main(capsys, "validate", str(path))
+    assert not path.exists()
+    assert code == 1 and verdict["status"] == "INVALID"
+    assert notes and verdict["notes"] == notes + [
+        "first failing check: is_automorphism; pair (1, 3); "
+        "residual (0, 0, 0, 1)"]
+
+
+def test_cli_suspend_notes_the_samples_it_checks(capsys, monkeypatch):
+    import nilaa.suspension as nsusp
+    counts = []
+    check = nsusp.embedding_consistency_check
+
+    def counting(system, susp, samples):
+        counts.append(samples)
+        return check(system, susp, samples=samples)
+
+    monkeypatch.setattr(nsusp, "embedding_consistency_check", counting)
+    monkeypatch.setattr(ncli, "SUSPEND_SAMPLES", 12)
+    code, verdict = _run_main(capsys, "suspend", _corpus("torus_skew.json"))
+    assert code == 0 and counts == [12]
+    assert "embedding consistency: 12 exact samples" in verdict["notes"]
+
+
+def test_cli_corpus_run_names_a_byte_mismatch(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(nio.corpus_dir(), corpus)
+    golden = corpus / "golden" / "heisenberg.full.json"
+    golden.write_text(golden.read_text(encoding="utf-8") + " ",
+                      encoding="utf-8")
+    monkeypatch.setattr(nio, "corpus_dir", lambda: corpus)
+    assert ncli.main(["corpus", "run"]) == 1
+    captured = capsys.readouterr()
+    assert "heisenberg.json full: FAIL" in captured.out
+    assert "46/47 corpus checks passed" in captured.out
+    assert captured.err == ("  output differs from golden "
+                            "golden/heisenberg.full.json\n")
 
 
 def test_cli_corpus_run_passes(capsys):

@@ -240,6 +240,19 @@ def test_log_automorphism():
     assert 0 in info.value.triple
 
 
+def test_mult_across_parameter_tuples_raises():
+    group = NilpotentGroup(heisenberg())
+    v = ParamVector(("t",), [parse_poly("t", ("t",)), 0, 0])
+    w = ParamVector(("s",), [0, parse_poly("s", ("s",)), 0])
+    with pytest.raises(ValueError, match=r"\('t',\) and \('s',\)"):
+        group.mult(v, w)
+    # re-expressed over one tuple by the constructor, they multiply
+    params = ("t", "s")
+    got = group.mult(ParamVector(params, v.entries), ParamVector(params, w.entries))
+    assert got == ParamVector(params, [parse_poly("t", params), parse_poly("s", params),
+                                       parse_poly("1/2*t*s", params)])
+
+
 def test_defect_translation_only():
     group = NilpotentGroup(heisenberg())
     a = ParamVector.from_rationals([F(1, 3), F(1, 5), F(0)])

@@ -1,5 +1,6 @@
 """Exact polynomial layer: parsing, arithmetic, canonical order."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ def test_parse_simple_forms():
     assert p.is_zero()
 
     p = parse_poly("-1/2", ("t",))
-    assert p.is_constant() and p.constant_value() == F("-1/2")
+    assert p == Poly.constant(F("-1/2"), ("t",)) and p == F("-1/2")
+    assert p.degree() == 0 and p.terms == {(0,): F("-1/2")}
 
     p = parse_poly("2*t^2 - s + 3/4", ("t", "s"))
     assert p.coefficient((2, 0)) == 2
@@ -81,14 +83,20 @@ def test_arithmetic_identities_random():
 
 
 
-def test_equality_ignores_unused_parameter_padding():
+def test_equality_compares_the_parameter_tuple():
     a = parse_poly("t + 1", ("t",))
     b = parse_poly("t + 1", ("t", "s"))
     c = parse_poly("t + 1", ("s", "t"))
-    assert a == b == c
-    assert hash(a) == hash(b) == hash(c)
+    assert a == parse_poly("1 + t", ("t",))
+    assert hash(a) == hash(parse_poly("1 + t", ("t",)))
+    assert a != b and b != c and a != c
+    # re-expressed over one tuple they are equal, hashes included
+    assert a.with_params(b.params) == b and hash(a.with_params(b.params)) == hash(b)
+    assert b.with_params(c.params) == c and hash(b.with_params(c.params)) == hash(c)
     assert a != parse_poly("t", ("t",))
-    assert parse_poly("2", ("t",)) == 2
+    # a number is the constant over the polynomial's own tuple
+    assert parse_poly("2", ("t",)) == 2 and parse_poly("2", ("t",)) != 3
+    assert Poly.zero(("t", "s")) == 0 and parse_poly("t", ("t",)) != 0
 
 
 def test_param_vector_coefficient_vectors():
@@ -113,15 +121,39 @@ def test_param_vector_arithmetic_and_substitution():
     assert (v - v).is_zero()
     assert v.scale(F(2))[0] == parse_poly("2*t", params)
     u = ParamVector.from_rationals([1, F("1/2")])
-    assert u.is_constant() and u.constant_values() == (F(1), F("1/2"))
+    assert u.params == () and u.substitute({}) == (F(1), F("1/2"))
+    assert u == ParamVector((), [Poly.constant(1), Poly.constant(F("1/2"))])
+    assert u != ParamVector.from_rationals([1, F("1/2")], params)
 
 
-def test_param_vector_mixed_params_align():
+def test_param_vector_mixed_params_raise():
     a = ParamVector(("t",), [parse_poly("t", ("t",))])
     b = ParamVector(("s",), [parse_poly("s", ("s",))])
-    c = a + b
-    assert c.params == ("t", "s")
-    assert c[0] == parse_poly("t + s", ("t", "s"))
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match=r"\('t',\) and \('s',\)"):
+            op(a, b)
+    # the constructor re-expresses each vector over one tuple
+    params = ("t", "s")
+    c = ParamVector(params, a.entries) + ParamVector(params, b.entries)
+    assert c.params == params
+    assert c[0] == parse_poly("t + s", params)
+
+
+def test_poly_arithmetic_across_parameter_tuples_raises():
+    t, s = parse_poly("t + 1", ("t",)), parse_poly("s", ("s",))
+    wide = ("t", "s")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match=r"\('t',\) and \('s',\)"):
+            op(t, s)
+        with pytest.raises(ValueError, match="different parameter tuples"):
+            op(t, t.with_params(wide))
+        # with_params re-expresses explicitly, and then the operands agree
+        got = op(t.with_params(wide), s.with_params(wide))
+        assert got.params == wide
+        values = {"t": F("2/3"), "s": F("-5/7")}
+        assert got.substitute(values) == op(t.substitute(values), s.substitute(values))
+    # a number operand takes the polynomial's own tuple
+    assert (t - 1) == parse_poly("t", ("t",)) and (1 - t) == parse_poly("-t", ("t",))
 
 
 def _assert_clean(p):
@@ -143,15 +175,23 @@ def test_arithmetic_results_are_clean():
             terms[exps] = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
         return Poly(params, terms)
 
+    wide = ("t", "s", "u", "v")
     for _ in range(150):
-        p, q = rand_poly(rng.choice(shapes)), rand_poly(rng.choice(shapes))
+        shape = rng.choice(shapes)
+        p, q = rand_poly(shape), rand_poly(shape)
+        other = rand_poly(rng.choice([s for s in shapes if s != shape]))
         c = rng.choice((0, 1, -1, Fraction(2, 3), "5/7"))
         results = [p + q, p - q, p * q, -p, p * 0, p - p, p * c, c * p, p + c,
-                   c - p, p * p, p.with_params(("t", "s", "u", "v")),
-                   p.with_params(("v", "u", "t", "s"))]
+                   c - p, p * p, p.with_params(wide),
+                   p.with_params(("v", "u", "t", "s")),
+                   p.with_params(wide) * other.with_params(wide),
+                   p.with_params(wide) - other.with_params(wide)]
         for r in results:
             _assert_clean(r)
         assert (p * 0).terms == {} and (p - p).terms == {}
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="different parameter tuples"):
+                op(p, other)
         v = ParamVector(p.params, [p, p * p])
         w = ParamVector(q.params, [q, -q])
         for vec in (v + w, v - w, -v, v.scale(0), v.scale(c), v - v):
