@@ -38,7 +38,7 @@ _EXPORTS = {
     "NotFixed": "criteria", "CosetObstruction": "criteria",
     "SpectralObstruction": "criteria", "UnipotentPower": "criteria",
     "InvariantSubtorus": "criteria",
-    "NonAbelian": "criteria", "InapplicableCriterion": "criteria",
+    "InapplicableCriterion": "criteria",
     "HypothesisViolated": "criteria", "ValidationError": "criteria",
     "suspend": "suspension", "SuspendedSystem": "suspension",
     "monodromy_adjoint_check": "suspension",

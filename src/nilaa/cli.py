@@ -41,7 +41,7 @@ CRITERIA = {
     "torus": lambda s: nio.verdict_to_dict(torus_decide(s)),
     "translation": lambda s: nio.verdict_to_dict(translation_decide(s)),
     "lie": lambda s: nio.lie_report_to_dict(lie_necessary(s)),
-    "power-unipotent": lambda s: nio.power_result_to_dict(
+    "power-unipotent": lambda s: nio.verdict_to_dict(
         power_unipotent(s.lattice_automorphism)),
     "minimality": lambda s: nio.verdict_to_dict(minimality_check(s)),
     "two-generator": lambda s: nio.two_generator_report_to_dict(

@@ -44,6 +44,8 @@ from .ratlin import NotUnipotent, QMatrix, QSubspace, annihilator_basis, \
 
 AA = "AA"
 NOT_AA = "NOT_AA"
+PASS = "PASS"
+FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 MINIMAL = "Minimal"
 NOT_MINIMAL = "NotMinimal"
@@ -53,10 +55,6 @@ SCOPE_NOTE = ("witness search is restricted to connected subgroups; "
 
 
 # ---- errors ----
-
-class NonAbelian(ValueError):
-    """An operation restricted to tori was applied to a nonabelian algebra."""
-
 
 class InapplicableCriterion(ValueError):
     """The requested criterion does not apply to this system."""
@@ -354,7 +352,8 @@ def torus_decide(system: AffineSystem) -> Verdict:
     """
     spec = system.algebra
     if not spec.abelian():
-        raise NonAbelian("the torus criterion requires an abelian algebra")
+        raise InapplicableCriterion(
+            "the torus criterion requires an abelian algebra")
     U = system.automorphism
     d = spec.dim
     if unipotency_index(U) is None:
@@ -583,14 +582,14 @@ def minimality_check(system: AffineSystem) -> Verdict:
 
 # ---- quasi-unipotence of integer matrices ----
 
-def power_unipotent(matrix: QMatrix):
+def power_unipotent(matrix: QMatrix) -> Verdict:
     """Least power of an integer unimodular matrix that is unipotent.
 
-    Returns UnipotentPower(r) when every eigenvalue is a root of unity
+    PASS with UnipotentPower(r) when every eigenvalue is a root of unity
     (r = lcm of their orders, which is minimal because A^j is unipotent
     exactly when the order of every eigenvalue divides j), and otherwise
-    SpectralObstruction carrying the non-cyclotomic factor of the
-    characteristic polynomial.
+    FAIL with a SpectralObstruction carrying the non-cyclotomic factor of
+    the characteristic polynomial.
     """
     if not matrix.is_square():
         raise ValueError("power_unipotent requires a square matrix")
@@ -600,11 +599,14 @@ def power_unipotent(matrix: QMatrix):
         raise ValueError("matrix must have determinant +1 or -1")
     result = cyclotomic_spectrum_test(charpoly(matrix))
     if not result.all_roots_of_unity:
-        return SpectralObstruction(tuple(result.obstruction))
+        return Verdict(FAIL, "power-unipotent",
+                       SpectralObstruction(tuple(result.obstruction)),
+                       ("a non-cyclotomic factor obstructs every power",))
     r = result.lcm_order
     if unipotency_index(matrix ** r) is None:
         raise ArithmeticError("cyclotomic spectrum did not yield a unipotent power")
-    return UnipotentPower(r)
+    return Verdict(PASS, "power-unipotent", UnipotentPower(r),
+                   (f"U^{r} is unipotent",))
 
 
 # ---- two-generator coefficient analysis ----

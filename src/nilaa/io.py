@@ -19,18 +19,16 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .criteria import (AffineSystem, CosetObstruction, InvariantSubtorus,
-                       NotFixed, ObstructionBracket, SpectralObstruction,
-                       UnipotentPower, ValidationError, Verdict,
-                       WitnessSubspace, make_system)
+from .criteria import (FAIL, PASS, AffineSystem, CosetObstruction,
+                       InvariantSubtorus, NotFixed, ObstructionBracket,
+                       SpectralObstruction, UnipotentPower, ValidationError,
+                       Verdict, WitnessSubspace, make_system)
 from .poly import ParamVector, Poly, parse_poly
 from .ratlin import QSubspace, _qmatrix
 
 VALID = "VALID"
 INVALID = "INVALID"
 ERROR = "ERROR"
-PASS = "PASS"
-FAIL = "FAIL"
 
 # The supported scope: a larger dim is rejected before the algebra is
 # allocated, and a translation entry of larger total degree before any
@@ -425,15 +423,6 @@ def two_generator_report_to_dict(report) -> dict:
     notes.extend(report.notes)
     return make_verdict_dict(PASS if agree else FAIL, "two-generator",
                              None, notes)
-
-
-def power_result_to_dict(result) -> dict:
-    if isinstance(result, UnipotentPower):
-        return make_verdict_dict(PASS, "power-unipotent", result,
-                                 [f"U^{result.power} is unipotent"])
-    return make_verdict_dict(FAIL, "power-unipotent", result,
-                             ["a non-cyclotomic factor obstructs every "
-                              "power"])
 
 
 def aa_report_to_dict(report) -> dict:

@@ -370,8 +370,11 @@ class NilpotentGroup:
 
         That the log is a derivation D is the Jacobi identity on the triples
         (delta, x_i, x_j) of the algebra with [delta, x] = D x adjoined, which
-        the suspension's NilpotentGroup checks.
+        the suspension's NilpotentGroup checks.  Raises ValueError unless
+        the matrix is d x d.
         """
+        if matrix.shape != (self.dim, self.dim):
+            raise ValueError("automorphism matrix has wrong shape")
         try:
             return matrix_log_unipotent(matrix)
         except NotUnipotent as exc:

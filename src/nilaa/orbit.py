@@ -70,9 +70,10 @@ class NumericAffine:
     U_L = L^-1 U L the system's integral lattice_automorphism; there the
     factor's integer test is exactly near(), and its state gives the point
     back.  A torus map walks, jumps and scans on the factor; when U_L is
-    unipotent it has a closed form (jump), a polynomial sequence in m
-    (Leibman 1998).  A pure translation of any other group jumps by its
-    one product (m a) x, and every other map steps on points.
+    unipotent the factor has a closed form (_TorusFactor.jump), a
+    polynomial sequence in m (Leibman 1998).  A pure translation of any
+    other group jumps by its one product (m a) x (jump), and every other
+    map steps on points.
     """
 
     def __init__(self, system, translation):
@@ -161,24 +162,24 @@ class NumericAffine:
         return self.reduce(self._inverse.matvec(shifted))
 
     def reach(self) -> Optional[int]:
-        """The number of nonzero powers N^0, N^1, .. of N = U - I when
-        jump() applies, else None."""
+        """The number of nonzero powers N^0, N^1, .. of N = U - I when the
+        map has a closed form, else None: a pure translation (jump) or a
+        torus map with U_L unipotent (_TorusFactor.jump)."""
         return self._reach
 
     def jump(self, x, m: int) -> tuple:
-        """T^m x reduced, for any integer m, in one closed-form step.
+        """T^m x = (m a) x reduced, for any integer m: the closed form of a
+        pure translation, one product.
 
         Equals m steps (or -m backward steps) from x, since the reduction
-        is a function of the coset.  Only when reach() is not None.  A
-        pure translation of a non-abelian group is the one product
-        (m a) x; a torus map jumps its factor's state (_TorusFactor.jump).
+        is a function of the coset.  Raises ValueError on any other map,
+        which iterate walks.
         """
-        x = _point(x)
-        if self._lattice_map is None:
-            shift = [m * a for a in self.translation]
-            return self.reduce(self.group.mult_vec(shift, x))
-        factor = _TorusFactor(self, None, (x,))
-        return factor.point(factor.jump(factor.state(x), m))
+        if not self._pure:
+            raise ValueError("jump is the closed form of a pure translation; "
+                             "iterate walks any other map")
+        shift = [m * a for a in self.translation]
+        return self.reduce(self.group.mult_vec(shift, _point(x)))
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -356,8 +357,9 @@ class _TorusFactor:
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
     """k-fold application (signed), reducing after every step.
 
-    Where the map has a closed form (NumericAffine.jump) a k longer than
-    its number of N powers is one jump, which agrees with stepwise
+    Where the map has a closed form (NumericAffine.jump of a pure
+    translation, _TorusFactor.jump of a unipotent torus map) a k longer
+    than its number of N powers is one jump, which agrees with stepwise
     reduction.
     """
     return _walk(affine, x, (abs(k),), backward=k < 0)[0]
@@ -438,8 +440,11 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     only where the factor cannot reject or is back at x's; every other map
     steps.  Each point is tested with NumericAffine.near, which decides
     only whether the distance is under eps.  Deterministic in (map, x, y,
-    eps, horizon).  Raises NotFound when nothing is found.
+    eps, horizon).  Raises NotFound when nothing is found, and ValueError
+    when limit < 1.
     """
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
     return tuple(k for k, _ in _returns(affine, x, y, eps, horizon,
                                         start, limit))
 
@@ -615,8 +620,11 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     over the same indices.  A trial with forward cluster below eps and
     backward distance above 10*eps falsifies; otherwise the report stays
     ConsistentWithAA.  Trials are independent; the witness reported is
-    the one with the lowest trial index.
+    the one with the lowest trial index.  Raises ValueError when
+    trials < 1: no trial is no evidence.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     horizon = int(horizon)
     rng = random.Random(seed)
     given = [affine.reduce(p) for p in probes or ()][:trials]

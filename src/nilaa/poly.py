@@ -327,20 +327,19 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_poly(text: str, params: Sequence[str] | None = None) -> Poly:
-    """Parse sums of terms like "1/2", "t", "-3*t^2", "t*s".
+def parse_poly(text: str, params: Sequence[str]) -> Poly:
+    """Parse sums of terms like "1/2", "t", "-3*t^2", "t*s" over the
+    declared parameter tuple params.
 
     No parentheses; terms are separated by +/- (repeated signs multiply),
-    factors by *, exponents are nonnegative integers.  When params is None
-    the parameter tuple is the names in order of first appearance.  Raises
-    ValueError naming the first problem.
+    factors by *, exponents are nonnegative integers.  Raises ValueError
+    naming the first problem.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial")
     pos = 0
     terms: list[tuple[Fraction, dict[str, int]]] = []
-    names: list[str] = []
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -366,7 +365,7 @@ def parse_poly(text: str, params: Sequence[str] | None = None) -> Poly:
                 raise ValueError(f"zero denominator in {tok!r}")
             return coeff * Fraction(int(num), int(den or 1))
         if tok[0].isalpha() or tok[0] == "_":
-            if params is not None and tok not in params:
+            if tok not in params:
                 raise ValueError(f"unknown parameter {tok!r}")
             exp = 1
             if peek() == "^":
@@ -376,8 +375,6 @@ def parse_poly(text: str, params: Sequence[str] | None = None) -> Poly:
                 exp = int(peek())
                 pos += 1
             powers[tok] = powers.get(tok, 0) + exp
-            if tok not in names:
-                names.append(tok)
             return coeff
         raise ValueError(f"unexpected token {tok!r}")
 
@@ -393,7 +390,6 @@ def parse_poly(text: str, params: Sequence[str] | None = None) -> Poly:
         if peek() not in ("+", "-"):
             raise ValueError(f"expected '+' or '-', got {peek()!r}")
 
-    params = tuple(names) if params is None else tuple(params)
     out: dict[tuple[int, ...], Fraction] = {}
     for coeff, powers in terms:
         exps = tuple(powers.get(p, 0) for p in params)

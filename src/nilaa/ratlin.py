@@ -438,10 +438,6 @@ class QSubspace:
                 raise ValueError("spanning vector has wrong dimension")
         return cls(ambient_dim, vecs)
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "QSubspace":
-        return cls(ambient_dim, [])
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -121,8 +121,8 @@ def monodromy_adjoint_check(susp: SuspendedSystem) -> bool:
     return susp.big_group.adjoint_matrix(susp.delta()) == expected
 
 
-def embedding_consistency_check(system, susp: SuspendedSystem | None = None,
-                                samples: int = 25) -> bool:
+def embedding_consistency_check(system, susp: SuspendedSystem,
+                                samples: int) -> bool:
     """Evaluate the affine map directly and through the suspension.
 
     Route one applies exp(x) -> exp(a) U(exp x) downstairs.  Route two
@@ -130,10 +130,9 @@ def embedding_consistency_check(system, susp: SuspendedSystem | None = None,
     circle coordinate by its lattice (here the circle coordinate of the
     product is exactly 1, so one factor of exp(-delta) clears it) and drops
     to the fiber.  Both routes must give the same point of N exactly, and
-    so the same point of N / exp(Lambda).
+    so the same point of N / exp(Lambda).  Checks `samples` seeded
+    points and parameter values.
     """
-    if susp is None:
-        susp = suspend(system)
     group: NilpotentGroup = system.group
     rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
     params = system.translation.params

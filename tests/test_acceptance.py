@@ -25,7 +25,7 @@ from nilaa.orbit import CONSISTENT, NumericAffine, aa_empirical_test
 from nilaa.poly import ParamVector
 from nilaa.ratlin import (QMatrix, charpoly, matrix_exp_nilpotent,
                           unipotency_index)
-from nilaa.suspension import embedding_consistency_check
+from nilaa.suspension import embedding_consistency_check, suspend
 
 from conftest import abelian, free_nilpotent_2_3, heisenberg
 
@@ -137,7 +137,8 @@ def test_criterion_5_commutation_curve_matches_matrix_oracle():
 def test_criterion_6_suspension_is_a_faithful_embedding():
     for name in VALID_CORPUS:
         system = _system(name)
-        assert embedding_consistency_check(system, samples=50) is True, name
+        assert embedding_consistency_check(system, suspend(system),
+                                           samples=50) is True, name
         assert suspended_full_decide(system).status == \
             full_decide(system).status, name
         assert suspended_basepoint_decide(system).status == \
@@ -165,16 +166,20 @@ def _block_diagonal(blocks):
     return QMatrix(M)
 
 
+def _least_power(matrix):
+    return power_unipotent(matrix).certificate
+
+
 def test_criterion_7_quasi_unipotent_powers_are_minimal():
-    assert power_unipotent(QMatrix.identity(3)) == UnipotentPower(1)
-    assert power_unipotent(QMatrix([[1, 5], [0, 1]])) == UnipotentPower(1)
-    assert power_unipotent(QMatrix.identity(2).scale(-1)) == UnipotentPower(2)
-    assert power_unipotent(BLOCKS[3][0]) == UnipotentPower(3)
-    assert power_unipotent(BLOCKS[4][0]) == UnipotentPower(4)
-    assert power_unipotent(BLOCKS[6][0]) == UnipotentPower(6)
+    assert _least_power(QMatrix.identity(3)) == UnipotentPower(1)
+    assert _least_power(QMatrix([[1, 5], [0, 1]])) == UnipotentPower(1)
+    assert _least_power(QMatrix.identity(2).scale(-1)) == UnipotentPower(2)
+    assert _least_power(BLOCKS[3][0]) == UnipotentPower(3)
+    assert _least_power(BLOCKS[4][0]) == UnipotentPower(4)
+    assert _least_power(BLOCKS[6][0]) == UnipotentPower(6)
     cycle = QMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert power_unipotent(cycle) == UnipotentPower(3)
-    assert power_unipotent(QMatrix([[2, 1], [1, 1]])) == \
+    assert _least_power(cycle) == UnipotentPower(3)
+    assert _least_power(QMatrix([[2, 1], [1, 1]])) == \
         SpectralObstruction((F(1), F(-3), F(1)))
 
     rng = random.Random(1729)
@@ -186,7 +191,7 @@ def test_criterion_7_quasi_unipotent_powers_are_minimal():
         P = _random_unimodular(rng, A.nrows)
         U = P @ A @ P.inverse()
         r = math.lcm(*orders)
-        assert power_unipotent(U) == UnipotentPower(r)
+        assert _least_power(U) == UnipotentPower(r)
         # minimality by divisor exhaustion
         assert unipotency_index(U ** r) is not None
         for s in range(1, r):

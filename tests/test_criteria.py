@@ -16,11 +16,11 @@ from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, jordan_block, q6, random_basis_matrix)
 from nilaa import io as nio
 from nilaa import ratlin
-from nilaa.criteria import (AA, INCONCLUSIVE, MINIMAL, NOT_AA, NOT_MINIMAL,
-                            AffineSystem, CosetObstruction, HypothesisViolated,
-                            InapplicableCriterion, InvariantSubtorus,
-                            LieNecessaryReport,
-                            NonAbelian, NotFixed, ObstructionBracket,
+from nilaa.criteria import (AA, FAIL, INCONCLUSIVE, MINIMAL, NOT_AA,
+                            NOT_MINIMAL, PASS, AffineSystem, CosetObstruction,
+                            HypothesisViolated, InapplicableCriterion,
+                            InvariantSubtorus, LieNecessaryReport,
+                            NotFixed, ObstructionBracket,
                             SpectralObstruction, UnipotentPower,
                             ValidationError, Verdict, WitnessSubspace,
                             _two_generator_matrix_coefficients,
@@ -153,7 +153,7 @@ def test_full_identity_map_is_aa_with_zero_witness():
     system = make_system(abelian(2))
     verdict = full_decide(system)
     assert verdict.status == AA
-    assert verdict.certificate.subspace == QSubspace.zero(2)
+    assert verdict.certificate.subspace == QSubspace(2, ())
 
 
 def test_full_rotation_is_aa():
@@ -269,7 +269,9 @@ def test_torus_shift_agrees_with_full():
 
 
 def test_torus_rejects_nonabelian():
-    with pytest.raises(NonAbelian):
+    with pytest.raises(InapplicableCriterion,
+                       match="^the torus criterion requires an abelian "
+                             "algebra$"):
         torus_decide(heis_shear())
 
 
@@ -294,13 +296,13 @@ def test_torus_and_full_agree_on_seeded_random_systems():
 def test_basepoint_identity_translation_is_fixed():
     verdict = basepoint_decide(make_system(abelian(2), automorphism=JORDAN2))
     assert verdict.status == AA
-    assert verdict.certificate.subspace == QSubspace.zero(2)
+    assert verdict.certificate.subspace == QSubspace(2, ())
 
 
 def test_basepoint_identity_map_answers_through_its_first_stage():
     system = make_system(heisenberg(), lattice=HEIS_LATTICE)
     assert basepoint_decide(system) == Verdict(
-        AA, "basepoint", WitnessSubspace(QSubspace.zero(3), None), ())
+        AA, "basepoint", WitnessSubspace(QSubspace(3, ()), None), ())
 
 
 @pytest.mark.parametrize("decide", [full_decide, basepoint_decide])
@@ -547,10 +549,32 @@ def test_minimality_inconclusive_for_automorphisms():
 # ---- power_unipotent ----
 
 def test_power_unipotent_goldens():
-    assert power_unipotent(QMatrix.identity(2)) == UnipotentPower(1)
-    assert power_unipotent(QMatrix([[0, -1], [1, 0]])) == UnipotentPower(4)
-    assert power_unipotent(QMatrix([[2, 1], [1, 1]])) == \
-        SpectralObstruction((F(1), F(-3), F(1)))
+    assert power_unipotent(QMatrix.identity(2)) == Verdict(
+        PASS, "power-unipotent", UnipotentPower(1), ("U^1 is unipotent",))
+    assert power_unipotent(QMatrix([[0, -1], [1, 0]])) == Verdict(
+        PASS, "power-unipotent", UnipotentPower(4), ("U^4 is unipotent",))
+    assert power_unipotent(QMatrix([[2, 1], [1, 1]])) == Verdict(
+        FAIL, "power-unipotent", SpectralObstruction((F(1), F(-3), F(1))),
+        ("a non-cyclotomic factor obstructs every power",))
+
+
+def test_power_unipotent_verdict_serializes_as_the_cli_prints_it():
+    # the certificate is the least power or the spectral obstruction, and
+    # verdict_to_dict writes the dict that the power-unipotent criterion
+    # prints
+    cases = [(QMatrix([[0, 1], [-1, -1]]), PASS, UnipotentPower(3),
+              "U^3 is unipotent"),
+             (QMatrix([[3, 1], [2, 1]]), FAIL,
+              SpectralObstruction((F(1), F(-4), F(1))),
+              "a non-cyclotomic factor obstructs every power")]
+    for matrix, status, certificate, note in cases:
+        verdict = power_unipotent(matrix)
+        assert isinstance(verdict, Verdict)
+        assert verdict.certificate == certificate
+        assert nio.verdict_to_dict(verdict) == {
+            "status": status, "criterion": "power-unipotent",
+            "certificate": nio.serialize_certificate(certificate),
+            "notes": [note]}
 
 
 def test_power_unipotent_rejects_bad_input():
@@ -564,7 +588,8 @@ def test_power_unipotent_block_lcm():
     # companion of x^2+x+1 (order 3) plus a 2x2 shear (order 1)
     A = QMatrix([[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
     result = power_unipotent(A)
-    assert result == UnipotentPower(3)
+    assert result.status == PASS
+    assert result.certificate == UnipotentPower(3)
     # minimality by divisor exhaustion
     for r in (1, 2):
         assert unipotency_index(A ** r) is None

@@ -381,7 +381,7 @@ def test_cli_power_unipotent_reads_u_in_lattice_coordinates(
 
 
 def test_cli_run_criterion_dispatch():
-    from nilaa.criteria import NonAbelian
+    from nilaa.criteria import InapplicableCriterion, power_unipotent
     system = nio.parse_system(_corpus("free_nilpotent_2_3.json"))
     for criterion in ncli.CRITERIA:
         if criterion in ("torus", "translation"):
@@ -390,8 +390,11 @@ def test_cli_run_criterion_dispatch():
         assert result["criterion"] == criterion
         assert set(result) == {"status", "criterion", "certificate", "notes"}
     # dispatch does not swallow hypothesis errors; the CLI wrapper does
-    with pytest.raises(NonAbelian):
+    with pytest.raises(InapplicableCriterion):
         ncli.CRITERIA["torus"](system)
+    # power-unipotent answers with a Verdict, serialized like the deciders
+    assert ncli.CRITERIA["power-unipotent"](system) == nio.verdict_to_dict(
+        power_unipotent(system.lattice_automorphism))
 
 
 def test_cli_suspend_writes_data(capsys, tmp_path):

@@ -240,6 +240,14 @@ def test_log_automorphism():
     assert 0 in info.value.triple
 
 
+def test_log_automorphism_rejects_a_matrix_of_another_size():
+    group = NilpotentGroup(heisenberg())
+    for matrix in (QMatrix([[1, 1], [0, 1]]), QMatrix.identity(4),
+                   QMatrix([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match="wrong shape"):
+            group.log_automorphism(matrix)
+
+
 def test_mult_across_parameter_tuples_raises():
     group = NilpotentGroup(heisenberg())
     v = ParamVector(("t",), [parse_poly("t", ("t",)), 0, 0])

@@ -155,13 +155,33 @@ def test_closed_form_matches_single_steps(name):
     x = m.reduce([F(k + 1, 7 + 4 * k) for k in range(m.dim)])
     for k in range(-60, 61):
         by_steps = _walk_by_steps(m, x, abs(k), backward=k < 0)
-        assert m.jump(x, k) == by_steps
+        if m.is_pure_translation():
+            assert m.jump(x, k) == by_steps
         assert iterate(m, x, k) == by_steps
+    if not m.is_pure_translation():
+        with pytest.raises(ValueError, match="iterate walks"):
+            m.jump(x, 1)
     # one walk with gaps on both sides of reach()
     ks = (0, 1, 2, 7, 8, 30, 31, 60)
     assert _walk(m, x, ks) == [_walk_by_steps(m, x, k) for k in ks]
     assert _walk(m, x, ks, backward=True) == \
         [_walk_by_steps(m, x, k, True) for k in ks]
+
+
+def test_jump_refuses_a_map_that_is_not_a_pure_translation():
+    # on the shear of heisenberg.json the product (3 a) x is not T^3 x, and
+    # the cat map has no closed form at all; iterate walks both
+    shear = NumericAffine(
+        nio.parse_system(nio.corpus_file("heisenberg.json")),
+        [F(1, 3), F(1, 5), F(1, 7)])
+    x = (F(1, 10), F(1, 4), F(1, 8))
+    assert iterate(shear, x, 3) == _walk_by_steps(shear, x, 3) == \
+        (F(9, 20), F(17, 20), F(47, 175))
+    cat = torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])
+    for m, p in ((shear, x), (cat, (F(1, 8), F(3, 8)))):
+        for k in (-1, 0, 3):
+            with pytest.raises(ValueError, match="pure translation"):
+                m.jump(p, k)
 
 
 def test_non_unipotent_torus_map_steps(monkeypatch):
@@ -621,6 +641,18 @@ def test_factor_retreat_inverts_advance(name):
             back = factor.retreat(back)
 
 
+def test_jump_of_every_pure_translation_matches_single_steps():
+    maps = [build() for table in (CLOSED_FORM_MAPS, NEAR_MAPS, FACTOR_MAPS)
+            for build, _ in table.values()]
+    translations = [m for m in maps if m.is_pure_translation()]
+    assert len(translations) == 15
+    for m in translations:
+        x = m.reduce([F(k + 2, 5 + 3 * k) for k in range(m.dim)])
+        for k in range(-25, 26):
+            assert m.jump(x, k) == _walk_by_steps(m, x, abs(k),
+                                                  backward=k < 0)
+
+
 def test_sequence_is_deterministic():
     m = torus(2, QMatrix([[1, 1], [0, 1]]), [0, 0.25])
     a = find_forward_sequence(m, [0, 0.1], [0, 0.1], 1e-2, 5000, start=1)
@@ -631,6 +663,26 @@ def test_sequence_is_deterministic():
 def test_eps_must_be_positive():
     with pytest.raises(ValueError):
         find_forward_sequence(rotation(0.25), [0], [0], 0, 10)
+
+
+def test_limit_must_be_at_least_one():
+    # the rotation by 1/7 returns at 0, 7, 14, ..; a limit below 1 asks
+    # for no index at all
+    m = rotation(F(1, 7))
+    assert find_forward_sequence(m, [0], [0], F(1, 100), 50, limit=1) == (0,)
+    assert find_forward_sequence(m, [0], [0], F(1, 100), 50, start=1,
+                                 limit=1) == (7,)
+    for start, limit in ((0, 0), (0, -1), (1, 0)):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            find_forward_sequence(m, [0], [0], F(1, 100), 50, start=start,
+                                  limit=limit)
+
+
+def test_trials_must_be_at_least_one():
+    # no trial is no evidence: there is no ConsistentWithAA from 0 probes
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            aa_empirical_test(rotation(F(1, 7)), trials, F(1, 100), 50, 1)
 
 
 # ---- aa_empirical_test ----

@@ -31,13 +31,6 @@ def test_parse_simple_forms():
     assert p.degree() == 2
 
 
-def test_parse_collects_params_in_first_appearance_order():
-    p = parse_poly("s*t + t^2")
-    assert p.params == ("s", "t")
-    assert p.coefficient((1, 1)) == 1
-    assert p.coefficient((0, 2)) == 1
-
-
 def test_str_is_graded_lex_and_reparses():
     p = parse_poly("s + t + t*s + t^2", ("t", "s"))
     assert str(p) == "t^2 + t*s + t + s"

@@ -23,7 +23,7 @@ EXPORTS = {
     "two_generator_analysis",
     "WitnessSubspace", "ObstructionBracket", "NotFixed", "CosetObstruction",
     "SpectralObstruction", "UnipotentPower", "InvariantSubtorus",
-    "NonAbelian", "InapplicableCriterion", "HypothesisViolated",
+    "InapplicableCriterion", "HypothesisViolated",
     "ValidationError",
     # nilaa.suspension
     "suspend", "SuspendedSystem", "monodromy_adjoint_check",
