@@ -37,7 +37,7 @@ def main():
     print(f"adjoint of exp(delta) reproduces U: "
           f"{monodromy_adjoint_check(susp)}")
     print(f"50 sampled points agree along both routes: "
-          f"{embedding_consistency_check(system, susp, samples=50)}")
+          f"{embedding_consistency_check(susp, samples=50)}")
     print()
 
     pairs = [("full", full_decide, suspended_full_decide),

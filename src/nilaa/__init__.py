@@ -3,9 +3,9 @@
 The package decides, with exact rational arithmetic, whether an affine map
 T = (translation by a) composed with (unipotent automorphism U) of a compact
 nilmanifold N/Gamma is almost automorphic, and backs every verdict with a
-machine-checkable certificate.  A floating-point orbit oracle provides an
-independent empirical cross-check, and a CLI exposes the deciders on a
-bundled corpus of worked systems.
+machine-checkable certificate.  An orbit oracle, exact on dyadic inputs,
+provides an independent empirical cross-check, and a CLI exposes the
+deciders on a bundled corpus of worked systems.
 
 Translation coordinates may be left symbolic: parameters are treated as
 algebraically independent reals, so a verdict covers the generic member of a

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def _suspend_result(path, out) -> dict:
         return _error("suspend", "monodromy adjoint check failed")
     notes.append("monodromy adjoint check: passed")
     try:
-        embedding_consistency_check(system, susp, samples=SUSPEND_SAMPLES)
+        embedding_consistency_check(susp, samples=SUSPEND_SAMPLES)
     except Mismatch as exc:
         return _error("suspend", f"embedding consistency failed: {exc}")
     notes.append(f"embedding consistency: {SUSPEND_SAMPLES} exact samples")
@@ -209,26 +210,26 @@ def _simulate_result(path, eps=None, horizon=None, seed=None, trials=None,
         return _error("simulate", str(exc))
     try:
         # opened before the test runs, so an unwritable path answers at once
-        handle = None if dump is None else open(dump, "w", newline="",
-                                                 encoding="utf-8")
+        handle = nullcontext() if dump is None else open(
+            dump, "w", newline="", encoding="utf-8")
     except OSError as exc:
         return _error("simulate", _write_failure(dump, exc))
     try:
-        report = aa_empirical_test(affine, trials, eps, horizon, seed,
-                                   probes=probes)
-        if handle is not None:
-            import csv
-            start = probes[0] if probes else tuple([0] * affine.dim)
-            writer = csv.writer(handle)
-            writer.writerow(["k"] + [f"x{i + 1}" for i in range(affine.dim)])
-            for k, point in trajectory(affine, start, steps):
-                writer.writerow([k] + [float(v) for v in point])
-            handle.close()
+        # closed once, on leaving the block, where a failed flush still
+        # answers ERROR
+        with handle:
+            report = aa_empirical_test(affine, trials, eps, horizon, seed,
+                                       probes=probes)
+            if dump is not None:
+                import csv
+                start = probes[0] if probes else tuple([0] * affine.dim)
+                writer = csv.writer(handle)
+                writer.writerow(["k"] + [f"x{i + 1}"
+                                         for i in range(affine.dim)])
+                for k, point in trajectory(affine, start, steps):
+                    writer.writerow([k] + [float(v) for v in point])
     except OSError as exc:
         return _error("simulate", _write_failure(dump, exc))
-    finally:
-        if handle is not None:
-            handle.close()
     return nio.aa_report_to_dict(report)
 
 

@@ -1,4 +1,4 @@
-"""Floating-point dynamical oracle on compact nilmanifolds.
+"""Dynamical oracle on compact nilmanifolds, exact on dyadic inputs.
 
 The module iterates affine maps numerically, searches for forward return
 sequences, and runs an empirical version of the almost automorphy test:
@@ -68,12 +68,14 @@ class NumericAffine:
     integer state (_TorusFactor).  A torus map's factor is all of its
     lattice coordinates c = L^-1 x, on which T is c -> U_L c + c(a) mod 1,
     U_L = L^-1 U L the system's integral lattice_automorphism; there the
-    factor's integer test is exactly near(), and its state gives the point
-    back.  A torus map walks, jumps and scans on the factor; when U_L is
-    unipotent the factor has a closed form (_TorusFactor.jump), a
-    polynomial sequence in m (Leibman 1998).  A pure translation of any
-    other group jumps by its one product (m a) x (jump), and every other
-    map steps on points.
+    factor's integer test is exactly near(), its integer distance is
+    exactly distance(), and its state gives the point back.  A torus map
+    walks, jumps, scans and runs whole trials on the factor, and builds a
+    point only to snap a target or to print one; when U_L is unipotent
+    the factor has a closed form (_TorusFactor.jump), a polynomial
+    sequence in m (Leibman 1998).  A pure translation of any other group
+    scans its factor and builds the points the scan keeps by its one
+    product (m a) x (jump); every other map steps on points.
     """
 
     def __init__(self, system, translation):
@@ -271,35 +273,50 @@ class _TorusFactor:
     or shift touches.  On a torus that is every lattice coordinate: T acts
     on c = L^-1 x as c -> U_L c + c(a) mod 1 (U_f = U_L), with no
     neighbour moves or central shifts the integer test is exactly near(),
-    and point() gives a state's point back.  On any other group only a
-    pure translation has a factor: it adds c_j(a) and a reduction adds an
-    integer (U_f = I).  On the orbit of a reduced point every c_j lies in
-    [0, 1) and is a multiple of 1/den, den the lcm of eps's denominator
-    and those of the c_j of the translation and the given points, so a
-    state holds the integers den * c_j.  It holds c_j, not its class mod 1:
-    round() breaks a tie at 1/2 by parity.  With eps None the factor has
-    no threshold test and den leaves eps out.
+    distance() is exactly NumericAffine.distance, and point() gives a
+    state's point back.  On any other group only a pure translation has a
+    factor: it adds c_j(a) and a reduction adds an integer (U_f = I).  On
+    the orbit of a reduced point every c_j lies in [0, 1) and is a
+    multiple of 1/den, den the lcm of eps's denominator and those of the
+    c_j of the translation and the given points, so a state holds the
+    integers den * c_j.  With snap, den also covers every point on the
+    SNAP_GRID, the targets of a trial.  A state holds c_j, not its class
+    mod 1: round() breaks a tie at 1/2 by parity.  With eps None the
+    factor has no threshold test and den leaves eps out.
     """
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
-                 points):
+                 points, snap: bool = False):
         coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
         self._rows = [affine._coord_rows[j] for j in coords]
         self._lattice = affine.lattice
         self._reach = affine.reach()
-        self.den = den = math.lcm(1 if eps is None else eps.denominator, *(
+        grid = [SNAP_GRID * math.lcm(*(1 if c is None else c.denominator
+                                       for _, c in row))
+                for row in self._rows] if snap else []
+        self.den = den = math.lcm(1 if eps is None else eps.denominator,
+                                  *grid, *(
             dot(row, p).denominator for row in self._rows
             for p in (affine.translation, *points)))
         self._tests = []
         for _, row, _, values in affine._early if eps else ():
             row = [(coords.index(j), 1 if c is None else c) for j, c in row]
             scale = math.lcm(*(c.denominator for _, c in row))
-            self._tests.append(([(j, int(c * scale)) for j, c in row],
-                                int(eps * scale * den),
-                                [int(m * scale * den) for m in values]))
+            row = [(j, int(c * scale)) for j, c in row]
+            bound = int(eps * scale * den)
+            # a centred gap puts the value within sum |c| den / 2 of 0, so
+            # a move entry further than that plus the bound never accepts
+            reach = 2 * bound + sum(abs(c) for _, c in row) * den
+            self._tests.append((row, bound, [
+                int(m * scale * den) for m in values
+                if 2 * abs(m * scale * den) < reach]))
         self._map, self._inverse = affine._lattice_map, affine._lattice_inverse
         if self._map is None:
             self._map = self._inverse = [[(j, 1)] for j in range(len(coords))]
+        else:
+            # a torus: x = L c, as integer rows over one denominator
+            scale, self._basis = _scaled_rows(affine.lattice.basis)
+            self._unit = scale * den
         self._drift = drift = [c % den for c in self.state(affine.translation)]
         # T^-1 is s -> U_f^-1 s + back mod den, back = -U_f^-1 drift
         self._back = [-sum(u * drift[k] for k, u in row) % den
@@ -332,6 +349,12 @@ class _TorusFactor:
                    for v, a, row, c in zip(s, self._drift, self._map, acc)]
         return [v % self.den for v in acc]
 
+    def walk(self, s, ks, backward: bool = False) -> list:
+        """The states of T^k p (T^-k p when backward) for the increasing
+        indices ks, from the state s of p: _visit on the factor."""
+        return _visit(s, ks, self.retreat if backward else self.advance,
+                      self.jump, self._reach, backward)
+
     def state(self, p) -> list:
         """den * c_j(p) for the factor's coordinates j."""
         return [int(dot(row, p) * self.den) for row in self._rows]
@@ -340,18 +363,86 @@ class _TorusFactor:
         """The point L s / den of a state of a torus map's factor."""
         return self._lattice.from_coords([Fraction(c, self.den) for c in s])
 
+    def _gap(self, s, t) -> list:
+        """den times c - round(c) for the lattice coordinates c of the
+        difference of the points of s and t: s_j - t_j less den where that
+        exceeds den / 2, plus den below -den / 2."""
+        den, half = self.den, self.den // 2
+        return [e - den if e > half else e + den if e < -half else e
+                for e in map(sub, s, t)]
+
     def rejects(self, s, t) -> bool:
         """near()'s first phase on the points of states s and t, as den
-        times its value: c_j - round(c_j) of the difference is s_j - t_j
-        less den where that exceeds den / 2, plus den below -den / 2."""
+        times its value."""
+        gap = self._gap(s, t)
+        return any(self._row_rejects(*test, gap) for test in self._tests)
+
+    @staticmethod
+    def _row_rejects(row, bound, moves, gap) -> bool:
+        """Whether the test row puts every candidate at the bound or beyond:
+        its value r, and r less each move entry."""
+        r = sum(c * gap[j] for j, c in row)
+        return abs(r) >= bound and all(abs(r - m) >= bound for m in moves)
+
+    def distance(self, s, t) -> Fraction:
+        """NumericAffine.distance of the points of states s and t of a
+        torus map's factor: the max-norm of L gap / den, gap as rejects()
+        centres it, so a tie of round() at 1/2 agrees."""
+        gap = self._gap(s, t)
+        return Fraction(max(abs(sum(c * gap[j] for j, c in row))
+                            for row in self._basis), self._unit)
+
+    def scan(self, s, t, horizon: int):
+        """(k, state of T^k p) for k = 1..horizon from the state s of p,
+        leaving out each k whose state differs from s and rejects() against
+        the state t.
+
+        One loop, with advance() and rejects() inlined on the factor's
+        rows, drift and tests.  A coordinate whose row of U_f is its own
+        unit row and whose drift is 0 is fixed; only the others advance
+        (under U_f = I, every pure translation's, the coordinates with
+        nonzero drift).  A test row that reads only fixed coordinates gives
+        the same answer at every k, so it is decided once, before the loop;
+        when it rejects, only the returns to s are left in.
+        """
         den, half = self.den, self.den // 2
-        gap = [e - den if e > half else e + den if e < -half else e
-               for e in map(sub, s, t)]
+        start, s = s, list(s)
+        # (j, row of U_f, drift) of the coordinates that move
+        moving = [(j, row, a) for j, (row, a)
+                  in enumerate(zip(self._map, self._drift))
+                  if a or row != [(j, 1)]]
+        fixed = set(range(len(s))) - {j for j, _, _ in moving}
+        gap = self._gap(s, t)
+        tests = []
         for row, bound, moves in self._tests:
-            r = sum(c * gap[j] for j, c in row)
-            if abs(r) >= bound and all(abs(r - m) >= bound for m in moves):
-                return True
-        return False
+            if any(j not in fixed for j, _ in row):
+                tests.append((row, bound, moves))
+            elif self._row_rejects(row, bound, moves, gap):
+                tests = None  # every state rejects
+                break
+        for k in range(1, horizon + 1):
+            values = []
+            for _, row, a in moving:
+                v = a
+                for i, u in row:
+                    v += u * s[i]
+                values.append(v % den)
+            for (j, *_), v in zip(moving, values):
+                s[j] = v
+                e = v - t[j]
+                gap[j] = e - den if e > half else e + den if e < -half else e
+            if s == start:
+                yield k, s[:]
+            elif tests is not None:
+                for row, bound, moves in tests:
+                    r = 0
+                    for j, c in row:
+                        r += c * gap[j]
+                    if abs(r) >= bound and (not moves or all(
+                            abs(r - m) >= bound for m in moves)):
+                        break
+                else:
+                    yield k, s[:]
 
 
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
@@ -368,24 +459,31 @@ def iterate(affine: NumericAffine, x, k: int) -> tuple:
 def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     """T^k x (T^-k x when backward) for each of the increasing indices ks.
 
-    One pass along the orbit.  A gap between consecutive indices larger
-    than affine.reach() is one closed-form jump from the current point;
-    every other gap is walked step by step, so consecutive indices (a
-    trajectory dump) cost one step each.  A torus map walks its factor's
+    One pass along the orbit (_visit).  A torus map walks its factor's
     integer state (_TorusFactor) and builds a point only per index.  Each
     point equals the one reached by stepping from x, since a step is a
     function of the exact point.
     """
+    x = affine.reduce(x)
+    if affine._lattice_map is not None:
+        factor = _TorusFactor(affine, None, (x,))
+        return [factor.point(s)
+                for s in factor.walk(factor.state(x), ks, backward)]
+    return _visit(x, ks, affine.step_back if backward else affine.step,
+                  affine.jump, affine.reach(), backward)
+
+
+def _visit(state, ks, step, jump, reach: Optional[int], backward: bool
+           ) -> list:
+    """The states at the increasing indices ks along an orbit from state.
+
+    A gap between consecutive indices larger than reach (None: no closed
+    form) is one jump(state, m) from the current state, m negative when
+    backward; every other gap is walked by step, so consecutive indices
+    (a trajectory dump) cost one step each.
+    """
     if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
-    state = affine.reduce(x)
-    reach = affine.reach()
-    jump, point = affine.jump, None
-    step = affine.step_back if backward else affine.step
-    if affine._lattice_map is not None:
-        factor = _TorusFactor(affine, None, (state,))
-        state, jump, point = factor.state(state), factor.jump, factor.point
-        step = factor.retreat if backward else factor.advance
     out, at = [], 0
     for k in ks:
         if reach is not None and k - at > reach:
@@ -394,7 +492,7 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
             for _ in range(k - at):
                 state = step(state)
         at = k
-        out.append(state if point is None else point(state))
+        out.append(state)
     return out
 
 
@@ -436,55 +534,77 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     each by one jump and integer test of the torus factor.  Otherwise an
     incremental scan runs, and stops after one period once the exact orbit
     returns to x.  A torus map or a pure translation scans its torus
-    factor in integers, one integer affine map per k, and builds T^k x
-    only where the factor cannot reject or is back at x's; every other map
-    steps.  Each point is tested with NumericAffine.near, which decides
-    only whether the distance is under eps.  Deterministic in (map, x, y,
-    eps, horizon).  Raises NotFound when nothing is found, and ValueError
-    when limit < 1.
+    factor in integers (_TorusFactor.scan), and a torus map decides every
+    index there; a pure translation of another group builds T^k x only
+    where the factor cannot reject or is back at x's, and tests it with
+    NumericAffine.near.  Every other map steps and tests each point.
+    Deterministic in (map, x, y, eps, horizon).  Raises NotFound when
+    nothing is found, and ValueError when limit < 1.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    return tuple(k for k, _ in _returns(affine, x, y, eps, horizon,
-                                        start, limit))
+    eps = _epsilon(eps)
+    x, y = affine.reduce(x), affine.reduce(y)
+    factor = _factor(affine, eps, (x, y))
+    return tuple(k for k, _ in _returns(affine, factor, x, y, eps,
+                                        int(horizon), start, limit))
 
 
-def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
-             limit: int) -> list:
-    """The pairs (k, T^k x) for the indices of find_forward_sequence.
-
-    The points are those the scan visits (_orbit): every T^k x for a map
-    that steps, and for a map with a torus factor the ones its factor
-    keeps, which include every return and every T^k x equal to x, so the
-    period is found as by stepping.
-    """
+def _epsilon(eps) -> Fraction:
     eps = to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    horizon = int(horizon)
-    x = affine.reduce(x)
-    y = affine.reduce(y)
+    return eps
+
+
+def _factor(affine: NumericAffine, eps: Fraction, points,
+            snap: bool = False) -> Optional[_TorusFactor]:
+    """The torus factor the scan runs on: a torus map's, or a pure
+    translation's where near() reads any coordinate before a product;
+    None for every other map."""
+    if affine._lattice_map is not None or (affine.is_pure_translation()
+                                           and affine._early):
+        return _TorusFactor(affine, eps, points, snap)
+    return None
+
+
+def _returns(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
+             eps: Fraction, horizon: int, start: int, limit: int) -> list:
+    """The pairs (k, T^k x) for the indices of find_forward_sequence, from
+    reduced points x and y and the map's factor (_factor), whose den
+    covers them.
+
+    On a torus T^k x is a state of the factor, and every test is the
+    factor's, which is near() there.  The points or states are those the
+    scan visits (_orbit): every T^k x for a map that steps, and for a map
+    with a torus factor the ones its factor keeps, which include every
+    return and every T^k x equal to x, so the period is found as by
+    stepping.
+    """
+    if affine._lattice_map is not None:
+        x, y = factor.state(x), factor.state(y)
+
+        def near(p):
+            return not factor.rejects(p, y)
+    else:
+        def near(p):
+            return affine.near(p, y, eps)
     hits = []  # (k, T^k x), k increasing
-    if start <= 0 and affine.near(x, y, eps):
+    if start <= 0 and near(x):
         hits.append((0, x))
         if len(hits) >= limit:
             return hits
     lo = max(start, 1)
-    factor = None
-    if affine._lattice_map is not None or (affine.is_pure_translation()
-                                           and affine._early):
-        factor = _TorusFactor(affine, eps, (x, y))
     if affine.is_pure_translation() and affine.group.spec.abelian():
-        origin, target = factor.state(x), factor.state(y)
         candidates = set()
         for a in affine.lattice.to_coords(affine.translation):
             candidates.update(_convergent_denominators(a, horizon))
         for k in sorted(candidates):
             if k < lo or k > horizon:
                 continue
-            s = factor.jump(origin, k)
-            if not factor.rejects(s, target):
-                hits.append((k, factor.point(s)))
+            s = factor.jump(x, k)
+            if near(s):
+                hits.append((k, s))
                 if len(hits) >= limit:
                     return hits
         if hits and hits[-1][0]:
@@ -495,7 +615,7 @@ def _returns(affine: NumericAffine, x, y, eps, horizon, start: int,
     for k, p in _orbit(affine, factor, x, y, horizon):
         if period is not None and k >= lo + period:
             break
-        if k >= lo and affine.near(p, y, eps):
+        if k >= lo and near(p):
             hits.append((k, p))
             if len(hits) >= limit:
                 return hits
@@ -520,26 +640,22 @@ def _orbit(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
     """(k, T^k x) for k = 1..horizon, leaving out each k at which the torus
     factor shows that T^k x is neither within eps of y nor equal to x.
 
-    A torus map's factor is all of its lattice coordinates, and its test is
-    exactly near(); a pure translation of another group has the factor of
-    the coordinates near() reads before any product.  The scan advances
-    the factor by one integer affine map mod den per k, and builds the
-    points left in from the state (on a torus) or by one closed-form jump
-    each.  A map with no factor steps to every k.
+    A torus map's factor is all of its lattice coordinates: x, y and each
+    T^k x are its states, and its scan decides near() itself.  A pure
+    translation of another group has the factor of the coordinates near()
+    reads before any product, and builds the points its scan keeps by one
+    closed-form jump each.  A map with no factor steps to every k.
     """
     if factor is None:
         p = x
         for k in range(1, horizon + 1):
             p = affine.step(p)
             yield k, p
-        return
-    torus = affine._lattice_map is not None
-    start, target = factor.state(x), factor.state(y)
-    s = start
-    for k in range(1, horizon + 1):
-        s = factor.advance(s)
-        if s == start or not factor.rejects(s, target):
-            yield k, factor.point(s) if torus else affine.jump(x, k)
+    elif affine._lattice_map is not None:
+        yield from factor.scan(x, y, horizon)
+    else:
+        for k, _ in factor.scan(factor.state(x), factor.state(y), horizon):
+            yield k, affine.jump(x, k)
 
 
 def _snap(point) -> tuple:
@@ -579,31 +695,52 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
 
     The forward points come from the scan that found the returns, each
     distinct one tested once; the backward ones from one walk from the
-    target.  The two cluster checks are threshold tests; exact distances
-    are computed only for a witness.
+    target.  The cluster checks are threshold tests; exact distances are
+    computed only for a witness.  On a torus the whole trial runs on one
+    factor (_TorusFactor), whose den also covers the snapped target: the
+    forward and backward points and the target are its states, its test
+    (near()) and its integer distance() decide, and a point is built only
+    to snap the first return.
     Returns (witness or None, whether any forward return was found).
     """
     probe = affine.reduce(probe)
+    eps = to_fraction(eps)
+    torus = affine._lattice_map is not None
+    factor = _factor(affine, eps, (probe,), snap=torus)
     try:
-        returns = _returns(affine, probe, probe, eps, horizon, 1, 10)
+        returns = _returns(affine, factor, probe, probe, eps, int(horizon),
+                           1, 10)
     except NotFound:
         return None, False
     seq, forward = zip(*returns)
-    target = _snap(forward[0])
-    eps = to_fraction(eps)
-    # a periodic orbit's returns repeat the window's point objects
+    # a periodic orbit's returns repeat the window's points or states
     forward = {id(p): p for p in forward}.values()
-    if not all(affine.near(p, target, eps) for p in forward):
-        return None, True  # cluster is not tight around the snapped target
-    backward = _walk(affine, target, seq, backward=True)
-    # near() is strict, so only a distance of exactly 10 eps needs the
-    # exact values to pass
-    if all(affine.near(p, probe, 10 * eps) for p in backward):
-        return None, True
-    bwd = max(affine.distance(p, probe) for p in backward)
-    if bwd <= 10 * eps:
-        return None, True
-    fwd = max(affine.distance(p, target) for p in forward)
+    if torus:
+        # the state of the snapped target's reduced point
+        snapped = _snap(factor.point(returns[0][1]))
+        target = [c % factor.den for c in factor.state(snapped)]
+        if any(factor.rejects(s, target) for s in forward):
+            return None, True  # cluster is not tight around the target
+        backward = factor.walk(target, seq, backward=True)
+        origin = factor.state(probe)
+        bwd = max(factor.distance(s, origin) for s in backward)
+        if bwd <= 10 * eps:
+            return None, True
+        fwd = max(factor.distance(s, target) for s in forward)
+        target = snapped
+    else:
+        target = _snap(returns[0][1])
+        if not all(affine.near(p, target, eps) for p in forward):
+            return None, True  # cluster is not tight around the target
+        backward = _walk(affine, target, seq, backward=True)
+        # near() is strict, so only a distance of exactly 10 eps needs the
+        # exact values to pass
+        if all(affine.near(p, probe, 10 * eps) for p in backward):
+            return None, True
+        bwd = max(affine.distance(p, probe) for p in backward)
+        if bwd <= 10 * eps:
+            return None, True
+        fwd = max(affine.distance(p, target) for p in forward)
     return FalsificationWitness(probe, target, seq, float(fwd),
                                 float(bwd)), True
 
@@ -621,10 +758,11 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     backward distance above 10*eps falsifies; otherwise the report stays
     ConsistentWithAA.  Trials are independent; the witness reported is
     the one with the lowest trial index.  Raises ValueError when
-    trials < 1: no trial is no evidence.
+    trials < 1 (no trial is no evidence) or eps <= 0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    eps = _epsilon(eps)
     horizon = int(horizon)
     rng = random.Random(seed)
     given = [affine.reduce(p) for p in probes or ()][:trials]
@@ -642,7 +780,7 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
              f"{trials} probes",)
     verdict = FALSIFIED if witness is not None else CONSISTENT
     return AATestReport(trials=trials, horizon=horizon,
-                        epsilon_forward=float(to_fraction(eps)), seed=seed,
+                        epsilon_forward=float(eps), seed=seed,
                         verdict=verdict, witness=witness, notes=notes)
 
 

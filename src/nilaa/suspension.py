@@ -121,9 +121,9 @@ def monodromy_adjoint_check(susp: SuspendedSystem) -> bool:
     return susp.big_group.adjoint_matrix(susp.delta()) == expected
 
 
-def embedding_consistency_check(system, susp: SuspendedSystem,
-                                samples: int) -> bool:
-    """Evaluate the affine map directly and through the suspension.
+def embedding_consistency_check(susp: SuspendedSystem, samples: int) -> bool:
+    """Evaluate the suspended map susp.base directly and through the
+    suspension.
 
     Route one applies exp(x) -> exp(a) U(exp x) downstairs.  Route two
     multiplies by the embedded translation in the big group, quotients the
@@ -133,6 +133,7 @@ def embedding_consistency_check(system, susp: SuspendedSystem,
     so the same point of N / exp(Lambda).  Checks `samples` seeded
     points and parameter values.
     """
+    system = susp.base
     group: NilpotentGroup = system.group
     rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
     params = system.translation.params

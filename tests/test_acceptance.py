@@ -137,7 +137,7 @@ def test_criterion_5_commutation_curve_matches_matrix_oracle():
 def test_criterion_6_suspension_is_a_faithful_embedding():
     for name in VALID_CORPUS:
         system = _system(name)
-        assert embedding_consistency_check(system, suspend(system),
+        assert embedding_consistency_check(suspend(system),
                                            samples=50) is True, name
         assert suspended_full_decide(system).status == \
             full_decide(system).status, name

@@ -465,6 +465,40 @@ def test_cli_simulate_checks_the_dump_path_before_the_test(capsys, tmp_path,
                                 f"No such file or directory"]
 
 
+@pytest.mark.parametrize("fails", ["write", "close"])
+def test_cli_simulate_closes_the_dump_once_and_answers_a_failed_write(
+        capsys, tmp_path, monkeypatch, fails):
+    import io
+    closes = []
+
+    class Dump(io.StringIO):
+        """A dump file whose write or closing flush fails for want of
+        space."""
+
+        def write(self, text):
+            if fails == "write":
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+        def close(self):
+            closes.append(fails)
+            super().close()
+            if fails == "close":
+                raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ncli, "open", lambda *args, **kwargs: Dump(),
+                        raising=False)
+    target = tmp_path / "orbit.csv"
+    code, verdict = _run_main_checked(capsys, "simulate",
+                                      _corpus("torus_rotation_1d.json"),
+                                      "--horizon", "500", "--trials", "1",
+                                      "--dump", str(target))
+    assert code == 3 and verdict["status"] == "ERROR"
+    assert verdict["notes"] == [f"cannot write {target}: "
+                                f"No space left on device"]
+    assert closes == [fails]
+
+
 def _translated_heisenberg(tmp_path, entry):
     """heisenberg_translation.json with parameters t, s and the given first
     translation entry."""
@@ -1019,9 +1053,9 @@ def test_cli_suspend_notes_the_samples_it_checks(capsys, monkeypatch):
     counts = []
     check = nsusp.embedding_consistency_check
 
-    def counting(system, susp, samples):
+    def counting(susp, samples):
         counts.append(samples)
-        return check(system, susp, samples=samples)
+        return check(susp, samples=samples)
 
     monkeypatch.setattr(nsusp, "embedding_consistency_check", counting)
     monkeypatch.setattr(ncli, "SUSPEND_SAMPLES", 12)

@@ -394,16 +394,22 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     assert compared == 48
     # a long horizon costs one period of the scan, not the horizon, and no
     # Fraction step: the skew's factor is its whole torus, whose kept points
-    # come from the integer state, and the Heisenberg translation jumps to
-    # the points its torus factor keeps; each scan stops at the second
-    # factor period
-    steps, jumps, tests = [], [], []
+    # are its integer states, and the Heisenberg translation jumps to the
+    # points its torus factor keeps; each scan stops at the second factor
+    # period, the last k it reaches
+    steps, jumps, reached = [], [], []
     step, jump = m.step, m.jump
     m.step = lambda p: steps.append(1) or step(p)
     m.jump = lambda p, k: jumps.append(1) or jump(p, k)
-    rejects = _TorusFactor.rejects
-    monkeypatch.setattr(_TorusFactor, "rejects",
-                        lambda *args: tests.append(1) or rejects(*args))
+    scan = _TorusFactor.scan
+
+    def recorded(factor, s, t, horizon):
+        reached.append(0)
+        for k, state in scan(factor, s, t, horizon):
+            reached[-1] = k
+            yield k, state
+
+    monkeypatch.setattr(_TorusFactor, "scan", recorded)
     assert find_forward_sequence(m, x, x, F(1, 100), 10 ** 6, start=1,
                                  limit=4) == (5, 10, 15, 20)
     with pytest.raises(NotFound):
@@ -411,7 +417,7 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     assert steps == []
     # the Heisenberg jumps are x's returns at k = 5 and 10 in each scan
     assert len(jumps) == (0 if kind == "skew" else 2 * 2)
-    assert len(tests) == 2 * 8
+    assert reached == [10, 10]
 
 
 # maps whose scan runs on the torus factor, with a probe; pure translations:
@@ -570,7 +576,11 @@ def test_torus_translation_returns_match_a_fraction_reference():
                                       limit=limit)
             outcomes.add("none")
             continue
-        assert norbit._returns(m, x, y, eps, horizon, start, limit) == expect
+        # the returns hold states of the factor, here as their points
+        x, y = m.reduce(x), m.reduce(y)
+        factor = norbit._factor(m, F(eps), (x, y))
+        assert [(k, factor.point(s)) for k, s in norbit._returns(
+            m, factor, x, y, F(eps), horizon, start, limit)] == expect
         ks = tuple(k for k, _ in expect)
         assert find_forward_sequence(m, x, y, eps, horizon, start=start,
                                      limit=limit) == ks
@@ -639,6 +649,112 @@ def test_factor_retreat_inverts_advance(name):
             assert factor.jump(states[-1], -k) == back
             assert factor.jump(states[0], k) == states[k]
             back = factor.retreat(back)
+
+
+# tori of dimension 1-5 on the identity lattice and the 2-torus of
+# TORUS_LATTICE, with U_L unipotent (the Jordan blocks, the skew) and not
+# (the reflection, the cat map, the quarter turn, the 5-cycle)
+CYCLE5 = QMatrix([[int(j == (i + 1) % 5) for j in range(5)]
+                  for i in range(5)])
+INTEGER_TORI = {
+    "rotation": lambda: torus(1, None, [F(2, 7)]),
+    "reflection": lambda: torus(1, QMatrix([[-1]]), [F(1, 3)]),
+    "skew": lambda: torus(2, SKEW, [F(2, 9), 0]),
+    "cat_map": lambda: torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)]),
+    "torus_lattice_skew": lambda: lattice_torus(TORUS_LATTICE, SKEW,
+                                                [F(1, 5), F(3, 7)]),
+    "torus_lattice_quarter_turn": lambda: lattice_torus(
+        TORUS_LATTICE, QMatrix([[0, -1], [1, 0]]), [F(1, 3), F(1, 5)]),
+    "jordan3": lambda: torus(3, JORDAN3, [0, 0, 0]),
+    "jordan4": lambda: torus(4, jordan_block(4), [F(1, 6), 0, 0, F(3, 8)]),
+    "cycle5": lambda: torus(5, CYCLE5, [F(1, 2), 0, F(1, 3), 0, F(2, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_TORI))
+def test_torus_factor_distance_and_test_are_the_point_definitions(name):
+    m = INTEGER_TORI[name]()
+    assert m._lattice_map is not None
+    rng = random.Random(name)
+    d, den = m.dim, 2 ** 10
+    kinds = set()
+    for n in range(200):
+        eps = rng.choice(EPSILONS[3:])
+        x = m.reduce([F(rng.randrange(den), den) for _ in range(d)])
+        signs = [rng.randrange(-1, 2) for _ in range(d)]
+        if n % 4 == 0:
+            y = [F(rng.randrange(den), den) for _ in range(d)]
+        elif n % 4 == 1:
+            # lattice coordinates off by -1/2, 0 or 1/2: ties of round()
+            y = m.group.mult_vec(x, m.lattice.from_coords(
+                [F(e, 2) for e in signs]))
+        else:
+            # coordinates eps or 10 eps off, ties of both thresholds
+            size = eps if n % 4 == 2 else 10 * eps
+            y = [a + size * e for a, e in zip(x, signs)]
+        y = m.reduce(y)
+        factor = _TorusFactor(m, eps, (x, y))
+        s, t = factor.state(x), factor.state(y)
+        exact = m.distance(x, y)
+        assert factor.distance(s, t) == exact
+        assert factor.rejects(s, t) == (not m.near(x, y, eps))
+        if exact in (eps, 10 * eps):
+            kinds.add(exact / eps)
+        if n % 4 == 1 and any(signs):
+            kinds.add("tie")
+        # a trial's factor also covers every point on the snap grid
+        snapped = m.reduce(_snap(y))
+        trial = _TorusFactor(m, eps, (x,), snap=True)
+        assert trial.point(trial.state(snapped)) == snapped
+        assert trial.distance(trial.state(x), trial.state(snapped)) == \
+            m.distance(x, snapped)
+    assert kinds == {1, 10, "tie"}
+
+
+SCAN_MAPS = dict(FACTOR_MAPS, **{
+    name: (build, (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1, 10))[:d])
+    for name, build, d in (("skew_fixed_fiber", INTEGER_TORI["skew"], 2),
+                           ("jordan3_fixed", INTEGER_TORI["jordan3"], 3),
+                           ("cycle5", INTEGER_TORI["cycle5"], 5))},
+    heisenberg_translation_file=(lambda: _numeric_map(nio.parse_system(
+        nio.corpus_file("heisenberg_translation.json")))[0],
+        (F(0.1), F(0.25), F(0.125))))
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+def test_scan_yields_what_per_k_advance_and_rejects_keep(name):
+    build, x = SCAN_MAPS[name]
+    m = build()
+    x = m.reduce(x)
+    rng = random.Random(name)
+    # the corpus translation's factor has a fixed coordinate, whose test
+    # row the scan decides once
+    if name == "heisenberg_translation_file":
+        drift = _TorusFactor(m, None, (x,))._drift
+        assert [c == 0 for c in drift] == [False, True]
+    kept = set()
+    # T^3 x off by a tie of round() in its first lattice coordinate, and a
+    # quarter in the others, on either side; eps = 1 puts the rows that
+    # read both at the bound
+    third = iterate(m, x, 3)
+    ties = [m.group.mult_vec(third, m.lattice.from_coords(
+        [F(sign, 2)] + [F(sign, 4)] * (m.dim - 1))) for sign in (1, -1)]
+    for eps in (F(1, 100), F(1, 10), F(1, 4), F(1)):
+        for y in (x, third, *ties,
+                  [F(rng.randrange(64), 64) for _ in range(m.dim)]):
+            y = m.reduce(y)
+            factor = _TorusFactor(m, eps, (x, y))
+            s, t = factor.state(x), factor.state(y)
+            expect, state = [], s
+            for k in range(1, 151):
+                state = factor.advance(state)
+                if state == s or not factor.rejects(state, t):
+                    expect.append((k, state))
+            got = list(factor.scan(s, t, 150))
+            assert got == expect, (eps, y)
+            kept.update("return" if state == s else "near"
+                        for _, state in got)
+    assert "near" in kept
 
 
 def test_jump_of_every_pure_translation_matches_single_steps():
@@ -821,7 +937,9 @@ def test_run_trial_walks_to_the_per_index_answer():
             heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0, 0]),
             heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), [0, 0.25, 0.1]),
             heis(None, [0.5, 0.25, 0.23]),
-            torus(2, None, [0.3, F(1, 8)])]
+            torus(2, None, [0.3, F(1, 8)]),
+            lattice_torus(TORUS_LATTICE, SKEW, [F(1, 5), F(3, 7)]),
+            torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])]
     rng = random.Random(31)
     outcomes = set()
     for m in maps:
@@ -846,18 +964,27 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     probe, eps = (F(3, 10), F(7, 10), F(1, 10)), F(1, 1000)
     assert find_forward_sequence(m, probe, probe, eps, 500, start=1) == \
         tuple(range(20, 201, 20))
-    targets = {"near": [], "distance": []}
-    for name, seen in targets.items():
-        def counted(self, x, y, *rest, _original=getattr(NumericAffine, name), _seen=seen):
-            _seen.append(tuple(y))
+    # the trial runs on the torus factor's states: its integer test and
+    # distance take the calls, as the points of the states they are given
+    targets = {}
+    for cls, name in ((_TorusFactor, "rejects"), (_TorusFactor, "distance"),
+                      (NumericAffine, "near"), (NumericAffine, "distance")):
+        seen = targets[cls.__name__, name] = []
+
+        def counted(self, x, y, *rest, _original=getattr(cls, name),
+                    _seen=seen):
+            _seen.append(self.point(y) if isinstance(self, _TorusFactor)
+                         else tuple(y))
             return _original(self, x, y, *rest)
-        monkeypatch.setattr(NumericAffine, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     witness, had_returns = _run_trial(m, probe, eps, 500)
     assert had_returns and witness.sequence == tuple(range(20, 201, 20))
     # the forward cluster check and the witness's forward distance are
     # the calls against the snapped target
-    assert targets["near"].count(witness.target) == 1
-    assert targets["distance"].count(witness.target) == 1
+    assert targets["_TorusFactor", "rejects"].count(witness.target) == 1
+    assert targets["_TorusFactor", "distance"].count(witness.target) == 1
+    assert targets["NumericAffine", "near"] == []
+    assert targets["NumericAffine", "distance"] == []
 
 
 # ---- trajectory ----

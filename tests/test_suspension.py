@@ -128,19 +128,19 @@ def test_monodromy_adjoint_matches_the_automorphism():
     furstenberg_system, heis_shear_system, free23_system])
 def test_embedding_consistency(builder):
     system = builder()
-    assert embedding_consistency_check(system, suspend(system), samples=15)
+    assert embedding_consistency_check(suspend(system), samples=15)
 
 
 def test_embedding_consistency_heisenberg_translation():
     a = ParamVector(("t",), [t_poly(), Poly.zero(("t",)), Poly.zero(("t",))])
     system = make_system(heisenberg(), lattice=HEIS_LATTICE, translation=a)
-    assert embedding_consistency_check(system, suspend(system), samples=15)
+    assert embedding_consistency_check(suspend(system), samples=15)
 
 
 def test_embedding_consistency_jordan3():
     U = QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     system = make_system(abelian(3), automorphism=U)
-    assert embedding_consistency_check(system, suspend(system), samples=15)
+    assert embedding_consistency_check(suspend(system), samples=15)
 
 
 def test_corrupted_monodromy_trips_the_check():
@@ -156,7 +156,7 @@ def test_corrupted_monodromy_trips_the_check():
     corrupted = SuspendedSystem(big_spec, big_group, D, system.lattice,
                                 big_group.mult(lifted, delta), system)
     with pytest.raises(Mismatch) as info:
-        embedding_consistency_check(system, corrupted, samples=10)
+        embedding_consistency_check(corrupted, samples=10)
     assert info.value.direct != info.value.embedded
     assert not monodromy_adjoint_check(corrupted)
 
