@@ -271,15 +271,27 @@ def parse_system(path) -> AffineSystem:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from exc
+    return system_from_dict(_decode(raw, path.name), source=path.name)
+
+
+def _decode(raw, source: str):
+    """The JSON value of raw, UTF-8 bytes or text.
+
+    Raises ParseError naming source where the bytes are not UTF-8, the
+    text is not JSON, the nesting is deeper than the recursion limit or an
+    integer literal is longer than the interpreter's digit limit.
+    """
     try:
-        data = json.loads(text)
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes)
+                          else raw)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path.name}:{exc.lineno}:{exc.colno}",
+        raise ParseError(f"{source}:{exc.lineno}:{exc.colno}",
                          exc.msg) from exc
-    return system_from_dict(data, source=path.name)
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(source, str(exc)) from exc
 
 
 # ---- certificates ----
@@ -447,12 +459,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_verdict(text: str) -> dict:
-    """Decode and shape-check a verdict file."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"verdict:{exc.lineno}", exc.msg) from exc
+def parse_verdict(text) -> dict:
+    """Decode and shape-check a verdict file, given as text or as UTF-8
+    bytes."""
+    data = _decode(text, "verdict")
     if not isinstance(data, dict) or set(data) != {"status", "criterion",
                                                    "certificate", "notes"}:
         raise ParseError("verdict", "expected exactly the fields status, "

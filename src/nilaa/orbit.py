@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, product
 from operator import add, sub
 from typing import Optional, Sequence
@@ -61,21 +62,10 @@ class NumericAffine:
     A non-abelian group needs dimension <= NEIGHBOUR_DIM_CAP, which bounds
     the lattice neighbours that distance() searches.
 
-    A map has one of two representations.  Any map acts on points, exact
-    Fraction tuples.  A torus map, and a pure translation of any group,
-    also acts by an integer affine map on its torus factor: the lattice
-    coordinates that near() reads before any group product, held as one
-    integer state (_TorusFactor).  A torus map's factor is all of its
-    lattice coordinates c = L^-1 x, on which T is c -> U_L c + c(a) mod 1,
-    U_L = L^-1 U L the system's integral lattice_automorphism; there the
-    factor's integer test is exactly near(), its integer distance is
-    exactly distance(), and its state gives the point back.  A torus map
-    walks, jumps, scans and runs whole trials on the factor, and builds a
-    point only to snap a target or to print one; when U_L is unipotent
-    the factor has a closed form (_TorusFactor.jump), a polynomial
-    sequence in m (Leibman 1998).  A pure translation of any other group
-    scans its factor and builds the points the scan keeps by its one
-    product (m a) x (jump); every other map steps on points.
+    These methods act on points, exact Fraction tuples.  The oracle's
+    scans, walks and trials run in the orbit space that _space chooses
+    once per map: a torus map's integer torus factor (_TorusFactor), and
+    for every other map its points (_Points), which these methods serve.
     """
 
     def __init__(self, system, translation):
@@ -87,8 +77,6 @@ class NumericAffine:
         self.lattice = lattice = system.lattice
         self.matrix = system.automorphism
         self.translation = translation
-        self._inverse = system.automorphism.inverse()
-        self._neg_translation = self.group.inv(translation)
         self._pure = system.is_translation()
         spec = system.group.spec
         # distance() tries the nearest translate and, unless the group is
@@ -158,10 +146,16 @@ class NumericAffine:
         ux = self.matrix.matvec(x)
         return self.reduce(self.group.mult_vec(self.translation, ux))
 
+    @cached_property
+    def _backward(self) -> tuple:
+        """U^-1 and a^-1, built at the first backward step."""
+        return self.matrix.inverse(), self.group.inv(self.translation)
+
     def step_back(self, x) -> tuple:
         """One exact backward application with reduction."""
-        shifted = self.group.mult_vec(self._neg_translation, x)
-        return self.reduce(self._inverse.matvec(shifted))
+        inverse, neg_translation = self._backward
+        return self.reduce(inverse.matvec(
+            self.group.mult_vec(neg_translation, x)))
 
     def reach(self) -> Optional[int]:
         """The number of nonzero powers N^0, N^1, .. of N = U - I when the
@@ -205,12 +199,11 @@ class NumericAffine:
         translate can be read from them, a coordinate that every candidate
         puts at eps or beyond rejects without a group product.  Then the
         candidates of distance() are searched with eps as the bound, up to
-        the first one under it.  On a torus the first phase reads every
-        coordinate of the one candidate, so it decides alone.
+        the first one under it.
         """
         x, y = _point(x), _point(y)
-        return not self._rejects_early(x, y, eps) and (
-            self._lattice_map is not None or self._least(x, y, eps) < eps)
+        return not self._rejects_early(x, y, eps) and \
+            self._least(x, y, eps) < eps
 
     def _rejects_early(self, x, y, eps) -> bool:
         """near()'s first phase: some coordinate i of _early puts every
@@ -266,23 +259,24 @@ class NumericAffine:
 
 class _TorusFactor:
     """The integer state of a map's torus factor: the lattice coordinates
-    that near()'s first phase reads, on which T acts by an integer matrix
-    U_f.
+    c_j that near()'s first phase reads, on which T acts by an integer
+    affine map c -> U_f c + c(a) mod 1.
 
-    Those lattice coordinates c_j are read off coordinates that no bracket
-    or shift touches.  On a torus that is every lattice coordinate: T acts
-    on c = L^-1 x as c -> U_L c + c(a) mod 1 (U_f = U_L), with no
-    neighbour moves or central shifts the integer test is exactly near(),
-    distance() is exactly NumericAffine.distance, and point() gives a
-    state's point back.  On any other group only a pure translation has a
-    factor: it adds c_j(a) and a reduction adds an integer (U_f = I).  On
-    the orbit of a reduced point every c_j lies in [0, 1) and is a
-    multiple of 1/den, den the lcm of eps's denominator and those of the
-    c_j of the translation and the given points, so a state holds the
-    integers den * c_j.  With snap, den also covers every point on the
-    SNAP_GRID, the targets of a trial.  A state holds c_j, not its class
-    mod 1: round() breaks a tie at 1/2 by parity.  With eps None the
-    factor has no threshold test and den leaves eps out.
+    It has two uses.  It is the orbit space of a torus map (_space): there
+    the factor is every lattice coordinate c = L^-1 x and U_f = U_L =
+    L^-1 U L, the system's integral lattice_automorphism; with no
+    neighbour moves or central shifts, near() and distance() are
+    NumericAffine's, in integers, and point() gives a state's point back.
+    And it is the scan filter of a pure translation of a non-abelian group
+    (_Points.scan): a reduction adds an integer to each c_j (U_f = I), and
+    rejects() is near()'s first phase.  On the orbit of a reduced point
+    every c_j lies in [0, 1) and is a multiple of 1/den, den the lcm of
+    eps's denominator and those of the c_j of the translation and the
+    given points, so a state holds the integers den * c_j.  With snap, den
+    also covers every point on the SNAP_GRID, the targets of a trial.  A
+    state holds c_j in [0, 1), not another member of its class mod 1:
+    round() breaks a tie at 1/2 by parity.  With eps None the factor has
+    no threshold test and den leaves eps out.
     """
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
@@ -317,7 +311,7 @@ class _TorusFactor:
             # a torus: x = L c, as integer rows over one denominator
             scale, self._basis = _scaled_rows(affine.lattice.basis)
             self._unit = scale * den
-        self._drift = drift = [c % den for c in self.state(affine.translation)]
+        self._drift = drift = self.state(affine.translation)
         # T^-1 is s -> U_f^-1 s + back mod den, back = -U_f^-1 drift
         self._back = [-sum(u * drift[k] for k, u in row) % den
                       for row in self._inverse]
@@ -355,9 +349,20 @@ class _TorusFactor:
         return _visit(s, ks, self.retreat if backward else self.advance,
                       self.jump, self._reach, backward)
 
+    def tries(self, horizon: int) -> list:
+        """The indices a return search tries first, each by one jump: for a
+        pure translation (U_f = I), the continued-fraction convergent
+        denominators up to horizon of its lattice coordinates; else none."""
+        if self._reach != 1:
+            return []
+        return sorted({q for a in self._drift for q in
+                       _convergent_denominators(Fraction(a, self.den),
+                                                horizon)})
+
     def state(self, p) -> list:
-        """den * c_j(p) for the factor's coordinates j."""
-        return [int(dot(row, p) * self.den) for row in self._rows]
+        """den * c_j(p) mod den for the factor's coordinates j: the state of
+        the reduced point of p."""
+        return [int(dot(row, p) * self.den) % self.den for row in self._rows]
 
     def point(self, s) -> tuple:
         """The point L s / den of a state of a torus map's factor."""
@@ -384,13 +389,25 @@ class _TorusFactor:
         r = sum(c * gap[j] for j, c in row)
         return abs(r) >= bound and all(abs(r - m) >= bound for m in moves)
 
+    def _norm(self, s, t) -> int:
+        """The max-norm of L gap times the integer unit = scale * den of a
+        torus map's factor, gap as rejects() centres it, so a tie of
+        round() at 1/2 agrees."""
+        gap = self._gap(s, t)
+        return max(abs(sum(c * gap[j] for j, c in row))
+                   for row in self._basis)
+
+    def near(self, s, t, bound) -> bool:
+        """NumericAffine.near of the points of states s and t of a torus
+        map's factor, distance(s, t) < bound; with bound eps exactly
+        not rejects(s, t)."""
+        return self._norm(s, t) * bound.denominator < \
+            bound.numerator * self._unit
+
     def distance(self, s, t) -> Fraction:
         """NumericAffine.distance of the points of states s and t of a
-        torus map's factor: the max-norm of L gap / den, gap as rejects()
-        centres it, so a tie of round() at 1/2 agrees."""
-        gap = self._gap(s, t)
-        return Fraction(max(abs(sum(c * gap[j] for j, c in row))
-                            for row in self._basis), self._unit)
+        torus map's factor."""
+        return Fraction(self._norm(s, t), self._unit)
 
     def scan(self, s, t, horizon: int):
         """(k, state of T^k p) for k = 1..horizon from the state s of p,
@@ -445,6 +462,68 @@ class _TorusFactor:
                     yield k, s[:]
 
 
+class _Points:
+    """The orbit space of a map that is not a torus map: a state is a
+    point, and near(), distance() and the steps are NumericAffine's."""
+
+    def __init__(self, affine: NumericAffine, eps: Optional[Fraction]):
+        self._affine, self._eps = affine, eps
+        self.near, self.distance = affine.near, affine.distance
+
+    @staticmethod
+    def state(p) -> tuple:
+        return p
+
+    point = state
+
+    @staticmethod
+    def tries(horizon: int) -> tuple:
+        return ()
+
+    def walk(self, x, ks, backward: bool = False) -> list:
+        """The points T^k x (T^-k x when backward) for the increasing
+        indices ks: _visit on points.  x need not be reduced where ks
+        starts above 0, since each step and jump reduces its coset."""
+        affine = self._affine
+        return _visit(x, ks, affine.step_back if backward else affine.step,
+                      affine.jump, affine.reach(), backward)
+
+    def scan(self, x, y, horizon: int):
+        """(k, T^k x) for k = 1..horizon from the reduced point x.
+
+        A pure translation whose near() reads a coordinate before any
+        product builds its torus factor (_TorusFactor) as a filter: it
+        leaves out each k at which the factor shows that T^k x is neither
+        within eps of y nor equal to x, and builds each kept point by one
+        jump.  Every other map steps to every k.
+        """
+        affine = self._affine
+        if affine.is_pure_translation() and affine._early:
+            factor = _TorusFactor(affine, self._eps, (x, y))
+            for k, _ in factor.scan(factor.state(x), factor.state(y),
+                                    horizon):
+                yield k, affine.jump(x, k)
+        else:
+            p = x
+            for k in range(1, horizon + 1):
+                p = affine.step(p)
+                yield k, p
+
+
+def _space(affine: NumericAffine, eps: Optional[Fraction], points,
+           snap: bool = False):
+    """The orbit space of the map, chosen once: a torus map's torus factor
+    (_TorusFactor), whose states are integers, or every other map's points
+    (_Points).  Both offer state, point, near, distance, walk, scan and
+    tries, and jump where tries yields indices.  The space holds the
+    states of the given points, with snap also of every point on the
+    SNAP_GRID, and its scan keeps states within eps (None for a walk).
+    """
+    if affine._lattice_map is not None:
+        return _TorusFactor(affine, eps, points, snap)
+    return _Points(affine, eps)
+
+
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
     """k-fold application (signed), reducing after every step.
 
@@ -457,20 +536,14 @@ def iterate(affine: NumericAffine, x, k: int) -> tuple:
 
 
 def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
-    """T^k x (T^-k x when backward) for each of the increasing indices ks.
-
-    One pass along the orbit (_visit).  A torus map walks its factor's
-    integer state (_TorusFactor) and builds a point only per index.  Each
-    point equals the one reached by stepping from x, since a step is a
-    function of the exact point.
+    """T^k x (T^-k x when backward) for each of the increasing indices ks,
+    by one walk in the map's orbit space (_space) and one point built per
+    index.  Each equals the point reached by stepping from x, since a step
+    is a function of the exact point.
     """
     x = affine.reduce(x)
-    if affine._lattice_map is not None:
-        factor = _TorusFactor(affine, None, (x,))
-        return [factor.point(s)
-                for s in factor.walk(factor.state(x), ks, backward)]
-    return _visit(x, ks, affine.step_back if backward else affine.step,
-                  affine.jump, affine.reach(), backward)
+    space = _space(affine, None, (x,))
+    return [space.point(s) for s in space.walk(space.state(x), ks, backward)]
 
 
 def _visit(state, ks, step, jump, reach: Optional[int], backward: bool
@@ -511,9 +584,7 @@ def _convergent_denominators(value: Fraction, bound: int) -> list:
     h_prev, h = 0, 1  # denominators q_{-1}, q_0
     a = value
     while True:
-        q = math.floor(1 / a) if a else None
-        if q is None:
-            break
+        q = math.floor(1 / a)
         h_prev, h = h, q * h + h_prev
         if h > bound:
             break
@@ -528,26 +599,25 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
                           *, start: int = 0, limit: int = 10) -> tuple:
     """Indices k in [start, horizon] with dist(T^k x, y) < eps.
 
-    Returns up to `limit` indices in increasing order.  For pure
-    translations of an abelian group the continued-fraction convergent
-    denominators of the translation's lattice coordinates are tried first,
-    each by one jump and integer test of the torus factor.  Otherwise an
-    incremental scan runs, and stops after one period once the exact orbit
-    returns to x.  A torus map or a pure translation scans its torus
-    factor in integers (_TorusFactor.scan), and a torus map decides every
-    index there; a pure translation of another group builds T^k x only
-    where the factor cannot reject or is back at x's, and tests it with
-    NumericAffine.near.  Every other map steps and tests each point.
-    Deterministic in (map, x, y, eps, horizon).  Raises NotFound when
-    nothing is found, and ValueError when limit < 1.
+    Returns up to `limit` indices in increasing order, from one search in
+    the map's orbit space (_space, _returns).  A pure translation of a
+    torus first tries the continued-fraction convergent denominators of
+    its lattice coordinates, each by one jump and integer test.  Otherwise
+    an incremental scan runs, and stops after one period once the exact
+    orbit returns to x.  A torus map scans and tests its integer states; a
+    pure translation of another group scans its torus factor and builds
+    T^k x only where the factor cannot reject or is back at x's; every
+    other map steps and tests each point.  Deterministic in (map, x, y,
+    eps, horizon).  Raises NotFound when nothing is found, and ValueError
+    when limit < 1.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     eps = _epsilon(eps)
     x, y = affine.reduce(x), affine.reduce(y)
-    factor = _factor(affine, eps, (x, y))
-    return tuple(k for k, _ in _returns(affine, factor, x, y, eps,
-                                        int(horizon), start, limit))
+    space = _space(affine, eps, (x, y))
+    return tuple(k for k, _ in _returns(space, space.state(x), space.state(y),
+                                        eps, int(horizon), start, limit))
 
 
 def _epsilon(eps) -> Fraction:
@@ -557,65 +627,38 @@ def _epsilon(eps) -> Fraction:
     return eps
 
 
-def _factor(affine: NumericAffine, eps: Fraction, points,
-            snap: bool = False) -> Optional[_TorusFactor]:
-    """The torus factor the scan runs on: a torus map's, or a pure
-    translation's where near() reads any coordinate before a product;
-    None for every other map."""
-    if affine._lattice_map is not None or (affine.is_pure_translation()
-                                           and affine._early):
-        return _TorusFactor(affine, eps, points, snap)
-    return None
+def _returns(space, x, y, eps: Fraction, horizon: int, start: int,
+             limit: int) -> list:
+    """The pairs (k, T^k x) for the indices of find_forward_sequence, T^k x
+    a state of the map's orbit space (_space), from the states x and y of
+    reduced points.
 
-
-def _returns(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
-             eps: Fraction, horizon: int, start: int, limit: int) -> list:
-    """The pairs (k, T^k x) for the indices of find_forward_sequence, from
-    reduced points x and y and the map's factor (_factor), whose den
-    covers them.
-
-    On a torus T^k x is a state of the factor, and every test is the
-    factor's, which is near() there.  The points or states are those the
-    scan visits (_orbit): every T^k x for a map that steps, and for a map
-    with a torus factor the ones its factor keeps, which include every
-    return and every T^k x equal to x, so the period is found as by
-    stepping.
+    The states tested are the space's tries and those its scan keeps,
+    which include every return and every T^k x equal to x, so the period
+    is found as by stepping.
     """
-    if affine._lattice_map is not None:
-        x, y = factor.state(x), factor.state(y)
-
-        def near(p):
-            return not factor.rejects(p, y)
-    else:
-        def near(p):
-            return affine.near(p, y, eps)
     hits = []  # (k, T^k x), k increasing
-    if start <= 0 and near(x):
+    if start <= 0 and space.near(x, y, eps):
         hits.append((0, x))
         if len(hits) >= limit:
             return hits
     lo = max(start, 1)
-    if affine.is_pure_translation() and affine.group.spec.abelian():
-        candidates = set()
-        for a in affine.lattice.to_coords(affine.translation):
-            candidates.update(_convergent_denominators(a, horizon))
-        for k in sorted(candidates):
-            if k < lo or k > horizon:
-                continue
-            s = factor.jump(x, k)
-            if near(s):
+    for k in space.tries(horizon):
+        if k >= lo:
+            s = space.jump(x, k)
+            if space.near(s, y, eps):
                 hits.append((k, s))
                 if len(hits) >= limit:
                     return hits
-        if hits and hits[-1][0]:
-            return hits
+    if hits and hits[-1][0]:
+        return hits
     # step is a function of the exact point, so once T^period x == x the
     # orbit repeats: one scanned window of `period` indices gives the rest
     period = None
-    for k, p in _orbit(affine, factor, x, y, horizon):
+    for k, p in space.scan(x, y, horizon):
         if period is not None and k >= lo + period:
             break
-        if k >= lo and near(p):
+        if k >= lo and space.near(p, y, eps):
             hits.append((k, p))
             if len(hits) >= limit:
                 return hits
@@ -633,29 +676,6 @@ def _returns(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
     if not hits:
         raise NotFound(f"no return within horizon {horizon}")
     return hits
-
-
-def _orbit(affine: NumericAffine, factor: Optional[_TorusFactor], x, y,
-           horizon: int):
-    """(k, T^k x) for k = 1..horizon, leaving out each k at which the torus
-    factor shows that T^k x is neither within eps of y nor equal to x.
-
-    A torus map's factor is all of its lattice coordinates: x, y and each
-    T^k x are its states, and its scan decides near() itself.  A pure
-    translation of another group has the factor of the coordinates near()
-    reads before any product, and builds the points its scan keeps by one
-    closed-form jump each.  A map with no factor steps to every k.
-    """
-    if factor is None:
-        p = x
-        for k in range(1, horizon + 1):
-            p = affine.step(p)
-            yield k, p
-    elif affine._lattice_map is not None:
-        yield from factor.scan(x, y, horizon)
-    else:
-        for k, _ in factor.scan(factor.state(x), factor.state(y), horizon):
-            yield k, affine.jump(x, k)
 
 
 def _snap(point) -> tuple:
@@ -693,54 +713,38 @@ def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
 def _run_trial(affine: NumericAffine, probe, eps, horizon):
     """One probe: forward cluster, snapped target, backward check.
 
-    The forward points come from the scan that found the returns, each
-    distinct one tested once; the backward ones from one walk from the
-    target.  The cluster checks are threshold tests; exact distances are
-    computed only for a witness.  On a torus the whole trial runs on one
-    factor (_TorusFactor), whose den also covers the snapped target: the
-    forward and backward points and the target are its states, its test
-    (near()) and its integer distance() decide, and a point is built only
-    to snap the first return.
+    The trial runs in the map's orbit space (_space), whose states also
+    cover the snapped target.  The forward states come from the scan that
+    found the returns, each distinct one tested once; the backward ones
+    from one walk from the target.  The cluster checks are threshold tests
+    (near); exact distances are computed only for a witness, and a point
+    is built only to snap the first return.
     Returns (witness or None, whether any forward return was found).
     """
     probe = affine.reduce(probe)
     eps = to_fraction(eps)
-    torus = affine._lattice_map is not None
-    factor = _factor(affine, eps, (probe,), snap=torus)
+    space = _space(affine, eps, (probe,), snap=True)
+    origin = space.state(probe)
     try:
-        returns = _returns(affine, factor, probe, probe, eps, int(horizon),
-                           1, 10)
+        returns = _returns(space, origin, origin, eps, int(horizon), 1, 10)
     except NotFound:
         return None, False
     seq, forward = zip(*returns)
-    # a periodic orbit's returns repeat the window's points or states
-    forward = {id(p): p for p in forward}.values()
-    if torus:
-        # the state of the snapped target's reduced point
-        snapped = _snap(factor.point(returns[0][1]))
-        target = [c % factor.den for c in factor.state(snapped)]
-        if any(factor.rejects(s, target) for s in forward):
-            return None, True  # cluster is not tight around the target
-        backward = factor.walk(target, seq, backward=True)
-        origin = factor.state(probe)
-        bwd = max(factor.distance(s, origin) for s in backward)
-        if bwd <= 10 * eps:
-            return None, True
-        fwd = max(factor.distance(s, target) for s in forward)
-        target = snapped
-    else:
-        target = _snap(returns[0][1])
-        if not all(affine.near(p, target, eps) for p in forward):
-            return None, True  # cluster is not tight around the target
-        backward = _walk(affine, target, seq, backward=True)
-        # near() is strict, so only a distance of exactly 10 eps needs the
-        # exact values to pass
-        if all(affine.near(p, probe, 10 * eps) for p in backward):
-            return None, True
-        bwd = max(affine.distance(p, probe) for p in backward)
-        if bwd <= 10 * eps:
-            return None, True
-        fwd = max(affine.distance(p, target) for p in forward)
+    # a periodic orbit's returns repeat the window's states
+    forward = {id(s): s for s in forward}.values()
+    target = _snap(space.point(returns[0][1]))
+    at = space.state(target)
+    if not all(space.near(s, at, eps) for s in forward):
+        return None, True  # cluster is not tight around the target
+    backward = space.walk(at, seq, backward=True)
+    # near() is strict, so only a distance of exactly 10 eps needs the
+    # exact values to pass
+    if all(space.near(s, origin, 10 * eps) for s in backward):
+        return None, True
+    bwd = max(space.distance(s, origin) for s in backward)
+    if bwd <= 10 * eps:
+        return None, True
+    fwd = max(space.distance(s, at) for s in forward)
     return FalsificationWitness(probe, target, seq, float(fwd),
                                 float(bwd)), True
 

@@ -111,3 +111,39 @@ def test_mutated_goldens_parse_or_raise_parse_error():
                     nio.parse_verdict(mutant)
                 except nio.ParseError:
                     pass
+
+
+# Files that fail before any JSON value exists: bytes that are not UTF-8,
+# nesting deeper than the recursion limit, and an integer literal longer
+# than the interpreter's 4300-digit limit for int().
+MALFORMED = {
+    "not_utf8": b'{"name": "\xff", "dim": 1}',
+    "too_deep": b"[" * 100000 + b"]" * 100000,
+    "long_integer": b'{"dim": ' + b"7" * 5000 + b"}",
+}
+
+
+def test_every_command_answers_error_on_malformed_bytes(capsys, tmp_path):
+    for name, raw in sorted(MALFORMED.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        for argv in (("validate",), ("suspend",), ("simulate",),
+                     *(("decide", "--criterion", c) for c in ncli.CRITERIA)):
+            code = ncli.main([argv[0], str(path), *argv[1:]])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, (name, argv)
+            verdict = json.loads(captured.out)
+            assert verdict["status"] == "ERROR", (name, argv)
+            assert verdict["notes"][0].startswith(f"{name}.json"), (name, argv)
+            assert code == 3, (name, argv)
+
+
+def test_parse_verdict_raises_parse_error_on_malformed_bytes():
+    for name, raw in sorted(MALFORMED.items()):
+        for given in (raw, raw.decode("utf-8", "replace")):
+            try:
+                nio.parse_verdict(given)
+            except nio.ParseError as exc:
+                assert str(exc).startswith("verdict"), name
+            else:
+                raise AssertionError(f"{name} parsed as a verdict")

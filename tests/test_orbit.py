@@ -576,11 +576,14 @@ def test_torus_translation_returns_match_a_fraction_reference():
                                       limit=limit)
             outcomes.add("none")
             continue
-        # the returns hold states of the factor, here as their points
+        # the chooser gives a torus map its factor, and the returns hold
+        # the factor's states, here as their points
         x, y = m.reduce(x), m.reduce(y)
-        factor = norbit._factor(m, F(eps), (x, y))
-        assert [(k, factor.point(s)) for k, s in norbit._returns(
-            m, factor, x, y, F(eps), horizon, start, limit)] == expect
+        space = norbit._space(m, F(eps), (x, y))
+        assert isinstance(space, _TorusFactor)
+        assert [(k, space.point(s)) for k, s in norbit._returns(
+            space, space.state(x), space.state(y), F(eps), horizon, start,
+            limit)] == expect
         ks = tuple(k for k, _ in expect)
         assert find_forward_sequence(m, x, y, eps, horizon, start=start,
                                      limit=limit) == ks
@@ -697,7 +700,9 @@ def test_torus_factor_distance_and_test_are_the_point_definitions(name):
         s, t = factor.state(x), factor.state(y)
         exact = m.distance(x, y)
         assert factor.distance(s, t) == exact
-        assert factor.rejects(s, t) == (not m.near(x, y, eps))
+        assert factor.rejects(s, t) == (not m.near(x, y, eps)) == \
+            (not factor.near(s, t, eps))
+        assert factor.near(s, t, 10 * eps) == m.near(x, y, 10 * eps)
         if exact in (eps, 10 * eps):
             kinds.add(exact / eps)
         if n % 4 == 1 and any(signs):
@@ -755,6 +760,22 @@ def test_scan_yields_what_per_k_advance_and_rejects_keep(name):
             kept.update("return" if state == s else "near"
                         for _, state in got)
     assert "near" in kept
+
+
+def test_the_chooser_gives_torus_maps_their_factor_and_others_points():
+    maps = [build() for table in (CLOSED_FORM_MAPS, NEAR_MAPS, FACTOR_MAPS)
+            for build, _ in table.values()]
+    maps.append(heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                     [F(1, 5), F(2, 7), F(1, 3)]))
+    kinds = set()
+    for m in maps:
+        x = m.reduce([F(k + 2, 5 + 3 * k) for k in range(m.dim)])
+        space = norbit._space(m, F(1, 10), (x,))
+        torus = m.group.spec.abelian()
+        assert isinstance(space, _TorusFactor if torus else norbit._Points)
+        assert space.point(space.state(x)) == x
+        kinds.add((torus, m.is_pure_translation()))
+    assert len(kinds) == 4
 
 
 def test_jump_of_every_pure_translation_matches_single_steps():
@@ -939,7 +960,12 @@ def test_run_trial_walks_to_the_per_index_answer():
             heis(None, [0.5, 0.25, 0.23]),
             torus(2, None, [0.3, F(1, 8)]),
             lattice_torus(TORUS_LATTICE, SKEW, [F(1, 5), F(3, 7)]),
-            torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])]
+            torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)]),
+            # the d = 5 free class-3 quotient: a pure translation, whose
+            # scan runs on its torus factor, and a shear, which steps
+            FACTOR_MAPS["free23_central"][0](),
+            NumericAffine(nio.parse_system(nio.corpus_file(
+                "free_nilpotent_2_3.json")), [F(1, 4), F(1, 8), 0, 0, 0])]
     rng = random.Random(31)
     outcomes = set()
     for m in maps:
@@ -964,10 +990,13 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     probe, eps = (F(3, 10), F(7, 10), F(1, 10)), F(1, 1000)
     assert find_forward_sequence(m, probe, probe, eps, 500, start=1) == \
         tuple(range(20, 201, 20))
-    # the trial runs on the torus factor's states: its integer test and
-    # distance take the calls, as the points of the states they are given
+    # the chooser gives the torus map its factor, and the trial runs on its
+    # states: its integer test and distance take the calls, as the points
+    # of the states they are given
+    assert isinstance(norbit._space(m, eps, (probe,), snap=True),
+                      _TorusFactor)
     targets = {}
-    for cls, name in ((_TorusFactor, "rejects"), (_TorusFactor, "distance"),
+    for cls, name in ((_TorusFactor, "near"), (_TorusFactor, "distance"),
                       (NumericAffine, "near"), (NumericAffine, "distance")):
         seen = targets[cls.__name__, name] = []
 
@@ -981,7 +1010,7 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     assert had_returns and witness.sequence == tuple(range(20, 201, 20))
     # the forward cluster check and the witness's forward distance are
     # the calls against the snapped target
-    assert targets["_TorusFactor", "rejects"].count(witness.target) == 1
+    assert targets["_TorusFactor", "near"].count(witness.target) == 1
     assert targets["_TorusFactor", "distance"].count(witness.target) == 1
     assert targets["NumericAffine", "near"] == []
     assert targets["NumericAffine", "distance"] == []
