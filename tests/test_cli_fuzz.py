@@ -4,7 +4,8 @@ Each mutant is a corpus system with one value replaced, somewhere in its
 JSON tree, by a value from a fixed list.  Every command must answer with a
 verdict JSON object and its exit code; no exception may escape and no
 traceback may reach stderr, whatever the mutant.  Mutated golden verdicts
-must parse or raise ParseError.
+must parse or raise ParseError.  Files that fail before any JSON value
+exists answer ERROR from every command and raise ParseError as verdicts.
 """
 
 import copy
