@@ -17,7 +17,11 @@ One integer kernel, NilpotentGroup._lyndon, sums that series for both the
 symbolic product mult and the expanded law that mult_vec evaluates: the
 arguments are integer polynomials over one common denominator, each bracket
 is an integer product over the nonzero structure constants (scaled once per
-group to integers), and only the final coefficients become Fractions.
+group to integers), and only the final coefficients become Fractions.  An
+expanded law is evaluated by one integer evaluator, _IntegerLaw, on the
+numerators of its arguments over their common denominator: mult_vec is its
+Fraction wrapper, and the coset reducer and the orbit oracle run it on the
+law in lattice coordinates (lattice.CosetReducer).
 """
 
 from __future__ import annotations
@@ -184,6 +188,91 @@ def _add_scaled_int(acc: dict, a: int, p: dict) -> None:
         acc[m] = get(m, 0) + a * c
 
 
+class _IntegerLaw:
+    """A group law of d coordinates on 2d variables (v, w), compiled for
+    evaluation in integers: law(vals, D)[k] / (s_k * D ** t_k), (s_k, t_k)
+    = law.dens[k], is coordinate k of the law at rational arguments, where
+    vals are the integer numerators of (v, w) over their common
+    denominator D.  With integral_w the argument w is an integer vector,
+    and vals holds w as it is, not scaled by D.  With common every
+    coordinate has the same (s_k, t_k) = (law.scale, law.top), as the
+    lattice states of lattice.CosetReducer need.
+
+    Built from the law as integer polynomials over one integer base,
+    packed as in NilpotentGroup._lyndon with `bits` bits per exponent.
+    Values are indexed like the variables, then one per monomial of degree
+    >= 2: monomials[i] = (parent, var) gives value 2d + i as value[parent]
+    * value[var], so each costs one product.  A monomial's degree counts
+    its variables over D: all of them, or only those of v with
+    integral_w.  s_k is base over its gcd with the coefficients of the
+    coordinate (of every coordinate with common), and t_k its largest
+    degree (of the law with common).  coords has per coordinate its
+    levels, by degree from the least a law can have up to t_k, of
+    (coefficient * s_k / base, value index) pairs, summed by Horner in D:
+    the value times s_k D^t_k is sum_n S_n D^(t_k - n) for the level sums
+    S_n.
+    """
+
+    __slots__ = ("monomials", "coords", "dens", "scale", "top")
+
+    def __init__(self, laws: list[dict], base: int, bits: int, *,
+                 common: bool = False, integral_w: bool = False):
+        d = len(laws)
+        low = 0 if integral_w else 1  # a group law has no constant term
+        index: dict = {}
+        monomials: list = []
+
+        def value_index(factors):
+            if len(factors) == 1:
+                return factors[0]
+            if factors not in index:
+                parent = value_index(factors[:-1])
+                index[factors] = 2 * d + len(monomials)
+                monomials.append((parent, factors[-1]))
+            return index[factors]
+
+        coords = []
+        for terms in laws:
+            levels: list = []
+            for m, c in terms.items():
+                factors = ()  # the variables of m, by decreasing index
+                while m:
+                    i = (m.bit_length() - 1) // bits
+                    factors += (i,)
+                    m -= 1 << (bits * i)
+                n = (sum(i < d for i in factors) if integral_w else len(factors)) - low
+                levels += [[] for _ in range(n + 1 - len(levels))]
+                levels[n].append((c, value_index(factors)))
+            coords.append(levels)
+        self.scale = base // gcd(base, *(c for terms in laws for c in terms.values()))
+        self.top = max(map(len, coords)) + low - 1
+        self.monomials, self.coords, self.dens = monomials, [], []
+        for levels in coords:
+            if common:
+                levels += [[] for _ in range(self.top + 1 - low - len(levels))]
+                scale = self.scale
+            else:
+                scale = base // gcd(base, *(c for level in levels for c, _ in level))
+            self.coords.append([[(c * scale // base, m) for c, m in level]
+                                for level in levels])
+            self.dens.append((scale, len(levels) + low - 1))
+
+    def __call__(self, vals: list, den: int) -> list:
+        """The integer numerators of the law at vals over den, coordinate
+        k over s_k den^t_k; appends the monomial values to vals."""
+        for parent, var in self.monomials:
+            vals.append(vals[parent] * vals[var])
+        out = []
+        for levels in self.coords:
+            acc = 0
+            for level in levels:
+                acc *= den
+                for coeff, m in level:
+                    acc += coeff * vals[m]
+            out.append(acc)
+        return out
+
+
 class NilpotentGroup:
     """Group law, adjoint action, and affine defect for one algebra."""
 
@@ -217,79 +306,32 @@ class NilpotentGroup:
     def mult_vec(self, v: Sequence[object], w: Sequence[object]) -> tuple[Fraction, ...]:
         """log(exp v exp w) for rational coordinate vectors.
 
-        Evaluates the polynomial law of mult(), expanded once per group on
-        symbolic arguments (v1..vd, w1..wd), so both share one source.  An
-        abelian law is v + w.  Otherwise every monomial is evaluated once
-        on the integer numerators of the arguments over their common
-        denominator D, and each coordinate sums its integer-coefficient
-        terms by degree (Horner in D) into one Fraction.
+        The Fraction wrapper of the integer law: the polynomial law of
+        mult(), expanded once per group on symbolic arguments (v1..vd,
+        w1..wd) so both share one source, is evaluated on the integer
+        numerators of the arguments over their common denominator
+        (_IntegerLaw).  An abelian law is v + w.
         """
         d = self.dim
         if len(v) != d or len(w) != d:
             raise ValueError(f"expected two vectors of length {d}")
         if self.nilpotency_class == 1:
             return tuple(to_fraction(a) + to_fraction(b) for a, b in zip(v, w))
-        z = (*map(to_fraction, v), *map(to_fraction, w))
-        den = lcm(*(x.denominator for x in z))
-        vals = [x.numerator if den == 1 else x.numerator * (den // x.denominator)
-                for x in z]
-        monomials, coords = self._expanded_law()
-        for parent, var in monomials:
-            vals.append(vals[parent] * vals[var])
-        out = []
-        for scale, levels in coords:
-            acc = 0
-            for level in levels:
-                if acc and den != 1:
-                    acc *= den
-                for coeff, m in level:
-                    acc += coeff * vals[m]
-            out.append(Fraction(acc, scale * den ** len(levels)))
-        return tuple(out)
+        z = [x if type(x) is Fraction else Fraction(x) for x in (*v, *w)]
+        den = lcm(*[x.denominator for x in z])
+        law = self._expanded_law()
+        out = law([x.numerator if den == 1 else x.numerator * (den // x.denominator)
+                   for x in z], den)
+        return tuple([Fraction(n, s * den ** t) for n, (s, t) in zip(out, law.dens)])
 
-    def _expanded_law(self) -> tuple[list, list]:
+    def _expanded_law(self) -> "_IntegerLaw":
         """The group law on the 2d unit variables (v1..vd, w1..wd), for
-        mult_vec: _lyndon on those variables, indexed.
-
-        Returns (monomials, coords).  Values are indexed like v + w, then
-        one per monomial of degree >= 2: monomials[i] = (parent, var)
-        gives value 2d + i as value[parent] * value[var], so each costs one
-        product.  coords has per coordinate (scale, levels): the integer
-        scale clears its coefficient denominators, and levels lists, from
-        degree 1 up, (scale * coefficient, value index) pairs: the value
-        times scale * D^top is sum_k S_k D^(top - k) for the level sums S_k.
-        """
+        mult_vec: _lyndon on those variables, compiled once."""
         if self._law is None:
             d = self.dim
             bits = self.nilpotency_class.bit_length()  # no exponent exceeds the class
             units = [{1 << (bits * i): 1} for i in range(2 * d)]
-            index = {}
-            monomials = []
-
-            def value_index(factors):
-                if len(factors) == 1:
-                    return factors[0]
-                if factors not in index:
-                    parent = value_index(factors[:-1])
-                    index[factors] = 2 * d + len(monomials)
-                    monomials.append((parent, factors[-1]))
-                return index[factors]
-
-            coords = []
-            product, base = self._lyndon(units[:d], units[d:], 1)
-            for terms in product:
-                g = gcd(base, *terms.values())  # base / g clears every c / base
-                levels = []
-                for m, c in terms.items():
-                    factors = ()  # the variables of m, by decreasing index
-                    while m:
-                        i = (m.bit_length() - 1) // bits
-                        factors += (i,)
-                        m -= 1 << (bits * i)
-                    levels += [[] for _ in range(len(factors) - len(levels))]
-                    levels[len(factors) - 1].append((c // g, value_index(factors)))
-                coords.append((base // g, levels))
-            self._law = (monomials, coords)
+            self._law = _IntegerLaw(*self._lyndon(units[:d], units[d:], 1), bits)
         return self._law
 
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:

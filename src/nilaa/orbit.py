@@ -10,8 +10,9 @@ definition quantifies over all sequences.
 
 Inputs may be floats; they are converted to exact dyadic rationals once
 (`Fraction(float)` is exact) and every orbit computation afterwards is
-exact rational arithmetic.  Floating error can therefore only enter
-through the caller's choice of probe, never through iteration.
+exact rational arithmetic, carried out in integers over one denominator.
+Floating error can therefore only enter through the caller's choice of
+probe, never through iteration.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 from ._record import record
 from .lattice import CosetReducer
-from .ratlin import _scaled_rows, dot, to_fraction, unipotency_index
+from .ratlin import _scaled_rows, to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
@@ -62,10 +63,17 @@ class NumericAffine:
     A non-abelian group needs dimension <= NEIGHBOUR_DIM_CAP, which bounds
     the lattice neighbours that distance() searches.
 
-    These methods act on points, exact Fraction tuples.  The oracle's
-    scans, walks and trials run in the orbit space that _space chooses
-    once per map: a torus map's integer torus factor (_TorusFactor), and
-    for every other map its points (_Points), which these methods serve.
+    Every primitive runs in integers on lattice states (CosetReducer): the
+    lattice coordinates c of a point as integer numerators over one
+    denominator.  There T is c -> P(c(a), U_L c), with P the group law in
+    lattice coordinates and U_L = L^-1 U L the system's integral
+    lattice_automorphism, and the metric is read through the basis L.
+    The methods on points (reduce, step, step_back, jump, distance, near)
+    convert on entry and build Fractions only for the point or distance
+    they return.  The oracle's scans, walks and trials run in the orbit
+    space that _space chooses once per map: a torus map's integer torus
+    factor (_TorusFactor), and for every other map its lattice states
+    (_Points), which the state methods (_step, _jump, _near, ..) serve.
     """
 
     def __init__(self, system, translation):
@@ -79,6 +87,13 @@ class NumericAffine:
         self.translation = translation
         self._pure = system.is_translation()
         spec = system.group.spec
+        self._reducer = reducer = CosetReducer(system.group, lattice)
+        self._shift = reducer.state(translation)  # the lattice state of a
+        self._conj = conj = system.lattice_automorphism
+        self._lattice_map = _scaled_rows(conj)[1]  # U_L, integral
+        self._reach = 1 if self._pure else None
+        if spec.abelian():
+            self._reach = unipotency_index(conj)
         # distance() tries the nearest translate and, unless the group is
         # abelian, its {-1,0,1}^d lattice neighbours.  Central generators
         # only add to the difference, so only the non-central moves cost a
@@ -86,54 +101,43 @@ class NumericAffine:
         # touches, y^-1 x is x - y, so there a candidate's value is known
         # before any product, and a move is skipped when one of them is
         # already at or above the bound.  On a torus every generator is
-        # central and the nearest translate is exact.
-        self._shifts, moves, touched = [], [], set()
+        # central and the nearest translate is exact.  A move is its
+        # lattice vector e, a central shift the point L e times the unit of
+        # the basis rows B = unit L.
+        basis = reducer._basis
+        moves = []
+        self._shifts = []
         if not spec.abelian():
             if d > NEIGHBOUR_DIM_CAP:
                 raise ValueError(
                     f"the orbit oracle's lattice neighbour search supports "
                     f"dimension <= {NEIGHBOUR_DIM_CAP} on a non-abelian group")
-            central = [spec.ad_matrix(lattice.generator(j)).is_zero()
-                       for j in range(d)]
-            steps = sorted(product((-1, 0, 1), repeat=d),
-                           key=lambda e: sum(map(abs, e)))[1:]
-            self._shifts = [lattice.from_coords(e) for e in steps
-                            if all(c or not s for c, s in zip(central, e))]
-            touched = {i for vec in (*spec.table.values(), *self._shifts)
-                       for i, c in enumerate(vec) if c}
-            moves = [lattice.from_coords(e) for e in steps
-                     if not any(c and s for c, s in zip(central, e))]
-        self._reducer = CosetReducer(system.group, lattice)
+            central = reducer._central
+            moves = _neighbours(d, [j for j in range(d) if not central[j]])
+            self._shifts = [_rows_times(basis, e) for e in _neighbours(
+                d, [j for j in range(d) if central[j]])]
+        touched = {i for vec in (*spec.table.values(), *self._shifts)
+                   for i, c in enumerate(vec) if c}
         self._bounded = bounded = [i for i in range(d) if i not in touched]
-        # (move, its nonzero bounded entries); None is the nearest translate
-        self._moves = [(None, [])] + [
-            (move, [(i, move[i]) for i in bounded if move[i]])
-            for move in moves]
+        # (e, the nonzero entries of B e on bounded coordinates); None is
+        # the nearest translate
+        self._moves = [(None, [])]
+        for e in moves:
+            point = _rows_times(basis, e)
+            self._moves.append((e, [(i, point[i]) for i in bounded if point[i]]))
         # near() rejects before the product on a bounded coordinate i whose
-        # nearest-translate entry reads only bounded coordinates of x - y:
-        # every basis row entry L[i][j] needs inverse row j on them.  There
-        # r_i = sum_j L[i][j] (c_j - round(c_j)), and a move entry m puts
-        # its candidate at |r_i - m| on coordinate i.
-        basis = lattice.basis.sparse_rows()
-        self._coord_rows = inverse = lattice._inverse.sparse_rows()
-        readable = {j for j, row in enumerate(inverse)
+        # basis row reads only lattice coordinates j whose inverse row
+        # reads only bounded coordinates: there the lattice coordinates of
+        # y^-1 x are c_j(x) - c_j(y), so r_i = sum_j B[i][j] (c_j -
+        # round(c_j)) / unit on them, and a move entry m puts its candidate
+        # at |r_i - m / unit| on coordinate i.  Entries: (i, the sparse
+        # basis row B[i], the sorted move entries m).
+        readable = {j for j, row in enumerate(reducer._inverse)
                     if all(k not in touched for k, _ in row)}
-        self._early = []
-        for i in bounded:
-            if all(j in readable for j, _ in basis[i]):
-                values = sorted({m for _, fixed in self._moves
-                                 for k, m in fixed if k == i})
-                reads = sorted({i} | {k for j, _ in basis[i]
-                                      for k, _ in inverse[j]})
-                self._early.append((i, basis[i], reads, values))
-        # on an abelian group: U_L and U_L^-1 as sparse integer rows
-        self._lattice_map = self._lattice_inverse = None
-        self._reach = 1 if self._pure else None
-        if spec.abelian():
-            conj = system.lattice_automorphism
-            self._lattice_map = _scaled_rows(conj)[1]
-            self._lattice_inverse = _scaled_rows(conj.inverse())[1]
-            self._reach = unipotency_index(conj)
+        self._early = [(i, basis[i], sorted({m for _, fixed in self._moves
+                                             for k, m in fixed if k == i}))
+                       for i in bounded
+                       if all(j in readable for j, _ in basis[i])]
 
     # -- dynamics (exact) --
 
@@ -143,19 +147,34 @@ class NumericAffine:
 
     def step(self, x) -> tuple:
         """One forward application with reduction."""
-        ux = self.matrix.matvec(x)
-        return self.reduce(self.group.mult_vec(self.translation, ux))
-
-    @cached_property
-    def _backward(self) -> tuple:
-        """U^-1 and a^-1, built at the first backward step."""
-        return self.matrix.inverse(), self.group.inv(self.translation)
+        reducer = self._reducer
+        return reducer.point(self._step(reducer.state(x)))
 
     def step_back(self, x) -> tuple:
         """One exact backward application with reduction."""
-        inverse, neg_translation = self._backward
-        return self.reduce(inverse.matvec(
-            self.group.mult_vec(neg_translation, x)))
+        reducer = self._reducer
+        return reducer.point(self._step_back(reducer.state(x)))
+
+    def _step(self, s) -> tuple:
+        """step() on lattice states: P(c(a), U_L s), reduced."""
+        u, den = s
+        reducer = self._reducer
+        return reducer.reduce_state(reducer.product(
+            self._shift, (_rows_times(self._lattice_map, u), den)))
+
+    @cached_property
+    def _backward(self) -> tuple:
+        """U_L^-1 as sparse integer rows and the lattice state of a^-1 =
+        -a, built at the first backward step."""
+        u, den = self._shift
+        return _scaled_rows(self._conj.inverse())[1], (tuple(-a for a in u), den)
+
+    def _step_back(self, s) -> tuple:
+        """step_back() on lattice states: U_L^-1 P(-c(a), s), reduced."""
+        inverse, back = self._backward
+        reducer = self._reducer
+        u, den = reducer.product(back, s)
+        return reducer.reduce_state((_rows_times(inverse, u), den))
 
     def reach(self) -> Optional[int]:
         """The number of nonzero powers N^0, N^1, .. of N = U - I when the
@@ -174,8 +193,15 @@ class NumericAffine:
         if not self._pure:
             raise ValueError("jump is the closed form of a pure translation; "
                              "iterate walks any other map")
-        shift = [m * a for a in self.translation]
-        return self.reduce(self.group.mult_vec(shift, _point(x)))
+        reducer = self._reducer
+        return reducer.point(self._jump(reducer.state(x), m))
+
+    def _jump(self, s, m: int) -> tuple:
+        """jump() on lattice states: P(m c(a), s), reduced."""
+        u, den = self._shift
+        reducer = self._reducer
+        return reducer.reduce_state(reducer.product(
+            ([m * a for a in u], den), s))
 
     def is_pure_translation(self) -> bool:
         return self._pure
@@ -190,7 +216,12 @@ class NumericAffine:
         group is abelian, its {-1,0,1}^d lattice neighbours.  On a torus
         this is the max-norm of the coordinate-wise circle distances.
         """
-        return self._least(_point(x), _point(y), None)
+        state = self._reducer.state
+        return self._distance(state(x), state(y))
+
+    def _distance(self, s, t) -> Fraction:
+        """distance() on lattice states."""
+        return Fraction(*self._least(s, t, None))
 
     def near(self, x, y, eps) -> bool:
         """distance(x, y) < eps, deciding no more than that.
@@ -201,60 +232,122 @@ class NumericAffine:
         candidates of distance() are searched with eps as the bound, up to
         the first one under it.
         """
-        x, y = _point(x), _point(y)
-        return not self._rejects_early(x, y, eps) and \
-            self._least(x, y, eps) < eps
+        state = self._reducer.state
+        return self._near(state(x), state(y), to_fraction(eps))
 
-    def _rejects_early(self, x, y, eps) -> bool:
-        """near()'s first phase: some coordinate i of _early puts every
-        candidate at eps or beyond, read from x - y without a product."""
-        diff, rounded = {}, {}
-        for i, row, reads, values in self._early:
-            for k in reads:
-                if k not in diff:
-                    diff[k] = x[k] - y[k]
-            for j, _ in row:
-                if j not in rounded:
-                    rounded[j] = round(dot(self._coord_rows[j], diff))
-            r = diff[i] - dot(row, rounded)
-            if abs(r) >= eps and all(abs(r - m) >= eps for m in values):
+    def _near(self, s, t, eps: Fraction) -> bool:
+        """near() on lattice states."""
+        if self._rejects_early(s, t, eps):
+            return False
+        value, unit = self._least(s, t, eps)
+        return value * eps.denominator < eps.numerator * unit
+
+    def _rejects_early(self, s, t, eps: Fraction) -> bool:
+        """near()'s first phase on lattice states s and t: some coordinate
+        i of _early puts every candidate at eps or beyond, read from the
+        lattice coordinates of x - y without a product.  Values are
+        integers over unit * G, G the common denominator of s and t."""
+        (u, du), (v, dv) = s, t
+        den = math.lcm(du, dv)
+        fu, fv = den // du, den // dv
+        bound = eps.numerator * self._reducer._unit * den
+        q = eps.denominator
+        gap = {}
+        for i, row, values in self._early:
+            r = 0
+            for j, b in row:
+                if j not in gap:
+                    c = u[j] * fu - v[j] * fv
+                    gap[j] = c - den * _round(c, den)
+                r += b * gap[j]
+            if abs(r) * q >= bound and all(abs(r - m * den) * q >= bound
+                                           for m in values):
                 return True
         return False
 
-    def _least(self, x, y, bound) -> Fraction:
-        """The least candidate value, or with a bound the first one under
-        it (the bound itself when there is none).
+    def _least(self, s, t, eps: Optional[Fraction]) -> tuple[int, int]:
+        """(value, unit): the least candidate value times unit or, with
+        eps, the first one under eps (ceil(eps * unit) when there is none).
 
-        A move is skipped when a bounded coordinate already puts it at or
-        above the bound or the least value found so far.
+        All values are integers over unit = B's unit times W, W the common
+        denominator of s and of the products y * gamma.  A move is skipped
+        when a bounded coordinate already puts it at or above the bound or
+        the least value found so far.
         """
-        diff = self.group.mult_vec(self.group.inv(y), x)
-        base = self.lattice.from_coords(
-            [round(c) for c in self.lattice.to_coords(diff)])
-        r = ({i: x[i] - y[i] - base[i] for i in self._bounded}
-             if len(self._moves) > 1 else {})
-        best = bound
-        for move, fixed in self._moves:
-            if best is not None and not all(abs(r[i] - m) < best
+        reducer = self._reducer
+        law = reducer._law
+        (u, du), (v, dv) = s, t
+        # the lattice element nearest to y^-1 x
+        den = math.lcm(du, dv)
+        fu, fv = den // du, den // dv
+        diff = law([-a * fv for a in v] + [a * fu for a in u], den)
+        over = law.scale * den ** law.top
+        base = [_round(c, over) for c in diff]
+        # the values, integers over unit: y * gamma is over wide
+        law = reducer._law_integral
+        wide = law.scale * dv ** law.top
+        den = math.lcm(du, wide)
+        f = den // wide
+        unit = reducer._unit * den
+        x = [a * (den // du) for a in u]
+        y = [a * (den // dv) for a in v]
+        basis = reducer._basis
+        r = {}
+        if len(self._moves) > 1:
+            gap = [a - b - den * g for a, b, g in zip(x, y, base)]
+            r = {i: sum(a * gap[j] for j, a in basis[i]) for i in self._bounded}
+        best = None if eps is None else \
+            -(-eps.numerator * unit // eps.denominator)
+        for e, fixed in self._moves:
+            if best is not None and not all(abs(r[i] - m * den) < best
                                             for i, m in fixed):
                 continue
-            gamma = base if move is None else tuple(map(add, base, move))
-            value = self._norm_near(x, y, gamma)
+            gamma = base if e is None else list(map(add, base, e))
+            if any(gamma):
+                w = [a - b * f for a, b in zip(x, law([*v, *gamma], dv))]
+            else:
+                w = list(map(sub, x, y))
+            value = self._norm_near(w, den)
             if best is None or value < best:
                 best = value
-                if bound is not None:
+                if eps is not None:
                     break
+        return best, unit
+
+    def _norm_near(self, w, den: int) -> int:
+        """Least max-norm of L (w / den - z) times unit den over the
+        central shifts z, w / den the lattice coordinates of x - y gamma."""
+        point = _rows_times(self._reducer._basis, w)
+        best = max(map(abs, point))
+        for shift in self._shifts:
+            best = min(best, max(abs(a - den * z) for a, z in zip(point, shift)))
         return best
 
-    def _norm_near(self, x, y, gamma) -> Fraction:
-        """Least max-norm of x - y * gamma * z over the central shifts z."""
-        if any(gamma):
-            y = self.group.mult_vec(y, gamma)
-        r = [a - b for a, b in zip(x, y)]
-        best = max(map(abs, r))
-        for shift in self._shifts:
-            best = min(best, max(abs(a - s) for a, s in zip(r, shift)))
-        return best
+
+def _neighbours(d: int, support: list) -> list:
+    """The nonzero e in {-1,0,1}^d that vanish off `support`, in the order
+    of their L1 norm and, within one norm, lexicographically."""
+    steps = []
+    for values in product((-1, 0, 1), repeat=len(support)):
+        e = [0] * d
+        for j, v in zip(support, values):
+            e[j] = v
+        steps.append(tuple(e))
+    return sorted(steps, key=lambda e: sum(map(abs, e)))[1:]
+
+
+def _rows_times(rows, vec) -> list:
+    """The sparse integer rows applied to vec."""
+    return [sum(a * vec[j] for j, a in row) for row in rows]
+
+
+def _round(n: int, den: int) -> int:
+    """round(n / den) for den > 0, a tie at 1/2 to the even integer, as
+    round() on a Fraction."""
+    q, r = divmod(n, den)
+    if 2 * r > den or 2 * r == den and q & 1:
+        q += 1
+    return q
 
 
 class _TorusFactor:
@@ -281,40 +374,46 @@ class _TorusFactor:
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
                  points, snap: bool = False):
-        coords = sorted({j for _, row, *_ in affine._early for j, _ in row})
-        self._rows = [affine._coord_rows[j] for j in coords]
-        self._lattice = affine.lattice
+        reducer = affine._reducer
+        self._coords = coords = sorted({j for _, row, _ in affine._early
+                                        for j, _ in row})
+        self._affine, self._reducer = affine, reducer
         self._reach = affine.reach()
-        grid = [SNAP_GRID * math.lcm(*(1 if c is None else c.denominator
-                                       for _, c in row))
-                for row in self._rows] if snap else []
+        # a point on the SNAP_GRID has c_j = A_j x / E with x in the grid
+        grid = [SNAP_GRID * (reducer._inverse_unit // math.gcd(
+            reducer._inverse_unit, *(a for _, a in reducer._inverse[j])))
+                for j in coords] if snap else []
         self.den = den = math.lcm(1 if eps is None else eps.denominator,
                                   *grid, *(
-            dot(row, p).denominator for row in self._rows
-            for p in (affine.translation, *points)))
+            e // math.gcd(u[j], e) for u, e in (
+                affine._shift, *map(reducer.state, points)) for j in coords))
         self._tests = []
-        for _, row, _, values in affine._early if eps else ():
-            row = [(coords.index(j), 1 if c is None else c) for j, c in row]
-            scale = math.lcm(*(c.denominator for _, c in row))
-            row = [(j, int(c * scale)) for j, c in row]
-            bound = int(eps * scale * den)
-            # a centred gap puts the value within sum |c| den / 2 of 0, so
+        for _, row, values in affine._early if eps else ():
+            row = [(coords.index(j), b) for j, b in row]
+            bound = eps.numerator * reducer._unit * den // eps.denominator
+            # a centred gap puts the value within sum |b| den / 2 of 0, so
             # a move entry further than that plus the bound never accepts
-            reach = 2 * bound + sum(abs(c) for _, c in row) * den
+            reach = 2 * bound + sum(abs(b) for _, b in row) * den
             self._tests.append((row, bound, [
-                int(m * scale * den) for m in values
-                if 2 * abs(m * scale * den) < reach]))
-        self._map, self._inverse = affine._lattice_map, affine._lattice_inverse
-        if self._map is None:
-            self._map = self._inverse = [[(j, 1)] for j in range(len(coords))]
+                m * den for m in values if 2 * abs(m * den) < reach]))
+        if affine.group.spec.abelian():
+            self._map = affine._lattice_map
+            # a torus: x = L c = B c / unit
+            self._basis = reducer._basis
+            self._unit = reducer._unit * den
         else:
-            # a torus: x = L c, as integer rows over one denominator
-            scale, self._basis = _scaled_rows(affine.lattice.basis)
-            self._unit = scale * den
-        self._drift = drift = self.state(affine.translation)
-        # T^-1 is s -> U_f^-1 s + back mod den, back = -U_f^-1 drift
-        self._back = [-sum(u * drift[k] for k, u in row) % den
-                      for row in self._inverse]
+            self._map = [[(j, 1)] for j in range(len(coords))]
+        self._drift = self._of(affine._shift)
+
+    @cached_property
+    def _backward(self) -> tuple:
+        """(U_f^-1, back), T^-1 being s -> U_f^-1 s + back mod den with
+        back = -U_f^-1 drift: built at the first retreat."""
+        inverse = self._map
+        if self._affine.group.spec.abelian():
+            inverse = self._affine._backward[0]
+        return inverse, [-sum(u * self._drift[k] for k, u in row) % self.den
+                         for row in inverse]
 
     def advance(self, s) -> list:
         """The state of T(p) from the state s of p: U_f s + drift mod den."""
@@ -322,7 +421,7 @@ class _TorusFactor:
 
     def retreat(self, s) -> list:
         """The state of T^-1(p): U_f^-1 (s - drift) mod den."""
-        return _affine_mod(self._inverse, self._back, self.den, s)
+        return _affine_mod(*self._backward, self.den, s)
 
     def jump(self, s, m: int) -> list:
         """The state of T^m(p) for any integer m, in one closed form.
@@ -362,11 +461,18 @@ class _TorusFactor:
     def state(self, p) -> list:
         """den * c_j(p) mod den for the factor's coordinates j: the state of
         the reduced point of p."""
-        return [int(dot(row, p) * self.den) % self.den for row in self._rows]
+        return self._of(self._reducer.state(p))
+
+    def _of(self, state) -> list:
+        """The factor's state of a lattice state (u, D): den u_j / D mod
+        den, exact on the points that den covers."""
+        u, e = state
+        den = self.den
+        return [u[j] * den // e % den for j in self._coords]
 
     def point(self, s) -> tuple:
         """The point L s / den of a state of a torus map's factor."""
-        return self._lattice.from_coords([Fraction(c, self.den) for c in s])
+        return self._reducer.point((s, self.den))
 
     def _gap(self, s, t) -> list:
         """den times c - round(c) for the lattice coordinates c of the
@@ -463,63 +569,58 @@ class _TorusFactor:
 
 
 class _Points:
-    """The orbit space of a map that is not a torus map: a state is a
-    point, and near(), distance() and the steps are NumericAffine's."""
+    """The orbit space of a map that is not a torus map: a state is the
+    lattice state of a point (CosetReducer), and near(), distance() and
+    the steps are NumericAffine's state methods, in integers."""
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction]):
         self._affine, self._eps = affine, eps
-        self.near, self.distance = affine.near, affine.distance
-
-    @staticmethod
-    def state(p) -> tuple:
-        return p
-
-    point = state
+        self.state, self.point = affine._reducer.state, affine._reducer.point
+        self.near, self.distance = affine._near, affine._distance
 
     @staticmethod
     def tries(horizon: int) -> tuple:
         return ()
 
     def walk(self, x, ks, backward: bool = False) -> list:
-        """The points T^k x (T^-k x when backward) for the increasing
-        indices ks: _visit on points.  x need not be reduced where ks
-        starts above 0, since each step and jump reduces its coset."""
+        """The states T^k x (T^-k x when backward) for the increasing
+        indices ks: _visit on lattice states.  x need not be reduced where
+        ks starts above 0, since each step and jump reduces its coset."""
         affine = self._affine
-        return _visit(x, ks, affine.step_back if backward else affine.step,
-                      affine.jump, affine.reach(), backward)
+        return _visit(x, ks, affine._step_back if backward else affine._step,
+                      affine._jump, affine.reach(), backward)
 
     def scan(self, x, y, horizon: int):
-        """(k, T^k x) for k = 1..horizon from the reduced point x.
+        """(k, T^k x) for k = 1..horizon from the state x of a reduced point.
 
         A pure translation whose near() reads a coordinate before any
         product builds its torus factor (_TorusFactor) as a filter: it
         leaves out each k at which the factor shows that T^k x is neither
-        within eps of y nor equal to x, and builds each kept point by one
+        within eps of y nor equal to x, and builds each kept state by one
         jump.  Every other map steps to every k.
         """
         affine = self._affine
         if affine.is_pure_translation() and affine._early:
-            factor = _TorusFactor(affine, self._eps, (x, y))
-            for k, _ in factor.scan(factor.state(x), factor.state(y),
-                                    horizon):
-                yield k, affine.jump(x, k)
+            factor = _TorusFactor(affine, self._eps, (self.point(x), self.point(y)))
+            for k, _ in factor.scan(factor._of(x), factor._of(y), horizon):
+                yield k, affine._jump(x, k)
         else:
             p = x
             for k in range(1, horizon + 1):
-                p = affine.step(p)
+                p = affine._step(p)
                 yield k, p
 
 
 def _space(affine: NumericAffine, eps: Optional[Fraction], points,
            snap: bool = False):
     """The orbit space of the map, chosen once: a torus map's torus factor
-    (_TorusFactor), whose states are integers, or every other map's points
-    (_Points).  Both offer state, point, near, distance, walk, scan and
+    (_TorusFactor), or every other map's lattice states (_Points); both
+    keep their states in integers.  Both offer state, point, near, distance, walk, scan and
     tries, and jump where tries yields indices.  The space holds the
     states of the given points, with snap also of every point on the
     SNAP_GRID, and its scan keeps states within eps (None for a walk).
     """
-    if affine._lattice_map is not None:
+    if affine.group.spec.abelian():
         return _TorusFactor(affine, eps, points, snap)
     return _Points(affine, eps)
 
@@ -606,8 +707,8 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     an incremental scan runs, and stops after one period once the exact
     orbit returns to x.  A torus map scans and tests its integer states; a
     pure translation of another group scans its torus factor and builds
-    T^k x only where the factor cannot reject or is back at x's; every
-    other map steps and tests each point.  Deterministic in (map, x, y,
+    the lattice state of T^k x only where the factor cannot reject or is
+    back at x's; every other map steps and tests each lattice state.  Deterministic in (map, x, y,
     eps, horizon).  Raises NotFound when nothing is found, and ValueError
     when limit < 1.
     """

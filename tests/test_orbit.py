@@ -398,9 +398,9 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     # points its torus factor keeps; each scan stops at the second factor
     # period, the last k it reaches
     steps, jumps, reached = [], [], []
-    step, jump = m.step, m.jump
-    m.step = lambda p: steps.append(1) or step(p)
-    m.jump = lambda p, k: jumps.append(1) or jump(p, k)
+    step, jump = m._step, m._jump
+    m._step = lambda p: steps.append(1) or step(p)
+    m._jump = lambda p, k: jumps.append(1) or jump(p, k)
     scan = _TorusFactor.scan
 
     def recorded(factor, s, t, horizon):
@@ -508,7 +508,7 @@ def test_factor_scan_matches_brute_force(name):
         assert (tie, F(1, 10)) in targets
     expected = [(y, eps, brute_force_sequence(m, x, y, eps, 45, 0, None))
                 for y, eps in targets]
-    m.step = None  # the scan must not step
+    m._step = None  # the scan must not step
     seen = set()
     for y, eps, every in expected:
         for start, limit, horizon in itertools.product(
@@ -593,8 +593,8 @@ def test_torus_translation_returns_match_a_fraction_reference():
 
 def test_heisenberg_translation_simulate_never_steps(monkeypatch):
     calls = []
-    step = NumericAffine.step
-    monkeypatch.setattr(NumericAffine, "step",
+    step = NumericAffine._step
+    monkeypatch.setattr(NumericAffine, "_step",
                         lambda self, p: calls.append(1) or step(self, p))
     result = ncli._simulate_result(
         nio.corpus_file("heisenberg_translation.json"))
@@ -625,7 +625,8 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
         y = m.reduce(y)
         factor = _TorusFactor(m, eps, (x, y))
         answers.append(factor.rejects(factor.state(x), factor.state(y)))
-        assert answers[-1] == m._rejects_early(x, y, eps)
+        assert answers[-1] == m._rejects_early(m._reducer.state(x),
+                                               m._reducer.state(y), eps)
         if m.group.spec.abelian():
             # a torus factor is every lattice coordinate: its test is near()
             assert answers[-1] == (not m.near(x, y, eps)) == \
