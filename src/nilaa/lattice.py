@@ -16,30 +16,19 @@ coefficient.  On an abelian algebra the law is m + n, so closure holds by
 structure and no product is expanded.  The central lattice vectors are
 the integer kernel of the centre equations, built from the nonzero
 structure constants only; on a torus every lattice vector is central.
-
-Coset reduction produces canonical fundamental-domain representatives by
-greedily clearing lattice coordinates in an order along which right
-multiplication by a generator shifts its own coordinate by exactly one and
-leaves the already-cleared coordinates alone.  Such an order exists for
-every weight-graded basis; it is read off the same integer law, in any
-dimension, and is 0..d-1 on an abelian algebra.  The reduction runs in
-integers on lattice states, the lattice coordinates of a point as
-integer numerators over one denominator: each floor is an integer
-division and each power of a generator one evaluation of that law by the
-group's integer evaluator.  The orbit oracle steps and measures on the
-same states.
+The same law in lattice coordinates gives the orbit oracle's coset
+reduction (orbit.CosetReducer).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from .nilalg import _centre_rows
-from .nilgrp import NilpotentGroup, _add_scaled_int, _IntegerLaw
+from .nilgrp import NilpotentGroup, _add_scaled_int
 from .ratlin import QMatrix, _scaled_rows, integer_kernel, zspan_basis
 
 
@@ -274,143 +263,3 @@ def central_lattice_basis(group: NilpotentGroup, lattice: LogLattice
     stacked = QMatrix(rows) @ lattice.basis
     return [lattice.from_coords(n) for n in integer_kernel(stacked)]
 
-
-def _shift_terms(laws: list[dict], bits: int) -> list[dict]:
-    """The terms of the law P(y, n) of _lattice_law in n_i and no other
-    n_k, by i and then by coordinate: as P(y, 0) = y, P(y, t e_i) is y plus
-    them."""
-    d = len(laws)
-    shifts: list[dict] = [{} for _ in range(d)]
-    for k, law in enumerate(laws):
-        for m, c in law.items():
-            n = m >> (bits * d)
-            i = (n.bit_length() - 1) // bits
-            if n and not n & ((1 << (bits * i)) - 1):
-                shifts[i].setdefault(k, {})[m] = c
-    return shifts
-
-
-def _lowest(nums, den: int) -> tuple:
-    """The lattice state (nums, den) in lowest terms, den > 0."""
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return tuple(nums), den
-    return tuple([n // g for n in nums]), den // g
-
-
-class CosetReducer:
-    """Canonical fundamental-domain representatives for N / Gamma, in
-    integers.
-
-    A lattice state is a point's lattice coordinates c = L^-1 x as integer
-    numerators over one denominator, in lowest terms: (u, D) with c = u / D
-    and D > 0.  state() and point() convert, and product() is the group
-    law in lattice coordinates, P of _lattice_law (m + n on an abelian
-    algebra), compiled once for nilgrp's integer evaluator.
-
-    reduce_state() right-multiplies by integer powers of the generators,
-    in `ordering`, until every lattice coordinate lies in [0, 1): each
-    floor is an integer division, each power one evaluation of P.  reduce()
-    is its Fraction wrapper on points.
-    """
-
-    def __init__(self, group: NilpotentGroup, lattice: LogLattice):
-        if lattice.dim != group.dim:
-            raise ValueError("lattice dimension does not match the algebra")
-        self.group = group
-        self.lattice = lattice
-        d = lattice.dim
-        if group.spec.abelian():  # P(m, n) = m + n
-            laws, modulus, bits = [{1 << k: 1, 1 << (d + k): 1}
-                                   for k in range(d)], 1, 1
-            self.ordering, self._central = tuple(range(d)), (True,) * d
-        else:
-            laws, modulus, bits = _lattice_law(group, lattice)
-            shifts = _shift_terms(laws, bits)
-            self.ordering = self._detect_ordering(shifts, modulus, bits)
-            # e_i is central when P(y, t e_i) = y + t e_i
-            self._central = tuple(shifts[i] == {i: {1 << (bits * (d + i)): modulus}}
-                                  for i in range(d))
-        self._laws = laws, modulus, bits
-        # L = B / unit and L^-1 = A / E, as sparse integer rows
-        self._unit, self._basis = _scaled_rows(lattice.basis)
-        self._inverse_unit, self._inverse = _scaled_rows(lattice._inverse)
-
-    def _detect_ordering(self, shifts: list[dict], modulus: int, bits: int
-                         ) -> tuple[int, ...]:
-        """Greedily the first index whose generator shifts cleanly after
-        those chosen: P(y, t e_i) is y_i + t on coordinate i and y_j on
-        each chosen j, for the law P of _lattice_law over modulus, whose
-        terms in n_i alone are shifts[i] (_shift_terms)."""
-        d = self.lattice.dim
-        chosen, remaining = [], list(range(d))
-        while remaining:
-            i = next((i for i in remaining  # greedy: first index that works
-                      if shifts[i].get(i) == {1 << (bits * (d + i)): modulus}
-                      and not any(j in shifts[i] for j in chosen)), None)
-            if i is None:
-                raise ValueError(
-                    f"no reduction ordering: none of {remaining} shifts cleanly "
-                    f"after {chosen}")
-            chosen.append(i)
-            remaining.remove(i)
-        return tuple(chosen)
-
-    @cached_property
-    def _law(self) -> _IntegerLaw:
-        """P(s, t) on lattice states, compiled at its first use."""
-        return _IntegerLaw(*self._laws, common=True)
-
-    @cached_property
-    def _law_integral(self) -> _IntegerLaw:
-        """P(s, n) on a lattice state s and an integer vector n, compiled
-        at its first use."""
-        return _IntegerLaw(*self._laws, common=True, integral_w=True)
-
-    def state(self, vec: Sequence[object]) -> tuple:
-        """The lattice state of the point vec: A x / E on the numerators
-        of x over their common denominator."""
-        x = [v if type(v) is Fraction else Fraction(v) for v in vec]
-        den = math.lcm(*[a.denominator for a in x])
-        u = [a.numerator * (den // a.denominator) for a in x]
-        return _lowest([sum(a * u[j] for j, a in row) for row in self._inverse],
-                       self._inverse_unit * den)
-
-    def point(self, state) -> tuple[Fraction, ...]:
-        """The point L c of a lattice state c = (u, D): B u / (unit D)."""
-        u, den = state
-        den *= self._unit
-        return tuple(Fraction(sum(b * u[j] for j, b in row), den)
-                     for row in self._basis)
-
-    def product(self, s, t) -> tuple:
-        """The lattice state of P(s, t), lattice states s and t, whose
-        numerators need not be in lowest terms."""
-        (u, ds), (v, dt) = s, t
-        if ds == dt:
-            den, vals = ds, [*u, *v]
-        else:
-            den = math.lcm(ds, dt)
-            fs, ft = den // ds, den // dt
-            vals = [a * fs for a in u] + [a * ft for a in v]
-        law = self._law
-        return _lowest(law(vals, den), law.scale * den ** law.top)
-
-    def reduce_state(self, state) -> tuple:
-        """The lattice state of the canonical representative of the coset
-        of a lattice state in lowest terms."""
-        u, den = state
-        d = len(u)
-        law = self._law_integral
-        for i in self.ordering:
-            k = u[i] // den
-            if k:
-                vals = [*u] + [0] * d
-                vals[d + i] = -k
-                u, den = _lowest(law(vals, den), law.scale * den ** law.top)
-        if min(u) < 0 or max(u) >= den:
-            raise ArithmeticError("reduction left the fundamental domain")
-        return tuple(u), den
-
-    def reduce(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
-        return self.point(self.reduce_state(self.state(vec)))

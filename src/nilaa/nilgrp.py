@@ -21,7 +21,7 @@ group to integers), and only the final coefficients become Fractions.  An
 expanded law is evaluated by one integer evaluator, _IntegerLaw, on the
 numerators of its arguments over their common denominator: mult_vec is its
 Fraction wrapper, and the coset reducer and the orbit oracle run it on the
-law in lattice coordinates (lattice.CosetReducer).
+law in lattice coordinates (orbit.CosetReducer).
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class _IntegerLaw:
     denominator D.  With integral_w the argument w is an integer vector,
     and vals holds w as it is, not scaled by D.  With common every
     coordinate has the same (s_k, t_k) = (law.scale, law.top), as the
-    lattice states of lattice.CosetReducer need.
+    lattice states of orbit.CosetReducer need.
 
     Built from the law as integer polynomials over one integer base,
     packed as in NilpotentGroup._lyndon with `bits` bits per exponent.

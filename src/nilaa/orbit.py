@@ -13,6 +13,19 @@ Inputs may be floats; they are converted to exact dyadic rationals once
 exact rational arithmetic, carried out in integers over one denominator.
 Floating error can therefore only enter through the caller's choice of
 probe, never through iteration.
+
+N / Gamma is one class, CosetReducer, on lattice states: the lattice
+coordinates of a point as integer numerators over one denominator.  Its
+coset reduction produces canonical fundamental-domain representatives by
+greedily clearing lattice coordinates in an order along which right
+multiplication by a generator shifts its own coordinate by exactly one and
+leaves the already-cleared coordinates alone.  Such an order exists for
+every weight-graded basis; it is read off the group law in lattice
+coordinates (lattice._lattice_law), in any dimension, and is 0..d-1 on an
+abelian algebra.  Each floor is an integer division and each power of a
+generator one evaluation of that law by the group's integer evaluator.
+The coset metric is the class's too, on the same states.  The map
+(NumericAffine) only steps.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from ._record import record
-from .lattice import CosetReducer
+from .lattice import LogLattice, _lattice_law
+from .nilgrp import NilpotentGroup, _IntegerLaw
 from .ratlin import _scaled_rows, to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
@@ -53,6 +67,286 @@ def _point(values) -> tuple:
     return tuple(to_fraction(v) for v in values)
 
 
+def _shift_terms(laws: list[dict], bits: int) -> list[dict]:
+    """The terms of the law P(y, n) of _lattice_law in n_i and no other
+    n_k, by i and then by coordinate: as P(y, 0) = y, P(y, t e_i) is y plus
+    them."""
+    d = len(laws)
+    shifts: list[dict] = [{} for _ in range(d)]
+    for k, law in enumerate(laws):
+        for m, c in law.items():
+            n = m >> (bits * d)
+            i = (n.bit_length() - 1) // bits
+            if n and not n & ((1 << (bits * i)) - 1):
+                shifts[i].setdefault(k, {})[m] = c
+    return shifts
+
+
+def _lowest(nums, den: int) -> tuple:
+    """The lattice state (nums, den) in lowest terms, den > 0."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([n // g for n in nums]), den // g
+
+
+class CosetReducer:
+    """N / Gamma in integers: canonical fundamental-domain representatives
+    and the coset metric, on lattice states.
+
+    A lattice state is a point's lattice coordinates c = L^-1 x as integer
+    numerators over one denominator, in lowest terms: (u, D) with c = u / D
+    and D > 0.  state() and point() convert, and product() is the group
+    law in lattice coordinates, P of _lattice_law (m + n on an abelian
+    algebra), compiled once for nilgrp's integer evaluator.
+
+    reduce_state() right-multiplies by integer powers of the generators,
+    in `ordering`, until every lattice coordinate lies in [0, 1): each
+    floor is an integer division, each power one evaluation of P.  reduce()
+    is its Fraction wrapper on points.
+
+    distance() and near() measure the cosets of two lattice states: the
+    least max-norm of x - y gamma over the lattice element gamma nearest
+    to y^-1 x in lattice coordinates and, unless the group is abelian, its
+    {-1,0,1}^d lattice neighbours.  Central generators only add to the
+    difference, so only the non-central moves cost a group product; the
+    central ones are shifts of the norm.  The moves, shifts and the rows
+    that near() reads before any product are built at their first use, so
+    a reducer of any dimension builds; NumericAffine caps the dimension of
+    the search.
+    """
+
+    def __init__(self, group: NilpotentGroup, lattice: LogLattice):
+        if lattice.dim != group.dim:
+            raise ValueError("lattice dimension does not match the algebra")
+        self.group = group
+        self.lattice = lattice
+        d = lattice.dim
+        if group.spec.abelian():  # P(m, n) = m + n
+            laws, modulus, bits = [{1 << k: 1, 1 << (d + k): 1}
+                                   for k in range(d)], 1, 1
+            self.ordering, self._central = tuple(range(d)), (True,) * d
+        else:
+            laws, modulus, bits = _lattice_law(group, lattice)
+            shifts = _shift_terms(laws, bits)
+            self.ordering = self._detect_ordering(shifts, modulus, bits)
+            # e_i is central when P(y, t e_i) = y + t e_i
+            self._central = tuple(shifts[i] == {i: {1 << (bits * (d + i)): modulus}}
+                                  for i in range(d))
+        self._laws = laws, modulus, bits
+        # L = B / unit and L^-1 = A / E, as sparse integer rows
+        self._unit, self._basis = _scaled_rows(lattice.basis)
+        self._inverse_unit, self._inverse = _scaled_rows(lattice._inverse)
+
+    def _detect_ordering(self, shifts: list[dict], modulus: int, bits: int
+                         ) -> tuple[int, ...]:
+        """Greedily the first index whose generator shifts cleanly after
+        those chosen: P(y, t e_i) is y_i + t on coordinate i and y_j on
+        each chosen j, for the law P of _lattice_law over modulus, whose
+        terms in n_i alone are shifts[i] (_shift_terms)."""
+        d = self.lattice.dim
+        chosen, remaining = [], list(range(d))
+        while remaining:
+            i = next((i for i in remaining  # greedy: first index that works
+                      if shifts[i].get(i) == {1 << (bits * (d + i)): modulus}
+                      and not any(j in shifts[i] for j in chosen)), None)
+            if i is None:
+                raise ValueError(
+                    f"no reduction ordering: none of {remaining} shifts cleanly "
+                    f"after {chosen}")
+            chosen.append(i)
+            remaining.remove(i)
+        return tuple(chosen)
+
+    @cached_property
+    def _law(self) -> _IntegerLaw:
+        """P(s, t) on lattice states, compiled at its first use."""
+        return _IntegerLaw(*self._laws, common=True)
+
+    @cached_property
+    def _law_integral(self) -> _IntegerLaw:
+        """P(s, n) on a lattice state s and an integer vector n, compiled
+        at its first use."""
+        return _IntegerLaw(*self._laws, common=True, integral_w=True)
+
+    def state(self, vec: Sequence[object]) -> tuple:
+        """The lattice state of the point vec: A x / E on the numerators
+        of x over their common denominator."""
+        x = [v if type(v) is Fraction else Fraction(v) for v in vec]
+        den = math.lcm(*[a.denominator for a in x])
+        u = [a.numerator * (den // a.denominator) for a in x]
+        return _lowest([sum(a * u[j] for j, a in row) for row in self._inverse],
+                       self._inverse_unit * den)
+
+    def point(self, state) -> tuple[Fraction, ...]:
+        """The point L c of a lattice state c = (u, D): B u / (unit D)."""
+        u, den = state
+        den *= self._unit
+        return tuple(Fraction(sum(b * u[j] for j, b in row), den)
+                     for row in self._basis)
+
+    def product(self, s, t) -> tuple:
+        """The lattice state of P(s, t), lattice states s and t, whose
+        numerators need not be in lowest terms."""
+        (u, ds), (v, dt) = s, t
+        if ds == dt:
+            den, vals = ds, [*u, *v]
+        else:
+            den = math.lcm(ds, dt)
+            fs, ft = den // ds, den // dt
+            vals = [a * fs for a in u] + [a * ft for a in v]
+        law = self._law
+        return _lowest(law(vals, den), law.scale * den ** law.top)
+
+    def reduce_state(self, state) -> tuple:
+        """The lattice state of the canonical representative of the coset
+        of a lattice state in lowest terms."""
+        u, den = state
+        d = len(u)
+        law = self._law_integral
+        for i in self.ordering:
+            k = u[i] // den
+            if k:
+                vals = [*u] + [0] * d
+                vals[d + i] = -k
+                u, den = _lowest(law(vals, den), law.scale * den ** law.top)
+        if min(u) < 0 or max(u) >= den:
+            raise ArithmeticError("reduction left the fundamental domain")
+        return tuple(u), den
+
+    def reduce(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
+        return self.point(self.reduce_state(self.state(vec)))
+
+    # -- metric --
+
+    @cached_property
+    def _moves(self) -> list:
+        """The candidates' moves from the nearest translate: None, then the
+        nonzero lattice vectors e in {-1,0,1}^d on the non-central
+        generators (none on a torus, where every generator is central)."""
+        return [None, *_neighbours(self.lattice.dim, [
+            j for j, c in enumerate(self._central) if not c])]
+
+    @cached_property
+    def _shifts(self) -> list:
+        """The central shifts of the norm: on a non-abelian group the
+        points L e, times the unit of the basis rows B = unit L, of the
+        nonzero e in {-1,0,1}^d on the central generators.  On a torus
+        the nearest translate is exact and there are none."""
+        if self.group.spec.abelian():
+            return []
+        return [_rows_times(self._basis, e) for e in _neighbours(
+            self.lattice.dim, [j for j, c in enumerate(self._central) if c])]
+
+    @cached_property
+    def _early(self) -> list:
+        """The rows that near() rejects on before any product: (i, the
+        sparse basis row B[i], the sorted nonzero entries m of the moves'
+        points B e on coordinate i).
+
+        On a coordinate i that no bracket or shift touches, y^-1 x is
+        x - y.  Where B[i] reads only lattice coordinates j whose inverse
+        row reads only such coordinates, the lattice coordinates of
+        y^-1 x are c_j(x) - c_j(y), so r_i = sum_j B[i][j] (c_j -
+        round(c_j)) / unit on them, and a move entry m puts its candidate
+        at |r_i - m / unit| on coordinate i."""
+        touched = {i for vec in (*self.group.spec.table.values(), *self._shifts)
+                   for i, c in enumerate(vec) if c}
+        readable = {j for j, row in enumerate(self._inverse)
+                    if all(k not in touched for k, _ in row)}
+        points = [_rows_times(self._basis, e) for e in self._moves[1:]]
+        return [(i, row, sorted({p[i] for p in points if p[i]}))
+                for i, row in enumerate(self._basis)
+                if i not in touched and all(j in readable for j, _ in row)]
+
+    def distance(self, s, t) -> Fraction:
+        """The distance between the cosets of the lattice states s and t:
+        the least candidate value."""
+        return Fraction(*self._least(s, t, None))
+
+    def near(self, s, t, eps: Fraction) -> bool:
+        """distance(s, t) < eps, deciding no more than that.
+
+        First, on the rows of _early, a coordinate that every candidate
+        puts at eps or beyond rejects without a group product.  Then the
+        candidates are searched with eps as the bound, up to the first
+        one under it.
+        """
+        if self._rejects_early(s, t, eps):
+            return False
+        value, unit = self._least(s, t, eps)
+        return value * eps.denominator < eps.numerator * unit
+
+    def _rejects_early(self, s, t, eps: Fraction) -> bool:
+        """near()'s first phase on lattice states s and t: some coordinate
+        i of _early puts every candidate at eps or beyond, read from the
+        lattice coordinates of x - y without a product.  Values are
+        integers over unit * G, G the common denominator of s and t."""
+        (u, du), (v, dv) = s, t
+        den = math.lcm(du, dv)
+        fu, fv = den // du, den // dv
+        bound = eps.numerator * self._unit * den
+        q = eps.denominator
+        gap = {}
+        for i, row, values in self._early:
+            r = 0
+            for j, b in row:
+                if j not in gap:
+                    c = u[j] * fu - v[j] * fv
+                    gap[j] = c - den * _round(c, den)
+                r += b * gap[j]
+            if abs(r) * q >= bound and all(abs(r - m * den) * q >= bound
+                                           for m in values):
+                return True
+        return False
+
+    def _least(self, s, t, eps: Optional[Fraction]) -> tuple[int, int]:
+        """(value, unit): the least candidate value times unit or, with
+        eps, the first one under eps (ceil(eps * unit) when there is none).
+
+        All values are integers over unit = B's unit times W, W the common
+        denominator of s and of the products y * gamma.
+        """
+        law = self._law
+        (u, du), (v, dv) = s, t
+        # the lattice element nearest to y^-1 x
+        den = math.lcm(du, dv)
+        fu, fv = den // du, den // dv
+        diff = law([-a * fv for a in v] + [a * fu for a in u], den)
+        over = law.scale * den ** law.top
+        base = [_round(c, over) for c in diff]
+        # the values, integers over unit: y * gamma is over wide
+        law = self._law_integral
+        wide = law.scale * dv ** law.top
+        den = math.lcm(du, wide)
+        f = den // wide
+        unit = self._unit * den
+        x = [a * (den // du) for a in u]
+        best = None if eps is None else \
+            -(-eps.numerator * unit // eps.denominator)
+        for e in self._moves:
+            gamma = base if e is None else list(map(add, base, e))
+            if any(gamma):
+                w = [a - b * f for a, b in zip(x, law([*v, *gamma], dv))]
+            else:
+                w = list(map(sub, x, [a * (den // dv) for a in v]))
+            value = self._norm_near(w, den)
+            if best is None or value < best:
+                best = value
+                if eps is not None:
+                    break
+        return best, unit
+
+    def _norm_near(self, w, den: int) -> int:
+        """Least max-norm of L (w / den - z) times unit den over the
+        central shifts z, w / den the lattice coordinates of x - y gamma."""
+        point = _rows_times(self._basis, w)
+        best = max(map(abs, point))
+        for shift in self._shifts:
+            best = min(best, max(abs(a - den * z) for a, z in zip(point, shift)))
+        return best
+
+
 class NumericAffine:
     """The affine map x -> a * U(x) of a validated system on N / Gamma.
 
@@ -63,17 +357,16 @@ class NumericAffine:
     A non-abelian group needs dimension <= NEIGHBOUR_DIM_CAP, which bounds
     the lattice neighbours that distance() searches.
 
-    Every primitive runs in integers on lattice states (CosetReducer): the
-    lattice coordinates c of a point as integer numerators over one
-    denominator.  There T is c -> P(c(a), U_L c), with P the group law in
-    lattice coordinates and U_L = L^-1 U L the system's integral
-    lattice_automorphism, and the metric is read through the basis L.
-    The methods on points (reduce, step, step_back, jump, distance, near)
-    convert on entry and build Fractions only for the point or distance
-    they return.  The oracle's scans, walks and trials run in the orbit
-    space that _space chooses once per map: a torus map's integer torus
-    factor (_TorusFactor), and for every other map its lattice states
-    (_Points), which the state methods (_step, _jump, _near, ..) serve.
+    The map steps in integers on the lattice states of its CosetReducer,
+    which also holds the metric: there T is c -> P(c(a), U_L c), with P
+    the group law in lattice coordinates and U_L = L^-1 U L the system's
+    integral lattice_automorphism.  The methods on points (reduce, step,
+    step_back, jump, distance, near) convert on entry, delegate, and build
+    Fractions only for the point or distance they return.  The oracle's
+    scans, walks and trials run in the orbit space that _space chooses
+    once per map: a torus map's integer torus factor (_TorusFactor), and
+    for every other map its lattice states (_Points), which _step, _jump
+    and the reducer serve.
     """
 
     def __init__(self, system, translation):
@@ -86,58 +379,18 @@ class NumericAffine:
         self.matrix = system.automorphism
         self.translation = translation
         self._pure = system.is_translation()
-        spec = system.group.spec
+        abelian = system.group.spec.abelian()
+        if d > NEIGHBOUR_DIM_CAP and not abelian:
+            raise ValueError(
+                f"the orbit oracle's lattice neighbour search supports "
+                f"dimension <= {NEIGHBOUR_DIM_CAP} on a non-abelian group")
         self._reducer = reducer = CosetReducer(system.group, lattice)
         self._shift = reducer.state(translation)  # the lattice state of a
         self._conj = conj = system.lattice_automorphism
         self._lattice_map = _scaled_rows(conj)[1]  # U_L, integral
         self._reach = 1 if self._pure else None
-        if spec.abelian():
+        if abelian:
             self._reach = unipotency_index(conj)
-        # distance() tries the nearest translate and, unless the group is
-        # abelian, its {-1,0,1}^d lattice neighbours.  Central generators
-        # only add to the difference, so only the non-central moves cost a
-        # group product.  On the coordinates that no bracket or shift
-        # touches, y^-1 x is x - y, so there a candidate's value is known
-        # before any product, and a move is skipped when one of them is
-        # already at or above the bound.  On a torus every generator is
-        # central and the nearest translate is exact.  A move is its
-        # lattice vector e, a central shift the point L e times the unit of
-        # the basis rows B = unit L.
-        basis = reducer._basis
-        moves = []
-        self._shifts = []
-        if not spec.abelian():
-            if d > NEIGHBOUR_DIM_CAP:
-                raise ValueError(
-                    f"the orbit oracle's lattice neighbour search supports "
-                    f"dimension <= {NEIGHBOUR_DIM_CAP} on a non-abelian group")
-            central = reducer._central
-            moves = _neighbours(d, [j for j in range(d) if not central[j]])
-            self._shifts = [_rows_times(basis, e) for e in _neighbours(
-                d, [j for j in range(d) if central[j]])]
-        touched = {i for vec in (*spec.table.values(), *self._shifts)
-                   for i, c in enumerate(vec) if c}
-        self._bounded = bounded = [i for i in range(d) if i not in touched]
-        # (e, the nonzero entries of B e on bounded coordinates); None is
-        # the nearest translate
-        self._moves = [(None, [])]
-        for e in moves:
-            point = _rows_times(basis, e)
-            self._moves.append((e, [(i, point[i]) for i in bounded if point[i]]))
-        # near() rejects before the product on a bounded coordinate i whose
-        # basis row reads only lattice coordinates j whose inverse row
-        # reads only bounded coordinates: there the lattice coordinates of
-        # y^-1 x are c_j(x) - c_j(y), so r_i = sum_j B[i][j] (c_j -
-        # round(c_j)) / unit on them, and a move entry m puts its candidate
-        # at |r_i - m / unit| on coordinate i.  Entries: (i, the sparse
-        # basis row B[i], the sorted move entries m).
-        readable = {j for j, row in enumerate(reducer._inverse)
-                    if all(k not in touched for k, _ in row)}
-        self._early = [(i, basis[i], sorted({m for _, fixed in self._moves
-                                             for k, m in fixed if k == i}))
-                       for i in bounded
-                       if all(j in readable for j, _ in basis[i])]
 
     # -- dynamics (exact) --
 
@@ -209,119 +462,23 @@ class NumericAffine:
     # -- metric --
 
     def distance(self, x, y) -> Fraction:
-        """Distance estimate between the cosets of x and y.
+        """Distance estimate between the cosets of x and y
+        (CosetReducer.distance).
 
         Minimum of the max-norm of x - y * gamma over the lattice element
         gamma nearest to y^-1 x in lattice coordinates and, unless the
         group is abelian, its {-1,0,1}^d lattice neighbours.  On a torus
         this is the max-norm of the coordinate-wise circle distances.
         """
-        state = self._reducer.state
-        return self._distance(state(x), state(y))
-
-    def _distance(self, s, t) -> Fraction:
-        """distance() on lattice states."""
-        return Fraction(*self._least(s, t, None))
+        reducer = self._reducer
+        return reducer.distance(reducer.state(x), reducer.state(y))
 
     def near(self, x, y, eps) -> bool:
-        """distance(x, y) < eps, deciding no more than that.
-
-        First, on the coordinates where y^-1 x is x - y and the nearest
-        translate can be read from them, a coordinate that every candidate
-        puts at eps or beyond rejects without a group product.  Then the
-        candidates of distance() are searched with eps as the bound, up to
-        the first one under it.
-        """
-        state = self._reducer.state
-        return self._near(state(x), state(y), to_fraction(eps))
-
-    def _near(self, s, t, eps: Fraction) -> bool:
-        """near() on lattice states."""
-        if self._rejects_early(s, t, eps):
-            return False
-        value, unit = self._least(s, t, eps)
-        return value * eps.denominator < eps.numerator * unit
-
-    def _rejects_early(self, s, t, eps: Fraction) -> bool:
-        """near()'s first phase on lattice states s and t: some coordinate
-        i of _early puts every candidate at eps or beyond, read from the
-        lattice coordinates of x - y without a product.  Values are
-        integers over unit * G, G the common denominator of s and t."""
-        (u, du), (v, dv) = s, t
-        den = math.lcm(du, dv)
-        fu, fv = den // du, den // dv
-        bound = eps.numerator * self._reducer._unit * den
-        q = eps.denominator
-        gap = {}
-        for i, row, values in self._early:
-            r = 0
-            for j, b in row:
-                if j not in gap:
-                    c = u[j] * fu - v[j] * fv
-                    gap[j] = c - den * _round(c, den)
-                r += b * gap[j]
-            if abs(r) * q >= bound and all(abs(r - m * den) * q >= bound
-                                           for m in values):
-                return True
-        return False
-
-    def _least(self, s, t, eps: Optional[Fraction]) -> tuple[int, int]:
-        """(value, unit): the least candidate value times unit or, with
-        eps, the first one under eps (ceil(eps * unit) when there is none).
-
-        All values are integers over unit = B's unit times W, W the common
-        denominator of s and of the products y * gamma.  A move is skipped
-        when a bounded coordinate already puts it at or above the bound or
-        the least value found so far.
-        """
+        """distance(x, y) < eps, deciding no more than that
+        (CosetReducer.near)."""
         reducer = self._reducer
-        law = reducer._law
-        (u, du), (v, dv) = s, t
-        # the lattice element nearest to y^-1 x
-        den = math.lcm(du, dv)
-        fu, fv = den // du, den // dv
-        diff = law([-a * fv for a in v] + [a * fu for a in u], den)
-        over = law.scale * den ** law.top
-        base = [_round(c, over) for c in diff]
-        # the values, integers over unit: y * gamma is over wide
-        law = reducer._law_integral
-        wide = law.scale * dv ** law.top
-        den = math.lcm(du, wide)
-        f = den // wide
-        unit = reducer._unit * den
-        x = [a * (den // du) for a in u]
-        y = [a * (den // dv) for a in v]
-        basis = reducer._basis
-        r = {}
-        if len(self._moves) > 1:
-            gap = [a - b - den * g for a, b, g in zip(x, y, base)]
-            r = {i: sum(a * gap[j] for j, a in basis[i]) for i in self._bounded}
-        best = None if eps is None else \
-            -(-eps.numerator * unit // eps.denominator)
-        for e, fixed in self._moves:
-            if best is not None and not all(abs(r[i] - m * den) < best
-                                            for i, m in fixed):
-                continue
-            gamma = base if e is None else list(map(add, base, e))
-            if any(gamma):
-                w = [a - b * f for a, b in zip(x, law([*v, *gamma], dv))]
-            else:
-                w = list(map(sub, x, y))
-            value = self._norm_near(w, den)
-            if best is None or value < best:
-                best = value
-                if eps is not None:
-                    break
-        return best, unit
-
-    def _norm_near(self, w, den: int) -> int:
-        """Least max-norm of L (w / den - z) times unit den over the
-        central shifts z, w / den the lattice coordinates of x - y gamma."""
-        point = _rows_times(self._reducer._basis, w)
-        best = max(map(abs, point))
-        for shift in self._shifts:
-            best = min(best, max(abs(a - den * z) for a, z in zip(point, shift)))
-        return best
+        return reducer.near(reducer.state(x), reducer.state(y),
+                            to_fraction(eps))
 
 
 def _neighbours(d: int, support: list) -> list:
@@ -352,43 +509,44 @@ def _round(n: int, den: int) -> int:
 
 class _TorusFactor:
     """The integer state of a map's torus factor: the lattice coordinates
-    c_j that near()'s first phase reads, on which T acts by an integer
-    affine map c -> U_f c + c(a) mod 1.
+    c_j that the reducer's near() reads in its first phase
+    (CosetReducer._early), on which T acts by an integer affine map
+    c -> U_f c + c(a) mod 1.
 
     It has two uses.  It is the orbit space of a torus map (_space): there
     the factor is every lattice coordinate c = L^-1 x and U_f = U_L =
     L^-1 U L, the system's integral lattice_automorphism; with no
-    neighbour moves or central shifts, near() and distance() are
-    NumericAffine's, in integers, and point() gives a state's point back.
+    neighbour moves or central shifts, near() and distance() are the
+    reducer's, in integers, and point() gives a state's point back.
     And it is the scan filter of a pure translation of a non-abelian group
     (_Points.scan): a reduction adds an integer to each c_j (U_f = I), and
     rejects() is near()'s first phase.  On the orbit of a reduced point
     every c_j lies in [0, 1) and is a multiple of 1/den, den the lcm of
-    eps's denominator and those of the c_j of the translation and the
-    given points, so a state holds the integers den * c_j.  With snap, den
-    also covers every point on the SNAP_GRID, the targets of a trial.  A
-    state holds c_j in [0, 1), not another member of its class mod 1:
-    round() breaks a tie at 1/2 by parity.  With eps None the factor has
-    no threshold test and den leaves eps out.
+    eps's denominator, those of the c_j of the translation and the given
+    points, and those of every point on the SNAP_GRID, the targets of a
+    trial; so a state holds the integers den * c_j.  A state holds c_j in
+    [0, 1), not another member of its class mod 1: round() breaks a tie
+    at 1/2 by parity.  With eps None the factor has no threshold test and
+    den leaves eps out.
     """
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
-                 points, snap: bool = False):
+                 points):
         reducer = affine._reducer
-        self._coords = coords = sorted({j for _, row, _ in affine._early
+        self._coords = coords = sorted({j for _, row, _ in reducer._early
                                         for j, _ in row})
         self._affine, self._reducer = affine, reducer
         self._reach = affine.reach()
         # a point on the SNAP_GRID has c_j = A_j x / E with x in the grid
         grid = [SNAP_GRID * (reducer._inverse_unit // math.gcd(
             reducer._inverse_unit, *(a for _, a in reducer._inverse[j])))
-                for j in coords] if snap else []
+                for j in coords]
         self.den = den = math.lcm(1 if eps is None else eps.denominator,
                                   *grid, *(
             e // math.gcd(u[j], e) for u, e in (
                 affine._shift, *map(reducer.state, points)) for j in coords))
         self._tests = []
-        for _, row, values in affine._early if eps else ():
+        for _, row, values in reducer._early if eps else ():
             row = [(coords.index(j), b) for j, b in row]
             bound = eps.numerator * reducer._unit * den // eps.denominator
             # a centred gap puts the value within sum |b| den / 2 of 0, so
@@ -504,14 +662,14 @@ class _TorusFactor:
                    for row in self._basis)
 
     def near(self, s, t, bound) -> bool:
-        """NumericAffine.near of the points of states s and t of a torus
+        """CosetReducer.near of the points of states s and t of a torus
         map's factor, distance(s, t) < bound; with bound eps exactly
         not rejects(s, t)."""
         return self._norm(s, t) * bound.denominator < \
             bound.numerator * self._unit
 
     def distance(self, s, t) -> Fraction:
-        """NumericAffine.distance of the points of states s and t of a
+        """CosetReducer.distance of the points of states s and t of a
         torus map's factor."""
         return Fraction(self._norm(s, t), self._unit)
 
@@ -570,13 +728,15 @@ class _TorusFactor:
 
 class _Points:
     """The orbit space of a map that is not a torus map: a state is the
-    lattice state of a point (CosetReducer), and near(), distance() and
-    the steps are NumericAffine's state methods, in integers."""
+    lattice state of a point, state(), point(), near() and distance() are
+    the map's CosetReducer's, and the steps are NumericAffine's state
+    methods, all in integers."""
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction]):
         self._affine, self._eps = affine, eps
-        self.state, self.point = affine._reducer.state, affine._reducer.point
-        self.near, self.distance = affine._near, affine._distance
+        reducer = affine._reducer
+        self.state, self.point = reducer.state, reducer.point
+        self.near, self.distance = reducer.near, reducer.distance
 
     @staticmethod
     def tries(horizon: int) -> tuple:
@@ -600,7 +760,7 @@ class _Points:
         jump.  Every other map steps to every k.
         """
         affine = self._affine
-        if affine.is_pure_translation() and affine._early:
+        if affine.is_pure_translation() and affine._reducer._early:
             factor = _TorusFactor(affine, self._eps, (self.point(x), self.point(y)))
             for k, _ in factor.scan(factor._of(x), factor._of(y), horizon):
                 yield k, affine._jump(x, k)
@@ -611,17 +771,16 @@ class _Points:
                 yield k, p
 
 
-def _space(affine: NumericAffine, eps: Optional[Fraction], points,
-           snap: bool = False):
+def _space(affine: NumericAffine, eps: Optional[Fraction], points):
     """The orbit space of the map, chosen once: a torus map's torus factor
     (_TorusFactor), or every other map's lattice states (_Points); both
-    keep their states in integers.  Both offer state, point, near, distance, walk, scan and
-    tries, and jump where tries yields indices.  The space holds the
-    states of the given points, with snap also of every point on the
-    SNAP_GRID, and its scan keeps states within eps (None for a walk).
+    keep their states in integers.  Both offer state, point, near,
+    distance, walk, scan and tries, and jump where tries yields indices.
+    The space holds the states of the given points and of every point on
+    the SNAP_GRID, and its scan keeps states within eps (None for a walk).
     """
     if affine.group.spec.abelian():
-        return _TorusFactor(affine, eps, points, snap)
+        return _TorusFactor(affine, eps, points)
     return _Points(affine, eps)
 
 
@@ -765,6 +924,8 @@ def _returns(space, x, y, eps: Fraction, horizon: int, start: int,
                 return hits
         if period is None and p == x:
             period = k
+        if period is not None and k + 1 >= lo + period:
+            break  # the window [lo, lo + period) is complete
     window = [(h, q) for h, q in hits if h >= lo]
     if period is not None and lo + period <= horizon and window:
         for shift in count(period, period):
@@ -824,7 +985,7 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     """
     probe = affine.reduce(probe)
     eps = to_fraction(eps)
-    space = _space(affine, eps, (probe,), snap=True)
+    space = _space(affine, eps, (probe,))
     origin = space.state(probe)
     try:
         returns = _returns(space, origin, origin, eps, int(horizon), 1, 10)
@@ -870,7 +1031,7 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     eps = _epsilon(eps)
     horizon = int(horizon)
     rng = random.Random(seed)
-    given = [affine.reduce(p) for p in probes or ()][:trials]
+    given = list(probes or ())[:trials]
     witness = None
     found_returns = 0
     for i in range(trials):

@@ -15,14 +15,13 @@ from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, q6, random_basis_matrix,
                       random_change_of_basis)
 from nilaa.criteria import make_system
-from nilaa.lattice import (CosetReducer, LatticeClosureError, LogLattice,
-                           _binomial_row, _is_hermite,
-                           _non_integer_binomial_indices,
+from nilaa.lattice import (LatticeClosureError, LogLattice, _binomial_row,
+                           _is_hermite, _non_integer_binomial_indices,
                            central_lattice_basis, preserves_lattice,
                            validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.orbit import NumericAffine
+from nilaa.orbit import CosetReducer, NumericAffine
 from nilaa.poly import ParamVector, Poly
 from nilaa.ratlin import QMatrix, QSubspace, integer_kernel, zspan_basis
 
@@ -483,9 +482,10 @@ def test_coset_reducer_heisenberg():
 
 _WRONG_ORDER_PROBE = """
 from fractions import Fraction
-from nilaa.lattice import CosetReducer, LogLattice
+from nilaa.lattice import LogLattice
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
+from nilaa.orbit import CosetReducer
 from nilaa.ratlin import QMatrix
 reducer = CosetReducer(NilpotentGroup(LieAlgebraSpec.from_sparse(3, [(1, 2, 3, 1)])),
                        LogLattice(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, "1/2"]])))

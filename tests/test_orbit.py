@@ -304,12 +304,23 @@ NEAR_MAPS = {
 EPSILONS = [F(1, 2 ** k) for k in range(1, 13)] + [F(3, 4)]
 
 
+def test_the_map_builds_no_metric_and_its_reducer_builds_it_at_first_use():
+    m = heis(None, [F(1, 3), 0, 0])
+    metric = {"_moves", "_shifts", "_early"}
+    assert not metric & set(vars(m)) and not metric & set(vars(m._reducer))
+    x, y = m.reduce((F(1, 5), F(2, 7), F(1, 9))), m.reduce((0, F(1, 2), 0))
+    assert m.near(x, y, F(3, 4)) == (m.distance(x, y) < F(3, 4))
+    assert metric <= set(vars(m._reducer))
+    # the 8 moves off the central generator, the 2 central shifts
+    assert len(m._reducer._moves) == 9 and len(m._reducer._shifts) == 2
+
+
 @pytest.mark.parametrize("name", sorted(NEAR_MAPS))
 def test_near_is_distance_below_eps(name):
     build, early = NEAR_MAPS[name]
     m = build()
     # the coordinates near() can reject on before the group product
-    assert len(m._early) == early
+    assert len(m._reducer._early) == early
     rng = random.Random(name)
     den = 2 ** 14
     answers = []
@@ -395,8 +406,8 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     # a long horizon costs one period of the scan, not the horizon, and no
     # Fraction step: the skew's factor is its whole torus, whose kept points
     # are its integer states, and the Heisenberg translation jumps to the
-    # points its torus factor keeps; each scan stops at the second factor
-    # period, the last k it reaches
+    # points its torus factor keeps; each scan stops once the window of one
+    # period is complete, at the first factor period, the last k it reaches
     steps, jumps, reached = [], [], []
     step, jump = m._step, m._jump
     m._step = lambda p: steps.append(1) or step(p)
@@ -415,9 +426,9 @@ def test_periodic_orbit_scan_matches_brute_force(kind, monkeypatch):
     with pytest.raises(NotFound):
         find_forward_sequence(m, x, targets[3][0], F(1, 100), 10 ** 6)
     assert steps == []
-    # the Heisenberg jumps are x's returns at k = 5 and 10 in each scan
-    assert len(jumps) == (0 if kind == "skew" else 2 * 2)
-    assert reached == [10, 10]
+    # the Heisenberg jumps are x's return at k = 5 in each scan
+    assert len(jumps) == (0 if kind == "skew" else 2 * 1)
+    assert reached == [5, 5]
 
 
 # maps whose scan runs on the torus factor, with a probe; pure translations:
@@ -476,7 +487,7 @@ def test_factor_scan_matches_brute_force(name):
     build, x = FACTOR_MAPS[name]
     m = build()
     abelian = m.group.spec.abelian()
-    assert m._early and (abelian or m.is_pure_translation())
+    assert m._reducer._early and (abelian or m.is_pure_translation())
     # the convergent-denominator tries run on pure translations of tori
     tried = abelian and m.is_pure_translation()
     x = m.reduce(x)
@@ -625,8 +636,8 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
         y = m.reduce(y)
         factor = _TorusFactor(m, eps, (x, y))
         answers.append(factor.rejects(factor.state(x), factor.state(y)))
-        assert answers[-1] == m._rejects_early(m._reducer.state(x),
-                                               m._reducer.state(y), eps)
+        assert answers[-1] == m._reducer._rejects_early(
+            m._reducer.state(x), m._reducer.state(y), eps)
         if m.group.spec.abelian():
             # a torus factor is every lattice coordinate: its test is near()
             assert answers[-1] == (not m.near(x, y, eps)) == \
@@ -708,12 +719,14 @@ def test_torus_factor_distance_and_test_are_the_point_definitions(name):
             kinds.add(exact / eps)
         if n % 4 == 1 and any(signs):
             kinds.add("tie")
-        # a trial's factor also covers every point on the snap grid
+        # every factor also covers every point on the snap grid: a trial's,
+        # and a walk's, built with no eps
         snapped = m.reduce(_snap(y))
-        trial = _TorusFactor(m, eps, (x,), snap=True)
-        assert trial.point(trial.state(snapped)) == snapped
-        assert trial.distance(trial.state(x), trial.state(snapped)) == \
-            m.distance(x, snapped)
+        for bound in (eps, None):
+            trial = _TorusFactor(m, bound, (x,))
+            assert trial.point(trial.state(snapped)) == snapped
+            assert trial.distance(trial.state(x), trial.state(snapped)) == \
+                m.distance(x, snapped)
     assert kinds == {1, 10, "tie"}
 
 
@@ -824,6 +837,17 @@ def test_trials_must_be_at_least_one():
 
 
 # ---- aa_empirical_test ----
+
+def test_each_given_probe_is_reduced_once(monkeypatch):
+    m = heis(None, [F(1, 3), F(1, 5), 0])
+    calls = []
+    reduce = NumericAffine.reduce
+    monkeypatch.setattr(NumericAffine, "reduce",
+                        lambda self, x: calls.append(x) or reduce(self, x))
+    probes = [(F(7, 4), F(1, 3), F(5, 2)), (F(1, 8), F(-2, 3), F(1, 16))]
+    aa_empirical_test(m, 3, F(1, 100), 40, 5, probes=probes)
+    # one reduction per trial: the two given probes, then the sampled one
+    assert calls[:2] == probes and len(calls) == 3
 
 def test_jordan3_probe_is_falsified_with_frozen_witness():
     m = torus(3, JORDAN3, [0, 0, 0])
@@ -994,7 +1018,7 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     # the chooser gives the torus map its factor, and the trial runs on its
     # states: its integer test and distance take the calls, as the points
     # of the states they are given
-    assert isinstance(norbit._space(m, eps, (probe,), snap=True),
+    assert isinstance(norbit._space(m, eps, (probe,)),
                       _TorusFactor)
     targets = {}
     for cls, name in ((_TorusFactor, "near"), (_TorusFactor, "distance"),
