@@ -104,6 +104,9 @@ class LogLattice:
             return NotImplemented
         return self.basis == other.basis
 
+    def __hash__(self) -> int:
+        return hash(self.dim)  # consistent with __eq__, and cheap
+
     def __repr__(self) -> str:
         return f"LogLattice(dim={self.dim})"
 
@@ -117,6 +120,7 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, k + 1))
 
 
+@lru_cache(maxsize=1)
 def _lattice_law(group: NilpotentGroup, lattice: LogLattice
                  ) -> tuple[list[dict], int, int]:
     """P(m, n) = L^-1 bch(L m, L n), the group law in the coordinates of
@@ -124,7 +128,10 @@ def _lattice_law(group: NilpotentGroup, lattice: LogLattice
     modulus, integer polynomials packed as in _lyndon, with `bits` bits
     per exponent of z = (m, n).  L = B / D and L^-1 = A / E with B, A
     integral, so _lyndon on the linear forms B m, B n over D gives
-    bch(L m, L n) over base, and A applied to it gives P over E base."""
+    bch(L m, L n) over base, and A applied to it gives P over E base.
+    The last law is kept, read-only, for the coset reducer of the system
+    whose closure certificate expanded it, on a basis that is its own
+    Hermite basis, as a positive diagonal one is."""
     d = group.dim
     bits = group.nilpotency_class.bit_length()
     units = [1 << (bits * i) for i in range(2 * d)]

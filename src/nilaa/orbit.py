@@ -24,8 +24,8 @@ every weight-graded basis; it is read off the group law in lattice
 coordinates (lattice._lattice_law), in any dimension, and is 0..d-1 on an
 abelian algebra.  Each floor is an integer division and each power of a
 generator one evaluation of that law by the group's integer evaluator.
-The coset metric is the class's too, on the same states.  The map
-(NumericAffine) only steps.
+The coset metric is the class's too, on the same states, and the only
+one: the map (NumericAffine) and a torus factor (_TorusFactor) step.
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ class CosetReducer:
     central ones are shifts of the norm.  The moves, shifts and the rows
     that near() reads before any product are built at their first use, so
     a reducer of any dimension builds; NumericAffine caps the dimension of
-    the search.
+    the search.  Both also take states not in lowest terms, such as a
+    torus factor's (s, den).  On a torus every row is early and there are
+    no moves or shifts: the nearest translate is the only candidate, with
+    lattice coordinates c - round(c) for those c of x - y, so near()'s
+    first phase decides the whole test and distance() makes no product.
     """
 
     def __init__(self, group: NilpotentGroup, lattice: LogLattice):
@@ -122,7 +126,8 @@ class CosetReducer:
         self.group = group
         self.lattice = lattice
         d = lattice.dim
-        if group.spec.abelian():  # P(m, n) = m + n
+        self._torus = group.spec.abelian()
+        if self._torus:  # P(m, n) = m + n
             laws, modulus, bits = [{1 << k: 1, 1 << (d + k): 1}
                                    for k in range(d)], 1, 1
             self.ordering, self._central = tuple(range(d)), (True,) * d
@@ -233,7 +238,7 @@ class CosetReducer:
         points L e, times the unit of the basis rows B = unit L, of the
         nonzero e in {-1,0,1}^d on the central generators.  On a torus
         the nearest translate is exact and there are none."""
-        if self.group.spec.abelian():
+        if self._torus:
             return []
         return [_rows_times(self._basis, e) for e in _neighbours(
             self.lattice.dim, [j for j, c in enumerate(self._central) if c])]
@@ -262,18 +267,27 @@ class CosetReducer:
     def distance(self, s, t) -> Fraction:
         """The distance between the cosets of the lattice states s and t:
         the least candidate value."""
+        if self._torus:
+            (u, du), (v, dv) = s, t
+            den = math.lcm(du, dv)
+            fu, fv = den // du, den // dv
+            gap = [a * fu - b * fv for a, b in zip(u, v)]
+            gap = [c - den * _round(c, den) for c in gap]
+            return Fraction(self._norm_near(gap, den), self._unit * den)
         return Fraction(*self._least(s, t, None))
 
     def near(self, s, t, eps: Fraction) -> bool:
         """distance(s, t) < eps, deciding no more than that.
 
         First, on the rows of _early, a coordinate that every candidate
-        puts at eps or beyond rejects without a group product.  Then the
-        candidates are searched with eps as the bound, up to the first
-        one under it.
+        puts at eps or beyond rejects without a group product; on a torus
+        that decides.  Then the candidates are searched with eps as the
+        bound, up to the first one under it.
         """
         if self._rejects_early(s, t, eps):
             return False
+        if self._torus:
+            return True
         value, unit = self._least(s, t, eps)
         return value * eps.denominator < eps.numerator * unit
 
@@ -508,30 +522,27 @@ def _round(n: int, den: int) -> int:
 
 
 class _TorusFactor:
-    """The integer state of a map's torus factor: the lattice coordinates
-    c_j that the reducer's near() reads in its first phase
-    (CosetReducer._early), on which T acts by an integer affine map
-    c -> U_f c + c(a) mod 1.
+    """The integer dynamics of a map's torus factor: the lattice
+    coordinates c_j that near()'s first phase reads (CosetReducer._early),
+    on which T acts by c -> U_f c + c(a) mod 1, U_f the restriction of
+    U_L = L^-1 U L, the system's integral lattice_automorphism, to them.
 
-    It has two uses.  It is the orbit space of a torus map (_space): there
-    the factor is every lattice coordinate c = L^-1 x and U_f = U_L =
-    L^-1 U L, the system's integral lattice_automorphism; with no
-    neighbour moves or central shifts, near() and distance() are the
-    reducer's, in integers, and point() gives a state's point back.
-    And it is the scan filter of a pure translation of a non-abelian group
-    (_Points.scan): a reduction adds an integer to each c_j (U_f = I), and
-    rejects() is near()'s first phase.  On the orbit of a reduced point
-    every c_j lies in [0, 1) and is a multiple of 1/den, den the lcm of
-    eps's denominator, those of the c_j of the translation and the given
-    points, and those of every point on the SNAP_GRID, the targets of a
-    trial; so a state holds the integers den * c_j.  A state holds c_j in
-    [0, 1), not another member of its class mod 1: round() breaks a tie
-    at 1/2 by parity.  With eps None the factor has no threshold test and
-    den leaves eps out.
+    The restriction is exact on the two kinds of map that _space and
+    _Points.scan give a factor: a torus map, whose factor is every lattice
+    coordinate (U_f = U_L), and a pure translation of a non-abelian group
+    (U_L = I).  On the orbit of a reduced point every c_j lies in [0, 1)
+    and is a multiple of 1/den, den the lcm of eps's denominator, those of
+    the c_j of the translation and the given lattice states, and those of
+    every point on the SNAP_GRID, the targets of a trial; so a state holds
+    the integers den * c_j, in [0, den) and not another member of their
+    class, as round() breaks a tie at 1/2 by parity.  With eps None the
+    factor has no threshold test and den leaves eps out.  The metric is
+    the reducer's: a torus map's state s is the lattice state (s, den),
+    which near(), distance() and point() hand to it.
     """
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
-                 points):
+                 states):
         reducer = affine._reducer
         self._coords = coords = sorted({j for _, row, _ in reducer._early
                                         for j, _ in row})
@@ -543,8 +554,8 @@ class _TorusFactor:
                 for j in coords]
         self.den = den = math.lcm(1 if eps is None else eps.denominator,
                                   *grid, *(
-            e // math.gcd(u[j], e) for u, e in (
-                affine._shift, *map(reducer.state, points)) for j in coords))
+            e // math.gcd(u[j], e) for u, e in (affine._shift, *states)
+            for j in coords))
         self._tests = []
         for _, row, values in reducer._early if eps else ():
             row = [(coords.index(j), b) for j, b in row]
@@ -554,22 +565,20 @@ class _TorusFactor:
             reach = 2 * bound + sum(abs(b) for _, b in row) * den
             self._tests.append((row, bound, [
                 m * den for m in values if 2 * abs(m * den) < reach]))
-        if affine.group.spec.abelian():
-            self._map = affine._lattice_map
-            # a torus: x = L c = B c / unit
-            self._basis = reducer._basis
-            self._unit = reducer._unit * den
-        else:
-            self._map = [[(j, 1)] for j in range(len(coords))]
+        self._map = self._restrict(affine._lattice_map)
         self._drift = self._of(affine._shift)
+
+    def _restrict(self, rows) -> list:
+        """The sparse integer rows of U_L or U_L^-1 on the factor's
+        coordinates, indexed by their places in the factor."""
+        at = {j: n for n, j in enumerate(self._coords)}
+        return [[(at[k], u) for k, u in rows[j]] for j in self._coords]
 
     @cached_property
     def _backward(self) -> tuple:
         """(U_f^-1, back), T^-1 being s -> U_f^-1 s + back mod den with
         back = -U_f^-1 drift: built at the first retreat."""
-        inverse = self._map
-        if self._affine.group.spec.abelian():
-            inverse = self._affine._backward[0]
+        inverse = self._restrict(self._affine._backward[0])
         return inverse, [-sum(u * self._drift[k] for k, u in row) % self.den
                          for row in inverse]
 
@@ -632,59 +641,29 @@ class _TorusFactor:
         """The point L s / den of a state of a torus map's factor."""
         return self._reducer.point((s, self.den))
 
-    def _gap(self, s, t) -> list:
-        """den times c - round(c) for the lattice coordinates c of the
-        difference of the points of s and t: s_j - t_j less den where that
-        exceeds den / 2, plus den below -den / 2."""
-        den, half = self.den, self.den // 2
-        return [e - den if e > half else e + den if e < -half else e
-                for e in map(sub, s, t)]
-
-    def rejects(self, s, t) -> bool:
-        """near()'s first phase on the points of states s and t, as den
-        times its value."""
-        gap = self._gap(s, t)
-        return any(self._row_rejects(*test, gap) for test in self._tests)
-
-    @staticmethod
-    def _row_rejects(row, bound, moves, gap) -> bool:
-        """Whether the test row puts every candidate at the bound or beyond:
-        its value r, and r less each move entry."""
-        r = sum(c * gap[j] for j, c in row)
-        return abs(r) >= bound and all(abs(r - m) >= bound for m in moves)
-
-    def _norm(self, s, t) -> int:
-        """The max-norm of L gap times the integer unit = scale * den of a
-        torus map's factor, gap as rejects() centres it, so a tie of
-        round() at 1/2 agrees."""
-        gap = self._gap(s, t)
-        return max(abs(sum(c * gap[j] for j, c in row))
-                   for row in self._basis)
-
-    def near(self, s, t, bound) -> bool:
-        """CosetReducer.near of the points of states s and t of a torus
-        map's factor, distance(s, t) < bound; with bound eps exactly
-        not rejects(s, t)."""
-        return self._norm(s, t) * bound.denominator < \
-            bound.numerator * self._unit
+    def near(self, s, t, eps: Fraction) -> bool:
+        """CosetReducer.near of states s and t of a torus map's factor."""
+        return self._reducer.near((s, self.den), (t, self.den), eps)
 
     def distance(self, s, t) -> Fraction:
-        """CosetReducer.distance of the points of states s and t of a
-        torus map's factor."""
-        return Fraction(self._norm(s, t), self._unit)
+        """CosetReducer.distance of states s and t of a torus map's
+        factor."""
+        return self._reducer.distance((s, self.den), (t, self.den))
 
     def scan(self, s, t, horizon: int):
         """(k, state of T^k p) for k = 1..horizon from the state s of p,
-        leaving out each k whose state differs from s and rejects() against
-        the state t.
+        leaving out each k whose state differs from s and whose point
+        near()'s first phase (CosetReducer._rejects_early) rejects against
+        the point of the state t; on a torus that phase is the whole test.
 
-        One loop, with advance() and rejects() inlined on the factor's
-        rows, drift and tests.  A coordinate whose row of U_f is its own
-        unit row and whose drift is 0 is fixed; only the others advance
-        (under U_f = I, every pure translation's, the coordinates with
-        nonzero drift).  A test row that reads only fixed coordinates gives
-        the same answer at every k, so it is decided once, before the loop;
-        when it rejects, only the returns to s are left in.
+        One loop, with advance() and that phase inlined on the factor's
+        rows, drift and tests, pre-scaled to den.  A coordinate whose row
+        of U_f is its own unit row and whose drift is 0 is fixed; only the
+        others advance (under U_f = I, every pure translation's, the
+        coordinates with nonzero drift).  A test row that reads only fixed
+        coordinates gives the same answer at every k, so it is decided
+        once, before the loop; when it rejects, only the returns to s are
+        left in.
         """
         den, half = self.den, self.den // 2
         start, s = s, list(s)
@@ -693,12 +672,15 @@ class _TorusFactor:
                   in enumerate(zip(self._map, self._drift))
                   if a or row != [(j, 1)]]
         fixed = set(range(len(s))) - {j for j, _, _ in moving}
-        gap = self._gap(s, t)
+        gap = [e - den if e > half else e + den if e < -half else e
+               for e in map(sub, s, t)]
         tests = []
         for row, bound, moves in self._tests:
             if any(j not in fixed for j, _ in row):
                 tests.append((row, bound, moves))
-            elif self._row_rejects(row, bound, moves, gap):
+                continue
+            r = sum(c * gap[j] for j, c in row)
+            if abs(r) >= bound and all(abs(r - m) >= bound for m in moves):
                 tests = None  # every state rejects
                 break
         for k in range(1, horizon + 1):
@@ -761,7 +743,7 @@ class _Points:
         """
         affine = self._affine
         if affine.is_pure_translation() and affine._reducer._early:
-            factor = _TorusFactor(affine, self._eps, (self.point(x), self.point(y)))
+            factor = _TorusFactor(affine, self._eps, (x, y))
             for k, _ in factor.scan(factor._of(x), factor._of(y), horizon):
                 yield k, affine._jump(x, k)
         else:
@@ -772,15 +754,16 @@ class _Points:
 
 
 def _space(affine: NumericAffine, eps: Optional[Fraction], points):
-    """The orbit space of the map, chosen once: a torus map's torus factor
-    (_TorusFactor), or every other map's lattice states (_Points); both
-    keep their states in integers.  Both offer state, point, near,
-    distance, walk, scan and tries, and jump where tries yields indices.
-    The space holds the states of the given points and of every point on
-    the SNAP_GRID, and its scan keeps states within eps (None for a walk).
+    """The orbit space of the map, chosen once, by the one test of a torus
+    map: its torus factor (_TorusFactor), or every other map's lattice
+    states (_Points); both keep their states in integers.  Both offer
+    state, point, near, distance, walk, scan and tries, and jump where
+    tries yields indices.  The space holds the states of the given points
+    and of every point on the SNAP_GRID, and its scan keeps states within
+    eps (None for a walk).
     """
     if affine.group.spec.abelian():
-        return _TorusFactor(affine, eps, points)
+        return _TorusFactor(affine, eps, map(affine._reducer.state, points))
     return _Points(affine, eps)
 
 
@@ -867,9 +850,9 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     orbit returns to x.  A torus map scans and tests its integer states; a
     pure translation of another group scans its torus factor and builds
     the lattice state of T^k x only where the factor cannot reject or is
-    back at x's; every other map steps and tests each lattice state.  Deterministic in (map, x, y,
-    eps, horizon).  Raises NotFound when nothing is found, and ValueError
-    when limit < 1.
+    back at x's; every other map steps and tests each lattice state.
+    Deterministic in (map, x, y, eps, horizon).  Raises NotFound when
+    nothing is found, and ValueError when limit < 1.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -1024,12 +1007,15 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     backward distance above 10*eps falsifies; otherwise the report stays
     ConsistentWithAA.  Trials are independent; the witness reported is
     the one with the lowest trial index.  Raises ValueError when
-    trials < 1 (no trial is no evidence) or eps <= 0.
+    trials < 1 or horizon < 1 (no trial, or no forward index, is no
+    evidence) or eps <= 0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     eps = _epsilon(eps)
     horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     rng = random.Random(seed)
     given = list(probes or ())[:trials]
     witness = None

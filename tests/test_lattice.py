@@ -409,6 +409,26 @@ def test_sparse_central_lattice_basis_matches_the_dense_kernel():
             assert central_lattice_basis(NilpotentGroup(spec), lattice) == expected
 
 
+def test_a_diagonal_lattice_law_is_expanded_once_per_map(monkeypatch):
+    # the certificate expands the law on the Hermite basis, which is the
+    # given diagonal basis, and the map's coset reducer reads the same law
+    calls = []
+    lyndon = NilpotentGroup._lyndon
+    monkeypatch.setattr(NilpotentGroup, "_lyndon", lambda self, *args: (
+        calls.append(1) or lyndon(self, *args)))
+    for spec, lattice in ((heisenberg(), heis_lattice()),
+                          (free_nilpotent_2_3(), free23_lattice())):
+        calls.clear()
+        m = NumericAffine(make_system(spec, lattice=lattice.basis),
+                          [F(1, 3)] + [0] * (spec.dim - 1))
+        assert m.reduce(m.step([F(1, 2)] * spec.dim)) == \
+            m.step([F(1, 2)] * spec.dim)
+        assert calls == [1]
+    # the cache compares lattices by their bases: equal ones hash alike
+    assert heis_lattice() == heis_lattice()
+    assert hash(heis_lattice()) == hash(heis_lattice())
+
+
 def test_abelian_lattice_law_is_the_symbolic_product():
     # the symbolic law is m + n, so every additive lattice is closed and
     # validate_lattice makes no product

@@ -133,6 +133,12 @@ def lattice_torus(lattice, matrix, a):
         automorphism=lattice @ matrix @ lattice.inverse()), a)
 
 
+def torus_factor(m, eps, *points):
+    """The torus factor of the map, covering the lattice states of the
+    points."""
+    return _TorusFactor(m, eps, [m._reducer.state(p) for p in points])
+
+
 CLOSED_FORM_MAPS = {
     "jordan3": (lambda: torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)]), 3),
     "jordan4": (lambda: torus(4, jordan_block(4),
@@ -634,12 +640,18 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
         else:
             y = [F(rng.randrange(den), den) for _ in range(m.dim)]
         y = m.reduce(y)
-        factor = _TorusFactor(m, eps, (x, y))
-        answers.append(factor.rejects(factor.state(x), factor.state(y)))
-        assert answers[-1] == m._reducer._rejects_early(
-            m._reducer.state(x), m._reducer.state(y), eps)
+        reducer = m._reducer
+        answers.append(reducer._rejects_early(reducer.state(x),
+                                              reducer.state(y), eps))
+        # the factor's scan from T^-1 x keeps x unless that rejects, or
+        # unless T^-1 x has x's state
+        factor = torus_factor(m, eps, x, y)
+        s = factor.state(x)
+        before = factor.retreat(s)
+        assert list(factor.scan(before, factor.state(y), 1)) == (
+            [(1, s)] if before == s or not answers[-1] else [])
         if m.group.spec.abelian():
-            # a torus factor is every lattice coordinate: its test is near()
+            # on a torus the early phase decides near()
             assert answers[-1] == (not m.near(x, y, eps)) == \
                 (m.distance(x, y) >= eps)
     assert 40 < sum(answers) < 200  # both answers are common
@@ -651,7 +663,7 @@ def test_factor_retreat_inverts_advance(name):
     m = build()
     x = m.reduce(x)
     for eps in (None, F(1, 12)):
-        factor = _TorusFactor(m, eps, (x,))
+        factor = torus_factor(m, eps, x)
         states = [factor.state(x)]
         for _ in range(30):
             states.append(factor.advance(states[-1]))
@@ -664,6 +676,21 @@ def test_factor_retreat_inverts_advance(name):
             assert factor.jump(states[-1], -k) == back
             assert factor.jump(states[0], k) == states[k]
             back = factor.retreat(back)
+
+
+def test_a_non_abelian_translation_factor_map_is_the_identity():
+    # U_L of a pure translation is the identity, and so is its restriction
+    # to the factor's coordinates, forward and backward
+    kinds = set()
+    for build, x in FACTOR_MAPS.values():
+        m = build()
+        if m.group.spec.abelian():
+            continue
+        factor = torus_factor(m, F(1, 12), m.reduce(x))
+        identity = [[(j, 1)] for j in range(len(factor._coords))]
+        assert factor._map == factor._backward[0] == identity
+        kinds.add(len(factor._coords) < m.dim)
+    assert kinds == {True}
 
 
 # tori of dimension 1-5 on the identity lattice and the 2-torus of
@@ -708,13 +735,17 @@ def test_torus_factor_distance_and_test_are_the_point_definitions(name):
             size = eps if n % 4 == 2 else 10 * eps
             y = [a + size * e for a, e in zip(x, signs)]
         y = m.reduce(y)
-        factor = _TorusFactor(m, eps, (x, y))
+        factor = torus_factor(m, eps, x, y)
         s, t = factor.state(x), factor.state(y)
         exact = m.distance(x, y)
         assert factor.distance(s, t) == exact
-        assert factor.rejects(s, t) == (not m.near(x, y, eps)) == \
-            (not factor.near(s, t, eps))
+        assert factor.near(s, t, eps) == m.near(x, y, eps)
         assert factor.near(s, t, 10 * eps) == m.near(x, y, 10 * eps)
+        # on a torus the reducer answers without the candidate search,
+        # which stays the reference
+        value, unit = m._reducer._least((s, factor.den), (t, factor.den),
+                                        None)
+        assert exact == F(value, unit) and m.near(x, y, eps) == (exact < eps)
         if exact in (eps, 10 * eps):
             kinds.add(exact / eps)
         if n % 4 == 1 and any(signs):
@@ -723,7 +754,7 @@ def test_torus_factor_distance_and_test_are_the_point_definitions(name):
         # and a walk's, built with no eps
         snapped = m.reduce(_snap(y))
         for bound in (eps, None):
-            trial = _TorusFactor(m, bound, (x,))
+            trial = torus_factor(m, bound, x)
             assert trial.point(trial.state(snapped)) == snapped
             assert trial.distance(trial.state(x), trial.state(snapped)) == \
                 m.distance(x, snapped)
@@ -749,7 +780,7 @@ def test_scan_yields_what_per_k_advance_and_rejects_keep(name):
     # the corpus translation's factor has a fixed coordinate, whose test
     # row the scan decides once
     if name == "heisenberg_translation_file":
-        drift = _TorusFactor(m, None, (x,))._drift
+        drift = torus_factor(m, None, x)._drift
         assert [c == 0 for c in drift] == [False, True]
     kept = set()
     # T^3 x off by a tie of round() in its first lattice coordinate, and a
@@ -758,16 +789,24 @@ def test_scan_yields_what_per_k_advance_and_rejects_keep(name):
     third = iterate(m, x, 3)
     ties = [m.group.mult_vec(third, m.lattice.from_coords(
         [F(sign, 2)] + [F(sign, 4)] * (m.dim - 1))) for sign in (1, -1)]
+    # the lattice states of T^k x: on a torus the factor's own, else the
+    # reducer's of each point
+    reducer = m._reducer
+    torus = m.group.spec.abelian()
+    orbit = None if torus else [reducer.state(p)
+                                for p in _walk(m, x, range(151))]
     for eps in (F(1, 100), F(1, 10), F(1, 4), F(1)):
         for y in (x, third, *ties,
                   [F(rng.randrange(64), 64) for _ in range(m.dim)]):
             y = m.reduce(y)
-            factor = _TorusFactor(m, eps, (x, y))
+            factor = torus_factor(m, eps, x, y)
             s, t = factor.state(x), factor.state(y)
             expect, state = [], s
             for k in range(1, 151):
                 state = factor.advance(state)
-                if state == s or not factor.rejects(state, t):
+                at = (state, factor.den) if torus else orbit[k]
+                if state == s or not reducer._rejects_early(
+                        at, reducer.state(y), eps):
                     expect.append((k, state))
             got = list(factor.scan(s, t, 150))
             assert got == expect, (eps, y)
@@ -834,6 +873,15 @@ def test_trials_must_be_at_least_one():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             aa_empirical_test(rotation(F(1, 7)), trials, F(1, 100), 50, 1)
+
+
+def test_horizon_must_be_at_least_one():
+    # a horizon of 0 tests no forward index, so it is no evidence either
+    for horizon in (0, -3):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            aa_empirical_test(rotation(F(1, 7)), 1, F(1, 100), horizon, 1)
+    assert aa_empirical_test(rotation(F(1, 7)), 1, F(1, 100), 1, 1).verdict \
+        == CONSISTENT
 
 
 # ---- aa_empirical_test ----
