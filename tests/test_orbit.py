@@ -801,12 +801,11 @@ def test_scan_yields_what_per_k_advance_and_rejects_keep(name):
             y = m.reduce(y)
             factor = torus_factor(m, eps, x, y)
             s, t = factor.state(x), factor.state(y)
-            expect, state = [], s
+            expect, state, target = [], s, reducer.state(y)
             for k in range(1, 151):
                 state = factor.advance(state)
                 at = (state, factor.den) if torus else orbit[k]
-                if state == s or not reducer._rejects_early(
-                        at, reducer.state(y), eps):
+                if state == s or not reducer._rejects_early(at, target, eps):
                     expect.append((k, state))
             got = list(factor.scan(s, t, 150))
             assert got == expect, (eps, y)
