@@ -17,13 +17,14 @@ probe, never through iteration.
 N / Gamma is one class, CosetReducer, on lattice states: the lattice
 coordinates of a point as integer numerators over one denominator.  Its
 coset reduction produces canonical fundamental-domain representatives by
-greedily clearing lattice coordinates in an order along which right
-multiplication by a generator shifts its own coordinate by exactly one and
-leaves the already-cleared coordinates alone.  Such an order exists for
-every weight-graded basis; it is read off the group law in lattice
-coordinates (lattice._lattice_law), in any dimension, and is 0..d-1 on an
-abelian algebra.  Each floor is an integer division and each power of a
-generator one evaluation of that law by the group's integer evaluator.
+clearing lattice coordinates in an order along which right multiplication
+by a generator shifts its own coordinate by exactly one and leaves the
+already-cleared coordinates alone, as along a Malcev basis: a topological
+order of the generators' shifts, read off the group law in lattice
+coordinates (lattice._lattice_law) in any dimension, 0..d-1 on an abelian
+algebra, and independent of the order in which the basis lists them.
+Each floor is an integer division and each power of a generator one
+evaluation of that law by the group's integer evaluator.
 The coset metric is the class's too, on the same states, and the only
 one: the map (NumericAffine) and a torus factor (_TorusFactor) step.
 """
@@ -67,19 +68,36 @@ def _point(values) -> tuple:
     return tuple(to_fraction(v) for v in values)
 
 
-def _shift_terms(laws: list[dict], bits: int) -> list[dict]:
-    """The terms of the law P(y, n) of _lattice_law in n_i and no other
-    n_k, by i and then by coordinate: as P(y, 0) = y, P(y, t e_i) is y plus
-    them."""
+def _reduction_order(laws: list[dict], modulus: int, bits: int
+                     ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """CosetReducer's order and which generators are central, read from
+    the terms of P(y, t e_i) - y, those of the law P(y, n) of _lattice_law
+    in n_i and no other n_k.  Generator i moves their coordinates, but for
+    n_i on coordinate i, which P = y + n + brackets always has.  It shifts
+    cleanly when it does not move its own coordinate, and is central when
+    it moves none.  The order is topological (Kahn, 1962): next comes the
+    lowest remaining generator that no remaining one, itself included,
+    moves."""
     d = len(laws)
-    shifts: list[dict] = [{} for _ in range(d)]
+    moved = [set() for _ in range(d)]
     for k, law in enumerate(laws):
         for m, c in law.items():
             n = m >> (bits * d)
             i = (n.bit_length() - 1) // bits
-            if n and not n & ((1 << (bits * i)) - 1):
-                shifts[i].setdefault(k, {})[m] = c
-    return shifts
+            if (n and not n & ((1 << (bits * i)) - 1)
+                    and (k, m, c) != (i, 1 << (bits * (d + i)), modulus)):
+                moved[i].add(k)
+    chosen, remaining = [], list(range(d))
+    while remaining:
+        i = next((i for i in remaining
+                  if not any(i in moved[j] for j in remaining)), None)
+        if i is None:
+            raise ValueError(
+                f"no reduction ordering: none of {remaining} shifts cleanly "
+                f"after {chosen}")
+        chosen.append(i)
+        remaining.remove(i)
+    return tuple(chosen), tuple(not m for m in moved)
 
 
 def _lowest(nums, den: int) -> tuple:
@@ -103,7 +121,9 @@ class CosetReducer:
     reduce_state() right-multiplies by integer powers of the generators,
     in `ordering`, until every lattice coordinate lies in [0, 1): each
     floor is an integer division, each power one evaluation of P.  reduce()
-    is its Fraction wrapper on points.
+    is its Fraction wrapper on points.  A basis has `ordering` exactly
+    when every generator shifts its own coordinate cleanly and no shifts
+    move each other's coordinates in a cycle; otherwise ValueError.
 
     distance() and near() measure the cosets of two lattice states: the
     least max-norm of x - y gamma over the lattice element gamma nearest
@@ -133,35 +153,11 @@ class CosetReducer:
             self.ordering, self._central = tuple(range(d)), (True,) * d
         else:
             laws, modulus, bits = _lattice_law(group, lattice)
-            shifts = _shift_terms(laws, bits)
-            self.ordering = self._detect_ordering(shifts, modulus, bits)
-            # e_i is central when P(y, t e_i) = y + t e_i
-            self._central = tuple(shifts[i] == {i: {1 << (bits * (d + i)): modulus}}
-                                  for i in range(d))
+            self.ordering, self._central = _reduction_order(laws, modulus, bits)
         self._laws = laws, modulus, bits
         # L = B / unit and L^-1 = A / E, as sparse integer rows
         self._unit, self._basis = _scaled_rows(lattice.basis)
         self._inverse_unit, self._inverse = _scaled_rows(lattice._inverse)
-
-    def _detect_ordering(self, shifts: list[dict], modulus: int, bits: int
-                         ) -> tuple[int, ...]:
-        """Greedily the first index whose generator shifts cleanly after
-        those chosen: P(y, t e_i) is y_i + t on coordinate i and y_j on
-        each chosen j, for the law P of _lattice_law over modulus, whose
-        terms in n_i alone are shifts[i] (_shift_terms)."""
-        d = self.lattice.dim
-        chosen, remaining = [], list(range(d))
-        while remaining:
-            i = next((i for i in remaining  # greedy: first index that works
-                      if shifts[i].get(i) == {1 << (bits * (d + i)): modulus}
-                      and not any(j in shifts[i] for j in chosen)), None)
-            if i is None:
-                raise ValueError(
-                    f"no reduction ordering: none of {remaining} shifts cleanly "
-                    f"after {chosen}")
-            chosen.append(i)
-            remaining.remove(i)
-        return tuple(chosen)
 
     @cached_property
     def _law(self) -> _IntegerLaw:

@@ -647,6 +647,23 @@ def test_cli_simulate_reports_a_lattice_basis_with_no_reduction_ordering(
         "no reduction ordering: none of [0, 2] shifts cleanly after [1]"])
 
 
+
+def test_cli_simulate_does_not_depend_on_the_listing_of_the_lattice_basis(
+        capsys, tmp_path):
+    # heisenberg_translation.json with its lattice rows in reverse order; one
+    # trial, since further trials sample their probes through the given basis
+    path = nio.corpus_file("heisenberg_translation.json")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["lattice_basis"] = data["lattice_basis"][::-1]
+    reversed_path = _write_system(tmp_path, **data)
+    outputs = []
+    for system in (str(path), reversed_path):
+        code = ncli.main(["simulate", system, "--trials", "1", "--horizon", "500"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["status"] == "ConsistentWithAA"
+
+
 @pytest.mark.parametrize("data, note", [
     ({"dim": True, "translation": ["1/2"]},
      "system.json:dim: dim must be a positive integer"),
