@@ -71,13 +71,13 @@ def _point(values) -> tuple:
 def _reduction_order(laws: list[dict], modulus: int, bits: int
                      ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """CosetReducer's order and which generators are central, read from
-    the terms of P(y, t e_i) - y, those of the law P(y, n) of _lattice_law
-    in n_i and no other n_k.  Generator i moves their coordinates, but for
-    n_i on coordinate i, which P = y + n + brackets always has.  It shifts
-    cleanly when it does not move its own coordinate, and is central when
-    it moves none.  The order is topological (Kahn, 1962): next comes the
-    lowest remaining generator that no remaining one, itself included,
-    moves."""
+    the terms of the law P(y, n) of _lattice_law in n_i and no other n_k:
+    generator i moves their coordinates, but for the term n_i of P_i.  It
+    shifts cleanly when it does not move its own coordinate, and is central
+    when it moves none.  The order is topological (Kahn, 1962): next comes
+    the lowest remaining generator that no remaining one, itself included,
+    moves.  Where none is left, the ValueError names the generators that
+    do not shift cleanly or, if all do, those remaining."""
     d = len(laws)
     moved = [set() for _ in range(d)]
     for k, law in enumerate(laws):
@@ -92,9 +92,12 @@ def _reduction_order(laws: list[dict], modulus: int, bits: int
         i = next((i for i in remaining
                   if not any(i in moved[j] for j in remaining)), None)
         if i is None:
+            unclean = [i for i in remaining if i in moved[i]]
             raise ValueError(
-                f"no reduction ordering: none of {remaining} shifts cleanly "
-                f"after {chosen}")
+                f"no reduction ordering: none of {unclean} shifts cleanly "
+                f"after {chosen}" if unclean else
+                f"no reduction ordering: each of {remaining} is moved by "
+                f"another's shift after {chosen}")
         chosen.append(i)
         remaining.remove(i)
     return tuple(chosen), tuple(not m for m in moved)

@@ -647,7 +647,6 @@ def test_cli_simulate_reports_a_lattice_basis_with_no_reduction_ordering(
         "no reduction ordering: none of [0, 2] shifts cleanly after [1]"])
 
 
-
 def test_cli_simulate_does_not_depend_on_the_listing_of_the_lattice_basis(
         capsys, tmp_path):
     # heisenberg_translation.json with its lattice rows in reverse order; one

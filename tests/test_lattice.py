@@ -3,7 +3,6 @@
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,7 +21,7 @@ from nilaa.lattice import (LatticeClosureError, LogLattice, _binomial_row,
                            validate_lattice)
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.orbit import CosetReducer, NumericAffine
+from nilaa.orbit import CosetReducer, NumericAffine, _reduction_order
 from nilaa.poly import ParamVector, Poly
 from nilaa.ratlin import QMatrix, QSubspace, integer_kernel, zspan_basis
 
@@ -608,6 +607,14 @@ def clears_cleanly(shifts, order) -> bool:
                for k, i in enumerate(order))
 
 
+def stops_cleanly(shifts, prefix) -> bool:
+    """`prefix` clears cleanly and no generator outside it moves the
+    coordinates it cleared."""
+    return clears_cleanly(shifts, prefix) and not any(
+        shifts[j][1] & set(prefix) for j in range(len(shifts))
+        if j not in prefix)
+
+
 def _rebase(d, rng, shears, graded) -> QMatrix:
     """A random matrix of determinant +-1: `shears` random integer column
     operations on the identity, then a random permutation of the rows and
@@ -659,17 +666,18 @@ def test_reduction_ordering_matches_the_symbolic_search():
             try:
                 reducer = CosetReducer(group, lattice)
             except ValueError as exc:
-                # it stops after a prefix that clears cleanly
-                message = re.fullmatch(r"no reduction ordering: none of "
-                                       r"\[(.*)\] shifts cleanly after \[(.*)\]",
-                                       str(exc))
-                left, done = ([int(i) for i in g.split(", ") if i]
-                              for g in message.groups())
-                assert first is None and sorted(left + done) == list(range(d))
-                assert clears_cleanly(shifts, done)
-                # on these bases a refusal is a generator that never
-                # shifts cleanly, not a cycle of shifts
-                assert not all(clean for clean, _ in shifts)
+                # it names the generators that never shift cleanly, on
+                # these bases always some, and stops after the longest
+                # prefix that clears cleanly and that no other generator
+                # moves, the lexicographically first
+                unclean = [i for i in range(d) if not shifts[i][0]]
+                done = next(p for k in range(d, -1, -1)
+                            for p in permutations(range(d), k)
+                            if stops_cleanly(shifts, p))
+                assert first is None and unclean
+                assert str(exc) == (f"no reduction ordering: none of "
+                                    f"{unclean} shifts cleanly after "
+                                    f"{list(done)}")
                 found.append(None)
                 continue
             assert reducer.ordering == first
@@ -686,3 +694,29 @@ def test_reduction_ordering_matches_the_symbolic_search():
     # order is the same
     for n in {2, *range(1, 72, 2)}:
         assert found[n] == tuple(range(len(found[n])))
+
+
+def test_reduction_order_on_hand_built_laws():
+    # the law P_k(y, n) = y_k + n_k + the extra terms given for k, with one
+    # bit per exponent: the term y_a n_b is 1 << a | 1 << (d + b)
+    def order(d, extra):
+        laws = [{1 << k: 1, 1 << (d + k): 1} for k in range(d)]
+        for k, a, b in extra:
+            laws[k][1 << a | 1 << (d + b)] = 1
+        return _reduction_order(laws, 1, 1)
+
+    def refusal(d, extra):
+        with pytest.raises(ValueError) as info:
+            order(d, extra)
+        return str(info.value)
+
+    assert order(3, []) == ((0, 1, 2), (True, True, True))
+    # generator 2 moves coordinate 0, so the lowest free one, 1, comes first
+    assert order(3, [(0, 1, 2)]) == ((1, 2, 0), (True, True, False))
+    # generator 0 moves only its own coordinate
+    assert refusal(2, [(0, 1, 0)]) == (
+        "no reduction ordering: none of [0] shifts cleanly after [1]")
+    # generators 0 and 1 shift cleanly but move each other's coordinates
+    assert refusal(2, [(0, 0, 1), (1, 1, 0)]) == (
+        "no reduction ordering: each of [0, 1] is moved by another's shift "
+        "after []")
