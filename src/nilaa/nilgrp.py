@@ -20,8 +20,10 @@ is an integer product over the nonzero structure constants (scaled once per
 group to integers), and only the final coefficients become Fractions.  An
 expanded law is evaluated by one integer evaluator, _IntegerLaw, on the
 numerators of its arguments over their common denominator: mult_vec is its
-Fraction wrapper, and the coset reducer and the orbit oracle run it on the
-law in lattice coordinates (orbit.CosetReducer).
+Fraction wrapper, the coset reducer and the orbit oracle run it on the
+law in lattice coordinates (orbit.CosetReducer), and the suspension's
+embedding check runs the law of mult_vec on the numerators of its seeded
+samples (suspension.embedding_consistency_check).
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class _IntegerLaw:
     denominator D.  With integral_w the argument w is an integer vector,
     and vals holds w as it is, not scaled by D.  With common every
     coordinate has the same (s_k, t_k) = (law.scale, law.top), as the
-    lattice states of orbit.CosetReducer need.
+    lattice states of orbit.CosetReducer need.  Its users: mult_vec,
+    orbit.CosetReducer and suspension.embedding_consistency_check.
 
     Built from the law as integer polynomials over one integer base,
     packed as in NilpotentGroup._lyndon with `bits` bits per exponent.

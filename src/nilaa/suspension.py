@@ -13,11 +13,17 @@ automorphism itself, so it is generally not the exponential of a lattice in
 the big algebra.  This module keeps the pair (D, Lambda) as the lattice
 data, and its checks compare exact points before any reduction: equal
 points of N reduce to the same point of the quotient.
+
+embedding_consistency_check evaluates both routes at seeded samples, in
+integer numerators over a common denominator: the three products run
+through the integer law of each group (nilgrp._IntegerLaw), and only a
+disagreement is turned into Fractions, for its Mismatch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Sequence
 
@@ -30,14 +36,26 @@ from .ratlin import QMatrix, to_fraction
 
 
 class Mismatch(ValueError):
-    """The direct and the embedded evaluation of the map disagree."""
+    """The direct and the embedded evaluation of the map disagree.
 
-    def __init__(self, sample, direct, embedded):
-        super().__init__(f"embedding mismatch at sample {sample}: "
-                         f"direct {direct} vs embedded {embedded}")
+    sample is (point, ((parameter, value), ...)); direct is the point that
+    route one gives, embedded the fiber point of route two, or the whole
+    point of the big group when its circle coordinate is not an integer
+    (the reason then says so).
+    """
+
+    def __init__(self, sample, direct, embedded, reason=None):
+        point, values = sample
+        at = ", ".join([f"point {_text(point)}", *(f"{p} = {v}" for p, v in values)])
+        reason = reason or f"direct {_text(direct)} vs embedded {_text(embedded)}"
+        super().__init__(f"embedding mismatch at {at}: {reason}")
         self.sample = sample
         self.direct = direct
         self.embedded = embedded
+
+
+def _text(vec) -> str:
+    return "(" + ", ".join(map(str, vec)) + ")"
 
 
 def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAlgebraSpec:
@@ -131,31 +149,99 @@ def embedding_consistency_check(susp: SuspendedSystem, samples: int) -> bool:
     product is exactly 1, so one factor of exp(-delta) clears it) and drops
     to the fiber.  Both routes must give the same point of N exactly, and
     so the same point of N / exp(Lambda).  Checks `samples` seeded
-    points and parameter values.
+    points and parameter values; raises ValueError when samples < 1.
+
+    Each sample stays in integer numerators over a common denominator:
+    the coefficients of a, of w and of U are scaled to integers once per
+    check, a and w are evaluated from shared power tables of the
+    parameter values, and the three products run through each group's
+    integer law (NilpotentGroup._expanded_law).  The routes are compared
+    by cross-multiplication; Fractions are built only for a Mismatch.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     system = susp.base
     group: NilpotentGroup = system.group
-    rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
+    d = group.dim
     params = system.translation.params
-
-    def rnd(lo: int, hi: int, den: int) -> Fraction:
-        return Fraction(rng.randrange(lo, hi + 1), rng.randrange(1, den + 1))
+    law, big_law = group._expanded_law(), susp.big_group._expanded_law()
+    evaluate = _integer_evaluator(
+        (*system.translation.entries, *susp.embedded_translation.entries), len(params))
+    # U = rows / cu with integer rows, kept sparse
+    cu = lcm(*(x.denominator for row in system.automorphism.entries for x in row))
+    rows = [[(j, x.numerator * (cu // x.denominator)) for j, x in enumerate(row) if x]
+            for row in system.automorphism.entries]
+    rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
 
     for _ in range(samples):
-        values = {p: rnd(-40, 40, 8) for p in params}
-        a_val = system.translation.substitute(values)
-        w_val = susp.embedded_translation.substitute(values)
-        point = tuple(rnd(-24, 24, 12) for _ in range(group.dim))
-        sample = (point, tuple(sorted(values.items())))
+        drawn = [(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in params]
+        values, den = evaluate(drawn)
+        drawn_point = [(rng.randrange(-24, 25), rng.randrange(1, 13)) for _ in range(d)]
+        q = lcm(*(m for _, m in drawn_point))
+        point = [p * (q // m) for p, m in drawn_point]
+        ux = [sum(x * point[j] for j, x in row) for row in rows]
 
-        direct = group.mult_vec(a_val, system.automorphism.matvec(point))
-        up = susp.big_group.mult_vec(w_val, susp.lift(point))
-        k = up[0]
-        if k.denominator != 1:
-            raise Mismatch(sample, direct, up)
-        clear = tuple(-k if i == 0 else Fraction(0) for i in range(susp.dim))
-        down = susp.big_group.mult_vec(up, clear)
-        embedded = susp.fiber(down)
-        if embedded != direct:
-            raise Mismatch(sample, direct, embedded)
+        direct, direct_dens = _product(law, values[:d], den, ux, cu * q)
+        up, up_dens = _product(big_law, values[d:], den, [0, *point], q)
+        k, r = divmod(up[0], up_dens[0])
+        if not r:
+            common = lcm(*up_dens)
+            down, down_dens = _product(big_law, [x * (common // m) for x, m in zip(up, up_dens)],
+                                       common, [-k] + [0] * d, 1)
+            if not down[0] and all(x * s == y * t for x, y, s, t in
+                                   zip(direct, down[1:], down_dens[1:], direct_dens)):
+                continue
+        sample = (tuple(Fraction(p, m) for p, m in drawn_point),
+                  tuple(sorted((name, Fraction(n, m)) for name, (n, m) in zip(params, drawn))))
+        direct = tuple(map(Fraction, direct, direct_dens))
+        up = tuple(map(Fraction, up, up_dens))
+        if r:
+            raise Mismatch(sample, direct, up,
+                           f"circle coordinate {up[0]} of the embedded point is not an integer")
+        raise Mismatch(sample, direct, susp.fiber(tuple(map(Fraction, down, down_dens))))
     return True
+
+
+def _integer_evaluator(polys: Sequence[Poly], count: int):
+    """Evaluation of polys, over `count` parameters, in integers.
+
+    The polynomials are scaled to integer coefficients over their common
+    denominator C and each term is homogenized to their top degree E, so
+    at t_i = n_i / m_i a term c t^e adds c M^(E - |e|) prod (n_i M / m_i)^e_i
+    to the numerator over C M^E, M = lcm(m_i).  The returned function maps
+    the pairs (n_i, m_i) to the numerators and that denominator, from one
+    table of powers per parameter.
+    """
+    C = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    E = max((sum(e) for p in polys for e in p.terms), default=0)
+    tops = [max((e[i] for p in polys for e in p.terms), default=0) for i in range(count)]
+    terms = [[(c.numerator * (C // c.denominator), E - sum(e),
+               tuple((i, k) for i, k in enumerate(e) if k))
+              for e, c in p.terms.items()] for p in polys]
+
+    def evaluate(drawn):
+        M = lcm(*(m for _, m in drawn))
+        powers = [[(n * (M // m)) ** k for k in range(top + 1)]
+                  for (n, m), top in zip(drawn, tops)]
+        m_powers = [M ** k for k in range(E + 1)]
+        values = []
+        for poly in terms:
+            acc = 0
+            for c, rest, factors in poly:
+                c *= m_powers[rest]
+                for i, k in factors:
+                    c *= powers[i][k]
+                acc += c
+            values.append(acc)
+        return values, C * m_powers[E]
+
+    return evaluate
+
+
+def _product(law, v, dv, w, dw) -> tuple[list, list]:
+    """The integer law at v / dv and w / dw: the numerators of the product
+    and, per coordinate, their denominators."""
+    den = lcm(dv, dw)
+    out = law([x * (den // dv) for x in v] + [x * (den // dw) for x in w], den)
+    return out, [s * den ** t for s, t in law.dens]
+

@@ -1,19 +1,22 @@
 """Suspension construction and the two-route embedding consistency check."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from nilaa.criteria import make_system
+from nilaa import io as nio
+from nilaa.criteria import AffineSystem, make_system
 from nilaa.nilalg import LieAlgebraSpec
 from nilaa.nilgrp import NilpotentGroup
-from nilaa.poly import ParamVector, Poly
+from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix
 from nilaa.suspension import (Mismatch, SuspendedSystem, build_suspension_algebra,
                               embedding_consistency_check, monodromy_adjoint_check,
                               suspend)
 
-from conftest import abelian, heisenberg, free_nilpotent_2_3
+from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
+                      heisenberg, jordan_block, random_basis_matrix)
 
 HALF = Fraction(1, 2)
 HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, HALF]])
@@ -143,9 +146,8 @@ def test_embedding_consistency_jordan3():
     assert embedding_consistency_check(suspend(system), samples=15)
 
 
-def test_corrupted_monodromy_trips_the_check():
-    # the suspension built from 2 log U realizes U^2, not U
-    system = heis_shear_system()
+def doubled_monodromy(system):
+    """The suspension built from 2 log U, which realizes U^2, not U."""
     D = system.group.log_automorphism(system.automorphism).scale(2)
     big_spec = build_suspension_algebra(system.group.spec, D)
     big_group = NilpotentGroup(big_spec)
@@ -153,8 +155,12 @@ def test_corrupted_monodromy_trips_the_check():
     lifted = ParamVector(a.params, [Poly.zero(a.params), *a.entries])
     delta = ParamVector(a.params, [Poly.constant(1, a.params),
                                    *[Poly.zero(a.params)] * system.dim])
-    corrupted = SuspendedSystem(big_spec, big_group, D, system.lattice,
-                                big_group.mult(lifted, delta), system)
+    return SuspendedSystem(big_spec, big_group, D, system.lattice,
+                           big_group.mult(lifted, delta), system)
+
+
+def test_corrupted_monodromy_trips_the_check():
+    corrupted = doubled_monodromy(heis_shear_system())
     with pytest.raises(Mismatch) as info:
         embedding_consistency_check(corrupted, samples=10)
     assert info.value.direct != info.value.embedded
@@ -166,3 +172,181 @@ def test_suspend_rejects_non_unipotent_automorphisms():
     system = make_system(abelian(2), automorphism=anosov)
     with pytest.raises(NotUnipotent):
         suspend(system)
+
+
+def test_embedding_consistency_needs_a_sample():
+    susp = suspend(furstenberg_system())
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            embedding_consistency_check(susp, samples)
+
+
+# ---- the integer check against the Fraction route ----
+
+def fraction_route(susp, samples):
+    """The check as it ran on Fractions: NilpotentGroup.mult_vec for the
+    three products and ParamVector.substitute for a and w, with the same
+    seeded samples."""
+    system = susp.base
+    group = system.group
+    rng = random.Random(2024)
+    params = system.translation.params
+
+    def rnd(lo, hi, den):
+        return Fraction(rng.randrange(lo, hi + 1), rng.randrange(1, den + 1))
+
+    for _ in range(samples):
+        values = {p: rnd(-40, 40, 8) for p in params}
+        a_val = system.translation.substitute(values)
+        w_val = susp.embedded_translation.substitute(values)
+        point = tuple(rnd(-24, 24, 12) for _ in range(group.dim))
+        sample = (point, tuple(sorted(values.items())))
+        direct = group.mult_vec(a_val, system.automorphism.matvec(point))
+        up = susp.big_group.mult_vec(w_val, susp.lift(point))
+        k = up[0]
+        if k.denominator != 1:
+            raise Mismatch(sample, direct, up)
+        clear = tuple(-k if i == 0 else Fraction(0) for i in range(susp.dim))
+        down = susp.big_group.mult_vec(up, clear)
+        embedded = susp.fiber(down)
+        if embedded != direct:
+            raise Mismatch(sample, direct, embedded)
+    return True
+
+
+def outcome(check, susp, samples=10):
+    try:
+        return check(susp, samples)
+    except Mismatch as exc:
+        return exc.sample, exc.direct, exc.embedded
+
+
+def shifted(susp, coordinate, by=Fraction(1, 3)):
+    """susp with coordinate `coordinate` of w moved by `by`."""
+    w = susp.embedded_translation
+    shift = ParamVector.from_rationals(
+        [by if i == coordinate else 0 for i in range(susp.dim)], w.params)
+    return SuspendedSystem(susp.big_algebra, susp.big_group, susp.monodromy,
+                           susp.fiber_lattice, w + shift, susp.base)
+
+
+def corpus_suspensions():
+    out = []
+    for path in sorted(nio.corpus_file("manifest.json").parent.glob("*.json")):
+        if path.name == "manifest.json":
+            continue
+        try:
+            out.append(suspend(nio.parse_system(path)))
+        except ValueError:  # invalid, out of scope or not unipotent
+            pass
+    return out
+
+
+def generated_systems():
+    """Heisenberg (d = 3, 5), filiform (classes 3, 4) and Jordan-torus
+    maps in random bases, with translations in no, one or two parameters."""
+    rng = random.Random(2032)
+    pools = {(): ("0", "0", "1/3", "-2"),
+             ("t",): ("0", "t", "t + 1/2", "-2*t"),
+             ("s", "t"): ("0", "s", "2*s - t", "s*t - 5/7")}
+    heis5 = LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)])
+    shear = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    bases = [(heisenberg(), [shear]), (heis5, []), (filiform(4), []),
+             (filiform(5), []), (abelian(3), [jordan_block(3)]),
+             (abelian(4), [jordan_block(4)])]
+    systems = []
+    for spec, outer in bases:
+        d = spec.dim
+        group = NilpotentGroup(spec)
+        for trial in range(6):
+            v = [Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(d)]
+            U = rng.choice([QMatrix.identity(d), group.adjoint_matrix(v)] + outer)
+            if outer and trial % 2:
+                U = U @ outer[0]
+            params = list(pools)[trial % 3]
+            a = ParamVector(params, [parse_poly(rng.choice(pools[params]), params)
+                                     for _ in range(d)])
+            P = random_basis_matrix(d, rng, 2)
+            P_inv = P.inverse()
+            moved = change_of_basis(spec, P)
+            systems.append(AffineSystem(moved, NilpotentGroup(moved), None,
+                                        P_inv @ U @ P, None, P_inv.apply(a)))
+    return systems
+
+
+def test_integer_check_matches_the_fraction_route_on_the_corpus():
+    suspensions = corpus_suspensions()
+    assert len(suspensions) >= 8
+    for susp in suspensions:
+        assert outcome(embedding_consistency_check, susp) is True
+        assert outcome(fraction_route, susp) is True
+        for coordinate in (0, susp.dim - 1):
+            corrupted = shifted(susp, coordinate)
+            found = outcome(embedding_consistency_check, corrupted)
+            assert found is not True
+            assert found == outcome(fraction_route, corrupted)
+
+
+def test_integer_check_matches_the_fraction_route_on_generated_systems():
+    rng = random.Random(2033)
+    corrupted = 0
+    for system in generated_systems():
+        susp = suspend(system)
+        assert outcome(embedding_consistency_check, susp) is True
+        assert outcome(fraction_route, susp) is True
+        cases = [shifted(susp, 0), shifted(susp, rng.randrange(1, susp.dim))]
+        if system.automorphism != QMatrix.identity(system.dim):
+            cases.append(doubled_monodromy(system))
+        for case in cases:
+            found = outcome(embedding_consistency_check, case)
+            assert found is not True
+            assert found == outcome(fraction_route, case)
+            corrupted += 1
+    assert corrupted >= 80
+
+
+def test_integer_check_on_special_translations():
+    two = ("s", "t")
+    heis = make_system(heisenberg(), lattice=HEIS_LATTICE,
+                       automorphism=QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                       translation=ParamVector(two, [parse_poly(text, two) for text in
+                                                     ("s", "t - 1/3", "s*t")]))
+    zero = make_system(heisenberg(), lattice=HEIS_LATTICE,
+                       translation=ParamVector(("t",), [Poly.zero(("t",))] * 3))
+    class_one = make_system(abelian(1), translation=ParamVector(("t",), [t_poly()]))
+    for system in (heis, zero, class_one, furstenberg_system()):
+        susp = suspend(system)
+        assert outcome(embedding_consistency_check, susp, 25) is True
+        assert outcome(fraction_route, susp, 25) is True
+    assert suspend(class_one).big_group.nilpotency_class == 1
+
+
+# ---- corruptions of w ----
+
+def test_a_shifted_fiber_coordinate_of_w_trips_the_check():
+    susp = shifted(suspend(heis_shear_system()), 3)
+    with pytest.raises(Mismatch) as info:
+        embedding_consistency_check(susp, samples=10)
+    exc = info.value
+    assert len(exc.embedded) == len(exc.direct) == 3
+    assert exc.direct != exc.embedded
+    assert (exc.sample, exc.direct, exc.embedded) == outcome(fraction_route, susp)
+    assert "Fraction(" not in str(exc)
+    point = "(" + ", ".join(map(str, exc.sample[0])) + ")"
+    assert str(exc) == (f"embedding mismatch at point {point}: direct "
+                        f"({', '.join(map(str, exc.direct))}) vs embedded "
+                        f"({', '.join(map(str, exc.embedded))})")
+
+
+def test_a_shifted_circle_coordinate_of_w_trips_the_integrality_test():
+    susp = shifted(suspend(furstenberg_system()), 0)
+    with pytest.raises(Mismatch) as info:
+        embedding_consistency_check(susp, samples=10)
+    exc = info.value
+    assert exc.embedded[0] == Fraction(4, 3) and len(exc.embedded) == susp.dim
+    assert (exc.sample, exc.direct, exc.embedded) == outcome(fraction_route, susp)
+    (t, value), = exc.sample[1]
+    assert t == "t" and f"t = {value}" in str(exc)
+    assert str(exc).endswith(
+        ": circle coordinate 4/3 of the embedded point is not an integer")
+    assert "Fraction(" not in str(exc)
