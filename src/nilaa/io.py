@@ -7,6 +7,14 @@ polynomial strings over declared parameters.  No floating point is
 accepted on this symbolic path; floats appear only inside the optional
 "simulate" block consumed by the numeric oracle.
 
+Every rational of a file is read by parse_rational, which names the
+field of a malformed or over-long literal.  The loader reads a matrix
+into its sparse rows as it goes (ratlin._sparse_qmatrix): a "0" is
+skipped and a "1" stored as the unit, both unparsed, and the integer form
+the validators read (ratlin.QMatrix.int_rows) is made from those rows
+once.  The structure constants become the algebra with its integer form
+(nilalg.LieAlgebraSpec.from_sparse).
+
 A verdict file has exactly four fields: status, criterion, certificate,
 notes.  Serialization is canonical (sorted keys, two-space indent,
 trailing newline), so byte comparison of verdict files is meaningful.
@@ -23,8 +31,8 @@ from .criteria import (FAIL, PASS, AffineSystem, CosetObstruction,
                        InvariantSubtorus, NotFixed, ObstructionBracket,
                        SpectralObstruction, UnipotentPower, ValidationError,
                        Verdict, WitnessSubspace, make_system)
-from .poly import ParamVector, Poly, parse_poly
-from .ratlin import QSubspace, _qmatrix
+from .poly import ParamVector, Poly, _poly, parse_poly
+from .ratlin import QSubspace, _sparse_qmatrix
 
 VALID = "VALID"
 INVALID = "INVALID"
@@ -56,7 +64,9 @@ _LITERALS = {"0": Fraction(0), "1": Fraction(1)}
 
 def _rational(value) -> Fraction | None:
     """value as a Fraction if it is an integer (not a boolean) or a string
-    like "3", "-1/2" with optional surrounding whitespace, else None."""
+    like "3", "-1/2" with optional surrounding whitespace, else None.
+    Raises ValueError on a literal longer than the interpreter's digit
+    limit for int(), which parse_rational reports."""
     if isinstance(value, int):
         return None if isinstance(value, bool) else Fraction(value)
     if isinstance(value, str):
@@ -70,14 +80,26 @@ def _rational(value) -> Fraction | None:
     return None
 
 
-def parse_rational(value, location: str) -> Fraction:
-    """An integer, or a string like "3", "-1/2"; floats are rejected."""
-    q = _rational(value)
+def parse_rational(value, location: str, index: int | None = None) -> Fraction:
+    """An integer, or a string like "3", "-1/2"; floats are rejected.
+
+    Every rational of a file is read here.  A ParseError names location,
+    followed by [index] when one is given, built only for a failure; a
+    literal past the interpreter's digit limit for int() fails too."""
+    try:
+        q = _rational(value)
+    except ValueError:  # the message of int() differs between versions
+        raise ParseError(_at(location, index), "integer literal longer than the "
+                                               "interpreter's digit limit for int()") from None
     if q is not None:
         return q
     if isinstance(value, bool):
-        raise ParseError(location, "expected a rational, got a boolean")
-    raise ParseError(location, f"expected an integer or 'p/q', got {value!r}")
+        raise ParseError(_at(location, index), "expected a rational, got a boolean")
+    raise ParseError(_at(location, index), f"expected an integer or 'p/q', got {value!r}")
+
+
+def _at(location: str, index: int | None) -> str:
+    return location if index is None else f"{location}[{index}]"
 
 
 def _polynomial(value, params, location: str) -> Poly:
@@ -87,8 +109,11 @@ def _polynomial(value, params, location: str) -> Poly:
     if not isinstance(value, str):
         raise ParseError(location, f"expected a polynomial string, got "
                                    f"{value!r}")
-    if value in _LITERALS:
-        return Poly.constant(_LITERALS[value], params)
+    # the callers have checked that params are distinct names
+    if value == "0":
+        return _poly(params, {})
+    if value == "1":
+        return _poly(params, {(0,) * len(params): _LITERALS["1"]})
     try:
         return parse_poly(value, params)
     except ValueError as exc:
@@ -109,24 +134,36 @@ def _rationals(values, location) -> list:
     """A JSON list of rationals; entry j is located at location[j]."""
     if not isinstance(values, list):
         raise ParseError(location, "expected a list of rationals")
-    out = []
-    for v in values:
-        q = _rational(v)
-        # the location is built only for an entry that fails
-        out.append(parse_rational(v, f"{location}[{len(out)}]") if q is None else q)
-    return out
+    return [parse_rational(v, location, j) for j, v in enumerate(values)]
 
 
-def _parse_rows(data, dim, location) -> list:
-    """dim rows of dim rationals each, as tuples of Fractions."""
+def _parse_matrix(data, dim, location, transpose: bool = False):
+    """dim rows of dim rationals each, as a QMatrix (its transpose with
+    transpose) whose sparse rows are made here from the nonzero literals
+    as they are read: a "0" is skipped and a "1" stored as the unit, both
+    unparsed.  Its integer form and entries are made when first read."""
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(location, f"expected {dim} rows")
-    rows = []
+    rows = [[] for _ in range(dim)]
     for i, row in enumerate(data):
+        where = f"{location}[{i}]"
         if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{location}[{i}]", f"expected {dim} entries")
-        rows.append(tuple(_rationals(row, f"{location}[{i}]")))
-    return rows
+            raise ParseError(where, f"expected {dim} entries")
+        for j in [j for j, v in enumerate(row) if v != "0"]:
+            v = row[j]
+            if v == "1":
+                q = None
+            else:
+                q = parse_rational(v, where, j)
+                if not q:
+                    continue
+                if q == 1:
+                    q = None
+            if transpose:
+                rows[j].append((i, q))
+            else:
+                rows[i].append((j, q))
+    return _sparse_qmatrix(dim, tuple(map(tuple, rows)))
 
 
 def _parse_structure_constants(data, dim, location):
@@ -186,15 +223,14 @@ def system_from_dict(data: dict, source: str = "<memory>") -> AffineSystem:
     # built, so a dim they contradict is reported before it is allocated
     lattice = None
     if data.get("lattice_basis") is not None:
-        rows = _parse_rows(data["lattice_basis"], dim,
-                           f"{source}:lattice_basis")
         # file rows are generators; LogLattice wants them as columns
-        lattice = _qmatrix(tuple(zip(*rows)))
+        lattice = _parse_matrix(data["lattice_basis"], dim,
+                                f"{source}:lattice_basis", transpose=True)
 
     automorphism = None
     if data.get("automorphism") is not None:
-        automorphism = _qmatrix(tuple(_parse_rows(data["automorphism"], dim,
-                                                  f"{source}:automorphism")))
+        automorphism = _parse_matrix(data["automorphism"], dim,
+                                     f"{source}:automorphism")
 
     translation = None
     if data.get("translation") is not None:
@@ -379,6 +415,8 @@ def parse_certificate(data):
         params = tuple(field("params") if "params" in data else ())
         if not all(isinstance(p, str) for p in params):
             raise ParseError(f"{loc}.params", "expected a list of names")
+        if len(set(params)) != len(params):
+            raise ParseError(f"{loc}.params", "expected distinct names")
         polys = [_polynomial(p, params, f"{loc}.vector[{i}]")
                  for i, p in enumerate(field("vector"))]
         return CosetObstruction(ParamVector(params, polys),

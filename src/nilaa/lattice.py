@@ -18,6 +18,12 @@ the integer kernel of the centre equations, built from the nonzero
 structure constants only; on a torus every lattice vector is central.
 The same law in lattice coordinates gives the orbit oracle's coset
 reduction (orbit.CosetReducer).
+
+Everything here reads the integer forms of its matrices
+(ratlin.QMatrix.int_rows): the law, the Hermite test, and
+preserves_lattice, which forms U_L = L^-1 U L as one integer product.  A
+LogLattice's inverse is solved on the integer form of its basis and keeps
+only its integer form until its Fractions are read.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Sequence
 
 from .nilalg import _centre_rows
 from .nilgrp import NilpotentGroup, _add_scaled_int
-from .ratlin import QMatrix, _scaled_rows, integer_kernel, zspan_basis
+from .ratlin import QMatrix, _int_product, _int_qmatrix, _reduced, integer_kernel, zspan_basis
 
 
 class LatticeClosureError(ValueError):
@@ -135,11 +141,11 @@ def _lattice_law(group: NilpotentGroup, lattice: LogLattice
     d = group.dim
     bits = group.nilpotency_class.bit_length()
     units = [1 << (bits * i) for i in range(2 * d)]
-    D, B = _scaled_rows(lattice.basis)
+    D, B = lattice.basis.int_rows()
     forms = [[{units[offset + i]: b for i, b in row} for row in B]
              for offset in (0, d)]
     out, base = group._lyndon(*forms, D)
-    E, A = _scaled_rows(lattice._inverse)
+    E, A = lattice._inverse.int_rows()
     laws = []
     for row in A:
         law: dict[int, int] = {}
@@ -233,10 +239,12 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
 
 def _is_hermite(basis: QMatrix) -> bool:
     """Is the invertible basis its own Hermite basis: lower triangular,
-    with positive diagonal and each entry left of it in [0, diagonal)?"""
-    return all(row[i] > 0 and not any(row[i + 1:])
-               and all(0 < x < row[i] for x in row[:i] if x)
-               for i, row in enumerate(basis.entries))
+    with positive diagonal and each entry left of it in [0, diagonal)?
+    Read from the integer form: row i's last nonzero entry is its
+    diagonal one, and the others lie strictly between 0 and it."""
+    return all(row and row[-1][0] == i and row[-1][1] > 0
+               and all(0 < x < row[-1][1] for _, x in row[:-1])
+               for i, row in enumerate(basis.int_rows()[1]))
 
 
 def preserves_lattice(matrix: QMatrix, lattice: LogLattice
@@ -245,9 +253,15 @@ def preserves_lattice(matrix: QMatrix, lattice: LogLattice
 
     Requires the matrix in lattice coordinates to be integral with
     determinant +-1.  Returns (ok, reason when not ok, conjugated matrix).
+    The conjugate U_L = L^-1 U L is one integer product of the integer
+    forms, A R B over E F D for L^-1 = A / E, U = R / F and L = B / D, so
+    it is integral exactly when E F D divides every entry of A R B.
     """
-    conj = lattice._inverse @ matrix @ lattice.basis
-    if not conj.is_integral():
+    E, A = lattice._inverse.int_rows()
+    F, R = matrix.int_rows()
+    D, B = lattice.basis.int_rows()
+    conj = _int_qmatrix(matrix.ncols, *_reduced(E * F * D, _int_product(_int_product(A, R), B)))
+    if conj.int_rows()[0] != 1:
         return False, "matrix is not integral in lattice coordinates", conj
     det = conj.det()
     if det not in (1, -1):

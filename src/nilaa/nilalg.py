@@ -10,15 +10,25 @@ Every loop here (brackets, Jacobi, the lower central series, ad-matrices,
 the centre equations, the automorphism check) walks the nonzero structure
 constants only, never all d^2 basis pairs.  On an abelian algebra every
 matrix of the right shape is an automorphism.
+
+An algebra also has one integer form, made once when it is built: the
+structure constants times the lcm S of their denominators, per bracketing
+pair (LieAlgebraSpec._ints).  The validators run on it and on the integer
+form of a matrix (ratlin.QMatrix.int_rows): Jacobi, the lower central
+series, the automorphism check, and for the suspension the derivation
+identity and the adjoined algebra (adjoin_derivation), whose integer form
+is the fiber's plus D.  A Fraction is built only for a failure's residual.
+The group law (nilgrp) reads the same integer pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, _add_scaled, _cleaned, _shared, _vector
-from .ratlin import QMatrix, QSubspace, _echelon, _qmatrix, to_fraction
+from .ratlin import QMatrix, QSubspace, _qmatrix, to_fraction
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -38,9 +48,17 @@ class NotNilpotent(ValueError):
 
 
 class LieAlgebraSpec:
-    """Structure constants [xi_i, xi_j] = sum_k c_ijk xi_k on a d-dim space."""
+    """Structure constants [xi_i, xi_j] = sum_k c_ijk xi_k on a d-dim space.
 
-    __slots__ = ("dim", "table", "_brackets")
+    table maps each bracketing pair (i, j), i < j, to its dense structure
+    vector, and _brackets[i][j] holds ((k, c_ijk), ...) over the nonzero
+    c_ijk for both orders of each pair.  The integer form is _ints = (S,
+    pairs), S the lcm of the denominators of the structure constants and
+    pairs the bracketing pairs in table order as (i, j, ((k, S c_ijk),
+    ...)); _int_brackets is to it what _brackets is to the table.
+    """
+
+    __slots__ = ("dim", "table", "_brackets", "_ints", "_int_brackets")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence[object]]):
         if dim < 1:
@@ -58,15 +76,8 @@ class LieAlgebraSpec:
                     raise ValueError(f"conflicting declarations for bracket {key}")
                 continue
             clean[key] = val
-        self.dim = dim
-        self.table = {k: v for k, v in clean.items() if any(v)}
-        # _brackets[i][j] = ((k, c_ijk), ...) over the nonzero c_ijk, for
-        # both orders of each pair
-        self._brackets = [{} for _ in range(dim)]
-        for (i, j), vec in self.table.items():
-            terms = tuple((k, x) for k, x in enumerate(vec) if x)
-            self._brackets[i][j] = terms
-            self._brackets[j][i] = tuple((k, -x) for k, x in terms)
+        _fill(self, dim, {key: [(k, x) for k, x in enumerate(val) if x]
+                          for key, val in clean.items()})
 
     @classmethod
     def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]
@@ -154,45 +165,123 @@ class LieAlgebraSpec:
         return f"LieAlgebraSpec(dim={self.dim}, {len(self.table)} nonzero brackets)"
 
 
+def _fill(spec: LieAlgebraSpec, dim: int, sparse: Mapping[tuple[int, int], list]) -> None:
+    """Set every field of spec, its integer form included, from its
+    nonzero structure constants, sparse[(i, j)] = [(k, c_ijk), ...] for
+    i < j by increasing k; a pair with none is dropped."""
+    spec.dim = dim
+    spec.table = {}
+    spec._brackets = brackets = [{} for _ in range(dim)]
+    for (i, j), terms in sparse.items():
+        if terms:
+            vec = [_ZERO] * dim
+            for k, x in terms:
+                vec[k] = x
+            spec.table[(i, j)] = tuple(vec)
+            brackets[i][j] = tuple(terms)
+            brackets[j][i] = tuple((k, -x) for k, x in terms)
+    S = lcm(*(x.denominator for terms in sparse.values() for _, x in terms))
+    spec._ints = S, tuple((i, j, tuple((k, x.numerator * (S // x.denominator)) for k, x in brackets[i][j]))
+                          for i, j in spec.table)
+    spec._int_brackets = int_brackets = [{} for _ in range(dim)]
+    for i, j, terms in spec._ints[1]:
+        int_brackets[i][j] = terms
+        int_brackets[j][i] = tuple((k, -c) for k, c in terms)
+
+
 def validate_algebra(spec: LieAlgebraSpec) -> int:
     """Check Jacobi and nilpotency; returns the nilpotency class.
 
-    The class is the number of nonzero terms g = g_1, g_2, ... of the
-    lower central series, g_{k+1} = [g, g_k].  Each term after the first
-    is spanned by the echelon rows of one forward pass over the brackets
-    of the rows spanning the term before.  Raises JacobiViolation or
-    NotNilpotent.
+    Runs on the integer form of the algebra: the Jacobi sums of the
+    candidate triples are integers over S^2, and a Fraction is built only
+    for a violation's residual.  The class is that of
+    `lower_central_class`.  Raises JacobiViolation or NotNilpotent.
     """
-    for triple in _jacobi_candidates(spec):
-        residual = _jacobi_residual(spec, *triple)
-        if any(residual):
-            raise JacobiViolation(triple, residual)
+    _check_jacobi(spec, _jacobi_candidates(spec))
+    return lower_central_class(spec)
 
+
+def check_derivation(spec: LieAlgebraSpec) -> None:
+    """Jacobi on the triples (delta, x_j, x_k) of an algebra built by
+    adjoin_derivation, delta = xi_0: the derivation identity D [x_j, x_k]
+    = [D x_j, x_k] + [x_j, D x_k].  Every other triple is one of the
+    fiber, whose Jacobi identity holds, so this raises the JacobiViolation
+    that validate_algebra raises on spec."""
+    _check_jacobi(spec, [t for t in _jacobi_candidates(spec) if t[0] == 0])
+
+
+def _check_jacobi(spec: LieAlgebraSpec, triples: Iterable[tuple[int, int, int]]) -> None:
+    """Raise JacobiViolation for the first of the triples whose Jacobi sum
+    is nonzero, summed in integers over S^2; only its residual becomes
+    Fractions."""
+    S = spec._ints[0]
+    for triple in triples:
+        residual = _jacobi_residual(spec._int_brackets, spec.dim, *triple)
+        if any(residual):
+            raise JacobiViolation(triple, tuple(Fraction(x, S * S) for x in residual))
+
+
+def lower_central_class(spec: LieAlgebraSpec) -> int:
+    """The nilpotency class: the number of nonzero terms g = g_1, g_2, ...
+    of the lower central series, g_{k+1} = [g, g_k], by one forward pass
+    on the integer form.  [g, g] is spanned by the structure vectors, and
+    each later term by the brackets [xi_a, b] of the echelon rows b of the
+    term before; the rows are integer vectors, kept primitive.  Raises
+    NotNilpotent when a term equals the one before."""
     nil_class, dim = 1, spec.dim
-    gens = list(spec.table.values())  # the structure vectors span [g, g]
+    gens = [dict(terms) for _, _, terms in spec._ints[1]]
     while gens:
-        rows, pivots, _ = _echelon(gens)
-        if not pivots:
+        rows = _int_echelon(gens)
+        if not rows:
             break
-        if len(pivots) == dim:
+        if len(rows) == dim:
             raise NotNilpotent(f"lower central series stabilizes at dimension {dim}")
-        nil_class, dim = nil_class + 1, len(pivots)
-        gens = [w for b in rows[:dim] for w in _ad_images(spec, b)]
+        nil_class, dim = nil_class + 1, len(rows)
+        gens = [w for b in rows for w in _ad_images(spec._int_brackets, b)]
     return nil_class
 
 
-def _ad_images(spec: LieAlgebraSpec, b: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The nonzero brackets [xi_a, b] in the order of a, each summed over
-    the nonzero structure constants [xi_a, xi_j] with b_j nonzero."""
-    brackets = spec._brackets
-    images: dict[int, list[Fraction]] = {}
-    for j, y in enumerate(b):
-        if y:
-            for a in brackets[j]:
-                acc = images.setdefault(a, [_ZERO] * spec.dim)
-                for k, c in brackets[a][j]:
-                    acc[k] += y * c
-    return [images[a] for a in sorted(images) if any(images[a])]
+def _int_echelon(vectors: Iterable[dict]) -> list[dict]:
+    """Echelon rows, one per leading column, spanning the integer vectors
+    ({column: integer}, nonzero entries only): each vector is reduced,
+    fraction-free, by the rows whose leading column it holds, and kept
+    primitive when it does not vanish."""
+    rows: dict[int, dict] = {}
+    for v in vectors:
+        while v:
+            c = min(v)
+            row = rows.get(c)
+            if row is None:
+                g = gcd(*v.values())
+                rows[c] = v if g == 1 else {k: x // g for k, x in v.items()}
+                break
+            g = gcd(row[c], v[c])
+            a, b = row[c] // g, v[c] // g
+            acc = {k: a * x for k, x in v.items()}
+            for k, x in row.items():
+                acc[k] = acc.get(k, 0) - b * x
+            v = {k: x for k, x in acc.items() if x}
+    return list(rows.values())
+
+
+def _ad_images(brackets: list, b: Mapping[int, object]) -> list[dict]:
+    """The nonzero brackets [xi_a, b] in the order of a, as {column:
+    value}, for a vector b given the same way: each is summed over the
+    nonzero structure constants [xi_a, xi_j] with b_j nonzero, from the
+    integer brackets of an algebra for an integer b, or from its
+    Fraction brackets."""
+    images: dict[int, dict] = {}
+    for j, y in b.items():
+        for a in brackets[j]:
+            acc = images.setdefault(a, {})
+            for k, c in brackets[a][j]:
+                acc[k] = acc.get(k, 0) + y * c
+    out = []
+    for a in sorted(images):
+        image = {k: x for k, x in images[a].items() if x}
+        if image:
+            out.append(image)
+    return out
 
 
 def _centre_rows(spec: LieAlgebraSpec) -> list[tuple[Fraction, ...]]:
@@ -214,28 +303,56 @@ def _jacobi_candidates(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
     xi_c]] of the Jacobi sum can be nonzero: (b, c) is a bracketing pair
     and xi_a brackets with a basis vector of its support.  Every other
     triple has zero residual."""
-    brackets = spec._brackets
+    brackets = spec._int_brackets
     triples = set()
-    for (b, c), vec in spec.table.items():
-        for l, x in enumerate(vec):
-            if x:
-                for a in brackets[l]:
-                    if a != b and a != c:
-                        triples.add(tuple(sorted((a, b, c))))
+    for b, c, terms in spec._ints[1]:
+        for l, _ in terms:
+            for a in brackets[l]:
+                if a != b and a != c:
+                    triples.add(tuple(sorted((a, b, c))))
     return sorted(triples)
 
 
-def _jacobi_residual(spec: LieAlgebraSpec, i: int, j: int, k: int
-                     ) -> tuple[Fraction, ...]:
-    """[xi_i, [xi_j, xi_k]] + [xi_j, [xi_k, xi_i]] + [xi_k, [xi_i, xi_j]]."""
-    brackets = spec._brackets
-    acc = [Fraction(0)] * spec.dim
+def _jacobi_residual(brackets: list, dim: int, i: int, j: int, k: int) -> list[int]:
+    """[xi_i, [xi_j, xi_k]] + [xi_j, [xi_k, xi_i]] + [xi_k, [xi_i, xi_j]]
+    on integer brackets: S^2 times the residual."""
+    acc = [0] * dim
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         row = brackets[a]
         for l, x in brackets[b].get(c, ()):
             for m, y in row.get(l, ()):
                 acc[m] += x * y
-    return tuple(acc)
+    return acc
+
+
+def adjoin_derivation(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAlgebraSpec:
+    """The algebra R delta + g with [delta, x] = D x, delta first,
+    unchecked: its pairs are (delta, x_a) for each nonzero column a of D =
+    derivation, then the pairs of spec, read from the nonzero entries of
+    both, and its integer form is made from them."""
+    d = spec.dim
+    columns = [[] for _ in range(d)]
+    for l, row in enumerate(derivation.sparse_rows()):
+        for a, x in row:
+            columns[a].append((l + 1, _ONE if x is None else x))
+    sparse = {(0, a + 1): column for a, column in enumerate(columns) if column}
+    for i, j in spec.table:
+        sparse[(i + 1, j + 1)] = [(k + 1, x) for k, x in spec._brackets[i][j]]
+    big = object.__new__(LieAlgebraSpec)
+    _fill(big, d + 1, sparse)
+    return big
+
+
+def ad_int_rows(spec: LieAlgebraSpec, i: int) -> tuple[int, tuple]:
+    """ad xi_i as integer rows over S, in the layout of
+    QMatrix.int_rows (not reduced): row k holds (j, S c_ijk)."""
+    d = spec.dim
+    S = spec._ints[0]
+    rows = [[] for _ in range(d)]
+    for j, terms in sorted(spec._int_brackets[i].items()):
+        for k, c in terms:
+            rows[k].append((j, c))
+    return S, tuple(map(tuple, rows))
 
 
 def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
@@ -261,8 +378,9 @@ def derived_subalgebra(spec: LieAlgebraSpec) -> QSubspace:
 
 def is_ideal(spec: LieAlgebraSpec, subspace: QSubspace) -> bool:
     """Is [g, W] contained in W?"""
-    return all(subspace.contains(w) for b in subspace.basis
-               for w in _ad_images(spec, b))
+    return all(subspace.contains([image.get(k, 0) for k in range(spec.dim)])
+               for b in subspace.basis
+               for image in _ad_images(spec._brackets, {j: x for j, x in enumerate(b) if x}))
 
 
 def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
@@ -282,32 +400,33 @@ def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix
     if spec.abelian():
         return True, None, None
     d = spec.dim
-    # the nonzero entries of M by row (its sparse rows, a unit for None)
-    # and by column
-    sparse = [[(i, _ONE if x is None else x) for i, x in row]
-              for row in matrix.sparse_rows()]
+    # on the integer forms c = C / S and M = R / E, the residual is
+    # (sum C_ab R_ai R_bj - E sum R_kl C_ij,l) / (S E^2)
+    S, pairs = spec._ints
+    E, rows = matrix.int_rows()
     columns = [[] for _ in range(d)]
-    for k, row in enumerate(sparse):
+    for k, row in enumerate(rows):
         for l, x in row:
             columns[l].append((k, x))
-    residuals: dict[tuple[int, int], list[Fraction]] = {}
-    for a, row in enumerate(spec._brackets):
+    residuals: dict[tuple[int, int], list[int]] = {}
+    for a, row in enumerate(spec._int_brackets):
         for b, terms in row.items():
-            for i, x in sparse[a]:
-                for j, y in sparse[b]:
+            for i, x in rows[a]:
+                for j, y in rows[b]:
                     if i < j:
-                        acc = residuals.setdefault((i, j), [_ZERO] * d)
+                        acc = residuals.setdefault((i, j), [0] * d)
                         xy = x * y
                         for k, c in terms:
                             acc[k] += xy * c
-    for pair, vec in spec.table.items():
-        acc = residuals.setdefault(pair, [_ZERO] * d)
-        for l, c in enumerate(vec):
-            if c:
-                for k, x in columns[l]:
-                    acc[k] -= x * c
+    for i, j, terms in pairs:
+        acc = residuals.setdefault((i, j), [0] * d)
+        for l, c in terms:
+            c *= E
+            for k, x in columns[l]:
+                acc[k] -= x * c
     failing = [pair for pair, acc in residuals.items() if any(acc)]
     if not failing:
         return True, None, None
     pair = min(failing)
-    return False, pair, tuple(residuals[pair])
+    den = S * E * E
+    return False, pair, tuple(Fraction(x, den) for x in residuals[pair])

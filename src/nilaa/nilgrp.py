@@ -16,14 +16,15 @@ of the table or of a standard factor of one (17 at class 6).
 One integer kernel, NilpotentGroup._lyndon, sums that series for both the
 symbolic product mult and the expanded law that mult_vec evaluates: the
 arguments are integer polynomials over one common denominator, each bracket
-is an integer product over the nonzero structure constants (scaled once per
-group to integers), and only the final coefficients become Fractions.  An
-expanded law is evaluated by one integer evaluator, _IntegerLaw, on the
-numerators of its arguments over their common denominator: mult_vec is its
-Fraction wrapper, the coset reducer and the orbit oracle run it on the
-law in lattice coordinates (orbit.CosetReducer), and the suspension's
-embedding check runs the law of mult_vec on the numerators of its seeded
-samples (suspension.embedding_consistency_check).
+is an integer product over the nonzero structure constants (the integer
+form of the algebra, nilalg.LieAlgebraSpec._ints), and only the final
+coefficients become Fractions.  An expanded law is evaluated by one
+integer evaluator, _IntegerLaw, on the numerators of its arguments over
+their common denominator: mult_vec is its Fraction wrapper, the coset
+reducer and the orbit oracle run it on the law in lattice coordinates
+(orbit.CosetReducer), and the suspension's embedding check runs the law
+of mult_vec on the numerators of its seeded samples
+(suspension.embedding_consistency_check).
 """
 
 from __future__ import annotations
@@ -280,21 +281,30 @@ class NilpotentGroup:
     """Group law, adjoint action, and affine defect for one algebra."""
 
     def __init__(self, spec: LieAlgebraSpec):
+        self._setup(spec, validate_algebra(spec))
+
+    @classmethod
+    def _of_class(cls, spec: LieAlgebraSpec, nilpotency_class: int) -> "NilpotentGroup":
+        """The group of an algebra whose Jacobi identity and class the
+        caller has established, as the suspension does."""
+        group = object.__new__(cls)
+        group._setup(spec, nilpotency_class)
+        return group
+
+    def _setup(self, spec: LieAlgebraSpec, nilpotency_class: int) -> None:
         self.spec = spec
-        self.nilpotency_class = validate_algebra(spec)
-        if self.nilpotency_class > BCH_CLASS_CAP:
+        self.nilpotency_class = nilpotency_class
+        if nilpotency_class > BCH_CLASS_CAP:
             raise ClassCapExceeded(
-                f"nilpotency class {self.nilpotency_class} exceeds the "
+                f"nilpotency class {nilpotency_class} exceeds the "
                 f"supported scope (class <= {BCH_CLASS_CAP})")
-        self._steps = _bracket_steps(self.nilpotency_class)
-        # the integer data of _lyndon: the nonzero structure constants
-        # times the lcm S of their denominators, per bracketing pair
-        # (i < j), and the BCH coefficients times the lcm L of theirs
-        nonzero = [(i, j, spec._brackets[i][j]) for i, j in spec.table]
-        S = lcm(*(x.denominator for _, _, terms in nonzero for _, x in terms))
-        self._pairs = tuple((i, j, tuple((k, x.numerator * (S // x.denominator)) for k, x in terms))
-                            for i, j, terms in nonzero)
-        table = bch_table(self.nilpotency_class)
+        self._steps = _bracket_steps(nilpotency_class)
+        # the integer data of _lyndon: the integer form of the algebra,
+        # the nonzero structure constants times the lcm S of their
+        # denominators per bracketing pair (i < j), and the BCH
+        # coefficients times the lcm L of theirs
+        S, self._pairs = spec._ints
+        table = bch_table(nilpotency_class)
         L = lcm(*(c.denominator for _, c in table))
         self._terms = tuple((word, c.numerator * (L // c.denominator)) for word, c in table)
         self._scale, self._bch_scale = S, L
@@ -415,7 +425,7 @@ class NilpotentGroup:
 
         That the log is a derivation D is the Jacobi identity on the triples
         (delta, x_i, x_j) of the algebra with [delta, x] = D x adjoined, which
-        the suspension's NilpotentGroup checks.  Raises ValueError unless
+        suspend checks (nilalg.check_derivation).  Raises ValueError unless
         the matrix is d x d.
         """
         if matrix.shape != (self.dim, self.dim):

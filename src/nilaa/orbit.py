@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from ._record import record
 from .lattice import LogLattice, _lattice_law
 from .nilgrp import NilpotentGroup, _IntegerLaw
-from .ratlin import _scaled_rows, to_fraction, unipotency_index
+from .ratlin import to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
 FALSIFIED = "Falsified"
@@ -159,8 +159,8 @@ class CosetReducer:
             self.ordering, self._central = _reduction_order(laws, modulus, bits)
         self._laws = laws, modulus, bits
         # L = B / unit and L^-1 = A / E, as sparse integer rows
-        self._unit, self._basis = _scaled_rows(lattice.basis)
-        self._inverse_unit, self._inverse = _scaled_rows(lattice._inverse)
+        self._unit, self._basis = lattice.basis.int_rows()
+        self._inverse_unit, self._inverse = lattice._inverse.int_rows()
 
     @cached_property
     def _law(self) -> _IntegerLaw:
@@ -400,7 +400,7 @@ class NumericAffine:
         self._reducer = reducer = CosetReducer(system.group, lattice)
         self._shift = reducer.state(translation)  # the lattice state of a
         self._conj = conj = system.lattice_automorphism
-        self._lattice_map = _scaled_rows(conj)[1]  # U_L, integral
+        self._lattice_map = conj.int_rows()[1]  # U_L, integral
         self._reach = 1 if self._pure else None
         if abelian:
             self._reach = unipotency_index(conj)
@@ -433,7 +433,7 @@ class NumericAffine:
         """U_L^-1 as sparse integer rows and the lattice state of a^-1 =
         -a, built at the first backward step."""
         u, den = self._shift
-        return _scaled_rows(self._conj.inverse())[1], (tuple(-a for a in u), den)
+        return self._conj.inverse().int_rows()[1], (tuple(-a for a in u), den)
 
     def _step_back(self, s) -> tuple:
         """step_back() on lattice states: U_L^-1 P(-c(a), s), reduced."""
@@ -818,22 +818,22 @@ def _affine_mod(rows, shift, den, s) -> list:
 
 
 def _convergent_denominators(value: Fraction, bound: int) -> list:
-    """Denominators of the continued-fraction convergents of value."""
-    value = value - math.floor(value)
-    if value == 0:
+    """Denominators of the continued-fraction convergents of value, up to
+    bound: Euclid on the numerator p and denominator q of its fractional
+    part, each partial quotient floor(q / p) by one divmod."""
+    q = value.denominator
+    p = value.numerator % q
+    if not p:
         return [1]
     out = []
     h_prev, h = 0, 1  # denominators q_{-1}, q_0
-    a = value
-    while True:
-        q = math.floor(1 / a)
-        h_prev, h = h, q * h + h_prev
+    while p:
+        t, r = divmod(q, p)
+        h_prev, h = h, t * h + h_prev
         if h > bound:
             break
         out.append(h)
-        a = 1 / a - q
-        if a == 0:
-            break
+        p, q = r, p
     return out
 
 

@@ -6,34 +6,42 @@ polynomials, Hermite normal form over the integers (for lattice membership
 and integer kernels), and cyclotomic factor stripping for root-of-unity
 spectra.
 
-`QMatrix(rows)` checks and converts outside input.  Results the module
-builds itself (products, sums, inverses, identities, series) come from
-the unchecked `_qmatrix(entries, sparse)`, which takes rectangular tuples
-of Fractions as they are, and the rows of nonzero entries too when the
-producer already has them, so nothing is rescanned.  The loader builds
-its lattice and automorphism matrices there too, from rows it has
-already parsed and counted.
+`QMatrix(rows)` checks and converts outside input.  Every exact matrix
+also has one integer form, made once: `QMatrix.int_rows()` is (den,
+rows), den the lcm of the entry denominators and rows the nonzero
+entries times den as sparse (column, integer) pairs.  It is canonical,
+and the integer kernels of the package read it: the validators of
+`nilalg` and `lattice`, the group law in lattice coordinates, the
+suspension and the orbit oracle.  A matrix keeps up to three forms
+(entries, the sparse Fraction rows of `sparse_rows`, the integer form)
+and builds a missing one from another when it is first read, so a matrix
+only read in integers builds no Fraction.  Results the module builds
+itself come from unchecked constructors: `_qmatrix(entries, sparse,
+ints)` for Fraction results (products, sums, identities), and
+`_int_qmatrix(ncols, den, rows)` for integer results (triangular
+inverses, the nilpotent series, U_L).  The loader (`io`) builds its
+lattice and automorphism matrices with `_sparse_qmatrix` from the
+nonzero literals as it reads them.
 
 A triangular matrix needs no elimination: `QMatrix.det` is the product
 of its diagonal, and `QMatrix.inverse` solves it by substitution over
-its nonzero entries.  Every diagonal or Hermite lattice basis takes
-these paths, and so does a triangular U_L.  Other matrices are
-eliminated, by one kernel: the sparse forward pass `_echelon`.  `rref`
-adds a back pass to it, and `kernel_basis`, `solve_linear`, `QSubspace`,
-`annihilator_basis` and `QMatrix.inverse` are built on `rref`;
-`QMatrix.det` reads the signed pivot product of the forward pass alone.
-Both passes touch only the nonzero entries of a pivot row and never
-divide by a unit pivot, so the mostly-zero matrices of the deciders
-(unipotent automorphisms) stay cheap.  Products skip zero and unit
-entries.
+the nonzero entries of its integer form.  Every diagonal or Hermite
+lattice basis takes these paths, and so does a triangular U_L.  Other
+matrices are eliminated, by one kernel: the sparse forward pass
+`_echelon`.  `rref` adds a back pass to it, and `kernel_basis`,
+`solve_linear`, `QSubspace`, `annihilator_basis` and `QMatrix.inverse`
+are built on `rref`; `QMatrix.det` reads the signed pivot product of the
+forward pass alone.  Both passes touch only the nonzero entries of a
+pivot row and never divide by a unit pivot, so the mostly-zero matrices
+of the deciders (unipotent automorphisms) stay cheap.  Products skip
+zero and unit entries.
 
-The nilpotent series have one kernel too: `_nilpotent_powers` writes N
-(M - I for a unipotent M) as sparse integer rows over one denominator and
-powers it in integers until a power vanishes, or finds N^n nonzero.
-`unipotency_index` counts those powers, and `matrix_log_unipotent` and
-`matrix_exp_nilpotent` sum them in integers, so that each entry of the
-result becomes a Fraction once.  `charpoly` (O(n^4)) serves only
-`power_unipotent`, which needs the whole spectrum.
+The nilpotent series have one kernel too: `_nilpotent_powers` powers N
+(M - I for a unipotent M) on the integer form until a power vanishes,
+or finds N^n nonzero.  `unipotency_index` counts those powers, and
+`matrix_log_unipotent` and `matrix_exp_nilpotent` sum them in integers
+(`_power_series`) into the integer form of the result.  `charpoly`
+(O(n^4)) serves only `power_unipotent`, which needs the whole spectrum.
 
 No floating point anywhere in this module.
 """
@@ -75,16 +83,23 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class QMatrix:
-    """Immutable matrix with Fraction entries."""
+    """Immutable matrix with Fraction entries.
 
-    __slots__ = ("entries", "_sparse")
+    A matrix has up to three forms, each made at most once: its entries,
+    its sparse rows (sparse_rows) and its integer form (int_rows).  It is
+    built with at least one, and the others are made from it when first
+    read, so a matrix that is only ever read in integers builds no
+    Fraction."""
+
+    __slots__ = ("shape", "_entries", "_sparse", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
         entries = _frac_rows(rows)
         if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
-        self.entries = entries
-        self._sparse = None
+        self.shape = (len(entries), len(entries[0]) if entries else 0)
+        self._entries = entries
+        self._sparse = self._ints = None
 
     # ---- constructors ----
 
@@ -92,11 +107,12 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return _qmatrix(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
                               for i in range(n)),
-                        tuple(((i, None),) for i in range(n)))
+                        tuple(((i, None),) for i in range(n)),
+                        (1, tuple(((i, 1),) for i in range(n))))
 
     @classmethod
     def zeros(cls, n: int) -> "QMatrix":
-        return _qmatrix(((_ZERO,) * n,) * n, ((),) * n)
+        return _qmatrix(((_ZERO,) * n,) * n, ((),) * n, (1, ((),) * n))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]]) -> "QMatrix":
@@ -111,15 +127,19 @@ class QMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as tuples of Fractions."""
+        if self._entries is None:
+            self._entries = _dense(self.shape[1], (
+                [(j, _ONE if a is None else a) for j, a in row] for row in self.sparse_rows()))
+        return self._entries
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
@@ -134,10 +154,29 @@ class QMatrix:
         """Rows as (column, entry) pairs of the nonzero entries, for dot();
         a unit entry is stored as None so that dot() skips the factor."""
         if self._sparse is None:
-            self._sparse = tuple(
-                tuple((j, None if a == 1 else a) for j, a in enumerate(row) if a)
-                for row in self.entries)
+            if self._entries is None:
+                den, rows = self._ints
+                self._sparse = tuple(
+                    tuple((j, None if v == den else Fraction(v, den)) for j, v in row)
+                    for row in rows)
+            else:
+                self._sparse = tuple(
+                    tuple((j, None if a == 1 else a) for j, a in enumerate(row) if a)
+                    for row in self._entries)
         return self._sparse
+
+    def int_rows(self) -> tuple[int, tuple]:
+        """The integer form (den, rows): den the lcm of the denominators of
+        the entries, and den times the nonzero entries of each row as
+        (column, integer) pairs.  It is canonical, so two matrices of one
+        shape are equal exactly when their integer forms are."""
+        if self._ints is None:
+            rows = self.sparse_rows()
+            den = math.lcm(*(a.denominator for row in rows for _, a in row if a is not None))
+            self._ints = den, tuple(
+                tuple((j, den if a is None else a.numerator * (den // a.denominator))
+                      for j, a in row) for row in rows)
+        return self._ints
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -229,8 +268,9 @@ class QMatrix:
     def _substitution_order(self) -> range | None:
         """The order in which substitution solves this square matrix row by
         row: top down when it is lower triangular, bottom up when it is
-        upper triangular; None when it is neither."""
-        rows = self.sparse_rows()
+        upper triangular; None when it is neither.  Read from the columns
+        of the integer form, or of the sparse rows when there is none."""
+        rows = self.sparse_rows() if self._ints is None else self._ints[1]
         if all(not row or row[-1][0] <= i for i, row in enumerate(rows)):
             return range(len(rows))
         if all(not row or row[0][0] >= i for i, row in enumerate(rows)):
@@ -240,10 +280,12 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         """Inverse; ZeroDivisionError when the matrix is singular.
 
-        A triangular matrix is solved by substitution: row i of the inverse
-        X is (e_i - sum over j != i of M_ij X_j) / M_ii, over the nonzero
-        M_ij, and in the substitution order every X_j it reads is already
-        known.  Any other matrix is reduced as [M | I] by `rref`."""
+        A triangular matrix is solved by substitution on its integer form
+        M = B / D: row i of the inverse X is (D e_i - sum over j != i of
+        B_ij X_j) / B_ii, over the nonzero B_ij, and in the substitution
+        order every X_j it reads is already known.  Each row is kept as
+        integers over its own denominator, and the inverse is handed its
+        integer form.  Any other matrix is reduced as [M | I] by `rref`."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
@@ -255,25 +297,38 @@ class QMatrix:
             if pivots != list(range(n)):
                 raise ZeroDivisionError("matrix is singular")
             return _qmatrix(tuple(tuple(row[n:]) for row in reduced))
-        if not all(self.entries[i][i] for i in range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        rows = self.sparse_rows()
-        inv: list = [None] * n
+        D, rows = self.int_rows()
+        inv: list = [None] * n  # row i as (q, {column: integer}): X_i = Y / q
         for i in order:
-            acc = {i: _ONE}
-            for j, a in rows[i]:
+            row = rows[i]
+            if len(row) == 1:  # a diagonal row, the common case: X_i = D e_i / B_ii
+                j, b = row[0]
                 if j != i:
-                    for k, b in inv[j].items():
-                        t = b if a is None else a * b
-                        acc[k] = acc[k] - t if k in acc else -t
-            pivot = self.entries[i][i]
-            if pivot != 1:
-                acc = {k: x / pivot for k, x in acc.items()}
-            inv[i] = {k: x for k, x in sorted(acc.items()) if x}
-        return _qmatrix(tuple(tuple(row.get(k, _ZERO) for k in range(n))
-                              for row in inv),
-                        tuple(tuple((k, None if x == 1 else x) for k, x in row.items())
-                              for row in inv))
+                    raise ZeroDivisionError("matrix is singular")
+                g = math.gcd(D, b) if b > 0 else -math.gcd(D, b)
+                inv[i] = b // g, {i: D // g}
+                continue
+            pivot = next((b for j, b in row if j == i), 0)
+            if not pivot:
+                raise ZeroDivisionError("matrix is singular")
+            others = [(j, b) for j, b in row if j != i]
+            q = math.lcm(*(inv[j][0] for j, _ in others))
+            acc = {i: D * q}
+            for j, b in others:
+                qj, y = inv[j]
+                f = b * (q // qj)
+                for k, v in y.items():
+                    acc[k] = acc.get(k, 0) - f * v
+            den = q * pivot
+            g = math.gcd(den, *acc.values())
+            if den < 0:
+                g = -g
+            inv[i] = den // g, {k: v // g for k, v in sorted(acc.items()) if v}
+        # each row is in lowest terms, so E is the lcm of the entry
+        # denominators
+        E = math.lcm(*(q for q, _ in inv))
+        return _int_qmatrix(n, E, tuple(tuple((k, v * (E // q)) for k, v in y.items())
+                                        for q, y in inv))
 
     def det(self) -> Fraction:
         """Determinant: the product of the diagonal of a triangular matrix,
@@ -282,7 +337,11 @@ class QMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         if self._substitution_order() is not None:
-            return math.prod((row[i] for i, row in enumerate(self.entries)),
+            if self._entries is None:  # the diagonal of the integer form
+                den, rows = self.int_rows()
+                return Fraction(math.prod(dict(row).get(i, 0) for i, row in enumerate(rows)),
+                                den ** self.nrows)
+            return math.prod((row[i] for i, row in enumerate(self._entries)),
                              start=_ONE)
         mat, pivots, sign = _echelon(self.entries)
         if len(pivots) < self.nrows:
@@ -293,6 +352,8 @@ class QMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
+        if self._ints is not None and other._ints is not None:
+            return self.shape == other.shape and self._ints == other._ints
         return self.entries == other.entries
 
     def __hash__(self):
@@ -306,15 +367,73 @@ class QMatrix:
         return f"QMatrix({[list(map(str, row)) for row in self.entries]})"
 
 
-def _qmatrix(entries: tuple, sparse: tuple | None = None) -> QMatrix:
+def _qmatrix(entries: tuple, sparse: tuple | None = None,
+             ints: tuple | None = None) -> QMatrix:
     """A QMatrix from a rectangular tuple of tuples of Fractions, unchecked;
-    sparse, when given, is what sparse_rows() would build from it.  The
-    results of this module are built here; QMatrix() checks outside
-    input."""
+    sparse and ints, when given, are what sparse_rows() and int_rows()
+    would build from it.  The results of this module are built here;
+    QMatrix() checks outside input."""
     m = object.__new__(QMatrix)
-    m.entries = entries
+    m.shape = (len(entries), len(entries[0]) if entries else 0)
+    m._entries = entries
+    m._sparse = sparse
+    m._ints = ints
+    return m
+
+
+def _sparse_qmatrix(ncols: int, sparse: tuple) -> QMatrix:
+    """The QMatrix of sparse rows as sparse_rows() describes them; its
+    integer form and entries are made when first read."""
+    m = object.__new__(QMatrix)
+    m.shape = (len(sparse), ncols)
+    m._entries = m._ints = None
     m._sparse = sparse
     return m
+
+
+def _int_qmatrix(ncols: int, den: int, rows: Sequence[Sequence[tuple[int, int]]]
+                 ) -> QMatrix:
+    """The QMatrix of an integer form (den, rows) as int_rows() describes
+    it, den the lcm of the entry denominators (`_reduced` makes one from
+    any integer rows); its sparse rows and entries are made when first
+    read."""
+    m = object.__new__(QMatrix)
+    m.shape = (len(rows), ncols)
+    m._entries = m._sparse = None
+    m._ints = den, rows
+    return m
+
+
+def _reduced(den: int, rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, tuple]:
+    """Integer rows over den divided by their gcd with den: the canonical
+    integer form (QMatrix.int_rows) of the matrix they give."""
+    g = math.gcd(den, *(v for row in rows for _, v in row))
+    return den // g, tuple(tuple((j, v // g) for j, v in row) for row in rows)
+
+
+def _int_product(rows: Sequence, other: Sequence) -> list:
+    """The product of two matrices given as integer rows ((column,
+    integer) pairs of the nonzero entries), as integer rows by increasing
+    column."""
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for k, a in row:
+            for j, b in other[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(sorted((j, v) for j, v in acc.items() if v))
+    return out
+
+
+def _dense(ncols: int, rows) -> tuple:
+    """Full rows of Fractions from (column, Fraction) pairs."""
+    out = []
+    for row in rows:
+        full = [_ZERO] * ncols
+        for j, a in row:
+            full[j] = a
+        out.append(tuple(full))
+    return tuple(out)
 
 
 # ---- echelon forms over the rationals ----
@@ -507,34 +626,23 @@ def charpoly(matrix: QMatrix) -> list[Fraction]:
     return coeffs
 
 
-def _scaled_rows(matrix: QMatrix) -> tuple[int, list]:
-    """(den, rows): den the lcm of the denominators of the matrix, and
-    den times its nonzero entries as (column, integer) pairs per row."""
-    rows = [[(j, 1 if x is None else x) for j, x in row]
-            for row in matrix.sparse_rows()]
-    den = math.lcm(*(x.denominator for row in rows for _, x in row))
-    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in row]
-                 for row in rows]
+def _nilpotent_powers(ints: tuple[int, tuple], shift: bool) -> tuple[int, list] | None:
+    """The nonzero powers of N = M - I (shift) or N = M, in integers, for
+    the integer form (D, rows) of a square M (QMatrix.int_rows).
 
-
-def _nilpotent_powers(matrix: QMatrix, shift: bool) -> tuple[int, list] | None:
-    """The nonzero powers of N = M - I (shift) or N = M, in integers.
-
-    N is written as sparse rows of ints over one denominator D, the lcm of
-    its entry denominators, and powered by integer sparse products until a
-    power vanishes.  Returns (D, powers) with powers[k - 1] the rows of
-    (D N)^k as {column: int}, so that N^k = powers[k - 1] / D^k, listing
-    every nonzero power; None when N^n is still nonzero, that is when N is
-    not nilpotent.
+    N is powered by integer sparse products until a power vanishes.
+    Returns (D, powers) with powers[k - 1] the rows of (D N)^k as
+    {column: int}, so that N^k = powers[k - 1] / D^k, listing every nonzero
+    power; None when N^n is still nonzero, that is when N is not nilpotent.
     """
-    n = matrix.nrows
-    D, rows = _scaled_rows(matrix)
+    D, rows = ints
+    n = len(rows)
     base = []
     for i, row in enumerate(rows):
-        ints = dict(row)
+        scaled = dict(row)
         if shift:  # D N = D M - D I
-            ints[i] = ints.get(i, 0) - D
-        base.append({j: v for j, v in ints.items() if v})
+            scaled[i] = scaled.get(i, 0) - D
+        base.append({j: v for j, v in scaled.items() if v})
     powers = []
     power = base
     while any(power):
@@ -554,11 +662,12 @@ def _nilpotent_powers(matrix: QMatrix, shift: bool) -> tuple[int, list] | None:
 
 
 def _power_series(n: int, D: int, powers: list, coeffs: Sequence[Fraction],
-                  identity: bool) -> QMatrix:
+                  identity: bool) -> tuple[int, list]:
     """I (when identity) plus the sum of coeffs[k - 1] N^k, for the powers
-    of `_nilpotent_powers`: every entry is summed as an integer over the
-    common denominator L = lcm(coeff denominators) * D^m, m the number of
-    powers, and becomes a Fraction once."""
+    of `_nilpotent_powers`, as (L, rows): every entry is summed as an
+    integer over the common denominator L = lcm(coeff denominators) * D^m,
+    m the number of powers, and the rows hold the nonzero sums by column
+    (not reduced: `_reduced` makes their integer form)."""
     m = len(powers)
     q = math.lcm(*(c.denominator for c in coeffs))
     L = q * D ** m
@@ -569,8 +678,7 @@ def _power_series(n: int, D: int, powers: list, coeffs: Sequence[Fraction],
             get = a.get
             for j, v in row.items():
                 a[j] = get(j, 0) + w * v
-    return _qmatrix(tuple(tuple(Fraction(a[j], L) if a.get(j) else _ZERO
-                                for j in range(n)) for a in acc))
+    return L, [sorted((j, v) for j, v in a.items() if v) for a in acc]
 
 
 def unipotency_index(matrix: QMatrix) -> int | None:
@@ -585,9 +693,10 @@ def unipotency_index(matrix: QMatrix) -> int | None:
     if not matrix.is_square():
         raise ValueError("unipotency of a non-square matrix")
     n = matrix.nrows
-    if matrix.trace() != n:
-        return None
-    found = _nilpotent_powers(matrix, shift=True)
+    den, rows = ints = matrix.int_rows()
+    if sum(v for i, row in enumerate(rows) for j, v in row if j == i) != n * den:
+        return None  # the trace is not n
+    found = _nilpotent_powers(ints, shift=True)
     if found is None:
         return None
     return len(found[1]) + 1 if n else 0
@@ -599,12 +708,19 @@ def matrix_exp_nilpotent(matrix: QMatrix) -> QMatrix:
     `_nilpotent_powers` with one Fraction per entry."""
     if not matrix.is_square():
         raise ValueError("exp of a non-square matrix")
-    found = _nilpotent_powers(matrix, shift=False)
+    return _int_qmatrix(matrix.nrows, *_reduced(*_exp_int_rows(matrix.int_rows())))
+
+
+def _exp_int_rows(ints: tuple[int, tuple]) -> tuple[int, list]:
+    """exp of the nilpotent matrix of integer form ints, as integer rows
+    over one denominator, not reduced (`_power_series`); raises
+    ValueError when it is not nilpotent."""
+    found = _nilpotent_powers(ints, shift=False)
     if found is None:
         raise ValueError("matrix is not nilpotent")
     D, powers = found
     coeffs = [Fraction(1, math.factorial(k)) for k in range(1, len(powers) + 1)]
-    return _power_series(matrix.nrows, D, powers, coeffs, identity=True)
+    return _power_series(len(ints[1]), D, powers, coeffs, identity=True)
 
 
 def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
@@ -616,12 +732,12 @@ def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
     n = matrix.nrows
     if not matrix.is_square():
         raise ValueError(f"shape mismatch {matrix.shape} vs {(n, n)}")
-    found = _nilpotent_powers(matrix, shift=True)
+    found = _nilpotent_powers(matrix.int_rows(), shift=True)
     if found is None:
         raise NotUnipotent("the matrix has an eigenvalue other than 1")
     D, powers = found
     coeffs = [Fraction((-1) ** (k + 1), k) for k in range(1, len(powers) + 1)]
-    return _power_series(n, D, powers, coeffs, identity=False)
+    return _int_qmatrix(n, *_reduced(*_power_series(n, D, powers, coeffs, identity=False)))
 
 
 # ---- integer lattice computations (Hermite normal form) ----

@@ -14,6 +14,13 @@ the big algebra.  This module keeps the pair (D, Lambda) as the lattice
 data, and its checks compare exact points before any reduction: equal
 points of N reduce to the same point of the quotient.
 
+suspend builds the suspension on integer forms: D = log U comes from
+the integer series (ratlin), the suspended algebra's integer pairs are
+the fiber's plus the columns of D (nilalg.adjoin_derivation), its Jacobi
+identity is the derivation identity for D (nilalg.check_derivation) and
+its class comes from one forward pass (nilalg.lower_central_class).
+monodromy_adjoint_check compares exp(ad delta) with U as integer forms.
+
 embedding_consistency_check evaluates both routes at seeded samples, in
 integer numerators over a common denominator: the three products run
 through the integer law of each group (nilgrp._IntegerLaw), and only a
@@ -29,10 +36,11 @@ from typing import Sequence
 
 from ._record import record
 from .lattice import LogLattice
-from .nilalg import LieAlgebraSpec
+from .nilalg import (LieAlgebraSpec, ad_int_rows, adjoin_derivation,
+                     check_derivation, lower_central_class)
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
-from .ratlin import QMatrix, to_fraction
+from .ratlin import QMatrix, _exp_int_rows, _reduced, to_fraction
 
 
 class Mismatch(ValueError):
@@ -63,21 +71,16 @@ def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAl
 
     Basis order downstairs is preserved and delta is prepended, so vectors of
     the big algebra read (phi, fiber).  The result is nilpotent whenever D is
-    (which log of a unipotent automorphism always is).  The constructor of
-    NilpotentGroup re-checks Jacobi and nilpotency; Jacobi on the triples
-    (delta, x_i, x_j) is the derivation identity for D.
+    (which log of a unipotent automorphism always is).  Nothing is checked
+    here: Jacobi on the triples (delta, x_i, x_j) is the derivation
+    identity for D (nilalg.check_derivation), and every other triple is
+    one of spec.  It is built from the nonzero entries of spec and D, with
+    its integer form (nilalg.adjoin_derivation).
     """
     d = spec.dim
     if derivation.shape != (d, d):
         raise ValueError("derivation matrix has wrong shape")
-    table: dict[tuple[int, int], list[Fraction]] = {}
-    for j in range(d):
-        col = derivation.column(j)
-        if any(col):
-            table[(0, j + 1)] = [Fraction(0), *col]
-    for (i, j), vec in spec.table.items():
-        table[(i + 1, j + 1)] = [Fraction(0), *vec]
-    return LieAlgebraSpec(d + 1, table)
+    return adjoin_derivation(spec, derivation)
 
 
 @record(eq=False)
@@ -118,11 +121,19 @@ def suspend(system) -> SuspendedSystem:
     Raises NotUnipotent when U is not unipotent.  make_system has checked
     that U preserves the lattice, and monodromy_adjoint_check and
     embedding_consistency_check check the result.
+
+    Everything runs on integer forms: D = log U comes with its integer
+    rows, the suspended algebra is built from them and the fiber's integer
+    pairs, its Jacobi identity is checked on the triples with delta only,
+    where it is the derivation identity for D (every other triple is one
+    of the fiber, checked when the system was loaded), and its class comes
+    from one forward pass of the lower central series.
     """
     group: NilpotentGroup = system.group
     D = group.log_automorphism(system.automorphism)
     big_spec = build_suspension_algebra(group.spec, D)
-    big_group = NilpotentGroup(big_spec)
+    check_derivation(big_spec)
+    big_group = NilpotentGroup._of_class(big_spec, lower_central_class(big_spec))
     a = system.translation
     lifted = ParamVector(a.params, [Poly.zero(a.params), *a.entries])
     delta = ParamVector(a.params, [Poly.constant(1, a.params),
@@ -132,11 +143,15 @@ def suspend(system) -> SuspendedSystem:
 
 
 def monodromy_adjoint_check(susp: SuspendedSystem) -> bool:
-    """Conjugation by exp(delta) must act on the fiber exactly as U does."""
-    U = susp.base.automorphism
-    expected = QMatrix([[U[i - 1, j - 1] if i and j else int(i == j)
-                         for j in range(susp.dim)] for i in range(susp.dim)])
-    return susp.big_group.adjoint_matrix(susp.delta()) == expected
+    """Conjugation by exp(delta) must act on the fiber exactly as U does:
+    exp(ad delta) = diag(1, U) on the big algebra.  Both sides are
+    compared as integer forms, which are canonical: exp(ad delta) is
+    summed in integers from ad delta's integer rows, and no Fraction is
+    built."""
+    den, rows = _reduced(*_exp_int_rows(ad_int_rows(susp.big_algebra, 0)))
+    u_den, u_rows = susp.base.automorphism.int_rows()
+    return den == u_den and rows[0] == ((0, den),) and all(
+        row == tuple((j + 1, v) for j, v in u_row) for row, u_row in zip(rows[1:], u_rows))
 
 
 def embedding_consistency_check(susp: SuspendedSystem, samples: int) -> bool:
@@ -167,10 +182,7 @@ def embedding_consistency_check(susp: SuspendedSystem, samples: int) -> bool:
     law, big_law = group._expanded_law(), susp.big_group._expanded_law()
     evaluate = _integer_evaluator(
         (*system.translation.entries, *susp.embedded_translation.entries), len(params))
-    # U = rows / cu with integer rows, kept sparse
-    cu = lcm(*(x.denominator for row in system.automorphism.entries for x in row))
-    rows = [[(j, x.numerator * (cu // x.denominator)) for j, x in enumerate(row) if x]
-            for row in system.automorphism.entries]
+    cu, rows = system.automorphism.int_rows()  # U = rows / cu
     rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
 
     for _ in range(samples):

@@ -1,5 +1,6 @@
 """Shared fixtures: small reference algebras and matrices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,17 @@ def random_change_of_basis(spec: LieAlgebraSpec, rng, shears: int = 4) -> LieAlg
     """The same algebra in a random_basis_matrix basis, so the table is
     denser than spec's."""
     return change_of_basis(spec, random_basis_matrix(spec.dim, rng, shears))
+
+
+def coprime_scaling(d: int, rng) -> QMatrix:
+    """A diagonal matrix of signed fractions n_i / m_i whose denominators
+    m_i are pairwise coprime and near 2^40, so that the lcm of a few of
+    them, the denominator of an integer form, has hundreds of bits."""
+    dens: list = []
+    m = 2 ** 40 + rng.randrange(1, 2 ** 20)
+    while len(dens) < d:
+        if all(math.gcd(m, x) == 1 for x in dens):
+            dens.append(m)
+        m += 1
+    return QMatrix([[Fraction(rng.choice((1, -1)) * rng.randrange(1, 5), dens[i])
+                     if i == j else 0 for j in range(d)] for i in range(d)])

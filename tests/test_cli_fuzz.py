@@ -148,3 +148,31 @@ def test_parse_verdict_raises_parse_error_on_malformed_bytes():
                 assert str(exc).startswith("verdict"), name
             else:
                 raise AssertionError(f"{name} parsed as a verdict")
+
+
+# A rational literal past the interpreter's 4300-digit limit for int(), in
+# each field of rationals: (field, position of the literal in the field).
+LONG_LITERAL = "1/" + "3" * 4400
+LONG_LITERAL_FIELDS = (("structure_constants", (0, 3)), ("lattice_basis", (2, 2)),
+                       ("automorphism", (0, 1)), ("designated_generators", (1, 0)),
+                       ("translation", (2,)))
+
+
+def test_every_command_answers_error_on_an_over_long_literal(capsys, tmp_path):
+    data = json.loads(nio.corpus_file("heisenberg.json").read_text(encoding="utf-8"))
+    data["translation"] = ["0", "0", "0"]
+    for field, position in LONG_LITERAL_FIELDS:
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(_replace(data, (field, *position), LONG_LITERAL)),
+                        encoding="utf-8")
+        for argv in (("validate",), ("suspend",), ("simulate",),
+                     *(("decide", "--criterion", c) for c in ncli.CRITERIA)):
+            code = ncli.main([argv[0], str(path), *argv[1:]])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, (field, argv)
+            verdict = json.loads(captured.out)
+            assert verdict["status"] == "ERROR", (field, argv)
+            location = f"{field}.json:{field}[{position[0]}]"
+            assert verdict["notes"][0].startswith(location), (field, argv)
+            assert "limit" in verdict["notes"][0], (field, argv)
+            assert code == 3, (field, argv)

@@ -251,6 +251,13 @@ def test_malformed_certificate_row_is_a_parse_error():
         nio.parse_certificate({"kind": "witness_subspace", "ambient_dim": 2,
                                "basis": [["1"]]})
     assert info.value.location == "certificate(witness_subspace).basis"
+    # repeated parameter names, whatever the entries (the literals "0"
+    # and "1" are read without a parse)
+    for entry in ("0", "1", "t"):
+        with pytest.raises(nio.ParseError) as info:
+            nio.parse_certificate({"kind": "coset_obstruction", "params": ["t", "t"],
+                                   "vector": [entry], "generators": []})
+        assert info.value.location == "certificate(coset_obstruction).params"
 
 
 def test_opaque_certificates_pass_through():

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
-                      heisenberg, q6, random_basis_matrix,
+from conftest import (abelian, change_of_basis, coprime_scaling, filiform,
+                      free_nilpotent_2_3, heisenberg, q6, random_basis_matrix,
                       random_change_of_basis)
 from nilaa.criteria import make_system
 from nilaa.lattice import (LatticeClosureError, LogLattice, _binomial_row,
@@ -367,6 +367,42 @@ def test_preserves_lattice():
     shrink = QMatrix([[1, 0, 0], [0, "1/2", 0], [0, 0, 1]])
     ok, reason, _ = preserves_lattice(shrink, lat)
     assert not ok and "integral" in reason
+
+    # the integer products against the Fraction route, on seeded bases
+    # (Hermite, triangular, dense, scaled by pairwise-coprime
+    # denominators near 2^40) and maps that preserve them or not
+    rng = random.Random(101)
+    outcomes = set()
+    for _ in range(120):
+        d = rng.randrange(1, 7)
+        basis = random_basis_matrix(d, rng, rng.randrange(4))
+        if rng.randrange(3) == 0:
+            basis = basis @ coprime_scaling(d, rng)
+        lattice = LogLattice(basis)
+        w = random_basis_matrix(d, rng, rng.randrange(4))  # integral unless scaled
+        w = QMatrix([[F(x.numerator) for x in row] for row in w.entries])
+        u = basis @ w @ lattice._inverse
+        if rng.randrange(2):
+            rows = [list(row) for row in u.entries]
+            rows[rng.randrange(d)][rng.randrange(d)] += F(1, rng.choice((1, 2, 3)))
+            u = QMatrix(rows)
+        got = preserves_lattice(u, lattice)
+        assert got == fraction_preserves_lattice(u, lattice)
+        assert got[2].int_rows() == QMatrix(got[2].entries).int_rows()
+        outcomes.add(got[1] and got[1].split()[0])
+    assert outcomes == {None, "matrix", "determinant"}
+
+
+def fraction_preserves_lattice(matrix, lattice):
+    """preserves_lattice on Fractions, as it ran before it read the
+    integer forms: U_L = L^-1 U L by two Fraction products."""
+    conj = lattice._inverse @ matrix @ lattice.basis
+    if not conj.is_integral():
+        return False, "matrix is not integral in lattice coordinates", conj
+    det = conj.det()
+    if det not in (1, -1):
+        return False, f"determinant {det} in lattice coordinates is not a unit", conj
+    return True, None, conj
 
 
 def test_central_lattice_basis():

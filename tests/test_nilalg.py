@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
-                      heisenberg, random_basis_matrix, random_change_of_basis)
+from conftest import (abelian, change_of_basis, coprime_scaling, filiform,
+                      free_nilpotent_2_3, heisenberg, random_basis_matrix,
+                      random_change_of_basis)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
     is_abelian_family, is_automorphism, is_ideal, validate_algebra,
 )
-from nilaa.ratlin import QMatrix, QSubspace, matrix_exp_nilpotent
+from nilaa.ratlin import QMatrix, QSubspace, _echelon, matrix_exp_nilpotent
 
 F = Fraction
 
@@ -269,14 +270,113 @@ def _dense_jacobi(spec):
     return None
 
 
+# The Fraction routines that validate_algebra and is_automorphism ran
+# before they read the integer form of the algebra, kept as references.
+
+def _fraction_ad_images(spec, b):
+    """The nonzero brackets [xi_a, b] in the order of a, on Fractions."""
+    brackets = spec._brackets
+    images = {}
+    for j, y in enumerate(b):
+        if y:
+            for a in brackets[j]:
+                acc = images.setdefault(a, [F(0)] * spec.dim)
+                for k, c in brackets[a][j]:
+                    acc[k] += y * c
+    return [images[a] for a in sorted(images) if any(images[a])]
+
+
+def fraction_validate_algebra(spec):
+    """Jacobi on the candidate triples, then the lower central series by
+    one _echelon pass per term, all on Fractions."""
+    brackets = spec._brackets
+    triples = set()
+    for (b, c), vec in spec.table.items():
+        for l, x in enumerate(vec):
+            if x:
+                triples.update(tuple(sorted((a, b, c))) for a in brackets[l]
+                               if a != b and a != c)
+    for i, j, k in sorted(triples):
+        acc = [F(0)] * spec.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in brackets[b].get(c, ()):
+                for m, y in brackets[a].get(l, ()):
+                    acc[m] += x * y
+        if any(acc):
+            raise JacobiViolation((i, j, k), tuple(acc))
+    nil_class, dim = 1, spec.dim
+    gens = list(spec.table.values())
+    while gens:
+        rows, pivots, _ = _echelon(gens)
+        if not pivots:
+            break
+        if len(pivots) == dim:
+            raise NotNilpotent(f"lower central series stabilizes at dimension {dim}")
+        nil_class, dim = nil_class + 1, len(pivots)
+        gens = [w for b in rows[:dim] for w in _fraction_ad_images(spec, b)]
+    return nil_class
+
+
+def fraction_is_automorphism(spec, matrix):
+    """[M xi_i, M xi_j] - M [xi_i, xi_j] over the nonzero structure
+    constants and the nonzero entries of M, on Fractions."""
+    if spec.abelian():
+        return True, None, None
+    d = spec.dim
+    sparse = [[(i, F(1) if x is None else x) for i, x in row] for row in matrix.sparse_rows()]
+    columns = [[] for _ in range(d)]
+    for k, row in enumerate(sparse):
+        for l, x in row:
+            columns[l].append((k, x))
+    residuals = {}
+    for a, row in enumerate(spec._brackets):
+        for b, terms in row.items():
+            for i, x in sparse[a]:
+                for j, y in sparse[b]:
+                    if i < j:
+                        acc = residuals.setdefault((i, j), [F(0)] * d)
+                        for k, c in terms:
+                            acc[k] += x * y * c
+    for pair, vec in spec.table.items():
+        acc = residuals.setdefault(pair, [F(0)] * d)
+        for l, c in enumerate(vec):
+            if c:
+                for k, x in columns[l]:
+                    acc[k] -= x * c
+    failing = [pair for pair, acc in residuals.items() if any(acc)]
+    if not failing:
+        return True, None, None
+    return False, min(failing), tuple(residuals[min(failing)])
+
+
+def _outcome(check, *args):
+    """What a validation returns or raises, comparably."""
+    try:
+        return check(*args)
+    except JacobiViolation as exc:
+        return "JacobiViolation", exc.triple, exc.residual, str(exc)
+    except NotNilpotent as exc:
+        return "NotNilpotent", str(exc)
+
+
+def _random_basis(spec, rng, shears):
+    """spec in a random basis; every third one also scaled by
+    pairwise-coprime denominators near 2^40."""
+    p = random_basis_matrix(spec.dim, rng, shears)
+    if rng.randrange(3) == 0:
+        p = p @ coprime_scaling(spec.dim, rng)
+    return change_of_basis(spec, p), p
+
+
 def test_sparse_jacobi_matches_the_dense_formula_on_perturbed_tables():
     rng = random.Random(61)
     pool = [F(1), F(-1), F(2), F(1, 3)]
     bases = (heisenberg(), free_nilpotent_2_3(), filiform(5), filiform(6),
              LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)]))
-    violations = 0
+    violations = big = 0
     for _ in range(60):
-        spec = random_change_of_basis(rng.choice(bases), rng, rng.randrange(5))
+        spec, p = _random_basis(rng.choice(bases), rng, rng.randrange(5))
+        big += p.int_rows()[0] > 2 ** 40
         d = spec.dim
         table = {key: list(vec) for key, vec in spec.table.items()}
         for _ in range(rng.randrange(1, 3)):
@@ -285,17 +385,14 @@ def test_sparse_jacobi_matches_the_dense_formula_on_perturbed_tables():
             vec[rng.randrange(d)] += rng.choice(pool)
         perturbed = LieAlgebraSpec(d, table)
         expected = _dense_jacobi(perturbed)
+        outcome = _outcome(validate_algebra, perturbed)
+        assert outcome == _outcome(fraction_validate_algebra, perturbed)
         if expected is None:
-            try:
-                validate_algebra(perturbed)
-            except NotNilpotent:
-                pass
+            assert not isinstance(outcome, tuple) or outcome[0] == "NotNilpotent"
             continue
         violations += 1
-        with pytest.raises(JacobiViolation) as err:
-            validate_algebra(perturbed)
-        assert (err.value.triple, err.value.residual) == expected
-    assert violations >= 30
+        assert outcome[:3] == ("JacobiViolation", *expected)
+    assert violations >= 30 and big >= 10
 
 
 def _heisenberg5():
@@ -328,12 +425,16 @@ def _dense_ad(spec, v):
 def _random_automorphisms(rng):
     """(algebra, automorphism) pairs.  The algebra is a standard table in
     a random 2-shear basis P, built as random_change_of_basis does but
-    keeping P; the automorphism is a graded scaling of the table
-    conjugated by P, times an inner automorphism exp(ad v)."""
+    keeping P, and in the fifth of each base also scaled by
+    pairwise-coprime denominators near 2^40; the automorphism is a graded
+    scaling of the table conjugated by P, times an inner automorphism
+    exp(ad v)."""
     for base in (heisenberg(), _heisenberg5(), free_nilpotent_2_3(),
                  filiform(4), filiform(5), filiform(6), filiform(7)):
-        for _ in range(4):
+        for n in range(5):
             p = random_basis_matrix(base.dim, rng, 2)
+            if n == 4:
+                p = p @ coprime_scaling(base.dim, rng)
             spec = change_of_basis(base, p)
             scaling = p.inverse() @ _graded_scaling(base, rng) @ p
             v = [F(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in range(spec.dim)]
@@ -363,7 +464,8 @@ def test_sparse_is_automorphism_matches_the_dense_formula():
     pool = [F(1), F(-1), F(2), F(1, 3)]
     failures = 0
     for spec, m in _random_automorphisms(rng):
-        assert is_automorphism(spec, m) == _dense_is_automorphism(spec, m) == (True, None, None)
+        assert is_automorphism(spec, m) == fraction_is_automorphism(spec, m) \
+            == _dense_is_automorphism(spec, m) == (True, None, None)
         for _ in range(3):
             rows = [list(row) for row in m.entries]
             for _ in range(rng.randrange(1, 3)):
@@ -371,7 +473,8 @@ def test_sparse_is_automorphism_matches_the_dense_formula():
             perturbed = QMatrix(rows)
             expected = _dense_is_automorphism(spec, perturbed)
             failures += not expected[0]
-            assert is_automorphism(spec, perturbed) == expected
+            assert is_automorphism(spec, perturbed) == fraction_is_automorphism(spec, perturbed) \
+                == expected
     assert failures >= 60
 
 
@@ -403,7 +506,7 @@ def test_sparse_lower_central_series_matches_the_dense_brackets():
     classes = set()
     for spec, _ in _random_automorphisms(rng):
         nil_class = validate_algebra(spec)
-        assert nil_class == len(_dense_lower_central_series(spec))
+        assert nil_class == fraction_validate_algebra(spec) == len(_dense_lower_central_series(spec))
         classes.add(nil_class)
     assert len(classes) > 1
 

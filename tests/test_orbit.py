@@ -1186,3 +1186,38 @@ def test_dump_matches_a_stepwise_trajectory(name, tmp_path):
         writer.writerow([k] + [float(v) for v in p])
         p = affine.step(p)
     assert out.read_bytes().decode("utf-8") == expect.getvalue()
+
+
+def fraction_convergent_denominators(value, bound):
+    """The continued fraction of value run in Fractions, as
+    _convergent_denominators ran it before it worked on numerator and
+    denominator."""
+    value = value - math.floor(value)
+    if value == 0:
+        return [1]
+    out = []
+    h_prev, h = 0, 1
+    a = value
+    while True:
+        q = math.floor(1 / a)
+        h_prev, h = h, q * h + h_prev
+        if h > bound:
+            break
+        out.append(h)
+        a = 1 / a - q
+        if a == 0:
+            break
+    return out
+
+
+def test_convergent_denominators_match_the_fraction_route():
+    rng = random.Random(2035)
+    seen = set()
+    for _ in range(20000):
+        den = rng.choice((rng.randrange(1, 50), rng.randrange(1, 10 ** 6), 2 ** 40 + rng.randrange(99)))
+        value = F(rng.randrange(-3 * den, 3 * den + 1), den)
+        bound = rng.choice((0, 1, 2, rng.randrange(1, 100), rng.randrange(1, 10 ** 7)))
+        got = _convergent_denominators(value, bound)
+        assert got == fraction_convergent_denominators(value, bound), (value, bound)
+        seen.add(len(got) if len(got) < 3 else 3)
+    assert seen == {0, 1, 2, 3}

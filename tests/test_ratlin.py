@@ -11,14 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jordan_block, random_basis_matrix
+from conftest import coprime_scaling, jordan_block, random_basis_matrix
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import (
     QMatrix, QSubspace, annihilator_basis, charpoly, column_hnf, cyclotomic,
     cyclotomic_spectrum_test, euler_phi, hnf_membership,
     NotUnipotent, integer_kernel, kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent,
     minimal_rational_subspace, rref, solve_linear, unipotency_index, zspan_basis,
-    _echelon,
+    _echelon, _int_qmatrix,
 )
 
 F = Fraction
@@ -255,6 +255,27 @@ def assert_clean(m: QMatrix):
     assert m.entries == fresh.entries and hash(m) == hash(fresh) and m == fresh
     if m._sparse is not None:
         assert m._sparse == fresh.sparse_rows()
+    if m._ints is not None:
+        assert m._ints == fresh.int_rows()
+
+
+def fraction_substitution_inverse(m: QMatrix) -> QMatrix:
+    """The inverse of a triangular matrix by substitution on Fractions, as
+    QMatrix.inverse solved it before it read the integer form: row i is
+    (e_i - sum over j != i of M_ij X_j) / M_ii."""
+    n = m.nrows
+    order = m._substitution_order()
+    if not all(m.entries[i][i] for i in range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    inv = [None] * n
+    for i in order:
+        acc = {i: F(1)}
+        for j, a in m.sparse_rows()[i]:
+            if j != i:
+                for k, b in inv[j].items():
+                    acc[k] = acc.get(k, F(0)) - (b if a is None else a * b)
+        inv[i] = {k: x / m.entries[i][i] for k, x in acc.items()}
+    return QMatrix([[row.get(k, F(0)) for k in range(n)] for row in inv])
 
 
 def random_shaped(rng, n, shape, zero_pivot=False):
@@ -281,6 +302,8 @@ def test_triangular_inverse_and_det_against_elimination():
         for shape in ("lower", "upper", "diagonal", "general"):
             for zero_pivot in (False, True):
                 m = random_shaped(rng, n, shape, zero_pivot)
+                if n % 3 == 0:  # denominators near 2^40, pairwise coprime
+                    m = m @ coprime_scaling(n, rng)
                 triangular = m._substitution_order() is not None
                 assert triangular or shape == "general"
                 substituted += triangular
@@ -297,8 +320,30 @@ def test_triangular_inverse_and_det_against_elimination():
                 assert m @ inv == QMatrix.identity(n)
                 assert_clean(inv)
                 if triangular:
+                    assert inv == fraction_substitution_inverse(m)
                     assert inv._sparse is not None
     assert substituted >= 3 * 12 * 2
+
+
+def test_integer_form_is_canonical_and_builds_the_other_forms():
+    rng = random.Random(97)
+    for n in (1, 2, 3, 5):
+        for m in (rand_qmatrix(rng, n), sparse_qmatrix(rng, n, n),
+                  rand_qmatrix(rng, n) @ coprime_scaling(n, rng), QMatrix.zeros(n)):
+            den, rows = m.int_rows()
+            assert den == math.lcm(*(x.denominator for row in m.entries for x in row))
+            assert rows == tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x)
+                                 for row in m.entries)
+            # a matrix given by its integer form alone builds the others
+            # when read, and equals the one it came from either way round
+            lazy = _int_qmatrix(n, den, rows)
+            assert lazy == m and m == lazy
+            assert lazy.sparse_rows() == m.sparse_rows()
+            assert_clean(_int_qmatrix(n, den, rows))
+            assert lazy.det() == m.det() == det_by_echelon(m)
+            doubled = _int_qmatrix(n, den, tuple(tuple((j, 2 * v) for j, v in row)
+                                                for row in rows))
+            assert (doubled == m) == m.is_zero()
 
 
 def test_module_results_equal_checked_matrices():

@@ -7,8 +7,9 @@ import pytest
 
 from nilaa import io as nio
 from nilaa.criteria import AffineSystem, make_system
-from nilaa.nilalg import LieAlgebraSpec
-from nilaa.nilgrp import NilpotentGroup
+from nilaa.nilalg import (JacobiViolation, LieAlgebraSpec, NotNilpotent, check_derivation,
+                          lower_central_class, validate_algebra)
+from nilaa.nilgrp import ClassCapExceeded, NilpotentGroup
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix
 from nilaa.suspension import (Mismatch, SuspendedSystem, build_suspension_algebra,
@@ -17,6 +18,7 @@ from nilaa.suspension import (Mismatch, SuspendedSystem, build_suspension_algebr
 
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, jordan_block, random_basis_matrix)
+from test_nilalg import fraction_validate_algebra
 
 HALF = Fraction(1, 2)
 HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, HALF]])
@@ -350,3 +352,136 @@ def test_a_shifted_circle_coordinate_of_w_trips_the_integrality_test():
     assert str(exc).endswith(
         ": circle coordinate 4/3 of the embedded point is not an integer")
     assert "Fraction(" not in str(exc)
+
+
+# ---- the suspended algebra on integer forms ----
+
+def fraction_suspension_algebra(spec, derivation):
+    """build_suspension_algebra on Fractions, as it ran before it read the
+    integer forms: dense columns of D and the fiber's table, delta first."""
+    d = spec.dim
+    table = {}
+    for j in range(d):
+        col = derivation.column(j)
+        if any(col):
+            table[(0, j + 1)] = [Fraction(0), *col]
+    for (i, j), vec in spec.table.items():
+        table[(i + 1, j + 1)] = [Fraction(0), *vec]
+    return LieAlgebraSpec(d + 1, table)
+
+
+def fraction_monodromy_adjoint_check(susp):
+    """monodromy_adjoint_check on Fractions: exp(ad delta) against the
+    dense matrix diag(1, U)."""
+    U = susp.base.automorphism
+    expected = QMatrix([[U[i - 1, j - 1] if i and j else int(i == j)
+                         for j in range(susp.dim)] for i in range(susp.dim)])
+    return susp.big_group.adjoint_matrix(susp.delta()) == expected
+
+
+def scaling_systems():
+    """Variant 0 of every scaling member of the benchmark that loads (a
+    filiform algebra of class 7 is past the BCH cap)."""
+    import sys
+    from pathlib import Path
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench import systems, workloads
+    out = []
+    for family, sizes, kinds, _ in workloads.SCALING:
+        for size in sizes:
+            for kind in kinds:
+                try:
+                    out.append(nio.system_from_dict(getattr(systems, family)(size, kind, 0)))
+                except ClassCapExceeded:
+                    pass
+    return out
+
+
+def corpus_systems():
+    out = []
+    for path in sorted(nio.corpus_file("manifest.json").parent.glob("*.json")):
+        if path.name != "manifest.json":
+            try:
+                out.append(nio.parse_system(path))
+            except ValueError:  # invalid or out of scope
+                pass
+    return out
+
+
+def test_suspended_algebra_class_matches_the_full_validation():
+    checked = 0
+    for system in corpus_systems() + scaling_systems():
+        try:
+            D = system.group.log_automorphism(system.automorphism)
+        except NotUnipotent:
+            continue
+        big = build_suspension_algebra(system.group.spec, D)
+        check_derivation(big)
+        reference = fraction_suspension_algebra(system.group.spec, D)
+        assert big == reference and big._brackets == reference._brackets
+        assert big._ints == reference._ints
+        nil_class = lower_central_class(big)
+        assert nil_class == validate_algebra(reference) == fraction_validate_algebra(reference)
+        try:
+            susp = suspend(system)
+        except ClassCapExceeded:
+            assert nil_class > system.group.nilpotency_class
+        else:
+            assert susp.big_group.nilpotency_class == nil_class
+            assert susp.big_group._pairs == reference._ints[1]
+        checked += 1
+    assert checked >= 25
+
+
+def test_monodromy_check_matches_the_fraction_route():
+    for system in corpus_systems() + [heis_shear_system(), free23_system()]:
+        try:
+            susp = suspend(system)
+        except (NotUnipotent, ClassCapExceeded):
+            continue
+        assert monodromy_adjoint_check(susp) is fraction_monodromy_adjoint_check(susp) is True
+        if system.automorphism != QMatrix.identity(system.dim):
+            doubled = doubled_monodromy(system)
+            assert monodromy_adjoint_check(doubled) is \
+                fraction_monodromy_adjoint_check(doubled) is False
+
+
+def test_a_non_derivation_raises_the_jacobi_violation_of_the_full_check():
+    rng = random.Random(2034)
+    violations = 0
+    systems = [s for s in corpus_systems() + scaling_systems()[:12]
+               if not s.group.spec.abelian()]
+    for system in systems:
+        d = system.dim
+        try:
+            D = system.group.log_automorphism(system.automorphism)
+        except NotUnipotent:
+            continue
+        for _ in range(4):
+            rows = [list(row) for row in D.entries]
+            for _ in range(rng.randrange(1, 3)):
+                rows[rng.randrange(d)][rng.randrange(d)] += Fraction(
+                    rng.choice((1, -1, 2)), rng.choice((1, 3)))
+            bad = QMatrix(rows)
+            big = fraction_suspension_algebra(system.group.spec, bad)
+            try:
+                validate_algebra(big)
+            except JacobiViolation as exc:
+                expected = (exc.triple, exc.residual, str(exc))
+            except NotNilpotent:
+                expected = None
+            else:
+                expected = None
+            if expected is None:
+                check_derivation(big)
+                continue
+            violations += 1
+            with pytest.raises(JacobiViolation) as info:
+                check_derivation(build_suspension_algebra(system.group.spec, bad))
+            assert (info.value.triple, info.value.residual, str(info.value)) == expected
+            with pytest.raises(JacobiViolation) as info:
+                fraction_validate_algebra(big)
+            assert (info.value.triple, info.value.residual) == expected[:2]
+    assert violations >= 30
