@@ -83,14 +83,29 @@ class LieAlgebraSpec:
     def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]
                     ) -> "LieAlgebraSpec":
         """Build from one-based (i, j, k, coeff) quadruples meaning
-        [xi_i, xi_j] has coefficient coeff on xi_k."""
-        table: dict[tuple[int, int], list[Fraction]] = {}
+        [xi_i, xi_j] has coefficient coeff on xi_k; the coefficients of
+        repeated quadruples add up.  Checked as the constructor checks a
+        table, on the nonzero coefficients only."""
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i, j, k, coeff in entries:
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"index out of range in structure constant ({i}, {j}, {k})")
-            vec = table.setdefault((i - 1, j - 1), [_ZERO] * dim)
-            vec[k - 1] += to_fraction(coeff)
-        return cls(dim, table)
+            terms = table.setdefault((i - 1, j - 1), {})
+            c = to_fraction(coeff)
+            terms[k - 1] = terms[k - 1] + c if k - 1 in terms else c
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), terms in table.items():
+            if i == j:
+                raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
+            terms = {k: x for k, x in terms.items() if x}
+            key, val = ((i, j), terms) if i < j else ((j, i), {k: -x for k, x in terms.items()})
+            if clean.setdefault(key, val) != val:
+                raise ValueError(f"conflicting declarations for bracket {key}")
+        spec = object.__new__(cls)
+        _fill(spec, dim, {key: sorted(val.items()) for key, val in clean.items()})
+        return spec
 
     def abelian(self) -> bool:
         return not self.table

@@ -138,6 +138,15 @@ def bch_table(cap: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
+def _bch_terms(cap: int) -> tuple[int, tuple]:
+    """(L, terms): the coefficients of bch_table(cap) times the lcm L of
+    their denominators, as (word, integer) pairs."""
+    table = bch_table(cap)
+    L = lcm(*(c.denominator for _, c in table))
+    return L, tuple((word, c.numerator * (L // c.denominator)) for word, c in table)
+
+
+@lru_cache(maxsize=None)
 def _bracket_steps(cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
     """(w, u, v) for each Lyndon word of length >= 2 that bch_table(cap) or
     a factor of its words needs, factors first: P_w = [P_u, P_v]."""
@@ -304,9 +313,7 @@ class NilpotentGroup:
         # denominators per bracketing pair (i < j), and the BCH
         # coefficients times the lcm L of theirs
         S, self._pairs = spec._ints
-        table = bch_table(nilpotency_class)
-        L = lcm(*(c.denominator for _, c in table))
-        self._terms = tuple((word, c.numerator * (L // c.denominator)) for word, c in table)
+        L, self._terms = _bch_terms(nilpotency_class)
         self._scale, self._bch_scale = S, L
         self._law = None  # the group law on symbolic arguments, see mult_vec
 

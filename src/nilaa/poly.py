@@ -333,13 +333,15 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
 
     No parentheses; terms are separated by +/- (repeated signs multiply),
     factors by *, exponents are nonnegative integers.  Raises ValueError
-    naming the first problem.
+    naming the first problem.  A coefficient stays an int until a
+    fractional factor makes it a Fraction, and the terms are summed as
+    they are read.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial")
     pos = 0
-    terms: list[tuple[Fraction, dict[str, int]]] = []
+    out: dict = {}
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -353,7 +355,7 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
             pos += 1
         return sign
 
-    def factor(coeff: Fraction, powers: dict) -> Fraction:
+    def factor(coeff, powers: dict):
         nonlocal pos
         tok = peek()
         if tok is None:
@@ -363,7 +365,7 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
             num, _, den = tok.partition("/")
             if den and not int(den):
                 raise ValueError(f"zero denominator in {tok!r}")
-            return coeff * Fraction(int(num), int(den or 1))
+            return coeff * (Fraction(int(num), int(den)) if den else int(num))
         if tok[0].isalpha() or tok[0] == "_":
             if tok not in params:
                 raise ValueError(f"unknown parameter {tok!r}")
@@ -379,22 +381,23 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
         raise ValueError(f"unexpected token {tok!r}")
 
     while True:
-        coeff, powers = Fraction(signs()), {}
+        coeff, powers = signs(), {}
         coeff = factor(coeff, powers)
         while peek() == "*":
             pos += 1
             coeff = factor(coeff, powers)
-        terms.append((coeff, powers))
+        exps = tuple(powers.get(p, 0) for p in params)
+        out[exps] = out[exps] + coeff if exps in out else coeff
         if peek() is None:
             break
         if peek() not in ("+", "-"):
             raise ValueError(f"expected '+' or '-', got {peek()!r}")
 
-    out: dict[tuple[int, ...], Fraction] = {}
-    for coeff, powers in terms:
-        exps = tuple(powers.get(p, 0) for p in params)
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-    return Poly(params, out)
+    params = tuple(params)
+    if len(set(params)) != len(params):
+        raise ValueError(f"duplicate parameter names in {params}")
+    return _poly(params, {e: c if type(c) is Fraction else Fraction(c)
+                          for e, c in out.items() if c})
 
 
 class ParamVector:

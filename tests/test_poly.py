@@ -212,3 +212,98 @@ def test_variable_matches_checked_constructor():
         Poly.variable("u", ("t", "s"))
     with pytest.raises(ValueError, match="duplicate"):
         Poly.variable("t", ("t", "s", "t"))
+
+
+def fraction_parse_poly(text, params):
+    """parse_poly as it read terms before it kept int coefficients: a
+    Fraction per sign and per number, summed after the last term into
+    the checking Poly constructor."""
+    from nilaa.poly import _tokenize
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial")
+    pos = 0
+    terms = []
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def signs():
+        nonlocal pos
+        sign = 1
+        while peek() in ("+", "-"):
+            if peek() == "-":
+                sign = -sign
+            pos += 1
+        return sign
+
+    def factor(coeff, powers):
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise ValueError("incomplete term")
+        pos += 1
+        if tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            if den and not int(den):
+                raise ValueError(f"zero denominator in {tok!r}")
+            return coeff * Fraction(int(num), int(den or 1))
+        if tok[0].isalpha() or tok[0] == "_":
+            if tok not in params:
+                raise ValueError(f"unknown parameter {tok!r}")
+            exp = 1
+            if peek() == "^":
+                pos += 1
+                if peek() is None or not peek().isdigit():
+                    raise ValueError("exponent must be an integer")
+                exp = int(peek())
+                pos += 1
+            powers[tok] = powers.get(tok, 0) + exp
+            return coeff
+        raise ValueError(f"unexpected token {tok!r}")
+
+    while True:
+        coeff, powers = Fraction(signs()), {}
+        coeff = factor(coeff, powers)
+        while peek() == "*":
+            pos += 1
+            coeff = factor(coeff, powers)
+        terms.append((coeff, powers))
+        if peek() is None:
+            break
+        if peek() not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-', got {peek()!r}")
+    out = {}
+    for coeff, powers in terms:
+        exps = tuple(powers.get(p, 0) for p in params)
+        out[exps] = out.get(exps, Fraction(0)) + coeff
+    return Poly(params, out)
+
+
+def _parsed(parse, text, params):
+    try:
+        p = parse(text, params)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    return p.params, list(p.terms.items())
+
+
+def test_parse_poly_matches_the_fraction_route_on_seeded_strings():
+    rng = random.Random(2036)
+    atoms = ("t", "s", "u", "0", "1", "2", "7", "1/2", "3/4", "-", "+", "*", "^", "2/0", "x", " ")
+    errors = 0
+    for n in range(3000):
+        params = rng.choice((("t",), ("t", "s"), ("s", "t"), ("t", "t")))
+        if n % 2:  # well formed: signed terms of numbers and powers
+            text = " ".join(
+                rng.choice(("+", "-", "- -")) + " " + "*".join(
+                    rng.choice(("t", "s", "3", "1/2", "5/3", "t^2", "s^3", "0"))
+                    for _ in range(rng.randrange(1, 4)))
+                for _ in range(rng.randrange(1, 5)))
+        else:
+            text = "".join(rng.choice(atoms) for _ in range(rng.randrange(1, 9)))
+        got = _parsed(parse_poly, text, params)
+        assert got == _parsed(fraction_parse_poly, text, params), (text, params)
+        errors += got[0] == "ValueError"
+    assert 500 < errors < 2500
