@@ -298,14 +298,14 @@ class QMatrix:
                 raise ZeroDivisionError("matrix is singular")
             return _qmatrix(tuple(tuple(row[n:]) for row in reduced))
         D, rows = self.int_rows()
-        inv: list = [None] * n  # row i as (q, {column: integer}): X_i = Y / q
+        inv: list = [None] * n  # row i as (q, {column: integer}): X_i = Y / q, q of either sign
         for i in order:
             row = rows[i]
             if len(row) == 1:  # a diagonal row, the common case: X_i = D e_i / B_ii
                 j, b = row[0]
                 if j != i:
                     raise ZeroDivisionError("matrix is singular")
-                g = math.gcd(D, b) if b > 0 else -math.gcd(D, b)
+                g = math.gcd(D, b)
                 inv[i] = b // g, {i: D // g}
                 continue
             pivot = next((b for j, b in row if j == i), 0)
@@ -321,8 +321,6 @@ class QMatrix:
                     acc[k] = acc.get(k, 0) - f * v
             den = q * pivot
             g = math.gcd(den, *acc.values())
-            if den < 0:
-                g = -g
             inv[i] = den // g, {k: v // g for k, v in sorted(acc.items()) if v}
         # each row is in lowest terms, so E is the lcm of the entry
         # denominators
