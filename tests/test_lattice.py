@@ -379,7 +379,8 @@ def test_preserves_lattice():
         if rng.randrange(3) == 0:
             basis = basis @ coprime_scaling(d, rng)
         lattice = LogLattice(basis)
-        w = random_basis_matrix(d, rng, rng.randrange(4))  # integral unless scaled
+        # an integral matrix in lattice coordinates, unimodular or not
+        w = random_basis_matrix(d, rng, rng.randrange(4))
         w = QMatrix([[F(x.numerator) for x in row] for row in w.entries])
         u = basis @ w @ lattice._inverse
         if rng.randrange(2):

@@ -1,7 +1,9 @@
 """Suspension construction and the two-route embedding consistency check."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, jordan_block, random_basis_matrix)
 from test_nilalg import fraction_validate_algebra
 
+ROOT = str(Path(__file__).resolve().parents[1])  # perfbench generates the scaling systems
 HALF = Fraction(1, 2)
 HEIS_LATTICE = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, HALF]])
 FREE_LATTICE = QMatrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
@@ -382,11 +385,8 @@ def fraction_monodromy_adjoint_check(susp):
 def scaling_systems():
     """Variant 0 of every scaling member of the benchmark that loads (a
     filiform algebra of class 7 is past the BCH cap)."""
-    import sys
-    from pathlib import Path
-    root = str(Path(__file__).resolve().parents[1])
-    if root not in sys.path:
-        sys.path.insert(0, root)
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
     from perfbench import systems, workloads
     out = []
     for family, sizes, kinds, _ in workloads.SCALING:
@@ -466,14 +466,13 @@ def test_a_non_derivation_raises_the_jacobi_violation_of_the_full_check():
                     rng.choice((1, -1, 2)), rng.choice((1, 3)))
             bad = QMatrix(rows)
             big = fraction_suspension_algebra(system.group.spec, bad)
+            expected = None
             try:
                 validate_algebra(big)
             except JacobiViolation as exc:
                 expected = (exc.triple, exc.residual, str(exc))
             except NotNilpotent:
-                expected = None
-            else:
-                expected = None
+                pass
             if expected is None:
                 check_derivation(big)
                 continue
