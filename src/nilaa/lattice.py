@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .nilalg import _centre_rows
 from .nilgrp import NilpotentGroup, _add_scaled_int
-from .ratlin import QMatrix, _int_product, _int_qmatrix, _reduced, integer_kernel, zspan_basis
+from .ratlin import QMatrix, _int_product, _int_qmatrix, integer_kernel, zspan_basis
 
 
 class LatticeClosureError(ValueError):
@@ -260,7 +260,7 @@ def preserves_lattice(matrix: QMatrix, lattice: LogLattice
     E, A = lattice._inverse.int_rows()
     F, R = matrix.int_rows()
     D, B = lattice.basis.int_rows()
-    conj = _int_qmatrix(matrix.ncols, *_reduced(E * F * D, _int_product(_int_product(A, R), B)))
+    conj = _int_qmatrix(matrix.ncols, E * F * D, _int_product(_int_product(A, R), B))
     if conj.int_rows()[0] != 1:
         return False, "matrix is not integral in lattice coordinates", conj
     det = conj.det()

@@ -16,19 +16,20 @@ structure constants times the lcm S of their denominators, per bracketing
 pair (LieAlgebraSpec._ints).  The validators run on it and on the integer
 form of a matrix (ratlin.QMatrix.int_rows): Jacobi, the lower central
 series, the automorphism check, and for the suspension the derivation
-identity and the adjoined algebra (adjoin_derivation), whose integer form
-is the fiber's plus D.  A Fraction is built only for a failure's residual.
+identity and the adjoined algebra (build_suspension_algebra), whose
+integer form is the fiber's plus D.  A Fraction is built only for a
+failure's residual.
 The group law (nilgrp) reads the same integer pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, _add_scaled, _cleaned, _shared, _vector
-from .ratlin import QMatrix, QSubspace, _qmatrix, to_fraction
+from .ratlin import QMatrix, QSubspace, _int_echelon, _qmatrix, to_fraction
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -218,10 +219,10 @@ def validate_algebra(spec: LieAlgebraSpec) -> int:
 
 def check_derivation(spec: LieAlgebraSpec) -> None:
     """Jacobi on the triples (delta, x_j, x_k) of an algebra built by
-    adjoin_derivation, delta = xi_0: the derivation identity D [x_j, x_k]
-    = [D x_j, x_k] + [x_j, D x_k].  Every other triple is one of the
-    fiber, whose Jacobi identity holds, so this raises the JacobiViolation
-    that validate_algebra raises on spec."""
+    build_suspension_algebra, delta = xi_0: the derivation identity
+    D [x_j, x_k] = [D x_j, x_k] + [x_j, D x_k].  Every other triple is one
+    of the fiber, whose Jacobi identity holds, so this raises the
+    JacobiViolation that validate_algebra raises on spec."""
     _check_jacobi(spec, [t for t in _jacobi_candidates(spec) if t[0] == 0])
 
 
@@ -239,10 +240,11 @@ def _check_jacobi(spec: LieAlgebraSpec, triples: Iterable[tuple[int, int, int]])
 def lower_central_class(spec: LieAlgebraSpec) -> int:
     """The nilpotency class: the number of nonzero terms g = g_1, g_2, ...
     of the lower central series, g_{k+1} = [g, g_k], by one forward pass
-    on the integer form.  [g, g] is spanned by the structure vectors, and
-    each later term by the brackets [xi_a, b] of the echelon rows b of the
-    term before; the rows are integer vectors, kept primitive.  Raises
-    NotNilpotent when a term equals the one before."""
+    on the integer form (ratlin._int_echelon).  [g, g] is spanned by the
+    structure vectors, and each later term by the brackets [xi_a, b] of
+    the echelon rows b of the term before; the rows are integer vectors,
+    kept primitive.  Raises NotNilpotent when a term equals the one
+    before."""
     nil_class, dim = 1, spec.dim
     gens = [dict(terms) for _, _, terms in spec._ints[1]]
     while gens:
@@ -254,29 +256,6 @@ def lower_central_class(spec: LieAlgebraSpec) -> int:
         nil_class, dim = nil_class + 1, len(rows)
         gens = [w for b in rows for w in _ad_images(spec._int_brackets, b)]
     return nil_class
-
-
-def _int_echelon(vectors: Iterable[dict]) -> list[dict]:
-    """Echelon rows, one per leading column, spanning the integer vectors
-    ({column: integer}, nonzero entries only): each vector is reduced,
-    fraction-free, by the rows whose leading column it holds, and kept
-    primitive when it does not vanish."""
-    rows: dict[int, dict] = {}
-    for v in vectors:
-        while v:
-            c = min(v)
-            row = rows.get(c)
-            if row is None:
-                g = gcd(*v.values())
-                rows[c] = v if g == 1 else {k: x // g for k, x in v.items()}
-                break
-            g = gcd(row[c], v[c])
-            a, b = row[c] // g, v[c] // g
-            acc = {k: a * x for k, x in v.items()}
-            for k, x in row.items():
-                acc[k] = acc.get(k, 0) - b * x
-            v = {k: x for k, x in acc.items() if x}
-    return list(rows.values())
 
 
 def _ad_images(brackets: list, b: Mapping[int, object]) -> list[dict]:
@@ -340,12 +319,21 @@ def _jacobi_residual(brackets: list, dim: int, i: int, j: int, k: int) -> list[i
     return acc
 
 
-def adjoin_derivation(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAlgebraSpec:
-    """The algebra R delta + g with [delta, x] = D x, delta first,
-    unchecked: its pairs are (delta, x_a) for each nonzero column a of D =
-    derivation, then the pairs of spec, read from the nonzero entries of
-    both, and its integer form is made from them."""
+def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAlgebraSpec:
+    """Adjoin a generator delta with [delta, x] = D x to the algebra.
+
+    Basis order downstairs is preserved and delta is prepended, so vectors of
+    the big algebra read (phi, fiber).  The result is nilpotent whenever D is
+    (which log of a unipotent automorphism always is).  Nothing is checked
+    here but D's shape: Jacobi on the triples (delta, x_i, x_j) is the
+    derivation identity for D (check_derivation), and every other triple
+    is one of spec.  Its pairs are (delta, x_a) for each nonzero column a
+    of D, then the pairs of spec, read from the nonzero entries of both,
+    and its integer form is made from them.
+    """
     d = spec.dim
+    if derivation.shape != (d, d):
+        raise ValueError("derivation matrix has wrong shape")
     columns = [[] for _ in range(d)]
     for l, row in enumerate(derivation.sparse_rows()):
         for a, x in row:

@@ -16,9 +16,10 @@ points of N reduce to the same point of the quotient.
 
 suspend builds the suspension on integer forms: D = log U comes from
 the integer series (ratlin), the suspended algebra's integer pairs are
-the fiber's plus the columns of D (nilalg.adjoin_derivation), its Jacobi
-identity is the derivation identity for D (nilalg.check_derivation) and
-its class comes from one forward pass (nilalg.lower_central_class).
+the fiber's plus the columns of D (nilalg.build_suspension_algebra),
+its Jacobi identity is the derivation identity for D
+(nilalg.check_derivation) and its class comes from one forward pass
+(nilalg.lower_central_class).
 monodromy_adjoint_check compares exp(ad delta) with U as integer forms.
 
 embedding_consistency_check evaluates both routes at seeded samples, in
@@ -36,7 +37,7 @@ from typing import Sequence
 
 from ._record import record
 from .lattice import LogLattice
-from .nilalg import (LieAlgebraSpec, ad_int_rows, adjoin_derivation,
+from .nilalg import (LieAlgebraSpec, ad_int_rows, build_suspension_algebra,
                      check_derivation, lower_central_class)
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly
@@ -64,23 +65,6 @@ class Mismatch(ValueError):
 
 def _text(vec) -> str:
     return "(" + ", ".join(map(str, vec)) + ")"
-
-
-def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAlgebraSpec:
-    """Adjoin a generator delta with [delta, x] = D x to the algebra.
-
-    Basis order downstairs is preserved and delta is prepended, so vectors of
-    the big algebra read (phi, fiber).  The result is nilpotent whenever D is
-    (which log of a unipotent automorphism always is).  Nothing is checked
-    here: Jacobi on the triples (delta, x_i, x_j) is the derivation
-    identity for D (nilalg.check_derivation), and every other triple is
-    one of spec.  It is built from the nonzero entries of spec and D, with
-    its integer form (nilalg.adjoin_derivation).
-    """
-    d = spec.dim
-    if derivation.shape != (d, d):
-        raise ValueError("derivation matrix has wrong shape")
-    return adjoin_derivation(spec, derivation)
 
 
 @record(eq=False)

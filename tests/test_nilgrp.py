@@ -17,12 +17,11 @@ import pytest
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, random_change_of_basis)
 from nilaa import io as nio
-from nilaa.nilalg import JacobiViolation, LieAlgebraSpec
+from nilaa.nilalg import JacobiViolation, LieAlgebraSpec, build_suspension_algebra
 from nilaa.nilgrp import (BCH_CLASS_CAP, ClassCapExceeded, NilpotentGroup, _fa_mul,
                           bch_table)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import QMatrix, matrix_exp_nilpotent, matrix_log_unipotent
-from nilaa.suspension import build_suspension_algebra
 
 F = Fraction
 

@@ -344,6 +344,13 @@ def test_integer_form_is_canonical_and_builds_the_other_forms():
             doubled = _int_qmatrix(n, den, tuple(tuple((j, 2 * v) for j, v in row)
                                                 for row in rows))
             assert (doubled == m) == m.is_zero()
+            # integer rows over any nonzero multiple of den, of either
+            # sign, are made canonical
+            for c in (3, -1, -6):
+                scaled = _int_qmatrix(n, c * den, tuple(tuple((j, c * v) for j, v in row)
+                                                       for row in rows))
+                assert scaled.int_rows() == (den, rows)
+                assert scaled == m and m == scaled
 
 
 def test_module_results_equal_checked_matrices():

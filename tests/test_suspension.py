@@ -9,14 +9,14 @@ import pytest
 
 from nilaa import io as nio
 from nilaa.criteria import AffineSystem, make_system
-from nilaa.nilalg import (JacobiViolation, LieAlgebraSpec, NotNilpotent, check_derivation,
-                          lower_central_class, validate_algebra)
+from nilaa.nilalg import (JacobiViolation, LieAlgebraSpec, NotNilpotent,
+                          build_suspension_algebra, check_derivation, lower_central_class,
+                          validate_algebra)
 from nilaa.nilgrp import ClassCapExceeded, NilpotentGroup
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix
-from nilaa.suspension import (Mismatch, SuspendedSystem, build_suspension_algebra,
-                              embedding_consistency_check, monodromy_adjoint_check,
-                              suspend)
+from nilaa.suspension import (Mismatch, SuspendedSystem, embedding_consistency_check,
+                              monodromy_adjoint_check, suspend)
 
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
                       heisenberg, jordan_block, random_basis_matrix)
