@@ -8,11 +8,12 @@ accepted on this symbolic path; floats appear only inside the optional
 "simulate" block consumed by the numeric oracle.
 
 Every rational of a file is read by parse_rational, which names the
-field of a malformed or over-long literal.  The loader reads a matrix
-into its sparse rows as it goes (ratlin._sparse_qmatrix): a "0" is
-skipped and a "1" stored as the unit, both unparsed, and the integer form
-the validators read (ratlin.QMatrix.int_rows) is made from those rows
-once.  The structure constants become the algebra with its integer form
+field of a malformed or over-long literal.  A matrix has one form, its
+integer form (ratlin.QMatrix.int_rows), and the loader builds it
+straight from the nonzero literals as it reads them
+(ratlin._int_qmatrix): a "0" is skipped and a "1" is not parsed.  The
+Fraction entries are a view of that form, made only when first read.
+The structure constants become the algebra with its integer form
 (nilalg.LieAlgebraSpec.from_sparse).
 
 A verdict file has exactly four fields: status, criterion, certificate,
@@ -23,6 +24,7 @@ trailing newline), so byte comparison of verdict files is meaningful.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -31,8 +33,8 @@ from .criteria import (FAIL, PASS, AffineSystem, CosetObstruction,
                        InvariantSubtorus, NotFixed, ObstructionBracket,
                        SpectralObstruction, UnipotentPower, ValidationError,
                        Verdict, WitnessSubspace, make_system)
-from .poly import ParamVector, Poly, _poly, parse_poly
-from .ratlin import QSubspace, _sparse_qmatrix
+from .poly import ParamVector, Poly, _int, _poly, parse_poly
+from .ratlin import QSubspace, _int_qmatrix
 
 VALID = "VALID"
 INVALID = "INVALID"
@@ -66,7 +68,7 @@ def _rational(value) -> Fraction | None:
     """value as a Fraction if it is an integer (not a boolean) or a string
     like "3", "-1/2" with optional surrounding whitespace, else None.
     Raises ValueError on a literal longer than the interpreter's digit
-    limit for int(), which parse_rational reports."""
+    limit for int() (poly._int), which parse_rational reports."""
     if isinstance(value, int):
         return None if isinstance(value, bool) else Fraction(value)
     if isinstance(value, str):
@@ -76,7 +78,7 @@ def _rational(value) -> Fraction | None:
         m = _RATIONAL_RE.fullmatch(value)
         if m:
             num, den = m.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return Fraction(_int(num), _int(den)) if den else Fraction(_int(num))
     return None
 
 
@@ -88,9 +90,8 @@ def parse_rational(value, location: str, index: int | None = None) -> Fraction:
     literal past the interpreter's digit limit for int() fails too."""
     try:
         q = _rational(value)
-    except ValueError:  # the message of int() differs between versions
-        raise ParseError(_at(location, index), "integer literal longer than the "
-                                               "interpreter's digit limit for int()") from None
+    except ValueError as exc:  # poly._int's one message for an over-long literal
+        raise ParseError(_at(location, index), str(exc)) from None
     if q is not None:
         return q
     if isinstance(value, bool):
@@ -139,9 +140,9 @@ def _rationals(values, location) -> list:
 
 def _parse_matrix(data, dim, location, transpose: bool = False):
     """dim rows of dim rationals each, as a QMatrix (its transpose with
-    transpose) whose sparse rows are made here from the nonzero literals
-    as they are read: a "0" is skipped and a "1" stored as the unit, both
-    unparsed.  Its integer form and entries are made when first read."""
+    transpose) whose integer form is made here from the nonzero literals
+    as they are read: a "0" is skipped and a "1" is not parsed.  Its
+    Fraction entries are made when first read."""
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(location, f"expected {dim} rows")
     rows = [[] for _ in range(dim)]
@@ -151,19 +152,15 @@ def _parse_matrix(data, dim, location, transpose: bool = False):
             raise ParseError(where, f"expected {dim} entries")
         for j in [j for j, v in enumerate(row) if v != "0"]:
             v = row[j]
-            if v == "1":
-                q = None
-            else:
-                q = parse_rational(v, where, j)
-                if not q:
-                    continue
-                if q == 1:
-                    q = None
-            if transpose:
-                rows[j].append((i, q))
-            else:
-                rows[i].append((j, q))
-    return _sparse_qmatrix(dim, tuple(map(tuple, rows)))
+            q = 1 if v == "1" else parse_rational(v, where, j)
+            if q:
+                if transpose:
+                    rows[j].append((i, q))
+                else:
+                    rows[i].append((j, q))
+    den = math.lcm(*(q.denominator for row in rows for _, q in row))
+    return _int_qmatrix(dim, den, [[(j, q.numerator * (den // q.denominator)) for j, q in row]
+                                   for row in rows])
 
 
 def _parse_structure_constants(data, dim, location):

@@ -29,10 +29,10 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, _add_scaled, _cleaned, _shared, _vector
-from .ratlin import QMatrix, QSubspace, _int_echelon, _qmatrix, to_fraction
+from .ratlin import QMatrix, QSubspace, _int_echelon, to_fraction
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 class JacobiViolation(ValueError):
@@ -170,7 +170,7 @@ class LieAlgebraSpec:
                 for j, terms in self._brackets[i].items():
                     for k, c in terms:
                         rows[k][j] += x * c
-        return _qmatrix(tuple(map(tuple, rows)))
+        return QMatrix(rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraSpec):
@@ -328,16 +328,19 @@ def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAl
     here but D's shape: Jacobi on the triples (delta, x_i, x_j) is the
     derivation identity for D (check_derivation), and every other triple
     is one of spec.  Its pairs are (delta, x_a) for each nonzero column a
-    of D, then the pairs of spec, read from the nonzero entries of both,
-    and its integer form is made from them.
+    of D, read from D's integer form (QMatrix.int_rows, the one form a
+    matrix holds; D's Fraction entries are a view of it and are not
+    built here), then the pairs of spec, and the integer form of the
+    result is made from them.
     """
     d = spec.dim
     if derivation.shape != (d, d):
         raise ValueError("derivation matrix has wrong shape")
+    den, rows = derivation.int_rows()
     columns = [[] for _ in range(d)]
-    for l, row in enumerate(derivation.sparse_rows()):
-        for a, x in row:
-            columns[a].append((l + 1, _ONE if x is None else x))
+    for l, row in enumerate(rows):
+        for a, v in row:
+            columns[a].append((l + 1, Fraction(v, den)))
     sparse = {(0, a + 1): column for a, column in enumerate(columns) if column}
     for i, j in spec.table:
         sparse[(i + 1, j + 1)] = [(k + 1, x) for k, x in spec._brackets[i][j]]

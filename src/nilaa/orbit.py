@@ -411,6 +411,13 @@ class NumericAffine:
         """Canonical representative of the coset of x."""
         return self._reducer.reduce(x)
 
+    def _reduced_state(self, x) -> tuple:
+        """The lattice state of the canonical representative of x: what
+        the reducer's state() gives on reduce(x), made without building
+        that point."""
+        reducer = self._reducer
+        return reducer.reduce_state(reducer.state(x))
+
     def step(self, x) -> tuple:
         """One forward application with reduction."""
         reducer = self._reducer
@@ -720,6 +727,11 @@ class _Points:
         self.near, self.distance = reducer.near, reducer.distance
 
     @staticmethod
+    def _of(state) -> tuple:
+        """The space's state of a lattice state: the state itself."""
+        return state
+
+    @staticmethod
     def tries(horizon: int) -> tuple:
         return ()
 
@@ -752,17 +764,17 @@ class _Points:
                 yield k, p
 
 
-def _space(affine: NumericAffine, eps: Optional[Fraction], points):
+def _space(affine: NumericAffine, eps: Optional[Fraction], states):
     """The orbit space of the map, chosen once, by the one test of a torus
     map: its torus factor (_TorusFactor), or every other map's lattice
     states (_Points); both keep their states in integers.  Both offer
-    state, point, near, distance, walk, scan and tries, and jump where
-    tries yields indices.  The space holds the states of the given points
-    and of every point on the SNAP_GRID, and its scan keeps states within
-    eps (None for a walk).
+    state (of a point), _of (of a lattice state), point, near, distance,
+    walk, scan and tries, and jump where tries yields indices.  The space
+    holds the given lattice states and the states of every point on the
+    SNAP_GRID, and its scan keeps states within eps (None for a walk).
     """
     if affine.group.spec.abelian():
-        return _TorusFactor(affine, eps, map(affine._reducer.state, points))
+        return _TorusFactor(affine, eps, states)
     return _Points(affine, eps)
 
 
@@ -783,9 +795,9 @@ def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
     index.  Each equals the point reached by stepping from x, since a step
     is a function of the exact point.
     """
-    x = affine.reduce(x)
+    x = affine._reduced_state(x)
     space = _space(affine, None, (x,))
-    return [space.point(s) for s in space.walk(space.state(x), ks, backward)]
+    return [space.point(s) for s in space.walk(space._of(x), ks, backward)]
 
 
 def _visit(state, ks, step, jump, reach: Optional[int], backward: bool
@@ -856,9 +868,9 @@ def find_forward_sequence(affine: NumericAffine, x, y, eps, horizon,
     if limit < 1:
         raise ValueError("limit must be at least 1")
     eps = _epsilon(eps)
-    x, y = affine.reduce(x), affine.reduce(y)
+    x, y = affine._reduced_state(x), affine._reduced_state(y)
     space = _space(affine, eps, (x, y))
-    return tuple(k for k, _ in _returns(space, space.state(x), space.state(y),
+    return tuple(k for k, _ in _returns(space, space._of(x), space._of(y),
                                         eps, int(horizon), start, limit))
 
 
@@ -963,12 +975,14 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     from one walk from the target.  The cluster checks are threshold tests
     (near); exact distances are computed only for a witness, and a point
     is built only to snap the first return.
+    The probe's lattice state is made and reduced once, and its point is
+    built only for a witness.
     Returns (witness or None, whether any forward return was found).
     """
-    probe = affine.reduce(probe)
+    state = affine._reduced_state(probe)
     eps = to_fraction(eps)
-    space = _space(affine, eps, (probe,))
-    origin = space.state(probe)
+    space = _space(affine, eps, (state,))
+    origin = space._of(state)
     try:
         returns = _returns(space, origin, origin, eps, int(horizon), 1, 10)
     except NotFound:
@@ -989,6 +1003,7 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     if bwd <= 10 * eps:
         return None, True
     fwd = max(space.distance(s, at) for s in forward)
+    probe = affine._reducer.point(state)
     return FalsificationWitness(probe, target, seq, float(fwd),
                                 float(bwd)), True
 

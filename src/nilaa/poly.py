@@ -293,11 +293,11 @@ def _sum_terms(t1: dict, t2: dict, subtract: bool) -> dict:
     return terms
 
 
-def _add_scaled(acc: dict, a: Fraction | None, terms: dict) -> None:
-    """acc += a * terms in place (a None for 1); zero coefficients may be
-    left in acc, _cleaned drops them."""
+def _add_scaled(acc: dict, a: int | Fraction, terms: dict) -> None:
+    """acc += a * terms in place, with no product when a is 1; zero
+    coefficients may be left in acc, _cleaned drops them."""
     get = acc.get
-    if a is None:
+    if a == 1:
         for exps, coeff in terms.items():
             prev = get(exps)
             acc[exps] = coeff if prev is None else prev + coeff
@@ -325,6 +325,16 @@ def _tokenize(text: str) -> list[str]:
         tokens.append(m.group(1))
         pos = m.end()
     return tokens
+
+
+def _int(literal: str) -> int:
+    """int(literal), with one message for a literal past the interpreter's
+    digit limit for int(), whose own message differs between versions."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise ValueError("integer literal longer than the interpreter's digit "
+                         "limit for int()") from None
 
 
 def parse_poly(text: str, params: Sequence[str]) -> Poly:
@@ -363,9 +373,9 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
         pos += 1
         if tok[0].isdigit():
             num, _, den = tok.partition("/")
-            if den and not int(den):
+            if den and not _int(den):
                 raise ValueError(f"zero denominator in {tok!r}")
-            return coeff * (Fraction(int(num), int(den)) if den else int(num))
+            return coeff * (Fraction(_int(num), _int(den)) if den else _int(num))
         if tok[0].isalpha() or tok[0] == "_":
             if tok not in params:
                 raise ValueError(f"unknown parameter {tok!r}")
@@ -374,7 +384,7 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
                 pos += 1
                 if peek() is None or not peek().isdigit():
                     raise ValueError("exponent must be an integer")
-                exp = int(peek())
+                exp = _int(peek())
                 pos += 1
             powers[tok] = powers.get(tok, 0) + exp
             return coeff

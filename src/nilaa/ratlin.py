@@ -6,22 +6,20 @@ polynomials, Hermite normal form over the integers (for lattice membership
 and integer kernels), and cyclotomic factor stripping for root-of-unity
 spectra.
 
-`QMatrix(rows)` checks and converts outside input.  Every exact matrix
-also has one integer form, made once: `QMatrix.int_rows()` is (den,
-rows), den the lcm of the entry denominators and rows the nonzero
-entries times den as sparse (column, integer) pairs.  It is canonical,
-and the integer kernels of the package read it: the validators of
-`nilalg` and `lattice`, the group law in lattice coordinates, the
-suspension and the orbit oracle.  A matrix keeps up to three forms
-(entries, the sparse Fraction rows of `sparse_rows`, the integer form)
-and builds a missing one from another when it is first read, so a matrix
-only read in integers builds no Fraction.  Results the module builds
-itself come from unchecked constructors: `_qmatrix(entries, sparse,
-ints)` for Fraction results (products, sums, identities), and
-`_int_qmatrix(ncols, den, rows)` for integer results (triangular
-inverses, the nilpotent series, U_L).  The loader (`io`) builds its
-lattice and automorphism matrices with `_sparse_qmatrix` from the
-nonzero literals as it reads them.
+A matrix has one form, its integer form, made when it is built:
+`QMatrix.int_rows()` is (den, rows), den the lcm of the entry
+denominators and rows the nonzero entries times den as sparse (column,
+integer) pairs.  It is canonical, so equality and hashing read it, and
+so do products, the triangular solvers, the nilpotent series and the
+integer kernels of the package: the validators of `nilalg` and
+`lattice`, the group law in lattice coordinates, the suspension and the
+orbit oracle.  The Fraction entries are a view of it, made when first
+read, for the eliminations and for output.  `QMatrix(rows)` checks and
+converts outside input and makes the integer form from it; results
+built in integers (products, the nilpotent series, triangular inverses,
+U_L in `lattice`) are handed theirs by `_int_qmatrix(ncols, den, rows)`,
+which makes it canonical, and the loader (`io`) builds its matrices the
+same way from the nonzero literals it reads.
 
 A triangular matrix needs no elimination: `QMatrix.det` is the product
 of its diagonal, and `QMatrix.inverse` solves it by substitution over
@@ -33,12 +31,12 @@ adds a back pass to it, and `kernel_basis`, `solve_linear`, `QSubspace`,
 `QMatrix.det` reads the signed pivot product of the forward pass alone.
 Both passes touch only the nonzero entries of a pivot row and never
 divide by a unit pivot, so the mostly-zero matrices of the deciders
-(unipotent automorphisms) stay cheap.  Products skip zero and unit
-entries.  The one span that is computed on integer vectors, the lower
-central series of `nilalg`, has a fraction-free forward pass of its own,
-`_int_echelon`, over sparse integer vectors kept primitive: on the
-algebras of the generated scaling systems it takes a fifth of the time
-of `_echelon` on the same vectors.
+(unipotent automorphisms) stay cheap.  Products read only the nonzero
+entries of the integer form.  The one span that is computed on integer
+vectors, the lower central series of `nilalg`, has a fraction-free
+forward pass of its own, `_int_echelon`, over sparse integer vectors
+kept primitive: on the algebras of the generated scaling systems it
+takes a fifth of the time of `_echelon` on the same vectors.
 
 The nilpotent series have one kernel too: `_nilpotent_powers` powers N
 (M - I for a unipotent M) on the integer form until a power vanishes,
@@ -70,62 +68,47 @@ def to_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def dot(terms, vec: Sequence[Fraction]) -> Fraction:
-    """Sum of a * vec[j] over the (j, a) pairs of a sparse row (a None for 1)."""
-    acc = None
-    for j, a in terms:
-        term = vec[j] if a is None else a * vec[j]
-        acc = term if acc is None else acc + term
-    return Fraction(0) if acc is None else acc
-
-
-def _frac_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(to_fraction(x) for x in row) for row in rows)
-
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class QMatrix:
-    """Immutable matrix with Fraction entries.
+    """Immutable matrix over the rationals, held as its integer form.
 
-    A matrix has up to three forms, each made at most once: its entries,
-    its sparse rows (sparse_rows) and its integer form (int_rows).  It is
-    built with at least one, and the others are made from it when first
-    read, so a matrix that is only ever read in integers builds no
-    Fraction."""
+    The integer form (int_rows) is made when the matrix is built and is
+    the one form it holds: equality, hashing, products and the
+    triangular solvers read it.  The Fraction entries are a view of it,
+    made when first read."""
 
-    __slots__ = ("shape", "_entries", "_sparse", "_ints")
+    __slots__ = ("shape", "_entries", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[object]]):
-        entries = _frac_rows(rows)
+        entries = tuple(tuple(to_fraction(x) for x in row) for row in rows)
         if entries and any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
         self.shape = (len(entries), len(entries[0]) if entries else 0)
         self._entries = entries
-        self._sparse = self._ints = None
+        den = math.lcm(*(x.denominator for row in entries for x in row))
+        self._ints = den, tuple(
+            tuple((j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x)
+            for row in entries)
 
     # ---- constructors ----
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return _qmatrix(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                              for i in range(n)),
-                        tuple(((i, None),) for i in range(n)),
-                        (1, tuple(((i, 1),) for i in range(n))))
+        return _int_qmatrix(n, 1, [((i, 1),) for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "QMatrix":
-        return _qmatrix(((_ZERO,) * n,) * n, ((),) * n, (1, ((),) * n))
+        return _int_qmatrix(n, 1, [()] * n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]]) -> "QMatrix":
-        cols = _frac_rows(columns)
-        if not cols:
+        if not columns:
             raise ValueError("no columns")
-        if any(len(c) != len(cols[0]) for c in cols):
+        if any(len(c) != len(columns[0]) for c in columns):
             raise ValueError("ragged columns")
-        return _qmatrix(tuple(zip(*cols)))
+        return cls(zip(*columns))
 
     # ---- shape and access ----
 
@@ -139,10 +122,17 @@ class QMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as tuples of Fractions."""
+        """The rows as tuples of Fractions, made from the integer form
+        when first read."""
         if self._entries is None:
-            self._entries = _dense(self.shape[1], (
-                [(j, _ONE if a is None else a) for j, a in row] for row in self.sparse_rows()))
+            den, rows = self._ints
+            out = []
+            for row in rows:
+                full = [_ZERO] * self.shape[1]
+                for j, v in row:
+                    full[j] = Fraction(v, den)
+                out.append(tuple(full))
+            self._entries = tuple(out)
         return self._entries
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -154,97 +144,76 @@ class QMatrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def sparse_rows(self) -> tuple:
-        """Rows as (column, entry) pairs of the nonzero entries, for dot();
-        a unit entry is stored as None so that dot() skips the factor."""
-        if self._sparse is None:
-            if self._entries is None:
-                den, rows = self._ints
-                self._sparse = tuple(
-                    tuple((j, None if v == den else Fraction(v, den)) for j, v in row)
-                    for row in rows)
-            else:
-                self._sparse = tuple(
-                    tuple((j, None if a == 1 else a) for j, a in enumerate(row) if a)
-                    for row in self._entries)
-        return self._sparse
-
     def int_rows(self) -> tuple[int, tuple]:
         """The integer form (den, rows): den the lcm of the denominators of
         the entries, and den times the nonzero entries of each row as
-        (column, integer) pairs.  It is canonical, so two matrices of one
-        shape are equal exactly when their integer forms are."""
-        if self._ints is None:
-            rows = self.sparse_rows()
-            den = math.lcm(*(a.denominator for row in rows for _, a in row if a is not None))
-            self._ints = den, tuple(
-                tuple((j, den if a is None else a.numerator * (den // a.denominator))
-                      for j, a in row) for row in rows)
+        (column, integer) pairs by increasing column.  It is canonical, so
+        two matrices of one shape are equal exactly when their integer
+        forms are."""
         return self._ints
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self._ints[0] == 1
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self._ints[1])
 
     # ---- arithmetic ----
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return _qmatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.entries, other.entries)))
+        return QMatrix(tuple(a + b for a, b in zip(r1, r2))
+                       for r1, r2 in zip(self.entries, other.entries))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return _qmatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.entries, other.entries)))
+        return QMatrix(tuple(a - b for a, b in zip(r1, r2))
+                       for r1, r2 in zip(self.entries, other.entries))
 
     def __neg__(self) -> "QMatrix":
-        return _qmatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        den, rows = self._ints
+        return _int_qmatrix(self.ncols, -den, rows)  # made canonical by a sign flip
 
     def scale(self, c) -> "QMatrix":
         c = to_fraction(c)
-        return _qmatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        den, rows = self._ints
+        if not c:
+            return _int_qmatrix(self.ncols, 1, [()] * self.nrows)
+        return _int_qmatrix(self.ncols, den * c.denominator,
+                            [[(j, v * c.numerator) for j, v in row] for row in rows])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        m = other.ncols
-        orows = other.sparse_rows()
-        out = []
-        for srow in self.sparse_rows():
-            acc = [None] * m
-            for k, a in srow:
-                for j, b in orows[k]:
-                    if a is None:
-                        term = _ONE if b is None else b
-                    else:
-                        term = a if b is None else a * b
-                    acc[j] = term if acc[j] is None else acc[j] + term
-            out.append(tuple(_ZERO if x is None else x for x in acc))
-        return _qmatrix(tuple(out))
+        (d1, r1), (d2, r2) = self._ints, other._ints
+        return _int_qmatrix(other.ncols, d1 * d2, _int_product(r1, r2))
 
     def matvec(self, vec: Sequence[object]) -> tuple[Fraction, ...]:
+        """Matrix times a rational vector, summed in integers: the vector
+        over its common denominator q, each row over den * q."""
         vec = [to_fraction(x) for x in vec]
         if len(vec) != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} times {len(vec)}")
-        return tuple(dot(row, vec) for row in self.sparse_rows())
+        den, rows = self._ints
+        q = math.lcm(*(x.denominator for x in vec))
+        nums = [x.numerator * (q // x.denominator) for x in vec]
+        return tuple(Fraction(sum(v * nums[j] for j, v in row), den * q) for row in rows)
 
     def apply(self, vec: ParamVector) -> ParamVector:
         """Matrix times a vector of polynomials."""
         if vec.dim != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} times {vec.dim}")
+        den, rows = self._ints
         out = []
-        for row in self.sparse_rows():
+        for row in rows:
             acc = {}
-            for j, a in row:
-                _add_scaled(acc, a, vec.entries[j].terms)
+            for j, v in row:
+                _add_scaled(acc, v if den == 1 else Fraction(v, den), vec.entries[j].terms)
             out.append(_cleaned(vec.params, acc))
         return _vector(vec.params, tuple(out))
 
@@ -267,14 +236,15 @@ class QMatrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.nrows)), Fraction(0))
+        den, rows = self._ints
+        return Fraction(sum(v for i, row in enumerate(rows) for j, v in row if j == i), den)
 
     def _substitution_order(self) -> range | None:
         """The order in which substitution solves this square matrix row by
         row: top down when it is lower triangular, bottom up when it is
         upper triangular; None when it is neither.  Read from the columns
-        of the integer form, or of the sparse rows when there is none."""
-        rows = self.sparse_rows() if self._ints is None else self._ints[1]
+        of the integer form."""
+        rows = self._ints[1]
         if all(not row or row[-1][0] <= i for i, row in enumerate(rows)):
             return range(len(rows))
         if all(not row or row[0][0] >= i for i, row in enumerate(rows)):
@@ -300,8 +270,8 @@ class QMatrix:
             reduced, pivots = rref(aug)
             if pivots != list(range(n)):
                 raise ZeroDivisionError("matrix is singular")
-            return _qmatrix(tuple(tuple(row[n:]) for row in reduced))
-        D, rows = self.int_rows()
+            return QMatrix(row[n:] for row in reduced)
+        D, rows = self._ints
         inv: list = [None] * n  # row i as (q, {column: integer}): X_i = Y / q, q of either sign
         for i in order:
             row = rows[i]
@@ -334,7 +304,7 @@ class QMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         if self._substitution_order() is not None:  # the diagonal of the integer form
-            den, rows = self.int_rows()
+            den, rows = self._ints
             return Fraction(math.prod(dict(row).get(i, 0) for i, row in enumerate(rows)),
                             den ** self.nrows)
         mat, pivots, sign = _echelon(self.entries)
@@ -346,12 +316,10 @@ class QMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        if self._ints is not None and other._ints is not None:
-            return self.shape == other.shape and self._ints == other._ints
-        return self.entries == other.entries
+        return self.shape == other.shape and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._ints)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]"
@@ -361,38 +329,14 @@ class QMatrix:
         return f"QMatrix({[list(map(str, row)) for row in self.entries]})"
 
 
-def _qmatrix(entries: tuple, sparse: tuple | None = None,
-             ints: tuple | None = None) -> QMatrix:
-    """A QMatrix from a rectangular tuple of tuples of Fractions, unchecked;
-    sparse and ints, when given, are what sparse_rows() and int_rows()
-    would build from it.  The results of this module are built here;
-    QMatrix() checks outside input."""
-    m = object.__new__(QMatrix)
-    m.shape = (len(entries), len(entries[0]) if entries else 0)
-    m._entries = entries
-    m._sparse = sparse
-    m._ints = ints
-    return m
-
-
-def _sparse_qmatrix(ncols: int, sparse: tuple) -> QMatrix:
-    """The QMatrix of sparse rows as sparse_rows() describes them; its
-    integer form and entries are made when first read."""
-    m = object.__new__(QMatrix)
-    m.shape = (len(sparse), ncols)
-    m._entries = m._ints = None
-    m._sparse = sparse
-    return m
-
-
 def _int_qmatrix(ncols: int, den: int, rows: Sequence[Sequence[tuple[int, int]]]
                  ) -> QMatrix:
     """The QMatrix of integer rows over den ((column, integer) pairs of
-    the nonzero entries, by increasing column), made canonical by
-    `_reduced`; its sparse rows and entries are made when first read."""
+    the nonzero entries, by increasing column), unchecked and made
+    canonical by `_reduced`; its entries are made when first read."""
     m = object.__new__(QMatrix)
     m.shape = (len(rows), ncols)
-    m._entries = m._sparse = None
+    m._entries = None
     m._ints = _reduced(den, rows)
     return m
 
@@ -421,17 +365,6 @@ def _int_product(rows: Sequence, other: Sequence) -> list:
                 acc[j] = acc.get(j, 0) + a * b
         out.append(sorted((j, v) for j, v in acc.items() if v))
     return out
-
-
-def _dense(ncols: int, rows) -> tuple:
-    """Full rows of Fractions from (column, Fraction) pairs."""
-    out = []
-    for row in rows:
-        full = [_ZERO] * ncols
-        for j, a in row:
-            full[j] = a
-        out.append(tuple(full))
-    return tuple(out)
 
 
 # ---- echelon forms over the rationals ----

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
-                      heisenberg, jordan_block, q6, random_basis_matrix)
+                      heisenberg, q6, random_basis_matrix)
 from nilaa import io as nio
 from nilaa import ratlin
 from nilaa.criteria import (AA, FAIL, INCONCLUSIVE, MINIMAL, NOT_AA,

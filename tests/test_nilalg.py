@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (abelian, change_of_basis, coprime_scaling, filiform,
-                      free_nilpotent_2_3, heisenberg, random_basis_matrix,
-                      random_change_of_basis)
+                      free_nilpotent_2_3, heisenberg, random_basis_matrix)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
     JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
@@ -323,7 +322,7 @@ def fraction_is_automorphism(spec, matrix):
     if spec.abelian():
         return True, None, None
     d = spec.dim
-    sparse = [[(i, F(1) if x is None else x) for i, x in row] for row in matrix.sparse_rows()]
+    sparse = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.entries]
     columns = [[] for _ in range(d)]
     for k, row in enumerate(sparse):
         for l, x in row:

@@ -596,7 +596,7 @@ def test_torus_translation_returns_match_a_fraction_reference():
         # the chooser gives a torus map its factor, and the returns hold
         # the factor's states, here as their points
         x, y = m.reduce(x), m.reduce(y)
-        space = norbit._space(m, F(eps), (x, y))
+        space = norbit._space(m, F(eps), (m._reduced_state(x), m._reduced_state(y)))
         assert isinstance(space, _TorusFactor)
         assert [(k, space.point(s)) for k, s in norbit._returns(
             space, space.state(x), space.state(y), F(eps), horizon, start,
@@ -822,10 +822,12 @@ def test_the_chooser_gives_torus_maps_their_factor_and_others_points():
     kinds = set()
     for m in maps:
         x = m.reduce([F(k + 2, 5 + 3 * k) for k in range(m.dim)])
-        space = norbit._space(m, F(1, 10), (x,))
+        state = m._reduced_state(x)
+        space = norbit._space(m, F(1, 10), (state,))
         torus = m.group.spec.abelian()
         assert isinstance(space, _TorusFactor if torus else norbit._Points)
         assert space.point(space.state(x)) == x
+        assert space._of(state) == space.state(x)
         kinds.add((torus, m.is_pure_translation()))
     assert len(kinds) == 4
 
@@ -888,8 +890,8 @@ def test_horizon_must_be_at_least_one():
 def test_each_given_probe_is_reduced_once(monkeypatch):
     m = heis(None, [F(1, 3), F(1, 5), 0])
     calls = []
-    reduce = NumericAffine.reduce
-    monkeypatch.setattr(NumericAffine, "reduce",
+    reduce = NumericAffine._reduced_state
+    monkeypatch.setattr(NumericAffine, "_reduced_state",
                         lambda self, x: calls.append(x) or reduce(self, x))
     probes = [(F(7, 4), F(1, 3), F(5, 2)), (F(1, 8), F(-2, 3), F(1, 16))]
     aa_empirical_test(m, 3, F(1, 100), 40, 5, probes=probes)
@@ -1065,7 +1067,7 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     # the chooser gives the torus map its factor, and the trial runs on its
     # states: its integer test and distance take the calls, as the points
     # of the states they are given
-    assert isinstance(norbit._space(m, eps, (probe,)),
+    assert isinstance(norbit._space(m, eps, (m._reduced_state(probe),)),
                       _TorusFactor)
     targets = {}
     for cls, name in ((_TorusFactor, "near"), (_TorusFactor, "distance"),
@@ -1086,6 +1088,21 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
     assert targets["_TorusFactor", "distance"].count(witness.target) == 1
     assert targets["NumericAffine", "near"] == []
     assert targets["NumericAffine", "distance"] == []
+
+
+def test_simulate_makes_each_lattice_state_once(monkeypatch, capsys):
+    # the translation's, the probe's and the snapped target's: the probe's
+    # state is reduced once and handed to the orbit space
+    calls = []
+    original = norbit.CosetReducer.state
+
+    def counted(self, vec):
+        calls.append(tuple(vec))
+        return original(self, vec)
+    monkeypatch.setattr(norbit.CosetReducer, "state", counted)
+    ncli.main(["simulate", str(nio.corpus_dir() / "torus_jordan3.json")])
+    assert len(calls) == 3 and len(set(calls)) == 3
+    assert json.loads(capsys.readouterr().out)["status"]
 
 
 # ---- trajectory ----

@@ -12,9 +12,9 @@ what the CLI prints or writes for the corpus files:
 - stdout and exit code of `validate` and `decide --criterion full` on
   generated files that fail one stage of validation each, and on files
   with a rational literal past the interpreter's digit limit in each
-  field of rationals, so that every run of this module (CI runs it as a
-  script with asserts stripped and in dev mode) reaches those failure
-  paths too.
+  field of rationals and in a translation entry, so that every run of
+  this module (CI runs it as a script with asserts stripped and in dev
+  mode) reaches those failure paths too.
 
 The digests live in `pinned_outputs.json`.  After a deliberate change of
 output, rebuild it with `PYTHONPATH=src python tests/test_pinned_outputs.py`
@@ -87,6 +87,8 @@ GENERATED = (
      [["1", LONG_LITERAL, "0"], ["0", "1", "0"], ["0", "0", "1"]]),
     ("long_generator_entry", "heisenberg.json", "designated_generators",
      [["0", "1", "0"], [LONG_LITERAL, "0", "0"]]),
+    ("long_translation_entry", "heisenberg.json", "translation",
+     ["0", "0", LONG_LITERAL]),
 )
 GENERATED_COMMANDS = ("validate", "full")
 

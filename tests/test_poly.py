@@ -307,3 +307,12 @@ def test_parse_poly_matches_the_fraction_route_on_seeded_strings():
         assert got == _parsed(fraction_parse_poly, text, params), (text, params)
         errors += got[0] == "ValueError"
     assert 500 < errors < 2500
+
+
+@pytest.mark.parametrize("text", ["1/" + "3" * 4400, "3" * 4400 + "*t", "t^" + "9" * 4400])
+def test_over_long_literal_has_one_message(text):
+    """A coefficient or exponent past the interpreter's digit limit for
+    int() is reported in one text on every supported version."""
+    with pytest.raises(ValueError) as info:
+        parse_poly(text, ("t",))
+    assert str(info.value) == "integer literal longer than the interpreter's digit limit for int()"

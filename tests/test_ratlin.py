@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import coprime_scaling, jordan_block, random_basis_matrix
+from nilaa import io as nio
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import (
     QMatrix, QSubspace, annihilator_basis, charpoly, column_hnf, cyclotomic,
@@ -246,17 +247,20 @@ def det_by_echelon(m: QMatrix) -> Fraction:
 
 
 def assert_clean(m: QMatrix):
-    """A result built without the QMatrix checks equals the checked one,
-    and sparse rows handed over equal freshly scanned ones."""
+    """A result built without the QMatrix checks equals the checked one:
+    its entries are tuples of Fractions, and the integer form it was
+    built with is the one QMatrix() makes from those entries."""
+    den, rows = m.int_rows()
+    assert type(den) is int and den > 0
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(v and type(v) is int for row in rows for _, v in row)
+    assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in rows)
     fresh = QMatrix(m.entries)
     assert type(m.entries) is tuple
     assert all(type(row) is tuple for row in m.entries)
     assert all(type(x) is F for row in m.entries for x in row)
     assert m.entries == fresh.entries and hash(m) == hash(fresh) and m == fresh
-    if m._sparse is not None:
-        assert m._sparse == fresh.sparse_rows()
-    if m._ints is not None:
-        assert m._ints == fresh.int_rows()
+    assert m.int_rows() == fresh.int_rows()
 
 
 def fraction_substitution_inverse(m: QMatrix) -> QMatrix:
@@ -270,10 +274,10 @@ def fraction_substitution_inverse(m: QMatrix) -> QMatrix:
     inv = [None] * n
     for i in order:
         acc = {i: F(1)}
-        for j, a in m.sparse_rows()[i]:
-            if j != i:
+        for j, a in enumerate(m.entries[i]):
+            if a and j != i:
                 for k, b in inv[j].items():
-                    acc[k] = acc.get(k, F(0)) - (b if a is None else a * b)
+                    acc[k] = acc.get(k, F(0)) - a * b
         inv[i] = {k: x / m.entries[i][i] for k, x in acc.items()}
     return QMatrix([[row.get(k, F(0)) for k in range(n)] for row in inv])
 
@@ -316,12 +320,13 @@ def test_triangular_inverse_and_det_against_elimination():
                         m.inverse()
                     continue
                 inv = m.inverse()
+                if triangular:  # solved in integers: no entry is built before it is read
+                    assert inv._entries is None
                 assert inv == expect
                 assert m @ inv == QMatrix.identity(n)
                 assert_clean(inv)
                 if triangular:
                     assert inv == fraction_substitution_inverse(m)
-                    assert inv._sparse is not None
     assert substituted >= 3 * 12 * 2
 
 
@@ -334,11 +339,12 @@ def test_integer_form_is_canonical_and_builds_the_other_forms():
             assert den == math.lcm(*(x.denominator for row in m.entries for x in row))
             assert rows == tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x)
                                  for row in m.entries)
-            # a matrix given by its integer form alone builds the others
-            # when read, and equals the one it came from either way round
+            # a matrix given by its integer form builds its entries only
+            # when they are read, and equals the one it came from either
+            # way round
             lazy = _int_qmatrix(n, den, rows)
-            assert lazy == m and m == lazy
-            assert lazy.sparse_rows() == m.sparse_rows()
+            assert lazy == m and m == lazy and lazy._entries is None
+            assert lazy.entries == m.entries
             assert_clean(_int_qmatrix(n, den, rows))
             assert lazy.det() == m.det() == det_by_echelon(m)
             doubled = _int_qmatrix(n, den, tuple(tuple((j, 2 * v) for j, v in row)
@@ -364,11 +370,130 @@ def test_module_results_equal_checked_matrices():
                                                 for i in range(n)]))):
             assert_clean(m)
     for n in (0, 1, 3):
-        assert QMatrix.identity(n)._sparse == QMatrix(QMatrix.identity(n).entries).sparse_rows()
-        assert QMatrix.zeros(n)._sparse == QMatrix(QMatrix.zeros(n).entries).sparse_rows()
+        assert_clean(QMatrix.identity(n))
+        assert_clean(QMatrix.zeros(n))
+        assert QMatrix.identity(n).int_rows() == (1, tuple(((i, 1),) for i in range(n)))
+        assert QMatrix.zeros(n).int_rows() == (1, ((),) * n)
     assert QMatrix.from_columns([[1, 2], [3, 4]]) == QMatrix([[1, 3], [2, 4]])
     with pytest.raises(ValueError):
         QMatrix.from_columns([[1, 2], [3]])
+
+
+def det_dense(rows) -> Fraction:
+    """Dense determinant oracle: elimination with row swaps on Fractions."""
+    mat = [[F(x) for x in row] for row in rows]
+    n, det = len(mat), F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if mat[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            mat[c], mat[p] = mat[p], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, n):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def single_form_cases(rng):
+    """(rows, matrix) pairs: 0x0, identity, zero, lower, upper and general
+    shapes, with small denominators or pairwise coprime ones near 2^40."""
+    cases = [(rows, QMatrix(rows)) for rows in ([], [[F(1, 2)]], [[F(3), F(-1)], [F(0), F(2)]])]
+    for n in (1, 2, 3, 5, 7):
+        for shape in ("identity", "zero", "lower", "upper", "general"):
+            for big in (False, True):
+                scaling = coprime_scaling(n, rng)
+                dens = [scaling[i, i].denominator for i in range(n)] if big else (1, 1, 2, 3)
+
+                def entry(i, j):
+                    if shape == "identity":
+                        return F(int(i == j))
+                    if shape == "zero" or (shape == "lower" and j > i) \
+                            or (shape == "upper" and j < i) \
+                            or (i != j or shape == "general") and rng.random() < 0.4:
+                        return F(0)
+                    return F(rng.choice((1, -1, 2, -3, 7)), rng.choice(dens))
+                rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+                cases.append((rows, QMatrix(rows)))
+    return cases
+
+
+def test_the_single_form_against_dense_fractions():
+    """Every operation of a QMatrix, read from its integer form, against
+    the same operation on the dense Fraction rows it was built from."""
+    rng = random.Random(1013)
+    params = ("t",)
+    for rows, m in single_form_cases(rng):
+        n = len(rows)
+        assert m.shape == (n, n) and m.entries == tuple(map(tuple, rows))
+        assert_clean(m)
+        other = [[F(rng.randrange(-3, 4), rng.choice((1, 2, 5))) for _ in range(n + 1)]
+                 for _ in range(n)]
+        product = m @ QMatrix(other)
+        assert product.entries == tuple(
+            tuple(sum((rows[i][k] * other[k][j] for k in range(n)), F(0))
+                  for j in range(n + 1)) for i in range(n))
+        assert_clean(product)
+        vec = [F(rng.randrange(-9, 10), rng.choice((1, 3, 4))) for _ in range(n)]
+        assert m.matvec(vec) == tuple(sum((a * x for a, x in zip(row, vec)), F(0))
+                                      for row in rows)
+        polys = ParamVector(params, [parse_poly(f"{rng.randrange(-3, 4)} + {x}*t", params)
+                                     for x in vec])
+        assert m.apply(polys) == ParamVector(params, [
+            sum((p * a for a, p in zip(row, polys.entries)), Poly.zero(params))
+            for row in rows])
+        shifted = [[x + F(i - j, 3) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        for got, expect in ((m + QMatrix(shifted), [[a + b for a, b in zip(r, t)]
+                                                    for r, t in zip(rows, shifted)]),
+                            (m - QMatrix(shifted), [[a - b for a, b in zip(r, t)]
+                                                    for r, t in zip(rows, shifted)]),
+                            (-m, [[-a for a in r] for r in rows]),
+                            *((m.scale(c), [[c * a for a in r] for r in rows])
+                              for c in (0, 1, F(-2, 3), 5))):
+            assert got.entries == tuple(map(tuple, expect))
+            assert_clean(got)
+        assert m.trace() == sum((rows[i][i] for i in range(n)), F(0))
+        assert m.is_zero() == all(not x for row in rows for x in row)
+        assert m.is_integral() == all(x.denominator == 1 for row in rows for x in row)
+        twin = QMatrix([[F(x.numerator * 3, x.denominator * 3) for x in row] for row in rows])
+        assert m == twin and hash(m) == hash(twin)
+        if n:
+            bumped = QMatrix([[x + (i == j == n - 1) for j, x in enumerate(row)]
+                              for i, row in enumerate(rows)])
+            assert m != bumped
+        assert m.det() == det_dense(rows)
+        reduced, pivots = rref_dense([row + [F(int(i == j)) for j in range(n)]
+                                      for i, row in enumerate(rows)])
+        if pivots[:n] != list(range(n)):
+            assert m.det() == 0
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        inv = m.inverse()
+        assert inv.entries == tuple(tuple(row[n:]) for row in reduced)
+        assert_clean(inv)
+
+
+def test_loaded_matrices_have_the_checked_integer_form():
+    """io._parse_matrix builds the integer form from the literals it reads;
+    it is the one QMatrix makes from the same rationals."""
+    rng = random.Random(1019)
+    literals = ("0", "1", "-1/2", " 3 ", "-0", "0/4", "2/4", " -7/3", "1 ", 0, 1, -5,
+                "1/1099511627791", "-3/1099511627793")
+    for n in (0, 1, 2, 3, 6):
+        for transpose in (False, True):
+            for _ in range(12):
+                grid = [[rng.choice(literals) for _ in range(n)] for _ in range(n)]
+                rows = [[nio.parse_rational(v, "m") for v in row] for row in grid]
+                if transpose:
+                    rows = [list(col) for col in zip(*rows)]
+                loaded = nio._parse_matrix(grid, n, "m", transpose)
+                checked = QMatrix(rows)
+                assert loaded.int_rows() == checked.int_rows()
+                assert loaded == checked and loaded.entries == checked.entries
+                assert_clean(loaded)
 
 
 def unipotency_oracle(matrix: QMatrix):
