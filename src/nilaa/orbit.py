@@ -6,7 +6,8 @@ find indices k_1 < ... < k_m whose forward images cluster at a point y,
 then check whether the backward images of y under the same indices come
 back to the start.  A failed backward return with a tight forward cluster
 falsifies the property; the converse outcome is only evidence, since the
-definition quantifies over all sequences.
+definition quantifies over all sequences.  A backward image is a forward
+one of T^-1, an affine map of the same system (NumericAffine._inverse).
 
 Inputs may be floats; they are converted to exact dyadic rationals once
 (`Fraction(float)` is exact) and every orbit computation afterwards is
@@ -374,12 +375,13 @@ class NumericAffine:
     which also holds the metric: there T is c -> P(c(a), U_L c), with P
     the group law in lattice coordinates and U_L = L^-1 U L the system's
     integral lattice_automorphism.  The methods on points (reduce, step,
-    step_back, jump, distance, near) convert on entry, delegate, and build
-    Fractions only for the point or distance they return.  The oracle's
-    scans, walks and trials run in the orbit space that _space chooses
-    once per map: a torus map's integer torus factor (_TorusFactor), and
-    for every other map its lattice states (_Points), which _step, _jump
-    and the reducer serve.
+    distance, near) convert on entry, delegate, and build Fractions only
+    for the point or distance they return.  The map walks one way: T^-1 is
+    the affine map _inverse of the same system, which walks forward too.
+    The oracle's scans, walks and trials run in the orbit space that
+    _space chooses once per map: a torus map's integer torus factor
+    (_TorusFactor), and for every other map its lattice states (_Points),
+    which _step, _jump and the reducer serve.
     """
 
     def __init__(self, system, translation):
@@ -423,11 +425,6 @@ class NumericAffine:
         reducer = self._reducer
         return reducer.point(self._step(reducer.state(x)))
 
-    def step_back(self, x) -> tuple:
-        """One exact backward application with reduction."""
-        reducer = self._reducer
-        return reducer.point(self._step_back(reducer.state(x)))
-
     def _step(self, s) -> tuple:
         """step() on lattice states: P(c(a), U_L s), reduced."""
         u, den = s
@@ -436,41 +433,48 @@ class NumericAffine:
             self._shift, (_rows_times(self._lattice_map, u), den)))
 
     @cached_property
-    def _backward(self) -> tuple:
-        """U_L^-1 as sparse integer rows and the lattice state of a^-1 =
-        -a, built at the first backward step."""
-        u, den = self._shift
-        return self._conj.inverse().int_rows()[1], (tuple(-a for a in u), den)
+    def _inverse(self) -> NumericAffine:
+        """T^-1 x = U^-1(a)^-1 U^-1(x), an affine map of the same system,
+        built at its first use: in lattice coordinates c -> P(-U_L^-1 c(a),
+        U_L^-1 c).  It shares the reducer, so it compiles no new law, and
+        T's reach, as U_L^-1 = I - U_L^-1 N is unipotent of the same index
+        exactly when U_L = I + N is.
 
-    def _step_back(self, s) -> tuple:
-        """step_back() on lattice states: U_L^-1 P(-c(a), s), reduced."""
-        inverse, back = self._backward
-        reducer = self._reducer
-        u, den = reducer.product(back, s)
-        return reducer.reduce_state((_rows_times(inverse, u), den))
+        On a torus its factor (_TorusFactor) has T's den for the same eps
+        and states: the factor reads every lattice coordinate, and U_L^-1
+        is unimodular, so the translation's lattice coordinates keep their
+        common denominator.  The two factors therefore share their states.
+        """
+        inverse = object.__new__(NumericAffine)
+        vars(inverse).update(vars(self), _inverse=self)
+        del inverse.matrix, inverse.translation  # T's; T^-1's are below
+        if not self._pure:  # else U_L is I, its own inverse
+            inverse._conj = self._conj.inverse()
+            inverse._lattice_map = inverse._conj.int_rows()[1]
+        u, den = self._shift
+        inverse._shift = _lowest(
+            [-a for a in _rows_times(inverse._lattice_map, u)], den)
+        return inverse
+
+    @cached_property
+    def matrix(self):
+        """U, given to __init__; T^-1's U^-1 is built at its first use."""
+        return self._inverse.matrix.inverse()
+
+    @cached_property
+    def translation(self) -> tuple:
+        """a, given to __init__; T^-1's U^-1(a)^-1 is built at first use."""
+        return self._reducer.point(self._shift)
 
     def reach(self) -> Optional[int]:
         """The number of nonzero powers N^0, N^1, .. of N = U - I when the
-        map has a closed form, else None: a pure translation (jump) or a
+        map has a closed form, else None: a pure translation (_jump) or a
         torus map with U_L unipotent (_TorusFactor.jump)."""
         return self._reach
 
-    def jump(self, x, m: int) -> tuple:
-        """T^m x = (m a) x reduced, for any integer m: the closed form of a
-        pure translation, one product.
-
-        Equals m steps (or -m backward steps) from x, since the reduction
-        is a function of the coset.  Raises ValueError on any other map,
-        which iterate walks.
-        """
-        if not self._pure:
-            raise ValueError("jump is the closed form of a pure translation; "
-                             "iterate walks any other map")
-        reducer = self._reducer
-        return reducer.point(self._jump(reducer.state(x), m))
-
     def _jump(self, s, m: int) -> tuple:
-        """jump() on lattice states: P(m c(a), s), reduced."""
+        """T^m, any integer m, on the lattice state s of a pure translation
+        in one product: P(m c(a), s), reduced."""
         u, den = self._shift
         reducer = self._reducer
         return reducer.reduce_state(reducer.product(
@@ -552,49 +556,43 @@ class _TorusFactor:
         reducer = affine._reducer
         self._coords = coords = sorted({j for _, row, _ in reducer._early
                                         for j, _ in row})
-        self._affine, self._reducer = affine, reducer
+        self._reducer = reducer
         self._reach = affine.reach()
         # a point on the SNAP_GRID has c_j = A_j x / E with x in the grid
         grid = [SNAP_GRID * (reducer._inverse_unit // math.gcd(
             reducer._inverse_unit, *(a for _, a in reducer._inverse[j])))
                 for j in coords]
-        self.den = den = math.lcm(1 if eps is None else eps.denominator,
-                                  *grid, *(
+        self.den = math.lcm(1 if eps is None else eps.denominator, *grid, *(
             e // math.gcd(u[j], e) for u, e in (affine._shift, *states)
             for j in coords))
-        self._tests = []
+        self._eps = eps
+        # U_f: U_L's rows on the factor's coordinates, by their places
+        self._at = at = {j: n for n, j in enumerate(coords)}
+        self._map = [[(at[k], u) for k, u in affine._lattice_map[j]]
+                     for j in coords]
+        self._drift = self._of(affine._shift)
+
+    @cached_property
+    def _tests(self) -> list:
+        """scan's rows of near()'s first phase, pre-scaled to den, built at
+        the first scan: (row on the factor's places, bound, move entries)."""
+        eps, den, reducer = self._eps, self.den, self._reducer
+        tests = []
         for _, row, values in reducer._early if eps else ():
-            row = [(coords.index(j), b) for j, b in row]
+            row = [(self._at[j], b) for j, b in row]
             bound = eps.numerator * reducer._unit * den // eps.denominator
             # a centred gap puts the value within sum |b| den / 2 of 0, so
             # a move entry further than that plus the bound never accepts
             reach = 2 * bound + sum(abs(b) for _, b in row) * den
-            self._tests.append((row, bound, [
+            tests.append((row, bound, [
                 m * den for m in values if 2 * abs(m * den) < reach]))
-        self._map = self._restrict(affine._lattice_map)
-        self._drift = self._of(affine._shift)
-
-    def _restrict(self, rows) -> list:
-        """The sparse integer rows of U_L or U_L^-1 on the factor's
-        coordinates, indexed by their places in the factor."""
-        at = {j: n for n, j in enumerate(self._coords)}
-        return [[(at[k], u) for k, u in rows[j]] for j in self._coords]
-
-    @cached_property
-    def _backward(self) -> tuple:
-        """(U_f^-1, back), T^-1 being s -> U_f^-1 s + back mod den with
-        back = -U_f^-1 drift: built at the first retreat."""
-        inverse = self._restrict(self._affine._backward[0])
-        return inverse, [-sum(u * self._drift[k] for k, u in row) % self.den
-                         for row in inverse]
+        return tests
 
     def advance(self, s) -> list:
         """The state of T(p) from the state s of p: U_f s + drift mod den."""
-        return _affine_mod(self._map, self._drift, self.den, s)
-
-    def retreat(self, s) -> list:
-        """The state of T^-1(p): U_f^-1 (s - drift) mod den."""
-        return _affine_mod(*self._backward, self.den, s)
+        den = self.den
+        return [(sum(u * s[k] for k, u in row) + a) % den
+                for row, a in zip(self._map, self._drift)]
 
     def jump(self, s, m: int) -> list:
         """The state of T^m(p) for any integer m, in one closed form.
@@ -615,11 +613,10 @@ class _TorusFactor:
                    for v, a, row, c in zip(s, self._drift, self._map, acc)]
         return [v % self.den for v in acc]
 
-    def walk(self, s, ks, backward: bool = False) -> list:
-        """The states of T^k p (T^-k p when backward) for the increasing
-        indices ks, from the state s of p: _visit on the factor."""
-        return _visit(s, ks, self.retreat if backward else self.advance,
-                      self.jump, self._reach, backward)
+    def walk(self, s, ks) -> list:
+        """The states of T^k p for the increasing indices ks, from the
+        state s of p: _visit on the factor."""
+        return _visit(s, ks, self.advance, self.jump, self._reach)
 
     def tries(self, horizon: int) -> list:
         """The indices a return search tries first, each by one jump: for a
@@ -735,13 +732,12 @@ class _Points:
     def tries(horizon: int) -> tuple:
         return ()
 
-    def walk(self, x, ks, backward: bool = False) -> list:
-        """The states T^k x (T^-k x when backward) for the increasing
-        indices ks: _visit on lattice states.  x need not be reduced where
-        ks starts above 0, since each step and jump reduces its coset."""
+    def walk(self, x, ks) -> list:
+        """The states T^k x for the increasing indices ks: _visit on
+        lattice states.  x need not be reduced where ks starts above 0,
+        since each step and jump reduces its coset."""
         affine = self._affine
-        return _visit(x, ks, affine._step_back if backward else affine._step,
-                      affine._jump, affine.reach(), backward)
+        return _visit(x, ks, affine._step, affine._jump, affine.reach())
 
     def scan(self, x, y, horizon: int):
         """(k, T^k x) for k = 1..horizon from the state x of a reduced point.
@@ -779,54 +775,50 @@ def _space(affine: NumericAffine, eps: Optional[Fraction], states):
 
 
 def iterate(affine: NumericAffine, x, k: int) -> tuple:
-    """k-fold application (signed), reducing after every step.
+    """k-fold application (signed), reducing after every step: a negative
+    k walks T^-1 (NumericAffine._inverse) forward by -k steps.
 
-    Where the map has a closed form (NumericAffine.jump of a pure
-    translation, _TorusFactor.jump of a unipotent torus map) a k longer
+    Where the map has a closed form (the product (k a) x of a pure
+    translation, _TorusFactor.jump of a unipotent torus map) a |k| longer
     than its number of N powers is one jump, which agrees with stepwise
     reduction.
     """
-    return _walk(affine, x, (abs(k),), backward=k < 0)[0]
+    if k < 0:
+        affine, k = affine._inverse, -k
+    return _walk(affine, x, (k,))[0]
 
 
-def _walk(affine: NumericAffine, x, ks, backward: bool = False) -> list:
-    """T^k x (T^-k x when backward) for each of the increasing indices ks,
-    by one walk in the map's orbit space (_space) and one point built per
-    index.  Each equals the point reached by stepping from x, since a step
-    is a function of the exact point.
+def _walk(affine: NumericAffine, x, ks) -> list:
+    """T^k x for each of the increasing indices ks, by one walk in the
+    map's orbit space (_space) and one point built per index.  Each equals
+    the point reached by stepping from x, since a step is a function of
+    the exact point.
     """
     x = affine._reduced_state(x)
     space = _space(affine, None, (x,))
-    return [space.point(s) for s in space.walk(space._of(x), ks, backward)]
+    return [space.point(s) for s in space.walk(space._of(x), ks)]
 
 
-def _visit(state, ks, step, jump, reach: Optional[int], backward: bool
-           ) -> list:
+def _visit(state, ks, step, jump, reach: Optional[int]) -> list:
     """The states at the increasing indices ks along an orbit from state.
 
     A gap between consecutive indices larger than reach (None: no closed
-    form) is one jump(state, m) from the current state, m negative when
-    backward; every other gap is walked by step, so consecutive indices
-    (a trajectory dump) cost one step each.
+    form) is one jump(state, gap) from the current state; every other gap
+    is walked by step, so consecutive indices (a trajectory dump) cost one
+    step each.
     """
     if ks and ks[-1] > ITERATE_CAP:
         raise ValueError("|k| exceeds the iteration cap")
     out, at = [], 0
     for k in ks:
         if reach is not None and k - at > reach:
-            state = jump(state, at - k if backward else k - at)
+            state = jump(state, k - at)
         else:
             for _ in range(k - at):
                 state = step(state)
         at = k
         out.append(state)
     return out
-
-
-def _affine_mod(rows, shift, den, s) -> list:
-    """rows s + shift mod den, for sparse integer rows."""
-    return [(sum(u * s[k] for k, u in row) + a) % den
-            for row, a in zip(rows, shift)]
 
 
 def _convergent_denominators(value: Fraction, bound: int) -> list:
@@ -961,25 +953,27 @@ class AATestReport:
 
 
 def _sample_probe(affine: NumericAffine, rng: random.Random) -> tuple:
+    """The reduced lattice state of a pseudo-random probe, whose lattice
+    coordinates are multiples of 2^-20 in [0, 1)."""
     den = 2 ** 20
-    coords = [Fraction(rng.randrange(den), den) for _ in range(affine.dim)]
-    return affine.lattice.from_coords(coords)
+    return affine._reducer.reduce_state(
+        _lowest([rng.randrange(den) for _ in range(affine.dim)], den))
 
 
-def _run_trial(affine: NumericAffine, probe, eps, horizon):
-    """One probe: forward cluster, snapped target, backward check.
+def _run_trial(affine: NumericAffine, state, eps, horizon):
+    """One probe, given as the lattice state of a reduced point: forward
+    cluster, snapped target, backward check.
 
     The trial runs in the map's orbit space (_space), whose states also
     cover the snapped target.  The forward states come from the scan that
     found the returns, each distinct one tested once; the backward ones
-    from one walk from the target.  The cluster checks are threshold tests
-    (near); exact distances are computed only for a witness, and a point
-    is built only to snap the first return.
-    The probe's lattice state is made and reduced once, and its point is
-    built only for a witness.
+    from one walk from the target in the orbit space of T^-1
+    (NumericAffine._inverse), which has the same states.  The cluster
+    checks are threshold tests (near); exact distances are computed only
+    for a witness, and a point is built only to snap the first return
+    and for a witness's probe.
     Returns (witness or None, whether any forward return was found).
     """
-    state = affine._reduced_state(probe)
     eps = to_fraction(eps)
     space = _space(affine, eps, (state,))
     origin = space._of(state)
@@ -994,7 +988,7 @@ def _run_trial(affine: NumericAffine, probe, eps, horizon):
     at = space.state(target)
     if not all(space.near(s, at, eps) for s in forward):
         return None, True  # cluster is not tight around the target
-    backward = space.walk(at, seq, backward=True)
+    backward = _space(affine._inverse, eps, (state,)).walk(at, seq)
     # near() is strict, so only a distance of exactly 10 eps needs the
     # exact values to pass
     if all(space.near(s, origin, 10 * eps) for s in backward):
@@ -1036,8 +1030,9 @@ def aa_empirical_test(affine: NumericAffine, trials: int, eps, horizon,
     found_returns = 0
     for i in range(trials):
         # sampled when its trial starts, so memory does not grow with trials
-        probe = given[i] if i < len(given) else _sample_probe(affine, rng)
-        result, had_returns = _run_trial(affine, probe, eps, horizon)
+        state = (affine._reduced_state(given[i]) if i < len(given)
+                 else _sample_probe(affine, rng))
+        result, had_returns = _run_trial(affine, state, eps, horizon)
         if result is not None and witness is None:
             witness = result
         if had_returns:

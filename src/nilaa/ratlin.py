@@ -802,14 +802,14 @@ def hnf_membership(generators: Sequence[Sequence[object]], target: Sequence[obje
 
 def integer_kernel(matrix: QMatrix) -> list[tuple[int, ...]]:
     """Basis of the group of integer vectors x with M x = 0."""
-    # row scaling does not change the kernel, so clear denominators per row
-    rows = []
-    for row in matrix.entries:
-        d = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * d) for x in row])
-    m = matrix.ncols
-    cols = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
-    H, U = column_hnf(cols, len(rows))
+    # the integer form scales M by one positive denominator, under which
+    # column_hnf makes the same column operations: U, the basis, is M's
+    n, m = matrix.shape
+    cols = [[0] * n for _ in range(m)]
+    for i, row in enumerate(matrix.int_rows()[1]):
+        for j, a in row:
+            cols[j][i] = a
+    H, U = column_hnf(cols, n)
     return [tuple(U[j]) for j in range(m) if not any(H[j])]
 
 

@@ -54,8 +54,9 @@ def rotation(alpha):
 
 
 def _walk_by_steps(affine, x, k, backward=False):
-    """T^k x (T^-k x when backward) by k single steps, no closed form."""
-    step = affine.step_back if backward else affine.step
+    """T^k x (T^-k x when backward) by k single steps of T (of T^-1), no
+    closed form."""
+    step = affine._inverse.step if backward else affine.step
     p = affine.reduce(x)
     for _ in range(k):
         p = step(p)
@@ -159,60 +160,65 @@ def test_closed_form_matches_single_steps(name):
     m = build()
     assert m.reach() == reach
     x = m.reduce([F(k + 1, 7 + 4 * k) for k in range(m.dim)])
+    assert m._inverse.reach() == reach
     for k in range(-60, 61):
         by_steps = _walk_by_steps(m, x, abs(k), backward=k < 0)
-        if m.is_pure_translation():
-            assert m.jump(x, k) == by_steps
         assert iterate(m, x, k) == by_steps
-    if not m.is_pure_translation():
-        with pytest.raises(ValueError, match="iterate walks"):
-            m.jump(x, 1)
-    # one walk with gaps on both sides of reach()
+    # one walk with gaps on both sides of reach(), forward and under T^-1
     ks = (0, 1, 2, 7, 8, 30, 31, 60)
     assert _walk(m, x, ks) == [_walk_by_steps(m, x, k) for k in ks]
-    assert _walk(m, x, ks, backward=True) == \
+    assert _walk(m._inverse, x, ks) == \
         [_walk_by_steps(m, x, k, True) for k in ks]
 
 
-def test_jump_refuses_a_map_that_is_not_a_pure_translation():
+def test_jump_refuses_a_map_that_is_not_a_pure_translation(monkeypatch):
     # on the shear of heisenberg.json the product (3 a) x is not T^3 x, and
-    # the cat map has no closed form at all; iterate walks both
+    # the cat map has no closed form at all; iterate walks both, and their
+    # inverses, without a jump
     shear = NumericAffine(
         nio.parse_system(nio.corpus_file("heisenberg.json")),
         [F(1, 3), F(1, 5), F(1, 7)])
     x = (F(1, 10), F(1, 4), F(1, 8))
     assert iterate(shear, x, 3) == _walk_by_steps(shear, x, 3) == \
         (F(9, 20), F(17, 20), F(47, 175))
+    reducer = shear._reducer
+    assert reducer.point(shear._jump(reducer.state(x), 3)) != \
+        iterate(shear, x, 3)
     cat = torus(2, QMatrix([[2, 1], [1, 1]]), [F(1, 7), F(2, 9)])
+    monkeypatch.setattr(NumericAffine, "_jump", None)
+    monkeypatch.setattr(_TorusFactor, "jump", None)
     for m, p in ((shear, x), (cat, (F(1, 8), F(3, 8)))):
-        for k in (-1, 0, 3):
-            with pytest.raises(ValueError, match="pure translation"):
-                m.jump(p, k)
+        assert m.reach() is m._inverse.reach() is None
+        for k in (-5, -1, 0, 3, 5):
+            assert iterate(m, p, k) == _walk_by_steps(m, p, abs(k), k < 0)
 
 
 def test_non_unipotent_torus_map_steps(monkeypatch):
     # the cat map and the quarter turn have no closed form: a walk makes one
-    # step per index on the torus factor's integer state, advances forward
-    # and retreats backward, and no step on points
+    # step per index on the torus factor's integer state, advances the
+    # factor of T forward and that of T^-1 backward, and no step on points
     x = (F(1, 8), F(3, 8))
     for matrix in ([[2, 1], [1, 1]], [[0, -1], [1, 0]]):
         m = torus(2, QMatrix(matrix), [F(1, 7), F(2, 9)])
-        assert m.reach() is None
-        m.step = m.step_back = None
+        inverse = m._inverse
+        assert m.reach() is inverse.reach() is None
+        m.step = inverse.step = None
         calls = []
-        for name in ("advance", "retreat"):
-            monkeypatch.setattr(_TorusFactor, name, lambda self, s, _name=name,
-                                _original=getattr(_TorusFactor, name): (
-                calls.append(_name) or _original(self, s)))
+        advance = _TorusFactor.advance
+        monkeypatch.setattr(_TorusFactor, "advance", lambda self, s: (
+            calls.append([tuple(row) for row in self._map])
+            or advance(self, s)))
         walked = iterate(m, x, 40), iterate(m, x, -40)
-        assert calls == ["advance"] * 40 + ["retreat"] * 40
+        # every coordinate is the factor's: its rows are U_L's, then U_L^-1's
+        assert calls == [list(m._lattice_map)] * 40 + \
+            [list(inverse._lattice_map)] * 40
         monkeypatch.undo()
-        del m.step, m.step_back
+        del m.step, inverse.step
         assert walked == (_walk_by_steps(m, x, 40),
                           _walk_by_steps(m, x, 40, backward=True))
         ks = (0, 1, 5, 6, 40)
-        for backward in (False, True):
-            assert _walk(m, x, ks, backward) == [
+        for affine, backward in ((m, False), (inverse, True)):
+            assert _walk(affine, x, ks) == [
                 _walk_by_steps(m, x, k, backward) for k in ks]
     # a non-translation of a non-abelian group steps on points
     assert heis(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
@@ -222,7 +228,7 @@ def test_non_unipotent_torus_map_steps(monkeypatch):
 def test_consecutive_indices_never_jump(monkeypatch):
     m = torus(3, JORDAN3, [F(1, 3), F(2, 7), F(0.1)])
     # a jump of the map or of its torus factor would fail
-    m.jump = None
+    m._jump = None
     monkeypatch.setattr(_TorusFactor, "jump", None)
     x = (F(1, 5), F(2, 5), F(3, 5))
     assert [p for _, p in trajectory(m, x, 30)] == \
@@ -644,10 +650,13 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
         answers.append(reducer._rejects_early(reducer.state(x),
                                               reducer.state(y), eps))
         # the factor's scan from T^-1 x keeps x unless that rejects, or
-        # unless T^-1 x has x's state
+        # unless T^-1 x has x's state; T^-1 x is the state that the factor
+        # of T^-1 advances to, on the same den
         factor = torus_factor(m, eps, x, y)
+        inverse = torus_factor(m._inverse, eps, x, y)
+        assert inverse.den == factor.den
         s = factor.state(x)
-        before = factor.retreat(s)
+        before = inverse.advance(s)
         assert list(factor.scan(before, factor.state(y), 1)) == (
             [(1, s)] if before == s or not answers[-1] else [])
         if m.group.spec.abelian():
@@ -659,23 +668,28 @@ def test_factor_rejection_is_the_early_phase_of_near(name):
 
 @pytest.mark.parametrize("name", sorted(FACTOR_MAPS))
 def test_factor_retreat_inverts_advance(name):
+    # a retreat is an advance of the factor of T^-1, which has T's den
     build, x = FACTOR_MAPS[name]
     m = build()
     x = m.reduce(x)
     for eps in (None, F(1, 12)):
         factor = torus_factor(m, eps, x)
+        inverse = torus_factor(m._inverse, eps, x)
+        assert inverse.den == factor.den
         states = [factor.state(x)]
         for _ in range(30):
             states.append(factor.advance(states[-1]))
-        assert [factor.retreat(s) for s in states[1:]] == states[:-1]
+        assert [inverse.advance(s) for s in states[1:]] == states[:-1]
         if m.reach() is None:
             continue
         back = states[-1]
         for k in range(31):
-            # jump(s, -k) is k retreats, jump(s, k) is k advances
+            # the inverse's jump(s, k) is k retreats, jump(s, -k) too, and
+            # the factor's jump(s, k) is k advances
+            assert inverse.jump(states[-1], k) == back
             assert factor.jump(states[-1], -k) == back
             assert factor.jump(states[0], k) == states[k]
-            back = factor.retreat(back)
+            back = inverse.advance(back)
 
 
 def test_a_non_abelian_translation_factor_map_is_the_identity():
@@ -686,9 +700,12 @@ def test_a_non_abelian_translation_factor_map_is_the_identity():
         m = build()
         if m.group.spec.abelian():
             continue
-        factor = torus_factor(m, F(1, 12), m.reduce(x))
+        x = m.reduce(x)
+        factor = torus_factor(m, F(1, 12), x)
+        inverse = torus_factor(m._inverse, F(1, 12), x)
         identity = [[(j, 1)] for j in range(len(factor._coords))]
-        assert factor._map == factor._backward[0] == identity
+        assert factor._map == inverse._map == identity
+        assert inverse._drift == [-a % factor.den for a in factor._drift]
         kinds.add(len(factor._coords) < m.dim)
     assert kinds == {True}
 
@@ -839,9 +856,81 @@ def test_jump_of_every_pure_translation_matches_single_steps():
     assert len(translations) == 15
     for m in translations:
         x = m.reduce([F(k + 2, 5 + 3 * k) for k in range(m.dim)])
+        state = m._reduced_state(x)
         for k in range(-25, 26):
-            assert m.jump(x, k) == _walk_by_steps(m, x, abs(k),
-                                                  backward=k < 0)
+            by_steps = _walk_by_steps(m, x, abs(k), backward=k < 0)
+            # the product (k a) x on lattice states, and the public walk
+            assert m._reducer.point(m._jump(state, k)) == by_steps
+            assert iterate(m, x, k) == by_steps
+
+
+# every map of FACTOR_MAPS and CLOSED_FORM_MAPS, the cat map, the quarter
+# turn, the 5-cycle and the shear of heisenberg.json
+INVERSE_MAPS = dict(
+    {f"factor_{name}": build for name, (build, _) in FACTOR_MAPS.items()},
+    **{f"closed_form_{name}": build
+       for name, (build, _) in CLOSED_FORM_MAPS.items()},
+    cat_map=INTEGER_TORI["cat_map"],
+    quarter_turn=INTEGER_TORI["torus_lattice_quarter_turn"],
+    cycle5=INTEGER_TORI["cycle5"],
+    heisenberg_shear=lambda: NumericAffine(
+        nio.parse_system(nio.corpus_file("heisenberg.json")),
+        [F(1, 3), F(1, 5), F(1, 7)]))
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_MAPS))
+def test_the_inverse_is_an_affine_map_of_the_same_system(name):
+    m = INVERSE_MAPS[name]()
+    inverse = m._inverse
+    # the same reducer and reach, and T^-1's inverse is T
+    assert inverse._reducer is m._reducer and inverse._inverse is m
+    assert inverse.reach() == m.reach()
+    assert inverse.is_pure_translation() == m.is_pure_translation()
+    rng = random.Random(name)
+    reducer = m._reducer
+    states = []
+    for _ in range(200):
+        den = 2 ** rng.choice((3, 10, 20)) * rng.choice((1, 3, 7))
+        states.append(reducer.reduce_state(norbit._lowest(
+            [rng.randrange(-den, 2 * den) for _ in range(m.dim)], den)))
+    for s in states:
+        assert inverse._step(m._step(s)) == s == m._step(inverse._step(s))
+    if m.group.spec.abelian():
+        # the two torus factors share den and states, and the inverse
+        # factor's advance undoes the forward one
+        for eps in (None, F(1, 12), F(3, 1000)):
+            given = states[:3]
+            space = norbit._space(m, eps, given)
+            back = norbit._space(inverse, eps, given)
+            assert isinstance(back, _TorusFactor) and back.den == space.den
+            for s in given:
+                t = space._of(s)
+                assert back._of(s) == t
+                assert back.state(reducer.point(s)) == t
+                assert back.advance(space.advance(t)) == t
+                assert space.advance(back.advance(t)) == t
+    x = reducer.point(states[0])
+    p = x
+    for k in range(1, 61):
+        p = inverse.step(p)
+        assert iterate(m, x, -k) == p
+
+
+def test_sampled_probes_are_the_lattice_states_of_the_drawn_coordinates():
+    # a probe is drawn as a lattice state: that of the point L c of the
+    # drawn lattice coordinates c, from the same calls to the generator
+    maps = (heis(None, [F(1, 3), F(1, 5), 0]),
+            lattice_torus(TORUS_LATTICE, SKEW, [F(1, 5), F(3, 7)]),
+            FACTOR_MAPS["heisenberg_sheared_lattice"][0](),
+            FACTOR_MAPS["free23_central"][0]())
+    for m in maps:
+        drawn, replay = random.Random(7), random.Random(7)
+        for _ in range(20):
+            coords = [F(replay.randrange(2 ** 20), 2 ** 20)
+                      for _ in range(m.dim)]
+            assert norbit._sample_probe(m, drawn) == \
+                m._reduced_state(m.lattice.from_coords(coords))
+        assert drawn.random() == replay.random()
 
 
 def test_sequence_is_deterministic():
@@ -895,8 +984,9 @@ def test_each_given_probe_is_reduced_once(monkeypatch):
                         lambda self, x: calls.append(x) or reduce(self, x))
     probes = [(F(7, 4), F(1, 3), F(5, 2)), (F(1, 8), F(-2, 3), F(1, 16))]
     aa_empirical_test(m, 3, F(1, 100), 40, 5, probes=probes)
-    # one reduction per trial: the two given probes, then the sampled one
-    assert calls[:2] == probes and len(calls) == 3
+    # one reduction per given probe; the sampled third probe is drawn as
+    # a lattice state, with no point to reduce
+    assert calls == probes
 
 def test_jordan3_probe_is_falsified_with_frozen_witness():
     m = torus(3, JORDAN3, [0, 0, 0])
@@ -931,7 +1021,7 @@ def test_witness_distances_walk_once_per_orbit(kind):
         # checks a witness
         assert [m.distance(p, rt) for p in _walk(m, probe, seq)] == fwd
         assert [m.distance(p, rp)
-                for p in _walk(m, target, seq, backward=True)] == bwd
+                for p in _walk(m._inverse, target, seq)] == bwd
 
 
 def test_falsification_witness_revalidates():
@@ -1048,7 +1138,8 @@ def test_run_trial_walks_to_the_per_index_answer():
             probe = tuple(F(rng.randrange(1 << 10), 1 << 10) for _ in range(m.dim))
             trials.append((probe, rng.choice((F(1, 16), F(1, 64), F(1, 256)))))
         for probe, eps in trials:
-            witness, had_returns = _run_trial(m, probe, eps, 200)
+            witness, had_returns = _run_trial(m, m._reduced_state(probe),
+                                              eps, 200)
             if witness is not None:
                 witness = (witness.probe, witness.target, witness.sequence,
                            witness.forward_distance, witness.backward_distance)
@@ -1080,7 +1171,7 @@ def test_periodic_returns_test_each_forward_point_once(monkeypatch):
                          else tuple(y))
             return _original(self, x, y, *rest)
         monkeypatch.setattr(cls, name, counted)
-    witness, had_returns = _run_trial(m, probe, eps, 500)
+    witness, had_returns = _run_trial(m, m._reduced_state(probe), eps, 500)
     assert had_returns and witness.sequence == tuple(range(20, 201, 20))
     # the forward cluster check and the witness's forward distance are
     # the calls against the snapped target

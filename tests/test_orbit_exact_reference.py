@@ -1,8 +1,8 @@
 """The orbit oracle's integer primitives against a Fraction reference.
 
-NumericAffine runs reduce, step, step_back, jump, near and distance on
-lattice states: integer numerators over one denominator, and the group law
-in lattice coordinates.  The reference below is written from the
+NumericAffine runs reduce, step, near and distance, and iterate walks both
+ways (T^-1 is the map's _inverse), on lattice states: integer numerators
+over one denominator, and the group law in lattice coordinates.  The reference below is written from the
 definitions alone, in Fractions: the Baker-Campbell-Hausdorff series to
 degree 4 on the algebra's brackets, the coset reduction by integer powers
 of the generators in the reducer's order, and the distance as the least
@@ -161,13 +161,20 @@ def test_integer_rounding_is_round_half_to_even():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_reduce_step_and_step_back_are_the_reference(name):
+    # a step back is a step of T^-1, itself the reference's affine map
+    # with the automorphism U^-1 and the translation U^-1(a)^-1
     rng = random.Random(name)
     for m in maps(name):
+        inverse = m._inverse
+        assert inverse.matrix @ m.matrix == QMatrix.identity(m.dim)
+        assert inverse.translation == neg(m.matrix.inverse().matvec(
+            m.translation))
         for x in sample_points(m, rng, 12):
             assert m.reduce(x) == ref_reduce(m, x)
             assert m.step(x) == ref_step(m, x)
-            assert m.step_back(x) == ref_step_back(m, x)
-            assert m.step_back(m.step(x)) == ref_reduce(m, x)
+            assert iterate(m, x, -1) == inverse.step(x) == \
+                ref_step(inverse, x) == ref_step_back(m, x)
+            assert iterate(m, m.step(x), -1) == ref_reduce(m, x)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -176,7 +183,9 @@ def test_jump_is_the_reference(name):
     rng = random.Random(name)
     for x in sample_points(m, rng, 3):
         for k in range(-30, 31):
-            assert m.jump(x, k) == ref_jump(m, x, k)
+            # the product (k a) x on lattice states, and the public walk
+            assert m._reducer.point(m._jump(m._reducer.state(x), k)) == \
+                iterate(m, x, k) == ref_jump(m, x, k)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -224,7 +233,7 @@ def test_the_shear_walks_300_steps_as_the_reference(a):
         p = m.step(p)
         assert p == forward[k]
     for k in range(299, -1, -1):
-        p = m.step_back(p)
+        p = m._inverse.step(p)
         assert p == forward[k]
     assert iterate(m, x, 300) == forward[300]
     assert iterate(m, forward[300], -300) == x

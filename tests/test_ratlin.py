@@ -879,6 +879,43 @@ def test_integer_kernel_rational_entries():
     assert ok
 
 
+def per_row_integer_kernel(matrix):
+    """The integer kernel by clearing the denominators of each row of the
+    Fraction entries on its own, then one column Hermite normal form."""
+    rows = []
+    for row in matrix.entries:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * d) for x in row])
+    m = matrix.ncols
+    cols = [[rows[i][j] for i in range(len(rows))] for j in range(m)]
+    H, U = column_hnf(cols, len(rows))
+    return [tuple(U[j]) for j in range(m) if not any(H[j])]
+
+
+def test_integer_kernel_is_the_per_row_basis():
+    # the integer form scales every row by one positive denominator, the
+    # per-row routine each row by its own: the bases are the same vectors
+    rng = random.Random(803)
+    kinds = set()
+    for trial in range(60):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 7)
+        rows = [[F(rng.randrange(-4, 5), rng.randrange(1, 7)) if rng.random() < 0.7
+                 else F(0) for _ in range(m)] for _ in range(n)]
+        if trial % 3 == 0:  # a repeated row: rank below n
+            rows.append(list(rows[0]))
+        matrix = QMatrix(rows)
+        if trial % 2:  # rows scaled by denominators near 2^40
+            matrix = coprime_scaling(matrix.nrows, rng) @ matrix
+        basis = integer_kernel(matrix)
+        assert basis == per_row_integer_kernel(matrix)
+        for v in basis:
+            assert not any(matrix.matvec(v))
+        kinds.add((len(basis) > 0, trial % 2))
+    assert integer_kernel(QMatrix.zeros(2)) == per_row_integer_kernel(
+        QMatrix.zeros(2)) == [(1, 0), (0, 1)]
+    assert len(kinds) == 4
+
+
 def test_euler_phi():
     known = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4, 105: 48}
     for m, val in known.items():
