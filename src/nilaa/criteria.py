@@ -31,13 +31,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .lattice import LogLattice, central_lattice_basis, preserves_lattice, \
+from .lattice import LogLattice, _central_lattice, preserves_lattice, \
     validate_lattice
 from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
     derived_subalgebra, is_abelian_family, is_automorphism, is_ideal
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly, _monomial_str
-from .ratlin import NotUnipotent, QMatrix, QSubspace, annihilator_basis, \
+from .ratlin import NotUnipotent, QMatrix, QSubspace, _int_vector, annihilator_basis, \
     charpoly, cyclotomic_spectrum_test, hnf_membership, kernel_basis, \
     matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
     solve_linear, to_fraction, unipotency_index, zspan_basis
@@ -251,21 +251,12 @@ def make_system(algebra: LieAlgebraSpec, *, lattice=None, automorphism=None,
 
 def _primitive(vec: Sequence[object]) -> tuple[Fraction, ...]:
     """Scale a rational vector to primitive integer form, first entry > 0."""
-    vec = [Fraction(x) for x in vec]
-    den = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    _, terms = _int_vector(vec)
+    g = math.gcd(*(x for _, x in terms)) or 1
+    if terms and terms[0][1] < 0:
+        g = -g
+    ints = dict(terms)
+    return tuple(Fraction(ints.get(i, 0) // g) for i in range(len(vec)))
 
 
 def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBracket:
@@ -312,17 +303,15 @@ def _affine_decide(group: NilpotentGroup, lattice: LogLattice | None,
             cert = NotFixed(tuple(v), image, _monomial_str(m, c.params))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
         # the constant direction may be corrected by a central lattice vector
-        zgens = central_lattice_basis(group, lattice)
-        images = [tuple(x - y for x, y in zip(automorphism.matvec(b), b))
-                  for b in zgens]
+        central = _central_lattice(spec, lattice)
+        images = ((automorphism - QMatrix.identity(d)) @ central).columns()
         target = tuple(-x for x in image)
         member, coords = hnf_membership(images, target)
         if not member:
             cert = CosetObstruction(ParamVector.from_rationals(image),
                                     tuple(tuple(b) for b in images))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
-        shift = tuple(sum((Fraction(q) * b[i] for q, b in zip(coords, zgens)),
-                          Fraction(0)) for i in range(d))
+        shift = central.matvec(coords)
         vectors[idx] = tuple(x + s for x, s in zip(v, shift))
 
     if shift is not None:
@@ -369,7 +358,7 @@ def torus_decide(system: AffineSystem) -> Verdict:
                 return Verdict(NOT_AA, "torus", cert, (SCOPE_NOTE,))
 
     moved = UI.apply(system.translation)
-    gens = [UI.matvec(system.lattice.generator(i)) for i in range(d)]
+    gens = (UI @ system.lattice.basis).columns()
     coeffs = moved.coefficient_vectors()
     zero_mono = tuple(0 for _ in moved.params)
     nonconstant_hit = any(m != zero_mono and any(v) for m, v in coeffs.items())
@@ -560,7 +549,7 @@ def minimality_check(system: AffineSystem) -> Verdict:
     proj_rows = annihilator_basis(derived.basis, d)
     k = len(proj_rows)
     P = QMatrix(proj_rows)
-    projected = [P.matvec(system.lattice.generator(i)) for i in range(d)]
+    projected = (P @ system.lattice.basis).columns()
     lat_basis = zspan_basis(projected, k)
     if len(lat_basis) != k:
         raise ArithmeticError("projected lattice does not span the abelianization")

@@ -13,8 +13,9 @@ integer form (ratlin.QMatrix.int_rows), and the loader builds it
 straight from the nonzero literals as it reads them
 (ratlin._int_qmatrix): a "0" is skipped and a "1" is not parsed.  The
 Fraction entries are a view of that form, made only when first read.
-The structure constants become the algebra with its integer form
-(nilalg.LieAlgebraSpec.from_sparse).
+The structure constants become the algebra, which holds only its integer
+form (nilalg.LieAlgebraSpec.from_sparse); its Fraction table is read only
+to print a suspended algebra (suspension_to_dict).
 
 A verdict file has exactly four fields: status, criterion, certificate,
 notes.  Serialization is canonical (sorted keys, two-space indent,

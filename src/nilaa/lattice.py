@@ -3,19 +3,21 @@
 A cocompact discrete subgroup is specified by an invertible rational matrix
 whose columns are the logarithms of its generators.  The package works with
 lattices whose log coordinates form an additive lattice closed under BCH
-(true of every example shipped here, e.g. the integer Heisenberg group on
-the basis xi_1, xi_2, xi_3/2).  Validation decides this exactly: the group
-law in lattice coordinates is one polynomial map on Z^d x Z^d, and it is
-integer-valued there if and only if its coefficients in the basis of
-products of binomial coefficients are integers.  It is computed on the
-Hermite basis of the span, which is triangular whatever basis is given;
-a basis that is already its own Hermite basis is used as it is.  The
-whole test runs in integers: one product of the group's integer BCH
-kernel on integer linear forms, and one divisibility test per
-coefficient.  On an abelian algebra the law is m + n, so closure holds by
-structure and no product is expanded.  The central lattice vectors are
-the integer kernel of the centre equations, built from the nonzero
-structure constants only; on a torus every lattice vector is central.
+(true of every example shipped here, e.g. the lattice on the Heisenberg
+basis xi_1, xi_2, xi_3/2, which contains the integer Heisenberg group
+H(Z) with index 2; H(Z) is not of this form).  Validation decides this
+exactly: the group law in lattice coordinates is one polynomial map on
+Z^d x Z^d, and it is integer-valued there if and only if its
+coefficients in the basis of products of binomial coefficients are
+integers.  It is computed on the Hermite basis of the span, which is
+triangular whatever basis is given; a basis that is already its own
+Hermite basis is used as it is.  The whole test runs in integers: one
+product of the group's integer BCH kernel on integer linear forms, and
+one divisibility test per coefficient.  On an abelian algebra the law is
+m + n, so closure holds by structure and no product is expanded.  The
+central lattice vectors are the integer kernel of the centre equations,
+built from the nonzero structure constants only; on a torus every
+lattice vector is central.
 The same law in lattice coordinates gives the orbit oracle's coset
 reduction (orbit.CosetReducer).
 
@@ -33,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
-from .nilalg import _centre_rows
+from .nilalg import LieAlgebraSpec, _centre_rows
 from .nilgrp import NilpotentGroup, _add_scaled_int
 from .ratlin import QMatrix, _int_product, _int_qmatrix, integer_kernel, zspan_basis
 
@@ -271,16 +273,17 @@ def preserves_lattice(matrix: QMatrix, lattice: LogLattice
 
 def central_lattice_basis(group: NilpotentGroup, lattice: LogLattice
                           ) -> list[tuple[Fraction, ...]]:
-    """Basis of the group of lattice vectors lying in the center.
+    """Basis of the group of lattice vectors lying in the center."""
+    return _central_lattice(group.spec, lattice).columns()
 
-    The integer kernel of the stacked ad-matrices in lattice coordinates,
-    built from their nonzero rows only: a zero row costs the Hermite
-    reduction no column operation, so the basis is the same.  On an
-    abelian algebra every lattice vector is central.
-    """
-    rows = _centre_rows(group.spec)
+
+def _central_lattice(spec: LieAlgebraSpec, lattice: LogLattice) -> QMatrix:
+    """L N, whose columns are central_lattice_basis: N has the integer
+    kernel of the centre equations in lattice coordinates as columns (a
+    zero equation costs the Hermite reduction no column operation, so
+    they are left out).  On an abelian algebra it is L."""
+    S, rows = _centre_rows(spec)
     if not rows:
-        return [lattice.generator(j) for j in range(lattice.dim)]
-    stacked = QMatrix(rows) @ lattice.basis
-    return [lattice.from_coords(n) for n in integer_kernel(stacked)]
-
+        return lattice.basis
+    kernel = integer_kernel(_int_qmatrix(spec.dim, S, rows) @ lattice.basis)
+    return lattice.basis @ QMatrix.from_columns(kernel)

@@ -11,15 +11,15 @@ the centre equations, the automorphism check) walks the nonzero structure
 constants only, never all d^2 basis pairs.  On an abelian algebra every
 matrix of the right shape is an automorphism.
 
-An algebra also has one integer form, made once when it is built: the
-structure constants times the lcm S of their denominators, per bracketing
-pair (LieAlgebraSpec._ints).  The validators run on it and on the integer
-form of a matrix (ratlin.QMatrix.int_rows): Jacobi, the lower central
-series, the automorphism check, and for the suspension the derivation
-identity and the adjoined algebra (build_suspension_algebra), whose
-integer form is the fiber's plus D.  A Fraction is built only for a
-failure's residual.
-The group law (nilgrp) reads the same integer pairs.
+An algebra holds one form, made when it is built: its structure
+constants times the lcm S of their denominators, per bracketing pair in
+sorted order (LieAlgebraSpec._ints).  It is canonical, so equal algebras
+have equal forms whatever the constructor or the order of its input.
+Everything here reads it, with the integer form of a matrix
+(ratlin.QMatrix.int_rows), and so does the group law (nilgrp); the
+adjoined algebra of the suspension (build_suspension_algebra) is made as
+one.  A Fraction is built only for a result or a failure's residual, and
+the dense Fraction table is a view, made when first read.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poly import ParamVector, _add_scaled, _cleaned, _shared, _vector
-from .ratlin import QMatrix, QSubspace, _int_echelon, to_fraction
-
-
-_ZERO = Fraction(0)
+from .ratlin import (_ZERO, QMatrix, QSubspace, _int_echelon, _int_qmatrix, _int_vector,
+                     to_fraction)
 
 
 class JacobiViolation(ValueError):
@@ -51,34 +49,26 @@ class NotNilpotent(ValueError):
 class LieAlgebraSpec:
     """Structure constants [xi_i, xi_j] = sum_k c_ijk xi_k on a d-dim space.
 
-    table maps each bracketing pair (i, j), i < j, to its dense structure
-    vector, and _brackets[i][j] holds ((k, c_ijk), ...) over the nonzero
-    c_ijk for both orders of each pair.  The integer form is _ints = (S,
-    pairs), S the lcm of the denominators of the structure constants and
-    pairs the bracketing pairs in table order as (i, j, ((k, S c_ijk),
-    ...)); _int_brackets is to it what _brackets is to the table.
+    The integer form is _ints = (S, pairs): S the lcm of the denominators
+    of the nonzero structure constants, and pairs the bracketing pairs i <
+    j, sorted, as (i, j, ((k, S c_ijk), ...)) over the nonzero c_ijk by
+    increasing k.  _int_brackets[i][j] holds the same terms for both
+    orders of each pair.  table is the Fraction view of the integer form.
     """
 
-    __slots__ = ("dim", "table", "_brackets", "_ints", "_int_brackets")
+    __slots__ = ("dim", "_ints", "_int_brackets", "_table")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence[object]]):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        clean: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for (i, j), vec in table.items():
-            if not (0 <= i < dim and 0 <= j < dim) or i == j:
-                raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
-            vec = tuple(map(to_fraction, vec))
-            if len(vec) != dim:
-                raise ValueError(f"structure vector for ({i}, {j}) has wrong length")
-            key, val = ((i, j), vec) if i < j else ((j, i), tuple(-x for x in vec))
-            if key in clean:
-                if clean[key] != val:
-                    raise ValueError(f"conflicting declarations for bracket {key}")
-                continue
-            clean[key] = val
-        _fill(self, dim, {key: [(k, x) for k, x in enumerate(val) if x]
-                          for key, val in clean.items()})
+        def declared():
+            for (i, j), vec in table.items():
+                if not (0 <= i < dim and 0 <= j < dim) or i == j:
+                    raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
+                vec = tuple(map(to_fraction, vec))
+                if len(vec) != dim:
+                    raise ValueError(f"structure vector for ({i}, {j}) has wrong length")
+                yield (i, j), dict(enumerate(vec))
+
+        _normalize(self, dim, declared())
 
     @classmethod
     def from_sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]
@@ -94,68 +84,65 @@ class LieAlgebraSpec:
             terms = table.setdefault((i - 1, j - 1), {})
             c = to_fraction(coeff)
             terms[k - 1] = terms[k - 1] + c if k - 1 in terms else c
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), terms in table.items():
-            if i == j:
-                raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
-            terms = {k: x for k, x in terms.items() if x}
-            key, val = ((i, j), terms) if i < j else ((j, i), {k: -x for k, x in terms.items()})
-            if clean.setdefault(key, val) != val:
-                raise ValueError(f"conflicting declarations for bracket {key}")
-        spec = object.__new__(cls)
-        _fill(spec, dim, {key: sorted(val.items()) for key, val in clean.items()})
-        return spec
+        return _normalize(object.__new__(cls), dim, table.items())
+
+    @property
+    def table(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """Each bracketing pair (i, j), i < j, mapped to its dense
+        structure vector of Fractions, made from the integer form when
+        first read."""
+        if self._table is None:
+            S, pairs = self._ints
+            self._table = {(i, j): _fractions(self.dim, S, terms) for i, j, terms in pairs}
+        return self._table
 
     def abelian(self) -> bool:
-        return not self.table
+        return not self._ints[1]
 
     def structure_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return tuple(-x for x in self.table[(j, i)])
-        return (_ZERO,) * self.dim
+        """[xi_i, xi_j] as Fractions; ValueError for an index out of range."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {self.dim}")
+        return _fractions(self.dim, self._ints[0], self._int_brackets[i].get(j, ()))
 
     # ---- brackets ----
 
     def bracket_vec(self, v: Sequence[object], w: Sequence[object]) -> tuple[Fraction, ...]:
-        """Bracket of two rational coordinate vectors."""
+        """Bracket of two rational coordinate vectors, summed in integers
+        over S and the common denominators of v and w."""
         if len(v) != self.dim or len(w) != self.dim:
             raise ValueError("vector has wrong dimension")
-        w_nz = [(j, to_fraction(y)) for j, y in enumerate(w) if y]
-        out = [Fraction(0)] * self.dim
-        for i, x in enumerate(v):
-            if not x:
-                continue
-            row = self._brackets[i]
-            x = to_fraction(x)
+        (p, v_nz), (q, w_nz) = _int_vector(v), _int_vector(w)
+        out = [0] * self.dim
+        for i, x in v_nz:
+            row = self._int_brackets[i]
             for j, y in w_nz:
                 terms = row.get(j)
                 if terms:
                     c = x * y
                     for k, a in terms:
                         out[k] += c * a
-        return tuple(out)
+        den = self._ints[0] * p * q
+        return tuple(Fraction(c, den) if c else _ZERO for c in out)
 
     def bracket(self, v: ParamVector, w: ParamVector) -> ParamVector:
         """Bracket of two polynomial coordinate vectors."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError("vector has wrong dimension")
         params = _shared(v, w)
+        S, brackets = self._ints[0], self._int_brackets
         w_nz = [(j, y) for j, y in enumerate(w.entries) if y.terms]
         out = [{} for _ in range(self.dim)]
         for i, x in enumerate(v.entries):
             if not x.terms:
                 continue
-            row = self._brackets[i]
+            row = brackets[i]
             for j, y in w_nz:
                 terms = row.get(j)
                 if terms:
                     prod = (x * y).terms
                     for k, a in terms:
-                        _add_scaled(out[k], a, prod)
+                        _add_scaled(out[k], a if S == 1 else Fraction(a, S), prod)
         return _vector(params, tuple(_cleaned(params, acc) for acc in out))
 
     def ad_matrix(self, v: Sequence[object]) -> QMatrix:
@@ -163,46 +150,65 @@ class LieAlgebraSpec:
         is the sum of v_i c_ijk over the nonzero structure constants."""
         if len(v) != self.dim:
             raise ValueError("vector has wrong dimension")
-        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for i, x in enumerate(v):
-            if x:
-                x = to_fraction(x)
-                for j, terms in self._brackets[i].items():
-                    for k, c in terms:
-                        rows[k][j] += x * c
-        return QMatrix(rows)
+        q, v_nz = _int_vector(v)
+        rows = [{} for _ in range(self.dim)]
+        for i, x in v_nz:
+            for j, terms in self._int_brackets[i].items():
+                for k, c in terms:
+                    rows[k][j] = rows[k].get(j, 0) + x * c
+        return _int_qmatrix(self.dim, self._ints[0] * q,
+                            [sorted((j, a) for j, a in row.items() if a) for row in rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraSpec):
             return NotImplemented
-        return self.dim == other.dim and self.table == other.table
+        return self.dim == other.dim and self._ints == other._ints
 
     def __repr__(self) -> str:
-        return f"LieAlgebraSpec(dim={self.dim}, {len(self.table)} nonzero brackets)"
+        return f"LieAlgebraSpec(dim={self.dim}, {len(self._ints[1])} nonzero brackets)"
 
 
-def _fill(spec: LieAlgebraSpec, dim: int, sparse: Mapping[tuple[int, int], list]) -> None:
-    """Set every field of spec, its integer form included, from its
-    nonzero structure constants, sparse[(i, j)] = [(k, c_ijk), ...] for
-    i < j by increasing k; a pair with none is dropped."""
+def _normalize(spec: LieAlgebraSpec, dim: int, declared: Iterable[tuple]) -> LieAlgebraSpec:
+    """Set spec to the canonical integer form of the declared brackets
+    ((i, j), {k: c_ijk}), Fractions on basis indices in range, and return
+    it: each pair is turned to i < j over its nonzero constants, a pair
+    declared twice must agree, and a pair with none is dropped."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), terms in declared:
+        if i == j:
+            raise ValueError(f"bad basis index pair ({i}, {j}) for dimension {dim}")
+        terms = {k: x for k, x in terms.items() if x}
+        key, val = ((i, j), terms) if i < j else ((j, i), {k: -x for k, x in terms.items()})
+        if clean.setdefault(key, val) != val:
+            raise ValueError(f"conflicting declarations for bracket {key}")
+    S = lcm(*(x.denominator for terms in clean.values() for x in terms.values()))
+    return _set_ints(spec, dim, S, [(i, j, tuple((k, x.numerator * (S // x.denominator))
+                                                 for k, x in sorted(terms.items())))
+                                    for (i, j), terms in sorted(clean.items()) if terms])
+
+
+def _set_ints(spec: LieAlgebraSpec, dim: int, S: int, pairs: Sequence[tuple]
+              ) -> LieAlgebraSpec:
+    """Set every field of spec from a canonical integer form (S, pairs),
+    which is not checked, and return it."""
     spec.dim = dim
-    spec.table = {}
-    spec._brackets = brackets = [{} for _ in range(dim)]
-    for (i, j), terms in sparse.items():
-        if terms:
-            vec = [_ZERO] * dim
-            for k, x in terms:
-                vec[k] = x
-            spec.table[(i, j)] = tuple(vec)
-            brackets[i][j] = tuple(terms)
-            brackets[j][i] = tuple((k, -x) for k, x in terms)
-    S = lcm(*(x.denominator for terms in sparse.values() for _, x in terms))
-    spec._ints = S, tuple((i, j, tuple((k, x.numerator * (S // x.denominator)) for k, x in brackets[i][j]))
-                          for i, j in spec.table)
-    spec._int_brackets = int_brackets = [{} for _ in range(dim)]
-    for i, j, terms in spec._ints[1]:
-        int_brackets[i][j] = terms
-        int_brackets[j][i] = tuple((k, -c) for k, c in terms)
+    spec._ints = S, tuple(pairs)
+    spec._table = None
+    spec._int_brackets = brackets = [{} for _ in range(dim)]
+    for i, j, terms in pairs:
+        brackets[i][j] = terms
+        brackets[j][i] = tuple((k, -c) for k, c in terms)
+    return spec
+
+
+def _fractions(dim: int, S: int, terms: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """The dense Fraction vector of integer terms ((k, integer), ...) over S."""
+    vec = [_ZERO] * dim
+    for k, c in terms:
+        vec[k] = Fraction(c, S)
+    return tuple(vec)
 
 
 def validate_algebra(spec: LieAlgebraSpec) -> int:
@@ -262,34 +268,21 @@ def _ad_images(brackets: list, b: Mapping[int, object]) -> list[dict]:
     """The nonzero brackets [xi_a, b] in the order of a, as {column:
     value}, for a vector b given the same way: each is summed over the
     nonzero structure constants [xi_a, xi_j] with b_j nonzero, from the
-    integer brackets of an algebra for an integer b, or from its
-    Fraction brackets."""
+    integer brackets of an algebra: S times the brackets of b."""
     images: dict[int, dict] = {}
     for j, y in b.items():
         for a in brackets[j]:
             acc = images.setdefault(a, {})
             for k, c in brackets[a][j]:
                 acc[k] = acc.get(k, 0) + y * c
-    out = []
-    for a in sorted(images):
-        image = {k: x for k, x in images[a].items() if x}
-        if image:
-            out.append(image)
-    return out
+    return [image for a in sorted(images)
+            if (image := {k: x for k, x in images[a].items() if x})]
 
 
-def _centre_rows(spec: LieAlgebraSpec) -> list[tuple[Fraction, ...]]:
-    """The nonzero rows of ad xi_1, ..., ad xi_d stacked in that order:
-    row (i, k) holds c_ijk over j, so v is central exactly when every row
-    has zero dot product with v.  Empty on an abelian algebra."""
-    rows = []
-    for row in spec._brackets:
-        by_k: dict[int, list[Fraction]] = {}
-        for j, terms in row.items():
-            for k, c in terms:
-                by_k.setdefault(k, [_ZERO] * spec.dim)[j] = c
-        rows.extend(tuple(by_k[k]) for k in sorted(by_k))
-    return rows
+def _centre_rows(spec: LieAlgebraSpec) -> tuple[int, list[tuple]]:
+    """The centre equations over S: the nonzero rows of every ad_int_rows
+    stacked, so v is central exactly when each has zero dot product with v."""
+    return spec._ints[0], [row for i in range(spec.dim) for row in ad_int_rows(spec, i)[1] if row]
 
 
 def _jacobi_candidates(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
@@ -327,38 +320,34 @@ def build_suspension_algebra(spec: LieAlgebraSpec, derivation: QMatrix) -> LieAl
     (which log of a unipotent automorphism always is).  Nothing is checked
     here but D's shape: Jacobi on the triples (delta, x_i, x_j) is the
     derivation identity for D (check_derivation), and every other triple
-    is one of spec.  Its pairs are (delta, x_a) for each nonzero column a
-    of D, read from D's integer form (QMatrix.int_rows, the one form a
-    matrix holds; D's Fraction entries are a view of it and are not
-    built here), then the pairs of spec, and the integer form of the
-    result is made from them.
+    is one of spec.  Its integer form is made directly, over the lcm of
+    D's denominator and S: the pairs (delta, x_a) for each nonzero column
+    a of D's integer form, then the pairs of spec, which sort after them.
     """
     d = spec.dim
     if derivation.shape != (d, d):
         raise ValueError("derivation matrix has wrong shape")
     den, rows = derivation.int_rows()
+    S, pairs = spec._ints
+    big_S = lcm(den, S)
     columns = [[] for _ in range(d)]
     for l, row in enumerate(rows):
         for a, v in row:
-            columns[a].append((l + 1, Fraction(v, den)))
-    sparse = {(0, a + 1): column for a, column in enumerate(columns) if column}
-    for i, j in spec.table:
-        sparse[(i + 1, j + 1)] = [(k + 1, x) for k, x in spec._brackets[i][j]]
-    big = object.__new__(LieAlgebraSpec)
-    _fill(big, d + 1, sparse)
-    return big
+            columns[a].append((l + 1, v * (big_S // den)))
+    return _set_ints(object.__new__(LieAlgebraSpec), d + 1, big_S,
+                     [(0, a + 1, tuple(column)) for a, column in enumerate(columns) if column]
+                     + [(i + 1, j + 1, tuple((k + 1, c * (big_S // S)) for k, c in terms))
+                        for i, j, terms in pairs])
 
 
 def ad_int_rows(spec: LieAlgebraSpec, i: int) -> tuple[int, tuple]:
     """ad xi_i as integer rows over S, in the layout of
     QMatrix.int_rows (not reduced): row k holds (j, S c_ijk)."""
-    d = spec.dim
-    S = spec._ints[0]
-    rows = [[] for _ in range(d)]
+    rows = [[] for _ in range(spec.dim)]
     for j, terms in sorted(spec._int_brackets[i].items()):
         for k, c in terms:
             rows[k].append((j, c))
-    return S, tuple(map(tuple, rows))
+    return spec._ints[0], tuple(map(tuple, rows))
 
 
 def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
@@ -379,14 +368,17 @@ def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
 
 
 def derived_subalgebra(spec: LieAlgebraSpec) -> QSubspace:
-    return QSubspace.from_spanning([vec for vec in spec.table.values()], spec.dim)
+    """[g, g], spanned by S times the structure vectors."""
+    return QSubspace.from_spanning([_fractions(spec.dim, 1, terms)
+                                    for _, _, terms in spec._ints[1]], spec.dim)
 
 
 def is_ideal(spec: LieAlgebraSpec, subspace: QSubspace) -> bool:
-    """Is [g, W] contained in W?"""
+    """Is [g, W] contained in W?  Each basis vector b of W is bracketed
+    as its integer form q b, so each image is S q times [xi_a, b]."""
     return all(subspace.contains([image.get(k, 0) for k in range(spec.dim)])
                for b in subspace.basis
-               for image in _ad_images(spec._brackets, {j: x for j, x in enumerate(b) if x}))
+               for image in _ad_images(spec._int_brackets, dict(_int_vector(b)[1])))
 
 
 def is_automorphism(spec: LieAlgebraSpec, matrix: QMatrix

@@ -255,8 +255,8 @@ class CosetReducer:
         y^-1 x are c_j(x) - c_j(y), so r_i = sum_j B[i][j] (c_j -
         round(c_j)) / unit on them, and a move entry m puts its candidate
         at |r_i - m / unit| on coordinate i."""
-        touched = {i for vec in (*self.group.spec.table.values(), *self._shifts)
-                   for i, c in enumerate(vec) if c}
+        touched = {k for _, _, terms in self.group.spec._ints[1] for k, _ in terms}
+        touched.update(i for vec in self._shifts for i, c in enumerate(vec) if c)
         readable = {j for j, row in enumerate(self._inverse)
                     if all(k not in touched for k, _ in row)}
         points = [_rows_times(self._basis, e) for e in self._moves[1:]]

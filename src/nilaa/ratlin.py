@@ -16,10 +16,10 @@ integer kernels of the package: the validators of `nilalg` and
 orbit oracle.  The Fraction entries are a view of it, made when first
 read, for the eliminations and for output.  `QMatrix(rows)` checks and
 converts outside input and makes the integer form from it; results
-built in integers (products, the nilpotent series, triangular inverses,
-U_L in `lattice`) are handed theirs by `_int_qmatrix(ncols, den, rows)`,
-which makes it canonical, and the loader (`io`) builds its matrices the
-same way from the nonzero literals it reads.
+built in integers (sums, products, the nilpotent series, triangular
+inverses, U_L in `lattice`) are handed theirs by `_int_qmatrix(ncols,
+den, rows)`, which makes it canonical, and the loader (`io`) builds its
+matrices the same way from the nonzero literals it reads.
 
 A triangular matrix needs no elimination: `QMatrix.det` is the product
 of its diagonal, and `QMatrix.inverse` solves it by substitution over
@@ -66,6 +66,14 @@ class NotUnipotent(ValueError):
 def to_fraction(x) -> Fraction:
     """x as a Fraction: Fractions pass through, ints and floats convert exactly."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _int_vector(vec: Iterable[object]) -> tuple[int, list[tuple[int, int]]]:
+    """The nonzero entries of a rational vector over the lcm q of their
+    denominators: (q, [(i, q x_i), ...]) by increasing i."""
+    terms = [(i, x) for i, x in enumerate(map(to_fraction, vec)) if x]
+    q = math.lcm(*(x.denominator for _, x in terms))
+    return q, [(i, x.numerator * (q // x.denominator)) for i, x in terms]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -164,16 +172,21 @@ class QMatrix:
     # ---- arithmetic ----
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        """The sum of the integer forms over the lcm of their denominators."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return QMatrix(tuple(a + b for a, b in zip(r1, r2))
-                       for r1, r2 in zip(self.entries, other.entries))
+        (d1, r1), (d2, r2) = self._ints, other._ints
+        den = math.lcm(d1, d2)
+        rows = []
+        for a, b in zip(r1, r2):
+            acc = {j: v * (den // d1) for j, v in a}
+            for j, v in b:
+                acc[j] = acc.get(j, 0) + v * (den // d2)
+            rows.append(sorted((j, v) for j, v in acc.items() if v))
+        return _int_qmatrix(self.ncols, den, rows)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return QMatrix(tuple(a - b for a, b in zip(r1, r2))
-                       for r1, r2 in zip(self.entries, other.entries))
+        return self + -other
 
     def __neg__(self) -> "QMatrix":
         den, rows = self._ints

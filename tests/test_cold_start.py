@@ -83,6 +83,31 @@ def test_decide_full_loads_exactly_the_core_modules():
         "nilaa.ratlin"]
 
 
+_TABLE_PROBE = """
+import contextlib, io, json, sys
+import nilaa.cli
+from nilaa.nilalg import LieAlgebraSpec
+view, reads = LieAlgebraSpec.table, []
+LieAlgebraSpec.table = property(lambda spec: reads.append(spec.dim) or view.fget(spec))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [nilaa.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "table_reads": reads}))
+"""
+
+
+def test_decide_full_never_builds_the_table_view():
+    # the deciders read the algebra's integer form; its dense Fraction
+    # table is made only where it is printed
+    argvs = [["decide", _corpus(name), "--criterion", "full"]
+             for name in ("torus_rotation_1d.json", "free_nilpotent_2_3.json")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _TABLE_PROBE, json.dumps(argvs)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 1], "table_reads": []}
+
+
 @pytest.mark.parametrize("name", ["torus_skew_translation.json",
                                   "heisenberg.json"])
 def test_suspend_loads_the_suspension_but_not_the_orbit_oracle(name):

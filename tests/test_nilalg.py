@@ -1,18 +1,21 @@
 """Lie algebra layer: brackets, validation, automorphisms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (abelian, change_of_basis, coprime_scaling, filiform,
-                      free_nilpotent_2_3, heisenberg, random_basis_matrix)
+                      free_nilpotent_2_3, heisenberg, q6, random_basis_matrix)
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.nilalg import (
-    JacobiViolation, LieAlgebraSpec, NotNilpotent, derived_subalgebra,
-    is_abelian_family, is_automorphism, is_ideal, validate_algebra,
+    JacobiViolation, LieAlgebraSpec, NotNilpotent, _centre_rows,
+    build_suspension_algebra, derived_subalgebra, is_abelian_family,
+    is_automorphism, is_ideal, validate_algebra,
 )
-from nilaa.ratlin import QMatrix, QSubspace, _echelon, matrix_exp_nilpotent
+from nilaa.ratlin import (QMatrix, QSubspace, _echelon, matrix_exp_nilpotent,
+                          matrix_log_unipotent)
 
 F = Fraction
 
@@ -31,6 +34,12 @@ def test_structure_normalization():
         LieAlgebraSpec(3, {(0, 0): (0, 0, 1)})
     with pytest.raises(ValueError):
         LieAlgebraSpec(2, {(0, 1): (1, 0, 0)})
+
+
+def test_structure_vector_rejects_an_index_out_of_range(heis):
+    for i, j in ((5, 0), (-1, 0), (0, 3)):
+        with pytest.raises(ValueError, match="bad basis index pair"):
+            heis.structure_vector(i, j)
 
 
 def test_from_sparse_accumulates():
@@ -272,14 +281,13 @@ def _dense_jacobi(spec):
 # The Fraction routines that validate_algebra and is_automorphism ran
 # before they read the integer form of the algebra, kept as references.
 
-def _fraction_ad_images(spec, b):
+def _fraction_ad_images(brackets, b):
     """The nonzero brackets [xi_a, b] in the order of a, on Fractions."""
-    brackets = spec._brackets
     images = {}
     for j, y in enumerate(b):
         if y:
             for a in brackets[j]:
-                acc = images.setdefault(a, [F(0)] * spec.dim)
+                acc = images.setdefault(a, [F(0)] * len(b))
                 for k, c in brackets[a][j]:
                     acc[k] += y * c
     return [images[a] for a in sorted(images) if any(images[a])]
@@ -288,7 +296,7 @@ def _fraction_ad_images(spec, b):
 def fraction_validate_algebra(spec):
     """Jacobi on the candidate triples, then the lower central series by
     one _echelon pass per term, all on Fractions."""
-    brackets = spec._brackets
+    brackets = FractionAlgebra(spec.dim, spec.table).brackets
     triples = set()
     for (b, c), vec in spec.table.items():
         for l, x in enumerate(vec):
@@ -312,7 +320,7 @@ def fraction_validate_algebra(spec):
         if len(pivots) == dim:
             raise NotNilpotent(f"lower central series stabilizes at dimension {dim}")
         nil_class, dim = nil_class + 1, len(pivots)
-        gens = [w for b in rows[:dim] for w in _fraction_ad_images(spec, b)]
+        gens = [w for b in rows[:dim] for w in _fraction_ad_images(brackets, b)]
     return nil_class
 
 
@@ -328,7 +336,7 @@ def fraction_is_automorphism(spec, matrix):
         for l, x in row:
             columns[l].append((k, x))
     residuals = {}
-    for a, row in enumerate(spec._brackets):
+    for a, row in enumerate(FractionAlgebra(spec.dim, spec.table).brackets):
         for b, terms in row.items():
             for i, x in sparse[a]:
                 for j, y in sparse[b]:
@@ -522,3 +530,214 @@ def test_sparse_ad_matrix_and_is_ideal_match_the_dense_brackets():
             dense = all(space.contains(spec.bracket_vec(u, b))
                         for u in units for b in space.basis)
             assert is_ideal(spec, space) == dense
+
+
+# ---- the one integer form against the Fraction algebra ----
+
+class FractionAlgebra:
+    """The algebra as it was held before its integer form was its only
+    form: the dense Fraction table of the pairs i < j with a nonzero
+    constant, and brackets[i][j] = ((k, c_ijk), ...) over the nonzero
+    c_ijk for both orders of each pair, with its brackets, ad-matrices,
+    centre equations, ideal test and derived algebra on Fractions.  It is
+    built from a table as LieAlgebraSpec takes one, consistent and in
+    range."""
+
+    def __init__(self, dim, table):
+        self.dim = dim
+        self.table = {}
+        self.brackets = [{} for _ in range(dim)]
+        for (i, j), vec in table.items():
+            vec = tuple(map(F, vec))
+            if i > j:
+                i, j, vec = j, i, tuple(-x for x in vec)
+            if any(vec):
+                terms = tuple((k, x) for k, x in enumerate(vec) if x)
+                self.table[(i, j)] = vec
+                self.brackets[i][j] = terms
+                self.brackets[j][i] = tuple((k, -x) for k, x in terms)
+
+    def structure_vector(self, i, j):
+        if (i, j) in self.table:
+            return self.table[(i, j)]
+        if (j, i) in self.table:
+            return tuple(-x for x in self.table[(j, i)])
+        return (F(0),) * self.dim
+
+    def bracket_vec(self, v, w):
+        w_nz = [(j, F(y)) for j, y in enumerate(w) if y]
+        out = [F(0)] * self.dim
+        for i, x in enumerate(v):
+            if x:
+                for j, y in w_nz:
+                    for k, a in self.brackets[i].get(j, ()):
+                        out[k] += F(x) * y * a
+        return tuple(out)
+
+    def bracket(self, v, w):
+        params = v.params
+        out = [Poly.zero(params) for _ in range(self.dim)]
+        for i, x in enumerate(v.entries):
+            for j, y in enumerate(w.entries):
+                for k, a in self.brackets[i].get(j, ()):
+                    out[k] = out[k] + x * y * Poly.constant(a, params)
+        return ParamVector(params, out)
+
+    def ad_matrix(self, v):
+        rows = [[F(0)] * self.dim for _ in range(self.dim)]
+        for i, x in enumerate(v):
+            if x:
+                for j, terms in self.brackets[i].items():
+                    for k, c in terms:
+                        rows[k][j] += F(x) * c
+        return QMatrix(rows)
+
+    def centre_rows(self):
+        rows = []
+        for row in self.brackets:
+            by_k = {}
+            for j, terms in row.items():
+                for k, c in terms:
+                    by_k.setdefault(k, [F(0)] * self.dim)[j] = c
+            rows.extend(tuple(by_k[k]) for k in sorted(by_k))
+        return rows
+
+    def is_ideal(self, subspace):
+        units = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        return all(subspace.contains(self.bracket_vec(u, b))
+                   for b in subspace.basis for u in units)
+
+    def derived_subalgebra(self):
+        return QSubspace.from_spanning(list(self.table.values()), self.dim)
+
+
+def _canonical_form(algebra):
+    """The integer form the algebra must hold: S the lcm of the
+    denominators of its nonzero constants, and the pairs i < j sorted,
+    each with (k, S c_ijk) over the nonzero constants by increasing k."""
+    S = math.lcm(*(x.denominator for vec in algebra.table.values() for x in vec if x))
+    return S, tuple((i, j, tuple((k, int(x * S)) for k, x in enumerate(vec) if x))
+                    for (i, j), vec in sorted(algebra.table.items()))
+
+
+def _sparse_entries(table, rng):
+    """One-based quadruples that from_sparse reads as the table: each
+    pair in a random order, some constants split in two summands and
+    some zero summands added, all shuffled."""
+    out = []
+    for (i, j), vec in table.items():
+        sign = 1
+        if rng.random() < 0.5:
+            i, j, sign = j, i, -1
+        for k, x in enumerate(vec):
+            x = sign * F(x)
+            if x and rng.random() < 0.3:
+                part = F(rng.randrange(-3, 4), rng.choice((1, 2, 7)))
+                out += [(i + 1, j + 1, k + 1, part), (i + 1, j + 1, k + 1, x - part)]
+            elif x or rng.random() < 0.1:
+                out.append((i + 1, j + 1, k + 1, x))
+    rng.shuffle(out)
+    return out
+
+
+def _suspension_table(table, dim, derivation):
+    """The table of the algebra with delta adjoined, [delta, x] = D x,
+    delta first, as dense Fraction columns of D."""
+    big = {(0, j + 1): (F(0), *derivation.column(j)) for j in range(dim)
+           if any(derivation.column(j))}
+    for (i, j), vec in table.items():
+        big[(i + 1, j + 1)] = (F(0), *vec)
+    return big
+
+
+def _one_form_cases(rng):
+    """(dim, table, built) triples: each conftest algebra in its own basis
+    and in random bases, some scaled by pairwise-coprime denominators
+    near 2^40, with a third of its pairs declared in the other order; and
+    the algebra made from each by adjoining the log D of a unipotent
+    automorphism, as a table and as build_suspension_algebra builds it
+    (built, None for the others)."""
+    bases = (abelian(1), abelian(3), heisenberg(), _heisenberg5(), free_nilpotent_2_3(),
+             filiform(4), filiform(6), q6())
+    for base in bases:
+        for n in range(4):
+            p = QMatrix.identity(base.dim) if n == 0 else random_basis_matrix(base.dim, rng)
+            if n == 3:
+                p = p @ coprime_scaling(base.dim, rng)
+            spec = change_of_basis(base, p)
+            d = spec.dim
+            table = {}
+            for (i, j), vec in spec.table.items():
+                if rng.random() < 0.33:
+                    table[(j, i)] = [-x for x in vec]
+                else:
+                    table[(i, j)] = list(vec)
+            yield d, table, None
+            if spec.abelian():
+                unipotent = QMatrix([[F(rng.randrange(-2, 3), rng.choice((1, 3))) if c > r
+                                      else int(c == r) for c in range(d)] for r in range(d)])
+            else:
+                v = [F(rng.randrange(-2, 3), rng.choice((1, 2))) for _ in range(d)]
+                unipotent = matrix_exp_nilpotent(spec.ad_matrix(v))
+            D = matrix_log_unipotent(unipotent)
+            yield d + 1, _suspension_table(table, d, D), build_suspension_algebra(spec, D)
+
+
+def _check_views(spec, reference, rng):
+    """The Fraction views and every reader of the integer form against
+    the Fraction algebra, on random rational and polynomial vectors."""
+    d = spec.dim
+    assert spec.table == reference.table
+    assert all(type(x) is F for vec in spec.table.values() for x in vec)
+    for i in range(d):
+        for j in range(d):
+            assert spec.structure_vector(i, j) == reference.structure_vector(i, j)
+    pool = (F(0), F(0), F(1), F(-1), F(2, 3), F(-5, 7))
+    params = ("t", "s")
+    for _ in range(4):
+        v = [rng.choice(pool) for _ in range(d)]
+        w = [rng.choice(pool) for _ in range(d)]
+        assert spec.bracket_vec(v, w) == reference.bracket_vec(v, w)
+        assert spec.ad_matrix(v) == reference.ad_matrix(v)
+        pv = ParamVector(params, [parse_poly(f"{x} + {y}*t", params) for x, y in zip(v, w)])
+        pw = ParamVector(params, [parse_poly(f"{y}*s - {x}", params) for x, y in zip(v, w)])
+        assert spec.bracket(pv, pw) == reference.bracket(pv, pw)
+    S, rows = _centre_rows(spec)
+    assert [tuple(F(x, S) for x in _dense(d, row)) for row in rows] == reference.centre_rows()
+    derived = derived_subalgebra(spec)
+    assert derived == reference.derived_subalgebra()
+    spaces = [derived, QSubspace.from_spanning(QMatrix.identity(d).entries, d)]
+    for _ in range(3):
+        spaces.append(QSubspace.from_spanning(
+            [[rng.choice(pool) for _ in range(d)] for _ in range(rng.randrange(1, d + 1))], d))
+    for space in spaces:
+        assert is_ideal(spec, space) == reference.is_ideal(space)
+
+
+def _dense(d, row):
+    vec = [0] * d
+    for j, x in row:
+        vec[j] = x
+    return vec
+
+
+def test_equal_algebras_hold_one_canonical_integer_form():
+    rng = random.Random(1031)
+    heis5 = LieAlgebraSpec.from_sparse(5, [(1, 3, 5, 1), (2, 4, 5, 1)])
+    assert heis5._ints == LieAlgebraSpec.from_sparse(5, [(2, 4, 5, 1), (1, 3, 5, 1)])._ints
+    suspensions = big = 0
+    for dim, table, built in _one_form_cases(rng):
+        reference = FractionAlgebra(dim, table)
+        form = _canonical_form(reference)
+        spec = LieAlgebraSpec(dim, table)
+        sparse = LieAlgebraSpec.from_sparse(dim, _sparse_entries(table, rng))
+        reordered = LieAlgebraSpec(dim, dict(rng.sample(sorted(table.items()), len(table))))
+        for other in (spec, sparse, reordered) + ((built,) if built else ()):
+            assert other._ints == form and other == spec
+            assert other._int_brackets == [
+                {j: tuple((k, int(x * form[0])) for k, x in terms)
+                 for j, terms in row.items()} for row in reference.brackets]
+            _check_views(other, reference, rng)
+        suspensions += built is not None
+        big += form[0] > 2 ** 40
+    assert suspensions == 32 and big >= 8

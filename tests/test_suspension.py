@@ -420,8 +420,8 @@ def test_suspended_algebra_class_matches_the_full_validation():
         big = build_suspension_algebra(system.group.spec, D)
         check_derivation(big)
         reference = fraction_suspension_algebra(system.group.spec, D)
-        assert big == reference and big._brackets == reference._brackets
-        assert big._ints == reference._ints
+        assert big == reference and big._int_brackets == reference._int_brackets
+        assert big._ints == reference._ints and big.table == reference.table
         nil_class = lower_central_class(big)
         assert nil_class == validate_algebra(reference) == fraction_validate_algebra(reference)
         try:
