@@ -266,6 +266,15 @@ def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBrac
 
 # ---- the general decider ----
 
+def _coset_shift(UI: QMatrix, X: QMatrix, b: Sequence) -> tuple[tuple | None, QMatrix]:
+    """The coset step of `full` (X = L N, the central lattice) and `torus`
+    (X = L): the lattice vector X c with (U - I) X c = -b, or None; and
+    (U - I) X, whose columns a CosetObstruction lists."""
+    images = UI @ X
+    member, coords = hnf_membership(images, [-x for x in b])
+    return (X.matvec(coords) if member else None), images
+
+
 def _affine_decide(group: NilpotentGroup, lattice: LogLattice | None,
                    automorphism: QMatrix, translation: ParamVector,
                    criterion: str, extra_notes: tuple[str, ...] = ()
@@ -303,15 +312,12 @@ def _affine_decide(group: NilpotentGroup, lattice: LogLattice | None,
             cert = NotFixed(tuple(v), image, _monomial_str(m, c.params))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
         # the constant direction may be corrected by a central lattice vector
-        central = _central_lattice(spec, lattice)
-        images = ((automorphism - QMatrix.identity(d)) @ central).columns()
-        target = tuple(-x for x in image)
-        member, coords = hnf_membership(images, target)
-        if not member:
+        shift, images = _coset_shift(automorphism - QMatrix.identity(d),
+                                     _central_lattice(spec, lattice), image)
+        if shift is None:
             cert = CosetObstruction(ParamVector.from_rationals(image),
-                                    tuple(tuple(b) for b in images))
+                                    tuple(images.columns()))
             return Verdict(NOT_AA, criterion, cert, extra_notes + (SCOPE_NOTE,))
-        shift = central.matvec(coords)
         vectors[idx] = tuple(x + s for x, s in zip(v, shift))
 
     if shift is not None:
@@ -333,11 +339,12 @@ def full_decide(system: AffineSystem) -> Verdict:
 
 
 def torus_decide(system: AffineSystem) -> Verdict:
-    """Independent decision procedure for affine maps of tori.
+    """Decision procedure for affine maps of tori, without the defect map.
 
     Requires an abelian algebra and a unipotent integer-like automorphism;
     decides AA by (U - I)^2 = 0 together with membership of (U - I) a in the
-    lattice image (U - I) Lambda, the latter tested by Hermite normal form.
+    lattice image (U - I) Lambda, the latter tested by Hermite normal form
+    in the coset step that `full` uses too (`_coset_shift`, with X = L).
     """
     spec = system.algebra
     if not spec.abelian():
@@ -358,19 +365,17 @@ def torus_decide(system: AffineSystem) -> Verdict:
                 return Verdict(NOT_AA, "torus", cert, (SCOPE_NOTE,))
 
     moved = UI.apply(system.translation)
-    gens = (UI @ system.lattice.basis).columns()
     coeffs = moved.coefficient_vectors()
     zero_mono = tuple(0 for _ in moved.params)
     nonconstant_hit = any(m != zero_mono and any(v) for m, v in coeffs.items())
-    member, coords = hnf_membership(gens, coeffs.get(zero_mono, (0,) * d))
-    if nonconstant_hit or not member:
-        cert = CosetObstruction(moved, tuple(tuple(g) for g in gens))
+    constant = coeffs.get(zero_mono, (0,) * d)
+    shift, images = _coset_shift(UI, system.lattice.basis, constant)
+    if nonconstant_hit or shift is None:
+        cert = CosetObstruction(moved, tuple(images.columns()))
         return Verdict(NOT_AA, "torus", cert, (SCOPE_NOTE,))
 
-    shift = None
-    if any(coeffs.get(zero_mono, ())):
-        shift = system.lattice.from_coords([-q for q in coords])
     witness = QSubspace.from_spanning(kernel_basis(UI), d)
+    shift = shift if any(constant) else None
     return Verdict(AA, "torus", WitnessSubspace(witness, shift), ())
 
 
@@ -549,11 +554,7 @@ def minimality_check(system: AffineSystem) -> Verdict:
     proj_rows = annihilator_basis(derived.basis, d)
     k = len(proj_rows)
     P = QMatrix(proj_rows)
-    projected = (P @ system.lattice.basis).columns()
-    lat_basis = zspan_basis(projected, k)
-    if len(lat_basis) != k:
-        raise ArithmeticError("projected lattice does not span the abelianization")
-    C = QMatrix.from_columns(lat_basis).inverse()
+    C = zspan_basis(P @ system.lattice.basis).inverse()  # k x k: P has rank k
     eta = C.apply(P.apply(system.translation))
 
     zero_mono = tuple(0 for _ in eta.params)

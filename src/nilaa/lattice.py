@@ -22,8 +22,9 @@ The same law in lattice coordinates gives the orbit oracle's coset
 reduction (orbit.CosetReducer).
 
 Everything here reads the integer forms of its matrices
-(ratlin.QMatrix.int_rows): the law, the Hermite test, and
-preserves_lattice, which forms U_L = L^-1 U L as one integer product.  A
+(ratlin.QMatrix.int_rows): the law, the Hermite test, basis and central
+lattice, and preserves_lattice, which forms U_L = L^-1 U L as one
+integer product.  A
 LogLattice's inverse is solved on the integer form of its basis and keeps
 only its integer form until its Fractions are read.
 """
@@ -37,7 +38,7 @@ from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, _centre_rows
 from .nilgrp import NilpotentGroup, _add_scaled_int
-from .ratlin import QMatrix, _int_product, _int_qmatrix, integer_kernel, zspan_basis
+from .ratlin import QMatrix, _column_qmatrix, _int_product, _int_qmatrix, integer_kernel, zspan_basis
 
 
 class LatticeClosureError(ValueError):
@@ -86,10 +87,6 @@ class LogLattice:
             self._inverse = basis.inverse()
         except ZeroDivisionError:
             raise ValueError("lattice basis is singular") from None
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[object]]) -> "LogLattice":
-        return cls(QMatrix.from_columns(columns))
 
     @property
     def dim(self) -> int:
@@ -215,10 +212,7 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
     if lattice.dim != group.dim:
         raise ValueError("lattice dimension does not match the algebra")
     d = group.dim
-    if _is_hermite(lattice.basis):
-        hermite = lattice
-    else:
-        hermite = LogLattice.from_columns(zspan_basis(lattice.basis.columns(), d))
+    hermite = lattice if _is_hermite(lattice.basis) else LogLattice(zspan_basis(lattice.basis))
     if group.spec.abelian():  # the law is m + n: every additive lattice is closed
         return hermite
     bad = _non_integer_binomial_indices(group, hermite)
@@ -283,7 +277,5 @@ def _central_lattice(spec: LieAlgebraSpec, lattice: LogLattice) -> QMatrix:
     zero equation costs the Hermite reduction no column operation, so
     they are left out).  On an abelian algebra it is L."""
     S, rows = _centre_rows(spec)
-    if not rows:
-        return lattice.basis
     kernel = integer_kernel(_int_qmatrix(spec.dim, S, rows) @ lattice.basis)
-    return lattice.basis @ QMatrix.from_columns(kernel)
+    return lattice.basis @ _column_qmatrix(spec.dim, 1, kernel)

@@ -113,6 +113,11 @@ class LieAlgebraSpec:
         if len(v) != self.dim or len(w) != self.dim:
             raise ValueError("vector has wrong dimension")
         (p, v_nz), (q, w_nz) = _int_vector(v), _int_vector(w)
+        den = self._ints[0] * p * q
+        return tuple(Fraction(c, den) if c else _ZERO for c in self._int_bracket(v_nz, w_nz))
+
+    def _int_bracket(self, v_nz: Sequence[tuple], w_nz: Sequence[tuple]) -> list[int]:
+        """S p q [v, w], dense, from the integer pairs of p v and q w (_int_vector)."""
         out = [0] * self.dim
         for i, x in v_nz:
             row = self._int_brackets[i]
@@ -122,8 +127,7 @@ class LieAlgebraSpec:
                     c = x * y
                     for k, a in terms:
                         out[k] += c * a
-        den = self._ints[0] * p * q
-        return tuple(Fraction(c, den) if c else _ZERO for c in out)
+        return out
 
     def bracket(self, v: ParamVector, w: ParamVector) -> ParamVector:
         """Bracket of two polynomial coordinate vectors."""
@@ -355,14 +359,19 @@ def is_abelian_family(spec: LieAlgebraSpec, vectors: Sequence[Sequence[object]]
     """Do the vectors pairwise commute?  Returns the first failing index pair
     in lexicographic order, if any.
 
-    Every pair of the given vectors is bracketed and nothing is eliminated.
-    By bilinearity a family commutes exactly when a basis of its span does,
-    so a caller holding many vectors passes such a basis first.
+    Every pair is bracketed (each vector in integers, made once) and
+    nothing is eliminated.  By bilinearity a family commutes exactly when a
+    basis of its span does, so a caller holding many passes such a basis.
     """
     if not spec.abelian():
-        for i, v in enumerate(vectors):
+        if any(len(v) != spec.dim for v in vectors):
+            raise ValueError("vector has wrong dimension")
+        ints: list = []
+        for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
-                if any(spec.bracket_vec(v, vectors[j])):
+                if j >= len(ints):
+                    ints += [_int_vector(v)[1] for v in vectors[len(ints):j + 1]]
+                if any(spec._int_bracket(ints[i], ints[j])):
                     return False, (i, j)
     return True, None
 

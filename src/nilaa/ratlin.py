@@ -38,6 +38,12 @@ forward pass of its own, `_int_echelon`, over sparse integer vectors
 kept primitive: on the algebras of the generated scaling systems it
 takes a fifth of the time of `_echelon` on the same vectors.
 
+The integer lattice layer (`zspan_basis`, `hnf_membership`,
+`integer_kernel`) hands `column_hnf` the columns of a QMatrix's integer
+form times one positive integer (`_int_columns`), which changes none of
+its choices (least |entry|, floor quotients, signs), so U, the Hermite
+basis and the coordinates are those of the rational columns.
+
 The nilpotent series have one kernel too: `_nilpotent_powers` powers N
 (M - I for a unipotent M) on the integer form until a power vanishes,
 or finds N^n nonzero.  `unipotency_index` counts those powers, and
@@ -709,11 +715,10 @@ def matrix_log_unipotent(matrix: QMatrix) -> QMatrix:
 
 # ---- integer lattice computations (Hermite normal form) ----
 
-def _to_int_columns(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale rational vectors by a common denominator; returns (columns, D)."""
-    denom = math.lcm(*(x.denominator for v in vectors for x in v))
-    cols = [[int(x * denom) for x in v] for v in vectors]
-    return cols, denom
+def _int_columns(matrix: QMatrix, scale: int = 1) -> list[list[int]]:
+    """The dense columns of scale times the integer form: `column_hnf`'s reader."""
+    rows = [dict(row) for row in matrix.int_rows()[1]]
+    return [[row.get(j, 0) * scale for row in rows] for j in range(matrix.ncols)]
 
 
 def column_hnf(columns: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -761,69 +766,61 @@ def column_hnf(columns: list[list[int]], n: int) -> tuple[list[list[int]], list[
     return H, U
 
 
-def zspan_basis(vectors: Iterable[Sequence[object]], ambient_dim: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the additive group generated by rational vectors."""
-    vecs = [tuple(map(to_fraction, v)) for v in vectors]
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
-        return []
-    cols, denom = _to_int_columns(vecs)
-    H, _ = column_hnf(cols, ambient_dim)
-    return [tuple(Fraction(x, denom) for x in col) for col in H if any(col)]
+def _column_qmatrix(n: int, den: int, columns: Sequence[Sequence[int]]) -> QMatrix:
+    """The n-row QMatrix whose columns are the integer vectors over den."""
+    return _int_qmatrix(len(columns), den, [[(j, c[i]) for j, c in enumerate(columns) if c[i]]
+                                            for i in range(n)])
 
 
-def hnf_membership(generators: Sequence[Sequence[object]], target: Sequence[object]
+def zspan_basis(matrix: QMatrix) -> QMatrix:
+    """The Hermite basis (n x rank) of the group generated by the columns:
+    the nonzero Hermite columns of the integer form, a positive scaling,
+    over its denominator.  It depends on the group only."""
+    H, _ = column_hnf(_int_columns(matrix), matrix.nrows)
+    return _column_qmatrix(matrix.nrows, matrix.int_rows()[0], [c for c in H if any(c)])
+
+
+def hnf_membership(generators: QMatrix, target: Sequence[object]
                    ) -> tuple[bool, tuple[int, ...] | None]:
-    """Is target an integer combination of the generators?
+    """Is target an integer combination of the columns of generators?
 
     Returns (True, coefficients) with one valid integer coefficient vector,
-    or (False, None).  Generators may be rationally dependent.
+    or (False, None).  The columns may be rationally dependent.  Both are
+    scaled to integers by q = lcm(den, the target's denominators), a
+    positive scaling: the coefficients are those of the rational columns.
     """
-    gens = [tuple(map(to_fraction, v)) for v in generators]
-    tgt = tuple(map(to_fraction, target))
-    n = len(tgt)
-    for g in gens:
-        if len(g) != n:
-            raise ValueError("generator has wrong dimension")
-    if not any(tgt):
-        return True, (0,) * len(gens)
-    if not gens:
-        return False, None
-    cols, denom = _to_int_columns(list(gens) + [tgt])
-    tcol = cols[-1]
-    H, U = column_hnf(cols[:-1], n)
-    # solve H y = t by walking the staircase
-    y = [0] * len(H)
-    t = list(tcol)
-    col_idx = 0
+    n, m = generators.shape
+    if len(target) != n:
+        raise ValueError("target has wrong dimension")
+    q_t, terms = _int_vector(target)
+    if not terms:
+        return True, (0,) * m
+    den = generators.int_rows()[0]
+    q = math.lcm(den, q_t)
+    H, U = column_hnf(_int_columns(generators, q // den), n)
+    nums = dict(terms)
+    t = [nums.get(i, 0) * (q // q_t) for i in range(n)]
+    coords, c = [0] * m, 0  # walk the staircase: c is the next pivot column
     for i in range(n):
-        pivot = H[col_idx][i] if col_idx < len(H) else 0
+        pivot = H[c][i] if c < m else 0
         if pivot:
-            if t[i] % pivot:
+            k, r = divmod(t[i], pivot)
+            if r:
                 return False, None
-            q = t[i] // pivot
-            y[col_idx] = q
-            t = [a - q * b for a, b in zip(t, H[col_idx])]
-            col_idx += 1
+            t = [a - k * b for a, b in zip(t, H[c])]
+            coords = [x + k * u for x, u in zip(coords, U[c])]
+            c += 1
         elif t[i]:
             return False, None
-    if any(t):
-        return False, None
-    coords = [sum(U[j][g] * y[j] for j in range(len(y))) for g in range(len(gens))]
     return True, tuple(coords)
 
 
 def integer_kernel(matrix: QMatrix) -> list[tuple[int, ...]]:
-    """Basis of the group of integer vectors x with M x = 0."""
-    # the integer form scales M by one positive denominator, under which
-    # column_hnf makes the same column operations: U, the basis, is M's
-    n, m = matrix.shape
-    cols = [[0] * n for _ in range(m)]
-    for i, row in enumerate(matrix.int_rows()[1]):
-        for j, a in row:
-            cols[j][i] = a
-    H, U = column_hnf(cols, n)
-    return [tuple(U[j]) for j in range(m) if not any(H[j])]
+    """Basis of the group of integer vectors x with M x = 0: the columns
+    of U (`column_hnf`) whose image column vanishes.  They are read on the
+    integer form, which has M's U."""
+    H, U = column_hnf(_int_columns(matrix), matrix.nrows)
+    return [tuple(U[j]) for j in range(matrix.ncols) if not any(H[j])]
 
 
 # ---- cyclotomic spectra ----

@@ -66,6 +66,19 @@ def random_basis_matrix(d: int, rng, shears: int = 4) -> QMatrix:
     return QMatrix([[x * s for x, s in zip(row, scale)] for row in rows])
 
 
+def random_unimodular(d: int, rng, ops: int = 6) -> QMatrix:
+    """A random integer matrix of determinant +-1: `ops` random integer
+    column operations on the identity, then a row permutation."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(ops if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            row[j] += c * row[i]
+    rng.shuffle(rows)
+    return QMatrix(rows)
+
+
 def change_of_basis(spec: LieAlgebraSpec, p: QMatrix) -> LieAlgebraSpec:
     """The same algebra in the basis P e_1, ..., P e_d: a vector with
     coordinates y here has coordinates P y in spec."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (abelian, change_of_basis, filiform, free_nilpotent_2_3,
-                      heisenberg, q6, random_basis_matrix)
+                      heisenberg, q6, random_basis_matrix, random_unimodular)
 from nilaa import io as nio
 from nilaa import ratlin
 from nilaa.criteria import (AA, FAIL, INCONCLUSIVE, MINIMAL, NOT_AA,
@@ -266,6 +266,35 @@ def test_torus_shift_agrees_with_full():
     system = make_system(abelian(2), automorphism=JORDAN2, translation=[0, 1])
     assert torus_decide(system).certificate.shift == \
         full_decide(system).certificate.shift == (F(0), F(-1))
+    # seeded tori whose constant translation needs a lattice shift: a
+    # lattice L = D W (D rational diagonal, W unimodular), U = L (I + N) L^-1
+    # with N = [[0, B], [0, 0]] integral, so (U - I)^2 = 0, and a = L (m + k)
+    # with m integral, N m != 0, and k rational in ker N
+    rng = random.Random(2651)
+    for _ in range(40):
+        d = rng.randrange(2, 6)
+        r = rng.randrange(1, d)
+        N = QMatrix([[rng.randrange(-2, 3) if i < r <= j else 0 for j in range(d)]
+                     for i in range(d)])
+        if N.is_zero():
+            N = QMatrix([[int((i, j) == (0, d - 1)) for j in range(d)] for i in range(d)])
+        m = [rng.randrange(-3, 4) for _ in range(d)]
+        while not any(N.matvec(m)):
+            m = [rng.randrange(-3, 4) for _ in range(d)]
+        k = [F(rng.randrange(-5, 6), rng.randrange(1, 7)) if i < r else 0 for i in range(d)]
+        D = QMatrix([[F(rng.choice((1, -2, 3)), rng.choice((1, 2, 5))) if i == j else 0
+                      for j in range(d)] for i in range(d)])
+        L = D @ random_unimodular(d, rng)
+        U = L @ (QMatrix.identity(d) + N) @ L.inverse()
+        a = L.matvec([x + y for x, y in zip(m, k)])
+        system = make_system(abelian(d), lattice=L, automorphism=U, translation=list(a))
+        torus, full = torus_decide(system), full_decide(system)
+        assert torus.status == full.status == AA
+        shift = torus.certificate.shift
+        assert shift is not None and shift == full.certificate.shift
+        assert system.lattice.contains(shift)
+        fixed = [x + s for x, s in zip(a, shift)]
+        assert not any((U - QMatrix.identity(d)).matvec(fixed))
 
 
 def test_torus_rejects_nonabelian():

@@ -56,10 +56,6 @@ def test_log_lattice_basics():
 
 # ---- the symbolic closure oracle ----
 
-def _hermite_of(basis):
-    return QMatrix.from_columns(zspan_basis(basis.columns(), basis.nrows))
-
-
 def symbolic_law(group, hermite):
     """The group law in Hermite coordinates, P(m, n) = H^-1 bch(H m, H n),
     by one symbolic product over m1..md, n1..nd."""
@@ -97,7 +93,7 @@ def oracle_validate(group, lattice):
     documents.
     """
     d = group.dim
-    hermite = LogLattice(_hermite_of(lattice.basis))
+    hermite = LogLattice(zspan_basis(lattice.basis))
     if hermite == lattice:
         hermite = lattice
     law = symbolic_law(group, hermite)
@@ -473,7 +469,7 @@ def test_abelian_lattice_law_is_the_symbolic_product():
     for d in (1, 2, 4, 6):
         group = NilpotentGroup(abelian(d))
         dense = random_basis_matrix(d, rng, 2)
-        for basis in (QMatrix.identity(d), dense, _hermite_of(dense)):
+        for basis in (QMatrix.identity(d), dense, zspan_basis(dense)):
             hermite, law, bad, error = oracle_validate(group, LogLattice(basis))
             m = [law.params[i] for i in range(d)]
             n = [law.params[d + i] for i in range(d)]
@@ -482,7 +478,7 @@ def test_abelian_lattice_law_is_the_symbolic_product():
                                         for a, b in zip(m, n))
             assert not bad and error is None
             assert validate_lattice(group, LogLattice(basis)) == hermite
-            assert hermite == LogLattice(_hermite_of(basis))
+            assert hermite == LogLattice(zspan_basis(basis))
 
 
 def test_is_hermite_agrees_with_the_hermite_basis_of_the_span():
@@ -491,13 +487,13 @@ def test_is_hermite_agrees_with_the_hermite_basis_of_the_span():
     for _ in range(40):
         d = rng.randrange(1, 6)
         basis = random_basis_matrix(d, rng, rng.randrange(4))
-        hermite = _hermite_of(basis)
+        hermite = zspan_basis(basis)
         rows = [list(row) for row in hermite.entries]
         i, j = rng.randrange(d), rng.randrange(d)
         rows[i][j] += rng.choice((1, -1, F(1, 2))) * (hermite[i, i] if j <= i else 1)
         for candidate in (basis, hermite, QMatrix(rows)):
             if candidate.det():
-                own = _hermite_of(candidate) == candidate
+                own = zspan_basis(candidate) == candidate
                 assert _is_hermite(candidate) == own
                 seen[own] += 1
     assert min(seen) >= 30

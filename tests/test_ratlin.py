@@ -813,24 +813,31 @@ def test_column_hnf_properties():
             assert combo == H[j]
 
 
+def columns(vectors, n):
+    """The n-row QMatrix with the given vectors as its columns (n x 0 for none)."""
+    return QMatrix([[v[i] for v in vectors] for i in range(n)])
+
+
 def test_hnf_membership_hand_examples():
     gens = [(2, 0), (0, 2), (1, 1)]
-    ok, coords = hnf_membership(gens, (1, 1))
+    ok, coords = hnf_membership(columns(gens, 2), (1, 1))
     assert ok
     assert coords is not None
     recon = [sum(c * g[i] for c, g in zip(coords, gens)) for i in range(2)]
     assert recon == [1, 1]
-    assert hnf_membership(gens, (1, 0)) == (False, None)
-    ok, coords = hnf_membership(gens, (3, 1))
+    assert hnf_membership(columns(gens, 2), (1, 0)) == (False, None)
+    ok, coords = hnf_membership(columns(gens, 2), (3, 1))
     assert ok
     recon = [sum(c * g[i] for c, g in zip(coords, gens)) for i in range(2)]
     assert recon == [3, 1]
     # rational generators
-    ok, coords = hnf_membership([("1/2", 0), (0, 1)], ("3/2", -2))
+    ok, coords = hnf_membership(columns([("1/2", 0), (0, 1)], 2), ("3/2", -2))
     assert ok and coords == (3, -2)
-    assert hnf_membership([("1/2", 0)], ("1/3", 0)) == (False, None)
-    assert hnf_membership([], (0, 0)) == (True, ())
-    assert hnf_membership([], (1, 0)) == (False, None)
+    assert hnf_membership(columns([("1/2", 0)], 2), ("1/3", 0)) == (False, None)
+    assert hnf_membership(columns([], 2), (0, 0)) == (True, ())
+    assert hnf_membership(columns([], 2), (1, 0)) == (False, None)
+    with pytest.raises(ValueError, match="target has wrong dimension"):
+        hnf_membership(columns(gens, 2), (1, 1, 0))
 
 
 def test_hnf_membership_randomized_roundtrip():
@@ -840,18 +847,18 @@ def test_hnf_membership_randomized_roundtrip():
         gens = [tuple(rng.randrange(-5, 6) for _ in range(n)) for _ in range(m)]
         coeffs = [rng.randrange(-4, 5) for _ in range(m)]
         target = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n))
-        ok, coords = hnf_membership(gens, target)
+        ok, coords = hnf_membership(columns(gens, n), target)
         assert ok
         recon = tuple(sum(c * g[i] for c, g in zip(coords, gens)) for i in range(n))
         assert recon == target
 
 
 def test_zspan_basis():
-    basis = zspan_basis([(2, 0), (3, 0)], 2)
-    assert basis == [(F(1), F(0))]
-    basis = zspan_basis([("1/2", 0), (0, 1), (0, 0)], 2)
-    assert basis == [(F(1, 2), F(0)), (F(0), F(1))]
-    assert zspan_basis([], 2) == []
+    basis = zspan_basis(columns([(2, 0), (3, 0)], 2))
+    assert basis == columns([(1, 0)], 2)
+    basis = zspan_basis(columns([("1/2", 0), (0, 1), (0, 0)], 2))
+    assert basis == QMatrix([["1/2", 0], [0, 1]])
+    assert zspan_basis(columns([], 2)).shape == (2, 0)
 
 
 def test_integer_kernel():
@@ -862,10 +869,10 @@ def test_integer_kernel():
         assert m.matvec(v) == (0,)
         assert all(isinstance(x, int) for x in v)
     # the known kernel vector (1,1,-1) must be an integer combination
-    ok, _ = hnf_membership(basis, (1, 1, -1))
+    ok, _ = hnf_membership(columns(basis, 3), (1, 1, -1))
     assert ok
     # saturation: (0,3,-2) is in the kernel and must be reachable
-    ok, _ = hnf_membership(basis, (0, 3, -2))
+    ok, _ = hnf_membership(columns(basis, 3), (0, 3, -2))
     assert ok
     assert integer_kernel(QMatrix.identity(2)) == []
 
@@ -875,7 +882,7 @@ def test_integer_kernel_rational_entries():
     basis = integer_kernel(m)
     assert len(basis) == 1
     assert m.matvec(basis[0]) == (0,)
-    ok, _ = hnf_membership(basis, (2, -3))
+    ok, _ = hnf_membership(columns(basis, 2), (2, -3))
     assert ok
 
 
@@ -914,6 +921,126 @@ def test_integer_kernel_is_the_per_row_basis():
     assert integer_kernel(QMatrix.zeros(2)) == per_row_integer_kernel(
         QMatrix.zeros(2)) == [(1, 0), (0, 1)]
     assert len(kinds) == 4
+
+
+def fraction_column_hnf_membership(generators, target):
+    """Membership as it was read from Fraction columns: the generators and
+    the target over the lcm of all their denominators, each entry made by
+    a Fraction product, then one column Hermite normal form."""
+    gens = [tuple(map(F, v)) for v in generators]
+    tgt = tuple(map(F, target))
+    n = len(tgt)
+    if not any(tgt):
+        return True, (0,) * len(gens)
+    if not gens:
+        return False, None
+    denom = math.lcm(*(x.denominator for v in gens + [tgt] for x in v))
+    cols = [[int(x * denom) for x in v] for v in gens + [tgt]]
+    H, U = column_hnf(cols[:-1], n)
+    y, t, col_idx = [0] * len(H), cols[-1], 0
+    for i in range(n):
+        pivot = H[col_idx][i] if col_idx < len(H) else 0
+        if pivot:
+            if t[i] % pivot:
+                return False, None
+            q = t[i] // pivot
+            y[col_idx] = q
+            t = [a - q * b for a, b in zip(t, H[col_idx])]
+            col_idx += 1
+        elif t[i]:
+            return False, None
+    if any(t):
+        return False, None
+    return True, tuple(sum(U[j][g] * y[j] for j in range(len(y))) for g in range(len(gens)))
+
+
+def fraction_column_zspan_basis(vectors, n):
+    """The Hermite basis as it was read from Fraction columns: the nonzero
+    vectors over the lcm of their denominators, the nonzero columns of
+    their Hermite form back over it."""
+    vecs = [v for v in (tuple(map(F, v)) for v in vectors) if any(v)]
+    if not vecs:
+        return []
+    denom = math.lcm(*(x.denominator for v in vecs for x in v))
+    H, _ = column_hnf([[int(x * denom) for x in v] for v in vecs], n)
+    return [tuple(F(x, denom) for x in col) for col in H if any(col)]
+
+
+def _generator_set(rng, trial):
+    """A seeded generating set as a QMatrix, cycling through integral
+    entries, small denominators and denominators near 2^40, with zero
+    columns, repeated or combined columns and n x 0 matrices mixed in."""
+    n, m = rng.randrange(1, 5), rng.choice((0, 1, 2, 3, 4, 5))
+    kind = trial % 3
+    vecs = []
+    for _ in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            vecs.append((0,) * n)
+        elif roll < 0.3 and vecs:  # rank below the number of columns
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            vecs.append(tuple(rng.randrange(-2, 3) * x + y for x, y in zip(a, b)))
+        elif kind == 0:
+            vecs.append(tuple(F(rng.randrange(-6, 7)) for _ in range(n)))
+        else:
+            vecs.append(tuple(F(rng.randrange(-6, 7), rng.randrange(1, 7)) for _ in range(n)))
+    matrix = columns(vecs, n)
+    if kind == 2:  # rows over pairwise coprime denominators near 2^40
+        matrix = coprime_scaling(n, rng) @ matrix
+    return matrix
+
+
+def _target(rng, matrix, trial):
+    """A member of the span, zero, or a likely non-member."""
+    n, m = matrix.shape
+    choice = trial % 4
+    if choice == 0:
+        return (F(0),) * n
+    member = matrix.matvec([rng.randrange(-4, 5) for _ in range(m)])
+    if choice == 1:
+        return member
+    if choice == 2:  # off the span by half a unit in one coordinate
+        i = rng.randrange(n)
+        return tuple(x + F(1, 2) * (k == i) for k, x in enumerate(member))
+    return tuple(F(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in range(n))
+
+
+def test_hnf_membership_reads_the_integer_form_as_the_fraction_columns_did():
+    rng = random.Random(3701)
+    seen = set()
+    for trial in range(400):
+        matrix = _generator_set(rng, trial)
+        target = _target(rng, matrix, trial)
+        found = hnf_membership(matrix, target)
+        assert found == fraction_column_hnf_membership(matrix.columns(), target)
+        member, coords = found
+        if member:  # the coordinates rebuild the target
+            assert matrix.matvec(coords) == tuple(map(F, target))
+            # negating the target negates the coordinates exactly
+            assert hnf_membership(matrix, [-x for x in target]) == (
+                True, tuple(-c for c in coords))
+        m = matrix.ncols
+        seen.add((trial % 3, member, not any(target), m == 0, zspan_basis(matrix).ncols < m))
+    kinds = {(k, member) for k, member, *_ in seen}
+    assert kinds == {(k, b) for k in range(3) for b in (False, True)}
+    assert any(zero for *_, zero, _, _ in seen)
+    assert any(empty for *_, empty, _ in seen)
+    assert any(deficient for *_, deficient in seen)
+
+
+def test_zspan_basis_reads_the_integer_form_as_the_fraction_columns_did():
+    rng = random.Random(3702)
+    shapes = set()
+    for trial in range(300):
+        matrix = _generator_set(rng, trial)
+        basis = zspan_basis(matrix)
+        assert basis.columns() == fraction_column_zspan_basis(matrix.columns(), matrix.nrows)
+        assert basis.nrows == matrix.nrows
+        # one Hermite basis per group: any other generating set gives it
+        assert zspan_basis(columns(matrix.columns()[::-1] + basis.columns(), matrix.nrows)) \
+            == basis
+        shapes.add((trial % 3, basis.ncols == 0, basis.ncols < matrix.ncols))
+    assert len(shapes) >= 8
 
 
 def test_euler_phi():
