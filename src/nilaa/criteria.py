@@ -37,9 +37,9 @@ from .nilalg import JacobiViolation, LieAlgebraSpec, NotNilpotent, \
     derived_subalgebra, is_abelian_family, is_automorphism, is_ideal
 from .nilgrp import NilpotentGroup
 from .poly import ParamVector, Poly, _monomial_str
-from .ratlin import NotUnipotent, QMatrix, QSubspace, _int_vector, annihilator_basis, \
-    charpoly, cyclotomic_spectrum_test, hnf_membership, kernel_basis, \
-    matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
+from .ratlin import NotUnipotent, QMatrix, QSubspace, _column_qmatrix, _int_vector, \
+    annihilator_basis, charpoly, cyclotomic_spectrum_test, hnf_membership, integer_kernel, \
+    kernel_basis, matrix_exp_nilpotent, matrix_log_unipotent, minimal_rational_subspace, \
     solve_linear, to_fraction, unipotency_index, zspan_basis
 
 AA = "AA"
@@ -269,10 +269,26 @@ def _obstruction_from_pair(spec: LieAlgebraSpec, left, right) -> ObstructionBrac
 def _coset_shift(UI: QMatrix, X: QMatrix, b: Sequence) -> tuple[tuple | None, QMatrix]:
     """The coset step of `full` (X = L N, the central lattice) and `torus`
     (X = L): the lattice vector X c with (U - I) X c = -b, or None; and
-    (U - I) X, whose columns a CosetObstruction lists."""
+    (U - I) X, whose columns a CosetObstruction lists.
+
+    The shifts form a coset s + K of K = X ker((U - I) X), the integer
+    kernel, which depends on the lattice only; s is reduced modulo the
+    Hermite basis of K, so each of its pivot coordinates lies in [0,
+    pivot), and the shift does not depend on how the lattice is listed.
+    """
     images = UI @ X
     member, coords = hnf_membership(images, [-x for x in b])
-    return (X.matvec(coords) if member else None), images
+    if not member:
+        return None, images
+    shift = X.matvec(coords)
+    kernel = integer_kernel(images) if any(shift) else []  # 0 is reduced already
+    if kernel:
+        # each column's first nonzero entry is its pivot, above the next one's
+        for col in zspan_basis(X @ _column_qmatrix(X.ncols, 1, kernel)).columns():
+            i, pivot = next((i, x) for i, x in enumerate(col) if x)
+            q = shift[i] // pivot
+            shift = tuple(s - q * x for s, x in zip(shift, col))
+    return shift, images
 
 
 def _affine_decide(group: NilpotentGroup, lattice: LogLattice | None,

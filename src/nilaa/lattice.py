@@ -11,22 +11,23 @@ Z^d x Z^d, and it is integer-valued there if and only if its
 coefficients in the basis of products of binomial coefficients are
 integers.  It is computed on the Hermite basis of the span, which is
 triangular whatever basis is given; a basis that is already its own
-Hermite basis is used as it is.  The whole test runs in integers: one
-product of the group's integer BCH kernel on integer linear forms, and
-one divisibility test per coefficient.  On an abelian algebra the law is
-m + n, so closure holds by structure and no product is expanded.  The
-central lattice vectors are the integer kernel of the centre equations,
-built from the nonzero structure constants only; on a torus every
-lattice vector is central.
+Hermite basis is used as it is.  The law is the group's
+(NilpotentGroup.law, one product of its integer BCH kernel on integer
+linear forms, memoized on the group per basis), and the test reads its
+terms, one divisibility test per coefficient, and compiles nothing.  On
+an abelian algebra the law is m + n, so closure holds by structure and
+no product is expanded.  The central lattice vectors are the integer
+kernel of the centre equations, built from the nonzero structure
+constants only; on a torus every lattice vector is central.
 The same law in lattice coordinates gives the orbit oracle's coset
-reduction (orbit.CosetReducer).
+reduction (orbit.CosetReducer): on a lattice that is its own Hermite
+basis, validation and the reducer share one expansion.
 
 Everything here reads the integer forms of its matrices
-(ratlin.QMatrix.int_rows): the law, the Hermite test, basis and central
-lattice, and preserves_lattice, which forms U_L = L^-1 U L as one
-integer product.  A
-LogLattice's inverse is solved on the integer form of its basis and keeps
-only its integer form until its Fractions are read.
+(ratlin.QMatrix.int_rows): the Hermite test, basis and central lattice,
+and preserves_lattice, which forms U_L = L^-1 U L as one integer
+product.  A LogLattice's inverse is solved on the integer form of its
+basis and keeps only its integer form until its Fractions are read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import product
 from typing import Sequence
 
 from .nilalg import LieAlgebraSpec, _centre_rows
-from .nilgrp import NilpotentGroup, _add_scaled_int
+from .nilgrp import NilpotentGroup
 from .ratlin import QMatrix, _column_qmatrix, _int_product, _int_qmatrix, integer_kernel, zspan_basis
 
 
@@ -125,64 +126,32 @@ def _binomial_row(k: int) -> tuple[int, ...]:
     return (0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, k + 1))
 
 
-@lru_cache(maxsize=1)
-def _lattice_law(group: NilpotentGroup, lattice: LogLattice
-                 ) -> tuple[list[dict], int, int]:
-    """P(m, n) = L^-1 bch(L m, L n), the group law in the coordinates of
-    the basis L of lattice, as (laws, modulus, bits): P_k = laws[k] /
-    modulus, integer polynomials packed as in _lyndon, with `bits` bits
-    per exponent of z = (m, n).  L = B / D and L^-1 = A / E with B, A
-    integral, so _lyndon on the linear forms B m, B n over D gives
-    bch(L m, L n) over base, and A applied to it gives P over E base.
-    The last law is kept, read-only, for the coset reducer of the system
-    whose closure certificate expanded it, on a basis that is its own
-    Hermite basis, as a positive diagonal one is."""
-    d = group.dim
-    bits = group.nilpotency_class.bit_length()
-    units = [1 << (bits * i) for i in range(2 * d)]
-    D, B = lattice.basis.int_rows()
-    forms = [[{units[offset + i]: b for i, b in row} for row in B]
-             for offset in (0, d)]
-    out, base = group._lyndon(*forms, D)
-    E, A = lattice._inverse.int_rows()
-    laws = []
-    for row in A:
-        law: dict[int, int] = {}
-        for j, a in row:
-            if out[j]:
-                _add_scaled_int(law, a, out[j])
-        laws.append({m: c for m, c in law.items() if c})
-    return laws, E * base, bits
-
-
 def _non_integer_binomial_indices(group: NilpotentGroup, hermite: LogLattice
                                    ) -> set[tuple[int, ...]]:
     """Multi-indices J over z = (m, n) whose coefficient of
-    prod_i C(z_i, J_i) in the law P of _lattice_law on the lower
-    triangular basis H of hermite is not an integer, that is not divisible
-    by the modulus; only residues are expanded, since the basis change
-    has integer entries.  A J packs its 2d entries like a monomial."""
-    laws, modulus, bits = _lattice_law(group, hermite)
+    prod_i C(z_i, J_i) in the law P of the group on the lower triangular
+    basis H of hermite (NilpotentGroup.law) is not an integer, that is not
+    divisible by the modulus; only residues are expanded, since the basis
+    change has integer entries.  Read from the law's terms; a J is built
+    as the pairs (i, J_i) of its nonzero entries and written out in full
+    at the end."""
+    law = group.law(hermite.basis, hermite._inverse)
+    modulus = law.modulus
     bad = set()
-    for law in laws:
-        acc: dict[int, int] = {}
-        for m, c in law.items():
+    for terms in law.terms:
+        acc: dict = {}
+        for exps, c in terms:
             c %= modulus
             if not c:
                 continue
-            partial = [(0, c)]
-            while m:  # one variable of m at a time, by decreasing index
-                shift = (m.bit_length() - 1) // bits * bits
-                k = m >> shift
-                m -= k << shift
-                partial = [(J + (i << shift), e * t) for J, e in partial
-                           for i, t in enumerate(_binomial_row(k)) if t]
+            partial = [((), c)]
+            for i, k in exps:  # C(z_i, j) for j >= 1, as k >= 1
+                partial = [(J + ((i, j),), e * t) for J, e in partial
+                           for j, t in enumerate(_binomial_row(k)) if t]
             for J, e in partial:
                 acc[J] = acc.get(J, 0) + e
         bad.update(J for J, e in acc.items() if e % modulus)
-    mask = (1 << bits) - 1
-    return {tuple(J >> (bits * i) & mask for i in range(2 * group.dim))
-            for J in bad}
+    return {tuple(dict(J).get(i, 0) for i in range(law.count)) for J in bad}
 
 
 def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
@@ -199,8 +168,9 @@ def validate_lattice(group: NilpotentGroup, lattice: LogLattice) -> LogLattice:
     products of binomials C(z_i, J_i) over z = (m, n).  A rational
     polynomial takes integer values on all of Z^2d if and only if every
     such coefficient is an integer (Polya), so this is a finite
-    certificate of closure.  It is decided in integers on _lattice_law,
-    one integer product, by a divisibility test per coefficient.  On an
+    certificate of closure.  It is decided in integers on the terms of
+    the group's law in H coordinates (NilpotentGroup.law), one integer
+    product, by a divisibility test per coefficient.  On an
     abelian algebra P(m, n) = m + n and no product is made.
 
     A failure raises LatticeClosureError, with the witness in the given

@@ -14,23 +14,27 @@ each coefficient in turn.  A product then costs one bracket per Lyndon word
 of the table or of a standard factor of one (17 at class 6).
 
 One integer kernel, NilpotentGroup._lyndon, sums that series for both the
-symbolic product mult and the expanded law that mult_vec evaluates: the
-arguments are integer polynomials over one common denominator, each bracket
-is an integer product over the nonzero structure constants (the integer
-form of the algebra, nilalg.LieAlgebraSpec._ints), and only the final
-coefficients become Fractions.  An expanded law is evaluated by one
-integer evaluator, _IntegerLaw, on the numerators of its arguments over
-their common denominator: mult_vec is its Fraction wrapper, the coset
-reducer and the orbit oracle run it on the law in lattice coordinates
-(orbit.CosetReducer), and the suspension's embedding check runs the law
-of mult_vec on the numerators of its seeded samples
-(suspension.embedding_consistency_check).
+symbolic product mult and the group law in any basis: the arguments are
+integer polynomials over one common denominator, their monomials packed
+into the bit fields of one integer (only this module packs or unpacks
+them), and each bracket is an integer product over the nonzero structure
+constants (the integer form of the algebra, nilalg.LieAlgebraSpec._ints).
+
+The group law in a basis L, P(m, n) = L^-1 bch(L m, L n), has one
+constructor, NilpotentGroup.law, memoized on the group per basis.  It
+exposes its terms, which lattice validation and the coset reducer's
+order read, and one integer evaluator, _IntegerLaw, compiled at its
+first evaluation, runs it on the numerators of its arguments over their
+common denominator: for mult_vec, its Fraction wrapper, for the orbit
+oracle's coset reducer (orbit.CosetReducer), and for the suspension's
+embedding check, which also evaluates its translations as one polynomial
+map (integer_map, suspension.embedding_consistency_check).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -200,83 +204,94 @@ def _add_scaled_int(acc: dict, a: int, p: dict) -> None:
         acc[m] = get(m, 0) + a * c
 
 
-class _IntegerLaw:
-    """A group law of d coordinates on 2d variables (v, w), compiled for
-    evaluation in integers: law(vals, D)[k] / (s_k * D ** t_k), (s_k, t_k)
-    = law.dens[k], is coordinate k of the law at rational arguments, where
-    vals are the integer numerators of (v, w) over their common
-    denominator D.  With integral_w the argument w is an integer vector,
-    and vals holds w as it is, not scaled by D.  With common every
-    coordinate has the same (s_k, t_k) = (law.scale, law.top), as the
-    lattice states of orbit.CosetReducer need.  Its users: mult_vec,
-    orbit.CosetReducer and suspension.embedding_consistency_check.
+def _packed(polys: Sequence[Poly], den: int, shifts: list[int]) -> list[dict]:
+    """The polynomials times den as integer polynomials of _lyndon, the
+    exponent of parameter i shifted by shifts[i]: the packing of mult's
+    arguments and of integer_map."""
+    return [{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (den // c.denominator)
+             for exps, c in p.terms.items()} for p in polys]
 
-    Built from the law as integer polynomials over one integer base,
-    packed as in NilpotentGroup._lyndon with `bits` bits per exponent.
-    Values are indexed like the variables, then one per monomial of degree
-    >= 2: monomials[i] = (parent, var) gives value 2d + i as value[parent]
-    * value[var], so each costs one product.  A monomial's degree counts
-    its variables over D: all of them, or only those of v with
-    integral_w.  s_k is base over its gcd with the coefficients of the
-    coordinate (of every coordinate with common), and t_k its largest
-    degree (of the law with common).  coords has per coordinate its
-    levels, by degree from the least a law can have up to t_k, of
-    (coefficient * s_k / base, value index) pairs, summed by Horner in D:
-    the value times s_k D^t_k is sum_n S_n D^(t_k - n) for the level sums
-    S_n.
+
+class _IntegerLaw:
+    """An integer polynomial map of `count` variables z, such as a group
+    law on z = (m, n): coordinate k is the sum of c z^e over terms[k],
+    over modulus, each term (exponents, c) with exponents the pairs (i,
+    e_i) of its variables by increasing i.  Built from integer polynomials
+    packed as in NilpotentGroup._lyndon, `bits` bits per exponent.
+
+    Called on the integer numerators vals of z over a common denominator
+    D, it gives the numerators of the map at z over over(D) = scale D^top
+    for every coordinate: scale is modulus over its gcd with every
+    coefficient, top the largest degree.  It is compiled at the first
+    evaluation (_program): values are indexed like the variables, then 1,
+    then one per monomial of degree >= 2, monomials[i] = (parent, var)
+    giving value count + 1 + i as value[parent] * value[var], one product
+    each; coords has per coordinate its levels by degree 0..top of
+    (coefficient * scale / modulus, value index) pairs, summed by Horner
+    in D, so the value times scale D^top is sum_n S_n D^(top - n) for the
+    level sums S_n.
     """
 
-    __slots__ = ("monomials", "coords", "dens", "scale", "top")
+    def __init__(self, packed: list[dict], modulus: int, bits: int, count: int):
+        self.modulus, self.count = modulus, count
+        self.terms = []
+        for poly in packed:
+            terms = []
+            for m, c in poly.items():
+                exps = []  # by decreasing variable
+                while m:
+                    i = (m.bit_length() - 1) // bits
+                    e = m >> (bits * i)
+                    exps.append((i, e))
+                    m -= e << (bits * i)
+                exps.reverse()
+                terms.append((tuple(exps), c))
+            self.terms.append(terms)
 
-    def __init__(self, laws: list[dict], base: int, bits: int, *,
-                 common: bool = False, integral_w: bool = False):
-        d = len(laws)
-        low = 0 if integral_w else 1  # a group law has no constant term
-        index: dict = {}
+    @cached_property
+    def _program(self) -> tuple:
+        """(monomials, coords, scale, top), compiled at the first use."""
+        count, modulus = self.count, self.modulus
+        index = {(): count, **{(i,): i for i in range(count)}}  # factors -> value
         monomials: list = []
 
         def value_index(factors):
-            if len(factors) == 1:
-                return factors[0]
-            if factors not in index:
+            m = index.get(factors)
+            if m is None:
                 parent = value_index(factors[:-1])
-                index[factors] = 2 * d + len(monomials)
+                m = index[factors] = count + 1 + len(monomials)
                 monomials.append((parent, factors[-1]))
-            return index[factors]
+            return m
 
-        coords = []
-        for terms in laws:
-            levels: list = []
-            for m, c in terms.items():
-                factors = ()  # the variables of m, by decreasing index
-                while m:
-                    i = (m.bit_length() - 1) // bits
-                    factors += (i,)
-                    m -= 1 << (bits * i)
-                n = (sum(i < d for i in factors) if integral_w else len(factors)) - low
-                levels += [[] for _ in range(n + 1 - len(levels))]
-                levels[n].append((c, value_index(factors)))
-            coords.append(levels)
-        self.scale = base // gcd(base, *(c for terms in laws for c in terms.values()))
-        self.top = max(map(len, coords)) + low - 1
-        self.monomials, self.coords, self.dens = monomials, [], []
-        for levels in coords:
-            if common:
-                levels += [[] for _ in range(self.top + 1 - low - len(levels))]
-                scale = self.scale
-            else:
-                scale = base // gcd(base, *(c for level in levels for c, _ in level))
-            self.coords.append([[(c * scale // base, m) for c, m in level]
-                                for level in levels])
-            self.dens.append((scale, len(levels) + low - 1))
+        by_degree, top = [], 0
+        for terms in self.terms:
+            levels: dict = {}
+            for exps, c in terms:
+                factors = ()  # the variables of the monomial, with repeats
+                for i, e in exps:
+                    factors += (i,) * e
+                n = len(factors)
+                if n in levels:
+                    levels[n].append((c, value_index(factors)))
+                else:
+                    levels[n] = [(c, value_index(factors))]
+                if n > top:
+                    top = n
+            by_degree.append(levels)
+        scale = modulus // gcd(modulus, *(c for terms in self.terms for _, c in terms))
+        coords = [[[(c * scale // modulus, m) for c, m in levels.get(n, ())]
+                   for n in range(top + 1)] for levels in by_degree]
+        return monomials, coords, scale, top
 
     def __call__(self, vals: list, den: int) -> list:
-        """The integer numerators of the law at vals over den, coordinate
-        k over s_k den^t_k; appends the monomial values to vals."""
-        for parent, var in self.monomials:
+        """The integer numerators of the map at vals over den, over
+        over(den); appends 1 and the monomial values to vals."""
+        monomials, coords, _, _ = self._program
+        vals.append(1)
+        for parent, var in monomials:
             vals.append(vals[parent] * vals[var])
         out = []
-        for levels in self.coords:
+        for levels in coords:
             acc = 0
             for level in levels:
                 acc *= den
@@ -284,6 +299,23 @@ class _IntegerLaw:
                     acc += coeff * vals[m]
             out.append(acc)
         return out
+
+    def over(self, den: int) -> int:
+        """The denominator of every coordinate of the values at numerators
+        over den: scale den^top."""
+        _, _, scale, top = self._program
+        return scale * den ** top
+
+
+def integer_map(vec: ParamVector) -> _IntegerLaw:
+    """The entries of vec as one integer polynomial map of its parameters,
+    constant terms included: scaled to integers over the lcm of their
+    coefficients' denominators and packed as mult packs its arguments."""
+    polys = vec.entries
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    bits = max((e for p in polys for exps in p.terms for e in exps), default=0).bit_length()
+    return _IntegerLaw(_packed(polys, den, [bits * i for i in range(len(vec.params))]),
+                       den, bits, len(vec.params))
 
 
 class NilpotentGroup:
@@ -315,7 +347,7 @@ class NilpotentGroup:
         S, self._pairs = spec._ints
         L, self._terms = _bch_terms(nilpotency_class)
         self._scale, self._bch_scale = S, L
-        self._law = None  # the group law on symbolic arguments, see mult_vec
+        self._laws: dict = {}  # basis (None: standard) -> its law, see law()
 
     @property
     def dim(self) -> int:
@@ -326,11 +358,9 @@ class NilpotentGroup:
     def mult_vec(self, v: Sequence[object], w: Sequence[object]) -> tuple[Fraction, ...]:
         """log(exp v exp w) for rational coordinate vectors.
 
-        The Fraction wrapper of the integer law: the polynomial law of
-        mult(), expanded once per group on symbolic arguments (v1..vd,
-        w1..wd) so both share one source, is evaluated on the integer
-        numerators of the arguments over their common denominator
-        (_IntegerLaw).  An abelian law is v + w.
+        The Fraction wrapper of the standard law (law()), evaluated on the
+        integer numerators of the arguments over their common denominator.
+        An abelian law is v + w.
         """
         d = self.dim
         if len(v) != d or len(w) != d:
@@ -339,20 +369,45 @@ class NilpotentGroup:
             return tuple(to_fraction(a) + to_fraction(b) for a, b in zip(v, w))
         z = [x if type(x) is Fraction else Fraction(x) for x in (*v, *w)]
         den = lcm(*[x.denominator for x in z])
-        law = self._expanded_law()
+        law = self.law()
         out = law([x.numerator if den == 1 else x.numerator * (den // x.denominator)
                    for x in z], den)
-        return tuple([Fraction(n, s * den ** t) for n, (s, t) in zip(out, law.dens)])
+        over = law.over(den)
+        return tuple([Fraction(n, over) for n in out])
 
-    def _expanded_law(self) -> "_IntegerLaw":
-        """The group law on the 2d unit variables (v1..vd, w1..wd), for
-        mult_vec: _lyndon on those variables, compiled once."""
-        if self._law is None:
+    def law(self, basis: QMatrix | None = None, inverse: QMatrix | None = None
+            ) -> _IntegerLaw:
+        """P(m, n) = L^-1 bch(L m, L n), the group law in the coordinates of
+        the basis L (the standard law without one), as an integer
+        polynomial map of (m, n); inverse is L^-1, which a LogLattice holds.
+
+        Memoized on the group by basis: a QMatrix hashes its integer form,
+        so equal bases share one law.  L = B / D and L^-1 = A / E with B, A
+        integral, so _lyndon on the linear forms B m, B n over D gives
+        bch(L m, L n) over base, and A applied to that gives P over E base.
+        On an abelian algebra P is m + n in any basis; no product is made.
+        """
+        law = self._laws.get(basis)
+        if law is None:
             d = self.dim
             bits = self.nilpotency_class.bit_length()  # no exponent exceeds the class
-            units = [{1 << (bits * i): 1} for i in range(2 * d)]
-            self._law = _IntegerLaw(*self._lyndon(units[:d], units[d:], 1), bits)
-        return self._law
+            units = [1 << (bits * i) for i in range(2 * d)]
+            if self.nilpotency_class == 1:
+                packed, modulus = [{units[k]: 1, units[d + k]: 1} for k in range(d)], 1
+            else:
+                D, B = (1, [((i, 1),) for i in range(d)]) if basis is None else basis.int_rows()
+                packed, modulus = self._lyndon(*[[{units[offset + i]: b for i, b in row} for row in B]
+                                                 for offset in (0, d)], D)
+                if inverse is not None:
+                    E, A = inverse.int_rows()
+                    bch, packed, modulus = packed, [], E * modulus
+                    for row in A:
+                        acc: dict[int, int] = {}
+                        for j, a in row:
+                            _add_scaled_int(acc, a, bch[j])
+                        packed.append({m: c for m, c in acc.items() if c})
+            law = self._laws[basis] = _IntegerLaw(packed, modulus, bits, 2 * d)
+        return law
 
     def mult(self, v: ParamVector, w: ParamVector) -> ParamVector:
         """log(exp v exp w) for polynomial coordinate vectors: _lyndon on
@@ -368,12 +423,8 @@ class NilpotentGroup:
             (e for p in polys for exps in p.terms for e in exps), default=0)).bit_length()
         shifts = [bits * i for i in range(len(params))]
         mask = (1 << bits) - 1
-
-        def packed(vec):
-            return [{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (den // c.denominator)
-                     for exps, c in p.terms.items()} for p in vec.entries]
-
-        out, base = self._lyndon(packed(v), packed(w), den)
+        out, base = self._lyndon(_packed(v.entries, den, shifts),
+                                 _packed(w.entries, den, shifts), den)
         return _vector(params, tuple(
             _poly(params, {tuple(m >> s & mask for s in shifts): Fraction(c, base)
                            for m, c in terms.items()})

@@ -21,11 +21,12 @@ coset reduction produces canonical fundamental-domain representatives by
 clearing lattice coordinates in an order along which right multiplication
 by a generator shifts its own coordinate by exactly one and leaves the
 already-cleared coordinates alone, as along a Malcev basis: a topological
-order of the generators' shifts, read off the group law in lattice
-coordinates (lattice._lattice_law) in any dimension, 0..d-1 on an abelian
-algebra, and independent of the order in which the basis lists them.
-Each floor is an integer division and each power of a generator one
-evaluation of that law by the group's integer evaluator.
+order of the generators' shifts, read off the terms of the group law in
+lattice coordinates (NilpotentGroup.law, m + n and so 0..d-1 on an
+abelian algebra) in any dimension, and independent of the order in
+which the basis lists them.  Each floor is an integer division and each
+power of a generator one evaluation of that law by the group's integer
+evaluator.
 The coset metric is the class's too, on the same states, and the only
 one: the map (NumericAffine) and a torus factor (_TorusFactor) step.
 """
@@ -41,8 +42,8 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from ._record import record
-from .lattice import LogLattice, _lattice_law
-from .nilgrp import NilpotentGroup, _IntegerLaw
+from .lattice import LogLattice
+from .nilgrp import NilpotentGroup
 from .ratlin import to_fraction, unipotency_index
 
 CONSISTENT = "ConsistentWithAA"
@@ -69,25 +70,25 @@ def _point(values) -> tuple:
     return tuple(to_fraction(v) for v in values)
 
 
-def _reduction_order(laws: list[dict], modulus: int, bits: int
+def _reduction_order(terms: list[list], modulus: int
                      ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """CosetReducer's order and which generators are central, read from
-    the terms of the law P(y, n) of _lattice_law in n_i and no other n_k:
-    generator i moves their coordinates, but for the term n_i of P_i.  It
-    shifts cleanly when it does not move its own coordinate, and is central
-    when it moves none.  The order is topological (Kahn, 1962): next comes
-    the lowest remaining generator that no remaining one, itself included,
-    moves.  Where none is left, the ValueError names the generators that
-    do not shift cleanly or, if all do, those remaining."""
-    d = len(laws)
+    the terms of the law P(y, n) in lattice coordinates
+    (NilpotentGroup.law: per coordinate, (exponents, c) over modulus) in
+    n_i and no other n_k: generator i moves their coordinates, but for
+    the term n_i of P_i.  It shifts cleanly when it does not move its own
+    coordinate, and is central when it moves none.  The order is
+    topological (Kahn, 1962): next comes the lowest remaining generator
+    that no remaining one, itself included, moves.  Where none is left,
+    the ValueError names the generators that do not shift cleanly or, if
+    all do, those remaining."""
+    d = len(terms)
     moved = [set() for _ in range(d)]
-    for k, law in enumerate(laws):
-        for m, c in law.items():
-            n = m >> (bits * d)
-            i = (n.bit_length() - 1) // bits
-            if (n and not n & ((1 << (bits * i)) - 1)
-                    and (k, m, c) != (i, 1 << (bits * (d + i)), modulus)):
-                moved[i].add(k)
+    for k, coord in enumerate(terms):
+        for exps, c in coord:
+            n = [v for v, _ in exps if v >= d]
+            if len(n) == 1 and (k, exps, c) != (n[0] - d, ((n[0], 1),), modulus):
+                moved[n[0] - d].add(k)
     chosen, remaining = [], list(range(d))
     while remaining:
         i = next((i for i in remaining
@@ -119,12 +120,13 @@ class CosetReducer:
     A lattice state is a point's lattice coordinates c = L^-1 x as integer
     numerators over one denominator, in lowest terms: (u, D) with c = u / D
     and D > 0.  state() and point() convert, and product() is the group
-    law in lattice coordinates, P of _lattice_law (m + n on an abelian
-    algebra), compiled once for nilgrp's integer evaluator.
+    law in lattice coordinates, P of NilpotentGroup.law (m + n on an
+    abelian algebra), which the group keeps for the basis.
 
     reduce_state() right-multiplies by integer powers of the generators,
     in `ordering`, until every lattice coordinate lies in [0, 1): each
-    floor is an integer division, each power one evaluation of P.  reduce()
+    floor is an integer division, each power one evaluation of P, its
+    integer argument scaled to the state's denominator.  reduce()
     is its Fraction wrapper on points.  A basis has `ordering` exactly
     when every generator shifts its own coordinate cleanly and no shifts
     move each other's coordinates in a cycle; otherwise ValueError.
@@ -149,30 +151,12 @@ class CosetReducer:
             raise ValueError("lattice dimension does not match the algebra")
         self.group = group
         self.lattice = lattice
-        d = lattice.dim
         self._torus = group.spec.abelian()
-        if self._torus:  # P(m, n) = m + n
-            laws, modulus, bits = [{1 << k: 1, 1 << (d + k): 1}
-                                   for k in range(d)], 1, 1
-            self.ordering, self._central = tuple(range(d)), (True,) * d
-        else:
-            laws, modulus, bits = _lattice_law(group, lattice)
-            self.ordering, self._central = _reduction_order(laws, modulus, bits)
-        self._laws = laws, modulus, bits
+        self._law = law = group.law(lattice.basis, lattice._inverse)
+        self.ordering, self._central = _reduction_order(law.terms, law.modulus)
         # L = B / unit and L^-1 = A / E, as sparse integer rows
         self._unit, self._basis = lattice.basis.int_rows()
         self._inverse_unit, self._inverse = lattice._inverse.int_rows()
-
-    @cached_property
-    def _law(self) -> _IntegerLaw:
-        """P(s, t) on lattice states, compiled at its first use."""
-        return _IntegerLaw(*self._laws, common=True)
-
-    @cached_property
-    def _law_integral(self) -> _IntegerLaw:
-        """P(s, n) on a lattice state s and an integer vector n, compiled
-        at its first use."""
-        return _IntegerLaw(*self._laws, common=True, integral_w=True)
 
     def state(self, vec: Sequence[object]) -> tuple:
         """The lattice state of the point vec: A x / E on the numerators
@@ -201,20 +185,20 @@ class CosetReducer:
             fs, ft = den // ds, den // dt
             vals = [a * fs for a in u] + [a * ft for a in v]
         law = self._law
-        return _lowest(law(vals, den), law.scale * den ** law.top)
+        return _lowest(law(vals, den), law.over(den))
 
     def reduce_state(self, state) -> tuple:
         """The lattice state of the canonical representative of the coset
         of a lattice state in lowest terms."""
         u, den = state
         d = len(u)
-        law = self._law_integral
+        law = self._law
         for i in self.ordering:
             k = u[i] // den
             if k:
                 vals = [*u] + [0] * d
-                vals[d + i] = -k
-                u, den = _lowest(law(vals, den), law.scale * den ** law.top)
+                vals[d + i] = -k * den
+                u, den = _lowest(law(vals, den), law.over(den))
         if min(u) < 0 or max(u) >= den:
             raise ArithmeticError("reduction left the fundamental domain")
         return tuple(u), den
@@ -263,6 +247,21 @@ class CosetReducer:
         return [(i, row, sorted({p[i] for p in points if p[i]}))
                 for i, row in enumerate(self._basis)
                 if i not in touched and all(j in readable for j, _ in row)]
+
+    @cached_property
+    def _factor(self) -> tuple:
+        """What a torus factor (_TorusFactor) of any map on this reducer
+        reads, built at the first factor: the lattice coordinates j that
+        _early reads, their places in a factor's state, _early's rows on
+        those places, and the lcm of the SNAP_GRID denominators of the c_j
+        (a point on the SNAP_GRID has c_j = A_j x / E with x in the grid)."""
+        coords = sorted({j for _, row, _ in self._early for j, _ in row})
+        at = {j: n for n, j in enumerate(coords)}
+        rows = [([(at[j], b) for j, b in row], values) for _, row, values in self._early]
+        E = self._inverse_unit
+        grid = math.lcm(*[SNAP_GRID * (E // math.gcd(E, *(a for _, a in self._inverse[j])))
+                          for j in coords])
+        return coords, at, rows, grid
 
     def distance(self, s, t) -> Fraction:
         """The distance between the cosets of the lattice states s and t:
@@ -319,7 +318,8 @@ class CosetReducer:
         eps, the first one under eps (ceil(eps * unit) when there is none).
 
         All values are integers over unit = B's unit times W, W the common
-        denominator of s and of the products y * gamma.
+        denominator of s and of the products y * gamma, whose lattice
+        element gamma is scaled to y's denominator.
         """
         law = self._law
         (u, du), (v, dv) = s, t
@@ -327,11 +327,10 @@ class CosetReducer:
         den = math.lcm(du, dv)
         fu, fv = den // du, den // dv
         diff = law([-a * fv for a in v] + [a * fu for a in u], den)
-        over = law.scale * den ** law.top
+        over = law.over(den)
         base = [_round(c, over) for c in diff]
         # the values, integers over unit: y * gamma is over wide
-        law = self._law_integral
-        wide = law.scale * dv ** law.top
+        wide = law.over(dv)
         den = math.lcm(du, wide)
         f = den // wide
         unit = self._unit * den
@@ -341,7 +340,8 @@ class CosetReducer:
         for e in self._moves:
             gamma = base if e is None else list(map(add, base, e))
             if any(gamma):
-                w = [a - b * f for a, b in zip(x, law([*v, *gamma], dv))]
+                w = [a - b * f for a, b in zip(
+                    x, law([*v, *[g * dv for g in gamma]], dv))]
             else:
                 w = list(map(sub, x, [a * (den // dv) for a in v]))
             value = self._norm_near(w, den)
@@ -546,28 +546,25 @@ class _TorusFactor:
     every point on the SNAP_GRID, the targets of a trial; so a state holds
     the integers den * c_j, in [0, den) and not another member of their
     class, as round() breaks a tie at 1/2 by parity.  With eps None the
-    factor has no threshold test and den leaves eps out.  The metric is
+    factor has no threshold test and den leaves eps out.  The coordinates,
+    their places, the test rows and the SNAP_GRID denominators are the
+    reducer's (CosetReducer._factor), built once for T's and T^-1's
+    factors; U_f, the drift and den are the factor's own.  The metric is
     the reducer's: a torus map's state s is the lattice state (s, den),
     which near(), distance() and point() hand to it.
     """
 
     def __init__(self, affine: NumericAffine, eps: Optional[Fraction],
                  states):
-        reducer = affine._reducer
-        self._coords = coords = sorted({j for _, row, _ in reducer._early
-                                        for j, _ in row})
-        self._reducer = reducer
+        self._reducer = reducer = affine._reducer
+        coords, at, _, grid = reducer._factor
+        self._coords = coords
         self._reach = affine.reach()
-        # a point on the SNAP_GRID has c_j = A_j x / E with x in the grid
-        grid = [SNAP_GRID * (reducer._inverse_unit // math.gcd(
-            reducer._inverse_unit, *(a for _, a in reducer._inverse[j])))
-                for j in coords]
-        self.den = math.lcm(1 if eps is None else eps.denominator, *grid, *(
+        self.den = math.lcm(1 if eps is None else eps.denominator, grid, *(
             e // math.gcd(u[j], e) for u, e in (affine._shift, *states)
             for j in coords))
         self._eps = eps
         # U_f: U_L's rows on the factor's coordinates, by their places
-        self._at = at = {j: n for n, j in enumerate(coords)}
         self._map = [[(at[k], u) for k, u in affine._lattice_map[j]]
                      for j in coords]
         self._drift = self._of(affine._shift)
@@ -578,8 +575,7 @@ class _TorusFactor:
         the first scan: (row on the factor's places, bound, move entries)."""
         eps, den, reducer = self._eps, self.den, self._reducer
         tests = []
-        for _, row, values in reducer._early if eps else ():
-            row = [(self._at[j], b) for j, b in row]
+        for row, values in reducer._factor[2] if eps else ():
             bound = eps.numerator * reducer._unit * den // eps.denominator
             # a centred gap puts the value within sum |b| den / 2 of 0, so
             # a move entry further than that plus the bound never accepts

@@ -23,9 +23,11 @@ its Jacobi identity is the derivation identity for D
 monodromy_adjoint_check compares exp(ad delta) with U as integer forms.
 
 embedding_consistency_check evaluates both routes at seeded samples, in
-integer numerators over a common denominator: the three products run
-through the integer law of each group (nilgrp._IntegerLaw), and only a
-disagreement is turned into Fractions, for its Mismatch.
+integer numerators with one denominator per vector, on nilgrp's one
+integer evaluator: a and w as one polynomial map of the parameters
+(nilgrp.integer_map), and the three products as the group law of each
+group (NilpotentGroup.law).  Only a disagreement is turned into
+Fractions, for its Mismatch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ._record import record
 from .lattice import LogLattice
 from .nilalg import (LieAlgebraSpec, ad_int_rows, build_suspension_algebra,
                      check_derivation, lower_central_class)
-from .nilgrp import NilpotentGroup
+from .nilgrp import NilpotentGroup, integer_map
 from .poly import ParamVector, Poly
 from .ratlin import QMatrix, _exp_int_rows, _reduced, to_fraction
 
@@ -150,94 +152,52 @@ def embedding_consistency_check(susp: SuspendedSystem, samples: int) -> bool:
     so the same point of N / exp(Lambda).  Checks `samples` seeded
     points and parameter values; raises ValueError when samples < 1.
 
-    Each sample stays in integer numerators over a common denominator:
-    the coefficients of a, of w and of U are scaled to integers once per
-    check, a and w are evaluated from shared power tables of the
-    parameter values, and the three products run through each group's
-    integer law (NilpotentGroup._expanded_law).  The routes are compared
-    by cross-multiplication; Fractions are built only for a Mismatch.
+    Each sample stays in integer numerators, one denominator per vector:
+    a and w are evaluated at the parameter values as one integer
+    polynomial map (nilgrp.integer_map), a, w, x and U x are brought to
+    one denominator, and the three products run through each group's
+    integer law (NilpotentGroup.law).  The routes are compared by
+    cross-multiplication; Fractions are built only for a Mismatch.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     system = susp.base
     group: NilpotentGroup = system.group
     d = group.dim
-    params = system.translation.params
-    law, big_law = group._expanded_law(), susp.big_group._expanded_law()
-    evaluate = _integer_evaluator(
-        (*system.translation.entries, *susp.embedded_translation.entries), len(params))
+    a = system.translation
+    law, big_law = group.law(), susp.big_group.law()
+    evaluate = integer_map(ParamVector(a.params, (*a.entries, *susp.embedded_translation.entries)))
     cu, rows = system.automorphism.int_rows()  # U = rows / cu
     rng = Random(2024)  # a fixed sample set keeps suspend output reproducible
 
     for _ in range(samples):
-        drawn = [(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in params]
-        values, den = evaluate(drawn)
+        drawn = [(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in a.params]
+        at = lcm(*(m for _, m in drawn))  # the parameter values over at
+        values = evaluate([n * (at // m) for n, m in drawn], at)  # a and w
+        over = evaluate.over(at)
         drawn_point = [(rng.randrange(-24, 25), rng.randrange(1, 13)) for _ in range(d)]
         q = lcm(*(m for _, m in drawn_point))
-        point = [p * (q // m) for p, m in drawn_point]
-        ux = [sum(x * point[j] for j, x in row) for row in rows]
-
-        direct, direct_dens = _product(law, values[:d], den, ux, cu * q)
-        up, up_dens = _product(big_law, values[d:], den, [0, *point], q)
-        k, r = divmod(up[0], up_dens[0])
+        point = [p * (q // m) for p, m in drawn_point]  # x over q
+        ux = [sum(x * point[j] for j, x in row) for row in rows]  # U x over cu q
+        den = lcm(over, cu * q)
+        values = [x * (den // over) for x in values]
+        direct = law([*values[:d], *[x * (den // (cu * q)) for x in ux]], den)
+        direct_den = law.over(den)
+        up = big_law([*values[d:], 0, *[x * (den // q) for x in point]], den)
+        up_den = big_law.over(den)
+        k, r = divmod(up[0], up_den)
         if not r:
-            common = lcm(*up_dens)
-            down, down_dens = _product(big_law, [x * (common // m) for x, m in zip(up, up_dens)],
-                                       common, [-k] + [0] * d, 1)
-            if not down[0] and all(x * s == y * t for x, y, s, t in
-                                   zip(direct, down[1:], down_dens[1:], direct_dens)):
+            down = big_law([*up, -k * up_den, *[0] * d], up_den)
+            down_den = big_law.over(up_den)
+            if not down[0] and all(x * down_den == y * direct_den
+                                   for x, y in zip(direct, down[1:])):
                 continue
         sample = (tuple(Fraction(p, m) for p, m in drawn_point),
-                  tuple(sorted((name, Fraction(n, m)) for name, (n, m) in zip(params, drawn))))
-        direct = tuple(map(Fraction, direct, direct_dens))
-        up = tuple(map(Fraction, up, up_dens))
+                  tuple(sorted((name, Fraction(n, m)) for name, (n, m) in zip(a.params, drawn))))
+        direct = tuple(Fraction(x, direct_den) for x in direct)
+        up = tuple(Fraction(x, up_den) for x in up)
         if r:
             raise Mismatch(sample, direct, up,
                            f"circle coordinate {up[0]} of the embedded point is not an integer")
-        raise Mismatch(sample, direct, susp.fiber(tuple(map(Fraction, down, down_dens))))
+        raise Mismatch(sample, direct, susp.fiber(tuple(Fraction(x, down_den) for x in down)))
     return True
-
-
-def _integer_evaluator(polys: Sequence[Poly], count: int):
-    """Evaluation of polys, over `count` parameters, in integers.
-
-    The polynomials are scaled to integer coefficients over their common
-    denominator C and each term is homogenized to their top degree E, so
-    at t_i = n_i / m_i a term c t^e adds c M^(E - |e|) prod (n_i M / m_i)^e_i
-    to the numerator over C M^E, M = lcm(m_i).  The returned function maps
-    the pairs (n_i, m_i) to the numerators and that denominator, from one
-    table of powers per parameter.
-    """
-    C = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    E = max((sum(e) for p in polys for e in p.terms), default=0)
-    tops = [max((e[i] for p in polys for e in p.terms), default=0) for i in range(count)]
-    terms = [[(c.numerator * (C // c.denominator), E - sum(e),
-               tuple((i, k) for i, k in enumerate(e) if k))
-              for e, c in p.terms.items()] for p in polys]
-
-    def evaluate(drawn):
-        M = lcm(*(m for _, m in drawn))
-        powers = [[(n * (M // m)) ** k for k in range(top + 1)]
-                  for (n, m), top in zip(drawn, tops)]
-        m_powers = [M ** k for k in range(E + 1)]
-        values = []
-        for poly in terms:
-            acc = 0
-            for c, rest, factors in poly:
-                c *= m_powers[rest]
-                for i, k in factors:
-                    c *= powers[i][k]
-                acc += c
-            values.append(acc)
-        return values, C * m_powers[E]
-
-    return evaluate
-
-
-def _product(law, v, dv, w, dw) -> tuple[list, list]:
-    """The integer law at v / dv and w / dw: the numerators of the product
-    and, per coordinate, their denominators."""
-    den = lcm(dv, dw)
-    out = law([x * (den // dv) for x in v] + [x * (den // dw) for x in w], den)
-    return out, [s * den ** t for s, t in law.dens]
-

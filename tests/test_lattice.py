@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (abelian, change_of_basis, coprime_scaling, filiform,
                       free_nilpotent_2_3, heisenberg, q6, random_basis_matrix,
-                      random_change_of_basis)
+                      random_change_of_basis, random_unimodular)
 from nilaa.criteria import make_system
 from nilaa.lattice import (LatticeClosureError, LogLattice, _binomial_row,
                            _is_hermite, _non_integer_binomial_indices,
@@ -730,13 +730,13 @@ def test_reduction_ordering_matches_the_symbolic_search():
 
 
 def test_reduction_order_on_hand_built_laws():
-    # the law P_k(y, n) = y_k + n_k + the extra terms given for k, with one
-    # bit per exponent: the term y_a n_b is 1 << a | 1 << (d + b)
+    # the law P_k(y, n) = y_k + n_k + the extra terms given for k, as the
+    # terms of NilpotentGroup.law: the term y_a n_b is (((a, 1), (d + b, 1)), 1)
     def order(d, extra):
-        laws = [{1 << k: 1, 1 << (d + k): 1} for k in range(d)]
+        terms = [[(((k, 1),), 1), (((d + k, 1),), 1)] for k in range(d)]
         for k, a, b in extra:
-            laws[k][1 << a | 1 << (d + b)] = 1
-        return _reduction_order(laws, 1, 1)
+            terms[k].append((((a, 1), (d + b, 1)), 1))
+        return _reduction_order(terms, 1)
 
     def refusal(d, extra):
         with pytest.raises(ValueError) as info:
@@ -753,3 +753,102 @@ def test_reduction_order_on_hand_built_laws():
     assert refusal(2, [(0, 0, 1), (1, 1, 0)]) == (
         "no reduction ordering: each of [0, 1] is moved by another's shift "
         "after []")
+
+
+# ---- the one law: NilpotentGroup.law in any basis ----
+
+def _law_value(law, m, n):
+    """The law at rational (m, n), evaluated in integers on the numerators
+    of (m, n) over their common denominator."""
+    z = [F(x) for x in (*m, *n)]
+    den = math.lcm(*(x.denominator for x in z))
+    out = law([x.numerator * (den // x.denominator) for x in z], den)
+    return tuple(F(c, law.over(den)) for c in out)
+
+
+def _reference_reduce(symbolic, ordering, coords):
+    """CosetReducer.reduce_state through the symbolic law: for each i in
+    ordering, c := P(c, -floor(c_i) e_i)."""
+    c, d = list(coords), len(coords)
+    for i in ordering:
+        k = math.floor(c[i])
+        if k:
+            c = list(law_at(symbolic, c, [-k * (j == i) for j in range(d)]))
+    return tuple(c)
+
+
+def test_the_law_in_any_basis_is_the_symbolic_law():
+    # P(m, n) = L^-1 bch(L m, L n) on Hermite bases, dense bases that are
+    # not their own Hermite basis, and bases with pairwise-coprime
+    # denominators near 2^40, of algebras written in random bases: its
+    # terms are the symbolic law's, its value at rational (m, n) and at an
+    # integer n is the symbolic law's there, and the coset reducer, whose
+    # every power of a generator is one evaluation at an integer n,
+    # reduces as the symbolic law does
+    rng = random.Random(3901)
+    seen = {"hermite": 0, "dense": 0, "coprime": 0}
+    for base, shears in product((heisenberg(), free_nilpotent_2_3(), filiform(4),
+                                 filiform(5), abelian(3)), (0, 1, 2)):
+        spec = random_change_of_basis(base, rng, shears)
+        group = NilpotentGroup(spec)
+        d = spec.dim
+        dense = random_basis_matrix(d, rng, 3)
+        bases = {"hermite": zspan_basis(dense), "dense": dense,
+                 "coprime": coprime_scaling(d, rng) @ random_unimodular(d, rng)}
+        for kind, basis in bases.items():
+            assert _is_hermite(basis) == (kind == "hermite")
+            lattice = LogLattice(basis)
+            law = group.law(basis, lattice._inverse)
+            # equal bases share one law
+            assert group.law(QMatrix(basis.entries), basis.inverse()) is law
+            symbolic = symbolic_law(group, lattice)
+            assert law.count == 2 * d and len(law.terms) == d
+            for terms, poly in zip(law.terms, symbolic.entries):
+                full = {}
+                for exps, c in terms:
+                    key = [0] * (2 * d)
+                    for i, e in exps:
+                        key[i] = e
+                    full[tuple(key)] = F(c, law.modulus)
+                assert full == poly.terms
+            for _ in range(4):
+                m = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(d)]
+                n = [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(d)]
+                k = [rng.randrange(-3, 4) for _ in range(d)]
+                assert _law_value(law, m, n) == law_at(symbolic, m, n)
+                assert _law_value(law, m, k) == law_at(symbolic, m, k)
+            seen[kind] += 1
+            try:
+                reducer = CosetReducer(group, lattice)
+            except ValueError:  # no reduction ordering on this basis
+                continue
+            for _ in range(3):
+                x = [F(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(d)]
+                u, den = reducer.reduce_state(reducer.state(x))
+                assert tuple(F(a, den) for a in u) == _reference_reduce(
+                    symbolic, reducer.ordering, lattice.to_coords(x))
+            key = ("reduced", kind, spec.abelian())
+            seen[key] = seen.get(key, 0) + 1
+    # a re-based non-abelian algebra orders its generators only now and
+    # then; a coprime basis of one never does here
+    assert seen == {"hermite": 15, "dense": 15, "coprime": 15,
+                    ("reduced", "hermite", False): 3, ("reduced", "dense", False): 3,
+                    ("reduced", "hermite", True): 3, ("reduced", "dense", True): 3,
+                    ("reduced", "coprime", True): 3}
+
+
+def test_the_standard_law_is_the_law_without_a_basis():
+    # law() is the law on the standard basis, memoized under None, and an
+    # abelian law is m + n over 1 in any basis, with no product made
+    rng = random.Random(3903)
+    group = NilpotentGroup(random_change_of_basis(filiform(5), rng, 2))
+    law = group.law()
+    assert law is group.law()
+    identity = QMatrix.identity(5)
+    assert law.terms == group.law(identity, identity).terms
+    assert law.modulus == group.law(identity, identity).modulus
+    torus = NilpotentGroup(abelian(3))
+    dense = random_basis_matrix(3, rng, 3)
+    sum_law = torus.law(dense, dense.inverse())
+    assert sum_law.modulus == 1
+    assert sum_law.terms == [[(((k, 1),), 1), (((3 + k, 1),), 1)] for k in range(3)]

@@ -1,5 +1,6 @@
 """Suspension construction and the two-route embedding consistency check."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from nilaa.criteria import AffineSystem, make_system
 from nilaa.nilalg import (JacobiViolation, LieAlgebraSpec, NotNilpotent,
                           build_suspension_algebra, check_derivation, lower_central_class,
                           validate_algebra)
-from nilaa.nilgrp import ClassCapExceeded, NilpotentGroup
+from nilaa.nilgrp import ClassCapExceeded, NilpotentGroup, integer_map
 from nilaa.poly import ParamVector, Poly, parse_poly
 from nilaa.ratlin import NotUnipotent, QMatrix
 from nilaa.suspension import (Mismatch, SuspendedSystem, embedding_consistency_check,
@@ -484,3 +485,43 @@ def test_a_non_derivation_raises_the_jacobi_violation_of_the_full_check():
                 fraction_validate_algebra(big)
             assert (info.value.triple, info.value.residual) == expected[:2]
     assert violations >= 30
+
+
+def _map_value(f, values):
+    """The integer polynomial map f at the rational values, from their
+    numerators over their common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    out = f([v.numerator * (den // v.denominator) for v in values], den)
+    return tuple(Fraction(c, f.over(den)) for c in out)
+
+
+def test_a_translation_as_an_integer_map_is_its_substitution():
+    # the one integer evaluator on a polynomial map with constant terms
+    # (nilgrp.integer_map), as the embedding check runs a and w: it must
+    # give ParamVector.substitute, with parameters and without
+    rng = random.Random(3902)
+    vectors = []
+    for count in (0, 1, 2, 3):
+        params = tuple(f"t{i + 1}" for i in range(count))
+        for _ in range(12):
+            vectors.append(ParamVector(params, [Poly(params, {
+                tuple(rng.randrange(4) for _ in params):
+                    Fraction(rng.randrange(-20, 21), rng.randrange(1, 12))
+                for _ in range(rng.randrange(4))}) for _ in range(rng.randrange(1, 5))]))
+    for system in corpus_systems() + scaling_systems()[:12] + [furstenberg_system()]:
+        try:
+            susp = suspend(system)
+        except (NotUnipotent, ClassCapExceeded):
+            continue
+        a = system.translation
+        vectors.append(ParamVector(a.params, (*a.entries, *susp.embedded_translation.entries)))
+    kinds = set()
+    for vec in vectors:
+        f = integer_map(vec)
+        for _ in range(3):
+            values = [Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in vec.params]
+            assert _map_value(f, values) == vec.substitute(dict(zip(vec.params, values)))
+        kinds.add((bool(vec.params), any(p.terms.get((0,) * len(vec.params))
+                                         for p in vec.entries)))
+    assert kinds == {(False, True), (True, True), (True, False)}
+    assert len(vectors) > 60
